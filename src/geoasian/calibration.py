@@ -12,10 +12,12 @@ group parameter follows per (t, T) cell from
     v_eps = a_eps * 2 r sigma_bar / D_v,   D_v = (2/(T - t)) [ ... same bracket ],
 
 where the factor sqrt(epsilon) cancels between a = a_eps/sqrt(eps) and
-v_eps = sqrt(eps) V. The pair (D, D_v) closes the noise-free round trip
-exactly: quotes generated by ``smile_curve`` at a known v_eps regress back
-to it. Both x and y are evaluated at the C0 level (gamma included), which
-scales them equally and leaves the slope invariant.
+v_eps = sqrt(eps) V. Within one (t, T) cell the pair (D, D_v) closes the
+noise-free round trip exactly: quotes generated by ``smile_curve`` at a known
+v_eps regress back to it. A slope pooled over several cells does not, and
+each cell's v_eps then misses by up to about 1e-3. Both x and y are
+evaluated at the C0 level (gamma included), which scales them equally and
+leaves the slope invariant.
 
 Quotes CSV: UTF-8, header required, columns exactly
 ``t,T,spot,avg,strike,style,implied_vol``; strike empty on floating rows;
@@ -120,8 +122,11 @@ class RegressionFit:
 
 @dataclass(frozen=True)
 class RejectedRow:
+    """A refused quote; ``index`` is its position in the rows regressed, if any."""
+
     line: int
     reason: str
+    index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -371,6 +376,7 @@ def smile_curve(
     fixed_put points are struck at the spot. Inadmissible points (singular
     factors, vanishing vega) are returned flagged instead of raised.
     """
+    CorrectionParams(v_eps)  # rejects a non-finite v_eps
     points: list[SmilePoint] = []
     for t, T, moneyness in grid:
         try:
@@ -397,26 +403,33 @@ def regression_pairs(
     """(x, y) per quote; quotes failing pricing preconditions become rejects."""
     pairs: list[tuple[float, float]] = []
     skipped: list[RejectedRow] = []
-    for row in rows:
+    for i, row in enumerate(rows):
         try:
             pairs.append(regression_row(row, arc, model))
         except (PricingError, ValueError) as exc:
             skipped.append(
-                RejectedRow(row.line or -1, f"{type(exc).__name__}: {exc}")
+                RejectedRow(row.line or -1, f"{type(exc).__name__}: {exc}", index=i)
             )
     return pairs, skipped
 
 
 def calibration_report(
-    ingest: IngestResult, arc: VolArc, model: ModelParams
+    ingest: IngestResult,
+    arc: VolArc,
+    model: ModelParams,
+    regression: tuple[list[tuple[float, float]], list[RejectedRow]] | None = None,
 ) -> dict:
-    """Full pipeline: regression points, OLS fit, per-cell v_eps, range."""
-    pairs, skipped = regression_pairs(ingest.rows, arc, model)
-    kept = [
-        row
-        for row in ingest.rows
-        if (row.line or -1) not in {s.line for s in skipped}
-    ]
+    """Full pipeline: regression points, OLS fit, per-cell v_eps, range.
+
+    ``regression`` is ``regression_pairs(ingest.rows, arc, model)`` when the
+    caller already holds it (the CLI writes the same pairs to a scatter file);
+    it is computed here otherwise.
+    """
+    if regression is None:
+        regression = regression_pairs(ingest.rows, arc, model)
+    pairs, skipped = regression
+    dropped = {s.index for s in skipped}
+    kept = [row for i, row in enumerate(ingest.rows) if i not in dropped]
     fit = ols_fit(pairs)
     cells = sorted({(row.t, row.T) for row in kept})
     by_cell = []
@@ -437,7 +450,8 @@ def calibration_report(
         "d_eps": fit.d_eps,
         "r_squared": fit.r_squared,
         "n": fit.n,
-        "se_a_eps": fit.se_a_eps,
+        # two rows leave no residual degree of freedom: the SE is undefined
+        "se_a_eps": fit.se_a_eps if math.isfinite(fit.se_a_eps) else None,
         "rejects": rejects,
         "v_eps_by_cell": by_cell,
         "v_eps_range": [min(values), max(values)] if values else None,

@@ -26,29 +26,12 @@ from .calibration import (
     smile_curve,
 )
 from .closedform import bs_fixed_call, bs_floating_call
-from .errors import (
-    BranchError,
-    DegenerateArc,
-    DegenerateDesign,
-    DegenerateHorizon,
-    MissingColumn,
-    NonPositivePrice,
-    NonPositiveStrike,
-    PDFactorizationFailure,
-    PoleInInterval,
-    SingularDenominator,
-    SingularGamma,
-    SingularIntegral,
-    SingularL,
-    UnparseableField,
-    UnsupportedContract,
-    VanishingPrice,
-    VanishingVega,
-)
+from .errors import DegenerateDesign, PricingError
 from .mc import (
     ConstantVol,
     FullModel,
     McConfig,
+    mean_and_se,
     price_mc,
     reference_full_model,
     simulate_paths,
@@ -72,31 +55,13 @@ EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_COMPARISON = 4
 
-_VALIDATION_ERRORS = (
-    ValueError,
-    OSError,
-    DegenerateArc,
-    NonPositivePrice,
-    NonPositiveStrike,
-    UnsupportedContract,
-    DegenerateHorizon,
-    SingularL,
-    SingularGamma,
-    SingularIntegral,
-    PoleInInterval,
-    BranchError,
-    VanishingPrice,
-    VanishingVega,
-    SingularDenominator,
-    MissingColumn,
-    UnparseableField,
-    PDFactorizationFailure,
-)
+# DegenerateDesign is a PricingError, so main catches it first
 _DATA_ERRORS = (DegenerateDesign,)
+_VALIDATION_ERRORS = (ValueError, OSError, PricingError)
 
 
 def _digest(inputs: dict) -> str:
-    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -109,10 +74,12 @@ def _emit(args, command: str, inputs: dict, outputs, warnings: list[str], t0: fl
         "warnings": warnings,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
+    # a NaN or infinity would print as invalid JSON; json raises ValueError
+    # instead, which main reports as a validation failure
     if getattr(args, "json", False):
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False))
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -218,13 +185,13 @@ def cmd_calibrate(args) -> int:
     model = _model_from_args(args)
     arc = arc_from_ou(model.k, model.alpha_prime, model.z0, sigma_min=args.sigma_min)
     ingest = ingest_quotes(args.quotes)
+    regression = regression_pairs(ingest.rows, arc, model)
     if args.scatter_out:
-        pairs, _ = regression_pairs(ingest.rows, arc, model)
         with open(args.scatter_out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["x", "y"])
-            writer.writerows(pairs)
-    report = calibration_report(ingest, arc, model)
+            writer.writerows(regression[0])
+    report = calibration_report(ingest, arc, model, regression)
     warnings = list(report.pop("warnings"))
     if report["rejects"]:
         warnings.append(f"{len(report['rejects'])} quote(s) rejected; see rejects[]")
@@ -232,14 +199,6 @@ def cmd_calibrate(args) -> int:
               "scatter_out": args.scatter_out}
     _emit(args, "calibrate", inputs, report, warnings, t0)
     return EXIT_OK
-
-
-def _mc_mean_se(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
-    if antithetic:
-        pairs = values.shape[0] // 2
-        w = 0.5 * (values[:pairs] + values[pairs:])
-        return float(w.mean()), float(w.std(ddof=1)) / math.sqrt(pairs)
-    return float(values.mean()), float(values.std(ddof=1)) / math.sqrt(values.shape[0])
 
 
 def cmd_validate(args) -> int:
@@ -255,33 +214,26 @@ def cmd_validate(args) -> int:
 
     sigma = args.sigma
     T = args.T
-    state = MarketState(t=0.0, x=args.spot, g=args.spot)
+    spot = args.spot
+    state = MarketState(t=0.0, x=spot, g=spot)
     vol = ConstantVol(sigma)
-    comparisons = []
 
-    batch = simulate_paths(model, vol, 0.0, T, args.spot, args.spot, cfg)
-    mart, mart_se = _mc_mean_se(np.exp(batch.ln_x), cfg.antithetic)
-    disc = math.exp(-model.r * T)
-    comparisons.append(("martingale e^{-rT} E[X_T]", args.spot, disc * mart, disc * mart_se))
+    # one seeded path set serves the martingale check and every payoff
+    batch = simulate_paths(model, vol, 0.0, T, spot, spot, cfg)
+    mart, mart_se = mean_and_se(np.exp(batch.ln_x), cfg.antithetic, scale=math.exp(-model.r * T))
+    comparisons = [("martingale e^{-rT} E[X_T]", spot, mart, mart_se)]
 
-    floating = OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=T)
-    est = price_mc(floating, model, vol, state, cfg)
-    comparisons.append(
-        ("floating ATM call", bs_floating_call(state, sigma, T, model.r), est.price, est.std_error)
-    )
-
-    fixed_atm = OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=T, strike=args.spot)
-    est = price_mc(fixed_atm, model, vol, state, cfg)
-    comparisons.append(
-        ("fixed ATM call", bs_fixed_call(state, sigma, T, args.spot, model.r), est.price, est.std_error)
-    )
-
-    tiny = 1e-6 * args.spot
-    fixed_tiny = OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=T, strike=tiny)
-    est = price_mc(fixed_tiny, model, vol, state, cfg)
-    comparisons.append(
-        ("fixed call, K near 0", bs_fixed_call(state, sigma, T, tiny, model.r), est.price, est.std_error)
-    )
+    tiny = 1e-6 * spot
+    for name, spec, closed in (
+        ("floating ATM call", OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=T),
+         bs_floating_call(state, sigma, T, model.r)),
+        ("fixed ATM call", OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=T, strike=spot),
+         bs_fixed_call(state, sigma, T, spot, model.r)),
+        ("fixed call, K near 0", OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=T, strike=tiny),
+         bs_fixed_call(state, sigma, T, tiny, model.r)),
+    ):
+        est = price_mc(spec, model, vol, state, cfg, paths=batch)
+        comparisons.append((name, closed, est.price, est.std_error))
 
     rows = []
     all_pass = True

@@ -9,6 +9,10 @@ class DegenerateArc(PricingError):
     """z0 equals alpha_prime, so the arc curvature coefficient would vanish."""
 
 
+class NonFiniteInput(PricingError):
+    """An input that must be a finite number is NaN or infinite."""
+
+
 class NonPositivePrice(PricingError):
     """Spot or running average is not strictly positive."""
 

@@ -47,7 +47,6 @@ class McConfig:
     n_paths: int
     n_steps: int
     seed: int
-    scheme: str = "euler"
     antithetic: bool = False
     chunk_size: int | None = None
 
@@ -58,8 +57,6 @@ class McConfig:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.scheme != "euler":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic runs need an even n_paths")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -73,8 +70,8 @@ class ConstantVol:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +163,14 @@ def _normals_for_chunk(
     bitgen = np.random.Philox(key=seed)
     bitgen.advance((lo * words_per_path) // 4)
     raw = bitgen.random_raw(n_chunk * words_per_path)
-    uniform = (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
-    normals = ndtri(uniform)
+    # u = (raw >> 11) 2^-53 + 2^-54 computed in place: the same IEEE operations
+    # as the out-of-place expression, so the same bits, without its temporaries
+    raw >>= np.uint64(11)
+    normals = raw.astype(np.float64)
+    del raw
+    normals *= 2.0 ** -53
+    normals += 2.0 ** -54
+    ndtri(normals, out=normals)
     return normals.reshape(n_chunk, words_per_path)[:, :n_words]
 
 
@@ -241,9 +244,10 @@ def simulate_paths(
         hi = min(lo + chunk, draw_paths)
         nc = hi - lo
         normals = _normals_for_chunk(cfg.seed, lo, nc, words_per_path, n_words)
-        normals = normals.reshape(nc, n_steps, n_comp)
 
         m = 2 * nc if anti else nc
+        if anti:
+            mirrored = np.empty((m, n_comp))
         lnx = np.full(m, math.log(x0))
         integral = np.zeros(m)
         if full:
@@ -251,9 +255,11 @@ def simulate_paths(
             z = np.full(m, model.z0)
 
         for j in range(n_steps):
-            e = normals[:, j, :]
+            e = normals[:, j * n_comp:(j + 1) * n_comp]
             if anti:
-                e = np.concatenate([e, -e], axis=0)
+                mirrored[:nc] = e
+                np.negative(e, out=mirrored[nc:])
+                e = mirrored
             if full:
                 f = f_full(y, z, clamp, model.alpha)
             else:
@@ -298,33 +304,51 @@ def _payoffs(spec: OptionSpec, batch: PathBatch) -> np.ndarray:
     return np.maximum(spec.strike - g, 0.0)
 
 
+def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0) -> tuple[float, float]:
+    """scale times the sample mean of ``values`` and its standard error.
+
+    In an antithetic batch the second half mirrors the first, so each pair is
+    averaged before the standard error is formed and counts once.
+    """
+    if antithetic:
+        n = values.shape[0] // 2
+        values = 0.5 * (values[:n] + values[n:])
+    else:
+        n = values.shape[0]
+    return scale * float(values.mean()), scale * float(values.std(ddof=1)) / math.sqrt(n)
+
+
 def price_mc(
     spec: OptionSpec,
     model: ModelParams,
     vol: VolSpec,
     state: MarketState,
     cfg: McConfig,
+    *,
+    paths: PathBatch | None = None,
 ) -> McEstimate:
     """Discounted mean payoff with its standard error.
 
     Antithetic pairs are averaged before the standard error is formed, so a
     pair counts once. Floating puts are priced here (the payoff is
     well-defined) even though the analytic layers reject them.
+
+    ``paths`` prices on a batch already simulated from the same model, vol,
+    state and config (several payoffs then share one path set); only its
+    size and antithetic layout can be checked against ``cfg``.
     """
     T = spec.maturity
     if not T > state.t:
         raise ValueError(f"need T > t, got t={state.t}, T={T}")
-    batch = simulate_paths(model, vol, state.t, T, state.x, state.g, cfg)
-    h = _payoffs(spec, batch)
+    if paths is None:
+        paths = simulate_paths(model, vol, state.t, T, state.x, state.g, cfg)
+    elif paths.ln_x.shape[0] != cfg.n_paths or paths.antithetic != cfg.antithetic:
+        raise ValueError(
+            f"path batch ({paths.ln_x.shape[0]} paths, antithetic={paths.antithetic}) "
+            f"does not match cfg ({cfg.n_paths} paths, antithetic={cfg.antithetic})"
+        )
     disc = math.exp(-model.r * (T - state.t))
-    if cfg.antithetic:
-        pairs = cfg.n_paths // 2
-        w = 0.5 * (h[:pairs] + h[pairs:])
-        price = disc * float(w.mean())
-        se = disc * float(w.std(ddof=1)) / math.sqrt(pairs)
-    else:
-        price = disc * float(h.mean())
-        se = disc * float(h.std(ddof=1)) / math.sqrt(cfg.n_paths)
+    price, se = mean_and_se(_payoffs(spec, paths), cfg.antithetic, scale=disc)
     return McEstimate(
         price=price,
         std_error=se,

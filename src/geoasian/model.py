@@ -23,6 +23,7 @@ from enum import Enum
 
 from .errors import (
     DegenerateArc,
+    NonFiniteInput,
     NonPositivePrice,
     NonPositiveStrike,
     SingularL,
@@ -74,7 +75,13 @@ def correlation_pd_margin(rho_xy: float, rho_xz: float, rho_yz: float) -> float:
 
 def validate_params(p: ModelParams) -> list[str]:
     """Return the full list of violated invariants (empty when valid)."""
-    problems: list[str] = []
+    problems: list[str] = [
+        f"{name} must be finite, got {value}"
+        for name, value in vars(p).items()
+        if not math.isfinite(value)
+    ]
+    if not p.alpha_prime >= 0.0:
+        problems.append(f"alpha_prime must be >= 0, got {p.alpha_prime}")
     if not p.r >= 0.0:
         problems.append(f"r must be >= 0, got {p.r}")
     if not p.k > 0.0:
@@ -120,6 +127,8 @@ def arc_from_ou(
     P = (z0 - alpha_prime) k^2 / 2, Q = -(z0 - alpha_prime) k, R = z0.
     Raises DegenerateArc when z0 = alpha_prime (P would vanish).
     """
+    if not all(map(math.isfinite, (k, alpha_prime, z0))):
+        raise NonFiniteInput(f"k, alpha_prime and z0 must be finite, got {k}, {alpha_prime}, {z0}")
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
     if z0 == alpha_prime:
@@ -164,6 +173,10 @@ class MarketState:
     g: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t) and math.isfinite(self.x) and math.isfinite(self.g)):
+            raise NonFiniteInput(
+                f"t, x and g must be finite, got t={self.t}, x={self.x}, g={self.g}"
+            )
         state_transform(self.x, self.g, self.t)
 
     @property
@@ -212,6 +225,12 @@ class OptionSpec:
     strike: float | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.maturity) or (
+            self.strike is not None and not math.isfinite(self.strike)
+        ):
+            raise NonFiniteInput(
+                f"maturity and strike must be finite, got {self.maturity}, {self.strike}"
+            )
         if not self.maturity > 0.0:
             raise ValueError(f"maturity must be > 0, got {self.maturity}")
         if self.style is StrikeStyle.FIXED:

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import linregress
 
 from geoasian import (
+    IngestResult,
     QuoteRow,
     QuoteStyle,
     VolArc,
@@ -185,6 +186,26 @@ def test_regression_pairs_skips_inadmissible_cells():
     assert len(skipped) == 1
     assert skipped[0].line == 3
     assert "SingularIntegral" in skipped[0].reason
+
+
+def test_report_keeps_line_less_rows_when_one_fails():
+    """Rows built in code carry no line number; one failing row must not
+    drop the others from their cell."""
+    grid = [(0.1, 0.45, m) for m in np.linspace(0.97, 1.03, 6)]
+    pts = smile_curve(ARC, MODEL, -0.016, QuoteStyle.FLOATING_CALL, grid)
+    rows = [
+        QuoteRow(t=0.1, T=0.45, spot=100.0, avg=100.0 * p.moneyness, strike=None,
+                 style=QuoteStyle.FLOATING_CALL, implied_vol=float(p.implied_vol))
+        for p in pts
+    ]
+    rows.append(QuoteRow(t=0.1, T=0.5, spot=100.0, avg=100.0, strike=None,
+                         style=QuoteStyle.FLOATING_CALL, implied_vol=0.19))
+    report = calibration_report(IngestResult(rows=rows, rejects=[], warnings=[]), ARC, MODEL)
+    assert report["n"] == 6
+    assert len(report["rejects"]) == 1
+    assert report["rejects"][0]["line"] == -1
+    assert [(c["t"], c["T"], c["n"]) for c in report["v_eps_by_cell"]] == [(0.1, 0.45, 6)]
+    assert rel(report["v_eps_by_cell"][0]["v_eps"], -0.016) < 1e-9
 
 
 # -------------------------------------------------------------------- OLS

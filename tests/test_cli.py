@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geoasian import VolArc, smile_curve
+from geoasian import VolArc, calibration, cli, smile_curve
 from geoasian.calibration import QuoteStyle
 from geoasian.cli import EXIT_COMPARISON, EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
-from geoasian.mc import reference_full_model
+from geoasian.closedform import bs_fixed_call, bs_floating_call
+from geoasian.mc import ConstantVol, McConfig, price_mc, reference_full_model, simulate_paths
+from geoasian.model import MarketState, ModelParams, OptionKind, OptionSpec, StrikeStyle
 
 PRICE_ARGS = [
     "price", "--style", "floating", "--kind", "call",
@@ -95,6 +100,34 @@ def test_price_rejects_floating_with_strike(capsys):
     assert json.loads(err)["error"] == "UnsupportedContract"
 
 
+def test_price_rejects_nan_spot(capsys):
+    argv = list(PRICE_ARGS)
+    argv[argv.index("--spot") + 1] = "nan"
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFiniteInput"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    flag=st.sampled_from(["--spot", "--avg", "--t", "--T", "--v-eps", "--k", "--r", "--z0",
+                          "--alpha-prime", "--epsilon", "--sigma-min", "--nu", "--rho-xy"]),
+    value=st.sampled_from(["nan", "inf", "-inf"]),
+)
+def test_price_never_exits_ok_on_a_non_finite_input(flag, value):
+    argv = list(PRICE_ARGS)
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    argv.append(f"{flag}={value}")  # "=" keeps argparse from reading -inf as a flag
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == EXIT_VALIDATION
+    assert out.getvalue() == ""
+    json.loads(err.getvalue())
+
+
 def test_price_singular_window_is_a_validation_error(capsys):
     code, _, err = run(capsys, [
         "price", "--style", "floating", "--kind", "call",
@@ -131,6 +164,38 @@ def test_calibrate_round_trip_with_scatter(tmp_path, capsys):
         rows = list(csv.reader(handle))
     assert rows[0] == ["x", "y"]
     assert len(rows) == 4
+
+
+def test_calibrate_scatter_regresses_each_quote_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = calibration.regression_row
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "regression_row", counted)
+    code, _, _ = run(capsys, [
+        "calibrate", *MODEL_ARGS, "--quotes", str(quotes_csv(tmp_path)),
+        "--scatter-out", str(tmp_path / "scatter.csv"),
+    ])
+    assert code == EXIT_OK
+    assert len(calls) == 3
+
+
+def test_calibrate_two_quotes_reports_null_standard_error(tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    path.write_text(
+        "t,T,spot,avg,strike,style,implied_vol\n"
+        "0.1,0.45,100,99,,floating_call,0.19\n"
+        "0.1,0.45,100,101,,floating_call,0.18\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, ["calibrate", *MODEL_ARGS, "--quotes", str(path), "--json"])
+    assert code == EXIT_OK
+    outputs = json.loads(out)["outputs"]
+    assert outputs["n"] == 2
+    assert outputs["se_a_eps"] is None
 
 
 def test_calibrate_single_quote_is_a_data_error(tmp_path, capsys):
@@ -207,6 +272,15 @@ def test_smile_flags_inadmissible_points(tmp_path, capsys):
     assert all(r[2] == "" for r in rows[1:])
 
 
+def test_smile_rejects_non_finite_v_eps(capsys):
+    code, out, err = run(capsys, [
+        "smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--v-eps", "nan", "--out", "-",
+    ])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "v_eps must be finite" in json.loads(err)["message"]
+
+
 def test_smile_rejects_malformed_grid(capsys):
     code, _, err = run(capsys, [
         "smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "nope",
@@ -255,3 +329,43 @@ def test_validate_full_mode_reports_direction(capsys):
     for side in ("big", "small"):
         for key in ("c0", "mc", "se", "abs_dev"):
             assert key in direction[side]
+
+
+def test_validate_simulates_once_and_matches_per_spec_prices(capsys, monkeypatch):
+    """The martingale check and the three payoffs share one simulated path
+    set, and each comparison equals a standalone price_mc with that config."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate_paths(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", counted)
+    code, out, _ = run(capsys, [
+        "validate", "--paths", "2000", "--steps", "16", "--seed", "5", "--json",
+    ])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    rows = {row["name"]: row for row in json.loads(out)["outputs"]["comparisons"]}
+
+    model = ModelParams(r=0.0264, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001)
+    state = MarketState(t=0.0, x=100.0, g=100.0)
+    vol = ConstantVol(0.1834)
+    cfg = McConfig(n_paths=2000, n_steps=16, seed=5, antithetic=True)
+    expected = [
+        ("floating ATM call", OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=0.5),
+         bs_floating_call(state, 0.1834, 0.5, 0.0264)),
+        ("fixed ATM call", OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=0.5, strike=100.0),
+         bs_fixed_call(state, 0.1834, 0.5, 100.0, 0.0264)),
+        ("fixed call, K near 0",
+         OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=0.5, strike=1e-6 * 100.0),
+         bs_fixed_call(state, 0.1834, 0.5, 1e-6 * 100.0, 0.0264)),
+    ]
+    for name, spec, closed in expected:
+        est = price_mc(spec, model, vol, state, cfg)
+        assert (rows[name]["mc"], rows[name]["se"]) == (est.price, est.std_error)
+        assert rows[name]["closed"] == float(closed)
+    assert len(rows) == 4
+    martingale = rows["martingale e^{-rT} E[X_T]"]
+    assert martingale["closed"] == 100.0
+    assert abs(martingale["z"]) < 3.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from geoasian import (
     ConstantVol,
@@ -21,7 +22,7 @@ from geoasian import (
     stationary_effective_vol,
 )
 from geoasian.errors import PDFactorizationFailure
-from geoasian.mc import f_full
+from geoasian.mc import _normals_for_chunk, f_full
 
 MODEL = reference_full_model(0.001)
 STATE = MarketState(t=0.0, x=100.0, g=100.0)
@@ -43,8 +44,6 @@ def test_mc_config_validation():
         McConfig(n_paths=100, n_steps=1, seed=0)
     with pytest.raises(ValueError):
         McConfig(n_paths=100, n_steps=10, seed=-1)
-    with pytest.raises(ValueError):
-        McConfig(n_paths=100, n_steps=10, seed=0, scheme="milstein")
     with pytest.raises(ValueError):
         McConfig(n_paths=101, n_steps=10, seed=0, antithetic=True)
     with pytest.raises(ValueError):
@@ -89,18 +88,23 @@ def test_chunk_layout_invariance():
     """Path i owns a fixed Philox word block, so the terminal state is
     bit-identical no matter how the work is chunked."""
     kwargs = dict(model=MODEL, vol=FullModel(), t=0.0, T=0.45, x0=100.0, g0=100.0)
-    base = simulate_paths(cfg=McConfig(n_paths=500, n_steps=30, seed=42), **kwargs)
-    small = simulate_paths(
-        cfg=McConfig(n_paths=500, n_steps=30, seed=42, chunk_size=37), **kwargs
-    )
-    one = simulate_paths(
-        cfg=McConfig(n_paths=500, n_steps=30, seed=42, chunk_size=500), **kwargs
-    )
-    for other in (small, one):
-        assert np.array_equal(base.ln_x, other.ln_x)
-        assert np.array_equal(base.ln_g, other.ln_g)
-        assert np.array_equal(base.y, other.y)
-        assert np.array_equal(base.z, other.z)
+    for anti in (False, True):
+        base = simulate_paths(
+            cfg=McConfig(n_paths=500, n_steps=30, seed=42, antithetic=anti), **kwargs
+        )
+        small = simulate_paths(
+            cfg=McConfig(n_paths=500, n_steps=30, seed=42, antithetic=anti, chunk_size=37),
+            **kwargs,
+        )
+        one = simulate_paths(
+            cfg=McConfig(n_paths=500, n_steps=30, seed=42, antithetic=anti, chunk_size=500),
+            **kwargs,
+        )
+        for other in (small, one):
+            assert np.array_equal(base.ln_x, other.ln_x)
+            assert np.array_equal(base.ln_g, other.ln_g)
+            assert np.array_equal(base.y, other.y)
+            assert np.array_equal(base.z, other.z)
 
 
 def test_same_seed_same_estimate():
@@ -125,6 +129,55 @@ def test_frozen_estimates():
     full = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
     assert rel(full.price, 3.470332871882723) < 1e-12
     assert rel(full.std_error, 0.08098057105114422) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 123, 2**40 + 7])
+@pytest.mark.parametrize("lo", [0, 1, 37])
+def test_normals_match_out_of_place_conversion(seed, lo):
+    """The in-place uniform conversion gives the bits of the plain expression."""
+    n_chunk, words_per_path, n_words = 50, 32, 30
+    got = _normals_for_chunk(seed, lo, n_chunk, words_per_path, n_words)
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(lo * words_per_path // 4)
+    raw = bitgen.random_raw(n_chunk * words_per_path)
+    want = ndtri((raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
+    want = want.reshape(n_chunk, words_per_path)[:, :n_words]
+    assert got.shape == (n_chunk, n_words)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# -------------------------------------------------------- shared path sets
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_price_on_shared_batch_equals_standalone(antithetic):
+    """Every payoff validate prices gives the same estimate on a batch it is
+    handed as on the batch price_mc simulates itself."""
+    model = ModelParams(r=0.0264, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001)
+    vol = ConstantVol(0.1834)
+    T = 0.5
+    cfg = McConfig(n_paths=3000, n_steps=20, seed=17, antithetic=antithetic)
+    batch = simulate_paths(model, vol, STATE.t, T, STATE.x, STATE.g, cfg)
+    specs = [
+        OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=T),
+        OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=T, strike=STATE.x),
+        OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=T, strike=1e-6 * STATE.x),
+    ]
+    for spec in specs:
+        alone = price_mc(spec, model, vol, STATE, cfg)
+        shared = price_mc(spec, model, vol, STATE, cfg, paths=batch)
+        assert shared == alone
+
+
+def test_price_rejects_a_batch_of_another_config():
+    cfg = McConfig(n_paths=200, n_steps=10, seed=1, antithetic=True)
+    batch = simulate_paths(MODEL, ConstantVol(0.2), 0.0, 0.45, 100.0, 100.0, cfg)
+    for other in (
+        McConfig(n_paths=400, n_steps=10, seed=1, antithetic=True),
+        McConfig(n_paths=200, n_steps=10, seed=1, antithetic=False),
+    ):
+        with pytest.raises(ValueError):
+            price_mc(FLOAT_CALL, MODEL, ConstantVol(0.2), STATE, other, paths=batch)
 
 
 # ------------------------------------------------------------- antithetic

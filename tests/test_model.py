@@ -21,8 +21,10 @@ from geoasian import (
 )
 from geoasian.errors import (
     DegenerateArc,
+    NonFiniteInput,
     NonPositivePrice,
     NonPositiveStrike,
+    PricingError,
     SingularL,
     UnsupportedContract,
 )
@@ -53,6 +55,21 @@ def test_params_violations_are_collected():
     assert any("beta" in m for m in problems)
     assert any("DegenerateArc" in m for m in problems)
     assert any("rho_xy" in m for m in problems)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("z0", math.nan), ("alpha_prime", math.inf), ("r", math.inf), ("k", math.nan),
+    ("epsilon", math.inf), ("rho_xy", math.nan),
+])
+def test_params_non_finite_rejected(field, value):
+    base = dict(r=0.0264, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001)
+    p = ModelParams(**{**base, field: value})
+    assert any(f"{field} must be finite" in m for m in validate_params(p))
+
+
+def test_params_negative_alpha_prime_rejected():
+    p = ModelParams(r=0.0264, k=2.0, alpha_prime=-0.2, z0=0.1834, epsilon=0.001)
+    assert any("alpha_prime must be >= 0" in m for m in validate_params(p))
 
 
 def test_params_pd_margin_rejected():
@@ -86,6 +103,14 @@ def test_arc_from_ou_reference_coefficients():
 def test_arc_from_ou_degenerate():
     with pytest.raises(DegenerateArc):
         arc_from_ou(1.0, 0.3, 0.3)
+
+
+@pytest.mark.parametrize("k, alpha_prime, z0", [
+    (2.0, 0.2, math.inf), (2.0, 0.2, math.nan), (2.0, -math.inf, 0.1834), (math.inf, 0.2, 0.1834),
+])
+def test_arc_from_ou_rejects_non_finite(k, alpha_prime, z0):
+    with pytest.raises(NonFiniteInput):
+        arc_from_ou(k, alpha_prime, z0)
 
 
 def test_arc_from_ou_rejects_bad_k():
@@ -151,6 +176,21 @@ def test_state_transform_matches_market_state(x, g, t):
     assert st_.u == u
 
 
+finite_or_not = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e6), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+@given(t=st.one_of(st.floats(min_value=0.0, max_value=3.0), st.just(math.nan), st.just(math.inf)),
+       x=finite_or_not, g=finite_or_not)
+def test_market_state_rejects_non_finite_fields(t, x, g):
+    if all(map(math.isfinite, (t, x, g))):
+        MarketState(t=t, x=x, g=g)
+    else:
+        with pytest.raises(PricingError):
+            MarketState(t=t, x=x, g=g)
+
+
 def test_state_transform_rejects_nonpositive():
     with pytest.raises(NonPositivePrice):
         state_transform(0.0, 100.0, 0.1)
@@ -210,3 +250,7 @@ def test_option_spec_contracts():
         OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=0.5, strike=100.0)
     with pytest.raises(ValueError):
         OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=0.0)
+    with pytest.raises(NonFiniteInput):
+        OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=math.inf)
+    with pytest.raises(NonFiniteInput):
+        OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=0.5, strike=math.inf)

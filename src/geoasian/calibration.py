@@ -36,13 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .closedform import (
-    b0_theta,
-    bs_fixed_put,
-    bs_floating_call,
-    greeks_fixed_put,
-    greeks_floating_call,
-)
 from .errors import (
     DegenerateDesign,
     MissingColumn,
@@ -59,15 +52,7 @@ from .model import (
     VolArc,
     effective_vol,
 )
-from .perturbation import (
-    PRICE_FLOOR_FRACTION,
-    CorrectionParams,
-    c1_fixed,
-    c1_floating,
-    i_integrals_closed,
-    m_exponent,
-    modification_factor,
-)
+from .perturbation import CorrectionParams, _first_order
 
 VEGA_FLOOR_FRACTION = 1e-10
 DENOMINATOR_TOL = 1e-12
@@ -78,6 +63,13 @@ CSV_COLUMNS = ("t", "T", "spot", "avg", "strike", "style", "implied_vol")
 class QuoteStyle(Enum):
     FLOATING_CALL = "floating_call"
     FIXED_PUT = "fixed_put"
+
+
+# the contract each quote style prices
+_CONTRACTS = {
+    QuoteStyle.FLOATING_CALL: (StrikeStyle.FLOATING, OptionKind.CALL),
+    QuoteStyle.FIXED_PUT: (StrikeStyle.FIXED, OptionKind.PUT),
+}
 
 
 @dataclass(frozen=True)
@@ -175,40 +167,6 @@ def v_denominator(k: float, t: float, T: float) -> float:
     return d
 
 
-def _c0_pieces(
-    style: QuoteStyle,
-    state: MarketState,
-    sigma: float,
-    T: float,
-    K: float | None,
-    model: ModelParams,
-):
-    """(greeks of C0, unit correction) at one quote's pricing point."""
-    if style is QuoteStyle.FLOATING_CALL:
-        theta = b0_theta(
-            StrikeStyle.FLOATING, state, sigma, T, model.r, kind=OptionKind.CALL
-        )
-        b0 = bs_floating_call(state, sigma, T, model.r)
-    else:
-        theta = b0_theta(
-            StrikeStyle.FIXED, state, sigma, T, model.r, K=K, kind=OptionKind.PUT
-        )
-        b0 = bs_fixed_put(state, sigma, T, K, model.r)
-    m = m_exponent(b0, theta, price_floor=PRICE_FLOOR_FRACTION * state.x)
-    gamma = modification_factor(model.k, state.t, T, m)
-    if style is QuoteStyle.FLOATING_CALL:
-        greeks = greeks_floating_call(state, sigma, T, model.r, gamma_factor=gamma)
-    else:
-        greeks = greeks_fixed_put(state, sigma, T, K, model.r, gamma_factor=gamma)
-    ii = i_integrals_closed(model.k, state.t, T)
-    unit = CorrectionParams(1.0)
-    if style is QuoteStyle.FLOATING_CALL:
-        c1_unit = c1_floating(unit, ii, greeks)
-    else:
-        c1_unit = c1_fixed(unit, ii, greeks)
-    return greeks, c1_unit
-
-
 def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float, float]:
     """Map one quote to its (x, y) regression point."""
     problems = q.validate()
@@ -216,7 +174,8 @@ def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float,
         raise ValueError("; ".join(problems))
     sigma = effective_vol(arc, q.t)
     state = MarketState(t=q.t, x=q.spot, g=q.avg)
-    greeks, c1_unit = _c0_pieces(q.style, state, sigma, q.T, q.strike, model)
+    contract = _CONTRACTS[q.style]
+    *_, greeks, c1_unit = _first_order(*contract, state, sigma, q.T, q.strike, model, 1.0)
     d = regression_denominator(model.k, q.t, q.T)
     x = model.r * sigma * c1_unit / d
     y = (q.implied_vol - sigma) * greeks.vega
@@ -377,13 +336,14 @@ def smile_curve(
     factors, vanishing vega) are returned flagged instead of raised.
     """
     CorrectionParams(v_eps)  # rejects a non-finite v_eps
+    contract = _CONTRACTS[style]
     points: list[SmilePoint] = []
     for t, T, moneyness in grid:
         try:
             sigma = effective_vol(arc, t)
             state = MarketState(t=t, x=spot, g=moneyness * spot)
             strike = None if style is QuoteStyle.FLOATING_CALL else spot
-            greeks, c1_unit = _c0_pieces(style, state, sigma, T, strike, model)
+            *_, greeks, c1_unit = _first_order(*contract, state, sigma, T, strike, model, 1.0)
             if abs(greeks.vega) < VEGA_FLOOR_FRACTION * spot:
                 raise VanishingVega(
                     f"|vega| = {abs(greeks.vega)} below {VEGA_FLOOR_FRACTION * spot}"

@@ -15,8 +15,9 @@ with the drift adjustment
 
 The modification factor gamma multiplies B0 and is independent of (u, sigma),
 so Greeks of the modified price are gamma times the B0 Greeks; callers pass
-``gamma_factor`` accordingly. ``theta_b0`` is always reported at the plain B0
-level because it feeds M = theta/B0, where gamma cancels.
+``gamma_factor`` accordingly. Theta is a separate function, ``b0_theta``, at
+the plain B0 level: it feeds M = theta/B0, where gamma cancels, and the
+pricing chain in ``perturbation`` calls it once per contract.
 
 Every derivative formula here is validated against central finite differences
 in the test suite; theta defaults to a Richardson-extrapolated finite
@@ -63,17 +64,16 @@ class DTermsFixed:
 
 @dataclass(frozen=True)
 class GreekSet:
-    """u-derivatives and vega of gamma * B0, plus theta of plain B0.
+    """u-derivatives and vega of gamma * B0.
 
-    du1, du2, du3 and vega include the caller's gamma_factor; theta_b0 does
-    not (it exists to form M = theta_b0 / b0, which is gamma-free).
+    Every field includes the caller's gamma_factor. Theta is not here: the
+    chain needs it at the plain B0 level, from ``b0_theta``.
     """
 
     du1: float
     du2: float
     du3: float
     vega: float
-    theta_b0: float
 
 
 def _check_horizon(t: float, T: float) -> None:
@@ -95,16 +95,36 @@ def q_drift_term(sigma: float, t: float, T: float, r: float) -> float:
     ) * (T ** 3 - t ** 3)
 
 
+def _d_terms(
+    s: float, u: float, t: float, T: float, K: float | None, sigma: float, r: float
+) -> tuple[float, float, float, float]:
+    """(d1, d2, root, Q) of the floating call (K None) or of the fixed strike K.
+
+    root is the square root in the standard deviation of the d-terms:
+    sqrt((T^3 - t^3)/3) floating, sqrt((T - t)^3/3) fixed. The floating
+    d-terms do not depend on s.
+    """
+    if K is None:
+        root = math.sqrt((T ** 3 - t ** 3) / 3.0)
+        d1 = (-u + (r + sigma * sigma / 2.0) * (T * T - t * t) / 2.0) / (sigma * root)
+        d2 = d1 - (sigma / T) * root
+    else:
+        tau = T - t
+        root = math.sqrt(tau ** 3 / 3.0)
+        gap = (sigma / T) * root
+        d2 = (u / T + s - math.log(K) + (r - sigma * sigma / 2.0) * tau * tau / (2.0 * T)) / gap
+        d1 = d2 + gap
+    return d1, d2, root, q_drift_term(sigma, t, T, r)
+
+
 def d_terms_floating(
     sigma: float, t: float, T: float, u: float, r: float
 ) -> DTermsFloating:
     """d1, d2, and Q for the floating-strike call."""
     _check_sigma(sigma)
     _check_horizon(t, T)
-    root = math.sqrt((T ** 3 - t ** 3) / 3.0)
-    d1 = (-u + (r + sigma * sigma / 2.0) * (T * T - t * t) / 2.0) / (sigma * root)
-    d2 = d1 - (sigma / T) * root
-    return DTermsFloating(d1=d1, d2=d2, q_drift=q_drift_term(sigma, t, T, r))
+    d1, d2, _, q = _d_terms(0.0, u, t, T, None, sigma, r)
+    return DTermsFloating(d1=d1, d2=d2, q_drift=q)
 
 
 def d_terms_fixed(
@@ -115,10 +135,8 @@ def d_terms_fixed(
     _check_horizon(t, T)
     if not K > 0.0:
         raise NonPositiveStrike(f"K must be > 0, got {K}")
-    tau = T - t
-    gap = (sigma / T) * math.sqrt(tau ** 3 / 3.0)
-    d2 = (u / T + s - math.log(K) + (r - sigma * sigma / 2.0) * tau * tau / (2.0 * T)) / gap
-    return DTermsFixed(d1_hat=d2 + gap, d2_hat=d2, q_drift=q_drift_term(sigma, t, T, r))
+    d1, d2, _, q = _d_terms(s, u, t, T, K, sigma, r)
+    return DTermsFixed(d1_hat=d1, d2_hat=d2, q_drift=q)
 
 
 # scalar cores, also used by the finite-difference theta (which probes t
@@ -126,21 +144,15 @@ def d_terms_fixed(
 
 
 def _b0_floating_call(s: float, u: float, t: float, T: float, sigma: float, r: float) -> float:
-    root = math.sqrt((T ** 3 - t ** 3) / 3.0)
-    d1 = (-u + (r + sigma * sigma / 2.0) * (T * T - t * t) / 2.0) / (sigma * root)
-    d2 = d1 - (sigma / T) * root
-    q = q_drift_term(sigma, t, T, r)
+    d1, d2, _, q = _d_terms(s, u, t, T, None, sigma, r)
     return math.exp(s) * _ncdf(d1) - math.exp(s + u / T - q) * _ncdf(d2)
 
 
 def _b0_fixed_call(
     s: float, u: float, t: float, T: float, K: float, sigma: float, r: float
 ) -> float:
-    tau = T - t
-    gap = (sigma / T) * math.sqrt(tau ** 3 / 3.0)
-    d2 = (u / T + s - math.log(K) + (r - sigma * sigma / 2.0) * tau * tau / (2.0 * T)) / gap
-    q = q_drift_term(sigma, t, T, r)
-    return math.exp(s + u / T - q) * _ncdf(d2 + gap) - K * math.exp(-r * tau) * _ncdf(d2)
+    d1, d2, _, q = _d_terms(s, u, t, T, K, sigma, r)
+    return math.exp(s + u / T - q) * _ncdf(d1) - K * math.exp(-r * (T - t)) * _ncdf(d2)
 
 
 def _b0_fixed_put(
@@ -220,26 +232,25 @@ def greeks_floating_call(
     vega = gamma e^{s + u/T - Q} [ sqrt((T^3 - t^3)/3) phi(d2)/T
            + sigma (T - t)^2 (T + 2t) N(d2) / (6 T^2) ].
     """
-    d = d_terms_floating(sigma, state.t, T, state.u, r)
     t, u, s = state.t, state.u, state.s
-    root = math.sqrt((T ** 3 - t ** 3) / 3.0)
+    _check_sigma(sigma)
+    _check_horizon(t, T)
+    _, d2, root, q = _d_terms(s, u, t, T, None, sigma, r)
     kappa = sigma * root
-    E = math.exp(s + u / T - d.q_drift)
-    pdf = _npdf(d.d2)
-    du1 = -(E / T) * _ncdf(d.d2)
+    E = math.exp(s + u / T - q)
+    pdf = _npdf(d2)
+    du1 = -(E / T) * _ncdf(d2)
     du2 = (du1 + E * pdf / kappa) / T
-    du3 = (du2 + E * (pdf / (T * kappa) + d.d2 * pdf / (kappa * kappa))) / T
+    du3 = (du2 + E * (pdf / (T * kappa) + d2 * pdf / (kappa * kappa))) / T
     vega = E * (
         root * pdf / T
-        + sigma * (T - t) ** 2 * (T + 2.0 * t) * _ncdf(d.d2) / (6.0 * T * T)
+        + sigma * (T - t) ** 2 * (T + 2.0 * t) * _ncdf(d2) / (6.0 * T * T)
     )
-    theta = b0_theta(StrikeStyle.FLOATING, state, sigma, T, r)
     return GreekSet(
         du1=gamma_factor * du1,
         du2=gamma_factor * du2,
         du3=gamma_factor * du3,
         vega=gamma_factor * vega,
-        theta_b0=theta,
     )
 
 
@@ -252,29 +263,30 @@ def _greeks_fixed(
     kind: OptionKind,
     gamma_factor: float,
 ) -> GreekSet:
-    d = d_terms_fixed(sigma, state.t, T, state.s, state.u, K, r)
     t, u, s = state.t, state.u, state.s
+    _check_sigma(sigma)
+    _check_horizon(t, T)
+    if not K > 0.0:
+        raise NonPositiveStrike(f"K must be > 0, got {K}")
+    d1, _, root, q = _d_terms(s, u, t, T, K, sigma, r)
     tau = T - t
-    root = math.sqrt(tau ** 3 / 3.0)
     kappa = sigma * root
-    E = math.exp(s + u / T - d.q_drift)
-    pdf = _npdf(d.d1_hat)
+    E = math.exp(s + u / T - q)
+    pdf = _npdf(d1)
     dqds = sigma * tau * tau * (T + 2.0 * t) / (6.0 * T * T)
     if kind is OptionKind.CALL:
-        du1 = (E / T) * _ncdf(d.d1_hat)
-        vega = E * (root * pdf / T - dqds * _ncdf(d.d1_hat))
+        du1 = (E / T) * _ncdf(d1)
+        vega = E * (root * pdf / T - dqds * _ncdf(d1))
     else:
-        du1 = -(E / T) * _ncdf(-d.d1_hat)
-        vega = E * (root * pdf / T + dqds * _ncdf(-d.d1_hat))
+        du1 = -(E / T) * _ncdf(-d1)
+        vega = E * (root * pdf / T + dqds * _ncdf(-d1))
     du2 = (du1 + E * pdf / kappa) / T
-    du3 = (du2 + E * (pdf / (T * kappa) - d.d1_hat * pdf / (kappa * kappa))) / T
-    theta = b0_theta(StrikeStyle.FIXED, state, sigma, T, r, K=K, kind=kind)
+    du3 = (du2 + E * (pdf / (T * kappa) - d1 * pdf / (kappa * kappa))) / T
     return GreekSet(
         du1=gamma_factor * du1,
         du2=gamma_factor * du2,
         du3=gamma_factor * du3,
         vega=gamma_factor * vega,
-        theta_b0=theta,
     )
 
 
@@ -318,22 +330,14 @@ def _theta_analytic(
     K: float | None,
 ) -> float:
     qdot = -(r + sigma * sigma / 2.0) * t / T + sigma * sigma * t * t / (2.0 * T * T)
-    if style is StrikeStyle.FLOATING:
-        root = math.sqrt((T ** 3 - t ** 3) / 3.0)
-        d1 = (-u + (r + sigma * sigma / 2.0) * (T * T - t * t) / 2.0) / (sigma * root)
-        d2 = d1 - (sigma / T) * root
-        q = q_drift_term(sigma, t, T, r)
-        E = math.exp(s + u / T - q)
+    floating = style is StrikeStyle.FLOATING
+    d1, d2, root, q = _d_terms(s, u, t, T, None if floating else K, sigma, r)
+    E = math.exp(s + u / T - q)
+    if floating:
         gap_dot = -sigma * t * t / (2.0 * T * root)
         return E * (_npdf(d2) * gap_dot + _ncdf(d2) * qdot)
-    assert K is not None
     tau = T - t
-    gap = (sigma / T) * math.sqrt(tau ** 3 / 3.0)
-    d2 = (u / T + s - math.log(K) + (r - sigma * sigma / 2.0) * tau * tau / (2.0 * T)) / gap
-    d1 = d2 + gap
-    q = q_drift_term(sigma, t, T, r)
-    E = math.exp(s + u / T - q)
-    gap_dot = -(sigma / T) * tau * tau / (2.0 * math.sqrt(tau ** 3 / 3.0))
+    gap_dot = -(sigma / T) * tau * tau / (2.0 * root)
     disc = K * math.exp(-r * tau)
     if kind is OptionKind.CALL:
         return E * (_npdf(d1) * gap_dot - qdot * _ncdf(d1)) - r * disc * _ncdf(d2)
@@ -349,7 +353,6 @@ def b0_theta(
     K: float | None = None,
     kind: OptionKind = OptionKind.CALL,
     method: str = "fd",
-    fd_step: float | None = None,
 ) -> float:
     """dB0/dt at fixed (s, u, sigma).
 
@@ -376,8 +379,7 @@ def b0_theta(
         return _theta_analytic(style, kind, state.s, state.u, state.t, T, sigma, r, K)
     if method != "fd":
         raise ValueError(f"unknown theta method {method!r}")
-    h = fd_step if fd_step is not None else 1e-5 * max(T, 1.0)
-    h = min(h, (T - state.t) / 8.0)
+    h = min(1e-5 * max(T, 1.0), (T - state.t) / 8.0)
     if h < 1e-8:
         return _theta_analytic(style, kind, state.s, state.u, state.t, T, sigma, r, K)
     t = state.t

@@ -74,30 +74,32 @@ def correlation_pd_margin(rho_xy: float, rho_xz: float, rho_yz: float) -> float:
 
 
 def validate_params(p: ModelParams) -> list[str]:
-    """Return the full list of violated invariants (empty when valid)."""
-    problems: list[str] = [
-        f"{name} must be finite, got {value}"
-        for name, value in vars(p).items()
-        if not math.isfinite(value)
-    ]
-    if not p.alpha_prime >= 0.0:
+    """Return the full list of violated invariants (empty when valid).
+
+    A non-finite field is reported once: the range checks skip it.
+    """
+    values = vars(p)
+    bad = {name for name, value in values.items() if not math.isfinite(value)}
+    problems = [f"{name} must be finite, got {values[name]}" for name in values if name in bad]
+    if "alpha_prime" not in bad and not p.alpha_prime >= 0.0:
         problems.append(f"alpha_prime must be >= 0, got {p.alpha_prime}")
-    if not p.r >= 0.0:
+    if "r" not in bad and not p.r >= 0.0:
         problems.append(f"r must be >= 0, got {p.r}")
-    if not p.k > 0.0:
+    if "k" not in bad and not p.k > 0.0:
         problems.append(f"k must be > 0, got {p.k}")
-    if not p.epsilon > 0.0:
+    if "epsilon" not in bad and not p.epsilon > 0.0:
         problems.append(f"epsilon must be > 0, got {p.epsilon}")
-    if not p.nu >= 0.0:
+    if "nu" not in bad and not p.nu >= 0.0:
         problems.append(f"nu must be >= 0, got {p.nu}")
-    if not p.beta >= 0.0:
+    if "beta" not in bad and not p.beta >= 0.0:
         problems.append(f"beta must be >= 0, got {p.beta}")
-    if p.z0 == p.alpha_prime:
+    if not bad & {"z0", "alpha_prime"} and p.z0 == p.alpha_prime:
         problems.append("DegenerateArc: z0 must differ from alpha_prime")
-    for name, rho in (("rho_xy", p.rho_xy), ("rho_xz", p.rho_xz), ("rho_yz", p.rho_yz)):
-        if not abs(rho) < 1.0:
-            problems.append(f"{name} must satisfy |rho| < 1, got {rho}")
-    if correlation_pd_margin(p.rho_xy, p.rho_xz, p.rho_yz) <= 0.0:
+    rhos = ("rho_xy", "rho_xz", "rho_yz")
+    for name in rhos:
+        if name not in bad and not abs(values[name]) < 1.0:
+            problems.append(f"{name} must satisfy |rho| < 1, got {values[name]}")
+    if not bad & set(rhos) and correlation_pd_margin(p.rho_xy, p.rho_xz, p.rho_yz) <= 0.0:
         problems.append("correlation matrix is not positive definite")
     return problems
 
@@ -112,6 +114,11 @@ class VolArc:
     sigma_min: float = SIGMA_MIN_DEFAULT
 
     def __post_init__(self) -> None:
+        fields = (self.p_coef, self.q_coef, self.r_coef, self.sigma_min)
+        if not all(map(math.isfinite, fields)):
+            raise NonFiniteInput(
+                f"p_coef, q_coef, r_coef and sigma_min must be finite, got {fields}"
+            )
         if not self.sigma_min > 0.0:
             raise ValueError(f"sigma_min must be > 0, got {self.sigma_min}")
 

@@ -19,6 +19,12 @@ stores v_eps and the first-order price is
 
     price_hat = C0 + c1.
 
+One private chain, ``_first_order``, sequences B0 -> theta -> M -> gamma ->
+I's -> Greeks -> c1 and is the only code that picks a contract's closed
+forms by (StrikeStyle, OptionKind). ``first_order_price`` prices with it,
+and ``calibration`` calls it at v_eps = 1 for the unit correction and the
+vega of each quote.
+
 ``i_integrals_quadrature`` integrates tau^n * 2(1 - k tau)/(2 - k tau)^2
 adaptively and serves as the independent oracle for the closed forms.
 """
@@ -235,6 +241,53 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from None
 
 
+def _first_order(
+    style: StrikeStyle,
+    kind: OptionKind,
+    state: MarketState,
+    sigma: float,
+    T: float,
+    K: float | None,
+    model: ModelParams,
+    v_eps: float,
+    gamma_off: bool = False,
+) -> tuple[float, float, float, GreekSet | None, float]:
+    """The first-order chain B0 -> theta -> M -> gamma -> I's -> Greeks -> c1.
+
+    Returns (b0, m, gamma, greeks, c1): gamma_off pins gamma = 1 and m = 0
+    without computing theta, and v_eps = 0 skips the I-integrals and the
+    Greeks (greeks None, c1 0). Calibration passes v_eps = 1 for the unit
+    correction. A floating strike is priced as a call: ``first_order_price``
+    refuses the put first. Component errors carry the failing stage in their
+    message.
+    """
+    if style is StrikeStyle.FLOATING:
+        b0_fn, greeks_fn, c1_fn, strike = bs_floating_call, greeks_floating_call, c1_floating, ()
+    elif kind is OptionKind.CALL:
+        b0_fn, greeks_fn, c1_fn, strike = bs_fixed_call, greeks_fixed_call, c1_fixed, (K,)
+    else:
+        b0_fn, greeks_fn, c1_fn, strike = bs_fixed_put, greeks_fixed_put, c1_fixed, (K,)
+    with _stage("b0"):
+        b0 = b0_fn(state, sigma, T, *strike, model.r)
+    if gamma_off:
+        gamma = 1.0
+        m = 0.0
+    else:
+        with _stage("theta"):
+            theta = b0_theta(style, state, sigma, T, model.r, K=K, kind=kind)
+        with _stage("m_exponent"):
+            m = m_exponent(b0, theta, price_floor=PRICE_FLOOR_FRACTION * state.x)
+        with _stage("gamma"):
+            gamma = modification_factor(model.k, state.t, T, m)
+    if v_eps == 0.0:
+        return b0, m, gamma, None, 0.0
+    with _stage("i_integrals"):
+        ii = i_integrals_closed(model.k, state.t, T)
+    with _stage("greeks"):
+        greeks = greeks_fn(state, sigma, T, *strike, model.r, gamma_factor=gamma)
+    return b0, m, gamma, greeks, c1_fn(CorrectionParams(v_eps), ii, greeks)
+
+
 def first_order_price(
     option: OptionSpec,
     state: MarketState,
@@ -262,43 +315,10 @@ def first_order_price(
         return PriceBreakdown(
             b0=payoff, gamma=1.0, c0=payoff, c1=0.0, price_hat=payoff, m_exponent=0.0
         )
-    with _stage("b0"):
-        if option.style is StrikeStyle.FLOATING:
-            b0 = bs_floating_call(state, sigma, T, model.r)
-        elif option.kind is OptionKind.CALL:
-            b0 = bs_fixed_call(state, sigma, T, K, model.r)
-        else:
-            b0 = bs_fixed_put(state, sigma, T, K, model.r)
-    if gamma_off:
-        gamma = 1.0
-        m = 0.0
-    else:
-        with _stage("theta"):
-            theta = b0_theta(
-                option.style, state, sigma, T, model.r, K=K, kind=option.kind
-            )
-        with _stage("m_exponent"):
-            m = m_exponent(b0, theta, price_floor=PRICE_FLOOR_FRACTION * state.x)
-        with _stage("gamma"):
-            gamma = modification_factor(model.k, state.t, T, m)
+    b0, m, gamma, _, c1 = _first_order(
+        option.style, option.kind, state, sigma, T, K, model, v_eps, gamma_off
+    )
     c0 = gamma * b0
-    if v_eps == 0.0:
-        c1 = 0.0
-    else:
-        with _stage("i_integrals"):
-            ii = i_integrals_closed(model.k, state.t, T)
-        with _stage("greeks"):
-            if option.style is StrikeStyle.FLOATING:
-                greeks = greeks_floating_call(state, sigma, T, model.r, gamma_factor=gamma)
-            elif option.kind is OptionKind.CALL:
-                greeks = greeks_fixed_call(state, sigma, T, K, model.r, gamma_factor=gamma)
-            else:
-                greeks = greeks_fixed_put(state, sigma, T, K, model.r, gamma_factor=gamma)
-        params = CorrectionParams(v_eps)
-        if option.style is StrikeStyle.FLOATING:
-            c1 = c1_floating(params, ii, greeks)
-        else:
-            c1 = c1_fixed(params, ii, greeks)
     return PriceBreakdown(
         b0=float(b0),
         gamma=float(gamma),

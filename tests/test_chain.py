@@ -1,0 +1,117 @@
+"""The first-order chain: one sequence of the public pieces for pricing and calibration."""
+
+import pytest
+
+from geoasian import (
+    CorrectionParams,
+    MarketState,
+    OptionKind,
+    OptionSpec,
+    PriceBreakdown,
+    QuoteRow,
+    QuoteStyle,
+    StrikeStyle,
+    arc_from_ou,
+    b0_theta,
+    bs_fixed_call,
+    bs_fixed_put,
+    bs_floating_call,
+    c1_fixed,
+    c1_floating,
+    calibration,
+    closedform,
+    effective_vol,
+    first_order_price,
+    greeks_fixed_call,
+    greeks_fixed_put,
+    greeks_floating_call,
+    i_integrals_closed,
+    m_exponent,
+    modification_factor,
+    perturbation,
+    reference_full_model,
+    regression_denominator,
+    regression_row,
+)
+
+MODEL = reference_full_model(0.001)
+ARC = arc_from_ou(MODEL.k, 0.20, 0.1834)
+STATE = MarketState(t=0.12, x=100.0, g=101.3)
+T = 0.41
+K = 101.0
+V_EPS = -0.016
+
+# style, kind, strike, and the contract's B0, Greeks and c1 functions
+CONTRACTS = [
+    (StrikeStyle.FLOATING, OptionKind.CALL, None,
+     bs_floating_call, greeks_floating_call, c1_floating),
+    (StrikeStyle.FIXED, OptionKind.CALL, K, bs_fixed_call, greeks_fixed_call, c1_fixed),
+    (StrikeStyle.FIXED, OptionKind.PUT, K, bs_fixed_put, greeks_fixed_put, c1_fixed),
+]
+
+
+def by_hand(style, kind, strike, bs, greeks_fn, c1_fn, state, maturity, v_eps):
+    """The chain written out from the public pieces: (b0, m, gamma, greeks, c1)."""
+    sigma = effective_vol(ARC, state.t)
+    args = () if strike is None else (strike,)
+    b0 = bs(state, sigma, maturity, *args, MODEL.r)
+    theta = b0_theta(style, state, sigma, maturity, MODEL.r, K=strike, kind=kind)
+    m = m_exponent(b0, theta)
+    gamma = modification_factor(MODEL.k, state.t, maturity, m)
+    ii = i_integrals_closed(MODEL.k, state.t, maturity)
+    greeks = greeks_fn(state, sigma, maturity, *args, MODEL.r, gamma_factor=gamma)
+    return b0, m, gamma, greeks, c1_fn(CorrectionParams(v_eps), ii, greeks)
+
+
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """Counts b0_theta calls through every module that holds the function."""
+    calls = []
+    original = closedform.b0_theta
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (closedform, perturbation, calibration):
+        if getattr(module, "b0_theta", None) is original:
+            monkeypatch.setattr(module, "b0_theta", counted)
+    return calls
+
+
+@pytest.mark.parametrize("contract", CONTRACTS, ids=lambda c: f"{c[0].value}-{c[1].value}")
+def test_first_order_price_is_the_chain(contract):
+    style, kind, strike, *_ = contract
+    b0, m, gamma, _, c1 = by_hand(*contract, STATE, T, V_EPS)
+    option = OptionSpec(style, kind, T, strike)
+    want = PriceBreakdown(b0=b0, gamma=gamma, c0=gamma * b0, c1=c1,
+                          price_hat=gamma * b0 + c1, m_exponent=m)
+    assert first_order_price(option, STATE, ARC, MODEL, V_EPS) == want
+
+
+@pytest.mark.parametrize("style", list(QuoteStyle))
+def test_regression_row_is_the_chain(style):
+    floating = style is QuoteStyle.FLOATING_CALL
+    contract = CONTRACTS[0] if floating else CONTRACTS[2]
+    strike = None if floating else K
+    quote = QuoteRow(t=STATE.t, T=T, spot=STATE.x, avg=STATE.g, strike=strike, style=style,
+                     implied_vol=0.19)
+    *_, greeks, c1_unit = by_hand(*contract, STATE, T, 1.0)
+    sigma = effective_vol(ARC, STATE.t)
+    x = MODEL.r * sigma * c1_unit / regression_denominator(MODEL.k, STATE.t, T)
+    y = (quote.implied_vol - sigma) * greeks.vega
+    assert regression_row(quote, ARC, MODEL) == (x, y)
+
+
+@pytest.mark.parametrize("contract", CONTRACTS, ids=lambda c: f"{c[0].value}-{c[1].value}")
+def test_one_theta_per_price(theta_calls, contract):
+    style, kind, strike, *_ = contract
+    first_order_price(OptionSpec(style, kind, T, strike), STATE, ARC, MODEL, V_EPS)
+    assert theta_calls == [style]
+
+
+def test_one_theta_per_regression_row(theta_calls):
+    quote = QuoteRow(t=STATE.t, T=T, spot=STATE.x, avg=STATE.g, strike=K,
+                     style=QuoteStyle.FIXED_PUT, implied_vol=0.19)
+    regression_row(quote, ARC, MODEL)
+    assert theta_calls == [StrikeStyle.FIXED]

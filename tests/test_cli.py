@@ -109,6 +109,13 @@ def test_price_rejects_nan_spot(capsys):
     assert json.loads(err)["error"] == "NonFiniteInput"
 
 
+def test_price_rejects_infinite_sigma_min(capsys):
+    code, out, err = run(capsys, PRICE_ARGS + ["--sigma-min=inf"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFiniteInput"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     flag=st.sampled_from(["--spot", "--avg", "--t", "--T", "--v-eps", "--k", "--r", "--z0",

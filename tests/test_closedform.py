@@ -236,14 +236,13 @@ def test_greeks_interior():
 
 
 def test_gamma_factor_scales_derivatives_only():
-    """The modification factor multiplies du1-du3 and vega but never theta."""
+    """The modification factor multiplies du1-du3 and vega."""
     base = greeks_floating_call(INTERIOR, I_SIG, I_T, I_R)
     scaled = greeks_floating_call(INTERIOR, I_SIG, I_T, I_R, gamma_factor=2.0)
     assert rel(scaled.du1, 2.0 * base.du1) < 1e-14
     assert rel(scaled.du2, 2.0 * base.du2) < 1e-14
     assert rel(scaled.du3, 2.0 * base.du3) < 1e-14
     assert rel(scaled.vega, 2.0 * base.vega) < 1e-14
-    assert scaled.theta_b0 == base.theta_b0
 
 
 def test_greeks_vs_finite_differences_spot_check():

@@ -67,6 +67,12 @@ def test_params_non_finite_rejected(field, value):
     assert any(f"{field} must be finite" in m for m in validate_params(p))
 
 
+def test_params_non_finite_reported_once():
+    p = ModelParams(r=math.nan, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001,
+                    rho_xy=math.nan)
+    assert validate_params(p) == ["r must be finite, got nan", "rho_xy must be finite, got nan"]
+
+
 def test_params_negative_alpha_prime_rejected():
     p = ModelParams(r=0.0264, k=2.0, alpha_prime=-0.2, z0=0.1834, epsilon=0.001)
     assert any("alpha_prime must be >= 0" in m for m in validate_params(p))
@@ -121,6 +127,14 @@ def test_arc_from_ou_rejects_bad_k():
 def test_vol_arc_requires_positive_floor():
     with pytest.raises(ValueError):
         VolArc(p_coef=0.0, q_coef=0.0, r_coef=0.2, sigma_min=0.0)
+
+
+@pytest.mark.parametrize("field", ["p_coef", "q_coef", "r_coef", "sigma_min"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_vol_arc_rejects_non_finite(field, value):
+    fields = dict(p_coef=-0.0332, q_coef=0.0332, r_coef=0.1834, sigma_min=1e-4)
+    with pytest.raises(NonFiniteInput):
+        VolArc(**{**fields, field: value})
 
 
 def test_effective_vol_floor_applies():

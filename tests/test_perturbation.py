@@ -160,7 +160,7 @@ def test_correction_params():
 
 def test_c1_combinations():
     ii = i_integrals_closed(2.0, 0.0, 0.45)
-    g = GreekSet(du1=-100.0, du2=2000.0, du3=12000.0, vega=17.0, theta_b0=0.0)
+    g = GreekSet(du1=-100.0, du2=2000.0, du3=12000.0, vega=17.0)
     p = CorrectionParams(v_eps=-0.016)
     want_float = -0.016 * (ii.i1 * -100.0 - 2.0 * ii.i2 * 2000.0 + ii.i3 * 12000.0)
     want_fixed = -0.016 * (ii.i4 * 2000.0 - ii.i5 * 12000.0)

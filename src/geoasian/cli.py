@@ -289,6 +289,7 @@ def _epsilon_direction(args, cfg: McConfig) -> dict:
             "c0": c0,
             "mc": est.price,
             "se": est.std_error,
+            "se_plain": est.std_error_plain,
             "abs_dev": abs(est.price - c0),
         }
     slack = 3.0 * (results["big"]["se"] + results["small"]["se"])

@@ -7,7 +7,7 @@ constant-volatility geometric-average option in the (s, u) state,
 
 Floating call:  B0 = e^s [N(d1) - e^{u/T - Q} N(d2)]
 Fixed call:     B0 = e^{s + u/T - Q} N(d1_hat) - K e^{-r(T-t)} N(d2_hat)
-Fixed put:      by put-call parity
+Fixed put:      B0 = K e^{-r(T-t)} N(-d2_hat) - e^{s + u/T - Q} N(-d1_hat)
 
 with the drift adjustment
 
@@ -158,10 +158,8 @@ def _b0_fixed_call(
 def _b0_fixed_put(
     s: float, u: float, t: float, T: float, K: float, sigma: float, r: float
 ) -> float:
-    tau = T - t
-    q = q_drift_term(sigma, t, T, r)
-    call = _b0_fixed_call(s, u, t, T, K, sigma, r)
-    return call - math.exp(s + u / T - q) + K * math.exp(-r * tau)
+    d1, d2, _, q = _d_terms(s, u, t, T, K, sigma, r)
+    return K * math.exp(-r * (T - t)) * _ncdf(-d2) - math.exp(s + u / T - q) * _ncdf(-d1)
 
 
 def _terminal_payoff(
@@ -206,7 +204,11 @@ def bs_fixed_call(state: MarketState, sigma: float, T: float, K: float, r: float
 
 
 def bs_fixed_put(state: MarketState, sigma: float, T: float, K: float, r: float) -> float:
-    """Fixed-strike geometric Asian put, defined through put-call parity."""
+    """Fixed-strike geometric Asian put by its direct formula.
+
+    Put-call parity gives the same price in exact arithmetic, but out of the
+    money its difference of two large terms loses the small put price.
+    """
     _check_sigma(sigma)
     if not K > 0.0:
         raise NonPositiveStrike(f"K must be > 0, got {K}")

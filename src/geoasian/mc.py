@@ -18,6 +18,24 @@ by the seed, with path i owning the fixed word block [i L, (i+1) L) (L padded
 to a multiple of 4 words, the Philox counter granularity). The path set is
 therefore bit-identical for any chunk layout; antithetic runs give pair p the
 block of p and mirror it.
+
+Control variates, full-model runs only. Alongside each full-model path the
+loop carries the constant-vol geometric-Asian path driven by the same W^x
+draws at sigma_c = stationary_effective_vol(z0, nu): with S = sum_j e_j and
+W = sum_j (n - j - 1/2) e_j over the x draws,
+
+    ln X_c = ln x0 + (r - sigma_c^2/2) tau + sigma_c sqrt(dt) S,
+    int    = tau ln x0 + (r - sigma_c^2/2) tau^2/2 + sigma_c sqrt(dt) dt W,
+
+so (ln X_c, int) is exactly Gaussian with Var ln X_c = sigma_c^2 tau,
+Var int = sigma_c^2 dt^3 sum_j (n - j - 1/2)^2 and covariance sigma_c^2 tau^2/2,
+and the mean of each payoff of (X_c, G_c) has one lognormal-pair closed form
+for the discrete scheme itself. The second control is the full-model X_T: f_j
+depends only on draws before step j, so the log-Euler step keeps
+E[X_T] = x0 e^{r (T - t)} exactly. Both control means are therefore exact, and
+``price_mc`` regresses the payoff on the two controls with no bias from the
+time grid. Constant-vol runs carry no control: their closed forms are what
+the oracle checks them against.
 """
 
 from __future__ import annotations
@@ -26,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .errors import PDFactorizationFailure
 from .model import (
@@ -93,22 +111,34 @@ VolSpec = ConstantVol | FullModel
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Terminal per-path state; arrays are indexed by global path id."""
+    """Terminal per-path state; arrays are indexed by global path id.
+
+    ln_x_cv and ln_g_cv are the terminal state of the constant-vol control
+    path of a full-model run (None under ``ConstantVol``).
+    """
 
     ln_x: np.ndarray
     ln_g: np.ndarray
     y: np.ndarray | None
     z: np.ndarray | None
     antithetic: bool
+    ln_x_cv: np.ndarray | None
+    ln_g_cv: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class McEstimate:
+    """Discounted price and standard error; ``price_plain`` and
+    ``std_error_plain`` are the plain Monte Carlo mean and its SE, equal to
+    ``price`` and ``std_error`` when no control was applied."""
+
     price: float
     std_error: float
     n_paths: int
     n_steps: int
     seed: int
+    price_plain: float
+    std_error_plain: float
 
 
 def reference_full_model(epsilon: float) -> ModelParams:
@@ -144,11 +174,18 @@ def stationary_effective_vol(level: float, nu: float) -> float:
     return level * math.exp(nu * nu)
 
 
-def f_full(y, z, clamp: tuple[float, float] = (0.01, 2.0), alpha: float = 0.0):
-    """Bounded exponential-OU volatility min(f_max, max(f_min, z e^{y - alpha}))."""
-    f_min, f_max = clamp
-    if not 0.0 < f_min < f_max:
-        raise ValueError(f"need 0 < f_min < f_max, got {clamp}")
+def f_full(y, z, clamp: tuple[float, float] | FullModel = (0.01, 2.0), alpha: float = 0.0):
+    """Bounded exponential-OU volatility min(f_max, max(f_min, z e^{y - alpha})).
+
+    A ``FullModel`` clamp was checked when it was built and is used as is;
+    a tuple is checked on every call.
+    """
+    if isinstance(clamp, FullModel):
+        f_min, f_max = clamp.f_min, clamp.f_max
+    else:
+        f_min, f_max = clamp
+        if not 0.0 < f_min < f_max:
+            raise ValueError(f"need 0 < f_min < f_max, got {clamp}")
     return np.clip(z * np.exp(y - alpha), f_min, f_max)
 
 
@@ -224,7 +261,15 @@ def simulate_paths(
         sd_y = model.nu * math.sqrt(max(0.0, 1.0 - ey * ey))
         ez = math.exp(-model.k * dt)
         sd_z = model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k)))
-        clamp = (vol.f_min, vol.f_max)
+        # constant-vol control path: ln X_c and ln G_c are their means plus
+        # cv_x_scale S and cv_g_scale W
+        tau = T - t
+        sigma_c = stationary_effective_vol(model.z0, model.nu)
+        mu_c = r - 0.5 * sigma_c * sigma_c
+        cv_x_mean = math.log(x0) + mu_c * tau
+        cv_g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu_c * tau * tau) / T
+        cv_x_scale = sigma_c * sqrt_dt
+        cv_g_scale = sigma_c * sqrt_dt * dt / T
 
     anti = cfg.antithetic
     draw_paths = cfg.n_paths // 2 if anti else cfg.n_paths
@@ -234,6 +279,8 @@ def simulate_paths(
     ln_g = np.empty(n_total)
     y_out = np.empty(n_total) if full else None
     z_out = np.empty(n_total) if full else None
+    ln_x_cv = np.empty(n_total) if full else None
+    ln_g_cv = np.empty(n_total) if full else None
 
     if cfg.chunk_size is not None:
         chunk = cfg.chunk_size
@@ -253,15 +300,22 @@ def simulate_paths(
         if full:
             y = np.full(m, model.alpha)
             z = np.full(m, model.z0)
+            # control sums over the draw half: S = sum e_j, and
+            # sum_k S_k = sum_j (n - j) e_j, so W = s_cum - S / 2
+            s_sum = np.zeros(nc)
+            s_cum = np.zeros(nc)
 
         for j in range(n_steps):
             e = normals[:, j * n_comp:(j + 1) * n_comp]
+            if full:
+                s_sum += e[:, 0]
+                s_cum += s_sum
             if anti:
                 mirrored[:nc] = e
                 np.negative(e, out=mirrored[nc:])
                 e = mirrored
             if full:
-                f = f_full(y, z, clamp, model.alpha)
+                f = f_full(y, z, vol, model.alpha)
             else:
                 f = vol.sigma
             d_lnx = (r - 0.5 * f * f) * dt + f * sqrt_dt * e[:, 0]
@@ -274,6 +328,9 @@ def simulate_paths(
                 z = model.alpha_prime + (z - model.alpha_prime) * ez + sd_z * w_z
 
         g_final = (t * math.log(g0) + integral) / T
+        if full:
+            dev_x = cv_x_scale * s_sum
+            dev_g = cv_g_scale * (s_cum - 0.5 * s_sum)
         if anti:
             plus = slice(lo, hi)
             minus = slice(draw_paths + lo, draw_paths + hi)
@@ -282,19 +339,24 @@ def simulate_paths(
             if full:
                 y_out[plus], y_out[minus] = y[:nc], y[nc:]
                 z_out[plus], z_out[minus] = z[:nc], z[nc:]
+                ln_x_cv[plus], ln_x_cv[minus] = cv_x_mean + dev_x, cv_x_mean - dev_x
+                ln_g_cv[plus], ln_g_cv[minus] = cv_g_mean + dev_g, cv_g_mean - dev_g
         else:
             ln_x[lo:hi] = lnx
             ln_g[lo:hi] = g_final
             if full:
                 y_out[lo:hi] = y
                 z_out[lo:hi] = z
+                ln_x_cv[lo:hi] = cv_x_mean + dev_x
+                ln_g_cv[lo:hi] = cv_g_mean + dev_g
 
-    return PathBatch(ln_x=ln_x, ln_g=ln_g, y=y_out, z=z_out, antithetic=anti)
+    return PathBatch(
+        ln_x=ln_x, ln_g=ln_g, y=y_out, z=z_out, antithetic=anti,
+        ln_x_cv=ln_x_cv, ln_g_cv=ln_g_cv,
+    )
 
 
-def _payoffs(spec: OptionSpec, batch: PathBatch) -> np.ndarray:
-    x = np.exp(batch.ln_x)
-    g = np.exp(batch.ln_g)
+def _payoffs(spec: OptionSpec, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     if spec.style is StrikeStyle.FLOATING:
         if spec.kind is OptionKind.CALL:
             return np.maximum(x - g, 0.0)
@@ -302,6 +364,42 @@ def _payoffs(spec: OptionSpec, batch: PathBatch) -> np.ndarray:
     if spec.kind is OptionKind.CALL:
         return np.maximum(g - spec.strike, 0.0)
     return np.maximum(spec.strike - g, 0.0)
+
+
+def _control_mean(
+    spec: OptionSpec, state: MarketState, sigma: float, r: float, n_steps: int
+) -> float:
+    """Undiscounted E[payoff(X_c, G_c)] of the n-step constant-vol scheme.
+
+    ln X_c and ln G_c are jointly Gaussian (see the module docstring), so
+    every payoff is E[(A - B)^+] = E[A] N(d1) - E[B] N(d1 - s) for a pair of
+    lognormals, or a lognormal and a constant strike, where
+    s^2 = Var(ln A - ln B) and d1 = (ln(E[A] / E[B]) + s^2/2) / s.
+    """
+    t, T = state.t, spec.maturity
+    tau = T - t
+    dt = tau / n_steps
+    var = sigma * sigma
+    mu = r - 0.5 * var
+    ln_x0 = math.log(state.x)
+    # (mean, variance) of ln X_c and ln G_c, and their covariance
+    x = (ln_x0 + mu * tau, var * tau)
+    g = (
+        (t * math.log(state.g) + tau * ln_x0 + 0.5 * mu * tau * tau) / T,
+        var * dt ** 3 * n_steps * (4.0 * n_steps * n_steps - 1.0) / 12.0 / (T * T),
+    )
+    if spec.style is StrikeStyle.FLOATING:
+        a, b = (x, g) if spec.kind is OptionKind.CALL else (g, x)
+        cov = var * tau * tau / (2.0 * T)
+    else:
+        strike = (math.log(spec.strike), 0.0)
+        a, b = (g, strike) if spec.kind is OptionKind.CALL else (strike, g)
+        cov = 0.0
+    s = math.sqrt(a[1] + b[1] - 2.0 * cov)
+    mean_a = math.exp(a[0] + 0.5 * a[1])
+    mean_b = math.exp(b[0] + 0.5 * b[1])
+    d1 = (a[0] - b[0] + 0.5 * (a[1] - b[1]) + 0.5 * s * s) / s  # ln(E[A] / E[B]) + s^2/2
+    return mean_a * float(ndtr(d1)) - mean_b * float(ndtr(d1 - s))
 
 
 def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0) -> tuple[float, float]:
@@ -316,6 +414,40 @@ def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0) -> tup
     else:
         n = values.shape[0]
     return scale * float(values.mean()), scale * float(values.std(ddof=1)) / math.sqrt(n)
+
+
+def _controlled_mean_and_se(
+    values: np.ndarray,
+    controls: tuple[np.ndarray, ...],
+    exact: np.ndarray,
+    antithetic: bool,
+    scale: float,
+) -> tuple[float, float] | None:
+    """scale times the control-variate estimate of the mean of ``values``, and its SE.
+
+    Pairs of an antithetic batch are averaged first, as in ``mean_and_se``.
+    The values are regressed on the controls over the whole batch, the mean
+    is v - b . (c - exact) with the sample means v and c, and the standard
+    error comes from the residuals with three degrees of freedom spent.
+    Returns None when that cannot be formed: three or fewer samples, or a
+    singular sample covariance of the controls.
+    """
+    cols = np.stack((values, *controls))
+    if antithetic:
+        n = cols.shape[1] // 2
+        cols = 0.5 * (cols[:, :n] + cols[:, n:])
+    n = cols.shape[1]
+    if n <= 3:
+        return None
+    means = cols.mean(axis=1)
+    dev = cols - means[:, None]
+    cov = dev[1:] @ dev[1:].T
+    if np.linalg.matrix_rank(cov) < cov.shape[0]:
+        return None
+    b = np.linalg.solve(cov, dev[1:] @ dev[0])
+    resid = dev[0] - b @ dev[1:]
+    mean = float(means[0] - b @ (means[1:] - exact))
+    return scale * mean, scale * float(resid.std(ddof=3)) / math.sqrt(n)
 
 
 def price_mc(
@@ -333,6 +465,12 @@ def price_mc(
     pair counts once. Floating puts are priced here (the payoff is
     well-defined) even though the analytic layers reject them.
 
+    A full-model batch is priced with its two controls, the payoff of the
+    constant-vol path and X_T, whose means are exact (see the module
+    docstring); ``price_plain`` and ``std_error_plain`` keep the plain
+    estimate, which is also the result when the controls' sample covariance
+    is singular. A constant-vol batch is priced plain.
+
     ``paths`` prices on a batch already simulated from the same model, vol,
     state and config (several payoffs then share one path set); only its
     size and antithetic layout can be checked against ``cfg``.
@@ -348,11 +486,25 @@ def price_mc(
             f"does not match cfg ({cfg.n_paths} paths, antithetic={cfg.antithetic})"
         )
     disc = math.exp(-model.r * (T - state.t))
-    price, se = mean_and_se(_payoffs(spec, paths), cfg.antithetic, scale=disc)
+    x_T = np.exp(paths.ln_x)
+    values = _payoffs(spec, x_T, np.exp(paths.ln_g))
+    plain = mean_and_se(values, cfg.antithetic, scale=disc)
+    controlled = None
+    if paths.ln_x_cv is not None:
+        controls = (_payoffs(spec, np.exp(paths.ln_x_cv), np.exp(paths.ln_g_cv)), x_T)
+        sigma_c = stationary_effective_vol(model.z0, model.nu)
+        exact = np.array([
+            _control_mean(spec, state, sigma_c, model.r, cfg.n_steps),
+            state.x * math.exp(model.r * (T - state.t)),
+        ])
+        controlled = _controlled_mean_and_se(values, controls, exact, cfg.antithetic, disc)
+    price, se = controlled or plain
     return McEstimate(
         price=price,
         std_error=se,
         n_paths=cfg.n_paths,
         n_steps=cfg.n_steps,
         seed=cfg.seed,
+        price_plain=plain[0],
+        std_error_plain=plain[1],
     )

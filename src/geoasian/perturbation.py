@@ -32,7 +32,6 @@ adaptively and serves as the independent oracle for the closed forms.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from scipy.integrate import quad
@@ -233,14 +232,6 @@ class PriceBreakdown:
     m_exponent: float
 
 
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except PricingError as exc:
-        raise type(exc)(f"{name}: {exc}") from None
-
-
 def _first_order(
     style: StrikeStyle,
     kind: OptionKind,
@@ -267,24 +258,28 @@ def _first_order(
         b0_fn, greeks_fn, c1_fn, strike = bs_fixed_call, greeks_fixed_call, c1_fixed, (K,)
     else:
         b0_fn, greeks_fn, c1_fn, strike = bs_fixed_put, greeks_fixed_put, c1_fixed, (K,)
-    with _stage("b0"):
+    # the stage that is running, named in the message of any error it raises
+    stage = "b0"
+    try:
         b0 = b0_fn(state, sigma, T, *strike, model.r)
-    if gamma_off:
-        gamma = 1.0
-        m = 0.0
-    else:
-        with _stage("theta"):
+        if gamma_off:
+            gamma = 1.0
+            m = 0.0
+        else:
+            stage = "theta"
             theta = b0_theta(style, state, sigma, T, model.r, K=K, kind=kind)
-        with _stage("m_exponent"):
+            stage = "m_exponent"
             m = m_exponent(b0, theta, price_floor=PRICE_FLOOR_FRACTION * state.x)
-        with _stage("gamma"):
+            stage = "gamma"
             gamma = modification_factor(model.k, state.t, T, m)
-    if v_eps == 0.0:
-        return b0, m, gamma, None, 0.0
-    with _stage("i_integrals"):
+        if v_eps == 0.0:
+            return b0, m, gamma, None, 0.0
+        stage = "i_integrals"
         ii = i_integrals_closed(model.k, state.t, T)
-    with _stage("greeks"):
+        stage = "greeks"
         greeks = greeks_fn(state, sigma, T, *strike, model.r, gamma_factor=gamma)
+    except PricingError as exc:
+        raise type(exc)(f"{stage}: {exc}") from None
     return b0, m, gamma, greeks, c1_fn(CorrectionParams(v_eps), ii, greeks)
 
 
@@ -308,8 +303,10 @@ def first_order_price(
     K = option.strike
     if state.t > T:
         raise ValueError(f"t = {state.t} exceeds maturity T = {T}")
-    with _stage("effective_vol"):
+    try:
         sigma = effective_vol(arc, state.t)
+    except PricingError as exc:
+        raise type(exc)(f"effective_vol: {exc}") from None
     if T - state.t < HORIZON_TOL:
         payoff = float(_terminal_payoff(option.style, option.kind, state.s, state.u, T, K))
         return PriceBreakdown(

@@ -334,8 +334,9 @@ def test_validate_full_mode_reports_direction(capsys):
     assert direction["big"]["epsilon"] == 0.1
     assert direction["small"]["epsilon"] == 0.001
     for side in ("big", "small"):
-        for key in ("c0", "mc", "se", "abs_dev"):
+        for key in ("c0", "mc", "se", "se_plain", "abs_dev"):
             assert key in direction[side]
+        assert direction[side]["se"] < direction[side]["se_plain"]
 
 
 def test_validate_simulates_once_and_matches_per_spec_prices(capsys, monkeypatch):

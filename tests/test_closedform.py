@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -147,6 +148,33 @@ def test_put_call_parity_on_strike_grid():
         p = bs_fixed_put(INTERIOR, I_SIG, I_T, K, I_R)
         gap = (c - p) - (fwd_disc - K * math.exp(-I_R * tau))
         assert abs(gap) / INTERIOR.x < 1e-10, f"parity off by {gap} at K={K}"
+
+
+def _fixed_put_mpmath(state, sigma, T, K, r):
+    """e^{-r tau} E[(K - G_T)^+] from the lognormal law of G_T, in mpmath:
+    ln G_T ~ N(ln x + u/T + (r - sigma^2/2) tau^2/(2T), sigma^2 tau^3/(3T^2))."""
+    with mp.workdps(50):
+        t, T, K, sigma, r = (mp.mpf(v) for v in (state.t, T, K, sigma, r))
+        tau = T - t
+        u = t * mp.log(mp.mpf(state.g) / state.x)
+        mean = mp.log(state.x) + u / T + (r - sigma ** 2 / 2) * tau ** 2 / (2 * T)
+        sd = sigma * mp.sqrt(tau ** 3 / 3) / T
+        d = (mean - mp.log(K)) / sd
+        value = K * mp.ncdf(-d) - mp.exp(mean + sd ** 2 / 2) * mp.ncdf(-d - sd)
+        return float(mp.exp(-r * tau) * value)
+
+
+@pytest.mark.parametrize(
+    "g, K", [(104.5, 100.0), (104.5, 99.8), (104.5, 99.6), (104.5, 99.0), (110.0, 100.0)]
+)
+def test_fixed_put_out_of_the_money_keeps_its_digits(g, K):
+    """Put-call parity lost these prices to cancellation (2.6e-2 relative at
+    K = 99, and 0.0 at g = 110); the direct formula keeps them."""
+    state = MarketState(t=0.3, x=100.0, g=g)
+    got = bs_fixed_put(state, 0.1834, 0.38, K, 0.0264)
+    want = _fixed_put_mpmath(state, 0.1834, 0.38, K, 0.0264)
+    assert want > 0.0
+    assert rel(got, want) < 1e-10
 
 
 def test_fixed_call_forward_limit():

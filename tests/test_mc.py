@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -13,6 +14,7 @@ from geoasian import (
     OptionKind,
     OptionSpec,
     StrikeStyle,
+    bs_fixed_call,
     bs_fixed_put,
     bs_floating_call,
     d_terms_fixed,
@@ -22,7 +24,7 @@ from geoasian import (
     stationary_effective_vol,
 )
 from geoasian.errors import PDFactorizationFailure
-from geoasian.mc import _normals_for_chunk, f_full
+from geoasian.mc import _control_mean, _controlled_mean_and_se, _normals_for_chunk, f_full
 
 MODEL = reference_full_model(0.001)
 STATE = MarketState(t=0.0, x=100.0, g=100.0)
@@ -85,26 +87,26 @@ def test_reference_model_and_stationary_vol():
 
 
 def test_chunk_layout_invariance():
-    """Path i owns a fixed Philox word block, so the terminal state is
-    bit-identical no matter how the work is chunked."""
+    """Path i owns a fixed Philox word block, so the terminal state, the
+    control path and the controlled estimate are bit-identical no matter how
+    the work is chunked."""
     kwargs = dict(model=MODEL, vol=FullModel(), t=0.0, T=0.45, x0=100.0, g0=100.0)
     for anti in (False, True):
-        base = simulate_paths(
-            cfg=McConfig(n_paths=500, n_steps=30, seed=42, antithetic=anti), **kwargs
-        )
-        small = simulate_paths(
-            cfg=McConfig(n_paths=500, n_steps=30, seed=42, antithetic=anti, chunk_size=37),
-            **kwargs,
-        )
-        one = simulate_paths(
-            cfg=McConfig(n_paths=500, n_steps=30, seed=42, antithetic=anti, chunk_size=500),
-            **kwargs,
-        )
+        cfgs = [
+            McConfig(n_paths=500, n_steps=30, seed=42, antithetic=anti, chunk_size=size)
+            for size in (None, 37, 500)
+        ]
+        base, small, one = (simulate_paths(cfg=cfg, **kwargs) for cfg in cfgs)
         for other in (small, one):
             assert np.array_equal(base.ln_x, other.ln_x)
             assert np.array_equal(base.ln_g, other.ln_g)
             assert np.array_equal(base.y, other.y)
             assert np.array_equal(base.z, other.z)
+            assert np.array_equal(base.ln_x_cv, other.ln_x_cv)
+            assert np.array_equal(base.ln_g_cv, other.ln_g_cv)
+        estimates = [price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg) for cfg in cfgs]
+        assert estimates[0].price != estimates[0].price_plain  # the controls applied
+        assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
 
 
 def test_same_seed_same_estimate():
@@ -126,9 +128,31 @@ def test_frozen_estimates():
     est = price_mc(FLOAT_CALL, MODEL, ConstantVol(0.1834), STATE, cfg)
     assert rel(est.price, 3.094692397753649) < 1e-12
     assert rel(est.std_error, 0.07541756473216818) < 1e-12
+    assert (est.price, est.std_error) == (est.price_plain, est.std_error_plain)
     full = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
-    assert rel(full.price, 3.470332871882723) < 1e-12
-    assert rel(full.std_error, 0.08098057105114422) < 1e-12
+    assert rel(full.price_plain, 3.470332871882723) < 1e-12
+    assert rel(full.std_error_plain, 0.08098057105114422) < 1e-12
+    assert rel(full.price, 3.458582922688118) < 1e-12
+    assert rel(full.std_error, 0.026049632351353373) < 1e-12
+    # the controlled pin, recomputed by least squares from the path batch
+    batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    x, g = np.exp(batch.ln_x), np.exp(batch.ln_g)
+    payoff = np.maximum(x - g, 0.0)
+    control = np.maximum(np.exp(batch.ln_x_cv) - np.exp(batch.ln_g_cv), 0.0)
+    design = np.column_stack([np.ones_like(x), control, x])
+    coef, ss_resid, rank, _ = np.linalg.lstsq(design, payoff, rcond=None)
+    assert rank == 3
+    sigma_c = stationary_effective_vol(MODEL.z0, MODEL.nu)
+    exact = np.array([
+        _control_mean(FLOAT_CALL, STATE, sigma_c, MODEL.r, cfg.n_steps),
+        100.0 * math.exp(MODEL.r * 0.45),
+    ])
+    disc = math.exp(-MODEL.r * 0.45)
+    n = cfg.n_paths
+    price = disc * (payoff.mean() - coef[1:] @ (design[:, 1:].mean(axis=0) - exact))
+    se = disc * math.sqrt(ss_resid[0] / (n - 3)) / math.sqrt(n)
+    assert rel(full.price, price) < 1e-10
+    assert rel(full.std_error, se) < 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 123, 2**40 + 7])
@@ -144,6 +168,153 @@ def test_normals_match_out_of_place_conversion(seed, lo):
     want = want.reshape(n_chunk, words_per_path)[:, :n_words]
     assert got.shape == (n_chunk, n_words)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# ------------------------------------------------------- control variates
+
+
+def _control_law(state, T, sigma, r, n_steps):
+    """Mean and covariance of (ln X_c, ln G_c) in mpmath, built by running
+    the scheme's recursion on the coefficients of each step's draw."""
+    t = mp.mpf(state.t)
+    dt = (mp.mpf(T) - t) / n_steps
+    drift = (r - sigma ** 2 / 2) * dt
+    lnx = [mp.log(state.x)] + [mp.mpf(0)] * n_steps  # constant, then per-draw
+    integral = [mp.mpf(0)] * (n_steps + 1)
+    for j in range(n_steps):
+        step = [drift] + [mp.mpf(0)] * n_steps
+        step[1 + j] = sigma * mp.sqrt(dt)
+        integral = [i + dt / 2 * (2 * a + d) for i, a, d in zip(integral, lnx, step)]
+        lnx = [a + d for a, d in zip(lnx, step)]
+    lng = [i / T for i in integral]
+    lng[0] += t * mp.log(state.g) / T
+    var_x = mp.fsum(a * a for a in lnx[1:])
+    var_g = mp.fsum(a * a for a in lng[1:])
+    cov = mp.fsum(a * b for a, b in zip(lnx[1:], lng[1:]))
+    return (lnx[0], lng[0]), mp.matrix([[var_x, cov], [cov, var_g]])
+
+
+def _control_mean_quadrature(spec, state, sigma, r, n_steps):
+    """E[payoff(X_c, G_c)] by Gaussian quadrature over the law above.
+
+    Fixed strikes integrate ln G over the half-line where the payoff is
+    positive. Floating strikes write ln G = m_g + g1 z1 and
+    ln X = m_x + x1 z1 + x2 z2 and integrate z2 the same way for each z1,
+    whose smooth outer integral takes 24-node Gauss-Hermite.
+    """
+    (m_x, m_g), cov = _control_law(state, spec.maturity, sigma, r, n_steps)
+    phi = mp.npdf
+    if spec.style is StrikeStyle.FIXED:
+        sd = mp.sqrt(cov[1, 1])
+        edge = (mp.log(spec.strike) - m_g) / sd
+        value = lambda z: (mp.exp(m_g + sd * z) - spec.strike) * phi(z)
+        if spec.kind is OptionKind.CALL:
+            return mp.quad(value, [edge, mp.inf])
+        return -mp.quad(value, [-mp.inf, edge])
+    g1 = mp.sqrt(cov[1, 1])
+    x1 = cov[0, 1] / g1
+    x2 = mp.sqrt(cov[0, 0] - x1 * x1)
+    sign = 1 if spec.kind is OptionKind.CALL else -1
+
+    def inner(z1):  # E[payoff | z1]; X > G for z2 above the edge
+        g = mp.exp(m_g + g1 * z1)
+        edge = (m_g + g1 * z1 - m_x - x1 * z1) / x2
+        value = lambda z2: (mp.exp(m_x + x1 * z1 + x2 * z2) - g) * phi(z2)
+        return sign * mp.quad(value, [edge, mp.inf] if sign > 0 else [-mp.inf, edge])
+
+    nodes, weights = np.polynomial.hermite_e.hermegauss(24)
+    total = mp.fsum(mp.mpf(w) * inner(mp.mpf(z)) for z, w in zip(nodes, weights))
+    return total / mp.sqrt(2 * mp.pi)
+
+
+CONTROL_STATE = MarketState(t=0.1, x=100.0, g=97.0)
+CONTROL_SPECS = [
+    OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=0.45),
+    OptionSpec(StrikeStyle.FLOATING, OptionKind.PUT, maturity=0.45),
+    OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=0.45, strike=99.0),
+    OptionSpec(StrikeStyle.FIXED, OptionKind.PUT, maturity=0.45, strike=99.0),
+]
+
+
+@pytest.mark.parametrize("n_steps", [2, 3, 7])
+@pytest.mark.parametrize("spec", CONTROL_SPECS, ids=lambda s: f"{s.style.name}-{s.kind.name}")
+def test_control_mean_matches_quadrature_at_coarse_steps(spec, n_steps):
+    """The exact mean is that of the discrete scheme, not of its limit."""
+    with mp.workdps(15):
+        want = _control_mean_quadrature(spec, CONTROL_STATE, 0.21, 0.0264, n_steps)
+    got = _control_mean(spec, CONTROL_STATE, 0.21, 0.0264, n_steps)
+    assert rel(got, float(want)) < 1e-10
+
+
+def test_control_mean_converges_to_the_closed_forms():
+    sigma, r, T = 0.21, 0.0264, 0.45
+    state = CONTROL_STATE
+    disc = math.exp(-r * (T - state.t))
+    closed = {
+        (StrikeStyle.FLOATING, OptionKind.CALL): bs_floating_call(state, sigma, T, r),
+        (StrikeStyle.FIXED, OptionKind.CALL): bs_fixed_call(state, sigma, T, 99.0, r),
+        (StrikeStyle.FIXED, OptionKind.PUT): bs_fixed_put(state, sigma, T, 99.0, r),
+    }
+    for (style, kind), want in closed.items():
+        strike = None if style is StrikeStyle.FLOATING else 99.0
+        spec = OptionSpec(style, kind, maturity=T, strike=strike)
+        errors = [rel(disc * _control_mean(spec, state, sigma, r, n), want) for n in (30, 300)]
+        assert errors[1] < 1e-5
+        assert errors[1] < 0.02 * errors[0]  # the O(dt^2) gap of the time grid
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_plain_fields_are_the_plain_estimate(antithetic):
+    cfg = McConfig(n_paths=3000, n_steps=20, seed=8, antithetic=antithetic)
+    est = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
+    batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    payoff = np.maximum(np.exp(batch.ln_x) - np.exp(batch.ln_g), 0.0)
+    if antithetic:
+        payoff = 0.5 * (payoff[:1500] + payoff[1500:])
+    disc = math.exp(-MODEL.r * 0.45)
+    assert est.price_plain == disc * float(payoff.mean())
+    assert est.std_error_plain == disc * float(payoff.std(ddof=1)) / math.sqrt(payoff.size)
+
+
+@pytest.mark.parametrize("spec", CONTROL_SPECS, ids=lambda s: f"{s.style.name}-{s.kind.name}")
+def test_controlled_price_agrees_with_plain(spec):
+    state = MarketState(t=0.1, x=100.0, g=97.0)
+    cfg = McConfig(n_paths=8000, n_steps=40, seed=19, antithetic=True)
+    est = price_mc(spec, MODEL, FullModel(), state, cfg)
+    assert est.std_error < est.std_error_plain
+    gap = abs(est.price - est.price_plain)
+    assert gap <= 3.0 * math.hypot(est.std_error, est.std_error_plain), (spec, est)
+
+
+def test_controls_shrink_the_error_at_the_benchmark_point():
+    """25000 antithetic paths x 200 steps of an ATM floating call, eps = 0.001."""
+    spec = OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=0.5)
+    cfg = McConfig(n_paths=25_000, n_steps=200, seed=2024, antithetic=True)
+    est = price_mc(spec, MODEL, FullModel(), STATE, cfg)
+    assert est.std_error < est.std_error_plain
+    assert est.std_error < 0.5 * est.std_error_plain
+
+
+def test_constant_vol_runs_carry_no_control():
+    cfg = McConfig(n_paths=400, n_steps=10, seed=4, antithetic=True)
+    batch = simulate_paths(MODEL, ConstantVol(0.2), 0.0, 0.45, 100.0, 100.0, cfg)
+    assert batch.ln_x_cv is None and batch.ln_g_cv is None
+    est = price_mc(FLOAT_CALL, MODEL, ConstantVol(0.2), STATE, cfg, paths=batch)
+    assert (est.price, est.std_error) == (est.price_plain, est.std_error_plain)
+
+
+def test_controlled_estimate_falls_back_to_plain():
+    """Three pairs leave no residual degree of freedom; a control that copies
+    another makes the controls' covariance singular."""
+    few = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE,
+                   McConfig(n_paths=6, n_steps=10, seed=4, antithetic=True))
+    assert (few.price, few.std_error) == (few.price_plain, few.std_error_plain)
+    rng = np.random.default_rng(3)
+    values, control = rng.normal(size=50), rng.normal(size=50)
+    exact = np.zeros(2)
+    assert _controlled_mean_and_se(values, (control, control), exact, False, 1.0) is None
+    assert _controlled_mean_and_se(values, (control, 2.0 * control), exact, False, 1.0) is None
+    assert _controlled_mean_and_se(values, (control, values), exact, False, 1.0) is not None
 
 
 # -------------------------------------------------------- shared path sets

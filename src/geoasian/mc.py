@@ -16,8 +16,17 @@ continues the running average through ln G_T = (t ln g + int_t^T ln X)/T.
 Reproducibility contract: draws come from a counter-based Philox stream keyed
 by the seed, with path i owning the fixed word block [i L, (i+1) L) (L padded
 to a multiple of 4 words, the Philox counter granularity). The path set is
-therefore bit-identical for any chunk layout; antithetic runs give pair p the
-block of p and mirror it.
+therefore bit-identical for any chunk layout and for any thread count;
+antithetic runs give pair p the block of p and mirror it.
+
+Threads: ``simulate_paths`` cuts the draw paths into equal blocks and runs them
+on a thread pool (numpy's ufuncs and ``ndtri`` release the GIL), one block per
+worker at a time, so the blocks in flight hold at most one chunk of draw paths.
+The pool has one worker per CPU the process may run on (its CPU affinity),
+fewer when a chunk has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has
+no setting; a run with one worker steps its blocks inline. Each block writes
+only its own slice of the output, so the order in which blocks finish cannot
+change the result.
 
 Control variates, full-model runs only. Alongside each full-model path the
 loop carries the constant-vol geometric-Asian path driven by the same W^x
@@ -41,6 +50,9 @@ the oracle checks them against.
 from __future__ import annotations
 
 import math
+import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +69,22 @@ from .model import (
     validate_params,
 )
 
-WORD_BUDGET = 1 << 23  # max random words materialized per chunk
+WORD_BUDGET = 1 << 23  # max random words in flight, summed over the workers
+# fewest draw paths per worker in a chunk: with 2000-path blocks two threads
+# ran the step loop no faster than one (2 CPUs, 50 steps), as each step's numpy
+# calls on short vectors are mostly interpreter time under the GIL
+MIN_BLOCK_PATHS = 2048
 
 
 @dataclass(frozen=True)
 class McConfig:
+    """Size, seed and layout of one Monte Carlo run.
+
+    ``chunk_size`` bounds the draw paths in flight across all workers (their
+    normals are materialized at once); by default a chunk holds at most
+    ``WORD_BUDGET`` random words. It changes memory and speed, never the result.
+    """
+
     n_paths: int
     n_steps: int
     seed: int
@@ -69,6 +92,12 @@ class McConfig:
     chunk_size: int | None = None
 
     def __post_init__(self) -> None:
+        counts = {"n_paths": self.n_paths, "n_steps": self.n_steps, "seed": self.seed}
+        if self.chunk_size is not None:
+            counts["chunk_size"] = self.chunk_size
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.n_steps < 2:
@@ -199,16 +228,22 @@ def _normals_for_chunk(
     """
     bitgen = np.random.Philox(key=seed)
     bitgen.advance((lo * words_per_path) // 4)
-    raw = bitgen.random_raw(n_chunk * words_per_path)
-    # u = (raw >> 11) 2^-53 + 2^-54 computed in place: the same IEEE operations
-    # as the out-of-place expression, so the same bits, without its temporaries
-    raw >>= np.uint64(11)
-    normals = raw.astype(np.float64)
-    del raw
-    normals *= 2.0 ** -53
+    # Generator.random writes (word >> 11) 2^-53 for each raw word in stream
+    # order, so u = that + 2^-54 has the bits of the raw-word expression, in
+    # one float64 buffer
+    normals = np.empty(n_chunk * words_per_path)
+    np.random.Generator(bitgen).random(out=normals)
     normals += 2.0 ** -54
     ndtri(normals, out=normals)
     return normals.reshape(n_chunk, words_per_path)[:, :n_words]
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on: the size of ``simulate_paths``' pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def simulate_paths(
@@ -220,7 +255,11 @@ def simulate_paths(
     g0: float,
     cfg: McConfig,
 ) -> PathBatch:
-    """Simulate the SDE system over [t, T] and return terminal path state."""
+    """Simulate the SDE system over [t, T] and return terminal path state.
+
+    Blocks of draw paths run on a thread pool (see the module docstring); the
+    result has the same bits for any chunk size and any pool size.
+    """
     problems = validate_params(model)
     pd_problems = [p for p in problems if "positive definite" in p]
     if pd_problems:
@@ -283,12 +322,18 @@ def simulate_paths(
     ln_g_cv = np.empty(n_total) if full else None
 
     if cfg.chunk_size is not None:
-        chunk = cfg.chunk_size
+        chunk = min(cfg.chunk_size, draw_paths)
     else:
         chunk = max(1, min(draw_paths, WORD_BUDGET // words_per_path))
+    # each worker runs one block at a time, so a round of blocks holds at most
+    # one chunk; the paths are shared evenly over the fewest rounds, so no
+    # worker waits alone on a short last block
+    workers = max(1, min(_worker_count(), chunk // MIN_BLOCK_PATHS))
+    rounds = -(-draw_paths // (chunk // workers * workers))
+    block = -(-draw_paths // (rounds * workers))
 
-    for lo in range(0, draw_paths, chunk):
-        hi = min(lo + chunk, draw_paths)
+    def run_block(lo: int, hi: int) -> None:
+        """Step draw paths [lo, hi) and write their slices of the output."""
         nc = hi - lo
         normals = _normals_for_chunk(cfg.seed, lo, nc, words_per_path, n_words)
 
@@ -349,6 +394,20 @@ def simulate_paths(
                 z_out[lo:hi] = z
                 ln_x_cv[lo:hi] = cv_x_mean + dev_x
                 ln_g_cv[lo:hi] = cv_g_mean + dev_g
+
+    bounds = [(lo, min(lo + block, draw_paths)) for lo in range(0, draw_paths, block)]
+    if workers == 1:
+        for lo, hi in bounds:
+            run_block(lo, hi)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_block, lo, hi) for lo, hi in bounds]
+            try:
+                for future in futures:
+                    future.result()
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # the blocks not yet started
+                raise
 
     return PathBatch(
         ln_x=ln_x, ln_g=ln_g, y=y_out, z=z_out, antithetic=anti,

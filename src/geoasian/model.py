@@ -18,7 +18,7 @@ pricing operator and is singular at kt = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -172,27 +172,25 @@ def state_transform(x: float, g: float, t: float) -> tuple[float, float]:
 class MarketState:
     """Valuation time, spot, and running geometric average.
 
-    The empty-window convention sets g = x at t = 0, so u = 0 there.
+    ``s`` and ``u`` are ``state_transform(x, g, t)``, computed once here; they
+    take no part in the repr or in equality. The empty-window convention sets
+    g = x at t = 0, so u = 0 there.
     """
 
     t: float
     x: float
     g: float
+    s: float = field(init=False, repr=False, compare=False)
+    u: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t) and math.isfinite(self.x) and math.isfinite(self.g)):
             raise NonFiniteInput(
                 f"t, x and g must be finite, got t={self.t}, x={self.x}, g={self.g}"
             )
-        state_transform(self.x, self.g, self.t)
-
-    @property
-    def s(self) -> float:
-        return math.log(self.x)
-
-    @property
-    def u(self) -> float:
-        return self.t * (math.log(self.g) - math.log(self.x))
+        s, u = state_transform(self.x, self.g, self.t)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "u", u)
 
 
 def l_factor(k: float, t: float) -> float:

@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +27,7 @@ from geoasian import (
     simulate_paths,
     stationary_effective_vol,
 )
+from geoasian import mc
 from geoasian.errors import PDFactorizationFailure
 from geoasian.mc import _control_mean, _controlled_mean_and_se, _normals_for_chunk, f_full
 
@@ -50,6 +55,20 @@ def test_mc_config_validation():
         McConfig(n_paths=101, n_steps=10, seed=0, antithetic=True)
     with pytest.raises(ValueError):
         McConfig(n_paths=100, n_steps=10, seed=0, chunk_size=0)
+    McConfig(n_paths=np.int64(100), n_steps=np.int32(10), seed=np.uint64(3), chunk_size=7)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_paths", 100.0), ("n_paths", True), ("n_steps", 10.0), ("n_steps", "10"),
+    ("seed", 1.5), ("seed", True), ("chunk_size", 2.5), ("chunk_size", True),
+])
+def test_mc_config_rejects_non_integer_counts(name, value):
+    """A float seed would run the truncated seed's path set, and a float size
+    would fail later, inside a worker thread."""
+    kwargs = dict(n_paths=100, n_steps=10, seed=0)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        McConfig(**kwargs)
 
 
 def test_vol_spec_validation():
@@ -86,27 +105,116 @@ def test_reference_model_and_stationary_vol():
 # ----------------------------------------------------------- reproducibility
 
 
-def test_chunk_layout_invariance():
+def assert_same_bits(a, b):
+    """Two path batches hold the same bits in every array."""
+    for name in ("ln_x", "ln_g", "y", "z", "ln_x_cv", "ln_g_cv"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+
+
+def test_chunk_layout_invariance(monkeypatch):
     """Path i owns a fixed Philox word block, so the terminal state, the
     control path and the controlled estimate are bit-identical no matter how
-    the work is chunked."""
-    kwargs = dict(model=MODEL, vol=FullModel(), t=0.0, T=0.45, x0=100.0, g0=100.0)
-    for anti in (False, True):
-        cfgs = [
-            McConfig(n_paths=500, n_steps=30, seed=42, antithetic=anti, chunk_size=size)
-            for size in (None, 37, 500)
-        ]
-        base, small, one = (simulate_paths(cfg=cfg, **kwargs) for cfg in cfgs)
-        for other in (small, one):
-            assert np.array_equal(base.ln_x, other.ln_x)
-            assert np.array_equal(base.ln_g, other.ln_g)
-            assert np.array_equal(base.y, other.y)
-            assert np.array_equal(base.z, other.z)
-            assert np.array_equal(base.ln_x_cv, other.ln_x_cv)
-            assert np.array_equal(base.ln_g_cv, other.ln_g_cv)
-        estimates = [price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg) for cfg in cfgs]
-        assert estimates[0].price != estimates[0].price_plain  # the controls applied
-        assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
+    the work is chunked or how many threads run the blocks."""
+    monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)  # pool even these small chunks
+    for vol in (FullModel(), ConstantVol(0.2)):
+        kwargs = dict(model=MODEL, vol=vol, t=0.0, T=0.45, x0=100.0, g0=100.0)
+        for anti in (False, True):
+            cfgs = [
+                McConfig(n_paths=500, n_steps=30, seed=42, antithetic=anti, chunk_size=size)
+                for size in (None, 37, 500)
+            ]
+            runs = {}
+            for workers in (None, 1, 3):  # None: one per CPU; 1: the serial run
+                with monkeypatch.context() as patch:
+                    if workers is not None:
+                        patch.setattr(mc, "_worker_count", lambda: workers)
+                    runs[workers] = (
+                        [simulate_paths(cfg=cfg, **kwargs) for cfg in cfgs],
+                        [price_mc(FLOAT_CALL, MODEL, vol, STATE, cfg) for cfg in cfgs],
+                    )
+            serial, serial_estimate = runs[1][0][0], runs[1][1][0]
+            for batches, estimates in runs.values():
+                for batch in batches:
+                    assert_same_bits(serial, batch)
+                assert all(est == serial_estimate for est in estimates)
+            if isinstance(vol, FullModel):
+                assert serial_estimate.price != serial_estimate.price_plain  # the controls applied
+
+
+@pytest.mark.parametrize("chunk_size", [None, 100])
+def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, chunk_size):
+    """The workers' normals together never exceed one chunk of words."""
+    lock = threading.Lock()
+    live, peak, drawn = [0], [0], [0]
+
+    def release(words):
+        with lock:
+            live[0] -= words
+
+    def counted(seed, lo, n_chunk, words_per_path, n_words):
+        normals = _normals_for_chunk(seed, lo, n_chunk, words_per_path, n_words)
+        words = n_chunk * words_per_path
+        with lock:
+            live[0] += words
+            peak[0] = max(peak[0], live[0])
+            drawn[0] += words
+        weakref.finalize(normals.base, release, words)  # the buffer's lifetime
+        time.sleep(0.002)  # let the other workers start their blocks meanwhile
+        return normals
+
+    words_per_path = 92  # 30 steps x 3 factors, padded to a multiple of 4
+    chunk = chunk_size or 50
+    monkeypatch.setattr(mc, "WORD_BUDGET", 50 * words_per_path)
+    monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
+    monkeypatch.setattr(mc, "_normals_for_chunk", counted)
+    monkeypatch.setattr(mc, "_worker_count", lambda: 3)
+    cfg = McConfig(n_paths=1200, n_steps=30, seed=42, antithetic=True, chunk_size=chunk_size)
+    simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    assert drawn[0] == 600 * words_per_path
+    assert live[0] == 0
+    block_words = chunk // 3 * words_per_path
+    assert block_words < peak[0] <= chunk * words_per_path  # blocks overlapped, within one chunk
+
+
+def test_four_workers_with_fast_switching_match_the_serial_run(monkeypatch):
+    """More workers than a 2-CPU host has, switching threads every microsecond."""
+    kwargs = dict(model=MODEL, vol=FullModel(), t=0.0, T=0.45, x0=100.0, g0=100.0,
+                  cfg=McConfig(n_paths=2000, n_steps=40, seed=5, antithetic=True, chunk_size=250))
+    monkeypatch.setattr(mc, "_worker_count", lambda: 1)
+    serial = simulate_paths(**kwargs)
+    monkeypatch.setattr(mc, "_worker_count", lambda: 4)
+    monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
+    result = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.update(batch=simulate_paths(**kwargs)))
+        runner.start()
+        runner.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert_same_bits(serial, result["batch"])
+
+
+def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    class Broken(Exception):
+        pass
+
+    def broken(*args, **kwargs):
+        raise Broken("f_full failed in a worker")
+
+    threads = threading.active_count()
+    monkeypatch.setattr(mc, "f_full", broken)
+    monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+    monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
+    cfg = McConfig(n_paths=400, n_steps=10, seed=0, chunk_size=50)
+    with pytest.raises(Broken):
+        simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    assert threading.active_count() == threads
 
 
 def test_same_seed_same_estimate():

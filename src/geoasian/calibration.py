@@ -215,18 +215,14 @@ def v_from_fit(
     k: float,
     t: float,
     T: float,
-    style: QuoteStyle = QuoteStyle.FLOATING_CALL,
 ) -> float:
-    """v_eps = a_eps 2 r sigma / D_v for one (t, T) cell.
+    """v_eps = a_eps 2 r sigma / D_v for one (t, T) cell, of either quote style.
 
     Equals sqrt(eps) * V with a = a_eps/sqrt(eps) and V = a 2 r sigma / D_v;
-    epsilon cancels and is accepted only for interface fidelity. The same map
-    applies to both accepted styles.
+    epsilon cancels and is accepted only for interface fidelity.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if not isinstance(style, QuoteStyle):
-        raise ValueError(f"style must be a QuoteStyle, got {style!r}")
     return fit.a_eps * 2.0 * r * sigma / v_denominator(k, t, T)
 
 
@@ -396,9 +392,7 @@ def calibration_report(
     for t, T in cells:
         cell_rows = [row for row in kept if (row.t, row.T) == (t, T)]
         sigma = effective_vol(arc, t)
-        v = v_from_fit(
-            fit, model.epsilon, model.r, sigma, model.k, t, T, style=cell_rows[0].style
-        )
+        v = v_from_fit(fit, model.epsilon, model.r, sigma, model.k, t, T)
         by_cell.append({"t": t, "T": T, "v_eps": v, "n": len(cell_rows)})
     values = [cell["v_eps"] for cell in by_cell]
     rejects = [

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -104,19 +105,7 @@ def _add_model_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _model_from_args(args) -> ModelParams:
-    model = ModelParams(
-        r=args.r,
-        k=args.k,
-        alpha_prime=args.alpha_prime,
-        z0=args.z0,
-        epsilon=args.epsilon,
-        nu=args.nu,
-        alpha=args.alpha,
-        beta=args.beta,
-        rho_xy=args.rho_xy,
-        rho_xz=args.rho_xz,
-        rho_yz=args.rho_yz,
-    )
+    model = ModelParams(**{f.name: getattr(args, f.name) for f in fields(ModelParams)})
     problems = validate_params(model)
     if problems:
         raise ValueError("; ".join(problems))
@@ -124,20 +113,9 @@ def _model_from_args(args) -> ModelParams:
 
 
 def _model_inputs(args) -> dict:
-    return {
-        "k": args.k,
-        "r": args.r,
-        "z0": args.z0,
-        "alpha_prime": args.alpha_prime,
-        "epsilon": args.epsilon,
-        "sigma_min": args.sigma_min,
-        "nu": args.nu,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "rho_xy": args.rho_xy,
-        "rho_xz": args.rho_xz,
-        "rho_yz": args.rho_yz,
-    }
+    """The model flags echoed in a report: ModelParams' fields and sigma_min."""
+    names = [f.name for f in fields(ModelParams)] + ["sigma_min"]
+    return {name: getattr(args, name) for name in names}
 
 
 def cmd_price(args) -> int:

@@ -19,9 +19,8 @@ so Greeks of the modified price are gamma times the B0 Greeks; callers pass
 the plain B0 level: it feeds M = theta/B0, where gamma cancels, and the
 pricing chain in ``perturbation`` calls it once per contract.
 
-Every derivative formula here is validated against central finite differences
-in the test suite; theta defaults to a Richardson-extrapolated finite
-difference with the analytic form available for cross-checking.
+Every derivative formula here, theta included, is the differentiated closed
+form; the test suite holds each one to central finite differences.
 """
 
 from __future__ import annotations
@@ -139,8 +138,8 @@ def d_terms_fixed(
     return DTermsFixed(d1_hat=d1, d2_hat=d2, q_drift=q)
 
 
-# scalar cores, also used by the finite-difference theta (which probes t
-# outside the public t >= 0 domain while holding s, u, sigma fixed)
+# scalar cores: the public prices add the horizon and strike checks; the
+# tests' finite-difference theta probes them in t at fixed s, u, sigma
 
 
 def _b0_floating_call(s: float, u: float, t: float, T: float, sigma: float, r: float) -> float:
@@ -320,19 +319,33 @@ def greeks_fixed_call(
     return _greeks_fixed(state, sigma, T, K, r, OptionKind.CALL, gamma_factor)
 
 
-def _theta_analytic(
+def b0_theta(
     style: StrikeStyle,
-    kind: OptionKind,
-    s: float,
-    u: float,
-    t: float,
-    T: float,
+    state: MarketState,
     sigma: float,
+    T: float,
     r: float,
-    K: float | None,
+    K: float | None = None,
+    kind: OptionKind = OptionKind.CALL,
 ) -> float:
-    qdot = -(r + sigma * sigma / 2.0) * t / T + sigma * sigma * t * t / (2.0 * T * T)
+    """dB0/dt at fixed (s, u, sigma), by the differentiated closed form.
+
+    With Qdot = dQ/dt and gap_dot the t-derivative of the d-term gap,
+    floating call:  E [phi(d2) gap_dot + N(d2) Qdot],
+    fixed call:     E [phi(d1) gap_dot - Qdot N(d1)] - r K e^{-r(T-t)} N(d2),
+    fixed put:      r K e^{-r(T-t)} N(-d2) + Qdot E N(-d1) + E phi(d1) gap_dot,
+    where E = e^{s + u/T - Q}.
+    """
+    t, s, u = state.t, state.s, state.u
+    _check_sigma(sigma)
+    _check_horizon(t, T)
     floating = style is StrikeStyle.FLOATING
+    if floating:
+        if kind is not OptionKind.CALL:
+            raise UnsupportedContract("floating-strike puts are not supported")
+    elif K is None or not K > 0.0:
+        raise NonPositiveStrike(f"fixed style requires K > 0, got {K}")
+    qdot = -(r + sigma * sigma / 2.0) * t / T + sigma * sigma * t * t / (2.0 * T * T)
     d1, d2, root, q = _d_terms(s, u, t, T, None if floating else K, sigma, r)
     E = math.exp(s + u / T - q)
     if floating:
@@ -344,47 +357,3 @@ def _theta_analytic(
     if kind is OptionKind.CALL:
         return E * (_npdf(d1) * gap_dot - qdot * _ncdf(d1)) - r * disc * _ncdf(d2)
     return r * disc * _ncdf(-d2) + qdot * E * _ncdf(-d1) + E * _npdf(d1) * gap_dot
-
-
-def b0_theta(
-    style: StrikeStyle,
-    state: MarketState,
-    sigma: float,
-    T: float,
-    r: float,
-    K: float | None = None,
-    kind: OptionKind = OptionKind.CALL,
-    method: str = "fd",
-) -> float:
-    """dB0/dt at fixed (s, u, sigma).
-
-    method "fd" (default) uses a Richardson-extrapolated central difference,
-    (4 D(h/2) - D(h))/3 with D(h) = (f(t+h) - f(t-h))/(2h); method "analytic"
-    evaluates the differentiated closed form. Both agree to 1e-7 relative at
-    interior points. Within 8e-8 of maturity the FD stencil would underflow
-    and the analytic form is substituted.
-    """
-    _check_sigma(sigma)
-    _check_horizon(state.t, T)
-    if style is StrikeStyle.FLOATING:
-        if kind is not OptionKind.CALL:
-            raise UnsupportedContract("floating-strike puts are not supported")
-        core = lambda tt: _b0_floating_call(state.s, state.u, tt, T, sigma, r)
-    else:
-        if K is None or not K > 0.0:
-            raise NonPositiveStrike(f"fixed style requires K > 0, got {K}")
-        if kind is OptionKind.CALL:
-            core = lambda tt: _b0_fixed_call(state.s, state.u, tt, T, K, sigma, r)
-        else:
-            core = lambda tt: _b0_fixed_put(state.s, state.u, tt, T, K, sigma, r)
-    if method == "analytic":
-        return _theta_analytic(style, kind, state.s, state.u, state.t, T, sigma, r, K)
-    if method != "fd":
-        raise ValueError(f"unknown theta method {method!r}")
-    h = min(1e-5 * max(T, 1.0), (T - state.t) / 8.0)
-    if h < 1e-8:
-        return _theta_analytic(style, kind, state.s, state.u, state.t, T, sigma, r, K)
-    t = state.t
-    d_h = (core(t + h) - core(t - h)) / (2.0 * h)
-    d_h2 = (core(t + h / 2.0) - core(t - h / 2.0)) / h
-    return (4.0 * d_h2 - d_h) / 3.0

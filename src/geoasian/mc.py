@@ -65,7 +65,6 @@ from .model import (
     OptionKind,
     OptionSpec,
     StrikeStyle,
-    correlation_pd_margin,
     validate_params,
 )
 
@@ -285,8 +284,6 @@ def simulate_paths(
                 [model.rho_xz, model.rho_yz, 1.0],
             ]
         )
-        if correlation_pd_margin(model.rho_xy, model.rho_xz, model.rho_yz) <= 0.0:
-            raise PDFactorizationFailure("correlation matrix is not positive definite")
         try:
             chol = np.linalg.cholesky(corr)
         except np.linalg.LinAlgError as exc:
@@ -376,24 +373,19 @@ def simulate_paths(
         if full:
             dev_x = cv_x_scale * s_sum
             dev_g = cv_g_scale * (s_cum - 0.5 * s_sum)
+        # (output slice, block slice, control sign) of the drawn half and of
+        # the mirrored half; + (-1.0) * dev has the bits of - dev
+        halves = [(slice(lo, hi), slice(0, nc), 1.0)]
         if anti:
-            plus = slice(lo, hi)
-            minus = slice(draw_paths + lo, draw_paths + hi)
-            ln_x[plus], ln_x[minus] = lnx[:nc], lnx[nc:]
-            ln_g[plus], ln_g[minus] = g_final[:nc], g_final[nc:]
+            halves.append((slice(draw_paths + lo, draw_paths + hi), slice(nc, m), -1.0))
+        for out, part, sign in halves:
+            ln_x[out] = lnx[part]
+            ln_g[out] = g_final[part]
             if full:
-                y_out[plus], y_out[minus] = y[:nc], y[nc:]
-                z_out[plus], z_out[minus] = z[:nc], z[nc:]
-                ln_x_cv[plus], ln_x_cv[minus] = cv_x_mean + dev_x, cv_x_mean - dev_x
-                ln_g_cv[plus], ln_g_cv[minus] = cv_g_mean + dev_g, cv_g_mean - dev_g
-        else:
-            ln_x[lo:hi] = lnx
-            ln_g[lo:hi] = g_final
-            if full:
-                y_out[lo:hi] = y
-                z_out[lo:hi] = z
-                ln_x_cv[lo:hi] = cv_x_mean + dev_x
-                ln_g_cv[lo:hi] = cv_g_mean + dev_g
+                y_out[out] = y[part]
+                z_out[out] = z[part]
+                ln_x_cv[out] = cv_x_mean + sign * dev_x
+                ln_g_cv[out] = cv_g_mean + sign * dev_g
 
     bounds = [(lo, min(lo + block, draw_paths)) for lo in range(0, draw_paths, block)]
     if workers == 1:

@@ -258,8 +258,6 @@ def test_v_from_fit_anchor():
     assert rel(big_v, -0.50471909432670034) < 1e-12
     with pytest.raises(ValueError):
         v_from_fit(fit, 0.0, 0.0264, 0.1834, 2.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        v_from_fit(fit, 0.001, 0.0264, 0.1834, 2.0, 0.0, 0.5, style="floating_call")
 
 
 def test_v_from_fit_independent_of_epsilon():
@@ -292,9 +290,7 @@ def test_single_cell_round_trip_is_exact(style, strike):
     pairs, skipped = regression_pairs(rows, ARC, MODEL)
     assert skipped == []
     fit = ols_fit(pairs)
-    v_hat = v_from_fit(
-        fit, MODEL.epsilon, MODEL.r, effective_vol(ARC, t), MODEL.k, t, T, style=style
-    )
+    v_hat = v_from_fit(fit, MODEL.epsilon, MODEL.r, effective_vol(ARC, t), MODEL.k, t, T)
     assert rel(v_hat, v_true) < 1e-12
     assert abs(fit.r_squared - 1.0) < 1e-12
     assert abs(fit.d_eps) < 1e-12

@@ -19,6 +19,7 @@ from geoasian import (
     greeks_floating_call,
     q_drift_term,
 )
+from geoasian.closedform import _b0_fixed_call, _b0_fixed_put, _b0_floating_call
 from geoasian.errors import DegenerateHorizon, NonPositiveStrike, UnsupportedContract
 
 sigma_strategy = st.floats(min_value=0.05, max_value=0.6)
@@ -319,34 +320,79 @@ def test_fixed_call_vega_can_go_negative():
 
 
 def test_theta_frozen_values():
-    fl = b0_theta(StrikeStyle.FLOATING, INTERIOR, I_SIG, I_T, I_R, method="analytic")
-    fc = b0_theta(
-        StrikeStyle.FIXED, INTERIOR, I_SIG, I_T, I_R, K=I_K, kind=OptionKind.CALL,
-        method="analytic",
-    )
-    fp = b0_theta(
-        StrikeStyle.FIXED, INTERIOR, I_SIG, I_T, I_R, K=I_K, kind=OptionKind.PUT,
-        method="analytic",
-    )
+    fl = b0_theta(StrikeStyle.FLOATING, INTERIOR, I_SIG, I_T, I_R)
+    fc = b0_theta(StrikeStyle.FIXED, INTERIOR, I_SIG, I_T, I_R, K=I_K, kind=OptionKind.CALL)
+    fp = b0_theta(StrikeStyle.FIXED, INTERIOR, I_SIG, I_T, I_R, K=I_K, kind=OptionKind.PUT)
     assert rel(fl, -2.4761294156912679) < 1e-9
     assert rel(fc, -9.2476521582982647) < 1e-9
     assert rel(fp, -7.0245096541918658) < 1e-9
 
 
 def test_theta_fd_matches_analytic():
-    for style, K, kind in (
-        (StrikeStyle.FLOATING, None, OptionKind.CALL),
-        (StrikeStyle.FIXED, 104.0, OptionKind.CALL),
-        (StrikeStyle.FIXED, 104.0, OptionKind.PUT),
+    """Richardson central differences of the B0 cores in t, at fixed (s, u)."""
+    s, u = INTERIOR.s, INTERIOR.u
+    h = 1e-5
+    for style, K, kind, core in (
+        (StrikeStyle.FLOATING, None, OptionKind.CALL,
+         lambda tt: _b0_floating_call(s, u, tt, I_T, I_SIG, I_R)),
+        (StrikeStyle.FIXED, I_K, OptionKind.CALL,
+         lambda tt: _b0_fixed_call(s, u, tt, I_T, I_K, I_SIG, I_R)),
+        (StrikeStyle.FIXED, I_K, OptionKind.PUT,
+         lambda tt: _b0_fixed_put(s, u, tt, I_T, I_K, I_SIG, I_R)),
     ):
-        fd = b0_theta(style, INTERIOR, I_SIG, I_T, I_R, K=K, kind=kind)
-        an = b0_theta(style, INTERIOR, I_SIG, I_T, I_R, K=K, kind=kind, method="analytic")
+        fd = fd_first(lambda dt: core(INTERIOR.t + dt), h)
+        an = b0_theta(style, INTERIOR, I_SIG, I_T, I_R, K=K, kind=kind)
         assert rel(fd, an) < 1e-7, f"{style}/{kind}: fd={fd} analytic={an}"
+
+
+def _b0_mpmath(style, kind, s, u, t, T, K, sigma, r):
+    """B0 at (s, u, t) in mpmath, from the closed forms in the module docstring."""
+    tau = T - t
+    q = (r + sigma ** 2 / 2) * (T ** 2 - t ** 2) / (2 * T)
+    q -= sigma ** 2 * (T ** 3 - t ** 3) / (6 * T ** 2)
+    E = mp.exp(s + u / T - q)
+    if style is StrikeStyle.FLOATING:
+        root = mp.sqrt((T ** 3 - t ** 3) / 3)
+        d1 = (-u + (r + sigma ** 2 / 2) * (T ** 2 - t ** 2) / 2) / (sigma * root)
+        d2 = d1 - sigma / T * root
+        return mp.exp(s) * mp.ncdf(d1) - E * mp.ncdf(d2)
+    gap = sigma / T * mp.sqrt(tau ** 3 / 3)
+    d2 = (u / T + s - mp.log(K) + (r - sigma ** 2 / 2) * tau ** 2 / (2 * T)) / gap
+    d1 = d2 + gap
+    disc = K * mp.exp(-r * tau)
+    if kind is OptionKind.CALL:
+        return E * mp.ncdf(d1) - disc * mp.ncdf(d2)
+    return disc * mp.ncdf(-d2) - E * mp.ncdf(-d1)
+
+
+OTM = MarketState(t=0.25, x=100.0, g=103.0)
+O_SIG, O_T, O_R = 0.18, 0.4, 0.0264
+
+
+@pytest.mark.parametrize(
+    "style, kind, state, sigma, T, K, r",
+    [
+        (StrikeStyle.FLOATING, OptionKind.CALL, INTERIOR, I_SIG, I_T, None, I_R),
+        (StrikeStyle.FIXED, OptionKind.CALL, INTERIOR, I_SIG, I_T, I_K, I_R),
+        (StrikeStyle.FIXED, OptionKind.PUT, INTERIOR, I_SIG, I_T, I_K, I_R),
+        (StrikeStyle.FIXED, OptionKind.PUT, OTM, O_SIG, O_T, 97.5, O_R),
+        (StrikeStyle.FIXED, OptionKind.CALL, OTM, O_SIG, O_T, 105.0, O_R),
+    ],
+)
+def test_theta_matches_mpmath_derivative(style, kind, state, sigma, T, K, r):
+    """b0_theta against mp.diff of B0 in t at fixed (s, u), 50 digits."""
+    with mp.workdps(50):
+        s = mp.log(mp.mpf(state.x))
+        u = mp.mpf(state.t) * mp.log(mp.mpf(state.g) / mp.mpf(state.x))
+        args = [mp.mpf(v) if v is not None else None for v in (T, K, sigma, r)]
+        want = mp.diff(lambda tt: _b0_mpmath(style, kind, s, u, tt, *args), mp.mpf(state.t))
+    got = b0_theta(style, state, sigma, T, r, K=K, kind=kind)
+    assert rel(got, float(want)) < 1e-12
 
 
 def test_theta_vanishes_at_window_start_floating():
     # every term of the floating theta carries a factor of t
-    th = b0_theta(StrikeStyle.FLOATING, ANCHOR, A_SIG, A_T, A_R, method="analytic")
+    th = b0_theta(StrikeStyle.FLOATING, ANCHOR, A_SIG, A_T, A_R)
     assert th == 0.0
 
 
@@ -357,8 +403,6 @@ def test_theta_near_maturity_uses_analytic_form():
 
 
 def test_theta_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        b0_theta(StrikeStyle.FLOATING, INTERIOR, I_SIG, I_T, I_R, method="spline")
     with pytest.raises(NonPositiveStrike):
         b0_theta(StrikeStyle.FIXED, INTERIOR, I_SIG, I_T, I_R)
     with pytest.raises(UnsupportedContract):

@@ -174,7 +174,7 @@ def test_c1_combinations():
 def test_breakdown_frozen_floating():
     br = first_order_price(FLOAT_CALL, ANCHOR, LEVEL_ARC, MODEL, v_eps=-0.016)
     assert rel(br.b0, 3.19621025609878) < 1e-12
-    assert abs(br.gamma - 1.0) < 1e-8  # fd theta at the window start
+    assert abs(br.gamma - 1.0) < 1e-8  # floating theta is 0 at the window start
     assert rel(br.c1, -0.006880328265271829) < 1e-9
     assert rel(br.price_hat, 3.189329927988202) < 1e-9
     assert br.price_hat == br.c0 + br.c1

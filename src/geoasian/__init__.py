@@ -2,48 +2,34 @@
 
 First-order asymptotic prices and Greeks, smile-regression calibration of
 the single group parameter, and a Monte Carlo oracle over the full SDE
-system. See the module docstrings for the formula conventions.
+system. See the module docstrings for the formula conventions. The root
+exports what the README quick start, the scripts and the acceptance tests
+import; every other name imports from its module.
 """
 
 from .calibration import (
-    IngestResult,
     QuoteRow,
     QuoteStyle,
-    RegressionFit,
-    SmilePoint,
     calibration_report,
     ingest_quotes,
     ols_fit,
-    regression_denominator,
     regression_pairs,
-    regression_row,
     smile_curve,
-    v_denominator,
     v_from_fit,
 )
 from .closedform import (
-    DTermsFixed,
-    DTermsFloating,
-    GreekSet,
-    b0_theta,
     bs_fixed_call,
     bs_fixed_put,
     bs_floating_call,
-    d_terms_fixed,
-    d_terms_floating,
     greeks_fixed_call,
     greeks_fixed_put,
     greeks_floating_call,
-    q_drift_term,
 )
 from .errors import PricingError
 from .mc import (
     ConstantVol,
     FullModel,
     McConfig,
-    McEstimate,
-    PathBatch,
-    f_full,
     price_mc,
     reference_full_model,
     simulate_paths,
@@ -57,88 +43,48 @@ from .model import (
     StrikeStyle,
     VolArc,
     arc_from_ou,
-    correlation_pd_margin,
-    effective_vol,
-    l_factor,
-    one_plus_l,
-    state_transform,
-    validate_params,
 )
 from .perturbation import (
-    CorrectionParams,
-    IIntegrals,
-    PriceBreakdown,
-    c1_fixed,
-    c1_floating,
     first_order_price,
     i_integrals_closed,
     i_integrals_quadrature,
-    m_exponent,
     modification_factor,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrectionParams",
     "ConstantVol",
-    "DTermsFixed",
-    "DTermsFloating",
     "FullModel",
-    "GreekSet",
-    "IIntegrals",
-    "IngestResult",
     "MarketState",
     "McConfig",
-    "McEstimate",
     "ModelParams",
     "OptionKind",
     "OptionSpec",
-    "PathBatch",
-    "PriceBreakdown",
     "PricingError",
     "QuoteRow",
     "QuoteStyle",
-    "RegressionFit",
-    "SmilePoint",
     "StrikeStyle",
     "VolArc",
     "arc_from_ou",
-    "b0_theta",
     "bs_fixed_call",
     "bs_fixed_put",
     "bs_floating_call",
-    "correlation_pd_margin",
-    "c1_fixed",
-    "c1_floating",
     "calibration_report",
-    "d_terms_fixed",
-    "d_terms_floating",
-    "effective_vol",
-    "f_full",
     "first_order_price",
     "greeks_fixed_call",
     "greeks_fixed_put",
     "greeks_floating_call",
-    "q_drift_term",
     "i_integrals_closed",
     "i_integrals_quadrature",
     "ingest_quotes",
-    "l_factor",
-    "m_exponent",
     "modification_factor",
     "ols_fit",
-    "one_plus_l",
     "price_mc",
     "reference_full_model",
-    "regression_denominator",
     "regression_pairs",
-    "regression_row",
     "simulate_paths",
-    "stationary_effective_vol",
     "smile_curve",
-    "state_transform",
-    "v_denominator",
+    "stationary_effective_vol",
     "v_from_fit",
-    "validate_params",
 ]

@@ -9,13 +9,15 @@ Each implied-volatility quote contributes one regression point
 pooled across maturities into a single OLS line y = a_eps x + d_eps. The
 group parameter follows per (t, T) cell from
 
-    v_eps = a_eps * 2 r sigma_bar / D_v,   D_v = (2/(T - t)) [ ... same bracket ],
+    v_eps = a_eps r sigma_bar / D,
 
-where the factor sqrt(epsilon) cancels between a = a_eps/sqrt(eps) and
-v_eps = sqrt(eps) V. Within one (t, T) cell the pair (D, D_v) closes the
-noise-free round trip exactly: quotes generated by ``smile_curve`` at a known
-v_eps regress back to it. A slope pooled over several cells does not, and
-each cell's v_eps then misses by up to about 1e-3. Both x and y are
+which is the paper's a_eps 2 r sigma_bar / D_v, since its
+D_v = (2/(T - t)) [ ... same bracket ] is exactly 2 D. The factor
+sqrt(epsilon) cancels between a = a_eps/sqrt(eps) and v_eps = sqrt(eps) V.
+Within one (t, T) cell this closes the noise-free round trip exactly:
+quotes generated by ``smile_curve`` at a known v_eps regress back to it. A
+slope pooled over several cells does not, and each cell's v_eps then
+misses by up to about 1e-3. Both x and y are
 evaluated at the C0 level (gamma included), which scales them equally and
 leaves the slope invariant.
 
@@ -28,7 +30,6 @@ style in {floating_call, fixed_put}. Only these two styles are accepted
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -157,16 +158,6 @@ def regression_denominator(k: float, t: float, T: float) -> float:
     return d
 
 
-def v_denominator(k: float, t: float, T: float) -> float:
-    """Denominator of the v_eps map, (2/(T - t)) times the same bracket."""
-    if not T > t:
-        raise ValueError(f"need T > t, got t={t}, T={T}")
-    d = 2.0 * _bracket(k, t, T) / (T - t)
-    if abs(d) < DENOMINATOR_TOL:
-        raise SingularDenominator(f"|D_v| = {abs(d)} below {DENOMINATOR_TOL}")
-    return d
-
-
 def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float, float]:
     """Map one quote to its (x, y) regression point."""
     problems = q.validate()
@@ -216,28 +207,27 @@ def v_from_fit(
     t: float,
     T: float,
 ) -> float:
-    """v_eps = a_eps 2 r sigma / D_v for one (t, T) cell, of either quote style.
+    """v_eps = a_eps r sigma / D for one (t, T) cell, of either quote style.
 
-    Equals sqrt(eps) * V with a = a_eps/sqrt(eps) and V = a 2 r sigma / D_v;
-    epsilon cancels and is accepted only for interface fidelity.
+    This is the paper's a_eps 2 r sigma / D_v, as D_v = 2 D exactly, and
+    equals sqrt(eps) * V with a = a_eps/sqrt(eps); epsilon cancels and is
+    accepted only for interface fidelity.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return fit.a_eps * 2.0 * r * sigma / v_denominator(k, t, T)
+    return fit.a_eps * r * sigma / regression_denominator(k, t, T)
 
 
 def ingest_quotes(source) -> IngestResult:
-    """Parse and validate a quotes CSV from a path or text stream.
+    """Parse and validate a quotes CSV from a path (str or Path) or a text stream.
 
-    Structural header problems raise MissingColumn; malformed or invalid rows
-    land in rejects with their line number; an empty body yields an EmptyInput
-    warning rather than an error.
+    A path is opened as UTF-8. Structural header problems raise MissingColumn;
+    malformed or invalid rows land in rejects with their line number; an
+    empty body yields an EmptyInput warning rather than an error.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return ingest_quotes(handle)
-    if isinstance(source, (bytes, bytearray)):
-        return ingest_quotes(io.StringIO(source.decode("utf-8")))
 
     reader = csv.reader(source)
     try:

@@ -48,20 +48,6 @@ def _npdf(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class DTermsFloating:
-    d1: float
-    d2: float
-    q_drift: float
-
-
-@dataclass(frozen=True)
-class DTermsFixed:
-    d1_hat: float
-    d2_hat: float
-    q_drift: float
-
-
-@dataclass(frozen=True)
 class GreekSet:
     """u-derivatives and vega of gamma * B0.
 
@@ -114,28 +100,6 @@ def _d_terms(
         d2 = (u / T + s - math.log(K) + (r - sigma * sigma / 2.0) * tau * tau / (2.0 * T)) / gap
         d1 = d2 + gap
     return d1, d2, root, q_drift_term(sigma, t, T, r)
-
-
-def d_terms_floating(
-    sigma: float, t: float, T: float, u: float, r: float
-) -> DTermsFloating:
-    """d1, d2, and Q for the floating-strike call."""
-    _check_sigma(sigma)
-    _check_horizon(t, T)
-    d1, d2, _, q = _d_terms(0.0, u, t, T, None, sigma, r)
-    return DTermsFloating(d1=d1, d2=d2, q_drift=q)
-
-
-def d_terms_fixed(
-    sigma: float, t: float, T: float, s: float, u: float, K: float, r: float
-) -> DTermsFixed:
-    """d1_hat, d2_hat, and Q for the fixed-strike contract."""
-    _check_sigma(sigma)
-    _check_horizon(t, T)
-    if not K > 0.0:
-        raise NonPositiveStrike(f"K must be > 0, got {K}")
-    d1, d2, _, q = _d_terms(s, u, t, T, K, sigma, r)
-    return DTermsFixed(d1_hat=d1, d2_hat=d2, q_drift=q)
 
 
 # scalar cores: the public prices add the horizon and strike checks; the

@@ -21,10 +21,6 @@ class NonPositiveStrike(PricingError):
     """Fixed strike is required to be strictly positive."""
 
 
-class SingularL(PricingError):
-    """kt is within tolerance of 1, where the l-factor blows up."""
-
-
 class SingularGamma(PricingError):
     """kt or kT is within tolerance of 2, where the modification factor is singular."""
 

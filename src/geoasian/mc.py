@@ -202,19 +202,13 @@ def stationary_effective_vol(level: float, nu: float) -> float:
     return level * math.exp(nu * nu)
 
 
-def f_full(y, z, clamp: tuple[float, float] | FullModel = (0.01, 2.0), alpha: float = 0.0):
+def f_full(y, z, vol: FullModel, alpha: float = 0.0):
     """Bounded exponential-OU volatility min(f_max, max(f_min, z e^{y - alpha})).
 
-    A ``FullModel`` clamp was checked when it was built and is used as is;
-    a tuple is checked on every call.
+    The clamp bounds are ``vol.f_min`` and ``vol.f_max``, checked when the
+    ``FullModel`` was built.
     """
-    if isinstance(clamp, FullModel):
-        f_min, f_max = clamp.f_min, clamp.f_max
-    else:
-        f_min, f_max = clamp
-        if not 0.0 < f_min < f_max:
-            raise ValueError(f"need 0 < f_min < f_max, got {clamp}")
-    return np.clip(z * np.exp(y - alpha), f_min, f_max)
+    return np.clip(z * np.exp(y - alpha), vol.f_min, vol.f_max)
 
 
 def _normals_for_chunk(

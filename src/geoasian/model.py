@@ -1,4 +1,4 @@
-"""Model parameters, the quadratic volatility arc, state transform, and the l-factor.
+"""Model parameters, the quadratic volatility arc, and the state transform.
 
 The slow volatility factor is an OU process with speed k and long-run level
 alpha_prime started at z0. Its mean path is approximated over the contract
@@ -10,9 +10,7 @@ with P = (z0 - alpha_prime) k^2 / 2, Q = -(z0 - alpha_prime) k, R = z0 (the
 second-order Taylor expansion of the mean path at t = 0). Everything downstream
 consumes the arc through ``effective_vol``, floored at ``sigma_min``.
 
-The log-spot / log-average state is (s, u) = (ln x, t ln(g/x)); the l-factor
-(1 - kt + k^2 t^2 / 2)/(1 - kt) carries the arc's time dependence into the
-pricing operator and is singular at kt = 1.
+The log-spot / log-average state is (s, u) = (ln x, t ln(g/x)).
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .errors import (
     NonFiniteInput,
     NonPositivePrice,
     NonPositiveStrike,
-    SingularL,
     UnsupportedContract,
 )
 
@@ -61,6 +58,15 @@ class ModelParams:
     rho_xz: float = 0.0
     rho_yz: float = 0.0
 
+    def __post_init__(self) -> None:
+        bad = [
+            f"{name} must be finite, got {value}"
+            for name, value in vars(self).items()
+            if not math.isfinite(value)
+        ]
+        if bad:
+            raise NonFiniteInput("; ".join(bad))
+
 
 def correlation_pd_margin(rho_xy: float, rho_xz: float, rho_yz: float) -> float:
     """Determinant of the 3x3 correlation matrix; positive iff it is PD."""
@@ -74,32 +80,30 @@ def correlation_pd_margin(rho_xy: float, rho_xz: float, rho_yz: float) -> float:
 
 
 def validate_params(p: ModelParams) -> list[str]:
-    """Return the full list of violated invariants (empty when valid).
+    """Return the full list of violated range invariants (empty when valid).
 
-    A non-finite field is reported once: the range checks skip it.
+    Every field is finite: ``ModelParams`` refuses a non-finite one when built.
     """
-    values = vars(p)
-    bad = {name for name, value in values.items() if not math.isfinite(value)}
-    problems = [f"{name} must be finite, got {values[name]}" for name in values if name in bad]
-    if "alpha_prime" not in bad and not p.alpha_prime >= 0.0:
+    problems = []
+    if not p.alpha_prime >= 0.0:
         problems.append(f"alpha_prime must be >= 0, got {p.alpha_prime}")
-    if "r" not in bad and not p.r >= 0.0:
+    if not p.r >= 0.0:
         problems.append(f"r must be >= 0, got {p.r}")
-    if "k" not in bad and not p.k > 0.0:
+    if not p.k > 0.0:
         problems.append(f"k must be > 0, got {p.k}")
-    if "epsilon" not in bad and not p.epsilon > 0.0:
+    if not p.epsilon > 0.0:
         problems.append(f"epsilon must be > 0, got {p.epsilon}")
-    if "nu" not in bad and not p.nu >= 0.0:
+    if not p.nu >= 0.0:
         problems.append(f"nu must be >= 0, got {p.nu}")
-    if "beta" not in bad and not p.beta >= 0.0:
+    if not p.beta >= 0.0:
         problems.append(f"beta must be >= 0, got {p.beta}")
-    if not bad & {"z0", "alpha_prime"} and p.z0 == p.alpha_prime:
+    if p.z0 == p.alpha_prime:
         problems.append("DegenerateArc: z0 must differ from alpha_prime")
-    rhos = ("rho_xy", "rho_xz", "rho_yz")
-    for name in rhos:
-        if name not in bad and not abs(values[name]) < 1.0:
-            problems.append(f"{name} must satisfy |rho| < 1, got {values[name]}")
-    if not bad & set(rhos) and correlation_pd_margin(p.rho_xy, p.rho_xz, p.rho_yz) <= 0.0:
+    for name in ("rho_xy", "rho_xz", "rho_yz"):
+        value = getattr(p, name)
+        if not abs(value) < 1.0:
+            problems.append(f"{name} must satisfy |rho| < 1, got {value}")
+    if correlation_pd_margin(p.rho_xy, p.rho_xz, p.rho_yz) <= 0.0:
         problems.append("correlation matrix is not positive definite")
     return problems
 
@@ -153,7 +157,9 @@ def arc_from_ou(
 
 def effective_vol(arc: VolArc, t: float) -> float:
     """Arc volatility at time t, floored at arc.sigma_min."""
-    if t < 0.0:
+    if not 0.0 <= t < math.inf:
+        if not math.isfinite(t):
+            raise NonFiniteInput(f"t must be finite, got {t}")
         raise ValueError(f"t must be >= 0, got {t}")
     value = (arc.p_coef * t + arc.q_coef) * t + arc.r_coef
     return max(arc.sigma_min, value)
@@ -191,23 +197,6 @@ class MarketState:
         s, u = state_transform(self.x, self.g, self.t)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "u", u)
-
-
-def l_factor(k: float, t: float) -> float:
-    """(1 - kt + k^2 t^2/2)/(1 - kt); raises SingularL within tol of kt = 1."""
-    kt = k * t
-    if abs(1.0 - kt) <= SINGULARITY_TOL:
-        raise SingularL(f"kt = {kt} within {SINGULARITY_TOL} of 1")
-    return (1.0 - kt + kt * kt / 2.0) / (1.0 - kt)
-
-
-def one_plus_l(k: float, t: float) -> float:
-    """(2 - kt)^2 / (2 (1 - kt)), the closed form of 1 + l_factor(k, t)."""
-    kt = k * t
-    if abs(1.0 - kt) <= SINGULARITY_TOL:
-        raise SingularL(f"kt = {kt} within {SINGULARITY_TOL} of 1")
-    w = 2.0 - kt
-    return w * w / (2.0 * (1.0 - kt))
 
 
 class StrikeStyle(Enum):

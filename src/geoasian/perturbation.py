@@ -12,8 +12,11 @@ u-derivative combinations
     floating: c1 = v_eps (I1 du1 - 2 I2 du2 + I3 du3)
     fixed:    c1 = v_eps (I4 du2 - I5 du3)
 
-where I_n are time integrals of tau^n / (1 + l(tau)) over [t, T] and the
-derivatives are taken of C0 (gamma included). Only the product
+where I_n are time integrals of tau^n / (1 + l(tau)) over [t, T], with
+
+    1 + l(tau) = (2 - k tau)^2 / (2 (1 - k tau)),
+
+and the derivatives are taken of C0 (gamma included). Only the product
 v_eps = sqrt(epsilon) * V is identifiable from smile data, so the engine
 stores v_eps and the first-order price is
 
@@ -74,6 +77,8 @@ QUAD_ABS_TOL = 1e-12
 
 def modification_factor(k: float, t: float, T: float, m: float) -> float:
     """gamma(t) computed in log space; equals 1 at t = T and at m = 0."""
+    if not k > 0.0:
+        raise ValueError(f"k must be > 0, got {k}")
     if t > T:
         raise ValueError(f"t = {t} exceeds T = {T}")
     wt = 2.0 - k * t
@@ -103,12 +108,6 @@ class CorrectionParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.v_eps):
             raise ValueError(f"v_eps must be finite, got {self.v_eps}")
-
-    @classmethod
-    def from_v_and_epsilon(cls, v: float, epsilon: float) -> "CorrectionParams":
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        return cls(v_eps=math.sqrt(epsilon) * v)
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,18 @@ import pytest
 from scipy.stats import linregress
 
 from geoasian import (
-    IngestResult,
     QuoteRow,
     QuoteStyle,
     VolArc,
+    arc_from_ou,
     calibration_report,
     ingest_quotes,
     ols_fit,
-    regression_denominator,
     regression_pairs,
-    regression_row,
     smile_curve,
-    v_denominator,
     v_from_fit,
 )
+from geoasian.calibration import IngestResult, regression_denominator, regression_row
 from geoasian.errors import DegenerateDesign, MissingColumn, SingularDenominator
 from geoasian.mc import reference_full_model
 from geoasian.model import effective_vol
@@ -72,8 +70,7 @@ def test_ingest_accepts_path_stream_and_bytes(tmp_path):
     from_path = ingest_quotes(path)
     from_str_path = ingest_quotes(str(path))
     from_stream = ingest_quotes(io.StringIO(GOOD_CSV))
-    from_bytes = ingest_quotes(GOOD_CSV.encode("utf-8"))
-    assert from_path == from_stream == from_bytes == from_str_path
+    assert from_path == from_stream == from_str_path
 
 
 def test_ingest_rejects_carry_line_numbers_and_reasons():
@@ -130,15 +127,11 @@ def test_quote_row_validate_collects_all_problems():
 
 def test_denominators_frozen():
     assert rel(regression_denominator(2.0, 0.0, 0.5), -0.1931471805599453) < 1e-14
-    assert rel(v_denominator(2.0, 0.0, 0.5), -0.3862943611198906) < 1e-14
-    assert v_denominator(2.0, 0.0, 0.5) == 2.0 * regression_denominator(2.0, 0.0, 0.5)
 
 
 def test_denominator_guards():
     with pytest.raises(SingularDenominator):
         regression_denominator(2.0, 0.9, 1.5)
-    with pytest.raises(SingularDenominator):
-        v_denominator(2.0, 0.9, 1.5)
     with pytest.raises(ValueError):
         regression_denominator(2.0, 0.5, 0.5)
 
@@ -338,6 +331,18 @@ def test_smile_curve_flags_inadmissible_points():
     assert len(pts) == 2
     assert pts[1].implied_vol is None
     assert "SingularIntegral" in pts[1].note
+
+
+def test_smile_curve_flags_vanishing_vega():
+    # far out of the money the put's vega is 3.8e-11, below the 1e-8 floor at spot 100
+    arc = arc_from_ou(2.0, 0.20, 0.1834)
+    pts = smile_curve(
+        arc, MODEL, -0.016, QuoteStyle.FIXED_PUT, [(0.1, 0.45, 0.7), (0.1, 0.45, 2.5)]
+    )
+    assert pts[0].implied_vol is not None
+    assert pts[0].note is None
+    assert pts[1].implied_vol is None
+    assert pts[1].note.startswith("VanishingVega:")
 
 
 def test_smile_zero_v_eps_returns_arc_vol():

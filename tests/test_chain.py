@@ -3,35 +3,36 @@
 import pytest
 
 from geoasian import (
-    CorrectionParams,
     MarketState,
     OptionKind,
     OptionSpec,
-    PriceBreakdown,
     QuoteRow,
     QuoteStyle,
     StrikeStyle,
     arc_from_ou,
-    b0_theta,
     bs_fixed_call,
     bs_fixed_put,
     bs_floating_call,
-    c1_fixed,
-    c1_floating,
     calibration,
     closedform,
-    effective_vol,
     first_order_price,
     greeks_fixed_call,
     greeks_fixed_put,
     greeks_floating_call,
     i_integrals_closed,
-    m_exponent,
     modification_factor,
     perturbation,
     reference_full_model,
-    regression_denominator,
-    regression_row,
+)
+from geoasian.calibration import regression_denominator, regression_row
+from geoasian.closedform import b0_theta
+from geoasian.model import effective_vol
+from geoasian.perturbation import (
+    CorrectionParams,
+    PriceBreakdown,
+    c1_fixed,
+    c1_floating,
+    m_exponent,
 )
 
 MODEL = reference_full_model(0.001)

@@ -109,6 +109,15 @@ def test_price_rejects_nan_spot(capsys):
     assert json.loads(err)["error"] == "NonFiniteInput"
 
 
+def test_price_rejects_nan_rate(capsys):
+    argv = list(PRICE_ARGS)
+    argv[argv.index("--r") + 1] = "nan"
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFiniteInput"
+
+
 def test_price_rejects_infinite_sigma_min(capsys):
     code, out, err = run(capsys, PRICE_ARGS + ["--sigma-min=inf"])
     assert code == EXIT_VALIDATION

@@ -8,18 +8,21 @@ from geoasian import (
     MarketState,
     OptionKind,
     StrikeStyle,
-    b0_theta,
     bs_fixed_call,
     bs_fixed_put,
     bs_floating_call,
-    d_terms_fixed,
-    d_terms_floating,
     greeks_fixed_call,
     greeks_fixed_put,
     greeks_floating_call,
+)
+from geoasian.closedform import (
+    _b0_fixed_call,
+    _b0_fixed_put,
+    _b0_floating_call,
+    _d_terms,
+    b0_theta,
     q_drift_term,
 )
-from geoasian.closedform import _b0_fixed_call, _b0_fixed_put, _b0_floating_call
 from geoasian.errors import DegenerateHorizon, NonPositiveStrike, UnsupportedContract
 
 sigma_strategy = st.floats(min_value=0.05, max_value=0.6)
@@ -51,26 +54,30 @@ def fd_first(f, h):
 # ---------------------------------------------------------------- d terms
 
 
+# _d_terms(s, u, t, T, K, sigma, r) -> (d1, d2, root, Q); K None is the
+# floating call, whose d-terms do not depend on s
+
+
 def test_d_terms_floating_anchor():
-    d = d_terms_floating(A_SIG, 0.0, A_T, 0.0, A_R)
-    assert rel(d.d1, 0.14430412870209921) < 1e-12
-    assert rel(d.d2, 0.06943139223102673) < 1e-12
-    assert rel(d.q_drift, 0.0080014816666666667) < 1e-12
+    d1, d2, _, q = _d_terms(ANCHOR.s, 0.0, 0.0, A_T, None, A_SIG, A_R)
+    assert rel(d1, 0.14430412870209921) < 1e-12
+    assert rel(d2, 0.06943139223102673) < 1e-12
+    assert rel(q, 0.0080014816666666667) < 1e-12
 
 
 def test_d_terms_fixed_anchor():
-    d = d_terms_fixed(A_SIG, 0.0, A_T, ANCHOR.s, 0.0, 100.0, A_R)
-    assert rel(d.d1_hat, 0.10686776046656297) < 1e-12
-    assert rel(d.d2_hat, 0.031995023995490492) < 1e-12
+    d1_hat, d2_hat, _, _ = _d_terms(ANCHOR.s, 0.0, 0.0, A_T, 100.0, A_SIG, A_R)
+    assert rel(d1_hat, 0.10686776046656297) < 1e-12
+    assert rel(d2_hat, 0.031995023995490492) < 1e-12
 
 
 def test_d_terms_interior():
-    d = d_terms_floating(I_SIG, 0.2, I_T, INTERIOR.u, I_R)
-    assert rel(d.d1, -0.2898794263148024) < 1e-12
-    assert rel(d.d2, -0.37282278047895469) < 1e-12
-    dx = d_terms_fixed(I_SIG, 0.2, I_T, INTERIOR.s, INTERIOR.u, I_K, I_R)
-    assert rel(dx.d1_hat, 0.064160575020688305) < 1e-12
-    assert rel(dx.d2_hat, 0.024315876502566726) < 1e-12
+    d1, d2, _, _ = _d_terms(INTERIOR.s, INTERIOR.u, 0.2, I_T, None, I_SIG, I_R)
+    assert rel(d1, -0.2898794263148024) < 1e-12
+    assert rel(d2, -0.37282278047895469) < 1e-12
+    d1_hat, d2_hat, _, _ = _d_terms(INTERIOR.s, INTERIOR.u, 0.2, I_T, I_K, I_SIG, I_R)
+    assert rel(d1_hat, 0.064160575020688305) < 1e-12
+    assert rel(d2_hat, 0.024315876502566726) < 1e-12
 
 
 @given(sigma=sigma_strategy, t=t_strategy, mon=mon_strategy, r=rate_strategy)
@@ -80,18 +87,11 @@ def test_d_gap_invariants(sigma, t, mon, r):
     T = 0.5
     state = MarketState(t=t, x=100.0, g=100.0 * mon)
     gap = (sigma / T) * math.sqrt((T ** 3 - t ** 3) / 3.0)
-    d = d_terms_floating(sigma, t, T, state.u, r)
-    assert abs((d.d1 - d.d2) - gap) < 1e-12
+    d1, d2, _, _ = _d_terms(state.s, state.u, t, T, None, sigma, r)
+    assert abs((d1 - d2) - gap) < 1e-12
     gap_hat = (sigma / T) * math.sqrt((T - t) ** 3 / 3.0)
-    dx = d_terms_fixed(sigma, t, T, state.s, state.u, 100.0, r)
-    assert abs((dx.d1_hat - dx.d2_hat) - gap_hat) < 1e-12
-
-
-def test_d_terms_degenerate_horizon():
-    with pytest.raises(DegenerateHorizon):
-        d_terms_floating(A_SIG, 0.5, 0.5, 0.0, A_R)
-    with pytest.raises(DegenerateHorizon):
-        d_terms_fixed(A_SIG, 0.7, 0.5, 4.6, 0.0, 100.0, A_R)
+    d1_hat, d2_hat, _, _ = _d_terms(state.s, state.u, t, T, 100.0, sigma, r)
+    assert abs((d1_hat - d2_hat) - gap_hat) < 1e-12
 
 
 # ------------------------------------------------------------------ prices
@@ -181,8 +181,7 @@ def test_fixed_put_out_of_the_money_keeps_its_digits(g, K):
 def test_fixed_call_forward_limit():
     # K -> 0 collapses the call onto the discounted forward of the average
     tau = A_T
-    d = d_terms_fixed(A_SIG, 0.0, A_T, ANCHOR.s, 0.0, 100.0, A_R)
-    fwd_disc = math.exp(ANCHOR.s + 0.0 / A_T - d.q_drift)
+    fwd_disc = math.exp(ANCHOR.s + 0.0 / A_T - q_drift_term(A_SIG, 0.0, A_T, A_R))
     c = bs_fixed_call(ANCHOR, A_SIG, A_T, 1e-10, A_R)
     assert rel(c, fwd_disc) < 1e-10
 

@@ -21,13 +21,13 @@ from geoasian import (
     bs_fixed_call,
     bs_fixed_put,
     bs_floating_call,
-    d_terms_fixed,
     price_mc,
     reference_full_model,
     simulate_paths,
     stationary_effective_vol,
 )
 from geoasian import mc
+from geoasian.closedform import q_drift_term
 from geoasian.errors import PDFactorizationFailure
 from geoasian.mc import _control_mean, _controlled_mean_and_se, _normals_for_chunk, f_full
 
@@ -82,13 +82,12 @@ def test_vol_spec_validation():
 
 
 def test_f_full_clamps():
-    assert f_full(np.array([0.0]), np.array([0.15]))[0] == 0.15
-    assert f_full(np.array([40.0]), np.array([0.15]))[0] == 2.0
-    assert f_full(np.array([-40.0]), np.array([0.15]))[0] == 0.01
-    shifted = f_full(np.array([0.3]), np.array([0.15]), alpha=0.3)
+    vol = FullModel()
+    assert f_full(np.array([0.0]), np.array([0.15]), vol)[0] == 0.15
+    assert f_full(np.array([40.0]), np.array([0.15]), vol)[0] == 2.0
+    assert f_full(np.array([-40.0]), np.array([0.15]), vol)[0] == 0.01
+    shifted = f_full(np.array([0.3]), np.array([0.15]), vol, alpha=0.3)
     assert shifted[0] == 0.15
-    with pytest.raises(ValueError):
-        f_full(np.array([0.0]), np.array([0.15]), clamp=(0.5, 0.1))
 
 
 def test_reference_model_and_stationary_vol():
@@ -579,8 +578,7 @@ def test_tiny_strike_fixed_call_prices_the_average_forward():
     spec = OptionSpec(style=StrikeStyle.FIXED, kind=OptionKind.CALL, maturity=0.45,
                       strike=1e-9)
     est = price_mc(spec, MODEL, ConstantVol(sigma), STATE, cfg)
-    d = d_terms_fixed(sigma, 0.0, 0.45, STATE.s, STATE.u, 100.0, MODEL.r)
-    fwd_disc = math.exp(STATE.s - d.q_drift)
+    fwd_disc = math.exp(STATE.s - q_drift_term(sigma, 0.0, 0.45, MODEL.r))
     assert abs(est.price - fwd_disc) <= 3.0 * est.std_error
 
 

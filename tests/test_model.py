@@ -12,12 +12,6 @@ from geoasian import (
     StrikeStyle,
     VolArc,
     arc_from_ou,
-    correlation_pd_margin,
-    effective_vol,
-    l_factor,
-    one_plus_l,
-    state_transform,
-    validate_params,
 )
 from geoasian.errors import (
     DegenerateArc,
@@ -25,13 +19,15 @@ from geoasian.errors import (
     NonPositivePrice,
     NonPositiveStrike,
     PricingError,
-    SingularL,
     UnsupportedContract,
 )
+from geoasian.model import (
+    correlation_pd_margin,
+    effective_vol,
+    state_transform,
+    validate_params,
+)
 
-# Keep kt away from the l-factor singularity at kt = 1.
-k_strategy = st.floats(min_value=0.1, max_value=5.0)
-t_below_pole = st.floats(min_value=0.0, max_value=0.95)
 price_strategy = st.floats(min_value=1e-3, max_value=1e6)
 level_strategy = st.floats(min_value=0.01, max_value=1.0)
 
@@ -59,18 +55,20 @@ def test_params_violations_are_collected():
 
 @pytest.mark.parametrize("field, value", [
     ("z0", math.nan), ("alpha_prime", math.inf), ("r", math.inf), ("k", math.nan),
-    ("epsilon", math.inf), ("rho_xy", math.nan),
+    ("epsilon", math.inf), ("rho_xy", math.nan), ("r", math.nan),
 ])
 def test_params_non_finite_rejected(field, value):
     base = dict(r=0.0264, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001)
-    p = ModelParams(**{**base, field: value})
-    assert any(f"{field} must be finite" in m for m in validate_params(p))
+    with pytest.raises(NonFiniteInput, match=f"{field} must be finite"):
+        ModelParams(**{**base, field: value})
 
 
 def test_params_non_finite_reported_once():
-    p = ModelParams(r=math.nan, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001,
+    """Each non-finite field is named exactly once, in field order."""
+    with pytest.raises(NonFiniteInput) as info:
+        ModelParams(r=math.nan, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001,
                     rho_xy=math.nan)
-    assert validate_params(p) == ["r must be finite, got nan", "rho_xy must be finite, got nan"]
+    assert str(info.value) == "r must be finite, got nan; rho_xy must be finite, got nan"
 
 
 def test_params_negative_alpha_prime_rejected():
@@ -149,6 +147,14 @@ def test_effective_vol_rejects_negative_time():
         effective_vol(arc, -0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_effective_vol_rejects_non_finite_time(t):
+    # a NaN t used to fall through both the t < 0 check and the floor
+    arc = arc_from_ou(2.0, 0.20, 0.1834)
+    with pytest.raises(NonFiniteInput):
+        effective_vol(arc, t)
+
+
 @given(
     p=st.floats(min_value=-1.0, max_value=1.0),
     q=st.floats(min_value=-1.0, max_value=1.0),
@@ -214,43 +220,6 @@ def test_state_transform_rejects_nonpositive():
         state_transform(100.0, 100.0, -0.1)
     with pytest.raises(NonPositivePrice):
         MarketState(t=0.1, x=-5.0, g=100.0)
-
-
-def test_l_factor_at_zero():
-    assert l_factor(2.0, 0.0) == 1.0
-    assert one_plus_l(2.0, 0.0) == 2.0
-
-
-def test_l_factor_singular_at_pole():
-    with pytest.raises(SingularL):
-        l_factor(2.0, 0.5)
-    with pytest.raises(SingularL):
-        one_plus_l(2.0, 0.5)
-    # just inside the tolerance band still raises
-    with pytest.raises(SingularL):
-        l_factor(2.0, 0.5 * (1.0 + 1e-9))
-
-
-@given(k=k_strategy, t=t_below_pole)
-def test_one_plus_l_consistency(k, t):
-    """one_plus_l is the reduced form of 1 + l_factor."""
-    if abs(1.0 - k * t) <= 1e-6:
-        return
-    a = one_plus_l(k, t)
-    b = 1.0 + l_factor(k, t)
-    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), f"{a} vs {b} at k={k}, t={t}"
-
-
-@given(k=k_strategy, t=st.floats(min_value=1.05, max_value=3.0))
-def test_l_factor_defined_beyond_pole(k, t):
-    # kt > 1 is computable (negative denominator), only kt = 1 is excluded
-    kt = k * t
-    if kt <= 1.05:
-        return
-    value = one_plus_l(k, t)
-    assert math.isfinite(value)
-    # zero exactly at kt = 2, strictly negative elsewhere past the pole
-    assert value <= 0.0, f"sign flips past the pole, got {value} at kt={kt}"
 
 
 def test_option_spec_contracts():

@@ -4,19 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoasian import (
-    CorrectionParams,
     MarketState,
     ModelParams,
     OptionKind,
     OptionSpec,
     StrikeStyle,
     VolArc,
-    c1_fixed,
-    c1_floating,
     first_order_price,
     i_integrals_closed,
     i_integrals_quadrature,
-    m_exponent,
     modification_factor,
 )
 from geoasian.closedform import GreekSet
@@ -29,6 +25,7 @@ from geoasian.errors import (
     VanishingPrice,
 )
 from geoasian.mc import reference_full_model
+from geoasian.perturbation import CorrectionParams, c1_fixed, c1_floating, m_exponent
 
 I_FIELDS = ("i0", "i1", "i2", "i3", "i4", "i5")
 
@@ -136,6 +133,8 @@ def test_gamma_guards():
         modification_factor(2.0, 0.9, 1.5, 0.5)
     with pytest.raises(ValueError):
         modification_factor(2.0, 0.6, 0.5, 0.5)
+    with pytest.raises(ValueError, match="k must be > 0"):
+        modification_factor(-2.0, 0.0, 0.4, 1.0)
 
 
 def test_m_exponent():
@@ -150,10 +149,6 @@ def test_m_exponent():
 
 
 def test_correction_params():
-    p = CorrectionParams.from_v_and_epsilon(-0.50471909432670034, 0.001)
-    assert rel(p.v_eps, -0.015960619166497415) < 1e-14
-    with pytest.raises(ValueError):
-        CorrectionParams.from_v_and_epsilon(1.0, 0.0)
     with pytest.raises(ValueError):
         CorrectionParams(v_eps=float("nan"))
 
@@ -231,6 +226,14 @@ def test_past_maturity_rejected():
     state = MarketState(t=0.5, x=100.0, g=100.0)
     with pytest.raises(ValueError):
         first_order_price(FLOAT_CALL, state, LEVEL_ARC, MODEL, v_eps=0.0)
+
+
+def test_zero_speed_rejected():
+    # gamma's log form divides by k
+    still = ModelParams(r=0.0264, k=0.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001)
+    state = MarketState(t=0.1, x=100.0, g=101.0)
+    with pytest.raises(ValueError, match="k must be > 0"):
+        first_order_price(FLOAT_CALL, state, LEVEL_ARC, still, v_eps=0.0)
 
 
 def test_stage_prefixes_identify_failing_component():

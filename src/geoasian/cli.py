@@ -154,8 +154,21 @@ def cmd_price(args) -> int:
         "m_exponent": breakdown.m_exponent,
         "sigma_bar": effective_vol(arc, args.t),
     }
-    _emit(args, "price", inputs, outputs, [], t0)
+    _emit(args, "price", inputs, outputs, _domain_warnings(breakdown), t0)
     return EXIT_OK
+
+
+def _domain_warnings(breakdown) -> list[str]:
+    """One ``domain:`` warning naming each sign that the first-order price
+    lies outside the expansion's reliable domain, or none."""
+    signs = []
+    if breakdown.price_hat <= 0.0:
+        signs.append(f"price_hat {breakdown.price_hat:.4g} <= 0")
+    if abs(breakdown.c1) > breakdown.c0:
+        signs.append(f"|c1| {abs(breakdown.c1):.4g} > c0 {breakdown.c0:.4g}")
+    if not 0.5 <= breakdown.gamma <= 2.0:
+        signs.append(f"gamma {breakdown.gamma:.4g} outside [0.5, 2]")
+    return [f"domain: {'; '.join(signs)}"] if signs else []
 
 
 def cmd_calibrate(args) -> int:

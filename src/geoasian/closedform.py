@@ -40,7 +40,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _ncdf(x: float) -> float:
-    return 0.5 * erfc(-x / _SQRT2)
+    # scipy's erfc, not math.erfc, whose last bits differ; float() keeps numpy
+    # scalars out of the outputs
+    return float(0.5 * erfc(-x / _SQRT2))
 
 
 def _npdf(x: float) -> float:

@@ -12,6 +12,8 @@ per-step Gaussian triple is correlated through the Cholesky factor of the
 correlation matrix, which couples the exact OU integrals to the X increment
 only to O(dt). The geometric average accumulates trapezoidally on ln X and
 continues the running average through ln G_T = (t ln g + int_t^T ln X)/T.
+Only full-model runs step this scheme; under constant volatility its terminal
+state is a closed form over the draws (below), with no step loop.
 
 Reproducibility contract: draws come from a counter-based Philox stream keyed
 by the seed, with path i owning the fixed word block [i L, (i+1) L) (L padded
@@ -20,23 +22,30 @@ therefore bit-identical for any chunk layout and for any thread count;
 antithetic runs give pair p the block of p and mirror it.
 
 Threads: ``simulate_paths`` cuts the draw paths into equal blocks and runs them
-on a thread pool (numpy's ufuncs and ``ndtri`` release the GIL), one block per
-worker at a time, so the blocks in flight hold at most one chunk of draw paths.
+on a thread pool (numpy's ufuncs, reductions and ``ndtri`` release the GIL),
+one block per worker at a time, so the blocks in flight hold at most one chunk
+of draw paths.
 The pool has one worker per CPU the process may run on (its CPU affinity),
 fewer when a chunk has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has
-no setting; a run with one worker steps its blocks inline. Each block writes
+no setting; a run with one worker runs its blocks inline. Each block writes
 only its own slice of the output, so the order in which blocks finish cannot
 change the result.
 
-Control variates, full-model runs only. Alongside each full-model path the
-loop carries the constant-vol geometric-Asian path driven by the same W^x
-draws at sigma_c = stationary_effective_vol(z0, nu): with S = sum_j e_j and
-W = sum_j (n - j - 1/2) e_j over the x draws,
+The constant-vol path. At a constant sigma the scheme sums in closed form:
+with S = sum_j e_j and W = sum_j (n - j - 1/2) e_j over the n x draws,
 
-    ln X_c = ln x0 + (r - sigma_c^2/2) tau + sigma_c sqrt(dt) S,
-    int    = tau ln x0 + (r - sigma_c^2/2) tau^2/2 + sigma_c sqrt(dt) dt W,
+    ln X_T = ln x0 + (r - sigma^2/2) tau + sigma sqrt(dt) S,
+    int    = tau ln x0 + (r - sigma^2/2) tau^2/2 + sigma sqrt(dt) dt W,
 
-so (ln X_c, int) is exactly Gaussian with Var ln X_c = sigma_c^2 tau,
+so each block reduces its x draws to two per-row sums and no step runs. One
+helper computes this terminal state for both of its users: a ``ConstantVol``
+run at sigma = vol.sigma, and the control path of a full-model run at
+sigma_c = stationary_effective_vol(z0, nu). An antithetic mirror takes the
+mean minus the deviation.
+
+Control variates, full-model runs only. The first control is the payoff of
+that constant-vol path, driven by the same W^x draws as the full-model path.
+(ln X_c, int) is exactly Gaussian with Var ln X_c = sigma_c^2 tau,
 Var int = sigma_c^2 dt^3 sum_j (n - j - 1/2)^2 and covariance sigma_c^2 tau^2/2,
 and the mean of each payoff of (X_c, G_c) has one lognormal-pair closed form
 for the discrete scheme itself. The second control is the full-model X_T: f_j
@@ -69,9 +78,10 @@ from .model import (
 )
 
 WORD_BUDGET = 1 << 23  # max random words in flight, summed over the workers
-# fewest draw paths per worker in a chunk: with 2000-path blocks two threads
-# ran the step loop no faster than one (2 CPUs, 50 steps), as each step's numpy
-# calls on short vectors are mostly interpreter time under the GIL
+# fewest draw paths per worker in a chunk, measured on the step loop when
+# constant-vol blocks still ran it too: with 2000-path blocks two threads ran
+# it no faster than one (2 CPUs, 50 steps), as each step's numpy calls on short
+# vectors are mostly interpreter time under the GIL
 MIN_BLOCK_PATHS = 2048
 
 
@@ -239,6 +249,25 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _constant_vol_deviations(
+    x_draws: np.ndarray, weights: np.ndarray, x_scale: float, g_scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path deviations x_scale S and g_scale W of the constant-vol path.
+
+    S = sum_j e_j and W = sum_j (n - j - 1/2) e_j over each row of the x draws
+    (``weights`` holds n - j - 1/2). The draws are reweighted in place, so the
+    block needs no second array of its size; per-row sums give the same bits
+    for any row split and for strided views, which keeps every chunk layout
+    bit-identical.
+    """
+    dev_x = x_draws.sum(axis=1)
+    x_draws *= weights
+    dev_g = x_draws.sum(axis=1)
+    dev_x *= x_scale
+    dev_g *= g_scale
+    return dev_x, dev_g
+
+
 def simulate_paths(
     model: ModelParams,
     vol: VolSpec,
@@ -270,6 +299,20 @@ def simulate_paths(
     n_words = n_steps * n_comp
     words_per_path = 4 * ((n_words + 3) // 4)
 
+    dt = (T - t) / n_steps
+    sqrt_dt = math.sqrt(dt)
+    r = model.r
+    # the constant-vol path in closed form (module docstring): ln X and ln G
+    # are their means plus cv_x_scale S and cv_g_scale W
+    tau = T - t
+    sigma = stationary_effective_vol(model.z0, model.nu) if full else vol.sigma
+    mu = r - 0.5 * sigma * sigma
+    cv_x_mean = math.log(x0) + mu * tau
+    cv_g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu * tau * tau) / T
+    cv_x_scale = sigma * sqrt_dt
+    cv_g_scale = sigma * sqrt_dt * dt / T
+    weights = n_steps - 0.5 - np.arange(n_steps)  # n - j - 1/2
+
     if full:
         corr = np.array(
             [
@@ -282,24 +325,10 @@ def simulate_paths(
             chol = np.linalg.cholesky(corr)
         except np.linalg.LinAlgError as exc:
             raise PDFactorizationFailure(str(exc)) from None
-
-    dt = (T - t) / n_steps
-    sqrt_dt = math.sqrt(dt)
-    r = model.r
-    if full:
         ey = math.exp(-dt / model.epsilon)
         sd_y = model.nu * math.sqrt(max(0.0, 1.0 - ey * ey))
         ez = math.exp(-model.k * dt)
         sd_z = model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k)))
-        # constant-vol control path: ln X_c and ln G_c are their means plus
-        # cv_x_scale S and cv_g_scale W
-        tau = T - t
-        sigma_c = stationary_effective_vol(model.z0, model.nu)
-        mu_c = r - 0.5 * sigma_c * sigma_c
-        cv_x_mean = math.log(x0) + mu_c * tau
-        cv_g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu_c * tau * tau) / T
-        cv_x_scale = sigma_c * sqrt_dt
-        cv_g_scale = sigma_c * sqrt_dt * dt / T
 
     anti = cfg.antithetic
     draw_paths = cfg.n_paths // 2 if anti else cfg.n_paths
@@ -311,6 +340,9 @@ def simulate_paths(
     z_out = np.empty(n_total) if full else None
     ln_x_cv = np.empty(n_total) if full else None
     ln_g_cv = np.empty(n_total) if full else None
+    # where the constant-vol path goes: the control of a full-model run, or
+    # the terminal state itself
+    cv_x_out, cv_g_out = (ln_x_cv, ln_g_cv) if full else (ln_x, ln_g)
 
     if cfg.chunk_size is not None:
         chunk = min(cfg.chunk_size, draw_paths)
@@ -323,63 +355,52 @@ def simulate_paths(
     rounds = -(-draw_paths // (chunk // workers * workers))
     block = -(-draw_paths // (rounds * workers))
 
-    def run_block(lo: int, hi: int) -> None:
-        """Step draw paths [lo, hi) and write their slices of the output."""
-        nc = hi - lo
-        normals = _normals_for_chunk(cfg.seed, lo, nc, words_per_path, n_words)
-
+    def step_full_model(normals: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Step one block's full-model paths; returns ln X_T, ln G_T, Y_T, Z_T."""
+        nc = normals.shape[0]
         m = 2 * nc if anti else nc
         if anti:
-            mirrored = np.empty((m, n_comp))
+            mirrored = np.empty((m, 3))
         lnx = np.full(m, math.log(x0))
         integral = np.zeros(m)
-        if full:
-            y = np.full(m, model.alpha)
-            z = np.full(m, model.z0)
-            # control sums over the draw half: S = sum e_j, and
-            # sum_k S_k = sum_j (n - j) e_j, so W = s_cum - S / 2
-            s_sum = np.zeros(nc)
-            s_cum = np.zeros(nc)
-
+        y = np.full(m, model.alpha)
+        z = np.full(m, model.z0)
         for j in range(n_steps):
-            e = normals[:, j * n_comp:(j + 1) * n_comp]
-            if full:
-                s_sum += e[:, 0]
-                s_cum += s_sum
+            e = normals[:, 3 * j:3 * j + 3]
             if anti:
                 mirrored[:nc] = e
                 np.negative(e, out=mirrored[nc:])
                 e = mirrored
-            if full:
-                f = f_full(y, z, vol, model.alpha)
-            else:
-                f = vol.sigma
+            f = f_full(y, z, vol, model.alpha)
             d_lnx = (r - 0.5 * f * f) * dt + f * sqrt_dt * e[:, 0]
             integral += 0.5 * dt * (2.0 * lnx + d_lnx)
             lnx += d_lnx
-            if full:
-                w_y = chol[1, 0] * e[:, 0] + chol[1, 1] * e[:, 1]
-                w_z = chol[2, 0] * e[:, 0] + chol[2, 1] * e[:, 1] + chol[2, 2] * e[:, 2]
-                y = model.alpha + (y - model.alpha) * ey + sd_y * w_y
-                z = model.alpha_prime + (z - model.alpha_prime) * ez + sd_z * w_z
+            w_y = chol[1, 0] * e[:, 0] + chol[1, 1] * e[:, 1]
+            w_z = chol[2, 0] * e[:, 0] + chol[2, 1] * e[:, 1] + chol[2, 2] * e[:, 2]
+            y = model.alpha + (y - model.alpha) * ey + sd_y * w_y
+            z = model.alpha_prime + (z - model.alpha_prime) * ez + sd_z * w_z
+        return lnx, (t * math.log(g0) + integral) / T, y, z
 
-        g_final = (t * math.log(g0) + integral) / T
-        if full:
-            dev_x = cv_x_scale * s_sum
-            dev_g = cv_g_scale * (s_cum - 0.5 * s_sum)
-        # (output slice, block slice, control sign) of the drawn half and of
-        # the mirrored half; + (-1.0) * dev has the bits of - dev
+    def run_block(lo: int, hi: int) -> None:
+        """Simulate draw paths [lo, hi) and write their slices of the output."""
+        nc = hi - lo
+        normals = _normals_for_chunk(cfg.seed, lo, nc, words_per_path, n_words)
+        if full:  # before the x draws are overwritten below
+            terminal = step_full_model(normals)
+        dev_x, dev_g = _constant_vol_deviations(
+            normals[:, 0:n_words:n_comp], weights, cv_x_scale, cv_g_scale
+        )
+        # (output slice, block slice, sign of the deviation) of the drawn half
+        # and of the mirrored half; + (-1.0) * dev has the bits of - dev
         halves = [(slice(lo, hi), slice(0, nc), 1.0)]
         if anti:
-            halves.append((slice(draw_paths + lo, draw_paths + hi), slice(nc, m), -1.0))
+            halves.append((slice(draw_paths + lo, draw_paths + hi), slice(nc, 2 * nc), -1.0))
         for out, part, sign in halves:
-            ln_x[out] = lnx[part]
-            ln_g[out] = g_final[part]
+            cv_x_out[out] = cv_x_mean + sign * dev_x
+            cv_g_out[out] = cv_g_mean + sign * dev_g
             if full:
-                y_out[out] = y[part]
-                z_out[out] = z[part]
-                ln_x_cv[out] = cv_x_mean + sign * dev_x
-                ln_g_cv[out] = cv_g_mean + sign * dev_g
+                for dest, values in zip((ln_x, ln_g, y_out, z_out), terminal):
+                    dest[out] = values[part]
 
     bounds = [(lo, min(lo + block, draw_paths)) for lo in range(0, draw_paths, block)]
     if workers == 1:

@@ -323,6 +323,13 @@ def test_smile_curve_frozen_values():
     assert pts[0].note is None
 
 
+@pytest.mark.parametrize("style", list(QuoteStyle))
+def test_smile_curve_implied_vol_is_a_python_float(style):
+    """No numpy scalar leaks out of the closed forms into a smile point."""
+    pts = smile_curve(ARC, MODEL, -0.016, style, [(0.1, 0.45, 1.02)])
+    assert type(pts[0].implied_vol) is float
+
+
 def test_smile_curve_flags_inadmissible_points():
     pts = smile_curve(
         ARC, MODEL, -0.016, QuoteStyle.FLOATING_CALL,

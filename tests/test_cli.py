@@ -63,6 +63,39 @@ def test_price_reports_breakdown(capsys):
     assert math.isfinite(outputs["price_hat"])
 
 
+FIXED_PUT_ARGS = [
+    "price", "--style", "fixed", "--kind", "put", "--spot", "100",
+    "--t", "0.1", "--T", "0.45", "--v-eps", "-0.016", *MODEL_ARGS,
+]
+
+
+@pytest.mark.parametrize("argv, signs", [
+    (FIXED_PUT_ARGS + ["--strike", "97"], ["price_hat", "|c1|", "gamma"]),
+    (FIXED_PUT_ARGS + ["--strike", "100"], ["gamma"]),
+    (PRICE_ARGS, []),
+], ids=["fixed-put-K97", "fixed-put-K100", "floating-atm-call"])
+def test_price_warns_outside_the_reliable_domain(capsys, argv, signs):
+    """One ``domain:`` warning names every sign that holds; the exit code
+    stays 0 either way."""
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    o = report["outputs"]
+    held = {
+        "price_hat": o["price_hat"] <= 0.0,
+        "|c1|": abs(o["c1"]) > o["c0"],
+        "gamma": not 0.5 <= o["gamma"] <= 2.0,
+    }
+    assert [name for name, holds in held.items() if holds] == signs
+    if not signs:
+        assert report["warnings"] == []
+        return
+    (warning,) = report["warnings"]
+    assert warning.startswith("domain: ")
+    named = [part.split()[0] for part in warning.removeprefix("domain: ").split("; ")]
+    assert named == signs
+
+
 def test_price_digest_is_stable_and_input_sensitive(capsys):
     _, out1, _ = run(capsys, PRICE_ARGS)
     _, out2, _ = run(capsys, PRICE_ARGS)

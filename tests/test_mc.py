@@ -424,6 +424,52 @@ def test_controlled_estimate_falls_back_to_plain():
     assert _controlled_mean_and_se(values, (control, values), exact, False, 1.0) is not None
 
 
+# ------------------------------------------------- constant-vol closed form
+
+
+def _euler_trapezoid_oracle(sigma, r, t, T, x0, g0, cfg):
+    """Terminal (ln X, ln G) of the constant-vol log-Euler/trapezoid scheme,
+    stepped one step at a time on the draws ``simulate_paths`` uses."""
+    n = cfg.n_steps
+    draw_paths = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    e = _normals_for_chunk(cfg.seed, 0, draw_paths, 4 * ((n + 3) // 4), n)
+    if cfg.antithetic:
+        e = np.concatenate([e, -e])
+    dt = (T - t) / n
+    lnx = np.full(e.shape[0], math.log(x0))
+    integral = np.zeros(e.shape[0])
+    for j in range(n):
+        d_lnx = (r - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * e[:, j]
+        integral += 0.5 * dt * (2.0 * lnx + d_lnx)
+        lnx += d_lnx
+    return lnx, (t * math.log(g0) + integral) / T
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_constant_vol_closed_form_matches_the_step_loop(antithetic):
+    """37 steps pad each path's word block to 40 words; 300-path chunks put
+    several blocks, the last one short, behind the result."""
+    cfg = McConfig(n_paths=2000, n_steps=37, seed=11, antithetic=antithetic, chunk_size=300)
+    batch = simulate_paths(MODEL, ConstantVol(0.21), 0.1, 0.45, 100.0, 97.0, cfg)
+    want_x, want_g = _euler_trapezoid_oracle(0.21, MODEL.r, 0.1, 0.45, 100.0, 97.0, cfg)
+    assert np.max(np.abs(batch.ln_x - want_x) / np.abs(want_x)) < 1e-12
+    assert np.max(np.abs(batch.ln_g - want_g) / np.abs(want_g)) < 1e-12
+    assert np.ptp(batch.ln_x) > 0.5  # the draws moved the paths
+
+
+def test_zero_vol_is_exactly_the_deterministic_path():
+    cfg = McConfig(n_paths=8, n_steps=37, seed=1, antithetic=True)
+    batch = simulate_paths(MODEL, ConstantVol(0.0), 0.1, 0.45, 100.0, 97.0, cfg)
+    tau = 0.45 - 0.1
+    want_x = math.log(100.0) + MODEL.r * tau
+    want_g = (0.1 * math.log(97.0) + tau * math.log(100.0) + 0.5 * MODEL.r * tau * tau) / 0.45
+    assert np.all(batch.ln_x == want_x)
+    assert np.all(batch.ln_g == want_g)
+    stepped_x, stepped_g = _euler_trapezoid_oracle(0.0, MODEL.r, 0.1, 0.45, 100.0, 97.0, cfg)
+    assert np.max(np.abs(stepped_x - want_x)) < 1e-13
+    assert np.max(np.abs(stepped_g - want_g)) < 1e-13
+
+
 # -------------------------------------------------------- shared path sets
 
 

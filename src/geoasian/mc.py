@@ -15,6 +15,15 @@ continues the running average through ln G_T = (t ln g + int_t^T ln X)/T.
 Only full-model runs step this scheme; under constant volatility its terminal
 state is a closed form over the draws (below), with no step loop.
 
+The step loop walks each block's steps in tiles of ``STEP_TILE``. Per tile it
+copies the block's draws once into a step-major buffer (an antithetic run
+negates that copy into the mirror half) and forms the Y and Z noise terms of
+the whole tile, so every step reads contiguous rows and updates its state in
+place. The operations and their order are those of one step at a time, so the
+bits are too. When sd_z = 0 (beta = 0, as in ``reference_full_model``) Z is
+deterministic: the noise term is a signed zero, so Z stays one number and its
+noise is not formed.
+
 Reproducibility contract: draws come from a counter-based Philox stream keyed
 by the seed, with path i owning the fixed word block [i L, (i+1) L) (L padded
 to a multiple of 4 words, the Philox counter granularity). The path set is
@@ -67,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import PDFactorizationFailure
+from .errors import NonFiniteInput, PDFactorizationFailure
 from .model import (
     MarketState,
     ModelParams,
@@ -78,11 +87,15 @@ from .model import (
 )
 
 WORD_BUDGET = 1 << 23  # max random words in flight, summed over the workers
-# fewest draw paths per worker in a chunk, measured on the step loop when
-# constant-vol blocks still ran it too: with 2000-path blocks two threads ran
-# it no faster than one (2 CPUs, 50 steps), as each step's numpy calls on short
-# vectors are mostly interpreter time under the GIL
+# fewest draw paths per worker in a chunk. Two workers against one on
+# antithetic full-model runs (2 CPUs): 2000-path blocks ran 0.9-1.1x as fast at
+# 50 steps and 1.5x at 200, 4000-path blocks 1.0-1.7x and 1.5-1.7x, 8000-path
+# blocks 1.75-1.8x at both; a short block's numpy calls are too brief for a
+# second thread to pay at every step count
 MIN_BLOCK_PATHS = 2048
+# steps whose draws the full-model loop copies step-major at once: about 1 MB
+# of scratch per worker at 6250 path elements
+STEP_TILE = 4
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,9 @@ class McConfig:
     ``chunk_size`` bounds the draw paths in flight across all workers (their
     normals are materialized at once); by default a chunk holds at most
     ``WORD_BUDGET`` random words. It changes memory and speed, never the result.
+    Beyond its share of the chunk, each worker of a full-model run holds a
+    step-major tile buffer of ``STEP_TILE`` steps (about 1 MB at 6250 path
+    elements).
     """
 
     n_paths: int
@@ -212,13 +228,19 @@ def stationary_effective_vol(level: float, nu: float) -> float:
     return level * math.exp(nu * nu)
 
 
-def f_full(y, z, vol: FullModel, alpha: float = 0.0):
+def f_full(y, z, vol: FullModel, alpha: float = 0.0, out: np.ndarray | None = None):
     """Bounded exponential-OU volatility min(f_max, max(f_min, z e^{y - alpha})).
 
     The clamp bounds are ``vol.f_min`` and ``vol.f_max``, checked when the
-    ``FullModel`` was built.
+    ``FullModel`` was built. ``out``, an array of the broadcast shape, receives
+    the result (with the bits of the call without it) and is returned.
     """
-    return np.clip(z * np.exp(y - alpha), vol.f_min, vol.f_max)
+    if out is None:
+        return np.clip(z * np.exp(y - alpha), vol.f_min, vol.f_max)
+    np.subtract(y, alpha, out=out)
+    np.exp(out, out=out)
+    np.multiply(z, out, out=out)
+    return np.clip(out, vol.f_min, vol.f_max, out=out)
 
 
 def _normals_for_chunk(
@@ -282,6 +304,8 @@ def simulate_paths(
     Blocks of draw paths run on a thread pool (see the module docstring); the
     result has the same bits for any chunk size and any pool size.
     """
+    if not all(map(math.isfinite, (t, T, x0, g0))):
+        raise NonFiniteInput(f"t, T, x0 and g0 must be finite, got {t}, {T}, {x0}, {g0}")
     problems = validate_params(model)
     pd_problems = [p for p in problems if "positive definite" in p]
     if pd_problems:
@@ -329,6 +353,7 @@ def simulate_paths(
         sd_y = model.nu * math.sqrt(max(0.0, 1.0 - ey * ey))
         ez = math.exp(-model.k * dt)
         sd_z = model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k)))
+        z_noisy = sd_z != 0.0
 
     anti = cfg.antithetic
     draw_paths = cfg.n_paths // 2 if anti else cfg.n_paths
@@ -356,29 +381,79 @@ def simulate_paths(
     block = -(-draw_paths // (rounds * workers))
 
     def step_full_model(normals: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Step one block's full-model paths; returns ln X_T, ln G_T, Y_T, Z_T."""
+        """Step one block's full-model paths; returns ln X_T, ln G_T, Y_T, Z_T.
+
+        Each step computes, in this order of operations,
+
+            f      = f_full(y, z)
+            d_lnx  = (r - 0.5 f f) dt + (f sqrt_dt) e_x
+            int   += (0.5 dt) (2 lnx + d_lnx);  lnx += d_lnx
+            y      = (alpha + (y - alpha) ey) + sd_y (c10 e_x + c11 e_y)
+            z      = (alpha' + (z - alpha') ez) + sd_z ((c20 e_x + c21 e_y) + c22 e_z)
+
+        in place, with the OU noise terms formed a tile of steps at a time.
+        """
         nc = normals.shape[0]
         m = 2 * nc if anti else nc
-        if anti:
-            mirrored = np.empty((m, 3))
+        alpha, alpha_p = model.alpha, model.alpha_prime
+        c10, c11 = chol[1, 0], chol[1, 1]
+        c20, c21, c22 = chol[2, 0], chol[2, 1], chol[2, 2]
+        half_dt = 0.5 * dt
+        draws = np.empty((3 * STEP_TILE, m))  # step-major: row 3 s + c is factor c of step s
+        scratch = np.empty((2 if z_noisy else 1, STEP_TILE, m))
+        f, d_lnx, tmp = np.empty(m), np.empty(m), np.empty(m)
         lnx = np.full(m, math.log(x0))
         integral = np.zeros(m)
-        y = np.full(m, model.alpha)
-        z = np.full(m, model.z0)
-        for j in range(n_steps):
-            e = normals[:, 3 * j:3 * j + 3]
+        y = np.full(m, alpha)
+        z = np.full(m, model.z0) if z_noisy else model.z0
+        for j0 in range(0, n_steps, STEP_TILE):
+            k = min(STEP_TILE, n_steps - j0)
+            tile = draws[:3 * k]
+            np.copyto(tile[:, :nc], normals[:, 3 * j0:3 * (j0 + k)].T)
             if anti:
-                mirrored[:nc] = e
-                np.negative(e, out=mirrored[nc:])
-                e = mirrored
-            f = f_full(y, z, vol, model.alpha)
-            d_lnx = (r - 0.5 * f * f) * dt + f * sqrt_dt * e[:, 0]
-            integral += 0.5 * dt * (2.0 * lnx + d_lnx)
-            lnx += d_lnx
-            w_y = chol[1, 0] * e[:, 0] + chol[1, 1] * e[:, 1]
-            w_z = chol[2, 0] * e[:, 0] + chol[2, 1] * e[:, 1] + chol[2, 2] * e[:, 2]
-            y = model.alpha + (y - model.alpha) * ey + sd_y * w_y
-            z = model.alpha_prime + (z - model.alpha_prime) * ez + sd_z * w_z
+                np.negative(tile[:, :nc], out=tile[:, nc:])
+            e_x, e_y, e_z = tile[0::3], tile[1::3], tile[2::3]
+            # the OU noise terms overwrite the e_y and e_z rows
+            t1 = scratch[0, :k]
+            if z_noisy:
+                t2 = scratch[1, :k]
+                np.multiply(e_x, c20, out=t1)
+                np.multiply(e_y, c21, out=t2)
+                t1 += t2
+                e_z *= c22
+                e_z += t1
+                e_z *= sd_z
+            np.multiply(e_x, c10, out=t1)
+            e_y *= c11
+            e_y += t1
+            e_y *= sd_y
+            for s in range(k):
+                f_full(y, z, vol, alpha, out=f)
+                np.multiply(f, 0.5, out=d_lnx)
+                d_lnx *= f
+                np.subtract(r, d_lnx, out=d_lnx)
+                d_lnx *= dt
+                np.multiply(f, sqrt_dt, out=tmp)
+                tmp *= e_x[s]
+                d_lnx += tmp
+                np.multiply(lnx, 2.0, out=tmp)
+                tmp += d_lnx
+                tmp *= half_dt
+                integral += tmp
+                lnx += d_lnx
+                y -= alpha
+                y *= ey
+                y += alpha
+                y += e_y[s]
+                if z_noisy:
+                    z -= alpha_p
+                    z *= ez
+                    z += alpha_p
+                    z += e_z[s]
+                else:  # sd_z = 0: the term adds a signed zero, so z is one number
+                    z = alpha_p + (z - alpha_p) * ez
+        if not z_noisy:
+            z = np.full(m, z)
         return lnx, (t * math.log(g0) + integral) / T, y, z
 
     def run_block(lo: int, hi: int) -> None:

@@ -28,7 +28,7 @@ from geoasian import (
 )
 from geoasian import mc
 from geoasian.closedform import q_drift_term
-from geoasian.errors import PDFactorizationFailure
+from geoasian.errors import NonFiniteInput, PDFactorizationFailure
 from geoasian.mc import _control_mean, _controlled_mean_and_se, _normals_for_chunk, f_full
 
 MODEL = reference_full_model(0.001)
@@ -90,6 +90,18 @@ def test_f_full_clamps():
     assert shifted[0] == 0.15
 
 
+@pytest.mark.parametrize("z", [np.linspace(0.05, 1.5, 101), 0.1834])
+def test_f_full_into_a_buffer_has_the_bits_of_the_plain_call(z):
+    vol = FullModel(f_min=0.05, f_max=0.9)
+    y = np.linspace(-3.0, 3.0, 101)  # both clamp bounds bind
+    buf = np.empty(101)
+    got = f_full(y, z, vol, 0.2, out=buf)
+    want = f_full(y, z, vol, 0.2)
+    assert got is buf
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.min() == 0.05 and got.max() == 0.9
+
+
 def test_reference_model_and_stationary_vol():
     m = reference_full_model(0.01)
     assert m.epsilon == 0.01
@@ -141,6 +153,94 @@ def test_chunk_layout_invariance(monkeypatch):
                 assert all(est == serial_estimate for est in estimates)
             if isinstance(vol, FullModel):
                 assert serial_estimate.price != serial_estimate.price_plain  # the controls applied
+
+
+def _stepped_full_model(model, vol, t, T, x0, g0, cfg):
+    """The full-model scheme stepped one step at a time on all draws at once:
+    the terminal (ln X, ln G, Y, Z) and the constant-vol control path."""
+    n_steps = cfg.n_steps
+    n_words = 3 * n_steps
+    words_per_path = 4 * ((n_words + 3) // 4)
+    draw_paths = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    normals = _normals_for_chunk(cfg.seed, 0, draw_paths, words_per_path, n_words)
+    dt = (T - t) / n_steps
+    sqrt_dt = math.sqrt(dt)
+    r = model.r
+    chol = np.linalg.cholesky(np.array([
+        [1.0, model.rho_xy, model.rho_xz],
+        [model.rho_xy, 1.0, model.rho_yz],
+        [model.rho_xz, model.rho_yz, 1.0],
+    ]))
+    ey = math.exp(-dt / model.epsilon)
+    sd_y = model.nu * math.sqrt(max(0.0, 1.0 - ey * ey))
+    ez = math.exp(-model.k * dt)
+    sd_z = model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k)))
+    m = cfg.n_paths
+    lnx = np.full(m, math.log(x0))
+    integral = np.zeros(m)
+    y = np.full(m, model.alpha)
+    z = np.full(m, model.z0)
+    for j in range(n_steps):
+        e = normals[:, 3 * j:3 * j + 3]
+        if cfg.antithetic:
+            e = np.concatenate([e, -e])
+        f = f_full(y, z, vol, model.alpha)
+        d_lnx = (r - 0.5 * f * f) * dt + f * sqrt_dt * e[:, 0]
+        integral += 0.5 * dt * (2.0 * lnx + d_lnx)
+        lnx += d_lnx
+        w_y = chol[1, 0] * e[:, 0] + chol[1, 1] * e[:, 1]
+        w_z = chol[2, 0] * e[:, 0] + chol[2, 1] * e[:, 1] + chol[2, 2] * e[:, 2]
+        y = model.alpha + (y - model.alpha) * ey + sd_y * w_y
+        z = model.alpha_prime + (z - model.alpha_prime) * ez + sd_z * w_z
+    tau = T - t
+    sigma = stationary_effective_vol(model.z0, model.nu)
+    mu = r - 0.5 * sigma * sigma
+    cv_x_mean = math.log(x0) + mu * tau
+    cv_g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu * tau * tau) / T
+    weights = n_steps - 0.5 - np.arange(n_steps)
+    dev_x, dev_g = mc._constant_vol_deviations(
+        normals[:, 0:n_words:3], weights, sigma * sqrt_dt, sigma * sqrt_dt * dt / T
+    )
+    signs = (1.0, -1.0) if cfg.antithetic else (1.0,)
+    ln_x_cv = np.concatenate([cv_x_mean + sign * dev_x for sign in signs])
+    ln_g_cv = np.concatenate([cv_g_mean + sign * dev_g for sign in signs])
+    return dict(ln_x=lnx, ln_g=(t * math.log(g0) + integral) / T, y=y, z=z,
+                ln_x_cv=ln_x_cv, ln_g_cv=ln_g_cv)
+
+
+CORRELATED_MODEL = ModelParams(
+    r=0.0264, k=2.0, alpha_prime=0.5, z0=0.3, epsilon=0.05,
+    nu=0.1, alpha=0.2, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
+)
+
+
+@pytest.mark.parametrize("n_steps", [2, 37])
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL], ids=["reference", "correlated"])
+def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, antithetic, n_steps):
+    """The tiled loop reproduces the plain per-step scheme bit for bit: with
+    a noiseless and a noisy Z, step counts on and off the tile, an uneven
+    chunk and a pooled run."""
+    vol = FullModel(f_min=0.05, f_max=0.4)
+    kwargs = dict(model=model, vol=vol, t=0.05, T=0.45, x0=100.0, g0=98.0)
+    want = _stepped_full_model(
+        cfg=McConfig(n_paths=300, n_steps=n_steps, seed=17, antithetic=antithetic), **kwargs
+    )
+    runs = []
+    monkeypatch.setattr(mc, "_worker_count", lambda: 1)
+    for chunk_size in (None, 37):
+        cfg = McConfig(n_paths=300, n_steps=n_steps, seed=17, antithetic=antithetic,
+                       chunk_size=chunk_size)
+        runs.append(simulate_paths(cfg=cfg, **kwargs))
+    monkeypatch.setattr(mc, "_worker_count", lambda: 3)
+    monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
+    runs.append(simulate_paths(cfg=cfg, **kwargs))
+    for batch in runs:
+        for name, values in want.items():
+            got = getattr(batch, name)
+            assert np.array_equal(got.view(np.uint64), values.view(np.uint64)), name
+    assert np.ptp(want["y"]) > 0.0
+    assert (np.ptp(want["z"]) > 0.0) == (model.beta > 0.0)
 
 
 @pytest.mark.parametrize("chunk_size", [None, 100])
@@ -647,6 +747,20 @@ def test_pd_failure_raised_for_bad_correlations():
     with pytest.raises(PDFactorizationFailure):
         simulate_paths(bad, FullModel(), 0.0, 0.45, 100.0, 100.0,
                        McConfig(n_paths=8, n_steps=8, seed=0))
+
+
+@pytest.mark.parametrize("name", ["t", "T", "x0", "g0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_and_state_rejected_first(name, value):
+    """A non-finite input is named before any other check runs, even on a
+    model that the other checks refuse."""
+    degenerate = ModelParams(r=0.03, k=2.0, alpha_prime=0.2, z0=0.2, epsilon=0.001)
+    kwargs = dict(t=0.0, T=0.45, x0=100.0, g0=100.0)
+    kwargs[name] = value
+    for model in (MODEL, degenerate):
+        for vol in (FullModel(), ConstantVol(0.2)):
+            with pytest.raises(NonFiniteInput, match="must be finite"):
+                simulate_paths(model, vol, cfg=McConfig(n_paths=8, n_steps=8, seed=0), **kwargs)
 
 
 def test_invalid_params_and_window_rejected():

@@ -16,13 +16,16 @@ Only full-model runs step this scheme; under constant volatility its terminal
 state is a closed form over the draws (below), with no step loop.
 
 The step loop walks each block's steps in tiles of ``STEP_TILE``. Per tile it
-copies the block's draws once into a step-major buffer (an antithetic run
-negates that copy into the mirror half) and forms the Y and Z noise terms of
-the whole tile, so every step reads contiguous rows and updates its state in
-place. The operations and their order are those of one step at a time, so the
-bits are too. When sd_z = 0 (beta = 0, as in ``reference_full_model``) Z is
-deterministic: the noise term is a signed zero, so Z stays one number and its
-noise is not formed.
+copies the draws of each factor it reads into a step-major buffer, turns the
+y and z uniforms into normals there with ``ndtri`` (the x words are normals
+already, in place in the block's row-major array, where the control path sums
+them), negates the copy into the mirror half of an antithetic run, and forms
+the Y and Z noise terms of the whole tile, so every step reads contiguous rows
+and updates its state in place. The operations and their order are those of
+one step at a time, so the bits are too. When sd_z = 0 (beta = 0, as in
+``reference_full_model``) Z is deterministic: the noise term is a signed zero,
+so Z stays one number, and its words are neither copied nor turned into
+normals.
 
 Reproducibility contract: draws come from a counter-based Philox stream keyed
 by the seed, with path i owning the fixed word block [i L, (i+1) L) (L padded
@@ -32,8 +35,9 @@ antithetic runs give pair p the block of p and mirror it.
 
 Threads: ``simulate_paths`` cuts the draw paths into equal blocks and runs them
 on a thread pool (numpy's ufuncs, reductions and ``ndtri`` release the GIL),
-one block per worker at a time, so the blocks in flight hold at most one chunk
-of draw paths.
+one block per worker at a time. A block holds the words of its draw paths in
+one array, uniforms turned into normals where they are read, so the blocks in
+flight hold at most one chunk of words.
 The pool has one worker per CPU the process may run on (its CPU affinity),
 fewer when a chunk has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has
 no setting; a run with one worker runs its blocks inline. Each block writes
@@ -102,9 +106,10 @@ STEP_TILE = 4
 class McConfig:
     """Size, seed and layout of one Monte Carlo run.
 
-    ``chunk_size`` bounds the draw paths in flight across all workers (their
-    normals are materialized at once); by default a chunk holds at most
-    ``WORD_BUDGET`` random words. It changes memory and speed, never the result.
+    ``chunk_size`` bounds the draw paths in flight across all workers (each
+    block holds its paths' random words in one array, as uniforms or normals);
+    by default a chunk holds at most ``WORD_BUDGET`` random words. It changes
+    memory and speed, never the result.
     Beyond its share of the chunk, each worker of a full-model run holds a
     step-major tile buffer of ``STEP_TILE`` steps (about 1 MB at 6250 path
     elements).
@@ -127,8 +132,8 @@ class McConfig:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
+            raise ValueError(f"seed must be >= 0 and < 2**128, got {self.seed}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic runs need an even n_paths")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -168,7 +173,8 @@ class PathBatch:
     """Terminal per-path state; arrays are indexed by global path id.
 
     ln_x_cv and ln_g_cv are the terminal state of the constant-vol control
-    path of a full-model run (None under ``ConstantVol``).
+    path of a full-model run (None under ``ConstantVol``). ``n_steps`` is the
+    step count of the time grid the paths were simulated on.
     """
 
     ln_x: np.ndarray
@@ -176,6 +182,7 @@ class PathBatch:
     y: np.ndarray | None
     z: np.ndarray | None
     antithetic: bool
+    n_steps: int
     ln_x_cv: np.ndarray | None
     ln_g_cv: np.ndarray | None
 
@@ -243,10 +250,9 @@ def f_full(y, z, vol: FullModel, alpha: float = 0.0, out: np.ndarray | None = No
     return np.clip(out, vol.f_min, vol.f_max, out=out)
 
 
-def _normals_for_chunk(
-    seed: int, lo: int, n_chunk: int, words_per_path: int, n_words: int
-) -> np.ndarray:
-    """Standard normals for draw-paths [lo, lo + n_chunk), shape (n_chunk, n_words).
+def _uniforms_for_chunk(seed: int, lo: int, n_chunk: int, words_per_path: int) -> np.ndarray:
+    """Uniforms u = (word >> 11) 2^-53 + 2^-54 in (0, 1) for draw-paths
+    [lo, lo + n_chunk), shape (n_chunk, words_per_path); ndtri(u) is the draw.
 
     words_per_path is a multiple of 4, so the chunk start lands exactly on a
     Philox counter boundary (advance moves 4 words per tick).
@@ -256,11 +262,19 @@ def _normals_for_chunk(
     # Generator.random writes (word >> 11) 2^-53 for each raw word in stream
     # order, so u = that + 2^-54 has the bits of the raw-word expression, in
     # one float64 buffer
-    normals = np.empty(n_chunk * words_per_path)
-    np.random.Generator(bitgen).random(out=normals)
-    normals += 2.0 ** -54
+    u = np.empty(n_chunk * words_per_path)
+    np.random.Generator(bitgen).random(out=u)
+    u += 2.0 ** -54
+    return u.reshape(n_chunk, words_per_path)
+
+
+def _normals_for_chunk(
+    seed: int, lo: int, n_chunk: int, words_per_path: int, n_words: int
+) -> np.ndarray:
+    """Standard normals for draw-paths [lo, lo + n_chunk), shape (n_chunk, n_words)."""
+    normals = _uniforms_for_chunk(seed, lo, n_chunk, words_per_path)
     ndtri(normals, out=normals)
-    return normals.reshape(n_chunk, words_per_path)[:, :n_words]
+    return normals[:, :n_words]
 
 
 def _worker_count() -> int:
@@ -380,10 +394,13 @@ def simulate_paths(
     rounds = -(-draw_paths // (chunk // workers * workers))
     block = -(-draw_paths // (rounds * workers))
 
-    def step_full_model(normals: np.ndarray) -> tuple[np.ndarray, ...]:
+    def step_full_model(draws: np.ndarray) -> tuple[np.ndarray, ...]:
         """Step one block's full-model paths; returns ln X_T, ln G_T, Y_T, Z_T.
 
-        Each step computes, in this order of operations,
+        ``draws`` is the block's row-major word array: normals in the x
+        columns, uniforms in the y and z columns, which become normals as
+        they are copied into a tile (z only when sd_z != 0). Each step
+        computes, in this order of operations,
 
             f      = f_full(y, z)
             d_lnx  = (r - 0.5 f f) dt + (f sqrt_dt) e_x
@@ -393,14 +410,16 @@ def simulate_paths(
 
         in place, with the OU noise terms formed a tile of steps at a time.
         """
-        nc = normals.shape[0]
+        nc = draws.shape[0]
         m = 2 * nc if anti else nc
         alpha, alpha_p = model.alpha, model.alpha_prime
         c10, c11 = chol[1, 0], chol[1, 1]
         c20, c21, c22 = chol[2, 0], chol[2, 1], chol[2, 2]
         half_dt = 0.5 * dt
-        draws = np.empty((3 * STEP_TILE, m))  # step-major: row 3 s + c is factor c of step s
-        scratch = np.empty((2 if z_noisy else 1, STEP_TILE, m))
+        n_read = 3 if z_noisy else 2  # the factors whose draws the steps read
+        # step-major: tiles[c, s] is factor c of step s of the tile
+        tiles = np.empty((n_read, STEP_TILE, m))
+        scratch = np.empty((n_read - 1, STEP_TILE, m))
         f, d_lnx, tmp = np.empty(m), np.empty(m), np.empty(m)
         lnx = np.full(m, math.log(x0))
         integral = np.zeros(m)
@@ -408,15 +427,19 @@ def simulate_paths(
         z = np.full(m, model.z0) if z_noisy else model.z0
         for j0 in range(0, n_steps, STEP_TILE):
             k = min(STEP_TILE, n_steps - j0)
-            tile = draws[:3 * k]
-            np.copyto(tile[:, :nc], normals[:, 3 * j0:3 * (j0 + k)].T)
+            tile = tiles[:, :k]
+            for c in range(n_read):
+                drawn = tile[c, :, :nc]
+                np.copyto(drawn, draws[:, 3 * j0 + c:3 * (j0 + k):3].T)
+                if c:  # the x columns hold normals already
+                    ndtri(drawn, out=drawn)
             if anti:
-                np.negative(tile[:, :nc], out=tile[:, nc:])
-            e_x, e_y, e_z = tile[0::3], tile[1::3], tile[2::3]
+                np.negative(tile[:, :, :nc], out=tile[:, :, nc:])
+            e_x, e_y = tile[0], tile[1]
             # the OU noise terms overwrite the e_y and e_z rows
             t1 = scratch[0, :k]
             if z_noisy:
-                t2 = scratch[1, :k]
+                e_z, t2 = tile[2], scratch[1, :k]
                 np.multiply(e_x, c20, out=t1)
                 np.multiply(e_y, c21, out=t2)
                 t1 += t2
@@ -459,12 +482,16 @@ def simulate_paths(
     def run_block(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
         nc = hi - lo
-        normals = _normals_for_chunk(cfg.seed, lo, nc, words_per_path, n_words)
-        if full:  # before the x draws are overwritten below
-            terminal = step_full_model(normals)
-        dev_x, dev_g = _constant_vol_deviations(
-            normals[:, 0:n_words:n_comp], weights, cv_x_scale, cv_g_scale
-        )
+        if full:
+            # normals only where they are read: the x columns here, in place
+            # and row-major for the control path's sums; y and z in the tiles
+            draws = _uniforms_for_chunk(cfg.seed, lo, nc, words_per_path)
+            x_draws = draws[:, 0:n_words:3]
+            ndtri(x_draws, out=x_draws)
+            terminal = step_full_model(draws)  # before the x draws are reweighted below
+        else:
+            x_draws = _normals_for_chunk(cfg.seed, lo, nc, words_per_path, n_words)
+        dev_x, dev_g = _constant_vol_deviations(x_draws, weights, cv_x_scale, cv_g_scale)
         # (output slice, block slice, sign of the deviation) of the drawn half
         # and of the mirrored half; + (-1.0) * dev has the bits of - dev
         halves = [(slice(lo, hi), slice(0, nc), 1.0)]
@@ -492,7 +519,7 @@ def simulate_paths(
                 raise
 
     return PathBatch(
-        ln_x=ln_x, ln_g=ln_g, y=y_out, z=z_out, antithetic=anti,
+        ln_x=ln_x, ln_g=ln_g, y=y_out, z=z_out, antithetic=anti, n_steps=n_steps,
         ln_x_cv=ln_x_cv, ln_g_cv=ln_g_cv,
     )
 
@@ -613,25 +640,33 @@ def price_mc(
     is singular. A constant-vol batch is priced plain.
 
     ``paths`` prices on a batch already simulated from the same model, vol,
-    state and config (several payoffs then share one path set); only its
-    size and antithetic layout can be checked against ``cfg``.
+    state and config (several payoffs then share one path set); its size,
+    step count and antithetic layout are checked against ``cfg``, and its
+    control path against ``vol``.
     """
     T = spec.maturity
     if not T > state.t:
         raise ValueError(f"need T > t, got t={state.t}, T={T}")
+    full = isinstance(vol, FullModel)
     if paths is None:
         paths = simulate_paths(model, vol, state.t, T, state.x, state.g, cfg)
-    elif paths.ln_x.shape[0] != cfg.n_paths or paths.antithetic != cfg.antithetic:
+    elif (
+        (paths.ln_x.shape[0], paths.n_steps, paths.antithetic)
+        != (cfg.n_paths, cfg.n_steps, cfg.antithetic)
+        or (paths.ln_x_cv is not None) != full
+    ):
         raise ValueError(
-            f"path batch ({paths.ln_x.shape[0]} paths, antithetic={paths.antithetic}) "
-            f"does not match cfg ({cfg.n_paths} paths, antithetic={cfg.antithetic})"
+            f"path batch ({paths.ln_x.shape[0]} paths, {paths.n_steps} steps, "
+            f"antithetic={paths.antithetic}, control={paths.ln_x_cv is not None}) does not "
+            f"match cfg ({cfg.n_paths} paths, {cfg.n_steps} steps, "
+            f"antithetic={cfg.antithetic}) and {type(vol).__name__}"
         )
     disc = math.exp(-model.r * (T - state.t))
     x_T = np.exp(paths.ln_x)
     values = _payoffs(spec, x_T, np.exp(paths.ln_g))
     plain = mean_and_se(values, cfg.antithetic, scale=disc)
     controlled = None
-    if paths.ln_x_cv is not None:
+    if full:
         controls = (_payoffs(spec, np.exp(paths.ln_x_cv), np.exp(paths.ln_g_cv)), x_T)
         sigma_c = stationary_effective_vol(model.z0, model.nu)
         exact = np.array([

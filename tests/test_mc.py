@@ -29,7 +29,13 @@ from geoasian import (
 from geoasian import mc
 from geoasian.closedform import q_drift_term
 from geoasian.errors import NonFiniteInput, PDFactorizationFailure
-from geoasian.mc import _control_mean, _controlled_mean_and_se, _normals_for_chunk, f_full
+from geoasian.mc import (
+    _control_mean,
+    _controlled_mean_and_se,
+    _normals_for_chunk,
+    _uniforms_for_chunk,
+    f_full,
+)
 
 MODEL = reference_full_model(0.001)
 STATE = MarketState(t=0.0, x=100.0, g=100.0)
@@ -56,6 +62,13 @@ def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_paths=100, n_steps=10, seed=0, chunk_size=0)
     McConfig(n_paths=np.int64(100), n_steps=np.int32(10), seed=np.uint64(3), chunk_size=7)
+
+
+def test_mc_config_seed_fits_the_128_bit_philox_key():
+    """A larger seed would fail only later, inside a pool worker."""
+    McConfig(n_paths=100, n_steps=10, seed=2**128 - 1)
+    with pytest.raises(ValueError, match=r"seed must be >= 0 and < 2\*\*128"):
+        McConfig(n_paths=100, n_steps=10, seed=2**128)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -245,7 +258,7 @@ def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, 
 
 @pytest.mark.parametrize("chunk_size", [None, 100])
 def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, chunk_size):
-    """The workers' normals together never exceed one chunk of words."""
+    """The workers' draws together never exceed one chunk of words."""
     lock = threading.Lock()
     live, peak, drawn = [0], [0], [0]
 
@@ -253,22 +266,22 @@ def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, chunk_size):
         with lock:
             live[0] -= words
 
-    def counted(seed, lo, n_chunk, words_per_path, n_words):
-        normals = _normals_for_chunk(seed, lo, n_chunk, words_per_path, n_words)
+    def counted(seed, lo, n_chunk, words_per_path):
+        uniforms = _uniforms_for_chunk(seed, lo, n_chunk, words_per_path)
         words = n_chunk * words_per_path
         with lock:
             live[0] += words
             peak[0] = max(peak[0], live[0])
             drawn[0] += words
-        weakref.finalize(normals.base, release, words)  # the buffer's lifetime
+        weakref.finalize(uniforms.base, release, words)  # the buffer's lifetime
         time.sleep(0.002)  # let the other workers start their blocks meanwhile
-        return normals
+        return uniforms
 
     words_per_path = 92  # 30 steps x 3 factors, padded to a multiple of 4
     chunk = chunk_size or 50
     monkeypatch.setattr(mc, "WORD_BUDGET", 50 * words_per_path)
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
-    monkeypatch.setattr(mc, "_normals_for_chunk", counted)
+    monkeypatch.setattr(mc, "_uniforms_for_chunk", counted)
     monkeypatch.setattr(mc, "_worker_count", lambda: 3)
     cfg = McConfig(n_paths=1200, n_steps=30, seed=42, antithetic=True, chunk_size=chunk_size)
     simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
@@ -276,6 +289,32 @@ def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, chunk_size):
     assert live[0] == 0
     block_words = chunk // 3 * words_per_path
     assert block_words < peak[0] <= chunk * words_per_path  # blocks overlapped, within one chunk
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_steps", [36, 37])
+@pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL], ids=["reference", "correlated"])
+def test_full_model_runs_turn_only_the_draws_they_read_into_normals(
+    monkeypatch, model, n_steps, workers
+):
+    """ndtri sees the x and y words of each draw path, and the z words only
+    when beta > 0 makes Z noisy; the padding words (37 steps: 111 words in a
+    112-word block) are never turned."""
+    lock = threading.Lock()
+    turned = [0]
+
+    def counted(u, *args, **kwargs):
+        with lock:
+            turned[0] += np.size(u)
+        return ndtri(u, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "ndtri", counted)
+    monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+    monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
+    cfg = McConfig(n_paths=600, n_steps=n_steps, seed=3, antithetic=True, chunk_size=100)
+    simulate_paths(model, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    factors = 3 if model.beta > 0.0 else 2
+    assert turned[0] == 300 * factors * n_steps
 
 
 def test_four_workers_with_fast_switching_match_the_serial_run(monkeypatch):
@@ -594,14 +633,25 @@ def test_price_on_shared_batch_equals_standalone(antithetic):
 
 
 def test_price_rejects_a_batch_of_another_config():
+    """A batch of another size, layout or step count, or whose control path
+    does not match the vol spec, would be priced against the wrong means."""
     cfg = McConfig(n_paths=200, n_steps=10, seed=1, antithetic=True)
-    batch = simulate_paths(MODEL, ConstantVol(0.2), 0.0, 0.45, 100.0, 100.0, cfg)
-    for other in (
-        McConfig(n_paths=400, n_steps=10, seed=1, antithetic=True),
-        McConfig(n_paths=200, n_steps=10, seed=1, antithetic=False),
+    const, full = ConstantVol(0.2), FullModel()
+    batch = simulate_paths(MODEL, const, 0.0, 0.45, 100.0, 100.0, cfg)
+    full_batch = simulate_paths(MODEL, full, 0.0, 0.45, 100.0, 100.0, cfg)
+    for paths, vol, other in (
+        (batch, const, McConfig(n_paths=400, n_steps=10, seed=1, antithetic=True)),
+        (batch, const, McConfig(n_paths=200, n_steps=10, seed=1, antithetic=False)),
+        (batch, const, McConfig(n_paths=200, n_steps=50, seed=1, antithetic=True)),
+        (full_batch, full, McConfig(n_paths=200, n_steps=50, seed=1, antithetic=True)),
+        (batch, full, cfg),
+        (full_batch, const, cfg),
     ):
-        with pytest.raises(ValueError):
-            price_mc(FLOAT_CALL, MODEL, ConstantVol(0.2), STATE, other, paths=batch)
+        with pytest.raises(ValueError, match="does not match cfg"):
+            price_mc(FLOAT_CALL, MODEL, vol, STATE, other, paths=paths)
+    assert price_mc(FLOAT_CALL, MODEL, full, STATE, cfg, paths=full_batch) == price_mc(
+        FLOAT_CALL, MODEL, full, STATE, cfg
+    )
 
 
 # ------------------------------------------------------------- antithetic

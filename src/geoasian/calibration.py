@@ -87,7 +87,10 @@ class QuoteRow:
     line: int | None = None
 
     def validate(self) -> list[str]:
-        problems: list[str] = []
+        numbers = {"t": self.t, "T": self.T, "spot": self.spot, "avg": self.avg,
+                   "strike": self.strike, "implied_vol": self.implied_vol}
+        problems = [f"{name} must be finite, got {value}" for name, value in numbers.items()
+                    if value is not None and not math.isfinite(value)]
         if not 0.0 <= self.t < self.T:
             problems.append(f"need 0 <= t < T, got t={self.t}, T={self.T}")
         if not self.spot > 0.0:

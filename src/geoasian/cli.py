@@ -1,9 +1,11 @@
 """Command-line front end: price, calibrate, validate, smile.
 
-Every command prints a run report as JSON: the echoed command, the inputs
-with a digest, the outputs, warnings, and wall time. Volatilities are
-decimals (0.1834, not percent), times are in years. Exit codes: 0 ok,
-2 validation failure, 3 data failure, 4 oracle comparison failure.
+``main`` builds every command's run report and prints it as JSON: the echoed
+command, the inputs (every parsed flag but ``--json``, with its default filled
+in) with their digest, the outputs, warnings, and wall time. ``smile --out -``
+streams its CSV instead. Volatilities are decimals (0.1834, not percent),
+times are in years. Exit codes: 0 ok, 2 validation failure, 3 data failure,
+4 oracle comparison failure.
 """
 
 from __future__ import annotations
@@ -66,9 +68,10 @@ def _digest(inputs: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _emit(args, command: str, inputs: dict, outputs, warnings: list[str], t0: float) -> None:
+def _emit(args, outputs, warnings: list[str], t0: float) -> None:
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")}
     report = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "inputs_digest": _digest(inputs),
         "outputs": outputs,
@@ -77,7 +80,7 @@ def _emit(args, command: str, inputs: dict, outputs, warnings: list[str], t0: fl
     }
     # a NaN or infinity would print as invalid JSON; json raises ValueError
     # instead, which main reports as a validation failure
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False))
     else:
         print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
@@ -112,39 +115,19 @@ def _model_from_args(args) -> ModelParams:
     return model
 
 
-def _model_inputs(args) -> dict:
-    """The model flags echoed in a report: ModelParams' fields and sigma_min."""
-    names = [f.name for f in fields(ModelParams)] + ["sigma_min"]
-    return {name: getattr(args, name) for name in names}
-
-
-def cmd_price(args) -> int:
-    t0 = time.perf_counter()
-    model = _model_from_args(args)
-    arc = arc_from_ou(model.k, model.alpha_prime, model.z0, sigma_min=args.sigma_min)
+def cmd_price(args, model: ModelParams, arc: VolArc):
     option = OptionSpec(
         style=StrikeStyle(args.style),
         kind=OptionKind(args.kind),
         maturity=args.T,
         strike=args.strike,
     )
-    avg = args.avg if args.avg is not None else args.spot
-    state = MarketState(t=args.t, x=args.spot, g=avg)
+    if args.avg is None:
+        args.avg = args.spot  # the report echoes the average priced with
+    state = MarketState(t=args.t, x=args.spot, g=args.avg)
     breakdown = first_order_price(
         option, state, arc, model, v_eps=args.v_eps, gamma_off=args.gamma_off
     )
-    inputs = {
-        **_model_inputs(args),
-        "style": args.style,
-        "kind": args.kind,
-        "spot": args.spot,
-        "avg": avg,
-        "strike": args.strike,
-        "t": args.t,
-        "T": args.T,
-        "v_eps": args.v_eps,
-        "gamma_off": args.gamma_off,
-    }
     outputs = {
         "b0": breakdown.b0,
         "gamma": breakdown.gamma,
@@ -154,8 +137,7 @@ def cmd_price(args) -> int:
         "m_exponent": breakdown.m_exponent,
         "sigma_bar": effective_vol(arc, args.t),
     }
-    _emit(args, "price", inputs, outputs, _domain_warnings(breakdown), t0)
-    return EXIT_OK
+    return outputs, _domain_warnings(breakdown), EXIT_OK
 
 
 def _domain_warnings(breakdown) -> list[str]:
@@ -171,10 +153,7 @@ def _domain_warnings(breakdown) -> list[str]:
     return [f"domain: {'; '.join(signs)}"] if signs else []
 
 
-def cmd_calibrate(args) -> int:
-    t0 = time.perf_counter()
-    model = _model_from_args(args)
-    arc = arc_from_ou(model.k, model.alpha_prime, model.z0, sigma_min=args.sigma_min)
+def cmd_calibrate(args, model: ModelParams, arc: VolArc):
     ingest = ingest_quotes(args.quotes)
     regression = regression_pairs(ingest.rows, arc, model)
     if args.scatter_out:
@@ -186,16 +165,10 @@ def cmd_calibrate(args) -> int:
     warnings = list(report.pop("warnings"))
     if report["rejects"]:
         warnings.append(f"{len(report['rejects'])} quote(s) rejected; see rejects[]")
-    inputs = {**_model_inputs(args), "quotes": str(args.quotes),
-              "scatter_out": args.scatter_out}
-    _emit(args, "calibrate", inputs, report, warnings, t0)
-    return EXIT_OK
+    return report, warnings, EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    t0 = time.perf_counter()
-    model = _model_from_args(args)
-    arc = arc_from_ou(model.k, model.alpha_prime, model.z0, sigma_min=args.sigma_min)
+def cmd_validate(args, model: ModelParams, arc: VolArc):
     cfg = McConfig(
         n_paths=args.paths, n_steps=args.steps, seed=args.seed, antithetic=True
     )
@@ -242,19 +215,7 @@ def cmd_validate(args) -> int:
         direction = _epsilon_direction(args, cfg)
         outputs["epsilon_direction"] = direction
         all_pass &= direction["pass"]
-
-    inputs = {
-        **_model_inputs(args),
-        "paths": args.paths,
-        "steps": args.steps,
-        "seed": args.seed,
-        "mode": args.mode,
-        "sigma": args.sigma,
-        "spot": args.spot,
-        "T": args.T,
-    }
-    _emit(args, "validate", inputs, outputs, warnings, t0)
-    return EXIT_OK if all_pass else EXIT_COMPARISON
+    return outputs, warnings, EXIT_OK if all_pass else EXIT_COMPARISON
 
 
 def _epsilon_direction(args, cfg: McConfig) -> dict:
@@ -288,10 +249,7 @@ def _epsilon_direction(args, cfg: McConfig) -> dict:
     return {"big": results["big"], "small": results["small"], "slack": slack, "pass": ok}
 
 
-def cmd_smile(args) -> int:
-    t0 = time.perf_counter()
-    model = _model_from_args(args)
-    arc = arc_from_ou(model.k, model.alpha_prime, model.z0, sigma_min=args.sigma_min)
+def cmd_smile(args, model: ModelParams, arc: VolArc):
     try:
         lo, hi, count = args.grid.split(":")
         grid = np.linspace(float(lo), float(hi), int(count))
@@ -318,26 +276,15 @@ def cmd_smile(args) -> int:
                 [p.maturity, p.moneyness, "" if p.implied_vol is None else p.implied_vol]
             )
 
-    inputs = {
-        **_model_inputs(args),
-        "t": args.t,
-        "T": args.T,
-        "grid": args.grid,
-        "style": args.style,
-        "v_eps": args.v_eps,
-        "spot": args.spot,
-        "out": args.out,
-    }
     if args.out == "-":
         write_rows(sys.stdout)
         for line in warnings:
             print(line, file=sys.stderr)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write_rows(handle)
-        outputs = {"csv": args.out, "points": len(points), "skipped": len(skipped)}
-        _emit(args, "smile", inputs, outputs, warnings, t0)
-    return EXIT_OK
+        return None, warnings, EXIT_OK
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        write_rows(handle)
+    outputs = {"csv": args.out, "points": len(points), "skipped": len(skipped)}
+    return outputs, warnings, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,10 +354,20 @@ def _fail(exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its run report; returns the exit code.
+
+    Each ``cmd_*`` returns ``(outputs, warnings, exit_code)``; outputs of
+    None mean the command printed its own result and there is no report.
+    """
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        model = _model_from_args(args)
+        arc = arc_from_ou(model.k, model.alpha_prime, model.z0, sigma_min=args.sigma_min)
+        outputs, warnings, code = args.func(args, model, arc)
+        if outputs is not None:
+            _emit(args, outputs, warnings, t0)
+        return code
     except _DATA_ERRORS as exc:
         _fail(exc)
         return EXIT_DATA

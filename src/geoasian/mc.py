@@ -168,21 +168,27 @@ class FullModel:
 VolSpec = ConstantVol | FullModel
 
 
+def _source(model: ModelParams, vol: VolSpec, t, T, x0, g0, cfg: McConfig) -> dict:
+    """What fixes a batch's paths: every argument of simulate_paths but
+    ``cfg.chunk_size``, which never changes them."""
+    return dict(model=model, vol=vol, t=t, T=T, x0=x0, g0=g0, n_paths=cfg.n_paths,
+                n_steps=cfg.n_steps, seed=cfg.seed, antithetic=cfg.antithetic)
+
+
 @dataclass(frozen=True)
 class PathBatch:
     """Terminal per-path state; arrays are indexed by global path id.
 
     ln_x_cv and ln_g_cv are the terminal state of the constant-vol control
-    path of a full-model run (None under ``ConstantVol``). ``n_steps`` is the
-    step count of the time grid the paths were simulated on.
+    path of a full-model run (None under ``ConstantVol``). ``source`` holds
+    the arguments the paths were simulated from.
     """
 
     ln_x: np.ndarray
     ln_g: np.ndarray
     y: np.ndarray | None
     z: np.ndarray | None
-    antithetic: bool
-    n_steps: int
+    source: dict
     ln_x_cv: np.ndarray | None
     ln_g_cv: np.ndarray | None
 
@@ -519,7 +525,7 @@ def simulate_paths(
                 raise
 
     return PathBatch(
-        ln_x=ln_x, ln_g=ln_g, y=y_out, z=z_out, antithetic=anti, n_steps=n_steps,
+        ln_x=ln_x, ln_g=ln_g, y=y_out, z=z_out, source=_source(model, vol, t, T, x0, g0, cfg),
         ln_x_cv=ln_x_cv, ln_g_cv=ln_g_cv,
     )
 
@@ -640,33 +646,24 @@ def price_mc(
     is singular. A constant-vol batch is priced plain.
 
     ``paths`` prices on a batch already simulated from the same model, vol,
-    state and config (several payoffs then share one path set); its size,
-    step count and antithetic layout are checked against ``cfg``, and its
-    control path against ``vol``.
+    state, maturity and config (several payoffs then share one path set);
+    every one of these but ``cfg.chunk_size`` is checked against the batch.
     """
     T = spec.maturity
     if not T > state.t:
         raise ValueError(f"need T > t, got t={state.t}, T={T}")
-    full = isinstance(vol, FullModel)
     if paths is None:
         paths = simulate_paths(model, vol, state.t, T, state.x, state.g, cfg)
-    elif (
-        (paths.ln_x.shape[0], paths.n_steps, paths.antithetic)
-        != (cfg.n_paths, cfg.n_steps, cfg.antithetic)
-        or (paths.ln_x_cv is not None) != full
-    ):
-        raise ValueError(
-            f"path batch ({paths.ln_x.shape[0]} paths, {paths.n_steps} steps, "
-            f"antithetic={paths.antithetic}, control={paths.ln_x_cv is not None}) does not "
-            f"match cfg ({cfg.n_paths} paths, {cfg.n_steps} steps, "
-            f"antithetic={cfg.antithetic}) and {type(vol).__name__}"
-        )
+    elif paths.source != (source := _source(model, vol, state.t, T, state.x, state.g, cfg)):
+        diffs = [f"{k} {paths.source[k]!r} != {v!r}" for k, v in source.items()
+                 if paths.source[k] != v]
+        raise ValueError(f"path batch does not match cfg and arguments: {'; '.join(diffs)}")
     disc = math.exp(-model.r * (T - state.t))
     x_T = np.exp(paths.ln_x)
     values = _payoffs(spec, x_T, np.exp(paths.ln_g))
     plain = mean_and_se(values, cfg.antithetic, scale=disc)
     controlled = None
-    if full:
+    if isinstance(vol, FullModel):
         controls = (_payoffs(spec, np.exp(paths.ln_x_cv), np.exp(paths.ln_g_cv)), x_T)
         sigma_c = stationary_effective_vol(model.z0, model.nu)
         exact = np.array([

@@ -87,6 +87,19 @@ def test_ingest_rejects_carry_line_numbers_and_reasons():
     assert "fields" in reasons[10]
 
 
+@pytest.mark.parametrize("column", ["t", "T", "spot", "avg", "strike", "implied_vol"])
+def test_ingest_rejects_a_non_finite_field(column):
+    """An inf in one numeric field rejects that line; the good rows survive."""
+    header = "t,T,spot,avg,strike,style,implied_vol".split(",")
+    fixed_put = "0.1,0.45,100,101,100,fixed_put,0.18".split(",")
+    fixed_put[header.index(column)] = "inf"
+    result = ingest_quotes(io.StringIO(GOOD_CSV + ",".join(fixed_put) + "\n"))
+    assert len(result.rows) == 2
+    (reject,) = result.rejects
+    assert reject.line == 4
+    assert f"{column} must be finite" in reject.reason
+
+
 def test_ingest_header_must_match_exactly():
     with pytest.raises(MissingColumn):
         ingest_quotes(io.StringIO("t,T,spot,avg,strike,style\n"))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -232,6 +233,22 @@ def test_calibrate_scatter_regresses_each_quote_once(tmp_path, capsys, monkeypat
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("column", ["t", "T", "spot", "avg", "strike", "implied_vol"])
+def test_calibrate_rejects_a_quote_with_a_non_finite_field(tmp_path, capsys, column):
+    quotes = quotes_csv(tmp_path)
+    header = "t,T,spot,avg,strike,style,implied_vol".split(",")
+    row = "0.1,0.45,100,100,100,fixed_put,0.19".split(",")
+    row[header.index(column)] = "inf"
+    with open(quotes, "a", encoding="utf-8") as handle:
+        handle.write(",".join(row) + "\n")
+    code, out, _ = run(capsys, ["calibrate", *MODEL_ARGS, "--quotes", str(quotes), "--json"])
+    assert code == EXIT_OK
+    outputs = json.loads(out)["outputs"]
+    assert outputs["n"] == 3
+    assert [r["line"] for r in outputs["rejects"]] == [5, 6]
+    assert outputs["v_eps_by_cell"][0]["v_eps"] == pytest.approx(-0.016, rel=1e-9)
+
+
 def test_calibrate_two_quotes_reports_null_standard_error(tmp_path, capsys):
     path = tmp_path / "two.csv"
     path.write_text(
@@ -338,6 +355,20 @@ def test_smile_rejects_malformed_grid(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_smile_to_stdout_prints_only_csv(capsys):
+    """``--out -`` streams the CSV and no report, even with ``--json``."""
+    code, out, err = run(capsys, [
+        "smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "0.95:1.05:3",
+        "--out", "-", "--json",
+    ])
+    assert code == EXIT_OK
+    assert err == ""
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["maturity", "moneyness", "implied_vol"]
+    assert len(rows) == 4
+    assert all(len(r) == 3 and float(r[0]) == 0.45 for r in rows[1:])
+
+
 # ---------------------------------------------------------------- validate
 
 
@@ -419,3 +450,49 @@ def test_validate_simulates_once_and_matches_per_spec_prices(capsys, monkeypatch
     martingale = rows["martingale e^{-rT} E[X_T]"]
     assert martingale["closed"] == 100.0
     assert abs(martingale["z"]) < 3.0
+
+
+# ---------------------------------------------------------------- reports
+
+
+PINNED_DIGESTS = [
+    (["price", "--style", "floating", "--kind", "call", "--spot", "100", "--avg", "101",
+      "--t", "0.1", "--T", "0.45", *MODEL_ARGS, "--v-eps", "-0.016", "--json"],
+     "a4a538949781c5508cd8fb136b356a5115d9c19f64c43e80f647b00c132810fa"),
+    (["price", "--style", "fixed", "--kind", "put", "--spot", "100", "--strike", "100",
+      "--t", "0.1", "--T", "0.45", *MODEL_ARGS, "--gamma-off", "--json"],
+     "eca9b010d246fe71fda1061ea0e13c69c1997541ee4f80034659c6228089d496"),
+    (["validate", "--paths", "2000", "--steps", "16", "--seed", "5", "--json"],
+     "c5c457e6c64b6314c49375c4170473c79b359d2461edae639dce4e0a7cc50e32"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_DIGESTS, ids=["floating", "fixed-put", "validate"])
+def test_inputs_digest_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs_digest"] == digest
+
+
+def subparser_dests(command):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "json"}
+
+
+def test_inputs_echo_every_flag_of_the_command(tmp_path, capsys):
+    argvs = {
+        "price": PRICE_ARGS,
+        "calibrate": ["calibrate", *MODEL_ARGS, "--quotes", str(quotes_csv(tmp_path))],
+        "validate": ["validate", "--paths", "600", "--steps", "8", "--seed", "1"],
+        "smile": ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "0.95:1.05:3",
+                  "--out", str(tmp_path / "smile.csv")],
+    }
+    for command, argv in argvs.items():
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK, command
+        report = json.loads(out)
+        assert report["command"] == command
+        assert set(report["inputs"]) == subparser_dests(command), command
+    # price echoes the spot as the running average when --avg is not given
+    assert json.loads(run(capsys, PRICE_ARGS)[1])["inputs"]["avg"] == 100.0

@@ -633,23 +633,34 @@ def test_price_on_shared_batch_equals_standalone(antithetic):
 
 
 def test_price_rejects_a_batch_of_another_config():
-    """A batch of another size, layout or step count, or whose control path
-    does not match the vol spec, would be priced against the wrong means."""
+    """A batch of another size, layout, step count, seed, model, start state
+    or maturity, or whose control path does not match the vol spec, would be
+    priced against the wrong means."""
     cfg = McConfig(n_paths=200, n_steps=10, seed=1, antithetic=True)
     const, full = ConstantVol(0.2), FullModel()
     batch = simulate_paths(MODEL, const, 0.0, 0.45, 100.0, 100.0, cfg)
     full_batch = simulate_paths(MODEL, full, 0.0, 0.45, 100.0, 100.0, cfg)
-    for paths, vol, other in (
-        (batch, const, McConfig(n_paths=400, n_steps=10, seed=1, antithetic=True)),
-        (batch, const, McConfig(n_paths=200, n_steps=10, seed=1, antithetic=False)),
-        (batch, const, McConfig(n_paths=200, n_steps=50, seed=1, antithetic=True)),
-        (full_batch, full, McConfig(n_paths=200, n_steps=50, seed=1, antithetic=True)),
-        (batch, full, cfg),
-        (full_batch, const, cfg),
+    long_batch = simulate_paths(MODEL, full, 0.0, 0.9, 100.0, 100.0, cfg)
+    for paths, vol, other, model, state in (
+        (batch, const, McConfig(n_paths=400, n_steps=10, seed=1, antithetic=True), MODEL, STATE),
+        (batch, const, McConfig(n_paths=200, n_steps=10, seed=1, antithetic=False), MODEL, STATE),
+        (batch, const, McConfig(n_paths=200, n_steps=50, seed=1, antithetic=True), MODEL, STATE),
+        (full_batch, full, McConfig(n_paths=200, n_steps=50, seed=1, antithetic=True), MODEL, STATE),
+        (batch, full, cfg, MODEL, STATE),
+        (full_batch, const, cfg, MODEL, STATE),
+        (long_batch, full, cfg, MODEL, STATE),  # simulated to T = 0.9, priced to 0.45
+        (full_batch, full, cfg, MODEL, MarketState(t=0.0, x=101.0, g=100.0)),
+        (full_batch, full, cfg, reference_full_model(0.1), STATE),
+        (full_batch, full, McConfig(n_paths=200, n_steps=10, seed=2, antithetic=True), MODEL, STATE),
     ):
         with pytest.raises(ValueError, match="does not match cfg"):
-            price_mc(FLOAT_CALL, MODEL, vol, STATE, other, paths=paths)
+            price_mc(FLOAT_CALL, model, vol, state, other, paths=paths)
     assert price_mc(FLOAT_CALL, MODEL, full, STATE, cfg, paths=full_batch) == price_mc(
+        FLOAT_CALL, MODEL, full, STATE, cfg
+    )
+    # the chunk size never changes the paths, so it is not checked
+    chunked = McConfig(n_paths=200, n_steps=10, seed=1, antithetic=True, chunk_size=30)
+    assert price_mc(FLOAT_CALL, MODEL, full, STATE, chunked, paths=full_batch) == price_mc(
         FLOAT_CALL, MODEL, full, STATE, cfg
     )
 

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts at small sizes, each in its own interpreter,
-and a guard that the package root exports what the README, scripts and gate import."""
+a guard that the package root exports what the README, scripts and gate import, and
+a guard against dead imports and dead private functions in the package."""
 
 import ast
 import csv
@@ -89,3 +90,48 @@ def test_readme_quick_start_prints_its_documented_line(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == documented + "\n"
+
+
+def package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "geoasian").glob("*.py"))}
+
+
+def names_read(tree):
+    """Every bare name and attribute name the module mentions, and the
+    strings of its ``__all__``, which re-export what it imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_every_package_module_uses_what_it_imports():
+    unused = []
+    for name, tree in package_trees().items():
+        read = names_read(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+def test_every_private_function_is_called_in_the_package():
+    trees = package_trees()
+    read = set().union(*map(names_read, trees.values()))
+    dead = [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__") and node.name not in read]
+    assert dead == []

@@ -29,7 +29,7 @@ from .calibration import (
     smile_curve,
 )
 from .closedform import bs_fixed_call, bs_floating_call
-from .errors import DegenerateDesign, PricingError
+from .errors import DegenerateDesign, NonFiniteInput, PricingError
 from .mc import (
     ConstantVol,
     FullModel,
@@ -250,6 +250,10 @@ def _epsilon_direction(args, cfg: McConfig) -> dict:
 
 
 def cmd_smile(args, model: ModelParams, arc: VolArc):
+    if not all(map(math.isfinite, (args.t, args.T, args.spot))):
+        raise NonFiniteInput(
+            f"--t, --T and --spot must be finite, got {args.t}, {args.T}, {args.spot}"
+        )
     try:
         lo, hi, count = args.grid.split(":")
         grid = np.linspace(float(lo), float(hi), int(count))

@@ -20,7 +20,9 @@ the plain B0 level: it feeds M = theta/B0, where gamma cancels, and the
 pricing chain in ``perturbation`` calls it once per contract.
 
 Every derivative formula here, theta included, is the differentiated closed
-form; the test suite holds each one to central finite differences.
+form; the test suite holds each one to central finite differences. Every
+price, Greek and theta refuses a NaN or infinite float input with
+NonFiniteInput.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from scipy.special import erfc
 
-from .errors import DegenerateHorizon, NonPositiveStrike, UnsupportedContract
+from .errors import DegenerateHorizon, NonFiniteInput, NonPositiveStrike, UnsupportedContract
 from .model import MarketState, OptionKind, StrikeStyle
 
 HORIZON_TOL = 1e-9
@@ -63,16 +65,27 @@ class GreekSet:
     vega: float
 
 
-def _check_horizon(t: float, T: float) -> None:
-    if t > T:
+def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float) -> bool:
+    """Refuse inputs no closed form takes; True when T - t is below HORIZON_TOL.
+
+    K None is the floating call. A NaN or infinite sigma, T, K or r raises
+    NonFiniteInput before any range check.
+    """
+    if not (
+        0.0 < sigma < math.inf
+        and t <= T < math.inf
+        and -math.inf < r < math.inf
+        and (K is None or 0.0 < K < math.inf)
+    ):
+        for name, value in (("sigma", sigma), ("T", T), ("K", K), ("r", r)):
+            if value is not None and not math.isfinite(value):
+                raise NonFiniteInput(f"{name} must be finite, got {value}")
+        if not sigma > 0.0:
+            raise ValueError(f"sigma must be > 0, got {sigma}")
+        if K is not None and not K > 0.0:
+            raise NonPositiveStrike(f"K must be > 0, got {K}")
         raise DegenerateHorizon(f"t = {t} exceeds maturity T = {T}")
-    if T - t < HORIZON_TOL:
-        raise DegenerateHorizon(f"T - t = {T - t} below {HORIZON_TOL}")
-
-
-def _check_sigma(sigma: float) -> None:
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    return T - t < HORIZON_TOL
 
 
 def q_drift_term(sigma: float, t: float, T: float, r: float) -> float:
@@ -104,8 +117,8 @@ def _d_terms(
     return d1, d2, root, q_drift_term(sigma, t, T, r)
 
 
-# scalar cores: the public prices add the horizon and strike checks; the
-# tests' finite-difference theta probes them in t at fixed s, u, sigma
+# scalar cores: _bs adds the input checks; the tests' finite-difference
+# theta probes them in t at fixed s, u, sigma
 
 
 def _b0_floating_call(s: float, u: float, t: float, T: float, sigma: float, r: float) -> float:
@@ -127,19 +140,22 @@ def _b0_fixed_put(
     return K * math.exp(-r * (T - t)) * _ncdf(-d2) - math.exp(s + u / T - q) * _ncdf(-d1)
 
 
-def _terminal_payoff(
-    style: StrikeStyle, kind: OptionKind, s: float, u: float, T: float, K: float | None
+def _bs(
+    kind: OptionKind, state: MarketState, sigma: float, T: float, K: float | None, r: float
 ) -> float:
-    g = math.exp(s + u / T)
-    x = math.exp(s)
-    if style is StrikeStyle.FLOATING:
-        if kind is not OptionKind.CALL:
-            raise UnsupportedContract("floating-strike puts are not supported")
-        return max(x - g, 0.0)
-    assert K is not None
+    """B0 of the floating call (K None) or of the fixed call or put; within
+    HORIZON_TOL of maturity, the contract's terminal payoff."""
+    s, u, t = state.s, state.u, state.t
+    if _check_contract(t, sigma, T, K, r):
+        x, g = math.exp(s), math.exp(s + u / T)
+        if K is None:
+            return max(x - g, 0.0)
+        return max(g - K, 0.0) if kind is OptionKind.CALL else max(K - g, 0.0)
+    if K is None:
+        return _b0_floating_call(s, u, t, T, sigma, r)
     if kind is OptionKind.CALL:
-        return max(g - K, 0.0)
-    return max(K - g, 0.0)
+        return _b0_fixed_call(s, u, t, T, K, sigma, r)
+    return _b0_fixed_put(s, u, t, T, K, sigma, r)
 
 
 def bs_floating_call(state: MarketState, sigma: float, T: float, r: float) -> float:
@@ -148,24 +164,12 @@ def bs_floating_call(state: MarketState, sigma: float, T: float, r: float) -> fl
     Within horizon_tol of maturity the terminal payoff
     e^s max(1 - e^{u/T}, 0) is returned instead of the formula.
     """
-    _check_sigma(sigma)
-    if state.t > T:
-        raise DegenerateHorizon(f"t = {state.t} exceeds maturity T = {T}")
-    if T - state.t < HORIZON_TOL:
-        return _terminal_payoff(StrikeStyle.FLOATING, OptionKind.CALL, state.s, state.u, T, None)
-    return _b0_floating_call(state.s, state.u, state.t, T, sigma, r)
+    return _bs(OptionKind.CALL, state, sigma, T, None, r)
 
 
 def bs_fixed_call(state: MarketState, sigma: float, T: float, K: float, r: float) -> float:
     """Fixed-strike geometric Asian call under constant volatility."""
-    _check_sigma(sigma)
-    if not K > 0.0:
-        raise NonPositiveStrike(f"K must be > 0, got {K}")
-    if state.t > T:
-        raise DegenerateHorizon(f"t = {state.t} exceeds maturity T = {T}")
-    if T - state.t < HORIZON_TOL:
-        return _terminal_payoff(StrikeStyle.FIXED, OptionKind.CALL, state.s, state.u, T, K)
-    return _b0_fixed_call(state.s, state.u, state.t, T, K, sigma, r)
+    return _bs(OptionKind.CALL, state, sigma, T, K, r)
 
 
 def bs_fixed_put(state: MarketState, sigma: float, T: float, K: float, r: float) -> float:
@@ -174,14 +178,52 @@ def bs_fixed_put(state: MarketState, sigma: float, T: float, K: float, r: float)
     Put-call parity gives the same price in exact arithmetic, but out of the
     money its difference of two large terms loses the small put price.
     """
-    _check_sigma(sigma)
-    if not K > 0.0:
-        raise NonPositiveStrike(f"K must be > 0, got {K}")
-    if state.t > T:
-        raise DegenerateHorizon(f"t = {state.t} exceeds maturity T = {T}")
-    if T - state.t < HORIZON_TOL:
-        return _terminal_payoff(StrikeStyle.FIXED, OptionKind.PUT, state.s, state.u, T, K)
-    return _b0_fixed_put(state.s, state.u, state.t, T, K, sigma, r)
+    return _bs(OptionKind.PUT, state, sigma, T, K, r)
+
+
+def _greeks(
+    state: MarketState,
+    sigma: float,
+    T: float,
+    K: float | None,
+    r: float,
+    kind: OptionKind,
+    gamma_factor: float,
+) -> GreekSet:
+    """GreekSet of the floating call (K None) or of the fixed call or put.
+
+    The floating call's u-derivatives are the fixed put's at d1 = -d2, to the
+    bit. Its vega forms the same dQ/dsigma term in another order of
+    operations, which this keeps: the fixed order moves it by up to 2 ULP.
+    """
+    t, u, s = state.t, state.u, state.s
+    if _check_contract(t, sigma, T, K, r):
+        raise DegenerateHorizon(f"T - t = {T - t} below {HORIZON_TOL}")
+    if not -math.inf < gamma_factor < math.inf:
+        raise NonFiniteInput(f"gamma_factor must be finite, got {gamma_factor}")
+    d1, d2, root, q = _d_terms(s, u, t, T, K, sigma, r)
+    if K is None:
+        d1 = -d2
+    sign = 1.0 if K is not None and kind is OptionKind.CALL else -1.0
+    tau = T - t
+    kappa = sigma * root
+    E = math.exp(s + u / T - q)
+    pdf = _npdf(d1)
+    cdf = _ncdf(sign * d1)
+    du1 = sign * (E / T) * cdf
+    du2 = (du1 + E * pdf / kappa) / T
+    du3 = (du2 + E * (pdf / (T * kappa) - d1 * pdf / (kappa * kappa))) / T
+    if K is None:
+        dq_term = sigma * tau ** 2 * (T + 2.0 * t) * cdf / (6.0 * T * T)
+    else:
+        dq_term = sigma * tau * tau * (T + 2.0 * t) / (6.0 * T * T) * cdf
+    vega = E * (root * pdf / T - sign * dq_term)
+    return GreekSet(
+        du1=gamma_factor * du1,
+        du2=gamma_factor * du2,
+        du3=gamma_factor * du3,
+        vega=gamma_factor * vega,
+    )
 
 
 def greeks_floating_call(
@@ -199,62 +241,7 @@ def greeks_floating_call(
     vega = gamma e^{s + u/T - Q} [ sqrt((T^3 - t^3)/3) phi(d2)/T
            + sigma (T - t)^2 (T + 2t) N(d2) / (6 T^2) ].
     """
-    t, u, s = state.t, state.u, state.s
-    _check_sigma(sigma)
-    _check_horizon(t, T)
-    _, d2, root, q = _d_terms(s, u, t, T, None, sigma, r)
-    kappa = sigma * root
-    E = math.exp(s + u / T - q)
-    pdf = _npdf(d2)
-    du1 = -(E / T) * _ncdf(d2)
-    du2 = (du1 + E * pdf / kappa) / T
-    du3 = (du2 + E * (pdf / (T * kappa) + d2 * pdf / (kappa * kappa))) / T
-    vega = E * (
-        root * pdf / T
-        + sigma * (T - t) ** 2 * (T + 2.0 * t) * _ncdf(d2) / (6.0 * T * T)
-    )
-    return GreekSet(
-        du1=gamma_factor * du1,
-        du2=gamma_factor * du2,
-        du3=gamma_factor * du3,
-        vega=gamma_factor * vega,
-    )
-
-
-def _greeks_fixed(
-    state: MarketState,
-    sigma: float,
-    T: float,
-    K: float,
-    r: float,
-    kind: OptionKind,
-    gamma_factor: float,
-) -> GreekSet:
-    t, u, s = state.t, state.u, state.s
-    _check_sigma(sigma)
-    _check_horizon(t, T)
-    if not K > 0.0:
-        raise NonPositiveStrike(f"K must be > 0, got {K}")
-    d1, _, root, q = _d_terms(s, u, t, T, K, sigma, r)
-    tau = T - t
-    kappa = sigma * root
-    E = math.exp(s + u / T - q)
-    pdf = _npdf(d1)
-    dqds = sigma * tau * tau * (T + 2.0 * t) / (6.0 * T * T)
-    if kind is OptionKind.CALL:
-        du1 = (E / T) * _ncdf(d1)
-        vega = E * (root * pdf / T - dqds * _ncdf(d1))
-    else:
-        du1 = -(E / T) * _ncdf(-d1)
-        vega = E * (root * pdf / T + dqds * _ncdf(-d1))
-    du2 = (du1 + E * pdf / kappa) / T
-    du3 = (du2 + E * (pdf / (T * kappa) - d1 * pdf / (kappa * kappa))) / T
-    return GreekSet(
-        du1=gamma_factor * du1,
-        du2=gamma_factor * du2,
-        du3=gamma_factor * du3,
-        vega=gamma_factor * vega,
-    )
+    return _greeks(state, sigma, T, None, r, OptionKind.CALL, gamma_factor)
 
 
 def greeks_fixed_put(
@@ -270,7 +257,7 @@ def greeks_fixed_put(
     du1 = -gamma (e^{s + u/T - Q}/T) N(-d1_hat); recursion divisor
     kappa = sigma sqrt((T - t)^3 / 3). The put vega is strictly positive.
     """
-    return _greeks_fixed(state, sigma, T, K, r, OptionKind.PUT, gamma_factor)
+    return _greeks(state, sigma, T, K, r, OptionKind.PUT, gamma_factor)
 
 
 def greeks_fixed_call(
@@ -282,7 +269,7 @@ def greeks_fixed_call(
     gamma_factor: float = 1.0,
 ) -> GreekSet:
     """Fixed-strike call Greeks; the call vega can be negative."""
-    return _greeks_fixed(state, sigma, T, K, r, OptionKind.CALL, gamma_factor)
+    return _greeks(state, sigma, T, K, r, OptionKind.CALL, gamma_factor)
 
 
 def b0_theta(
@@ -303,18 +290,18 @@ def b0_theta(
     where E = e^{s + u/T - Q}.
     """
     t, s, u = state.t, state.s, state.u
-    _check_sigma(sigma)
-    _check_horizon(t, T)
-    floating = style is StrikeStyle.FLOATING
-    if floating:
+    if style is StrikeStyle.FLOATING:
         if kind is not OptionKind.CALL:
             raise UnsupportedContract("floating-strike puts are not supported")
-    elif K is None or not K > 0.0:
+        K = None
+    elif K is None:
         raise NonPositiveStrike(f"fixed style requires K > 0, got {K}")
+    if _check_contract(t, sigma, T, K, r):
+        raise DegenerateHorizon(f"T - t = {T - t} below {HORIZON_TOL}")
     qdot = -(r + sigma * sigma / 2.0) * t / T + sigma * sigma * t * t / (2.0 * T * T)
-    d1, d2, root, q = _d_terms(s, u, t, T, None if floating else K, sigma, r)
+    d1, d2, root, q = _d_terms(s, u, t, T, K, sigma, r)
     E = math.exp(s + u / T - q)
-    if floating:
+    if K is None:
         gap_dot = -sigma * t * t / (2.0 * T * root)
         return E * (_npdf(d2) * gap_dot + _ncdf(d2) * qdot)
     tau = T - t

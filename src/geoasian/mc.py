@@ -274,15 +274,6 @@ def _uniforms_for_chunk(seed: int, lo: int, n_chunk: int, words_per_path: int) -
     return u.reshape(n_chunk, words_per_path)
 
 
-def _normals_for_chunk(
-    seed: int, lo: int, n_chunk: int, words_per_path: int, n_words: int
-) -> np.ndarray:
-    """Standard normals for draw-paths [lo, lo + n_chunk), shape (n_chunk, n_words)."""
-    normals = _uniforms_for_chunk(seed, lo, n_chunk, words_per_path)
-    ndtri(normals, out=normals)
-    return normals[:, :n_words]
-
-
 def _worker_count() -> int:
     """CPUs this process may run on: the size of ``simulate_paths``' pool."""
     try:
@@ -488,15 +479,14 @@ def simulate_paths(
     def run_block(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
         nc = hi - lo
+        # normals only where they are read: the x columns here, in place and
+        # row-major for the control path's sums; a full-model run's y and z
+        # in the tiles of its step loop
+        draws = _uniforms_for_chunk(cfg.seed, lo, nc, words_per_path)
+        x_draws = draws[:, 0:n_words:n_comp]
+        ndtri(x_draws, out=x_draws)
         if full:
-            # normals only where they are read: the x columns here, in place
-            # and row-major for the control path's sums; y and z in the tiles
-            draws = _uniforms_for_chunk(cfg.seed, lo, nc, words_per_path)
-            x_draws = draws[:, 0:n_words:3]
-            ndtri(x_draws, out=x_draws)
             terminal = step_full_model(draws)  # before the x draws are reweighted below
-        else:
-            x_draws = _normals_for_chunk(cfg.seed, lo, nc, words_per_path, n_words)
         dev_x, dev_g = _constant_vol_deviations(x_draws, weights, cv_x_scale, cv_g_scale)
         # (output slice, block slice, sign of the deviation) of the drawn half
         # and of the mirrored half; + (-1.0) * dev has the bits of - dev

@@ -42,7 +42,7 @@ from scipy.integrate import quad
 from .closedform import (
     HORIZON_TOL,
     GreekSet,
-    _terminal_payoff,
+    _bs,
     b0_theta,
     bs_fixed_call,
     bs_fixed_put,
@@ -53,6 +53,7 @@ from .closedform import (
 )
 from .errors import (
     BranchError,
+    NonFiniteInput,
     PoleInInterval,
     PricingError,
     SingularGamma,
@@ -75,12 +76,24 @@ PRICE_FLOOR_FRACTION = 1e-12
 QUAD_ABS_TOL = 1e-12
 
 
+def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
+    """Refuse a window [t, T] no gamma or I-integral takes; True when it is empty.
+
+    A NaN or infinite k, t, T or m raises NonFiniteInput before any range check.
+    """
+    if not (0.0 < k < math.inf and -math.inf < t <= T < math.inf and -math.inf < m < math.inf):
+        for name, value in (("k", k), ("t", t), ("T", T), ("m", m)):
+            if not math.isfinite(value):
+                raise NonFiniteInput(f"{name} must be finite, got {value}")
+        if not k > 0.0:
+            raise ValueError(f"k must be > 0, got {k}")
+        raise ValueError(f"t = {t} exceeds T = {T}")
+    return t == T
+
+
 def modification_factor(k: float, t: float, T: float, m: float) -> float:
     """gamma(t) computed in log space; equals 1 at t = T and at m = 0."""
-    if not k > 0.0:
-        raise ValueError(f"k must be > 0, got {k}")
-    if t > T:
-        raise ValueError(f"t = {t} exceeds T = {T}")
+    _check_window(k, t, T, m)
     wt = 2.0 - k * t
     wT = 2.0 - k * T
     if abs(wt) <= SINGULARITY_TOL or abs(wT) <= SINGULARITY_TOL:
@@ -138,11 +151,7 @@ def i_integrals_closed(k: float, t: float, T: float) -> IIntegrals:
     tau^n 2(1 - k tau)/(2 - k tau)^2 and are pinned against
     ``i_integrals_quadrature`` in the tests.
     """
-    if not k > 0.0:
-        raise ValueError(f"k must be > 0, got {k}")
-    if t > T:
-        raise ValueError(f"t = {t} exceeds T = {T}")
-    if t == T:
+    if _check_window(k, t, T):
         return IIntegrals(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     _check_closed_domain(k, t, T)
     wt = 2.0 - k * t
@@ -173,11 +182,7 @@ def i_integrals_quadrature(k: float, t: float, T: float) -> IIntegrals:
     I4 and I5 are integrated in their (T - tau)-weighted form directly, so
     the combination identities of the closed form are independently testable.
     """
-    if not k > 0.0:
-        raise ValueError(f"k must be > 0, got {k}")
-    if t > T:
-        raise ValueError(f"t = {t} exceeds T = {T}")
-    if t == T:
+    if _check_window(k, t, T):
         return IIntegrals(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     kt, kT = k * t, k * T
     # k*tau = 1 on the boundary is harmless (the integrand vanishes there);
@@ -307,7 +312,7 @@ def first_order_price(
     except PricingError as exc:
         raise type(exc)(f"effective_vol: {exc}") from None
     if T - state.t < HORIZON_TOL:
-        payoff = float(_terminal_payoff(option.style, option.kind, state.s, state.u, T, K))
+        payoff = float(_bs(option.kind, state, sigma, T, K, model.r))
         return PriceBreakdown(
             b0=payoff, gamma=1.0, c0=payoff, c1=0.0, price_hat=payoff, m_exponent=0.0
         )

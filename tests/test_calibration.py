@@ -353,6 +353,14 @@ def test_smile_curve_flags_inadmissible_points():
     assert "SingularIntegral" in pts[1].note
 
 
+@pytest.mark.parametrize("style", list(QuoteStyle))
+def test_smile_curve_flags_a_non_finite_maturity(style):
+    grid = [(0.1, math.nan, 1.0), (0.1, math.inf, 1.0), (0.1, 0.45, 1.0)]
+    pts = smile_curve(ARC, MODEL, -0.016, style, grid)
+    assert [p.implied_vol is None for p in pts] == [True, True, False]
+    assert all(p.note.startswith("NonFiniteInput:") for p in pts[:2])
+
+
 def test_smile_curve_flags_vanishing_vega():
     # far out of the money the put's vega is 3.8e-11, below the 1e-8 floor at spot 100
     arc = arc_from_ou(2.0, 0.20, 0.1834)

@@ -1,7 +1,10 @@
 """The first-order chain: one sequence of the public pieces for pricing and calibration."""
 
+import math
+
 import pytest
 
+import geoasian
 from geoasian import (
     MarketState,
     OptionKind,
@@ -20,12 +23,14 @@ from geoasian import (
     greeks_fixed_put,
     greeks_floating_call,
     i_integrals_closed,
+    i_integrals_quadrature,
     modification_factor,
     perturbation,
     reference_full_model,
 )
 from geoasian.calibration import regression_denominator, regression_row
 from geoasian.closedform import b0_theta
+from geoasian.errors import NonFiniteInput
 from geoasian.model import effective_vol
 from geoasian.perturbation import (
     CorrectionParams,
@@ -34,6 +39,7 @@ from geoasian.perturbation import (
     c1_floating,
     m_exponent,
 )
+from perfbench.tracing import Stats, Tracer
 
 MODEL = reference_full_model(0.001)
 ARC = arc_from_ou(MODEL.k, 0.20, 0.1834)
@@ -116,3 +122,64 @@ def test_one_theta_per_regression_row(theta_calls):
                      style=QuoteStyle.FIXED_PUT, implied_vol=0.19)
     regression_row(quote, ARC, MODEL)
     assert theta_calls == [StrikeStyle.FIXED]
+
+
+def test_traced_chain_records_every_layer_span():
+    """The traced benchmark replaces the module attributes the chain calls, so
+    every layer it times must be reached through them."""
+    tracer = Tracer()
+    with tracer.install():
+        for style, kind, strike, *_ in CONTRACTS:
+            perturbation.first_order_price(OptionSpec(style, kind, T, strike), STATE, ARC, MODEL,
+                                           V_EPS)
+        quote = QuoteRow(t=STATE.t, T=T, spot=STATE.x, avg=STATE.g, strike=K,
+                         style=QuoteStyle.FIXED_PUT, implied_vol=0.19)
+        calibration.regression_row(quote, ARC, MODEL)
+    stats = Stats(tracer.spans)
+    for name in ("closedform.b0", "closedform.b0_theta", "closedform.greeks",
+                 "perturbation.i_integrals_closed", "perturbation.modification_factor"):
+        assert stats.count.get(name, 0) == len(CONTRACTS) + 1, name
+    assert stats.nested("closedform.b0_theta", "perturbation.first_order_price") == len(CONTRACTS)
+
+
+# each analytic function, its other arguments, and its float arguments at a
+# finite point that it prices
+SIGMA = effective_vol(ARC, STATE.t)
+ANALYTIC = [
+    (bs_floating_call, dict(state=STATE), dict(sigma=SIGMA, T=T, r=MODEL.r)),
+    (bs_fixed_call, dict(state=STATE), dict(sigma=SIGMA, T=T, K=K, r=MODEL.r)),
+    (bs_fixed_put, dict(state=STATE), dict(sigma=SIGMA, T=T, K=K, r=MODEL.r)),
+    (greeks_floating_call, dict(state=STATE),
+     dict(sigma=SIGMA, T=T, r=MODEL.r, gamma_factor=0.9)),
+    (greeks_fixed_call, dict(state=STATE),
+     dict(sigma=SIGMA, T=T, K=K, r=MODEL.r, gamma_factor=0.9)),
+    (greeks_fixed_put, dict(state=STATE),
+     dict(sigma=SIGMA, T=T, K=K, r=MODEL.r, gamma_factor=0.9)),
+    (b0_theta, dict(style=StrikeStyle.FIXED, state=STATE, kind=OptionKind.PUT),
+     dict(sigma=SIGMA, T=T, r=MODEL.r, K=K)),
+    (modification_factor, {}, dict(k=MODEL.k, t=STATE.t, T=T, m=-0.3)),
+    (i_integrals_closed, {}, dict(k=MODEL.k, t=STATE.t, T=T)),
+    (i_integrals_quadrature, {}, dict(k=MODEL.k, t=STATE.t, T=T)),
+]
+NON_FINITE_CASES = [
+    pytest.param(fn, fixed, {**floats, name: value}, id=f"{fn.__name__}-{name}-{value}")
+    for fn, fixed, floats in ANALYTIC
+    for name in floats
+    for value in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("fn, fixed, floats", NON_FINITE_CASES)
+def test_analytic_functions_reject_a_non_finite_float(fn, fixed, floats):
+    with pytest.raises(NonFiniteInput):
+        fn(**fixed, **floats)
+
+
+def test_non_finite_table_covers_every_exported_analytic_function():
+    """first_order_price is left out: its OptionSpec, MarketState, ModelParams
+    and CorrectionParams refuse a non-finite field when built."""
+    exported = {name for name in geoasian.__all__
+                if getattr(geoasian, name).__module__ in (closedform.__name__, perturbation.__name__)}
+    assert exported - {"first_order_price"} <= {fn.__name__ for fn, *_ in ANALYTIC}
+    for fn, fixed, floats in ANALYTIC:
+        fn(**fixed, **floats)  # the finite point prices, so only the swapped value can raise

@@ -347,6 +347,18 @@ def test_smile_rejects_non_finite_v_eps(capsys):
     assert "v_eps must be finite" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--t", "--T", "--spot"])
+def test_smile_rejects_a_non_finite_time_or_spot(capsys, flag, value):
+    argv = ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--spot", "100",
+            "--grid", "0.99:1.01:3", "--out", "-"]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFiniteInput"
+
+
 def test_smile_rejects_malformed_grid(capsys):
     code, _, err = run(capsys, [
         "smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "nope",

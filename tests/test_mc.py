@@ -32,7 +32,6 @@ from geoasian.errors import NonFiniteInput, PDFactorizationFailure
 from geoasian.mc import (
     _control_mean,
     _controlled_mean_and_se,
-    _normals_for_chunk,
     _uniforms_for_chunk,
     f_full,
 )
@@ -175,7 +174,7 @@ def _stepped_full_model(model, vol, t, T, x0, g0, cfg):
     n_words = 3 * n_steps
     words_per_path = 4 * ((n_words + 3) // 4)
     draw_paths = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    normals = _normals_for_chunk(cfg.seed, 0, draw_paths, words_per_path, n_words)
+    normals = ndtri(_uniforms_for_chunk(cfg.seed, 0, draw_paths, words_per_path))[:, :n_words]
     dt = (T - t) / n_steps
     sqrt_dt = math.sqrt(dt)
     r = model.r
@@ -317,6 +316,22 @@ def test_full_model_runs_turn_only_the_draws_they_read_into_normals(
     assert turned[0] == 300 * factors * n_steps
 
 
+@pytest.mark.parametrize("n_steps", [36, 37])
+def test_constant_vol_runs_turn_only_the_x_draws_into_normals(monkeypatch, n_steps):
+    """37 steps pad each path's word block to 40 words; ndtri sees the 37."""
+    turned = []
+
+    def counted(u, *args, **kwargs):
+        turned.append(np.size(u))
+        return ndtri(u, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "ndtri", counted)
+    monkeypatch.setattr(mc, "_worker_count", lambda: 1)
+    cfg = McConfig(n_paths=600, n_steps=n_steps, seed=3, antithetic=True, chunk_size=100)
+    simulate_paths(MODEL, ConstantVol(0.21), 0.0, 0.45, 100.0, 100.0, cfg)
+    assert sum(turned) == 300 * n_steps
+
+
 def test_four_workers_with_fast_switching_match_the_serial_run(monkeypatch):
     """More workers than a 2-CPU host has, switching threads every microsecond."""
     kwargs = dict(model=MODEL, vol=FullModel(), t=0.0, T=0.45, x0=100.0, g0=100.0,
@@ -404,9 +419,9 @@ def test_frozen_estimates():
 @pytest.mark.parametrize("seed", [0, 123, 2**40 + 7])
 @pytest.mark.parametrize("lo", [0, 1, 37])
 def test_normals_match_out_of_place_conversion(seed, lo):
-    """The in-place uniform conversion gives the bits of the plain expression."""
+    """A chunk's uniforms, turned into normals, have the bits of the raw-word expression."""
     n_chunk, words_per_path, n_words = 50, 32, 30
-    got = _normals_for_chunk(seed, lo, n_chunk, words_per_path, n_words)
+    got = ndtri(_uniforms_for_chunk(seed, lo, n_chunk, words_per_path))[:, :n_words]
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(lo * words_per_path // 4)
     raw = bitgen.random_raw(n_chunk * words_per_path)
@@ -571,7 +586,7 @@ def _euler_trapezoid_oracle(sigma, r, t, T, x0, g0, cfg):
     stepped one step at a time on the draws ``simulate_paths`` uses."""
     n = cfg.n_steps
     draw_paths = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    e = _normals_for_chunk(cfg.seed, 0, draw_paths, 4 * ((n + 3) // 4), n)
+    e = ndtri(_uniforms_for_chunk(cfg.seed, 0, draw_paths, 4 * ((n + 3) // 4)))[:, :n]
     if cfg.antithetic:
         e = np.concatenate([e, -e])
     dt = (T - t) / n

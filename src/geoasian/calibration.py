@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     DegenerateDesign,
     MissingColumn,
+    OutOfDomain,
     PricingError,
     SingularDenominator,
     UnparseableField,
@@ -154,7 +155,7 @@ def _bracket(k: float, t: float, T: float) -> float:
 def regression_denominator(k: float, t: float, T: float) -> float:
     """D of the regressor, (1/(T - t)) times the log-plus-pole bracket."""
     if not T > t:
-        raise ValueError(f"need T > t, got t={t}, T={T}")
+        raise OutOfDomain(f"need T > t, got t={t}, T={T}")
     d = _bracket(k, t, T) / (T - t)
     if abs(d) < DENOMINATOR_TOL:
         raise SingularDenominator(f"|D| = {abs(d)} below {DENOMINATOR_TOL}")
@@ -165,7 +166,7 @@ def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float,
     """Map one quote to its (x, y) regression point."""
     problems = q.validate()
     if problems:
-        raise ValueError("; ".join(problems))
+        raise OutOfDomain("; ".join(problems))
     sigma = effective_vol(arc, q.t)
     state = MarketState(t=q.t, x=q.spot, g=q.avg)
     contract = _CONTRACTS[q.style]
@@ -217,7 +218,7 @@ def v_from_fit(
     accepted only for interface fidelity.
     """
     if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        raise OutOfDomain(f"epsilon must be > 0, got {epsilon}")
     return fit.a_eps * r * sigma / regression_denominator(k, t, T)
 
 
@@ -288,16 +289,8 @@ def _parse_record(record: list[str], index: dict[str, int], line_no: int) -> Quo
     try:
         style = QuoteStyle(style_raw)
     except ValueError:
-        raise UnparseableField(
-            f"style={style_raw!r} not in {{floating_call, fixed_put}}"
-        ) from None
-    strike_raw = field("strike")
-    strike = None
-    if strike_raw:
-        try:
-            strike = float(strike_raw)
-        except ValueError:
-            raise UnparseableField(f"strike={strike_raw!r} is not a number") from None
+        raise UnparseableField(f"style={style_raw!r} not in {{floating_call, fixed_put}}") from None
+    strike = as_float("strike") if field("strike") else None
     return QuoteRow(
         t=as_float("t"),
         T=as_float("T"),
@@ -355,7 +348,7 @@ def regression_pairs(
     for i, row in enumerate(rows):
         try:
             pairs.append(regression_row(row, arc, model))
-        except (PricingError, ValueError) as exc:
+        except PricingError as exc:
             skipped.append(
                 RejectedRow(row.line or -1, f"{type(exc).__name__}: {exc}", index=i)
             )

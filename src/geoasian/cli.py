@@ -29,7 +29,7 @@ from .calibration import (
     smile_curve,
 )
 from .closedform import bs_fixed_call, bs_floating_call
-from .errors import DegenerateDesign, NonFiniteInput, PricingError
+from .errors import DegenerateDesign, NonFiniteInput, OutOfDomain
 from .mc import (
     ConstantVol,
     FullModel,
@@ -58,9 +58,7 @@ EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_COMPARISON = 4
 
-# DegenerateDesign is a PricingError, so main catches it first
-_DATA_ERRORS = (DegenerateDesign,)
-_VALIDATION_ERRORS = (ValueError, OSError, PricingError)
+_VALIDATION_ERRORS = (ValueError, OSError)
 
 
 def _digest(inputs: dict) -> str:
@@ -254,6 +252,8 @@ def cmd_smile(args, model: ModelParams, arc: VolArc):
         raise NonFiniteInput(
             f"--t, --T and --spot must be finite, got {args.t}, {args.T}, {args.spot}"
         )
+    if args.t < 0.0:  # every point would be flagged and the CSV left empty
+        raise OutOfDomain(f"--t must be >= 0, got {args.t}")
     try:
         lo, hi, count = args.grid.split(":")
         grid = np.linspace(float(lo), float(hi), int(count))
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
         if outputs is not None:
             _emit(args, outputs, warnings, t0)
         return code
-    except _DATA_ERRORS as exc:
+    except DegenerateDesign as exc:  # a ValueError too, so it is caught first
         _fail(exc)
         return EXIT_DATA
     except _VALIDATION_ERRORS as exc:

@@ -32,7 +32,13 @@ from dataclasses import dataclass
 
 from scipy.special import erfc
 
-from .errors import DegenerateHorizon, NonFiniteInput, NonPositiveStrike, UnsupportedContract
+from .errors import (
+    DegenerateHorizon,
+    NonFiniteInput,
+    NonPositiveStrike,
+    OutOfDomain,
+    UnsupportedContract,
+)
 from .model import MarketState, OptionKind, StrikeStyle
 
 HORIZON_TOL = 1e-9
@@ -81,7 +87,7 @@ def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float)
             if value is not None and not math.isfinite(value):
                 raise NonFiniteInput(f"{name} must be finite, got {value}")
         if not sigma > 0.0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
+            raise OutOfDomain(f"sigma must be > 0, got {sigma}")
         if K is not None and not K > 0.0:
             raise NonPositiveStrike(f"K must be > 0, got {K}")
         raise DegenerateHorizon(f"t = {t} exceeds maturity T = {T}")

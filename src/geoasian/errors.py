@@ -1,8 +1,12 @@
-"""Exception taxonomy shared across the pricing, calibration, and MC layers."""
+"""The package's one error family: for any bad input it raises a PricingError, a ValueError."""
 
 
-class PricingError(Exception):
-    """Base class for every domain error raised by this package."""
+class PricingError(ValueError):
+    """Base class for every bad-input error raised by this package."""
+
+
+class OutOfDomain(PricingError):
+    """A finite input lies outside its allowed range or does not fit the run."""
 
 
 class DegenerateArc(PricingError):

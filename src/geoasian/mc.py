@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import NonFiniteInput, PDFactorizationFailure
+from .errors import NonFiniteInput, OutOfDomain, PDFactorizationFailure
 from .model import (
     MarketState,
     ModelParams,
@@ -127,17 +127,17 @@ class McConfig:
             counts["chunk_size"] = self.chunk_size
         for name, value in counts.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise OutOfDomain(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 2:
-            raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
+            raise OutOfDomain(f"n_paths must be >= 2, got {self.n_paths}")
         if self.n_steps < 2:
-            raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
+            raise OutOfDomain(f"n_steps must be >= 2, got {self.n_steps}")
         if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
-            raise ValueError(f"seed must be >= 0 and < 2**128, got {self.seed}")
+            raise OutOfDomain(f"seed must be >= 0 and < 2**128, got {self.seed}")
         if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic runs need an even n_paths")
+            raise OutOfDomain("antithetic runs need an even n_paths")
         if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+            raise OutOfDomain(f"chunk_size must be >= 1, got {self.chunk_size}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class ConstantVol:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+            raise OutOfDomain(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,7 @@ class FullModel:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.f_min < self.f_max:
-            raise ValueError(
-                f"need 0 < f_min < f_max, got ({self.f_min}, {self.f_max})"
-            )
+            raise OutOfDomain(f"need 0 < f_min < f_max, got ({self.f_min}, {self.f_max})")
 
 
 VolSpec = ConstantVol | FullModel
@@ -322,11 +320,11 @@ def simulate_paths(
     if pd_problems:
         raise PDFactorizationFailure(pd_problems[0])
     if problems:
-        raise ValueError("; ".join(problems))
+        raise OutOfDomain("; ".join(problems))
     if not T > t:
-        raise ValueError(f"need T > t, got t={t}, T={T}")
+        raise OutOfDomain(f"need T > t, got t={t}, T={T}")
     if x0 <= 0.0 or g0 <= 0.0:
-        raise ValueError(f"x0 and g0 must be > 0, got {x0}, {g0}")
+        raise OutOfDomain(f"x0 and g0 must be > 0, got {x0}, {g0}")
 
     full = isinstance(vol, FullModel)
     n_comp = 3 if full else 1
@@ -562,6 +560,8 @@ def _control_mean(
     s = math.sqrt(a[1] + b[1] - 2.0 * cov)
     mean_a = math.exp(a[0] + 0.5 * a[1])
     mean_b = math.exp(b[0] + 0.5 * b[1])
+    if s == 0.0:  # sigma = 0 (z0 = 0 for the control): A and B are deterministic
+        return max(mean_a - mean_b, 0.0)
     d1 = (a[0] - b[0] + 0.5 * (a[1] - b[1]) + 0.5 * s * s) / s  # ln(E[A] / E[B]) + s^2/2
     return mean_a * float(ndtr(d1)) - mean_b * float(ndtr(d1 - s))
 
@@ -640,14 +640,12 @@ def price_mc(
     every one of these but ``cfg.chunk_size`` is checked against the batch.
     """
     T = spec.maturity
-    if not T > state.t:
-        raise ValueError(f"need T > t, got t={state.t}, T={T}")
     if paths is None:
         paths = simulate_paths(model, vol, state.t, T, state.x, state.g, cfg)
     elif paths.source != (source := _source(model, vol, state.t, T, state.x, state.g, cfg)):
         diffs = [f"{k} {paths.source[k]!r} != {v!r}" for k, v in source.items()
                  if paths.source[k] != v]
-        raise ValueError(f"path batch does not match cfg and arguments: {'; '.join(diffs)}")
+        raise OutOfDomain(f"path batch does not match cfg and arguments: {'; '.join(diffs)}")
     disc = math.exp(-model.r * (T - state.t))
     x_T = np.exp(paths.ln_x)
     values = _payoffs(spec, x_T, np.exp(paths.ln_g))

@@ -24,6 +24,7 @@ from .errors import (
     NonFiniteInput,
     NonPositivePrice,
     NonPositiveStrike,
+    OutOfDomain,
     UnsupportedContract,
 )
 
@@ -124,7 +125,7 @@ class VolArc:
                 f"p_coef, q_coef, r_coef and sigma_min must be finite, got {fields}"
             )
         if not self.sigma_min > 0.0:
-            raise ValueError(f"sigma_min must be > 0, got {self.sigma_min}")
+            raise OutOfDomain(f"sigma_min must be > 0, got {self.sigma_min}")
 
 
 def arc_from_ou(
@@ -141,7 +142,7 @@ def arc_from_ou(
     if not all(map(math.isfinite, (k, alpha_prime, z0))):
         raise NonFiniteInput(f"k, alpha_prime and z0 must be finite, got {k}, {alpha_prime}, {z0}")
     if not k > 0.0:
-        raise ValueError(f"k must be > 0, got {k}")
+        raise OutOfDomain(f"k must be > 0, got {k}")
     if z0 == alpha_prime:
         raise DegenerateArc(
             f"z0 = alpha_prime = {z0}: arc curvature P vanishes"
@@ -160,7 +161,7 @@ def effective_vol(arc: VolArc, t: float) -> float:
     if not 0.0 <= t < math.inf:
         if not math.isfinite(t):
             raise NonFiniteInput(f"t must be finite, got {t}")
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise OutOfDomain(f"t must be >= 0, got {t}")
     value = (arc.p_coef * t + arc.q_coef) * t + arc.r_coef
     return max(arc.sigma_min, value)
 
@@ -170,7 +171,7 @@ def state_transform(x: float, g: float, t: float) -> tuple[float, float]:
     if x <= 0.0 or g <= 0.0:
         raise NonPositivePrice(f"spot and average must be > 0, got x={x}, g={g}")
     if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise OutOfDomain(f"t must be >= 0, got {t}")
     return math.log(x), t * (math.log(g) - math.log(x))
 
 
@@ -226,7 +227,7 @@ class OptionSpec:
                 f"maturity and strike must be finite, got {self.maturity}, {self.strike}"
             )
         if not self.maturity > 0.0:
-            raise ValueError(f"maturity must be > 0, got {self.maturity}")
+            raise OutOfDomain(f"maturity must be > 0, got {self.maturity}")
         if self.style is StrikeStyle.FIXED:
             if self.strike is None:
                 raise NonPositiveStrike("fixed-strike contract requires K")

@@ -54,6 +54,7 @@ from .closedform import (
 from .errors import (
     BranchError,
     NonFiniteInput,
+    OutOfDomain,
     PoleInInterval,
     PricingError,
     SingularGamma,
@@ -86,8 +87,8 @@ def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
             if not math.isfinite(value):
                 raise NonFiniteInput(f"{name} must be finite, got {value}")
         if not k > 0.0:
-            raise ValueError(f"k must be > 0, got {k}")
-        raise ValueError(f"t = {t} exceeds T = {T}")
+            raise OutOfDomain(f"k must be > 0, got {k}")
+        raise OutOfDomain(f"t = {t} exceeds T = {T}")
     return t == T
 
 
@@ -120,7 +121,7 @@ class CorrectionParams:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.v_eps):
-            raise ValueError(f"v_eps must be finite, got {self.v_eps}")
+            raise NonFiniteInput(f"v_eps must be finite, got {self.v_eps}")
 
 
 @dataclass(frozen=True)
@@ -305,12 +306,7 @@ def first_order_price(
         raise UnsupportedContract("floating-strike puts are not supported")
     T = option.maturity
     K = option.strike
-    if state.t > T:
-        raise ValueError(f"t = {state.t} exceeds maturity T = {T}")
-    try:
-        sigma = effective_vol(arc, state.t)
-    except PricingError as exc:
-        raise type(exc)(f"effective_vol: {exc}") from None
+    sigma = effective_vol(arc, state.t)  # MarketState holds a finite t >= 0
     if T - state.t < HORIZON_TOL:
         payoff = float(_bs(option.kind, state, sigma, T, K, model.r))
         return PriceBreakdown(

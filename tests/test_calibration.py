@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import linregress
 
 from geoasian import (
+    ModelParams,
     QuoteRow,
     QuoteStyle,
     VolArc,
@@ -40,6 +41,7 @@ bad,0.45,100,100,,floating_call,0.19
 0.0,0.45,-100,100,,floating_call,0.19
 0.1,0.45,100,101,,fixed_put,0.18
 0.0,0.45,100,100,,floating_call
+0.1,0.45,100,101,x,fixed_put,0.18
 """
 
 
@@ -77,7 +79,7 @@ def test_ingest_rejects_carry_line_numbers_and_reasons():
     result = ingest_quotes(io.StringIO(MIXED_CSV))
     assert len(result.rows) == 2
     reasons = {r.line: r.reason for r in result.rejects}
-    assert set(reasons) == {4, 5, 6, 7, 8, 9, 10}
+    assert set(reasons) == {4, 5, 6, 7, 8, 9, 10, 11}
     assert "not a number" in reasons[4]
     assert "strike" in reasons[5]
     assert "t < T" in reasons[6]
@@ -85,6 +87,7 @@ def test_ingest_rejects_carry_line_numbers_and_reasons():
     assert "spot" in reasons[8]
     assert "strike" in reasons[9]
     assert "fields" in reasons[10]
+    assert reasons[11] == "strike='x' is not a number"
 
 
 @pytest.mark.parametrize("column", ["t", "T", "spot", "avg", "strike", "implied_vol"])
@@ -359,6 +362,21 @@ def test_smile_curve_flags_a_non_finite_maturity(style):
     pts = smile_curve(ARC, MODEL, -0.016, style, grid)
     assert [p.implied_vol is None for p in pts] == [True, True, False]
     assert all(p.note.startswith("NonFiniteInput:") for p in pts[:2])
+
+
+def test_smile_curve_flags_out_of_domain_points():
+    """A negative valuation time flags its own point only; a model no gamma
+    takes flags every point."""
+    pts = smile_curve(ARC, MODEL, -0.016, QuoteStyle.FLOATING_CALL,
+                      [(-0.1, 0.45, 1.0), (0.1, 0.45, 1.0)])
+    assert pts[0].implied_vol is None
+    assert pts[0].note == "OutOfDomain: t must be >= 0, got -0.1"
+    assert pts[1].implied_vol is not None and pts[1].note is None
+    no_speed = ModelParams(r=0.0264, k=0.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001)
+    for style in QuoteStyle:
+        pts = smile_curve(ARC, no_speed, -0.016, style, [(0.1, 0.45, m) for m in (0.98, 1.02)])
+        assert all(p.implied_vol is None for p in pts)
+        assert [p.note for p in pts] == ["OutOfDomain: gamma: k must be > 0, got 0.0"] * 2
 
 
 def test_smile_curve_flags_vanishing_vega():

@@ -359,6 +359,16 @@ def test_smile_rejects_a_non_finite_time_or_spot(capsys, flag, value):
     assert json.loads(err)["error"] == "NonFiniteInput"
 
 
+def test_smile_rejects_a_negative_time(capsys, tmp_path):
+    """Every point of the curve would be flagged; the command refuses instead."""
+    out_csv = tmp_path / "smile.csv"
+    code, out, err = run(capsys, ["smile", *MODEL_ARGS, "--t", "-0.1", "--T", "0.45",
+                                  "--out", str(out_csv)])
+    assert code == EXIT_VALIDATION
+    assert out == "" and not out_csv.exists()
+    assert json.loads(err)["error"] == "OutOfDomain"
+
+
 def test_smile_rejects_malformed_grid(capsys):
     code, _, err = run(capsys, [
         "smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "nope",

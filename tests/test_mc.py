@@ -578,6 +578,19 @@ def test_controlled_estimate_falls_back_to_plain():
     assert _controlled_mean_and_se(values, (control, values), exact, False, 1.0) is not None
 
 
+@pytest.mark.parametrize("spec", [
+    FLOAT_CALL, OptionSpec(StrikeStyle.FIXED, OptionKind.PUT, maturity=0.45, strike=100.0),
+], ids=["floating-call", "fixed-put"])
+def test_zero_slow_level_prices_with_a_constant_control(spec):
+    """z0 = 0 sets the control path's sigma_c to 0: its payoff is a constant,
+    whose exact mean is the deterministic pair, and the price falls back to plain."""
+    model = ModelParams(r=0.0264, k=2.0, alpha_prime=0.2, z0=0.0, epsilon=0.001,
+                        nu=0.3, rho_xy=-0.3)
+    est = price_mc(spec, model, FullModel(), STATE, McConfig(n_paths=1000, n_steps=10, seed=1))
+    assert math.isfinite(est.price) and math.isfinite(est.std_error)
+    assert (est.price, est.std_error) == (est.price_plain, est.std_error_plain)
+
+
 # ------------------------------------------------- constant-vol closed form
 
 

@@ -18,6 +18,7 @@ from geoasian import (
 from geoasian.closedform import GreekSet
 from geoasian.errors import (
     BranchError,
+    OutOfDomain,
     PoleInInterval,
     SingularGamma,
     SingularIntegral,
@@ -253,6 +254,11 @@ def test_stage_prefixes_identify_failing_component():
         first_order_price(
             OptionSpec(style=StrikeStyle.FLOATING, kind=OptionKind.CALL, maturity=0.7),
             MarketState(t=0.55, x=100.0, g=101.0), arc, MODEL, v_eps=-0.01,
+        )
+    with pytest.raises(OutOfDomain, match="^gamma: k must be > 0"):
+        first_order_price(
+            FLOAT_CALL, ANCHOR, arc,
+            ModelParams(r=0.0264, k=0.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001), v_eps=0.0,
         )
 
 

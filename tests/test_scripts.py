@@ -1,8 +1,10 @@
 """Smoke runs of the experiment scripts at small sizes, each in its own interpreter,
-a guard that the package root exports what the README, scripts and gate import, and
-a guard against dead imports and dead private functions in the package."""
+a guard that the package root exports what the README, scripts and gate import,
+a guard against dead imports and dead private functions in the package, and a guard
+that the package reports bad input through one error family."""
 
 import ast
+import builtins
 import csv
 import os
 import subprocess
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import geoasian
+from geoasian import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -135,3 +138,47 @@ def test_every_private_function_is_called_in_the_package():
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and not node.name.startswith("__") and node.name not in read]
     assert dead == []
+
+
+def exception_names(node):
+    """The class names an ``except`` clause or a ``raise`` names directly."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return {name for elt in node.elts for name in exception_names(elt)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def is_builtin_exception(name):
+    value = getattr(builtins, name, None)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def test_the_library_raises_one_error_family():
+    """Outside the CLI front end no module raises a builtin exception class,
+    every class of ``errors`` is a PricingError, which is a ValueError, and no
+    handler names both PricingError and ValueError."""
+    trees = package_trees()
+    builtin_raises = [
+        f"{name}:{node.lineno} {exc}"
+        for name, tree in trees.items() if name not in ("cli.py", "__main__.py")
+        for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None
+        for exc in exception_names(node.exc) if is_builtin_exception(exc)
+    ]
+    assert builtin_raises == []
+    assert issubclass(errors.PricingError, ValueError)
+    classes = [node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)]
+    strays = [name for name in classes
+              if not issubclass(getattr(errors, name), errors.PricingError)]
+    assert strays == []
+    both = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type
+        and {"PricingError", "ValueError"} <= exception_names(node.type)
+    ]
+    assert both == []

@@ -25,12 +25,19 @@ Quotes CSV: UTF-8, header required, columns exactly
 ``t,T,spot,avg,strike,style,implied_vol``; strike empty on floating rows;
 style in {floating_call, fixed_put}. Only these two styles are accepted
 (the other combinations can have negative vegas).
+
+The quotes of one (t, T) cell share its window terms: ``regression_denominator``
+here and ``perturbation.i_integrals_closed`` remember the last 128 windows,
+and the closed forms remember the last contract's shared terms. Every
+result is bit-identical to recomputing it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -72,6 +79,8 @@ _CONTRACTS = {
     QuoteStyle.FLOATING_CALL: (StrikeStyle.FLOATING, OptionKind.CALL),
     QuoteStyle.FIXED_PUT: (StrikeStyle.FIXED, OptionKind.PUT),
 }
+# each quote style by its CSV spelling
+_STYLES = {style.value: style for style in QuoteStyle}
 
 
 @dataclass(frozen=True)
@@ -152,8 +161,12 @@ def _bracket(k: float, t: float, T: float) -> float:
     return math.log(wT / wt) / k + (T - t) / (wT * wt)
 
 
+@functools.lru_cache(maxsize=128, typed=True)
 def regression_denominator(k: float, t: float, T: float) -> float:
-    """D of the regressor, (1/(T - t)) times the log-plus-pole bracket."""
+    """D of the regressor, (1/(T - t)) times the log-plus-pole bracket.
+
+    D depends on the window alone; the last 128 windows are remembered.
+    """
     if not T > t:
         raise OutOfDomain(f"need T > t, got t={t}, T={T}")
     d = _bracket(k, t, T) / (T - t)
@@ -246,13 +259,13 @@ def ingest_quotes(source) -> IngestResult:
             f"header must be exactly {','.join(CSV_COLUMNS)}; "
             f"missing {missing or 'none'}, unexpected {extra or 'none'}"
         )
-    index = {name: header.index(name) for name in CSV_COLUMNS}
+    columns = tuple(header.index(name) for name in CSV_COLUMNS)
 
     rows: list[QuoteRow] = []
     rejects: list[RejectedRow] = []
     warnings: list[str] = []
     for line_no, record in enumerate(reader, start=2):
-        if not record or all(not cell.strip() for cell in record):
+        if not "".join(record).strip():
             continue
         if len(record) != len(header):
             rejects.append(
@@ -260,7 +273,7 @@ def ingest_quotes(source) -> IngestResult:
             )
             continue
         try:
-            row = _parse_record(record, index, line_no)
+            row = _parse_record(record, columns, line_no)
         except UnparseableField as exc:
             rejects.append(RejectedRow(line_no, str(exc)))
             continue
@@ -274,33 +287,24 @@ def ingest_quotes(source) -> IngestResult:
     return IngestResult(rows=rows, rejects=rejects, warnings=warnings)
 
 
-def _parse_record(record: list[str], index: dict[str, int], line_no: int) -> QuoteRow:
-    def field(name: str) -> str:
-        return record[index[name]].strip()
+def _parse_record(record: list[str], columns: tuple[int, ...], line_no: int) -> QuoteRow:
+    """The quote of one CSV record; ``columns`` holds the position of each of
+    CSV_COLUMNS. The style is checked first, then the numbers, strike first."""
+    t, T, spot, avg, strike, style_raw, vol = [record[i].strip() for i in columns]
+    style = _STYLES.get(style_raw)
+    if style is None:
+        raise UnparseableField(f"style={style_raw!r} not in {{floating_call, fixed_put}}")
+    strike_value = _as_float("strike", strike) if strike else None
+    return QuoteRow(_as_float("t", t), _as_float("T", T), _as_float("spot", spot),
+                    _as_float("avg", avg), strike_value, style,
+                    _as_float("implied_vol", vol), line_no)
 
-    def as_float(name: str) -> float:
-        raw = field(name)
-        try:
-            return float(raw)
-        except ValueError:
-            raise UnparseableField(f"{name}={raw!r} is not a number") from None
 
-    style_raw = field("style")
+def _as_float(name: str, raw: str) -> float:
     try:
-        style = QuoteStyle(style_raw)
+        return float(raw)
     except ValueError:
-        raise UnparseableField(f"style={style_raw!r} not in {{floating_call, fixed_put}}") from None
-    strike = as_float("strike") if field("strike") else None
-    return QuoteRow(
-        t=as_float("t"),
-        T=as_float("T"),
-        spot=as_float("spot"),
-        avg=as_float("avg"),
-        strike=strike,
-        style=style,
-        implied_vol=as_float("implied_vol"),
-        line=line_no,
-    )
+        raise UnparseableField(f"{name}={raw!r} is not a number") from None
 
 
 def smile_curve(
@@ -373,13 +377,12 @@ def calibration_report(
     dropped = {s.index for s in skipped}
     kept = [row for i, row in enumerate(ingest.rows) if i not in dropped]
     fit = ols_fit(pairs)
-    cells = sorted({(row.t, row.T) for row in kept})
+    counts = Counter((row.t, row.T) for row in kept)
     by_cell = []
-    for t, T in cells:
-        cell_rows = [row for row in kept if (row.t, row.T) == (t, T)]
+    for t, T in sorted(counts):
         sigma = effective_vol(arc, t)
         v = v_from_fit(fit, model.epsilon, model.r, sigma, model.k, t, T)
-        by_cell.append({"t": t, "T": T, "v_eps": v, "n": len(cell_rows)})
+        by_cell.append({"t": t, "T": T, "v_eps": v, "n": counts[t, T]})
     values = [cell["v_eps"] for cell in by_cell]
     rejects = [
         {"line": rej.line, "reason": rej.reason}

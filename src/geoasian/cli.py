@@ -252,8 +252,11 @@ def cmd_smile(args, model: ModelParams, arc: VolArc):
         raise NonFiniteInput(
             f"--t, --T and --spot must be finite, got {args.t}, {args.T}, {args.spot}"
         )
-    if args.t < 0.0:  # every point would be flagged and the CSV left empty
+    # every point would be flagged and the CSV left empty
+    if args.t < 0.0:
         raise OutOfDomain(f"--t must be >= 0, got {args.t}")
+    if not args.spot > 0.0:
+        raise OutOfDomain(f"--spot must be > 0, got {args.spot}")
     try:
         lo, hi, count = args.grid.split(":")
         grid = np.linspace(float(lo), float(hi), int(count))

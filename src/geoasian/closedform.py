@@ -23,6 +23,12 @@ Every derivative formula here, theta included, is the differentiated closed
 form; the test suite holds each one to central finite differences. Every
 price, Greek and theta refuses a NaN or infinite float input with
 NonFiniteInput.
+
+B0, theta and the Greeks of one contract share its d-terms, E, discount (or
+e^s), normal CDFs and density. ``_contract_terms`` computes them and
+remembers the last contract's, so the chain's three calls per contract
+compute them once; every result is bit-identical to recomputing them. Each
+public function still runs its own input checks.
 """
 
 from __future__ import annotations
@@ -123,27 +129,62 @@ def _d_terms(
     return d1, d2, root, q_drift_term(sigma, t, T, r)
 
 
+# The terms one contract's B0, theta and Greeks share, for the last contract
+# asked: (key, terms), one tuple, so a reader never pairs a key with another
+# key's terms. The chain prices B0, theta and the Greeks of one contract in a
+# row, so the second and third calls read the first's terms.
+_last_contract: tuple = (None, None)
+
+
+def _contract_terms(
+    s: float, u: float, t: float, T: float, K: float | None, sigma: float, r: float, put: bool
+) -> tuple[float, float, float, float, float, float, float, float]:
+    """(d1, d2, root, E, lead, n1, n2, phi) of the floating call (K None) or of
+    the fixed call or put (put True) at K.
+
+    E = e^{s + u/T - Q}. Floating: lead = e^s, n1 = N(d1), n2 = N(d2),
+    phi = phi(d2). Fixed: lead = K e^{-r(T-t)}, phi = phi(d1), and n1, n2 are
+    N(d1), N(d2) for the call and N(-d1), N(-d2) for the put. The last
+    contract's terms are remembered, so a repeat call returns the same bits
+    without recomputing them.
+    """
+    global _last_contract
+    key = (s, u, t, T, K, sigma, r, put)
+    last_key, terms = _last_contract
+    if key == last_key:
+        return terms
+    d1, d2, root, q = _d_terms(s, u, t, T, K, sigma, r)
+    E = math.exp(s + u / T - q)
+    if K is None:
+        terms = (d1, d2, root, E, math.exp(s), _ncdf(d1), _ncdf(d2), _npdf(d2))
+    else:
+        n1, n2 = (_ncdf(-d1), _ncdf(-d2)) if put else (_ncdf(d1), _ncdf(d2))
+        terms = (d1, d2, root, E, K * math.exp(-r * (T - t)), n1, n2, _npdf(d1))
+    _last_contract = (key, terms)
+    return terms
+
+
 # scalar cores: _bs adds the input checks; the tests' finite-difference
 # theta probes them in t at fixed s, u, sigma
 
 
 def _b0_floating_call(s: float, u: float, t: float, T: float, sigma: float, r: float) -> float:
-    d1, d2, _, q = _d_terms(s, u, t, T, None, sigma, r)
-    return math.exp(s) * _ncdf(d1) - math.exp(s + u / T - q) * _ncdf(d2)
+    _, _, _, E, lead, n1, n2, _ = _contract_terms(s, u, t, T, None, sigma, r, False)
+    return lead * n1 - E * n2
 
 
 def _b0_fixed_call(
     s: float, u: float, t: float, T: float, K: float, sigma: float, r: float
 ) -> float:
-    d1, d2, _, q = _d_terms(s, u, t, T, K, sigma, r)
-    return math.exp(s + u / T - q) * _ncdf(d1) - K * math.exp(-r * (T - t)) * _ncdf(d2)
+    _, _, _, E, lead, n1, n2, _ = _contract_terms(s, u, t, T, K, sigma, r, False)
+    return E * n1 - lead * n2
 
 
 def _b0_fixed_put(
     s: float, u: float, t: float, T: float, K: float, sigma: float, r: float
 ) -> float:
-    d1, d2, _, q = _d_terms(s, u, t, T, K, sigma, r)
-    return K * math.exp(-r * (T - t)) * _ncdf(-d2) - math.exp(s + u / T - q) * _ncdf(-d1)
+    _, _, _, E, lead, n1, n2, _ = _contract_terms(s, u, t, T, K, sigma, r, True)
+    return lead * n2 - E * n1
 
 
 def _bs(
@@ -207,15 +248,16 @@ def _greeks(
         raise DegenerateHorizon(f"T - t = {T - t} below {HORIZON_TOL}")
     if not -math.inf < gamma_factor < math.inf:
         raise NonFiniteInput(f"gamma_factor must be finite, got {gamma_factor}")
-    d1, d2, root, q = _d_terms(s, u, t, T, K, sigma, r)
+    put = kind is not OptionKind.CALL
+    d1, d2, root, E, _, n1, n2, pdf = _contract_terms(s, u, t, T, K, sigma, r, put)
     if K is None:
-        d1 = -d2
-    sign = 1.0 if K is not None and kind is OptionKind.CALL else -1.0
+        # floating: d1 = -d2, phi(-d2) = phi(d2) and N(-1.0 * -d2) = N(d2)
+        d1, sign, cdf = -d2, -1.0, n2
+    else:
+        # fixed: N(sign * d1) is the call's N(d1) or the put's N(-d1)
+        sign, cdf = (-1.0 if put else 1.0), n1
     tau = T - t
     kappa = sigma * root
-    E = math.exp(s + u / T - q)
-    pdf = _npdf(d1)
-    cdf = _ncdf(sign * d1)
     du1 = sign * (E / T) * cdf
     du2 = (du1 + E * pdf / kappa) / T
     du3 = (du2 + E * (pdf / (T * kappa) - d1 * pdf / (kappa * kappa))) / T
@@ -305,14 +347,13 @@ def b0_theta(
     if _check_contract(t, sigma, T, K, r):
         raise DegenerateHorizon(f"T - t = {T - t} below {HORIZON_TOL}")
     qdot = -(r + sigma * sigma / 2.0) * t / T + sigma * sigma * t * t / (2.0 * T * T)
-    d1, d2, root, q = _d_terms(s, u, t, T, K, sigma, r)
-    E = math.exp(s + u / T - q)
+    put = kind is not OptionKind.CALL
+    _, _, root, E, lead, n1, n2, phi = _contract_terms(s, u, t, T, K, sigma, r, put)
     if K is None:
         gap_dot = -sigma * t * t / (2.0 * T * root)
-        return E * (_npdf(d2) * gap_dot + _ncdf(d2) * qdot)
+        return E * (phi * gap_dot + n2 * qdot)
     tau = T - t
     gap_dot = -(sigma / T) * tau * tau / (2.0 * root)
-    disc = K * math.exp(-r * tau)
-    if kind is OptionKind.CALL:
-        return E * (_npdf(d1) * gap_dot - qdot * _ncdf(d1)) - r * disc * _ncdf(d2)
-    return r * disc * _ncdf(-d2) + qdot * E * _ncdf(-d1) + E * _npdf(d1) * gap_dot
+    if put:
+        return r * lead * n2 + qdot * E * n1 + E * phi * gap_dot
+    return E * (phi * gap_dot - qdot * n1) - r * lead * n2

@@ -28,12 +28,17 @@ forms by (StrikeStyle, OptionKind). ``first_order_price`` prices with it,
 and ``calibration`` calls it at v_eps = 1 for the unit correction and the
 vega of each quote.
 
+``i_integrals_closed`` depends on the window (k, t, T) alone and remembers
+the last 128 windows it was asked, so the quotes of one smile cell share one
+evaluation; a remembered result is bit-identical to recomputing it.
+
 ``i_integrals_quadrature`` integrates tau^n * 2(1 - k tau)/(2 - k tau)^2
 adaptively and serves as the independent oracle for the closed forms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -144,13 +149,15 @@ def _check_closed_domain(k: float, t: float, T: float) -> None:
         raise SingularIntegral(f"ratio (2 - kT)/(2 - kt) nonpositive at kT = {kT}")
 
 
+@functools.lru_cache(maxsize=128, typed=True)
 def i_integrals_closed(k: float, t: float, T: float) -> IIntegrals:
     """Closed-form I0..I5; I4 and I5 via the combination identities.
 
     I0 = -(2/k) [ ln((2-kT)/(2-kt)) + k (T-t) / ((2-kT)(2-kt)) ] and the
     higher orders add polynomial terms; all are antiderivatives of
     tau^n 2(1 - k tau)/(2 - k tau)^2 and are pinned against
-    ``i_integrals_quadrature`` in the tests.
+    ``i_integrals_quadrature`` in the tests. The last 128 windows are
+    remembered (an int and a float k are kept apart); errors are not.
     """
     if _check_window(k, t, T):
         return IIntegrals(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -124,6 +124,13 @@ def test_ingest_skips_blank_lines_without_losing_numbering():
     assert [r.line for r in result.rows] == [2, 3, 5]
 
 
+def test_ingest_skips_whitespace_only_records_without_losing_numbering():
+    csv_text = GOOD_CSV + " , ,\t, , , , \n" + "0.05,0.45,100,99,,floating_call,0.2\n"
+    result = ingest_quotes(io.StringIO(csv_text))
+    assert result.rejects == []
+    assert [r.line for r in result.rows] == [2, 3, 5]
+
+
 def test_quote_row_validate_collects_all_problems():
     row = QuoteRow(
         t=0.5, T=0.45, spot=-1.0, avg=0.0, strike=None,
@@ -143,6 +150,13 @@ def test_quote_row_validate_collects_all_problems():
 
 def test_denominators_frozen():
     assert rel(regression_denominator(2.0, 0.0, 0.5), -0.1931471805599453) < 1e-14
+
+
+def test_remembered_denominator_has_the_bits_of_a_fresh_one():
+    for k in (2, 2.0):
+        for t in (0.0, -0.0, 0.1):
+            cached = regression_denominator(k, t, 0.45)
+            assert cached.hex() == regression_denominator.__wrapped__(k, t, 0.45).hex(), (k, t)
 
 
 def test_denominator_guards():
@@ -195,6 +209,26 @@ def test_regression_pairs_skips_inadmissible_cells():
     assert len(skipped) == 1
     assert skipped[0].line == 3
     assert "SingularIntegral" in skipped[0].reason
+
+
+def test_regression_pairs_do_not_depend_on_quote_order():
+    """Each quote's (x, y) keeps its bits in any order of the quotes, with more
+    (t, T) windows than the window caches hold."""
+    rows = [
+        QuoteRow(t=float(t), T=float(T), spot=100.0, avg=100.0 * m, strike=strike,
+                 style=style, implied_vol=0.19)
+        for t in np.linspace(0.0, 0.2, 15)
+        for T in np.linspace(0.3, 0.45, 10)
+        for m, style, strike in ((0.98, QuoteStyle.FLOATING_CALL, None),
+                                 (1.02, QuoteStyle.FIXED_PUT, 100.0))
+    ]
+    order = np.random.default_rng(7).permutation(len(rows))
+    pairs, skipped = regression_pairs(rows, ARC, MODEL)
+    shuffled, shuffled_skipped = regression_pairs([rows[i] for i in order], ARC, MODEL)
+    assert skipped == shuffled_skipped == []
+    assert [(x.hex(), y.hex()) for x, y in shuffled] == [
+        (x.hex(), y.hex()) for x, y in (pairs[i] for i in order)
+    ]
 
 
 def test_report_keeps_line_less_rows_when_one_fails():

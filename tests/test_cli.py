@@ -369,6 +369,17 @@ def test_smile_rejects_a_negative_time(capsys, tmp_path):
     assert json.loads(err)["error"] == "OutOfDomain"
 
 
+@pytest.mark.parametrize("spot", ["-1", "0"])
+def test_smile_rejects_a_non_positive_spot(capsys, tmp_path, spot):
+    """Every point of the curve would be flagged; the command refuses instead."""
+    out_csv = tmp_path / "smile.csv"
+    code, out, err = run(capsys, ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45",
+                                  "--spot", spot, "--out", str(out_csv)])
+    assert code == EXIT_VALIDATION
+    assert out == "" and not out_csv.exists()
+    assert json.loads(err)["error"] == "OutOfDomain"
+
+
 def test_smile_rejects_malformed_grid(capsys):
     code, _, err = run(capsys, [
         "smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "nope",

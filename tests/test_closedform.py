@@ -408,6 +408,37 @@ def test_theta_rejects_unknown_method():
         b0_theta(StrikeStyle.FLOATING, INTERIOR, I_SIG, I_T, I_R, kind=OptionKind.PUT)
 
 
+# ------------------------------------------------ the last contract's terms
+
+# bs_*, b0_theta and greeks_* (gamma_factor 0.9) of the fixed call and put at
+# INTERIOR and I_K as float.hex, computed before the closed forms shared terms
+FIXED_BITS = {
+    OptionKind.CALL: ["0x1.b973ee3bea8a0p+0", "-0x1.27ecc4381598cp+3", "0x1.84f60de391957p+6",
+                      "0x1.e678c9e677ebep+11", "0x1.98dc345921fb9p+11", "0x1.9bf029a41386fp+2"],
+    OptionKind.PUT: ["0x1.8b1cbe868aa60p+0", "-0x1.c19190f0cc2efp+2", "-0x1.5f19ef4a505fap+6",
+                     "0x1.b837ca1399cc8p+11", "0x1.3c5a34b365bcep+11", "0x1.df139c27aa51dp+2"],
+}
+
+
+def fixed_bits(kind):
+    bs, greeks = (bs_fixed_call, greeks_fixed_call) if kind is OptionKind.CALL else (
+        bs_fixed_put, greeks_fixed_put)
+    g = greeks(INTERIOR, I_SIG, I_T, I_K, I_R, gamma_factor=0.9)
+    theta = b0_theta(StrikeStyle.FIXED, INTERIOR, I_SIG, I_T, I_R, K=I_K, kind=kind)
+    return [v.hex() for v in (bs(INTERIOR, I_SIG, I_T, I_K, I_R), theta, g.du1, g.du2, g.du3,
+                              g.vega)]
+
+
+@pytest.mark.parametrize("first, other", [(OptionKind.CALL, OptionKind.PUT),
+                                          (OptionKind.PUT, OptionKind.CALL)])
+def test_pricing_another_contract_between_leaves_the_bits(first, other):
+    """A, then B at the same strike, then A again: the remembered terms of the
+    last contract never leak into another's, and a repeat reads the same bits."""
+    assert fixed_bits(first) == FIXED_BITS[first]
+    assert fixed_bits(other) == FIXED_BITS[other]
+    assert fixed_bits(first) == FIXED_BITS[first]
+
+
 # ------------------------------------------------------- horizon handling
 
 

@@ -95,6 +95,17 @@ def test_empty_window_is_zero():
         assert all(getattr(ii, f) == 0.0 for f in I_FIELDS)
 
 
+def test_remembered_integrals_have_the_bits_of_a_fresh_evaluation():
+    """The window cache keys an int and a float k apart and shares t = 0.0 with
+    t = -0.0; every entry reads what an uncached call returns, bit for bit."""
+    for k in (2, 2.0):
+        for t in (0.0, -0.0, 0.1):
+            cached = i_integrals_closed(k, t, 0.45)
+            fresh = i_integrals_closed.__wrapped__(k, t, 0.45)
+            for name in I_FIELDS:
+                assert getattr(cached, name).hex() == getattr(fresh, name).hex(), (k, t, name)
+
+
 def test_integral_domain_guards():
     with pytest.raises(SingularIntegral):
         i_integrals_closed(2.0, 0.55, 0.7)  # kt past 1

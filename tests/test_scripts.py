@@ -182,3 +182,42 @@ def test_the_library_raises_one_error_family():
         and {"PricingError", "ValueError"} <= exception_names(node.type)
     ]
     assert both == []
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def cache_references(tree):
+    """(node, name) for every mention of functools.cache or functools.lru_cache."""
+    modules, imported = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            imported.update((a.asname or a.name, a.name) for a in node.names if a.name in CACHES)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in CACHES
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield node, node.attr
+        elif isinstance(node, ast.Name) and node.id in imported:
+            yield node, imported[node.id]
+
+
+def has_a_finite_maxsize(call):
+    """An lru_cache(...) call whose maxsize is an integer literal."""
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    return len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+
+
+def test_every_cache_in_the_package_is_bounded():
+    """An unbounded cache would grow by one entry per distinct input, such as
+    each contract of a book, so every functools cache names a finite integer
+    maxsize: no ``cache``, no bare ``lru_cache`` and no ``maxsize=None``."""
+    unbounded = []
+    for name, tree in package_trees().items():
+        calls = {node.func: node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node, cache in cache_references(tree):
+            call = calls.get(node)
+            if cache != "lru_cache" or call is None or not has_a_finite_maxsize(call):
+                unbounded.append(f"{name}:{node.lineno} {cache}")
+    assert unbounded == []

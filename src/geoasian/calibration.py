@@ -97,6 +97,16 @@ class QuoteRow:
     line: int | None = None
 
     def validate(self) -> list[str]:
+        """Every reason the row cannot be regressed; empty when it can."""
+        strike = self.strike
+        # one comparison chain for a valid row; any other row gets its reasons
+        if (0.0 <= self.t < self.T < math.inf
+                and 0.0 < self.spot < math.inf
+                and 0.0 < self.avg < math.inf
+                and 0.0 < self.implied_vol < math.inf
+                and (strike is None if self.style is not QuoteStyle.FIXED_PUT
+                     else strike is not None and 0.0 < strike < math.inf)):
+            return []
         numbers = {"t": self.t, "T": self.T, "spot": self.spot, "avg": self.avg,
                    "strike": self.strike, "implied_vol": self.implied_vol}
         problems = [f"{name} must be finite, got {value}" for name, value in numbers.items()
@@ -294,6 +304,12 @@ def _parse_record(record: list[str], columns: tuple[int, ...], line_no: int) -> 
     style = _STYLES.get(style_raw)
     if style is None:
         raise UnparseableField(f"style={style_raw!r} not in {{floating_call, fixed_put}}")
+    try:
+        return QuoteRow(float(t), float(T), float(spot), float(avg),
+                        float(strike) if strike else None, style, float(vol), line_no)
+    except ValueError:
+        pass
+    # some field is not a number: convert each in turn to name the first
     strike_value = _as_float("strike", strike) if strike else None
     return QuoteRow(_as_float("t", t), _as_float("T", T), _as_float("spot", spot),
                     _as_float("avg", avg), strike_value, style,
@@ -323,12 +339,12 @@ def smile_curve(
     """
     CorrectionParams(v_eps)  # rejects a non-finite v_eps
     contract = _CONTRACTS[style]
+    strike = None if style is QuoteStyle.FLOATING_CALL else spot
     points: list[SmilePoint] = []
     for t, T, moneyness in grid:
         try:
             sigma = effective_vol(arc, t)
             state = MarketState(t=t, x=spot, g=moneyness * spot)
-            strike = None if style is QuoteStyle.FLOATING_CALL else spot
             *_, greeks, c1_unit = _first_order(*contract, state, sigma, T, strike, model, 1.0)
             if abs(greeks.vega) < VEGA_FLOOR_FRACTION * spot:
                 raise VanishingVega(

@@ -259,9 +259,14 @@ def cmd_smile(args, model: ModelParams, arc: VolArc):
         raise OutOfDomain(f"--spot must be > 0, got {args.spot}")
     try:
         lo, hi, count = args.grid.split(":")
-        grid = np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ValueError(f'--grid must look like "lo:hi:n", got {args.grid!r}') from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteInput(f"--grid bounds must be finite, got {lo}, {hi}")
+    if count < 1:
+        raise OutOfDomain(f"--grid needs at least 1 point, got {count}")
+    grid = np.linspace(lo, hi, count)
     points = smile_curve(
         arc,
         model,
@@ -294,14 +299,7 @@ def cmd_smile(args, model: ModelParams, arc: VolArc):
     return outputs, warnings, EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="geoasian",
-        description="Geometric Asian option pricing under two-factor stochastic volatility",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("price", help="first-order price with component breakdown")
+def _price_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p, required=True)
     p.add_argument("--style", choices=["floating", "fixed"], required=True)
     p.add_argument("--kind", choices=["call", "put"], required=True)
@@ -318,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="compact single-line JSON")
     p.set_defaults(func=cmd_price)
 
-    p = sub.add_parser("calibrate", help="regress quotes into a_eps and v_eps per cell")
+
+def _calibrate_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p, required=True)
     p.add_argument("--quotes", required=True, help="quotes CSV path")
     p.add_argument("--scatter-out", dest="scatter_out", default=None,
@@ -326,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("validate", help="Monte Carlo vs closed-form oracle suite")
+
+def _validate_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p, required=False)
     p.add_argument("--paths", type=int, default=200000)
     p.add_argument("--steps", type=int, default=200)
@@ -339,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("smile", help="first-order implied-vol curve export")
+
+def _smile_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
@@ -352,6 +353,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_smile)
 
+
+# each command's help line and the function that adds its flags, in the order
+# the top-level usage lists them
+_COMMANDS = {
+    "price": ("first-order price with component breakdown", _price_flags),
+    "calibrate": ("regress quotes into a_eps and v_eps per cell", _calibrate_flags),
+    "validate": ("Monte Carlo vs closed-form oracle suite", _validate_flags),
+    "smile": ("first-order implied-vol curve export", _smile_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with ``command``, only that command gets its flags.
+
+    Every command is registered either way, so the top-level usage and errors
+    are the same, and ``command``'s own help and errors are those of the full
+    parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="geoasian",
+        description="Geometric Asian option pricing under two-factor stochastic volatility",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_flags(p)
     return parser
 
 
@@ -366,7 +394,11 @@ def main(argv=None) -> int:
     Each ``cmd_*`` returns ``(outputs, warnings, exit_code)``; outputs of
     None mean the command printed its own result and there is no report.
     """
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command's run reads only its own flags, so build only those
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     t0 = time.perf_counter()
     try:
         model = _model_from_args(args)

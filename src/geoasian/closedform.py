@@ -52,6 +52,12 @@ HORIZON_TOL = 1e-9
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# an Enum member lookup costs about 100 ns, a global name a few; function
+# bodies read these
+_CALL = OptionKind.CALL
+_PUT = OptionKind.PUT
+_FLOATING = StrikeStyle.FLOATING
+
 
 def _ncdf(x: float) -> float:
     # scipy's erfc, not math.erfc, whose last bits differ; float() keeps numpy
@@ -197,10 +203,10 @@ def _bs(
         x, g = math.exp(s), math.exp(s + u / T)
         if K is None:
             return max(x - g, 0.0)
-        return max(g - K, 0.0) if kind is OptionKind.CALL else max(K - g, 0.0)
+        return max(g - K, 0.0) if kind is _CALL else max(K - g, 0.0)
     if K is None:
         return _b0_floating_call(s, u, t, T, sigma, r)
-    if kind is OptionKind.CALL:
+    if kind is _CALL:
         return _b0_fixed_call(s, u, t, T, K, sigma, r)
     return _b0_fixed_put(s, u, t, T, K, sigma, r)
 
@@ -211,12 +217,12 @@ def bs_floating_call(state: MarketState, sigma: float, T: float, r: float) -> fl
     Within horizon_tol of maturity the terminal payoff
     e^s max(1 - e^{u/T}, 0) is returned instead of the formula.
     """
-    return _bs(OptionKind.CALL, state, sigma, T, None, r)
+    return _bs(_CALL, state, sigma, T, None, r)
 
 
 def bs_fixed_call(state: MarketState, sigma: float, T: float, K: float, r: float) -> float:
     """Fixed-strike geometric Asian call under constant volatility."""
-    return _bs(OptionKind.CALL, state, sigma, T, K, r)
+    return _bs(_CALL, state, sigma, T, K, r)
 
 
 def bs_fixed_put(state: MarketState, sigma: float, T: float, K: float, r: float) -> float:
@@ -225,7 +231,7 @@ def bs_fixed_put(state: MarketState, sigma: float, T: float, K: float, r: float)
     Put-call parity gives the same price in exact arithmetic, but out of the
     money its difference of two large terms loses the small put price.
     """
-    return _bs(OptionKind.PUT, state, sigma, T, K, r)
+    return _bs(_PUT, state, sigma, T, K, r)
 
 
 def _greeks(
@@ -248,7 +254,7 @@ def _greeks(
         raise DegenerateHorizon(f"T - t = {T - t} below {HORIZON_TOL}")
     if not -math.inf < gamma_factor < math.inf:
         raise NonFiniteInput(f"gamma_factor must be finite, got {gamma_factor}")
-    put = kind is not OptionKind.CALL
+    put = kind is not _CALL
     d1, d2, root, E, _, n1, n2, pdf = _contract_terms(s, u, t, T, K, sigma, r, put)
     if K is None:
         # floating: d1 = -d2, phi(-d2) = phi(d2) and N(-1.0 * -d2) = N(d2)
@@ -289,7 +295,7 @@ def greeks_floating_call(
     vega = gamma e^{s + u/T - Q} [ sqrt((T^3 - t^3)/3) phi(d2)/T
            + sigma (T - t)^2 (T + 2t) N(d2) / (6 T^2) ].
     """
-    return _greeks(state, sigma, T, None, r, OptionKind.CALL, gamma_factor)
+    return _greeks(state, sigma, T, None, r, _CALL, gamma_factor)
 
 
 def greeks_fixed_put(
@@ -305,7 +311,7 @@ def greeks_fixed_put(
     du1 = -gamma (e^{s + u/T - Q}/T) N(-d1_hat); recursion divisor
     kappa = sigma sqrt((T - t)^3 / 3). The put vega is strictly positive.
     """
-    return _greeks(state, sigma, T, K, r, OptionKind.PUT, gamma_factor)
+    return _greeks(state, sigma, T, K, r, _PUT, gamma_factor)
 
 
 def greeks_fixed_call(
@@ -317,7 +323,7 @@ def greeks_fixed_call(
     gamma_factor: float = 1.0,
 ) -> GreekSet:
     """Fixed-strike call Greeks; the call vega can be negative."""
-    return _greeks(state, sigma, T, K, r, OptionKind.CALL, gamma_factor)
+    return _greeks(state, sigma, T, K, r, _CALL, gamma_factor)
 
 
 def b0_theta(
@@ -338,8 +344,8 @@ def b0_theta(
     where E = e^{s + u/T - Q}.
     """
     t, s, u = state.t, state.s, state.u
-    if style is StrikeStyle.FLOATING:
-        if kind is not OptionKind.CALL:
+    if style is _FLOATING:
+        if kind is not _CALL:
             raise UnsupportedContract("floating-strike puts are not supported")
         K = None
     elif K is None:
@@ -347,7 +353,7 @@ def b0_theta(
     if _check_contract(t, sigma, T, K, r):
         raise DegenerateHorizon(f"T - t = {T - t} below {HORIZON_TOL}")
     qdot = -(r + sigma * sigma / 2.0) * t / T + sigma * sigma * t * t / (2.0 * T * T)
-    put = kind is not OptionKind.CALL
+    put = kind is not _CALL
     _, _, root, E, lead, n1, n2, phi = _contract_terms(s, u, t, T, K, sigma, r, put)
     if K is None:
         gap_dot = -sigma * t * t / (2.0 * T * root)

@@ -147,8 +147,10 @@ class ConstantVol:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.sigma < math.inf:
-            raise OutOfDomain(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not math.isfinite(self.sigma):
+            raise NonFiniteInput(f"sigma must be finite, got {self.sigma}")
+        if not self.sigma >= 0.0:
+            raise OutOfDomain(f"sigma must be >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,9 @@ class FullModel:
     f_max: float = 2.0
 
     def __post_init__(self) -> None:
+        for name, value in (("f_min", self.f_min), ("f_max", self.f_max)):
+            if not math.isfinite(value):
+                raise NonFiniteInput(f"{name} must be finite, got {value}")
         if not 0.0 < self.f_min < self.f_max:
             raise OutOfDomain(f"need 0 < f_min < f_max, got ({self.f_min}, {self.f_max})")
 

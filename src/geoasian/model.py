@@ -172,7 +172,8 @@ def state_transform(x: float, g: float, t: float) -> tuple[float, float]:
         raise NonPositivePrice(f"spot and average must be > 0, got x={x}, g={g}")
     if t < 0.0:
         raise OutOfDomain(f"t must be >= 0, got {t}")
-    return math.log(x), t * (math.log(g) - math.log(x))
+    s = math.log(x)
+    return s, t * (math.log(g) - s)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,11 @@ from .model import (
 PRICE_FLOOR_FRACTION = 1e-12
 QUAD_ABS_TOL = 1e-12
 
+# an Enum member lookup costs about 100 ns, a global name a few; function
+# bodies read these
+_CALL = OptionKind.CALL
+_FLOATING = StrikeStyle.FLOATING
+
 
 def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
     """Refuse a window [t, T] no gamma or I-integral takes; True when it is empty.
@@ -264,9 +269,9 @@ def _first_order(
     refuses the put first. Component errors carry the failing stage in their
     message.
     """
-    if style is StrikeStyle.FLOATING:
+    if style is _FLOATING:
         b0_fn, greeks_fn, c1_fn, strike = bs_floating_call, greeks_floating_call, c1_floating, ()
-    elif kind is OptionKind.CALL:
+    elif kind is _CALL:
         b0_fn, greeks_fn, c1_fn, strike = bs_fixed_call, greeks_fixed_call, c1_fixed, (K,)
     else:
         b0_fn, greeks_fn, c1_fn, strike = bs_fixed_put, greeks_fixed_put, c1_fixed, (K,)
@@ -309,7 +314,7 @@ def first_order_price(
     v_eps = 0 the result reduces to the plain Black-Scholes price. Component
     errors propagate with the failing stage prepended to the message.
     """
-    if option.style is StrikeStyle.FLOATING and option.kind is not OptionKind.CALL:
+    if option.style is _FLOATING and option.kind is not _CALL:
         raise UnsupportedContract("floating-strike puts are not supported")
     T = option.maturity
     K = option.strike

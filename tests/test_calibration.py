@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import linregress
 
 from geoasian import (
@@ -143,6 +144,46 @@ def test_quote_row_validate_collects_all_problems():
         style=QuoteStyle.FLOATING_CALL, implied_vol=0.19,
     )
     assert good.validate() == []
+
+
+def every_problem(row):
+    """The reasons of ``QuoteRow.validate``'s full message builder, checked
+    field by field with no shortcut for a valid row."""
+    numbers = {"t": row.t, "T": row.T, "spot": row.spot, "avg": row.avg,
+               "strike": row.strike, "implied_vol": row.implied_vol}
+    problems = [f"{name} must be finite, got {value}" for name, value in numbers.items()
+                if value is not None and not math.isfinite(value)]
+    if not 0.0 <= row.t < row.T:
+        problems.append(f"need 0 <= t < T, got t={row.t}, T={row.T}")
+    if not row.spot > 0.0:
+        problems.append(f"spot must be > 0, got {row.spot}")
+    if not row.avg > 0.0:
+        problems.append(f"avg must be > 0, got {row.avg}")
+    if not row.implied_vol > 0.0:
+        problems.append(f"implied_vol must be > 0, got {row.implied_vol}")
+    if row.style is QuoteStyle.FIXED_PUT:
+        if row.strike is None or not row.strike > 0.0:
+            problems.append(f"fixed_put needs strike > 0, got {row.strike}")
+    elif row.strike is not None:
+        problems.append("floating_call row must leave strike empty")
+    return problems
+
+
+FIELD_VALUES = st.one_of(
+    st.floats(min_value=0.01, max_value=200.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(t=FIELD_VALUES, T=FIELD_VALUES, spot=FIELD_VALUES, avg=FIELD_VALUES,
+       strike=st.one_of(st.none(), FIELD_VALUES), style=st.sampled_from(list(QuoteStyle)),
+       implied_vol=FIELD_VALUES)
+def test_quote_row_validate_gives_every_problem_in_order(t, T, spot, avg, strike, style,
+                                                          implied_vol):
+    row = QuoteRow(t, T, spot, avg, strike, style, implied_vol)
+    assert row.validate() == every_problem(row)
 
 
 # ----------------------------------------------------------- denominators

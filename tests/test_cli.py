@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import hashlib
 import json
 import math
 
@@ -14,6 +15,7 @@ from geoasian.cli import EXIT_COMPARISON, EXIT_DATA, EXIT_OK, EXIT_VALIDATION, m
 from geoasian.closedform import bs_fixed_call, bs_floating_call
 from geoasian.mc import ConstantVol, McConfig, price_mc, reference_full_model, simulate_paths
 from geoasian.model import MarketState, ModelParams, OptionKind, OptionSpec, StrikeStyle
+from perfbench.workloads import MODEL_FLAGS, make_quotes, write_quotes
 
 PRICE_ARGS = [
     "price", "--style", "floating", "--kind", "call",
@@ -388,6 +390,23 @@ def test_smile_rejects_malformed_grid(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("grid, error", [
+    ("nan:1.1:3", "NonFiniteInput"),
+    ("0.9:inf:3", "NonFiniteInput"),
+    ("-inf:1.1:3", "NonFiniteInput"),
+    ("0.9:1.1:0", "OutOfDomain"),
+])
+def test_smile_rejects_a_non_finite_or_empty_grid(capsys, tmp_path, grid, error):
+    """A NaN or infinite bound or an empty grid exits 2 before any CSV is written."""
+    out = tmp_path / "smile.csv"
+    code, _, err = run(capsys, [
+        "smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", f"--grid={grid}", "--out", str(out),
+    ])
+    assert code == EXIT_VALIDATION
+    assert json.loads(err)["error"] == error
+    assert not out.exists()
+
+
 def test_smile_to_stdout_prints_only_csv(capsys):
     """``--out -`` streams the CSV and no report, even with ``--json``."""
     code, out, err = run(capsys, [
@@ -529,3 +548,67 @@ def test_inputs_echo_every_flag_of_the_command(tmp_path, capsys):
         assert set(report["inputs"]) == subparser_dests(command), command
     # price echoes the spot as the running average when --avg is not given
     assert json.loads(run(capsys, PRICE_ARGS)[1])["inputs"]["avg"] == 100.0
+
+
+# ------------------------------------------------------------------ parser
+
+PARSED_ARGVS = [
+    PRICE_ARGS,
+    FIXED_PUT_ARGS + ["--strike", "97", "--avg", "101", "--gamma-off", "--json"],
+    *(argv for argv, _ in PINNED_DIGESTS),
+    ["calibrate", *MODEL_ARGS, "--quotes", "quotes.csv", "--scatter-out", "xy.csv"],
+    ["validate", "--paths", "600", "--steps", "8", "--seed", "1", "--mode", "full"],
+    ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "0.95:1.05:3",
+     "--style", "fixed_put", "--v-eps", "-0.016", "--out", "-"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=lambda argv: argv[0])
+def test_one_command_parser_parses_as_the_full_parser(argv):
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def parse_outcome(capsys, parse):
+    """(exit code, stdout, stderr) of a parse that exits, as help and errors do."""
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    ["bogus"],
+    ["calibrate", "-h"],
+    ["calibrate", *MODEL_ARGS, "--quotes", "q.csv", "--bogus"],
+    ["calibrate", *MODEL_ARGS],
+    ["smile", *MODEL_ARGS, "--t", "0.1"],
+    ["price", *MODEL_ARGS, "--style", "floating", "--kind", "call", "--spot", "abc",
+     "--t", "0", "--T", "0.45"],
+], ids=["help", "unknown-command", "command-help", "unrecognised-flag", "missing-flag",
+        "smile-missing-flag", "bad-value"])
+def test_help_and_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    """``main`` builds only the named command's flags; what it prints and its
+    exit code are those of the full parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = parse_outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    assert parse_outcome(capsys, lambda: cli.build_parser(command).parse_args(argv)) == full
+    assert parse_outcome(capsys, lambda: main(argv)) == full
+    assert full[0] in (0, 2)
+
+
+def test_calibrate_outputs_and_scatter_are_pinned(tmp_path, capsys):
+    """Digests of the calibrate report's outputs and of its scatter CSV for
+    the benchmark's seed-1 quotes, so a speed change that should keep every
+    bit cannot drift them."""
+    quotes, scatter = tmp_path / "quotes.csv", tmp_path / "scatter.csv"
+    write_quotes(quotes, make_quotes(1))
+    code, out, _ = run(capsys, ["calibrate", *MODEL_FLAGS, "--quotes", str(quotes),
+                                "--scatter-out", str(scatter), "--json"])
+    assert code == EXIT_OK
+    outputs = json.dumps(json.loads(out)["outputs"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(outputs.encode()).hexdigest() == (
+        "80c351a74a31aaeefc704b209d59f233f153930e5899d93979e5904766486cf8")
+    assert hashlib.sha256(scatter.read_bytes()).hexdigest() == (
+        "1a9d25820bbeabe1694e4aea39c301e562c2b7be42d273787b2be6c452ad90bb")

@@ -93,6 +93,17 @@ def test_vol_spec_validation():
         FullModel(f_min=0.5, f_max=0.4)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: ConstantVol(v), "sigma"),
+    (lambda v: FullModel(f_min=v), "f_min"),
+    (lambda v: FullModel(f_max=v), "f_max"),
+], ids=["sigma", "f_min", "f_max"])
+def test_vol_spec_refuses_a_non_finite_field(make, name, value):
+    with pytest.raises(NonFiniteInput, match=f"^{name} must be finite"):
+        make(value)
+
+
 def test_f_full_clamps():
     vol = FullModel()
     assert f_full(np.array([0.0]), np.array([0.15]), vol)[0] == 0.15

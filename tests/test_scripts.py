@@ -221,3 +221,28 @@ def test_every_cache_in_the_package_is_bounded():
             if cache != "lru_cache" or call is None or not has_a_finite_maxsize(call):
                 unbounded.append(f"{name}:{node.lineno} {cache}")
     assert unbounded == []
+
+
+def member_lookups_in_bodies(tree, enums):
+    """(line, text) of every ``Enum.MEMBER`` read in a function body; default
+    argument values, read once at definition, are not bodies."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = func.body if isinstance(func.body, list) else [func.body]
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in enums):
+                    yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+def test_the_pricing_chain_makes_no_enum_member_lookups():
+    """A member lookup such as ``OptionKind.CALL`` costs about 100 ns, and
+    every price runs these two modules' bodies several times, so they read
+    module-level aliases instead."""
+    trees = package_trees()
+    lookups = sorted({
+        f"{name}:{line} {text}"
+        for name in ("closedform.py", "perturbation.py")
+        for line, text in member_lookups_in_bodies(trees[name], {"OptionKind", "StrikeStyle"})
+    })
+    assert lookups == []

@@ -41,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +84,7 @@ _CONTRACTS = {
 _STYLES = {style.value: style for style in QuoteStyle}
 
 
-@dataclass(frozen=True)
-class QuoteRow:
+class QuoteRow(NamedTuple):
     """One implied-volatility observation; strike only on fixed_put rows."""
 
     t: float

@@ -34,7 +34,7 @@ public function still runs its own input checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from scipy.special import erfc
 
@@ -61,16 +61,15 @@ _FLOATING = StrikeStyle.FLOATING
 
 def _ncdf(x: float) -> float:
     # scipy's erfc, not math.erfc, whose last bits differ; float() keeps numpy
-    # scalars out of the outputs
-    return float(0.5 * erfc(-x / _SQRT2))
+    # scalars out of the outputs, and halving after it is exact
+    return 0.5 * float(erfc(-x / _SQRT2))
 
 
 def _npdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-@dataclass(frozen=True)
-class GreekSet:
+class GreekSet(NamedTuple):
     """u-derivatives and vega of gamma * B0.
 
     Every field includes the caller's gamma_factor. Theta is not here: the
@@ -272,12 +271,9 @@ def _greeks(
     else:
         dq_term = sigma * tau * tau * (T + 2.0 * t) / (6.0 * T * T) * cdf
     vega = E * (root * pdf / T - sign * dq_term)
-    return GreekSet(
-        du1=gamma_factor * du1,
-        du2=gamma_factor * du2,
-        du3=gamma_factor * du3,
-        vega=gamma_factor * vega,
-    )
+    # by position: a named tuple built by keyword takes about twice as long
+    return GreekSet(gamma_factor * du1, gamma_factor * du2, gamma_factor * du3,
+                    gamma_factor * vega)
 
 
 def greeks_floating_call(

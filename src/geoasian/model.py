@@ -176,7 +176,7 @@ def state_transform(x: float, g: float, t: float) -> tuple[float, float]:
     return s, t * (math.log(g) - s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MarketState:
     """Valuation time, spot, and running geometric average.
 
@@ -191,14 +191,13 @@ class MarketState:
     s: float = field(init=False, repr=False, compare=False)
     u: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.x) and math.isfinite(self.g)):
-            raise NonFiniteInput(
-                f"t, x and g must be finite, got t={self.t}, x={self.x}, g={self.g}"
-            )
-        s, u = state_transform(self.x, self.g, self.t)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "u", u)
+    def __init__(self, t: float, x: float, g: float) -> None:
+        # a frozen dataclass's own __init__ stores each field through
+        # object.__setattr__; one dict update stores all five at once
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(g)):
+            raise NonFiniteInput(f"t, x and g must be finite, got t={t}, x={x}, g={g}")
+        s, u = state_transform(x, g, t)
+        self.__dict__.update(t=t, x=x, g=g, s=s, u=u)
 
 
 class StrikeStyle(Enum):

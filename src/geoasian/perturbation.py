@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from scipy.integrate import quad
 
@@ -130,12 +131,20 @@ class CorrectionParams:
     v_eps: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.v_eps):
-            raise NonFiniteInput(f"v_eps must be finite, got {self.v_eps}")
+        _check_v_eps(self.v_eps)
 
 
-@dataclass(frozen=True)
-class IIntegrals:
+def _check_v_eps(v_eps: float) -> None:
+    if not -math.inf < v_eps < math.inf:
+        raise NonFiniteInput(f"v_eps must be finite, got {v_eps}")
+
+
+# v_eps = 1: the chain scales the unit correction by v_eps itself, bit for
+# bit the same as building CorrectionParams(v_eps) per price, as 1.0 * c == c
+_UNIT = CorrectionParams(1.0)
+
+
+class IIntegrals(NamedTuple):
     i0: float
     i1: float
     i2: float
@@ -186,7 +195,7 @@ def i_integrals_closed(k: float, t: float, T: float) -> IIntegrals:
     )
     i4 = i2 - 2.0 * T * i1 + T * T * i0
     i5 = -i3 + 3.0 * T * i2 - 3.0 * T * T * i1 + T ** 3 * i0
-    return IIntegrals(i0=i0, i1=i1, i2=i2, i3=i3, i4=i4, i5=i5)
+    return IIntegrals(i0, i1, i2, i3, i4, i5)
 
 
 def i_integrals_quadrature(k: float, t: float, T: float) -> IIntegrals:
@@ -232,8 +241,7 @@ def c1_fixed(v: CorrectionParams, ii: IIntegrals, greeks: GreekSet) -> float:
     return v.v_eps * (ii.i4 * greeks.du2 - ii.i5 * greeks.du3)
 
 
-@dataclass(frozen=True)
-class PriceBreakdown:
+class PriceBreakdown(NamedTuple):
     """Component attribution of the first-order price.
 
     b0 is the plain closed form, c0 = gamma * b0, c1 the additive correction
@@ -263,11 +271,11 @@ def _first_order(
     """The first-order chain B0 -> theta -> M -> gamma -> I's -> Greeks -> c1.
 
     Returns (b0, m, gamma, greeks, c1): gamma_off pins gamma = 1 and m = 0
-    without computing theta, and v_eps = 0 skips the I-integrals and the
-    Greeks (greeks None, c1 0). Calibration passes v_eps = 1 for the unit
-    correction. A floating strike is priced as a call: ``first_order_price``
-    refuses the put first. Component errors carry the failing stage in their
-    message.
+    without computing theta, v_eps = 0 skips the I-integrals and the Greeks
+    (greeks None, c1 0), and a non-finite v_eps raises NonFiniteInput after
+    them. Calibration passes v_eps = 1 for the unit correction. A floating
+    strike is priced as a call: ``first_order_price`` refuses the put first.
+    Component errors carry the failing stage in their message.
     """
     if style is _FLOATING:
         b0_fn, greeks_fn, c1_fn, strike = bs_floating_call, greeks_floating_call, c1_floating, ()
@@ -297,7 +305,8 @@ def _first_order(
         greeks = greeks_fn(state, sigma, T, *strike, model.r, gamma_factor=gamma)
     except PricingError as exc:
         raise type(exc)(f"{stage}: {exc}") from None
-    return b0, m, gamma, greeks, c1_fn(CorrectionParams(v_eps), ii, greeks)
+    _check_v_eps(v_eps)
+    return b0, m, gamma, greeks, v_eps * c1_fn(_UNIT, ii, greeks)
 
 
 def first_order_price(
@@ -321,18 +330,12 @@ def first_order_price(
     sigma = effective_vol(arc, state.t)  # MarketState holds a finite t >= 0
     if T - state.t < HORIZON_TOL:
         payoff = float(_bs(option.kind, state, sigma, T, K, model.r))
-        return PriceBreakdown(
-            b0=payoff, gamma=1.0, c0=payoff, c1=0.0, price_hat=payoff, m_exponent=0.0
-        )
+        return PriceBreakdown(payoff, 1.0, payoff, 0.0, payoff, 0.0)
     b0, m, gamma, _, c1 = _first_order(
         option.style, option.kind, state, sigma, T, K, model, v_eps, gamma_off
     )
     c0 = gamma * b0
+    # by position, as a named tuple built by keyword takes about twice as long
     return PriceBreakdown(
-        b0=float(b0),
-        gamma=float(gamma),
-        c0=float(c0),
-        c1=float(c1),
-        price_hat=float(c0 + c1),
-        m_exponent=float(m),
+        float(b0), float(gamma), float(c0), float(c1), float(c0 + c1), float(m)
     )

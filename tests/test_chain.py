@@ -1,5 +1,7 @@
 """The first-order chain: one sequence of the public pieces for pricing and calibration."""
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -29,17 +31,19 @@ from geoasian import (
     reference_full_model,
 )
 from geoasian.calibration import regression_denominator, regression_row
-from geoasian.closedform import b0_theta
+from geoasian.closedform import GreekSet, b0_theta
 from geoasian.errors import NonFiniteInput
 from geoasian.model import effective_vol
 from geoasian.perturbation import (
     CorrectionParams,
+    IIntegrals,
     PriceBreakdown,
     c1_fixed,
     c1_floating,
     m_exponent,
 )
 from perfbench.tracing import Stats, Tracer
+from perfbench.workloads import book_ops, make_book
 
 MODEL = reference_full_model(0.001)
 ARC = arc_from_ou(MODEL.k, 0.20, 0.1834)
@@ -176,10 +180,79 @@ def test_analytic_functions_reject_a_non_finite_float(fn, fixed, floats):
 
 
 def test_non_finite_table_covers_every_exported_analytic_function():
-    """first_order_price is left out: its OptionSpec, MarketState, ModelParams
-    and CorrectionParams refuse a non-finite field when built."""
+    """first_order_price is left out: its OptionSpec, MarketState and
+    ModelParams refuse a non-finite field when built, and it refuses a
+    non-finite v_eps itself (test_first_order_price_refuses_a_non_finite_v_eps)."""
     exported = {name for name in geoasian.__all__
                 if getattr(geoasian, name).__module__ in (closedform.__name__, perturbation.__name__)}
     assert exported - {"first_order_price"} <= {fn.__name__ for fn, *_ in ANALYTIC}
     for fn, fixed, floats in ANALYTIC:
         fn(**fixed, **floats)  # the finite point prices, so only the swapped value can raise
+
+
+@pytest.mark.parametrize("contract", CONTRACTS, ids=lambda c: f"{c[0].value}-{c[1].value}")
+@pytest.mark.parametrize("v_eps", [math.nan, math.inf, -math.inf])
+def test_first_order_price_refuses_a_non_finite_v_eps(contract, v_eps):
+    style, kind, strike, *_ = contract
+    with pytest.raises(NonFiniteInput, match="v_eps must be finite"):
+        first_order_price(OptionSpec(style, kind, T, strike), STATE, ARC, MODEL, v_eps)
+
+
+def test_book_breakdowns_are_pinned():
+    """Digest of the repr of every PriceBreakdown of the benchmark's seed-1
+    book, so a speed change that should keep every bit cannot drift them."""
+    book = make_book(1)
+    options, price = book_ops(book)
+    text = "\n".join(repr(price(option, c)) for option, c in zip(options, book))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f6de85c79adbf8644558c6f2d8a1dec7b1569bc3cc0ac003e912bbe9989db296")
+
+
+# one record of each kind the chain builds, and its repr
+RECORDS = [
+    (STATE, "MarketState(t=0.12, x=100.0, g=101.3)"),
+    (GreekSet(du1=-1.0, du2=2.5, du3=3.0, vega=0.25),
+     "GreekSet(du1=-1.0, du2=2.5, du3=3.0, vega=0.25)"),
+    (IIntegrals(i0=0.5, i1=0.0, i2=1.0, i3=2.0, i4=3.0, i5=-4.0),
+     "IIntegrals(i0=0.5, i1=0.0, i2=1.0, i3=2.0, i4=3.0, i5=-4.0)"),
+    (PriceBreakdown(b0=2.0, gamma=0.5, c0=1.0, c1=-0.25, price_hat=0.75, m_exponent=-3.0),
+     "PriceBreakdown(b0=2.0, gamma=0.5, c0=1.0, c1=-0.25, price_hat=0.75, m_exponent=-3.0)"),
+    (QuoteRow(t=0.1, T=0.45, spot=100.0, avg=101.0, strike=None,
+              style=QuoteStyle.FLOATING_CALL, implied_vol=0.2),
+     "QuoteRow(t=0.1, T=0.45, spot=100.0, avg=101.0, strike=None, "
+     "style=<QuoteStyle.FLOATING_CALL: 'floating_call'>, implied_vol=0.2, line=None)"),
+]
+
+
+def field_names(record):
+    if dataclasses.is_dataclass(record):
+        return [f.name for f in dataclasses.fields(record)]
+    return record._fields
+
+
+RECORD_FIELDS = [
+    pytest.param(record, name, id=f"{type(record).__name__}.{name}")
+    for record, _ in RECORDS for name in field_names(record)
+]
+
+
+@pytest.mark.parametrize("record, name", RECORD_FIELDS)
+def test_records_refuse_assignment(record, name):
+    # FrozenInstanceError is an AttributeError
+    error = dataclasses.FrozenInstanceError if type(record) is MarketState else AttributeError
+    with pytest.raises(error):
+        setattr(record, name, 1.0)
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_record_reprs_are_unchanged(record, text):
+    assert repr(record) == text
+
+
+def test_market_state_equality_hash_and_repr_ignore_s_and_u():
+    moved = MarketState(t=STATE.t, x=STATE.x, g=STATE.g)
+    object.__setattr__(moved, "s", STATE.s + 1.0)
+    object.__setattr__(moved, "u", STATE.u - 1.0)
+    assert moved == STATE
+    assert hash(moved) == hash(STATE)
+    assert repr(moved) == repr(STATE)

@@ -246,3 +246,45 @@ def test_the_pricing_chain_makes_no_enum_member_lookups():
         for line, text in member_lookups_in_bodies(trees[name], {"OptionKind", "StrikeStyle"})
     })
     assert lookups == []
+
+
+def called_name(call):
+    """The name a call calls, bare (``f()``) or as an attribute (``m.f()``)."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def is_frozen_dataclass(cls):
+    """A class decorated ``@dataclass(frozen=True, ...)``."""
+    return any(
+        isinstance(dec, ast.Call) and called_name(dec) == "dataclass"
+        and any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in dec.keywords)
+        for dec in cls.decorator_list
+    )
+
+
+def calls_in_bodies(tree, classes):
+    """(line, name) of every call of one of ``classes`` in a function body;
+    module-level statements and default argument values run once, at import."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = func.body if isinstance(func.body, list) else [func.body]
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if isinstance(node, ast.Call) and called_name(node) in classes:
+                    yield node.lineno, called_name(node)
+
+
+def test_the_pricing_chain_builds_no_frozen_dataclass():
+    """A frozen dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``, about 1 us per record, and every price runs these
+    two modules' bodies, so the records they build are named tuples."""
+    trees = package_trees()
+    frozen = {node.name for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and is_frozen_dataclass(node)}
+    assert {"MarketState", "CorrectionParams"} <= frozen
+    built = sorted({
+        f"{name}:{line} {cls}"
+        for name in ("closedform.py", "perturbation.py")
+        for line, cls in calls_in_bodies(trees[name], frozen)
+    })
+    assert built == []

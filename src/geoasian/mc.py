@@ -37,7 +37,12 @@ Threads: ``simulate_paths`` cuts the draw paths into equal blocks and runs them
 on a thread pool (numpy's ufuncs, reductions and ``ndtri`` release the GIL),
 one block per worker at a time. A block holds the words of its draw paths in
 one array, uniforms turned into normals where they are read, so the blocks in
-flight hold at most one chunk of words.
+flight hold at most one chunk of words. A constant-vol block draws its paths
+a tile at a time instead, in arrays of at most ``WORD_TILE`` words (whole
+paths, at least one), so its run holds at most one tile per worker at any path
+count: it reduces each row to two sums, and per-row sums have the same bits for
+any row split. A full-model block draws all its paths at once, since its step
+loop runs on vectors as wide as the block.
 The pool has one worker per CPU the process may run on (its CPU affinity),
 fewer when a chunk has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has
 no setting; a run with one worker runs its blocks inline. Each block writes
@@ -100,6 +105,10 @@ MIN_BLOCK_PATHS = 2048
 # steps whose draws the full-model loop copies step-major at once: about 1 MB
 # of scratch per worker at 6250 path elements
 STEP_TILE = 4
+# most random words in one array of a constant-vol run, a tile of whole paths
+# (at least one): about 1 MB of float64 per worker. On validate, tiles of
+# 1 << 16 and 1 << 18 words ran alike, and a larger tile only holds more
+WORD_TILE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,9 @@ class McConfig:
     ``chunk_size`` bounds the draw paths in flight across all workers (each
     block holds its paths' random words in one array, as uniforms or normals);
     by default a chunk holds at most ``WORD_BUDGET`` random words. It changes
-    memory and speed, never the result.
+    memory and speed, never the result. It bounds the memory of full-model
+    runs only: a constant-vol run holds at most ``WORD_TILE`` words per worker
+    whatever the chunk.
     Beyond its share of the chunk, each worker of a full-model run holds a
     step-major tile buffer of ``STEP_TILE`` steps (about 1 MB at 6250 path
     elements).
@@ -479,7 +490,7 @@ def simulate_paths(
             z = np.full(m, z)
         return lnx, (t * math.log(g0) + integral) / T, y, z
 
-    def run_block(lo: int, hi: int) -> None:
+    def run_paths(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
         nc = hi - lo
         # normals only where they are read: the x columns here, in place and
@@ -502,6 +513,15 @@ def simulate_paths(
             if full:
                 for dest, values in zip((ln_x, ln_g, y_out, z_out), terminal):
                     dest[out] = values[part]
+
+    # a constant-vol block runs a tile of paths at a time (module docstring);
+    # the full-model step loop runs on vectors as wide as the block
+    tile_paths = block if full else max(1, WORD_TILE // words_per_path)
+
+    def run_block(lo: int, hi: int) -> None:
+        """Run the draw paths [lo, hi) of one block, a tile of paths at a time."""
+        for tile_lo in range(lo, hi, tile_paths):
+            run_paths(tile_lo, min(tile_lo + tile_paths, hi))
 
     bounds = [(lo, min(lo + block, draw_paths)) for lo in range(0, draw_paths, block)]
     if workers == 1:

@@ -215,20 +215,31 @@ def _stepped_full_model(model, vol, t, T, x0, g0, cfg):
         w_z = chol[2, 0] * e[:, 0] + chol[2, 1] * e[:, 1] + chol[2, 2] * e[:, 2]
         y = model.alpha + (y - model.alpha) * ey + sd_y * w_y
         z = model.alpha_prime + (z - model.alpha_prime) * ez + sd_z * w_z
-    tau = T - t
     sigma = stationary_effective_vol(model.z0, model.nu)
+    ln_x_cv, ln_g_cv = _constant_vol_terminal(
+        normals[:, 0:n_words:3], sigma, r, t, T, x0, g0, cfg.antithetic
+    )
+    return dict(ln_x=lnx, ln_g=(t * math.log(g0) + integral) / T, y=y, z=z,
+                ln_x_cv=ln_x_cv, ln_g_cv=ln_g_cv)
+
+
+def _constant_vol_terminal(x_normals, sigma, r, t, T, x0, g0, antithetic):
+    """Terminal (ln X, ln G) of the constant-vol path in closed form, summed
+    over all the x normals (one row per draw path) in one array."""
+    n_steps = x_normals.shape[1]
+    tau = T - t
+    dt = tau / n_steps
+    sqrt_dt = math.sqrt(dt)
     mu = r - 0.5 * sigma * sigma
     cv_x_mean = math.log(x0) + mu * tau
     cv_g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu * tau * tau) / T
     weights = n_steps - 0.5 - np.arange(n_steps)
     dev_x, dev_g = mc._constant_vol_deviations(
-        normals[:, 0:n_words:3], weights, sigma * sqrt_dt, sigma * sqrt_dt * dt / T
+        x_normals, weights, sigma * sqrt_dt, sigma * sqrt_dt * dt / T
     )
-    signs = (1.0, -1.0) if cfg.antithetic else (1.0,)
-    ln_x_cv = np.concatenate([cv_x_mean + sign * dev_x for sign in signs])
-    ln_g_cv = np.concatenate([cv_g_mean + sign * dev_g for sign in signs])
-    return dict(ln_x=lnx, ln_g=(t * math.log(g0) + integral) / T, y=y, z=z,
-                ln_x_cv=ln_x_cv, ln_g_cv=ln_g_cv)
+    signs = (1.0, -1.0) if antithetic else (1.0,)
+    return (np.concatenate([cv_x_mean + sign * dev_x for sign in signs]),
+            np.concatenate([cv_g_mean + sign * dev_g for sign in signs]))
 
 
 CORRELATED_MODEL = ModelParams(
@@ -299,6 +310,69 @@ def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, chunk_size):
     assert live[0] == 0
     block_words = chunk // 3 * words_per_path
     assert block_words < peak[0] <= chunk * words_per_path  # blocks overlapped, within one chunk
+
+
+@pytest.mark.parametrize("tile_paths", [0.5, 4.5])
+@pytest.mark.parametrize("chunk_size", [None, 37])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_steps", [36, 37])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_constant_vol_tiles_have_the_bits_of_one_array(
+    monkeypatch, antithetic, n_steps, workers, chunk_size, tile_paths
+):
+    """A constant-vol run drawn in tiles of four paths, or of one path when a
+    path has more words than a tile, has the bits of all its draws turned
+    into normals and summed in one array. 37 steps pad each path's word
+    block to 40 words."""
+    words_per_path = 4 * ((n_steps + 3) // 4)
+    monkeypatch.setattr(mc, "WORD_TILE", int(tile_paths * words_per_path))
+    monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
+    monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+    cfg = McConfig(n_paths=300, n_steps=n_steps, seed=29, antithetic=antithetic,
+                   chunk_size=chunk_size)
+    batch = simulate_paths(MODEL, ConstantVol(0.21), 0.1, 0.45, 100.0, 97.0, cfg)
+    draw_paths = cfg.n_paths // 2 if antithetic else cfg.n_paths
+    normals = ndtri(_uniforms_for_chunk(cfg.seed, 0, draw_paths, words_per_path))[:, :n_steps]
+    want = _constant_vol_terminal(normals, 0.21, MODEL.r, 0.1, 0.45, 100.0, 97.0, antithetic)
+    for got, values in zip((batch.ln_x, batch.ln_g), want):
+        assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+    assert np.ptp(batch.ln_x) > 0.5  # the draws moved the paths
+
+
+@pytest.mark.parametrize("chunk_size", [None, 100])
+def test_constant_vol_runs_hold_at_most_one_tile_per_worker(monkeypatch, chunk_size):
+    """Each draw path's words are drawn exactly once, and the workers' draws
+    together never exceed one tile each, whatever the chunk."""
+    lock = threading.Lock()
+    live, peak = [0], [0]
+    draws_per_path = np.zeros(600, dtype=int)
+
+    def release(words):
+        with lock:
+            live[0] -= words
+
+    def counted(seed, lo, n_chunk, words_per_path):
+        uniforms = _uniforms_for_chunk(seed, lo, n_chunk, words_per_path)
+        words = n_chunk * words_per_path
+        with lock:
+            live[0] += words
+            peak[0] = max(peak[0], live[0])
+            draws_per_path[lo:lo + n_chunk] += 1
+        weakref.finalize(uniforms.base, release, words)  # the buffer's lifetime
+        time.sleep(0.002)  # let the other workers start their tiles meanwhile
+        return uniforms
+
+    words_per_path = 32  # 30 steps, padded to a multiple of 4
+    tile = 5 * words_per_path + 7  # five paths
+    monkeypatch.setattr(mc, "WORD_TILE", tile)
+    monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
+    monkeypatch.setattr(mc, "_uniforms_for_chunk", counted)
+    monkeypatch.setattr(mc, "_worker_count", lambda: 3)
+    cfg = McConfig(n_paths=1200, n_steps=30, seed=42, antithetic=True, chunk_size=chunk_size)
+    simulate_paths(MODEL, ConstantVol(0.2), 0.0, 0.45, 100.0, 100.0, cfg)
+    assert np.all(draws_per_path == 1)
+    assert live[0] == 0
+    assert 5 * words_per_path < peak[0] <= 3 * tile  # tiles overlapped, one per worker
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -1,7 +1,8 @@
 """Smoke runs of the experiment scripts at small sizes, each in its own interpreter,
 a guard that the package root exports what the README, scripts and gate import,
-a guard against dead imports and dead private functions in the package, and a guard
-that the package reports bad input through one error family."""
+a guard against dead imports and dead private functions in the package, a guard
+that the package reports bad input through one error family, and a guard that
+it reads no environment variable."""
 
 import ast
 import builtins
@@ -288,3 +289,27 @@ def test_the_pricing_chain_builds_no_frozen_dataclass():
         for line, cls in calls_in_bodies(trees[name], frozen)
     })
     assert built == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(node):
+    """What a node reads of the process environment: ``os.environ``,
+    ``os.getenv`` and their bytes forms, as attributes or imported by name."""
+    if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (alias.name for alias in node.names if alias.name in ENVIRONMENT_READS)
+
+
+def test_the_package_reads_no_environment_variable():
+    """The pool size, ``WORD_TILE``, ``STEP_TILE`` and every other setting of
+    the package are constants or arguments, never knobs in the environment."""
+    reads = sorted(
+        f"{name}:{node.lineno} {read}"
+        for name, tree in package_trees().items()
+        for node in ast.walk(tree)
+        for read in environment_reads(node)
+    )
+    assert reads == []

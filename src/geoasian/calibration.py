@@ -21,21 +21,20 @@ misses by up to about 1e-3. Both x and y are
 evaluated at the C0 level (gamma included), which scales them equally and
 leaves the slope invariant.
 
-Quotes CSV: UTF-8, header required, columns exactly
-``t,T,spot,avg,strike,style,implied_vol``; strike empty on floating rows;
-style in {floating_call, fixed_put}. Only these two styles are accepted
-(the other combinations can have negative vegas).
+Quotes CSV: UTF-8, with or without a byte-order mark; header required,
+columns exactly ``t,T,spot,avg,strike,style,implied_vol``; strike empty on
+floating rows; style in {floating_call, fixed_put}. Only these two styles
+are accepted (the other combinations can have negative vegas).
 
-The quotes of one (t, T) cell share its window terms: ``regression_denominator``
-here and ``perturbation.i_integrals_closed`` remember the last 128 windows,
-and the closed forms remember the last contract's shared terms. Every
-result is bit-identical to recomputing it.
+The quotes of one (t, T) cell share the I-integrals that
+``perturbation.i_integrals_closed`` remembers for the last 128 windows, and
+the closed forms remember the last contract's shared terms; a remembered
+result is bit-identical to recomputing it. D is recomputed per quote.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -62,7 +61,7 @@ from .model import (
     VolArc,
     effective_vol,
 )
-from .perturbation import CorrectionParams, _first_order
+from .perturbation import _check_v_eps, _first_order
 
 VEGA_FLOOR_FRACTION = 1e-10
 DENOMINATOR_TOL = 1e-12
@@ -161,25 +160,17 @@ class SmilePoint:
     note: str | None = None
 
 
-def _bracket(k: float, t: float, T: float) -> float:
+def regression_denominator(k: float, t: float, T: float) -> float:
+    """D of the regressor, (1/(T - t)) times the log-plus-pole bracket."""
+    if not T > t:
+        raise OutOfDomain(f"need T > t, got t={t}, T={T}")
     wt = 2.0 - k * t
     wT = 2.0 - k * T
     if wt * wT <= 0.0 or wT / wt <= 0.0:
         raise SingularDenominator(
             f"bracket undefined: (2 - kT)/(2 - kt) nonpositive at kt={k * t}, kT={k * T}"
         )
-    return math.log(wT / wt) / k + (T - t) / (wT * wt)
-
-
-@functools.lru_cache(maxsize=128, typed=True)
-def regression_denominator(k: float, t: float, T: float) -> float:
-    """D of the regressor, (1/(T - t)) times the log-plus-pole bracket.
-
-    D depends on the window alone; the last 128 windows are remembered.
-    """
-    if not T > t:
-        raise OutOfDomain(f"need T > t, got t={t}, T={T}")
-    d = _bracket(k, t, T) / (T - t)
+    d = (math.log(wT / wt) / k + (T - t) / (wT * wt)) / (T - t)
     if abs(d) < DENOMINATOR_TOL:
         raise SingularDenominator(f"|D| = {abs(d)} below {DENOMINATOR_TOL}")
     return d
@@ -248,12 +239,13 @@ def v_from_fit(
 def ingest_quotes(source) -> IngestResult:
     """Parse and validate a quotes CSV from a path (str or Path) or a text stream.
 
-    A path is opened as UTF-8. Structural header problems raise MissingColumn;
-    malformed or invalid rows land in rejects with their line number; an
-    empty body yields an EmptyInput warning rather than an error.
+    A path is opened as UTF-8, with or without a byte-order mark. Structural
+    header problems raise MissingColumn; malformed or invalid rows land in
+    rejects with their line number; an empty body yields an EmptyInput
+    warning rather than an error.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return ingest_quotes(handle)
 
     reader = csv.reader(source)
@@ -337,7 +329,7 @@ def smile_curve(
     fixed_put points are struck at the spot. Inadmissible points (singular
     factors, vanishing vega) are returned flagged instead of raised.
     """
-    CorrectionParams(v_eps)  # rejects a non-finite v_eps
+    _check_v_eps(v_eps)
     contract = _CONTRACTS[style]
     strike = None if style is QuoteStyle.FLOATING_CALL else spot
     points: list[SmilePoint] = []

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from scipy.integrate import quad
@@ -124,24 +123,10 @@ def m_exponent(b0: float, theta_b0: float, price_floor: float = 0.0) -> float:
     return theta_b0 / b0
 
 
-@dataclass(frozen=True)
-class CorrectionParams:
-    """The calibrated group parameter v_eps = sqrt(epsilon) * V."""
-
-    v_eps: float
-
-    def __post_init__(self) -> None:
-        _check_v_eps(self.v_eps)
-
-
 def _check_v_eps(v_eps: float) -> None:
+    """Refuse a NaN or infinite group parameter v_eps = sqrt(epsilon) * V."""
     if not -math.inf < v_eps < math.inf:
         raise NonFiniteInput(f"v_eps must be finite, got {v_eps}")
-
-
-# v_eps = 1: the chain scales the unit correction by v_eps itself, bit for
-# bit the same as building CorrectionParams(v_eps) per price, as 1.0 * c == c
-_UNIT = CorrectionParams(1.0)
 
 
 class IIntegrals(NamedTuple):
@@ -231,14 +216,15 @@ def i_integrals_quadrature(k: float, t: float, T: float) -> IIntegrals:
     return IIntegrals(i0=i0, i1=i1, i2=i2, i3=i3, i4=i4, i5=i5)
 
 
-def c1_floating(v: CorrectionParams, ii: IIntegrals, greeks: GreekSet) -> float:
-    """Floating-strike correction v_eps (I1 du1 - 2 I2 du2 + I3 du3)."""
-    return v.v_eps * (ii.i1 * greeks.du1 - 2.0 * ii.i2 * greeks.du2 + ii.i3 * greeks.du3)
+def c1_floating(ii: IIntegrals, greeks: GreekSet) -> float:
+    """Floating-strike unit correction I1 du1 - 2 I2 du2 + I3 du3; the chain
+    scales it by v_eps."""
+    return ii.i1 * greeks.du1 - 2.0 * ii.i2 * greeks.du2 + ii.i3 * greeks.du3
 
 
-def c1_fixed(v: CorrectionParams, ii: IIntegrals, greeks: GreekSet) -> float:
-    """Fixed-strike correction v_eps (I4 du2 - I5 du3)."""
-    return v.v_eps * (ii.i4 * greeks.du2 - ii.i5 * greeks.du3)
+def c1_fixed(ii: IIntegrals, greeks: GreekSet) -> float:
+    """Fixed-strike unit correction I4 du2 - I5 du3; the chain scales it by v_eps."""
+    return ii.i4 * greeks.du2 - ii.i5 * greeks.du3
 
 
 class PriceBreakdown(NamedTuple):
@@ -306,7 +292,7 @@ def _first_order(
     except PricingError as exc:
         raise type(exc)(f"{stage}: {exc}") from None
     _check_v_eps(v_eps)
-    return b0, m, gamma, greeks, v_eps * c1_fn(_UNIT, ii, greeks)
+    return b0, m, gamma, greeks, v_eps * c1_fn(ii, greeks)
 
 
 def first_order_price(

@@ -35,7 +35,6 @@ from geoasian.closedform import GreekSet, b0_theta
 from geoasian.errors import NonFiniteInput
 from geoasian.model import effective_vol
 from geoasian.perturbation import (
-    CorrectionParams,
     IIntegrals,
     PriceBreakdown,
     c1_fixed,
@@ -71,7 +70,7 @@ def by_hand(style, kind, strike, bs, greeks_fn, c1_fn, state, maturity, v_eps):
     gamma = modification_factor(MODEL.k, state.t, maturity, m)
     ii = i_integrals_closed(MODEL.k, state.t, maturity)
     greeks = greeks_fn(state, sigma, maturity, *args, MODEL.r, gamma_factor=gamma)
-    return b0, m, gamma, greeks, c1_fn(CorrectionParams(v_eps), ii, greeks)
+    return b0, m, gamma, greeks, v_eps * c1_fn(ii, greeks)
 
 
 @pytest.fixture
@@ -112,6 +111,22 @@ def test_regression_row_is_the_chain(style):
     x = MODEL.r * sigma * c1_unit / regression_denominator(MODEL.k, STATE.t, T)
     y = (quote.implied_vol - sigma) * greeks.vega
     assert regression_row(quote, ARC, MODEL) == (x, y)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 2.5])
+def test_window_terms_agree_across_modules(k):
+    """The window's log-ratio and pole term are written three times: in I0,
+    in ln gamma and in D. With I0 = -(2/k) ln((2 - kT)/(2 - kt)) - 2 pole,
+    D = -I0 / (2 (T - t)) and ln gamma = m (T - t - I0)."""
+    windows = [(kt / k, kT / k) for kt in (0.0, 0.3, 0.6, 0.9)
+               for kT in (0.1, 0.35, 0.62, 0.8, 0.97) if kT > kt]
+    for t, T in windows:
+        i0 = i_integrals_closed(k, t, T).i0
+        assert regression_denominator(k, t, T) == pytest.approx(-i0 / (2.0 * (T - t)),
+                                                                rel=1e-13, abs=0.0), (t, T)
+        for m in (-3.0, -0.4, 0.7, 2.5):
+            ln_gamma = math.log(modification_factor(k, t, T, m))
+            assert abs(ln_gamma - m * (T - t - i0)) <= 1e-12 * abs(m) * (T - t), (t, T, m)
 
 
 @pytest.mark.parametrize("contract", CONTRACTS, ids=lambda c: f"{c[0].value}-{c[1].value}")

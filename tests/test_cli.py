@@ -294,6 +294,21 @@ def test_calibrate_bad_header_is_a_validation_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "MissingColumn"
 
 
+def test_calibrate_reads_a_quotes_file_with_a_byte_order_mark(tmp_path, capsys):
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark; the
+    file calibrates as it would without one."""
+    plain = quotes_csv(tmp_path)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for path in (plain, marked):
+        code, out, err = run(capsys, ["calibrate", *MODEL_ARGS, "--quotes", str(path), "--json"])
+        assert code == EXIT_OK, err
+        reports.append(json.loads(out)["outputs"])
+    assert reports[1] == reports[0]
+    assert reports[1]["rejects"][0]["line"] == 5
+
+
 # ------------------------------------------------------------------- smile
 
 

@@ -26,7 +26,7 @@ from geoasian.errors import (
     VanishingPrice,
 )
 from geoasian.mc import reference_full_model
-from geoasian.perturbation import CorrectionParams, c1_fixed, c1_floating, m_exponent
+from geoasian.perturbation import c1_fixed, c1_floating, m_exponent
 
 I_FIELDS = ("i0", "i1", "i2", "i3", "i4", "i5")
 
@@ -160,19 +160,13 @@ def test_m_exponent():
 # ------------------------------------------------------- correction algebra
 
 
-def test_correction_params():
-    with pytest.raises(ValueError):
-        CorrectionParams(v_eps=float("nan"))
-
-
 def test_c1_combinations():
     ii = i_integrals_closed(2.0, 0.0, 0.45)
     g = GreekSet(du1=-100.0, du2=2000.0, du3=12000.0, vega=17.0)
-    p = CorrectionParams(v_eps=-0.016)
     want_float = -0.016 * (ii.i1 * -100.0 - 2.0 * ii.i2 * 2000.0 + ii.i3 * 12000.0)
     want_fixed = -0.016 * (ii.i4 * 2000.0 - ii.i5 * 12000.0)
-    assert c1_floating(p, ii, g) == want_float
-    assert c1_fixed(p, ii, g) == want_fixed
+    assert -0.016 * c1_floating(ii, g) == want_float
+    assert -0.016 * c1_fixed(ii, g) == want_fixed
 
 
 # ------------------------------------------------------- first-order price

@@ -180,20 +180,23 @@ def cmd_validate(args, model: ModelParams, arc: VolArc):
     state = MarketState(t=0.0, x=spot, g=spot)
     vol = ConstantVol(sigma)
 
-    # one seeded path set serves the martingale check and every payoff
-    batch = simulate_paths(model, vol, 0.0, T, spot, spot, cfg)
-    mart, mart_se = mean_and_se(np.exp(batch.ln_x), cfg.antithetic, scale=math.exp(-model.r * T))
-    comparisons = [("martingale e^{-rT} E[X_T]", spot, mart, mart_se)]
-
+    # the closed forms first: they refuse what they cannot price (sigma = 0)
+    # before a path is drawn
     tiny = 1e-6 * spot
-    for name, spec, closed in (
+    payoffs = (
         ("floating ATM call", OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=T),
          bs_floating_call(state, sigma, T, model.r)),
         ("fixed ATM call", OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=T, strike=spot),
          bs_fixed_call(state, sigma, T, spot, model.r)),
         ("fixed call, K near 0", OptionSpec(StrikeStyle.FIXED, OptionKind.CALL, maturity=T, strike=tiny),
          bs_fixed_call(state, sigma, T, tiny, model.r)),
-    ):
+    )
+
+    # one seeded path set serves the martingale check and every payoff
+    batch = simulate_paths(model, vol, 0.0, T, spot, spot, cfg)
+    mart, mart_se = mean_and_se(np.exp(batch.ln_x), cfg.antithetic, scale=math.exp(-model.r * T))
+    comparisons = [("martingale e^{-rT} E[X_T]", spot, mart, mart_se)]
+    for name, spec, closed in payoffs:
         est = price_mc(spec, model, vol, state, cfg, paths=batch)
         comparisons.append((name, closed, est.price, est.std_error))
 

@@ -13,7 +13,7 @@ correlation matrix, which couples the exact OU integrals to the X increment
 only to O(dt). The geometric average accumulates trapezoidally on ln X and
 continues the running average through ln G_T = (t ln g + int_t^T ln X)/T.
 Only full-model runs step this scheme; under constant volatility its terminal
-state is a closed form over the draws (below), with no step loop.
+state is exactly Gaussian and is drawn from its law (below), with no step loop.
 
 The step loop walks each block's steps in tiles of ``STEP_TILE``. Per tile it
 copies the draws of each factor it reads into a step-major buffer, turns the
@@ -29,9 +29,11 @@ normals.
 
 Reproducibility contract: draws come from a counter-based Philox stream keyed
 by the seed, with path i owning the fixed word block [i L, (i+1) L) (L padded
-to a multiple of 4 words, the Philox counter granularity). The path set is
-therefore bit-identical for any chunk layout and for any thread count;
-antithetic runs give pair p the block of p and mirror it.
+to a multiple of 4 words, the Philox counter granularity): L = 4 ceil(3n / 4)
+for a full-model run of n steps, and L = 4 for a constant-vol run, whose path
+reads the first two words of its block at any n. The path set is therefore
+bit-identical for any chunk layout and for any thread count; antithetic runs
+give pair p the block of p and mirror it.
 
 Threads: ``simulate_paths`` cuts the draw paths into equal blocks and runs them
 on a thread pool (numpy's ufuncs, reductions and ``ndtri`` release the GIL),
@@ -40,9 +42,9 @@ one array, uniforms turned into normals where they are read, so the blocks in
 flight hold at most one chunk of words. A constant-vol block draws its paths
 a tile at a time instead, in arrays of at most ``WORD_TILE`` words (whole
 paths, at least one), so its run holds at most one tile per worker at any path
-count: it reduces each row to two sums, and per-row sums have the same bits for
-any row split. A full-model block draws all its paths at once, since its step
-loop runs on vectors as wide as the block.
+count; each path's deviations depend only on its own words, so any row split
+has the same bits. A full-model block draws all its paths at once, since its
+step loop runs on vectors as wide as the block.
 The pool has one worker per CPU the process may run on (its CPU affinity),
 fewer when a chunk has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has
 no setting; a run with one worker runs its blocks inline. Each block writes
@@ -50,19 +52,27 @@ only its own slice of the output, so the order in which blocks finish cannot
 change the result.
 
 The constant-vol path. At a constant sigma the scheme sums in closed form:
-with S = sum_j e_j and W = sum_j (n - j - 1/2) e_j over the n x draws,
+with S = sum_j e_j and W = sum_j w_j e_j, w_j = n - j - 1/2, over the n x
+draws,
 
     ln X_T = ln x0 + (r - sigma^2/2) tau + sigma sqrt(dt) S,
-    int    = tau ln x0 + (r - sigma^2/2) tau^2/2 + sigma sqrt(dt) dt W,
+    int    = tau ln x0 + (r - sigma^2/2) tau^2/2 + sigma sqrt(dt) dt W.
 
-so each block reduces its x draws to two per-row sums and no step runs. One
-helper computes this terminal state for both of its users: a ``ConstantVol``
-run at sigma = vol.sigma, and the control path of a full-model run at
-sigma_c = stationary_effective_vol(z0, nu). An antithetic mirror takes the
-mean minus the deviation.
+(S, W) is a centred Gaussian pair with Var S = n, Cov(S, W) = sum_j w_j = n^2/2
+and Var W = sum_j w_j^2 = n (4 n^2 - 1)/12, so a ``ConstantVol`` run draws it
+exactly from two normals z1, z2 per path:
+
+    S = sqrt(n) z1,    W = (n^{3/2}/2) z1 + sqrt((n^3 - n)/12) z2.
+
+Its law at each n is that of the stepped scheme, discretization bias included,
+and its cost does not depend on n. The control path of a full-model run, at
+sigma_c = stationary_effective_vol(z0, nu), shares the x draws of the
+full-model path, so it forms S and W as two per-row sums of those draws
+instead. An antithetic mirror takes the mean minus the deviation.
 
 Control variates, full-model runs only. The first control is the payoff of
-that constant-vol path, driven by the same W^x draws as the full-model path.
+the constant-vol path at sigma_c, driven by the same W^x draws as the
+full-model path.
 (ln X_c, int) is exactly Gaussian with Var ln X_c = sigma_c^2 tau,
 Var int = sigma_c^2 dt^3 sum_j (n - j - 1/2)^2 and covariance sigma_c^2 tau^2/2,
 and the mean of each payoff of (X_c, G_c) has one lognormal-pair closed form
@@ -119,8 +129,9 @@ class McConfig:
     block holds its paths' random words in one array, as uniforms or normals);
     by default a chunk holds at most ``WORD_BUDGET`` random words. It changes
     memory and speed, never the result. It bounds the memory of full-model
-    runs only: a constant-vol run holds at most ``WORD_TILE`` words per worker
-    whatever the chunk.
+    runs only: a constant-vol run owns 4 words per path (2 of them read)
+    whatever ``n_steps``, and holds at most ``WORD_TILE`` words per worker
+    whatever the chunk, so its cost does not depend on ``n_steps``.
     Beyond its share of the chunk, each worker of a full-model run holds a
     step-major tile buffer of ``STEP_TILE`` steps (about 1 MB at 6250 path
     elements).
@@ -299,7 +310,8 @@ def _worker_count() -> int:
 def _constant_vol_deviations(
     x_draws: np.ndarray, weights: np.ndarray, x_scale: float, g_scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path deviations x_scale S and g_scale W of the constant-vol path.
+    """Per-path deviations x_scale S and g_scale W of a full-model run's
+    control path.
 
     S = sum_j e_j and W = sum_j (n - j - 1/2) e_j over each row of the x draws
     (``weights`` holds n - j - 1/2). The draws are reweighted in place, so the
@@ -312,6 +324,37 @@ def _constant_vol_deviations(
     dev_g = x_draws.sum(axis=1)
     dev_x *= x_scale
     dev_g *= g_scale
+    return dev_x, dev_g
+
+
+def _two_sum_coefficients(n: int) -> tuple[float, float, float]:
+    """(a, b, c) with S = a z1 and W = b z1 + c z2 for independent normals z1, z2.
+
+    a = sqrt(n), b = n^{3/2}/2 and c = sqrt((n^3 - n)/12) give a^2 = n = Var S,
+    a b = n^2/2 = Cov(S, W) and b^2 + c^2 = n (4 n^2 - 1)/12 = Var W, the law
+    of the two sums of an n-step constant-vol path (module docstring).
+    """
+    n = int(n)  # a numpy integer would overflow in the cube
+    return math.sqrt(n), 0.5 * n * math.sqrt(n), math.sqrt((n - 1) * n * (n + 1) / 12)
+
+
+def _two_normal_deviations(
+    normals: np.ndarray, n: int, x_scale: float, g_scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path deviations x_scale S and g_scale W of an n-step constant-vol
+    path from the two normals (z1, z2) in each row of ``normals``.
+
+    With (a, b, c) from ``_two_sum_coefficients``, in this order of operations,
+    dev_x = z1 (a x_scale) and dev_g = z1 (b g_scale) + z2 (c g_scale); the z2
+    column is scaled in place. Each row's deviations depend only on that row,
+    so every row split has the same bits.
+    """
+    a, b, c = _two_sum_coefficients(n)
+    z1, z2 = normals[:, 0], normals[:, 1]
+    dev_x = z1 * (a * x_scale)
+    dev_g = z1 * (b * g_scale)
+    z2 *= c * g_scale
+    dev_g += z2
     return dev_x, dev_g
 
 
@@ -343,16 +386,18 @@ def simulate_paths(
         raise OutOfDomain(f"x0 and g0 must be > 0, got {x0}, {g0}")
 
     full = isinstance(vol, FullModel)
-    n_comp = 3 if full else 1
     n_steps = cfg.n_steps
-    n_words = n_steps * n_comp
+    # a full-model path reads three words a step, x first; a constant-vol
+    # path reads two words, whatever n_steps (module docstring)
+    n_words = 3 * n_steps if full else 2
+    stride = 3 if full else 1
     words_per_path = 4 * ((n_words + 3) // 4)
 
     dt = (T - t) / n_steps
     sqrt_dt = math.sqrt(dt)
     r = model.r
-    # the constant-vol path in closed form (module docstring): ln X and ln G
-    # are their means plus cv_x_scale S and cv_g_scale W
+    # the constant-vol path (module docstring): ln X and ln G are their means
+    # plus cv_x_scale S and cv_g_scale W
     tau = T - t
     sigma = stationary_effective_vol(model.z0, model.nu) if full else vol.sigma
     mu = r - 0.5 * sigma * sigma
@@ -360,9 +405,9 @@ def simulate_paths(
     cv_g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu * tau * tau) / T
     cv_x_scale = sigma * sqrt_dt
     cv_g_scale = sigma * sqrt_dt * dt / T
-    weights = n_steps - 0.5 - np.arange(n_steps)  # n - j - 1/2
 
     if full:
+        weights = n_steps - 0.5 - np.arange(n_steps)  # n - j - 1/2
         corr = np.array(
             [
                 [1.0, model.rho_xy, model.rho_xz],
@@ -493,15 +538,17 @@ def simulate_paths(
     def run_paths(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
         nc = hi - lo
-        # normals only where they are read: the x columns here, in place and
-        # row-major for the control path's sums; a full-model run's y and z
-        # in the tiles of its step loop
+        # normals only where they are read: the x columns (or a constant-vol
+        # path's two words) here, in place and row-major; a full-model run's
+        # y and z in the tiles of its step loop
         draws = _uniforms_for_chunk(cfg.seed, lo, nc, words_per_path)
-        x_draws = draws[:, 0:n_words:n_comp]
-        ndtri(x_draws, out=x_draws)
+        normals = draws[:, 0:n_words:stride]
+        ndtri(normals, out=normals)
         if full:
             terminal = step_full_model(draws)  # before the x draws are reweighted below
-        dev_x, dev_g = _constant_vol_deviations(x_draws, weights, cv_x_scale, cv_g_scale)
+            dev_x, dev_g = _constant_vol_deviations(normals, weights, cv_x_scale, cv_g_scale)
+        else:
+            dev_x, dev_g = _two_normal_deviations(normals, n_steps, cv_x_scale, cv_g_scale)
         # (output slice, block slice, sign of the deviation) of the drawn half
         # and of the mirrored half; + (-1.0) * dev has the bits of - dev
         halves = [(slice(lo, hi), slice(0, nc), 1.0)]

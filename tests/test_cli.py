@@ -5,6 +5,7 @@ import io
 import hashlib
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -517,6 +518,31 @@ def test_validate_simulates_once_and_matches_per_spec_prices(capsys, monkeypatch
     martingale = rows["martingale e^{-rT} E[X_T]"]
     assert martingale["closed"] == 100.0
     assert abs(martingale["z"]) < 3.0
+
+
+def test_validate_refuses_a_zero_sigma_before_drawing_a_path(capsys, monkeypatch):
+    """The closed forms refuse sigma = 0, and they run before the simulation."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate_paths(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", counted)
+    code, out, err = run(capsys, ["validate", "--sigma", "0", "--paths", "200000"])
+    assert code == EXIT_VALIDATION
+    assert "sigma must be > 0" in out + err
+    assert calls == []
+
+
+def test_validate_cost_does_not_grow_with_steps(capsys):
+    """A constant-vol path draws two normals whatever the step count, so ten
+    million steps run as fast as a few."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["validate", "--paths", "2000", "--steps", "10000000"])
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"]["steps"] == 10_000_000
 
 
 # ---------------------------------------------------------------- reports

@@ -312,31 +312,93 @@ def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, chunk_size):
     assert block_words < peak[0] <= chunk * words_per_path  # blocks overlapped, within one chunk
 
 
+def _raw_normals(seed, n_rows, words_per_path, n_words):
+    """ndtri of the first n_words raw Philox words of each row's block,
+    uniforms formed from the raw words as u = (word >> 11) 2^-53 + 2^-54."""
+    raw = np.random.Philox(key=seed).random_raw(n_rows * words_per_path)
+    raw = raw.reshape(n_rows, words_per_path)[:, :n_words]
+    return ndtri((raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
+
+
+def _two_normal_terminal(z, n_steps, sigma, r, t, T, x0, g0, antithetic):
+    """Terminal (ln X, ln G) of the n-step constant-vol path from the normals
+    (z1, z2) of each row: S = sqrt(n) z1, W = (n^{3/2}/2) z1 + sqrt((n^3 - n)/12) z2."""
+    n = n_steps
+    tau = T - t
+    dt = tau / n
+    sqrt_dt = math.sqrt(dt)
+    mu = r - 0.5 * sigma * sigma
+    x_mean = math.log(x0) + mu * tau
+    g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu * tau * tau) / T
+    x_scale, g_scale = sigma * sqrt_dt, sigma * sqrt_dt * dt / T
+    a, b, c = math.sqrt(n), 0.5 * n * math.sqrt(n), math.sqrt((n ** 3 - n) / 12)
+    dev_x = z[:, 0] * (a * x_scale)
+    dev_g = z[:, 0] * (b * g_scale) + z[:, 1] * (c * g_scale)
+    signs = (1.0, -1.0) if antithetic else (1.0,)
+    return (np.concatenate([x_mean + sign * dev_x for sign in signs]),
+            np.concatenate([g_mean + sign * dev_g for sign in signs]))
+
+
 @pytest.mark.parametrize("tile_paths", [0.5, 4.5])
 @pytest.mark.parametrize("chunk_size", [None, 37])
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("n_steps", [36, 37])
+@pytest.mark.parametrize("n_steps", [2, 36, 37])
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_constant_vol_tiles_have_the_bits_of_one_array(
     monkeypatch, antithetic, n_steps, workers, chunk_size, tile_paths
 ):
     """A constant-vol run drawn in tiles of four paths, or of one path when a
-    path has more words than a tile, has the bits of all its draws turned
-    into normals and summed in one array. 37 steps pad each path's word
-    block to 40 words."""
-    words_per_path = 4 * ((n_steps + 3) // 4)
-    monkeypatch.setattr(mc, "WORD_TILE", int(tile_paths * words_per_path))
+    path has more words than a tile, has the bits of the two-normal formula
+    applied to the first two raw Philox words of each path's 4-word block,
+    at any step count."""
+    monkeypatch.setattr(mc, "WORD_TILE", int(tile_paths * 4))
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
     monkeypatch.setattr(mc, "_worker_count", lambda: workers)
     cfg = McConfig(n_paths=300, n_steps=n_steps, seed=29, antithetic=antithetic,
                    chunk_size=chunk_size)
     batch = simulate_paths(MODEL, ConstantVol(0.21), 0.1, 0.45, 100.0, 97.0, cfg)
     draw_paths = cfg.n_paths // 2 if antithetic else cfg.n_paths
-    normals = ndtri(_uniforms_for_chunk(cfg.seed, 0, draw_paths, words_per_path))[:, :n_steps]
-    want = _constant_vol_terminal(normals, 0.21, MODEL.r, 0.1, 0.45, 100.0, 97.0, antithetic)
+    z = _raw_normals(cfg.seed, draw_paths, 4, 2)
+    want = _two_normal_terminal(z, n_steps, 0.21, MODEL.r, 0.1, 0.45, 100.0, 97.0, antithetic)
     for got, values in zip((batch.ln_x, batch.ln_g), want):
         assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
     assert np.ptp(batch.ln_x) > 0.5  # the draws moved the paths
+
+
+@pytest.mark.parametrize("n", [2, 37, 200, 10 ** 6])
+def test_two_sum_coefficients_give_the_law_of_the_stepped_sums(n):
+    """a^2, a b and b^2 + c^2 are Var S, Cov(S, W) and Var W of S = sum e_j and
+    W = sum (n - j - 1/2) e_j over n independent normals."""
+    a, b, c = mc._two_sum_coefficients(n)
+    w = n - 0.5 - np.arange(n)
+    want = np.array([[n, w.sum()], [w.sum(), (w * w).sum()]])
+    got = np.array([[a * a, a * b], [a * b, b * b + c * c]])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+    assert mc._two_sum_coefficients(np.int32(n)) == (a, b, c)  # no overflow in the cube
+
+
+@pytest.mark.parametrize("n_steps", [2, 37])
+def test_constant_vol_law_is_that_of_the_stepped_scheme(n_steps):
+    """Means and covariance of (ln X_T, ln G_T) drawn from two normals per path
+    agree, within 4 standard errors of their difference, with the scheme
+    stepped one step at a time on n independent normals per path."""
+    sigma, t, T, x0, g0 = 0.21, 0.1, 0.45, 100.0, 97.0
+    n_drawn, n_stepped = 400_000, 200_000
+    batch = simulate_paths(MODEL, ConstantVol(sigma), t, T, x0, g0,
+                           McConfig(n_paths=n_drawn, n_steps=n_steps, seed=51))
+    e = _uniforms_for_chunk(52, 0, n_stepped, 4 * ((n_steps + 3) // 4))[:, :n_steps]
+    ndtri(e, out=e)
+    stepped = np.stack(_euler_trapezoid_oracle(e, sigma, MODEL.r, t, T, x0, g0))
+    drawn = np.stack((batch.ln_x, batch.ln_g))
+    cov = np.cov(stepped)
+    for i in range(2):
+        se = math.sqrt(cov[i, i] * (1.0 / n_drawn + 1.0 / n_stepped))
+        assert abs(drawn[i].mean() - stepped[i].mean()) < 4.0 * se, i
+    # Var of a Gaussian sample covariance: (s_ii s_jj + s_ij^2) / N
+    diff = np.cov(drawn) - cov
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        se = math.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) * (1.0 / n_drawn + 1.0 / n_stepped))
+        assert abs(diff[i, j]) < 4.0 * se, (i, j, diff[i, j] / se)
 
 
 @pytest.mark.parametrize("chunk_size", [None, 100])
@@ -362,8 +424,8 @@ def test_constant_vol_runs_hold_at_most_one_tile_per_worker(monkeypatch, chunk_s
         time.sleep(0.002)  # let the other workers start their tiles meanwhile
         return uniforms
 
-    words_per_path = 32  # 30 steps, padded to a multiple of 4
-    tile = 5 * words_per_path + 7  # five paths
+    words_per_path = 4  # two words read, at any step count
+    tile = 5 * words_per_path + 3  # five paths
     monkeypatch.setattr(mc, "WORD_TILE", tile)
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
     monkeypatch.setattr(mc, "_uniforms_for_chunk", counted)
@@ -401,9 +463,10 @@ def test_full_model_runs_turn_only_the_draws_they_read_into_normals(
     assert turned[0] == 300 * factors * n_steps
 
 
-@pytest.mark.parametrize("n_steps", [36, 37])
+@pytest.mark.parametrize("n_steps", [2, 36, 37, 10 ** 6])
 def test_constant_vol_runs_turn_only_the_x_draws_into_normals(monkeypatch, n_steps):
-    """37 steps pad each path's word block to 40 words; ndtri sees the 37."""
+    """Each draw path owns a 4-word block at any step count; ndtri sees its
+    first two words, never the two padding words."""
     turned = []
 
     def counted(u, *args, **kwargs):
@@ -414,7 +477,7 @@ def test_constant_vol_runs_turn_only_the_x_draws_into_normals(monkeypatch, n_ste
     monkeypatch.setattr(mc, "_worker_count", lambda: 1)
     cfg = McConfig(n_paths=600, n_steps=n_steps, seed=3, antithetic=True, chunk_size=100)
     simulate_paths(MODEL, ConstantVol(0.21), 0.0, 0.45, 100.0, 100.0, cfg)
-    assert sum(turned) == 300 * n_steps
+    assert sum(turned) == 300 * 2
 
 
 def test_four_workers_with_fast_switching_match_the_serial_run(monkeypatch):
@@ -467,14 +530,28 @@ def test_same_seed_same_estimate():
     assert c.price != a.price
 
 
+# 4000 paths x 50 steps of a floating call at sigma = 0.1834, seed 123: z = -1.01
+# against the discrete scheme's exact mean, 3.19608
+PIN_PRICE, PIN_SE = 3.1212756015166074, 0.07378894587990896
+
+
 def test_frozen_estimates():
     """Regression pin on the Philox draw layout; any change to the stream
     contract shows up here first."""
     cfg = McConfig(n_paths=4000, n_steps=50, seed=123)
     est = price_mc(FLOAT_CALL, MODEL, ConstantVol(0.1834), STATE, cfg)
-    assert rel(est.price, 3.094692397753649) < 1e-12
-    assert rel(est.std_error, 0.07541756473216818) < 1e-12
+    assert rel(est.price, PIN_PRICE) < 1e-12
+    assert rel(est.std_error, PIN_SE) < 1e-12
     assert (est.price, est.std_error) == (est.price_plain, est.std_error_plain)
+    # the constant-vol pin, recomputed from the first two raw words of each
+    # path's 4-word block
+    z = _raw_normals(cfg.seed, cfg.n_paths, 4, 2)
+    ln_x, ln_g = _two_normal_terminal(z, cfg.n_steps, 0.1834, MODEL.r, 0.0, 0.45,
+                                      100.0, 100.0, False)
+    payoff = np.maximum(np.exp(ln_x) - np.exp(ln_g), 0.0)
+    disc = math.exp(-MODEL.r * 0.45)
+    assert rel(est.price, disc * payoff.mean()) < 1e-12
+    assert rel(est.std_error, disc * payoff.std(ddof=1) / math.sqrt(cfg.n_paths)) < 1e-12
     full = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
     assert rel(full.price_plain, 3.470332871882723) < 1e-12
     assert rel(full.std_error_plain, 0.08098057105114422) < 1e-12
@@ -493,7 +570,6 @@ def test_frozen_estimates():
         _control_mean(FLOAT_CALL, STATE, sigma_c, MODEL.r, cfg.n_steps),
         100.0 * math.exp(MODEL.r * 0.45),
     ])
-    disc = math.exp(-MODEL.r * 0.45)
     n = cfg.n_paths
     price = disc * (payoff.mean() - coef[1:] @ (design[:, 1:].mean(axis=0) - exact))
     se = disc * math.sqrt(ss_resid[0] / (n - 3)) / math.sqrt(n)
@@ -679,14 +755,11 @@ def test_zero_slow_level_prices_with_a_constant_control(spec):
 # ------------------------------------------------- constant-vol closed form
 
 
-def _euler_trapezoid_oracle(sigma, r, t, T, x0, g0, cfg):
+def _euler_trapezoid_oracle(e, sigma, r, t, T, x0, g0):
     """Terminal (ln X, ln G) of the constant-vol log-Euler/trapezoid scheme,
-    stepped one step at a time on the draws ``simulate_paths`` uses."""
-    n = cfg.n_steps
-    draw_paths = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    e = ndtri(_uniforms_for_chunk(cfg.seed, 0, draw_paths, 4 * ((n + 3) // 4)))[:, :n]
-    if cfg.antithetic:
-        e = np.concatenate([e, -e])
+    stepped one step at a time on the normals ``e`` (one row per path, one
+    column per step)."""
+    n = e.shape[1]
     dt = (T - t) / n
     lnx = np.full(e.shape[0], math.log(x0))
     integral = np.zeros(e.shape[0])
@@ -697,16 +770,30 @@ def _euler_trapezoid_oracle(sigma, r, t, T, x0, g0, cfg):
     return lnx, (t * math.log(g0) + integral) / T
 
 
+def _full_model_x_normals(cfg):
+    """The x normals of a full-model run: the first of each step's three words
+    in every draw path's block, mirrored for an antithetic run."""
+    n = cfg.n_steps
+    draw_paths = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    e = _raw_normals(cfg.seed, draw_paths, 4 * ((3 * n + 3) // 4), 3 * n)[:, 0::3]
+    return np.concatenate([e, -e]) if cfg.antithetic else e
+
+
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_constant_vol_closed_form_matches_the_step_loop(antithetic):
-    """37 steps pad each path's word block to 40 words; 300-path chunks put
-    several blocks, the last one short, behind the result."""
+    """The control path of a full-model run, summed in closed form, is the
+    constant-vol scheme at sigma_c stepped on the same x normals. 37 steps pad
+    each path's 111-word block to 112 words; 300-path chunks put several
+    blocks, the last one short, behind the result."""
     cfg = McConfig(n_paths=2000, n_steps=37, seed=11, antithetic=antithetic, chunk_size=300)
-    batch = simulate_paths(MODEL, ConstantVol(0.21), 0.1, 0.45, 100.0, 97.0, cfg)
-    want_x, want_g = _euler_trapezoid_oracle(0.21, MODEL.r, 0.1, 0.45, 100.0, 97.0, cfg)
-    assert np.max(np.abs(batch.ln_x - want_x) / np.abs(want_x)) < 1e-12
-    assert np.max(np.abs(batch.ln_g - want_g) / np.abs(want_g)) < 1e-12
-    assert np.ptp(batch.ln_x) > 0.5  # the draws moved the paths
+    batch = simulate_paths(MODEL, FullModel(), 0.1, 0.45, 100.0, 97.0, cfg)
+    sigma_c = stationary_effective_vol(MODEL.z0, MODEL.nu)
+    want_x, want_g = _euler_trapezoid_oracle(
+        _full_model_x_normals(cfg), sigma_c, MODEL.r, 0.1, 0.45, 100.0, 97.0
+    )
+    assert np.max(np.abs(batch.ln_x_cv - want_x) / np.abs(want_x)) < 1e-12
+    assert np.max(np.abs(batch.ln_g_cv - want_g) / np.abs(want_g)) < 1e-12
+    assert np.ptp(batch.ln_x_cv) > 0.5  # the draws moved the paths
 
 
 def test_zero_vol_is_exactly_the_deterministic_path():
@@ -717,7 +804,8 @@ def test_zero_vol_is_exactly_the_deterministic_path():
     want_g = (0.1 * math.log(97.0) + tau * math.log(100.0) + 0.5 * MODEL.r * tau * tau) / 0.45
     assert np.all(batch.ln_x == want_x)
     assert np.all(batch.ln_g == want_g)
-    stepped_x, stepped_g = _euler_trapezoid_oracle(0.0, MODEL.r, 0.1, 0.45, 100.0, 97.0, cfg)
+    e = _raw_normals(cfg.seed, cfg.n_paths, 40, cfg.n_steps)  # sigma = 0 ignores them
+    stepped_x, stepped_g = _euler_trapezoid_oracle(e, 0.0, MODEL.r, 0.1, 0.45, 100.0, 97.0)
     assert np.max(np.abs(stepped_x - want_x)) < 1e-13
     assert np.max(np.abs(stepped_g - want_g)) < 1e-13
 

@@ -1,59 +1,77 @@
 """Monte Carlo oracle over the full two-factor SDE system.
 
-State per path is (ln X, Y, Z) stepped over [t, T]:
+State per path is (ln X, Y, Z) over [t, T], on n steps of dt:
 
     d ln X = (r - f^2/2) dt + f dW^x,      f = f(Y, Z)
     dY     = (1/eps)(alpha - Y) dt + (nu sqrt(2)/sqrt(eps)) dW^y
     dZ     = k (alpha' - Z) dt + beta dW^z
 
-ln X uses an Euler step (exact per step under constant volatility); Y and Z
-use exact OU transitions, since eps down at 1e-3 makes Euler on Y stiff. The
-per-step Gaussian triple is correlated through the Cholesky factor of the
-correlation matrix, which couples the exact OU integrals to the X increment
-only to O(dt). The geometric average accumulates trapezoidally on ln X and
-continues the running average through ln G_T = (t ln g + int_t^T ln X)/T.
-Only full-model runs step this scheme; under constant volatility its terminal
-state is exactly Gaussian and is drawn from its law (below), with no step loop.
+The scheme takes a log-Euler step on ln X (exact per step under constant
+volatility) and exact OU transitions on Y and Z, since eps down at 1e-3 makes
+Euler on Y stiff. Each step's Gaussian triple is correlated through the
+Cholesky factor of the correlation matrix in the order (y, z, x), which couples
+the exact OU integrals to the X increment only to O(dt). The geometric average
+accumulates trapezoidally on ln X and continues the running average through
+ln G_T = (t ln g + int_t^T ln X)/T.
+
+The conditional route. In the order (y, z, x), step j's x noise is
+e_x = c_xy w_y + c_xz w_z + a_x w_x for independent normals w, and f_j depends
+only on draws before step j. Given the y and z draws, which fix the volatility
+path, ln X_T and the trapezoid integral are linear in the n draws w_x: an
+exactly Gaussian pair. With w_j = n - j - 1/2, the known part
+mu_j = (r - f_j^2/2) dt + f_j sqrt(dt) (c_xy w_y + c_xz w_z) of step j, and
+S0 = sum f_j^2, S1 = sum w_j f_j^2, S2 = sum w_j^2 f_j^2,
+
+    E[ln X_T] = ln x0 + sum mu_j,           Var ln X_T = a_x^2 dt S0,
+    E[ln G_T] = (t ln g + tau ln x0 + dt sum w_j mu_j) / T,
+    Var ln G_T = a_x^2 dt^3 S2 / T^2,       Cov = a_x^2 dt^2 S1 / T.
+
+So a full-model run steps only the volatility factors. A factor without noise
+(nu = 0 for Y, beta = 0 for Z) is deterministic: it reads no words, is stepped
+as one number, and its share of the x noise joins a_x (the Cholesky factor is
+that of the noisy factors and x alone). The loop keeps the weighted sums as
+running prefix sums: with P_k = sum_{j<=k} q_j and R_k = sum_{i<=k} P_i, the
+sums over k of P_k and R_k weight q_j by n - j and (n - j)(n - j + 1)/2, from
+which S1 and S2 follow; one addition a step each. Each path keeps the five
+conditional moments and samples (ln X_T, ln G_T) from them with two normals,
+so the batch has the law of the stepped scheme at each n, discretization bias
+included. ``price_mc`` prices each path by its conditional payoff mean.
 
 The step loop walks each block's steps in tiles of ``STEP_TILE``. Per tile it
-copies the draws of each factor it reads into a step-major buffer, turns the
-y and z uniforms into normals there with ``ndtri`` (the x words are normals
-already, in place in the block's row-major array, where the control path sums
-them), negates the copy into the mirror half of an antithetic run, and forms
-the Y and Z noise terms of the whole tile, so every step reads contiguous rows
-and updates its state in place. The operations and their order are those of
-one step at a time, so the bits are too. When sd_z = 0 (beta = 0, as in
-``reference_full_model``) Z is deterministic: the noise term is a signed zero,
-so Z stays one number, and its words are neither copied nor turned into
-normals.
+copies the words of each noisy factor into a step-major buffer, turns them
+into normals there with ``ndtri``, negates the copy into the mirror half of an
+antithetic run, and forms the tile's x and OU noise terms, so every step reads
+contiguous rows and updates its state in place. The operations and their
+order are those of one step at a time, so the bits are too. The loop reaches
+``f_full``, and ``price_mc`` reaches ``simulate_paths``, through this module's
+globals, where a caller may wrap them to time them.
 
 Reproducibility contract: draws come from a counter-based Philox stream keyed
 by the seed, with path i owning the fixed word block [i L, (i+1) L) (L padded
-to a multiple of 4 words, the Philox counter granularity): L = 4 ceil(3n / 4)
-for a full-model run of n steps, and L = 4 for a constant-vol run, whose path
-reads the first two words of its block at any n. The path set is therefore
-bit-identical for any chunk layout and for any thread count; antithetic runs
-give pair p the block of p and mirror it.
+to a multiple of 4 words, the Philox counter granularity). Words 0 and 1 are
+the two normals of the terminal pair. A full-model run of n steps then reads
+one word a step for each noisy factor, y before z: L = 4 ceil((2 + n)/4) when
+only Y is noisy (beta = 0, as in ``reference_full_model``) and
+4 ceil((2 + 2n)/4) when Z is noisy too. A constant-vol run reads the two words
+of a 4-word block at any n. The path set is therefore bit-identical for any
+chunk layout and for any thread count; antithetic runs give pair p the block
+of p and mirror every word.
 
 Threads: ``simulate_paths`` cuts the draw paths into equal blocks and runs them
 on a thread pool (numpy's ufuncs, reductions and ``ndtri`` release the GIL),
 one block per worker at a time. A block holds the words of its draw paths in
 one array, uniforms turned into normals where they are read, so the blocks in
-flight hold at most one chunk of words. A constant-vol block draws its paths
-a tile at a time instead, in arrays of at most ``WORD_TILE`` words (whole
-paths, at least one), so its run holds at most one tile per worker at any path
-count; each path's deviations depend only on its own words, so any row split
-has the same bits. A full-model block draws all its paths at once, since its
-step loop runs on vectors as wide as the block.
-The pool has one worker per CPU the process may run on (its CPU affinity),
-fewer when a chunk has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has
-no setting; a run with one worker runs its blocks inline. Each block writes
-only its own slice of the output, so the order in which blocks finish cannot
-change the result.
+flight hold at most one chunk of words. A constant-vol chunk holds at most
+``WORD_TILE`` words whatever ``chunk_size``; each path's terminal state
+depends only on its own words, so any split has the same bits. The pool has
+one worker per CPU the process may run on (its CPU affinity), fewer when a
+chunk has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has no setting;
+a run with one worker runs its blocks inline. Each block writes only its own
+slice of the output, so the order in which blocks finish cannot change the
+result.
 
 The constant-vol path. At a constant sigma the scheme sums in closed form:
-with S = sum_j e_j and W = sum_j w_j e_j, w_j = n - j - 1/2, over the n x
-draws,
+with S = sum_j e_j and W = sum_j w_j e_j over the n x draws,
 
     ln X_T = ln x0 + (r - sigma^2/2) tau + sigma sqrt(dt) S,
     int    = tau ln x0 + (r - sigma^2/2) tau^2/2 + sigma sqrt(dt) dt W.
@@ -65,23 +83,15 @@ exactly from two normals z1, z2 per path:
     S = sqrt(n) z1,    W = (n^{3/2}/2) z1 + sqrt((n^3 - n)/12) z2.
 
 Its law at each n is that of the stepped scheme, discretization bias included,
-and its cost does not depend on n. The control path of a full-model run, at
-sigma_c = stationary_effective_vol(z0, nu), shares the x draws of the
-full-model path, so it forms S and W as two per-row sums of those draws
-instead. An antithetic mirror takes the mean minus the deviation.
+and its cost does not depend on n.
 
-Control variates, full-model runs only. The first control is the payoff of
-the constant-vol path at sigma_c, driven by the same W^x draws as the
-full-model path.
-(ln X_c, int) is exactly Gaussian with Var ln X_c = sigma_c^2 tau,
-Var int = sigma_c^2 dt^3 sum_j (n - j - 1/2)^2 and covariance sigma_c^2 tau^2/2,
-and the mean of each payoff of (X_c, G_c) has one lognormal-pair closed form
-for the discrete scheme itself. The second control is the full-model X_T: f_j
-depends only on draws before step j, so the log-Euler step keeps
-E[X_T] = x0 e^{r (T - t)} exactly. Both control means are therefore exact, and
-``price_mc`` regresses the payoff on the two controls with no bias from the
-time grid. Constant-vol runs carry no control: their closed forms are what
-the oracle checks them against.
+Pricing. Given its volatility path, a full-model path's payoff mean is a
+lognormal-pair closed form (``_lognormal_pair_call``), so ``price_mc``
+averages those conditional means, with E[X_T | vol] = exp(m_x + v_x/2) as a
+control variate: the log-Euler step keeps E[X_T] = x0 e^{r (T - t)} exactly,
+so the control's mean is exact by the tower property and adds no bias from
+the time grid. Constant-vol runs carry no control: their closed forms are
+what the oracle checks them against.
 """
 
 from __future__ import annotations
@@ -112,12 +122,11 @@ WORD_BUDGET = 1 << 23  # max random words in flight, summed over the workers
 # blocks 1.75-1.8x at both; a short block's numpy calls are too brief for a
 # second thread to pay at every step count
 MIN_BLOCK_PATHS = 2048
-# steps whose draws the full-model loop copies step-major at once: about 1 MB
-# of scratch per worker at 6250 path elements
+# steps whose draws the full-model loop copies step-major at once
 STEP_TILE = 4
-# most random words in one array of a constant-vol run, a tile of whole paths
-# (at least one): about 1 MB of float64 per worker. On validate, tiles of
-# 1 << 16 and 1 << 18 words ran alike, and a larger tile only holds more
+# most random words in one chunk of a constant-vol run (at least one path):
+# about 1 MB of float64. On validate, tiles of 1 << 16 and 1 << 18 words ran
+# alike, and a larger tile only holds more
 WORD_TILE = 1 << 17
 
 
@@ -127,14 +136,14 @@ class McConfig:
 
     ``chunk_size`` bounds the draw paths in flight across all workers (each
     block holds its paths' random words in one array, as uniforms or normals);
-    by default a chunk holds at most ``WORD_BUDGET`` random words. It changes
-    memory and speed, never the result. It bounds the memory of full-model
-    runs only: a constant-vol run owns 4 words per path (2 of them read)
-    whatever ``n_steps``, and holds at most ``WORD_TILE`` words per worker
-    whatever the chunk, so its cost does not depend on ``n_steps``.
-    Beyond its share of the chunk, each worker of a full-model run holds a
-    step-major tile buffer of ``STEP_TILE`` steps (about 1 MB at 6250 path
-    elements).
+    by default a full-model chunk holds at most ``WORD_BUDGET`` random words,
+    2 + n_steps per path when only Y is noisy and 2 + 2 n_steps when Z is
+    too. It changes memory and speed, never the result. A constant-vol run
+    owns 4 words per path (2 of them read) whatever ``n_steps``, and its
+    chunks hold at most ``WORD_TILE`` words whatever ``chunk_size``, so its
+    cost does not depend on ``n_steps``. Beyond its share of the chunk, each
+    worker of a full-model run holds step-major buffers of ``STEP_TILE``
+    steps and its per-path sums, about 1 MB at 6250 path elements.
     """
 
     n_paths: int
@@ -204,9 +213,11 @@ def _source(model: ModelParams, vol: VolSpec, t, T, x0, g0, cfg: McConfig) -> di
 class PathBatch:
     """Terminal per-path state; arrays are indexed by global path id.
 
-    ln_x_cv and ln_g_cv are the terminal state of the constant-vol control
-    path of a full-model run (None under ``ConstantVol``). ``source`` holds
-    the arguments the paths were simulated from.
+    ``moments`` holds, for a full-model run, the conditional law of
+    (ln X_T, ln G_T) given each path's volatility path, as rows of a
+    (5, n_paths) array: the means of ln X_T and ln G_T, their variances and
+    their covariance (None under ``ConstantVol``). ``source`` holds the
+    arguments the paths were simulated from.
     """
 
     ln_x: np.ndarray
@@ -214,15 +225,15 @@ class PathBatch:
     y: np.ndarray | None
     z: np.ndarray | None
     source: dict
-    ln_x_cv: np.ndarray | None
-    ln_g_cv: np.ndarray | None
+    moments: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class McEstimate:
     """Discounted price and standard error; ``price_plain`` and
-    ``std_error_plain`` are the plain Monte Carlo mean and its SE, equal to
-    ``price`` and ``std_error`` when no control was applied."""
+    ``std_error_plain`` are the plain Monte Carlo mean of the sampled terminal
+    payoffs and its SE, equal to ``price`` and ``std_error`` under
+    ``ConstantVol``, where no conditioning or control applies."""
 
     price: float
     std_error: float
@@ -307,26 +318,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _constant_vol_deviations(
-    x_draws: np.ndarray, weights: np.ndarray, x_scale: float, g_scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path deviations x_scale S and g_scale W of a full-model run's
-    control path.
-
-    S = sum_j e_j and W = sum_j (n - j - 1/2) e_j over each row of the x draws
-    (``weights`` holds n - j - 1/2). The draws are reweighted in place, so the
-    block needs no second array of its size; per-row sums give the same bits
-    for any row split and for strided views, which keeps every chunk layout
-    bit-identical.
-    """
-    dev_x = x_draws.sum(axis=1)
-    x_draws *= weights
-    dev_g = x_draws.sum(axis=1)
-    dev_x *= x_scale
-    dev_g *= g_scale
-    return dev_x, dev_g
-
-
 def _two_sum_coefficients(n: int) -> tuple[float, float, float]:
     """(a, b, c) with S = a z1 and W = b z1 + c z2 for independent normals z1, z2.
 
@@ -336,26 +327,6 @@ def _two_sum_coefficients(n: int) -> tuple[float, float, float]:
     """
     n = int(n)  # a numpy integer would overflow in the cube
     return math.sqrt(n), 0.5 * n * math.sqrt(n), math.sqrt((n - 1) * n * (n + 1) / 12)
-
-
-def _two_normal_deviations(
-    normals: np.ndarray, n: int, x_scale: float, g_scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path deviations x_scale S and g_scale W of an n-step constant-vol
-    path from the two normals (z1, z2) in each row of ``normals``.
-
-    With (a, b, c) from ``_two_sum_coefficients``, in this order of operations,
-    dev_x = z1 (a x_scale) and dev_g = z1 (b g_scale) + z2 (c g_scale); the z2
-    column is scaled in place. Each row's deviations depend only on that row,
-    so every row split has the same bits.
-    """
-    a, b, c = _two_sum_coefficients(n)
-    z1, z2 = normals[:, 0], normals[:, 1]
-    dev_x = z1 * (a * x_scale)
-    dev_g = z1 * (b * g_scale)
-    z2 *= c * g_scale
-    dev_g += z2
-    return dev_x, dev_g
 
 
 def simulate_paths(
@@ -387,43 +358,56 @@ def simulate_paths(
 
     full = isinstance(vol, FullModel)
     n_steps = cfg.n_steps
-    # a full-model path reads three words a step, x first; a constant-vol
-    # path reads two words, whatever n_steps (module docstring)
-    n_words = 3 * n_steps if full else 2
-    stride = 3 if full else 1
-    words_per_path = 4 * ((n_words + 3) // 4)
-
-    dt = (T - t) / n_steps
+    tau = T - t
+    dt = tau / n_steps
     sqrt_dt = math.sqrt(dt)
     r = model.r
-    # the constant-vol path (module docstring): ln X and ln G are their means
-    # plus cv_x_scale S and cv_g_scale W
-    tau = T - t
-    sigma = stationary_effective_vol(model.z0, model.nu) if full else vol.sigma
-    mu = r - 0.5 * sigma * sigma
-    cv_x_mean = math.log(x0) + mu * tau
-    cv_g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu * tau * tau) / T
-    cv_x_scale = sigma * sqrt_dt
-    cv_g_scale = sigma * sqrt_dt * dt / T
+    ln_x0 = math.log(x0)
 
     if full:
-        weights = n_steps - 0.5 - np.arange(n_steps)  # n - j - 1/2
+        y_noisy, z_noisy = model.nu != 0.0, model.beta != 0.0
+        n_noisy = y_noisy + z_noisy
+        # two terminal words, then one word a step for each noisy factor
+        n_words = 2 + n_noisy * n_steps
         corr = np.array(
             [
-                [1.0, model.rho_xy, model.rho_xz],
-                [model.rho_xy, 1.0, model.rho_yz],
-                [model.rho_xz, model.rho_yz, 1.0],
+                [1.0, model.rho_yz, model.rho_xy],
+                [model.rho_yz, 1.0, model.rho_xz],
+                [model.rho_xy, model.rho_xz, 1.0],
             ]
-        )
+        )  # (y, z, x)
+        # the factor of the noisy factors and x alone (module docstring)
+        keep = [i for i, noisy in enumerate((y_noisy, z_noisy, True)) if noisy]
         try:
-            chol = np.linalg.cholesky(corr)
+            chol = np.linalg.cholesky(corr[np.ix_(keep, keep)])
         except np.linalg.LinAlgError as exc:
             raise PDFactorizationFailure(str(exc)) from None
+        x_scale = sqrt_dt * chol[-1, :-1]  # sqrt(dt) (c_xy, c_xz) of the noisy factors
+        a_x = chol[-1, -1]
         ey = math.exp(-dt / model.epsilon)
         sd_y = model.nu * math.sqrt(max(0.0, 1.0 - ey * ey))
         ez = math.exp(-model.k * dt)
         sd_z = model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k)))
-        z_noisy = sd_z != 0.0
+        z_shift = model.alpha_prime * (1.0 - ez)
+        # sd_z e_z = z_mix . (w_y, w_z) when both factors are noisy, z_mix w_z
+        # when only Z is
+        z_mix = sd_z * chol[n_noisy - 1, :n_noisy]
+        # the conditional moments (module docstring): what does not depend on
+        # the path, and the scales of the path sums
+        x_mean0 = ln_x0 + r * tau
+        g_mean0 = t * math.log(g0) + tau * ln_x0 + 0.5 * r * tau * tau
+        var_dt = a_x * a_x * dt
+    else:
+        n_words = 2
+        a, b, c = _two_sum_coefficients(n_steps)
+        sigma = vol.sigma
+        mu = r - 0.5 * sigma * sigma
+        cv_x_mean = ln_x0 + mu * tau
+        cv_g_mean = (t * math.log(g0) + tau * ln_x0 + 0.5 * mu * tau * tau) / T
+        cv_x_scale = sigma * sqrt_dt
+        cv_g_scale = sigma * sqrt_dt * dt / T
+        z1_x, z1_g, z2_g = a * cv_x_scale, b * cv_g_scale, c * cv_g_scale
+    words_per_path = 4 * ((n_words + 3) // 4)
 
     anti = cfg.antithetic
     draw_paths = cfg.n_paths // 2 if anti else cfg.n_paths
@@ -433,16 +417,13 @@ def simulate_paths(
     ln_g = np.empty(n_total)
     y_out = np.empty(n_total) if full else None
     z_out = np.empty(n_total) if full else None
-    ln_x_cv = np.empty(n_total) if full else None
-    ln_g_cv = np.empty(n_total) if full else None
-    # where the constant-vol path goes: the control of a full-model run, or
-    # the terminal state itself
-    cv_x_out, cv_g_out = (ln_x_cv, ln_g_cv) if full else (ln_x, ln_g)
+    moments = np.empty((5, n_total)) if full else None
 
-    if cfg.chunk_size is not None:
-        chunk = min(cfg.chunk_size, draw_paths)
-    else:
-        chunk = max(1, min(draw_paths, WORD_BUDGET // words_per_path))
+    # a full-model chunk holds WORD_BUDGET words unless chunk_size sets it; a
+    # constant-vol chunk holds at most WORD_TILE words whatever chunk_size
+    chunk = min(cfg.chunk_size or draw_paths, draw_paths)
+    if not full or cfg.chunk_size is None:
+        chunk = max(1, min(chunk, (WORD_BUDGET if full else WORD_TILE) // words_per_path))
     # each worker runs one block at a time, so a round of blocks holds at most
     # one chunk; the paths are shared evenly over the fewest rounds, so no
     # worker waits alone on a short last block
@@ -450,133 +431,136 @@ def simulate_paths(
     rounds = -(-draw_paths // (chunk // workers * workers))
     block = -(-draw_paths // (rounds * workers))
 
-    def step_full_model(draws: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Step one block's full-model paths; returns ln X_T, ln G_T, Y_T, Z_T.
+    def step_full_model(draws: np.ndarray) -> tuple:
+        """Step one block's volatility paths; returns ln X_T, ln G_T, Y_T, Z_T
+        and the (5, m) conditional moments of its m path elements.
 
-        ``draws`` is the block's row-major word array: normals in the x
-        columns, uniforms in the y and z columns, which become normals as
-        they are copied into a tile (z only when sd_z != 0). Each step
+        ``draws`` is the block's row-major word array: the two terminal
+        normals, then uniforms in the words of the noisy factors, which become
+        normals as they are copied into a tile. With u = y - alpha, each step
         computes, in this order of operations,
 
-            f      = f_full(y, z)
-            d_lnx  = (r - 0.5 f f) dt + (f sqrt_dt) e_x
-            int   += (0.5 dt) (2 lnx + d_lnx);  lnx += d_lnx
-            y      = (alpha + (y - alpha) ey) + sd_y (c10 e_x + c11 e_y)
-            z      = (alpha' + (z - alpha') ez) + sd_z ((c20 e_x + c21 e_y) + c22 e_z)
+            f  = f_full(u, z, 0)
+            q  = f f;    p0 += q;   p1 += p0;   p2 += p1
+            h  = f nx;   n0 += h;   n1 += n0
+            u  = u ey + w_y sd_y
+            z  = z ez + ((w_z z_mix_z + w_y z_mix_y) + alpha' (1 - ez))
 
-        in place, with the OU noise terms formed a tile of steps at a time.
+        in place, with nx = sqrt(dt) (c_xy w_y + c_xz w_z) and the noise
+        terms formed a tile of steps at a time; a term of a factor without
+        noise is left out, and a deterministic Z is one number.
         """
         nc = draws.shape[0]
         m = 2 * nc if anti else nc
-        alpha, alpha_p = model.alpha, model.alpha_prime
-        c10, c11 = chol[1, 0], chol[1, 1]
-        c20, c21, c22 = chol[2, 0], chol[2, 1], chol[2, 2]
-        half_dt = 0.5 * dt
-        n_read = 3 if z_noisy else 2  # the factors whose draws the steps read
-        # step-major: tiles[c, s] is factor c of step s of the tile
-        tiles = np.empty((n_read, STEP_TILE, m))
-        scratch = np.empty((n_read - 1, STEP_TILE, m))
-        f, d_lnx, tmp = np.empty(m), np.empty(m), np.empty(m)
-        lnx = np.full(m, math.log(x0))
-        integral = np.zeros(m)
-        y = np.full(m, alpha)
+        # step-major: tiles[c, s] is noisy factor c of step s of the tile
+        tiles = np.empty((n_noisy, STEP_TILE, m))
+        nx, scratch = np.empty((STEP_TILE, m)), np.empty((STEP_TILE, m))
+        f, q, h = np.empty(m), np.empty(m), np.empty(m)
+        p0, p1, p2, n0, n1 = np.zeros((5, m))
+        u = np.zeros(m)
         z = np.full(m, model.z0) if z_noisy else model.z0
         for j0 in range(0, n_steps, STEP_TILE):
             k = min(STEP_TILE, n_steps - j0)
-            tile = tiles[:, :k]
-            for c in range(n_read):
-                drawn = tile[c, :, :nc]
-                np.copyto(drawn, draws[:, 3 * j0 + c:3 * (j0 + k):3].T)
-                if c:  # the x columns hold normals already
+            if n_noisy:
+                tile = tiles[:, :k]
+                for c in range(n_noisy):
+                    drawn = tile[c, :, :nc]
+                    col = 2 + n_noisy * j0 + c
+                    np.copyto(drawn, draws[:, col:col + n_noisy * k:n_noisy].T)
                     ndtri(drawn, out=drawn)
-            if anti:
-                np.negative(tile[:, :, :nc], out=tile[:, :, nc:])
-            e_x, e_y = tile[0], tile[1]
-            # the OU noise terms overwrite the e_y and e_z rows
-            t1 = scratch[0, :k]
-            if z_noisy:
-                e_z, t2 = tile[2], scratch[1, :k]
-                np.multiply(e_x, c20, out=t1)
-                np.multiply(e_y, c21, out=t2)
-                t1 += t2
-                e_z *= c22
-                e_z += t1
-                e_z *= sd_z
-            np.multiply(e_x, c10, out=t1)
-            e_y *= c11
-            e_y += t1
-            e_y *= sd_y
-            for s in range(k):
-                f_full(y, z, vol, alpha, out=f)
-                np.multiply(f, 0.5, out=d_lnx)
-                d_lnx *= f
-                np.subtract(r, d_lnx, out=d_lnx)
-                d_lnx *= dt
-                np.multiply(f, sqrt_dt, out=tmp)
-                tmp *= e_x[s]
-                d_lnx += tmp
-                np.multiply(lnx, 2.0, out=tmp)
-                tmp += d_lnx
-                tmp *= half_dt
-                integral += tmp
-                lnx += d_lnx
-                y -= alpha
-                y *= ey
-                y += alpha
-                y += e_y[s]
+                if anti:
+                    np.negative(tile[:, :, :nc], out=tile[:, :, nc:])
+                tile_nx, tmp = nx[:k], scratch[:k]
+                np.multiply(tile[0], x_scale[0], out=tile_nx)
+                if n_noisy == 2:
+                    np.multiply(tile[1], x_scale[1], out=tmp)
+                    tile_nx += tmp
+                # the OU noise terms overwrite the w rows
                 if z_noisy:
-                    z -= alpha_p
+                    e_z = tile[-1]
+                    e_z *= z_mix[-1]
+                    if n_noisy == 2:
+                        np.multiply(tile[0], z_mix[0], out=tmp)
+                        e_z += tmp
+                    e_z += z_shift
+                if y_noisy:
+                    e_y = tile[0]
+                    e_y *= sd_y
+            for s in range(k):
+                f_full(u, z, vol, 0.0, out=f)
+                np.multiply(f, f, out=q)
+                p0 += q
+                p1 += p0
+                p2 += p1
+                if n_noisy:
+                    np.multiply(f, nx[s], out=h)
+                    n0 += h
+                    n1 += n0
+                if y_noisy:
+                    u *= ey
+                    u += e_y[s]
+                if z_noisy:
                     z *= ez
-                    z += alpha_p
                     z += e_z[s]
-                else:  # sd_z = 0: the term adds a signed zero, so z is one number
-                    z = alpha_p + (z - alpha_p) * ez
-        if not z_noisy:
-            z = np.full(m, z)
-        return lnx, (t * math.log(g0) + integral) / T, y, z
+                else:  # beta = 0: z is one number
+                    z = z * ez + z_shift
+        # the weighted sums (module docstring): S1 = p1 - p0/2 and
+        # S2 = 2 (p2 - p1) + p0/4 with w_j = n - j - 1/2, and likewise for h
+        s1 = p1 - 0.5 * p0
+        s2 = 2.0 * (p2 - p1) + 0.25 * p0
+        h1 = n1 - 0.5 * n0
+        mean_x = x_mean0 + (n0 - (0.5 * dt) * p0)
+        mean_g = (g_mean0 + dt * (h1 - (0.5 * dt) * s1)) / T
+        var_x = var_dt * p0
+        var_g = (var_dt * dt * dt / (T * T)) * s2
+        cov = (var_dt * dt / T) * s1
+        # (ln X_T, ln G_T) from the two terminal normals
+        z1, z2 = draws[:, 0], draws[:, 1]
+        if anti:
+            z1, z2 = np.concatenate((z1, -z1)), np.concatenate((z2, -z2))
+        sd_x = np.sqrt(var_x)
+        g_on_x = cov / sd_x
+        sd_g = np.sqrt(np.maximum(var_g - g_on_x * g_on_x, 0.0))
+        lnx_T = mean_x + sd_x * z1
+        lng_T = mean_g + g_on_x * z1 + sd_g * z2
+        law = np.stack((mean_x, mean_g, var_x, var_g, cov))
+        return lnx_T, lng_T, u + model.alpha, np.broadcast_to(z, (m,)), law
 
     def run_paths(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
         nc = hi - lo
-        # normals only where they are read: the x columns (or a constant-vol
-        # path's two words) here, in place and row-major; a full-model run's
-        # y and z in the tiles of its step loop
+        # normals only where they are read: the two terminal words here, in
+        # place; a full-model run's y and z in the tiles of its step loop
         draws = _uniforms_for_chunk(cfg.seed, lo, nc, words_per_path)
-        normals = draws[:, 0:n_words:stride]
+        normals = draws[:, :2]
         ndtri(normals, out=normals)
-        if full:
-            terminal = step_full_model(draws)  # before the x draws are reweighted below
-            dev_x, dev_g = _constant_vol_deviations(normals, weights, cv_x_scale, cv_g_scale)
-        else:
-            dev_x, dev_g = _two_normal_deviations(normals, n_steps, cv_x_scale, cv_g_scale)
         # (output slice, block slice, sign of the deviation) of the drawn half
-        # and of the mirrored half; + (-1.0) * dev has the bits of - dev
+        # and of the mirrored half, which negates every word
         halves = [(slice(lo, hi), slice(0, nc), 1.0)]
         if anti:
             halves.append((slice(draw_paths + lo, draw_paths + hi), slice(nc, 2 * nc), -1.0))
-        for out, part, sign in halves:
-            cv_x_out[out] = cv_x_mean + sign * dev_x
-            cv_g_out[out] = cv_g_mean + sign * dev_g
-            if full:
-                for dest, values in zip((ln_x, ln_g, y_out, z_out), terminal):
-                    dest[out] = values[part]
-
-    # a constant-vol block runs a tile of paths at a time (module docstring);
-    # the full-model step loop runs on vectors as wide as the block
-    tile_paths = block if full else max(1, WORD_TILE // words_per_path)
-
-    def run_block(lo: int, hi: int) -> None:
-        """Run the draw paths [lo, hi) of one block, a tile of paths at a time."""
-        for tile_lo in range(lo, hi, tile_paths):
-            run_paths(tile_lo, min(tile_lo + tile_paths, hi))
+        if full:
+            terminal = step_full_model(draws)
+            for out, part, _ in halves:
+                for dest, values in zip((ln_x, ln_g, y_out, z_out, moments), terminal):
+                    dest[..., out] = values[..., part]
+        else:  # ln X_T and ln G_T are their means plus these deviations
+            z2 = normals[:, 1]
+            dev_x = normals[:, 0] * z1_x
+            dev_g = normals[:, 0] * z1_g
+            z2 *= z2_g
+            dev_g += z2
+            for out, _, sign in halves:  # + (-1.0) * dev has the bits of - dev
+                ln_x[out] = cv_x_mean + sign * dev_x
+                ln_g[out] = cv_g_mean + sign * dev_g
 
     bounds = [(lo, min(lo + block, draw_paths)) for lo in range(0, draw_paths, block)]
     if workers == 1:
         for lo, hi in bounds:
-            run_block(lo, hi)
+            run_paths(lo, hi)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_block, lo, hi) for lo, hi in bounds]
+            futures = [pool.submit(run_paths, lo, hi) for lo, hi in bounds]
             try:
                 for future in futures:
                     future.result()
@@ -586,7 +570,7 @@ def simulate_paths(
 
     return PathBatch(
         ln_x=ln_x, ln_g=ln_g, y=y_out, z=z_out, source=_source(model, vol, t, T, x0, g0, cfg),
-        ln_x_cv=ln_x_cv, ln_g_cv=ln_g_cv,
+        moments=moments,
     )
 
 
@@ -600,42 +584,39 @@ def _payoffs(spec: OptionSpec, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.maximum(spec.strike - g, 0.0)
 
 
-def _control_mean(
-    spec: OptionSpec, state: MarketState, sigma: float, r: float, n_steps: int
-) -> float:
-    """Undiscounted E[payoff(X_c, G_c)] of the n-step constant-vol scheme.
+def _lognormal_pair_call(a, b, cov):
+    """E[(A - B)^+] for jointly lognormal A and B, elementwise over arrays.
 
-    ln X_c and ln G_c are jointly Gaussian (see the module docstring), so
-    every payoff is E[(A - B)^+] = E[A] N(d1) - E[B] N(d1 - s) for a pair of
-    lognormals, or a lognormal and a constant strike, where
-    s^2 = Var(ln A - ln B) and d1 = (ln(E[A] / E[B]) + s^2/2) / s.
+    ``a`` and ``b`` are the (mean, variance) of ln A and of ln B, and ``cov``
+    their covariance; a variance of 0 makes that side a constant, such as a
+    fixed strike. The mean is E[A] N(d1) - E[B] N(d1 - s), where
+    s^2 = Var(ln A - ln B) and d1 = (ln(E[A] / E[B]) + s^2/2) / s, and is
+    max(E[A] - E[B], 0) where s = 0.
     """
-    t, T = state.t, spec.maturity
-    tau = T - t
-    dt = tau / n_steps
-    var = sigma * sigma
-    mu = r - 0.5 * var
-    ln_x0 = math.log(state.x)
-    # (mean, variance) of ln X_c and ln G_c, and their covariance
-    x = (ln_x0 + mu * tau, var * tau)
-    g = (
-        (t * math.log(state.g) + tau * ln_x0 + 0.5 * mu * tau * tau) / T,
-        var * dt ** 3 * n_steps * (4.0 * n_steps * n_steps - 1.0) / 12.0 / (T * T),
-    )
+    (mean_a, var_a), (mean_b, var_b) = a, b
+    s2 = np.maximum(var_a + var_b - 2.0 * cov, 0.0)
+    s = np.sqrt(s2)
+    e_a = np.exp(mean_a + 0.5 * var_a)
+    e_b = np.exp(mean_b + 0.5 * var_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (mean_a - mean_b + 0.5 * (var_a - var_b) + 0.5 * s2) / s
+        value = e_a * ndtr(d1) - e_b * ndtr(d1 - s)
+    return np.where(s > 0.0, value, np.maximum(e_a - e_b, 0.0))
+
+
+def _payoff_mean(spec: OptionSpec, moments) -> np.ndarray:
+    """Undiscounted E[payoff(X_T, G_T)] for a Gaussian (ln X_T, ln G_T).
+
+    ``moments`` holds the means of ln X_T and ln G_T, their variances and
+    their covariance, as in ``PathBatch.moments`` (floats or arrays).
+    """
+    mean_x, mean_g, var_x, var_g, cov = moments
+    x, g = (mean_x, var_x), (mean_g, var_g)
+    call = spec.kind is OptionKind.CALL
     if spec.style is StrikeStyle.FLOATING:
-        a, b = (x, g) if spec.kind is OptionKind.CALL else (g, x)
-        cov = var * tau * tau / (2.0 * T)
-    else:
-        strike = (math.log(spec.strike), 0.0)
-        a, b = (g, strike) if spec.kind is OptionKind.CALL else (strike, g)
-        cov = 0.0
-    s = math.sqrt(a[1] + b[1] - 2.0 * cov)
-    mean_a = math.exp(a[0] + 0.5 * a[1])
-    mean_b = math.exp(b[0] + 0.5 * b[1])
-    if s == 0.0:  # sigma = 0 (z0 = 0 for the control): A and B are deterministic
-        return max(mean_a - mean_b, 0.0)
-    d1 = (a[0] - b[0] + 0.5 * (a[1] - b[1]) + 0.5 * s * s) / s  # ln(E[A] / E[B]) + s^2/2
-    return mean_a * float(ndtr(d1)) - mean_b * float(ndtr(d1 - s))
+        return _lognormal_pair_call(*((x, g) if call else (g, x)), cov)
+    strike = (math.log(spec.strike), 0.0)
+    return _lognormal_pair_call(*((g, strike) if call else (strike, g)), 0.0)
 
 
 def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0) -> tuple[float, float]:
@@ -664,16 +645,16 @@ def _controlled_mean_and_se(
     Pairs of an antithetic batch are averaged first, as in ``mean_and_se``.
     The values are regressed on the controls over the whole batch, the mean
     is v - b . (c - exact) with the sample means v and c, and the standard
-    error comes from the residuals with three degrees of freedom spent.
-    Returns None when that cannot be formed: three or fewer samples, or a
-    singular sample covariance of the controls.
+    error comes from the residuals with 1 + len(controls) degrees of freedom
+    spent. Returns None when that cannot be formed: no more samples than
+    degrees spent, or a singular sample covariance of the controls.
     """
     cols = np.stack((values, *controls))
     if antithetic:
         n = cols.shape[1] // 2
         cols = 0.5 * (cols[:, :n] + cols[:, n:])
-    n = cols.shape[1]
-    if n <= 3:
+    spent, n = cols.shape
+    if n <= spent:
         return None
     means = cols.mean(axis=1)
     dev = cols - means[:, None]
@@ -683,7 +664,7 @@ def _controlled_mean_and_se(
     b = np.linalg.solve(cov, dev[1:] @ dev[0])
     resid = dev[0] - b @ dev[1:]
     mean = float(means[0] - b @ (means[1:] - exact))
-    return scale * mean, scale * float(resid.std(ddof=3)) / math.sqrt(n)
+    return scale * mean, scale * float(resid.std(ddof=spent)) / math.sqrt(n)
 
 
 def price_mc(
@@ -701,11 +682,14 @@ def price_mc(
     pair counts once. Floating puts are priced here (the payoff is
     well-defined) even though the analytic layers reject them.
 
-    A full-model batch is priced with its two controls, the payoff of the
-    constant-vol path and X_T, whose means are exact (see the module
-    docstring); ``price_plain`` and ``std_error_plain`` keep the plain
-    estimate, which is also the result when the controls' sample covariance
-    is singular. A constant-vol batch is priced plain.
+    A full-model batch is priced by each path's payoff mean given its
+    volatility path, with E[X_T | vol] as control (see the module docstring);
+    when the regression cannot be formed (two samples or fewer, an
+    antithetic pair counting once, or a control that is one number on every
+    path), the price is the uncontrolled mean of those conditional payoffs,
+    which is unbiased too. ``price_plain`` and
+    ``std_error_plain`` keep the plain estimate over the sampled terminal
+    payoffs. A constant-vol batch is priced plain.
 
     ``paths`` prices on a batch already simulated from the same model, vol,
     state, maturity and config (several payoffs then share one path set);
@@ -719,19 +703,17 @@ def price_mc(
                  if paths.source[k] != v]
         raise OutOfDomain(f"path batch does not match cfg and arguments: {'; '.join(diffs)}")
     disc = math.exp(-model.r * (T - state.t))
-    x_T = np.exp(paths.ln_x)
-    values = _payoffs(spec, x_T, np.exp(paths.ln_g))
+    values = _payoffs(spec, np.exp(paths.ln_x), np.exp(paths.ln_g))
     plain = mean_and_se(values, cfg.antithetic, scale=disc)
-    controlled = None
+    price, se = plain
     if isinstance(vol, FullModel):
-        controls = (_payoffs(spec, np.exp(paths.ln_x_cv), np.exp(paths.ln_g_cv)), x_T)
-        sigma_c = stationary_effective_vol(model.z0, model.nu)
-        exact = np.array([
-            _control_mean(spec, state, sigma_c, model.r, cfg.n_steps),
-            state.x * math.exp(model.r * (T - state.t)),
-        ])
-        controlled = _controlled_mean_and_se(values, controls, exact, cfg.antithetic, disc)
-    price, se = controlled or plain
+        conditional = _payoff_mean(spec, paths.moments)
+        control = np.exp(paths.moments[0] + 0.5 * paths.moments[2])  # E[X_T | vol]
+        exact = np.array([state.x * math.exp(model.r * (T - state.t))])
+        price, se = (
+            _controlled_mean_and_se(conditional, (control,), exact, cfg.antithetic, disc)
+            or mean_and_se(conditional, cfg.antithetic, scale=disc)
+        )
     return McEstimate(
         price=price,
         std_error=se,

@@ -7,7 +7,7 @@ import weakref
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from geoasian import (
     ConstantVol,
@@ -30,11 +30,13 @@ from geoasian import mc
 from geoasian.closedform import q_drift_term
 from geoasian.errors import NonFiniteInput, PDFactorizationFailure
 from geoasian.mc import (
-    _control_mean,
     _controlled_mean_and_se,
+    _lognormal_pair_call,
+    _payoff_mean,
     _uniforms_for_chunk,
     f_full,
 )
+from perfbench.tracing import Stats, Tracer
 
 MODEL = reference_full_model(0.001)
 STATE = MarketState(t=0.0, x=100.0, g=100.0)
@@ -141,7 +143,7 @@ def test_reference_model_and_stationary_vol():
 
 def assert_same_bits(a, b):
     """Two path batches hold the same bits in every array."""
-    for name in ("ln_x", "ln_g", "y", "z", "ln_x_cv", "ln_g_cv"):
+    for name in ("ln_x", "ln_g", "y", "z", "moments"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
         if x is not None:
@@ -150,8 +152,8 @@ def assert_same_bits(a, b):
 
 def test_chunk_layout_invariance(monkeypatch):
     """Path i owns a fixed Philox word block, so the terminal state, the
-    control path and the controlled estimate are bit-identical no matter how
-    the work is chunked or how many threads run the blocks."""
+    conditional moments and the estimate are bit-identical no matter how the
+    work is chunked or how many threads run the blocks."""
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)  # pool even these small chunks
     for vol in (FullModel(), ConstantVol(0.2)):
         kwargs = dict(model=MODEL, vol=vol, t=0.0, T=0.45, x0=100.0, g0=100.0)
@@ -175,12 +177,14 @@ def test_chunk_layout_invariance(monkeypatch):
                     assert_same_bits(serial, batch)
                 assert all(est == serial_estimate for est in estimates)
             if isinstance(vol, FullModel):
-                assert serial_estimate.price != serial_estimate.price_plain  # the controls applied
+                assert serial_estimate.price != serial_estimate.price_plain  # priced conditionally
 
 
 def _stepped_full_model(model, vol, t, T, x0, g0, cfg):
-    """The full-model scheme stepped one step at a time on all draws at once:
-    the terminal (ln X, ln G, Y, Z) and the constant-vol control path."""
+    """The full-model scheme stepped one step at a time, spot included, on
+    draws of its own: three normals a step per path, correlated through the
+    Cholesky factor in the order (x, y, z). Returns the terminal (ln X, ln G,
+    Y, Z); it is the oracle the conditional route's law is checked against."""
     n_steps = cfg.n_steps
     n_words = 3 * n_steps
     words_per_path = 4 * ((n_words + 3) // 4)
@@ -215,49 +219,94 @@ def _stepped_full_model(model, vol, t, T, x0, g0, cfg):
         w_z = chol[2, 0] * e[:, 0] + chol[2, 1] * e[:, 1] + chol[2, 2] * e[:, 2]
         y = model.alpha + (y - model.alpha) * ey + sd_y * w_y
         z = model.alpha_prime + (z - model.alpha_prime) * ez + sd_z * w_z
-    sigma = stationary_effective_vol(model.z0, model.nu)
-    ln_x_cv, ln_g_cv = _constant_vol_terminal(
-        normals[:, 0:n_words:3], sigma, r, t, T, x0, g0, cfg.antithetic
-    )
-    return dict(ln_x=lnx, ln_g=(t * math.log(g0) + integral) / T, y=y, z=z,
-                ln_x_cv=ln_x_cv, ln_g_cv=ln_g_cv)
+    return dict(ln_x=lnx, ln_g=(t * math.log(g0) + integral) / T, y=y, z=z)
 
 
-def _constant_vol_terminal(x_normals, sigma, r, t, T, x0, g0, antithetic):
-    """Terminal (ln X, ln G) of the constant-vol path in closed form, summed
-    over all the x normals (one row per draw path) in one array."""
-    n_steps = x_normals.shape[1]
+def _stepped_vol_path(model, vol, t, T, x0, g0, cfg):
+    """The conditional route stepped one step at a time on the raw Philox
+    words of each path's block (two terminal words, then a word a step for
+    each noisy factor, y before z): Y_T and Z_T, the conditional moments from
+    the plain weighted sums S0, S1, S2 of f_j^2 and the two sums of the known
+    x noise, and the terminal pair drawn from words 0 and 1."""
+    n = cfg.n_steps
+    noisy = [name for name, scale in (("y", model.nu), ("z", model.beta)) if scale != 0.0]
+    n_words = 2 + len(noisy) * n
+    draw_paths = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    words = _raw_normals(cfg.seed, draw_paths, 4 * ((n_words + 3) // 4), n_words)
+    if cfg.antithetic:
+        words = np.concatenate([words, -words])
+    draws = {name: words[:, 2 + c::len(noisy)] for c, name in enumerate(noisy)}
+    corr = np.array([
+        [1.0, model.rho_yz, model.rho_xy],
+        [model.rho_yz, 1.0, model.rho_xz],
+        [model.rho_xy, model.rho_xz, 1.0],
+    ])  # (y, z, x)
+    keep = [("y", "z").index(name) for name in noisy] + [2]
+    chol = np.linalg.cholesky(corr[np.ix_(keep, keep)])
     tau = T - t
-    dt = tau / n_steps
+    dt = tau / n
     sqrt_dt = math.sqrt(dt)
-    mu = r - 0.5 * sigma * sigma
-    cv_x_mean = math.log(x0) + mu * tau
-    cv_g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu * tau * tau) / T
-    weights = n_steps - 0.5 - np.arange(n_steps)
-    dev_x, dev_g = mc._constant_vol_deviations(
-        x_normals, weights, sigma * sqrt_dt, sigma * sqrt_dt * dt / T
+    ey = math.exp(-dt / model.epsilon)
+    sd_y = model.nu * math.sqrt(max(0.0, 1.0 - ey * ey))
+    ez = math.exp(-model.k * dt)
+    sd_z = model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k)))
+    z_shift = model.alpha_prime * (1.0 - ez)
+    m = cfg.n_paths
+    u = np.zeros(m)  # y - alpha
+    z = np.full(m, model.z0)
+    sums = np.zeros((5, m))  # S0, S1, S2, sum f nx, sum w_j f nx
+    for j in range(n):
+        w = n - j - 0.5
+        f = f_full(u, z, vol)
+        nx = sqrt_dt * sum(chol[-1, c] * draws[name][:, j] for c, name in enumerate(noisy))
+        q, h = f * f, f * nx
+        sums += [q, w * q, w * w * q, h, w * h]
+        if "y" in draws:
+            u = u * ey + draws["y"][:, j] * sd_y
+        if "z" in draws:
+            e_z = draws["z"][:, j] * (sd_z * chol[len(noisy) - 1, len(noisy) - 1])
+            if "y" in draws:
+                e_z = e_z + draws["y"][:, j] * (sd_z * chol[1, 0])
+            z = z * ez + (e_z + z_shift)
+        else:
+            z = z * ez + z_shift
+    s0, s1, s2, h0, h1 = sums
+    a2 = chol[-1, -1] ** 2
+    mean_x = math.log(x0) + model.r * tau - 0.5 * dt * s0 + h0
+    mean_g = (t * math.log(g0) + tau * math.log(x0) + 0.5 * model.r * tau * tau
+              + dt * (h1 - 0.5 * dt * s1)) / T
+    var_x, cov, var_g = a2 * dt * s0, a2 * dt * dt * s1 / T, a2 * dt ** 3 * s2 / (T * T)
+    g_on_x = cov / np.sqrt(var_x)
+    return dict(
+        ln_x=mean_x + np.sqrt(var_x) * words[:, 0],
+        ln_g=mean_g + g_on_x * words[:, 0] + np.sqrt(var_g - g_on_x ** 2) * words[:, 1],
+        y=u + model.alpha, z=z, moments=np.stack((mean_x, mean_g, var_x, var_g, cov)),
     )
-    signs = (1.0, -1.0) if antithetic else (1.0,)
-    return (np.concatenate([cv_x_mean + sign * dev_x for sign in signs]),
-            np.concatenate([cv_g_mean + sign * dev_g for sign in signs]))
 
 
 CORRELATED_MODEL = ModelParams(
     r=0.0264, k=2.0, alpha_prime=0.5, z0=0.3, epsilon=0.05,
     nu=0.1, alpha=0.2, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
 )
+SLOW_ONLY_MODEL = ModelParams(
+    r=0.0264, k=2.0, alpha_prime=0.5, z0=0.3, epsilon=0.05,
+    nu=0.0, alpha=0.2, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
+)
 
 
 @pytest.mark.parametrize("n_steps", [2, 37])
 @pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL], ids=["reference", "correlated"])
+@pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL, SLOW_ONLY_MODEL],
+                         ids=["reference", "correlated", "slow-only"])
 def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, antithetic, n_steps):
-    """The tiled loop reproduces the plain per-step scheme bit for bit: with
-    a noiseless and a noisy Z, step counts on and off the tile, an uneven
-    chunk and a pooled run."""
+    """The tiled volatility loop reproduces Y_T and Z_T of the plain per-step
+    loop bit for bit, and its prefix sums give the conditional moments and
+    the terminal pair of the plain weighted sums to 1e-12: with a noiseless
+    and a noisy Y and Z, step counts on and off the tile, an uneven chunk and
+    a pooled run."""
     vol = FullModel(f_min=0.05, f_max=0.4)
     kwargs = dict(model=model, vol=vol, t=0.05, T=0.45, x0=100.0, g0=98.0)
-    want = _stepped_full_model(
+    want = _stepped_vol_path(
         cfg=McConfig(n_paths=300, n_steps=n_steps, seed=17, antithetic=antithetic), **kwargs
     )
     runs = []
@@ -270,10 +319,13 @@ def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, 
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
     runs.append(simulate_paths(cfg=cfg, **kwargs))
     for batch in runs:
-        for name, values in want.items():
+        for name in ("y", "z"):
             got = getattr(batch, name)
-            assert np.array_equal(got.view(np.uint64), values.view(np.uint64)), name
-    assert np.ptp(want["y"]) > 0.0
+            assert np.array_equal(got.view(np.uint64), want[name].view(np.uint64)), name
+        for name in ("ln_x", "ln_g", "moments"):
+            got = getattr(batch, name)
+            assert np.max(np.abs(got - want[name]) / np.abs(want[name])) < 1e-12, name
+    assert (np.ptp(want["y"]) > 0.0) == (model.nu > 0.0)
     assert (np.ptp(want["z"]) > 0.0) == (model.beta > 0.0)
 
 
@@ -298,7 +350,7 @@ def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, chunk_size):
         time.sleep(0.002)  # let the other workers start their blocks meanwhile
         return uniforms
 
-    words_per_path = 92  # 30 steps x 3 factors, padded to a multiple of 4
+    words_per_path = 32  # 2 terminal words and 30 steps of one noisy factor
     chunk = chunk_size or 50
     monkeypatch.setattr(mc, "WORD_BUDGET", 50 * words_per_path)
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
@@ -404,7 +456,8 @@ def test_constant_vol_law_is_that_of_the_stepped_scheme(n_steps):
 @pytest.mark.parametrize("chunk_size", [None, 100])
 def test_constant_vol_runs_hold_at_most_one_tile_per_worker(monkeypatch, chunk_size):
     """Each draw path's words are drawn exactly once, and the workers' draws
-    together never exceed one tile each, whatever the chunk."""
+    together never exceed one tile, whatever the chunk: a constant-vol chunk
+    holds at most one tile of words, shared over the workers."""
     lock = threading.Lock()
     live, peak = [0], [0]
     draws_per_path = np.zeros(600, dtype=int)
@@ -421,7 +474,7 @@ def test_constant_vol_runs_hold_at_most_one_tile_per_worker(monkeypatch, chunk_s
             peak[0] = max(peak[0], live[0])
             draws_per_path[lo:lo + n_chunk] += 1
         weakref.finalize(uniforms.base, release, words)  # the buffer's lifetime
-        time.sleep(0.002)  # let the other workers start their tiles meanwhile
+        time.sleep(0.002)  # let the other workers start their blocks meanwhile
         return uniforms
 
     words_per_path = 4  # two words read, at any step count
@@ -434,7 +487,7 @@ def test_constant_vol_runs_hold_at_most_one_tile_per_worker(monkeypatch, chunk_s
     simulate_paths(MODEL, ConstantVol(0.2), 0.0, 0.45, 100.0, 100.0, cfg)
     assert np.all(draws_per_path == 1)
     assert live[0] == 0
-    assert 5 * words_per_path < peak[0] <= 3 * tile  # tiles overlapped, one per worker
+    assert words_per_path < peak[0] <= tile  # blocks overlapped, within one tile
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -443,9 +496,9 @@ def test_constant_vol_runs_hold_at_most_one_tile_per_worker(monkeypatch, chunk_s
 def test_full_model_runs_turn_only_the_draws_they_read_into_normals(
     monkeypatch, model, n_steps, workers
 ):
-    """ndtri sees the x and y words of each draw path, and the z words only
-    when beta > 0 makes Z noisy; the padding words (37 steps: 111 words in a
-    112-word block) are never turned."""
+    """ndtri sees the two terminal words and the y words of each draw path,
+    and the z words only when beta > 0 makes Z noisy; the padding words (36
+    steps of one factor: 38 words in a 40-word block) are never turned."""
     lock = threading.Lock()
     turned = [0]
 
@@ -459,8 +512,8 @@ def test_full_model_runs_turn_only_the_draws_they_read_into_normals(
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
     cfg = McConfig(n_paths=600, n_steps=n_steps, seed=3, antithetic=True, chunk_size=100)
     simulate_paths(model, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
-    factors = 3 if model.beta > 0.0 else 2
-    assert turned[0] == 300 * factors * n_steps
+    factors = 2 if model.beta > 0.0 else 1
+    assert turned[0] == 300 * (2 + factors * n_steps)
 
 
 @pytest.mark.parametrize("n_steps", [2, 36, 37, 10 ** 6])
@@ -553,26 +606,28 @@ def test_frozen_estimates():
     assert rel(est.price, disc * payoff.mean()) < 1e-12
     assert rel(est.std_error, disc * payoff.std(ddof=1) / math.sqrt(cfg.n_paths)) < 1e-12
     full = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
-    assert rel(full.price_plain, 3.470332871882723) < 1e-12
-    assert rel(full.std_error_plain, 0.08098057105114422) < 1e-12
-    assert rel(full.price, 3.458582922688118) < 1e-12
-    assert rel(full.std_error, 0.026049632351353373) < 1e-12
-    # the controlled pin, recomputed by least squares from the path batch
-    batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
-    x, g = np.exp(batch.ln_x), np.exp(batch.ln_g)
-    payoff = np.maximum(x - g, 0.0)
-    control = np.maximum(np.exp(batch.ln_x_cv) - np.exp(batch.ln_g_cv), 0.0)
-    design = np.column_stack([np.ones_like(x), control, x])
-    coef, ss_resid, rank, _ = np.linalg.lstsq(design, payoff, rcond=None)
-    assert rank == 3
-    sigma_c = stationary_effective_vol(MODEL.z0, MODEL.nu)
-    exact = np.array([
-        _control_mean(FLOAT_CALL, STATE, sigma_c, MODEL.r, cfg.n_steps),
-        100.0 * math.exp(MODEL.r * 0.45),
-    ])
+    assert rel(full.price_plain, 3.511583043079909) < 1e-12
+    assert rel(full.std_error_plain, 0.08108852302090228) < 1e-12
+    assert rel(full.price, 3.4627614702912606) < 1e-12
+    assert rel(full.std_error, 0.008717067399669601) < 1e-12
+    # the full-model pins, recomputed from the raw Philox words of each
+    # path's 52-word block (2 terminal words, 50 y words) stepped one step at
+    # a time, and the controlled estimate by least squares
+    paths = _stepped_vol_path(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
     n = cfg.n_paths
-    price = disc * (payoff.mean() - coef[1:] @ (design[:, 1:].mean(axis=0) - exact))
-    se = disc * math.sqrt(ss_resid[0] / (n - 3)) / math.sqrt(n)
+    payoff = np.maximum(np.exp(paths["ln_x"]) - np.exp(paths["ln_g"]), 0.0)
+    assert rel(full.price_plain, disc * payoff.mean()) < 1e-10
+    assert rel(full.std_error_plain, disc * payoff.std(ddof=1) / math.sqrt(n)) < 1e-9
+    mean_x, mean_g, var_x, var_g, cov = paths["moments"]
+    s = np.sqrt(var_x + var_g - 2.0 * cov)
+    d1 = (mean_x - mean_g + 0.5 * (var_x - var_g)) / s + 0.5 * s
+    e_x = np.exp(mean_x + 0.5 * var_x)  # E[X_T | vol], the control
+    conditional = e_x * ndtr(d1) - np.exp(mean_g + 0.5 * var_g) * ndtr(d1 - s)
+    design = np.column_stack([np.ones(n), e_x])
+    coef, ss_resid, rank, _ = np.linalg.lstsq(design, conditional, rcond=None)
+    assert rank == 2
+    price = disc * (conditional.mean() - coef[1] * (e_x.mean() - 100.0 * math.exp(MODEL.r * 0.45)))
+    se = disc * math.sqrt(ss_resid[0] / (n - 2)) / math.sqrt(n)
     assert rel(full.price, price) < 1e-10
     assert rel(full.std_error, se) < 1e-9
 
@@ -592,12 +647,13 @@ def test_normals_match_out_of_place_conversion(seed, lo):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# ------------------------------------------------------- control variates
+# ------------------------------------------- conditional pricing and control
 
 
 def _control_law(state, T, sigma, r, n_steps):
-    """Mean and covariance of (ln X_c, ln G_c) in mpmath, built by running
-    the scheme's recursion on the coefficients of each step's draw."""
+    """Mean and covariance of (ln X_T, ln G_T) of the n-step constant-vol
+    scheme in mpmath, built by running the scheme's recursion on the
+    coefficients of each step's draw."""
     t = mp.mpf(state.t)
     dt = (mp.mpf(T) - t) / n_steps
     drift = (r - sigma ** 2 / 2) * dt
@@ -617,7 +673,7 @@ def _control_law(state, T, sigma, r, n_steps):
 
 
 def _control_mean_quadrature(spec, state, sigma, r, n_steps):
-    """E[payoff(X_c, G_c)] by Gaussian quadrature over the law above.
+    """E[payoff(X_T, G_T)] by Gaussian quadrature over the law above.
 
     Fixed strikes integrate ln G over the half-line where the payoff is
     positive. Floating strikes write ln G = m_g + g1 z1 and
@@ -661,11 +717,44 @@ CONTROL_SPECS = [
 @pytest.mark.parametrize("n_steps", [2, 3, 7])
 @pytest.mark.parametrize("spec", CONTROL_SPECS, ids=lambda s: f"{s.style.name}-{s.kind.name}")
 def test_control_mean_matches_quadrature_at_coarse_steps(spec, n_steps):
-    """The exact mean is that of the discrete scheme, not of its limit."""
+    """The lognormal-pair formula fed the law of the discrete constant-vol
+    scheme gives that scheme's exact payoff mean, not that of its limit."""
     with mp.workdps(15):
         want = _control_mean_quadrature(spec, CONTROL_STATE, 0.21, 0.0264, n_steps)
-    got = _control_mean(spec, CONTROL_STATE, 0.21, 0.0264, n_steps)
+        (m_x, m_g), cov = _control_law(CONTROL_STATE, spec.maturity, 0.21, 0.0264, n_steps)
+    moments = tuple(float(v) for v in (m_x, m_g, cov[0, 0], cov[1, 1], cov[0, 1]))
+    got = float(_payoff_mean(spec, moments))
     assert rel(got, float(want)) < 1e-10
+
+
+def test_pair_formula_without_spread_is_the_deterministic_difference():
+    """Where Var(ln A - ln B) = 0 the mean is max(E[A] - E[B], 0), with no
+    division warning: two constants, or two perfectly correlated logs of
+    equal variance."""
+    mean_a, mean_b = np.log([100.0, 95.0, 100.0]), np.log([97.0, 97.0, 100.0])
+    with np.errstate(all="raise"):
+        got = _lognormal_pair_call((mean_a, 0.0), (mean_b, 0.0), 0.0)
+        tied = _lognormal_pair_call((mean_a, 0.04), (mean_b, 0.04), 0.04)
+    assert np.array_equal(got, np.maximum(np.exp(mean_a) - np.exp(mean_b), 0.0))
+    assert np.allclose(tied, np.maximum(np.exp(mean_a + 0.02) - np.exp(mean_b + 0.02), 0.0),
+                       rtol=1e-15, atol=0.0)
+
+
+def _constant_vol_moments(state, T, sigma, r, n_steps):
+    """Means of ln X_T and ln G_T, their variances and their covariance for
+    the n-step constant-vol scheme, in closed form."""
+    t, tau = state.t, T - state.t
+    dt = tau / n_steps
+    var = sigma * sigma
+    mu = r - 0.5 * var
+    ln_x0 = math.log(state.x)
+    return (
+        ln_x0 + mu * tau,
+        (t * math.log(state.g) + tau * ln_x0 + 0.5 * mu * tau * tau) / T,
+        var * tau,
+        var * dt ** 3 * n_steps * (4.0 * n_steps * n_steps - 1.0) / 12.0 / (T * T),
+        var * tau * tau / (2.0 * T),
+    )
 
 
 def test_control_mean_converges_to_the_closed_forms():
@@ -680,7 +769,8 @@ def test_control_mean_converges_to_the_closed_forms():
     for (style, kind), want in closed.items():
         strike = None if style is StrikeStyle.FLOATING else 99.0
         spec = OptionSpec(style, kind, maturity=T, strike=strike)
-        errors = [rel(disc * _control_mean(spec, state, sigma, r, n), want) for n in (30, 300)]
+        errors = [rel(disc * float(_payoff_mean(spec, _constant_vol_moments(state, T, sigma, r, n))),
+                      want) for n in (30, 300)]
         assert errors[1] < 1e-5
         assert errors[1] < 0.02 * errors[0]  # the O(dt^2) gap of the time grid
 
@@ -720,36 +810,158 @@ def test_controls_shrink_the_error_at_the_benchmark_point():
 def test_constant_vol_runs_carry_no_control():
     cfg = McConfig(n_paths=400, n_steps=10, seed=4, antithetic=True)
     batch = simulate_paths(MODEL, ConstantVol(0.2), 0.0, 0.45, 100.0, 100.0, cfg)
-    assert batch.ln_x_cv is None and batch.ln_g_cv is None
+    assert batch.moments is None
     est = price_mc(FLOAT_CALL, MODEL, ConstantVol(0.2), STATE, cfg, paths=batch)
     assert (est.price, est.std_error) == (est.price_plain, est.std_error_plain)
 
 
-def test_controlled_estimate_falls_back_to_plain():
-    """Three pairs leave no residual degree of freedom; a control that copies
-    another makes the controls' covariance singular."""
-    few = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE,
-                   McConfig(n_paths=6, n_steps=10, seed=4, antithetic=True))
-    assert (few.price, few.std_error) == (few.price_plain, few.std_error_plain)
+def test_controlled_estimate_falls_back_to_the_conditional_mean():
+    """Two pairs leave no residual degree of freedom for the one control, so
+    the price is the uncontrolled mean of the conditional payoffs, which is
+    unbiased too. A constant control, or one that copies another, makes the
+    controls' covariance singular."""
+    cfg = McConfig(n_paths=4, n_steps=10, seed=4, antithetic=True)
+    few = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
+    batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    disc = math.exp(-MODEL.r * 0.45)
+    conditional = mc.mean_and_se(_payoff_mean(FLOAT_CALL, batch.moments), True, disc)
+    assert (few.price, few.std_error) == conditional
+    assert few.price != few.price_plain
     rng = np.random.default_rng(3)
     values, control = rng.normal(size=50), rng.normal(size=50)
+    one = np.zeros(1)
+    assert _controlled_mean_and_se(values[:2], (control[:2],), one, False, 1.0) is None
+    assert _controlled_mean_and_se(values[:3], (control[:3],), one, False, 1.0) is not None
+    assert _controlled_mean_and_se(values, (np.full(50, 2.0),), one, False, 1.0) is None
     exact = np.zeros(2)
     assert _controlled_mean_and_se(values, (control, control), exact, False, 1.0) is None
     assert _controlled_mean_and_se(values, (control, 2.0 * control), exact, False, 1.0) is None
     assert _controlled_mean_and_se(values, (control, values), exact, False, 1.0) is not None
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("n_controls", [1, 2])
+def test_controlled_estimate_is_least_squares(n_controls, antithetic):
+    """The estimate and its standard error are those of least squares on an
+    intercept and the controls, with 1 + len(controls) degrees of freedom
+    spent; an antithetic batch averages its pairs first."""
+    rng = np.random.default_rng(11)
+    controls = tuple(rng.normal(size=(n_controls, 60)))
+    values = 1.0 + 0.7 * sum(controls) + rng.normal(size=60)
+    exact = np.full(n_controls, 0.1)
+    price, se = _controlled_mean_and_se(values, controls, exact, antithetic, 2.0)
+    cols = np.stack((values, *controls))
+    if antithetic:
+        cols = 0.5 * (cols[:, :30] + cols[:, 30:])
+    n = cols.shape[1]
+    design = np.column_stack([np.ones(n), *cols[1:]])
+    coef, ss_resid, rank, _ = np.linalg.lstsq(design, cols[0], rcond=None)
+    assert rank == 1 + n_controls
+    assert rel(price, 2.0 * (cols[0].mean() - coef[1:] @ (cols[1:].mean(axis=1) - exact))) < 1e-12
+    assert rel(se, 2.0 * math.sqrt(ss_resid[0] / (n - 1 - n_controls)) / math.sqrt(n)) < 1e-12
+
+
+def _deterministic_vol_moments(model, vol, t, T, x0, g0, n_steps):
+    """Means of ln X_T and ln G_T, their variances and their covariance on
+    the time grid when nu = beta = 0: Y stays at alpha, Z follows its OU mean
+    z_j = alpha' + (z0 - alpha') e^{-k j dt} exactly, and f_j = clamp(z_j), so
+    the n x draws, all of the x noise, enter ln X_T and the trapezoid integral
+    linearly with weights 1 and dt (n - j - 1/2)."""
+    tau = T - t
+    dt = tau / n_steps
+    f2 = [min(max(model.alpha_prime + (model.z0 - model.alpha_prime) * math.exp(-model.k * j * dt),
+                  vol.f_min), vol.f_max) ** 2 for j in range(n_steps)]
+    w = [n_steps - j - 0.5 for j in range(n_steps)]
+    drift = [(model.r - 0.5 * q) * dt for q in f2]
+    ln_x0 = math.log(x0)
+    return (
+        ln_x0 + math.fsum(drift),
+        (t * math.log(g0) + tau * ln_x0 + dt * math.fsum(a * b for a, b in zip(w, drift))) / T,
+        dt * math.fsum(f2),
+        dt ** 3 * math.fsum(a * a * q for a, q in zip(w, f2)) / (T * T),
+        dt * dt * math.fsum(a * q for a, q in zip(w, f2)) / T,
+    )
+
+
+@pytest.mark.parametrize("spec", CONTROL_SPECS, ids=lambda s: f"{s.style.name}-{s.kind.name}")
+def test_deterministic_vol_prices_every_path_by_the_pair_formula(spec):
+    """nu = beta = 0 fixes the volatility path, so every path has the moments
+    of the time grid and one conditional payoff mean, that of the lognormal
+    pair formula, to 1e-12; the control is then one number and the price is
+    that mean, with no spread."""
+    model = ModelParams(r=0.0264, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001, rho_xy=-0.3)
+    vol, state, T = FullModel(), CONTROL_STATE, spec.maturity
+    cfg = McConfig(n_paths=600, n_steps=37, seed=2, antithetic=True)
+    batch = simulate_paths(model, vol, state.t, T, state.x, state.g, cfg)
+    want = _deterministic_vol_moments(model, vol, state.t, T, state.x, state.g, cfg.n_steps)
+    for row, value in zip(batch.moments, want):
+        assert np.max(np.abs(row - value)) <= 1e-12 * abs(value)
+    est = price_mc(spec, model, vol, state, cfg, paths=batch)
+    mean = math.exp(-model.r * (T - state.t)) * float(_payoff_mean(spec, want))
+    assert rel(est.price, mean) < 1e-12
+    assert est.std_error <= 1e-12 * mean
+    assert np.ptp(batch.ln_x) > 0.05  # the terminal pairs are still drawn
+
+
 @pytest.mark.parametrize("spec", [
     FLOAT_CALL, OptionSpec(StrikeStyle.FIXED, OptionKind.PUT, maturity=0.45, strike=100.0),
 ], ids=["floating-call", "fixed-put"])
 def test_zero_slow_level_prices_with_a_constant_control(spec):
-    """z0 = 0 sets the control path's sigma_c to 0: its payoff is a constant,
-    whose exact mean is the deterministic pair, and the price falls back to plain."""
+    """z0 = 0 with nu = beta = 0: the clamp binds at f_min on the first step
+    and the slow factor's mean path sets the rest, the same on every path. The
+    control E[X_T | vol] is then a constant, the regression cannot be formed,
+    and the price is the conditional payoff mean of that path."""
     model = ModelParams(r=0.0264, k=2.0, alpha_prime=0.2, z0=0.0, epsilon=0.001,
-                        nu=0.3, rho_xy=-0.3)
-    est = price_mc(spec, model, FullModel(), STATE, McConfig(n_paths=1000, n_steps=10, seed=1))
-    assert math.isfinite(est.price) and math.isfinite(est.std_error)
-    assert (est.price, est.std_error) == (est.price_plain, est.std_error_plain)
+                        nu=0.0, rho_xy=-0.3)
+    vol = FullModel()
+    est = price_mc(spec, model, vol, STATE, McConfig(n_paths=1000, n_steps=10, seed=1))
+    moments = _deterministic_vol_moments(model, vol, 0.0, 0.45, 100.0, 100.0, 10)
+    mean = math.exp(-model.r * 0.45) * float(_payoff_mean(spec, moments))
+    assert rel(est.price, mean) < 1e-12
+    assert est.std_error <= 1e-12 * mean
+    assert math.isfinite(est.price_plain) and est.price != est.price_plain
+
+
+AGREEMENT_MODELS = [reference_full_model(0.1), reference_full_model(0.001), CORRELATED_MODEL]
+
+
+@pytest.mark.parametrize("model", AGREEMENT_MODELS, ids=["eps-0.1", "eps-0.001", "correlated"])
+def test_conditional_route_agrees_with_the_stepped_spot(model):
+    """Each contract's conditional price agrees within 4 standard errors with
+    the plain price over the scheme stepped spot and all, on draws of its own
+    and at the same step count: floating and fixed calls and puts, eps 0.1
+    and 0.001, and beta > 0 with nonzero rho_xz and rho_yz."""
+    vol, state, T = FullModel(), CONTROL_STATE, 0.45
+    cfg = McConfig(n_paths=20_000, n_steps=25, seed=61, antithetic=True)
+    stepped = _stepped_full_model(model, vol, state.t, T, state.x, state.g,
+                                  McConfig(n_paths=20_000, n_steps=25, seed=62, antithetic=True))
+    x, g = np.exp(stepped["ln_x"]), np.exp(stepped["ln_g"])
+    disc = math.exp(-model.r * (T - state.t))
+    batch = simulate_paths(model, vol, state.t, T, state.x, state.g, cfg)
+    for spec in CONTROL_SPECS:
+        est = price_mc(spec, model, vol, state, cfg, paths=batch)
+        want, want_se = mc.mean_and_se(mc._payoffs(spec, x, g), True, disc)
+        gap = abs(est.price - want)
+        assert gap < 4.0 * math.hypot(est.std_error, want_se), (spec, est, want, want_se)
+        assert est.std_error < want_se
+
+
+def test_traced_mc_records_its_spans():
+    """The benchmark's tracer replaces ``mc.simulate_paths`` and ``mc.f_full``
+    with timing wrappers, so ``price_mc`` must reach the first, with its
+    positional arguments, and the volatility loop the second, through the
+    module's globals."""
+    tracer = Tracer()
+    cfg = McConfig(n_paths=400, n_steps=10, seed=1, antithetic=True)
+    with tracer.install():
+        price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
+        price_mc(FLOAT_CALL, MODEL, ConstantVol(0.2), STATE, cfg)
+    stats = Stats(tracer.spans)
+    assert stats.count.get("mc.simulate_paths.full") == 1
+    assert stats.work["mc.simulate_paths.full"] == cfg.n_paths * cfg.n_steps
+    assert stats.count.get("mc.simulate_paths.constant") == 1
+    assert stats.count.get("mc.f_full") == cfg.n_steps  # one block: one call a step
+    assert stats.nested("mc.f_full", "mc.simulate_paths.full") == cfg.n_steps
 
 
 # ------------------------------------------------- constant-vol closed form
@@ -768,32 +980,6 @@ def _euler_trapezoid_oracle(e, sigma, r, t, T, x0, g0):
         integral += 0.5 * dt * (2.0 * lnx + d_lnx)
         lnx += d_lnx
     return lnx, (t * math.log(g0) + integral) / T
-
-
-def _full_model_x_normals(cfg):
-    """The x normals of a full-model run: the first of each step's three words
-    in every draw path's block, mirrored for an antithetic run."""
-    n = cfg.n_steps
-    draw_paths = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    e = _raw_normals(cfg.seed, draw_paths, 4 * ((3 * n + 3) // 4), 3 * n)[:, 0::3]
-    return np.concatenate([e, -e]) if cfg.antithetic else e
-
-
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_constant_vol_closed_form_matches_the_step_loop(antithetic):
-    """The control path of a full-model run, summed in closed form, is the
-    constant-vol scheme at sigma_c stepped on the same x normals. 37 steps pad
-    each path's 111-word block to 112 words; 300-path chunks put several
-    blocks, the last one short, behind the result."""
-    cfg = McConfig(n_paths=2000, n_steps=37, seed=11, antithetic=antithetic, chunk_size=300)
-    batch = simulate_paths(MODEL, FullModel(), 0.1, 0.45, 100.0, 97.0, cfg)
-    sigma_c = stationary_effective_vol(MODEL.z0, MODEL.nu)
-    want_x, want_g = _euler_trapezoid_oracle(
-        _full_model_x_normals(cfg), sigma_c, MODEL.r, 0.1, 0.45, 100.0, 97.0
-    )
-    assert np.max(np.abs(batch.ln_x_cv - want_x) / np.abs(want_x)) < 1e-12
-    assert np.max(np.abs(batch.ln_g_cv - want_g) / np.abs(want_g)) < 1e-12
-    assert np.ptp(batch.ln_x_cv) > 0.5  # the draws moved the paths
 
 
 def test_zero_vol_is_exactly_the_deterministic_path():
@@ -835,8 +1021,8 @@ def test_price_on_shared_batch_equals_standalone(antithetic):
 
 def test_price_rejects_a_batch_of_another_config():
     """A batch of another size, layout, step count, seed, model, start state
-    or maturity, or whose control path does not match the vol spec, would be
-    priced against the wrong means."""
+    or maturity, or whose moments do not match the vol spec, would be priced
+    against the wrong means."""
     cfg = McConfig(n_paths=200, n_steps=10, seed=1, antithetic=True)
     const, full = ConstantVol(0.2), FullModel()
     batch = simulate_paths(MODEL, const, 0.0, 0.45, 100.0, 100.0, cfg)

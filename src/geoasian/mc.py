@@ -26,16 +26,32 @@ S0 = sum f_j^2, S1 = sum w_j f_j^2, S2 = sum w_j^2 f_j^2,
     E[ln G_T] = (t ln g + tau ln x0 + dt sum w_j mu_j) / T,
     Var ln G_T = a_x^2 dt^3 S2 / T^2,       Cov = a_x^2 dt^2 S1 / T.
 
-So a full-model run steps only the volatility factors. A factor without noise
+Every run draws each path's terminal pair from that law with two normals
+z1, z2 (words 0 and 1 of its block):
+
+    ln X_T = E[ln X_T] + sd_x z1,   ln G_T = E[ln G_T] + (g_on_x z1 + sd_g z2),
+
+with sd_x^2 = Var ln X_T, g_on_x = Cov / sd_x and
+sd_g^2 = Var ln G_T - g_on_x^2, so the batch has the law of the stepped
+scheme at each n, discretization bias included.
+
+A constant sigma is a volatility path known in advance: no y or z draws, so
+a_x = 1, mu_j = (r - sigma^2/2) dt and S0 = n sigma^2, S1 = n^2 sigma^2 / 2,
+S2 = n (4n^2 - 1) sigma^2 / 12. A ``ConstantVol`` run forms its five
+numbers once, sd_x = a sigma sqrt(dt), g_on_x = b sigma sqrt(dt) dt / T and
+sd_g = c sigma sqrt(dt) dt / T with a = sqrt(n), b = n^{3/2}/2 and
+c = sqrt((n^3 - n)/12), without dividing (sigma = 0 is allowed), and never
+steps, so its cost does not depend on n.
+
+A full-model run steps only the volatility factors. A factor without noise
 (nu = 0 for Y, beta = 0 for Z) is deterministic: it reads no words, is stepped
 as one number, and its share of the x noise joins a_x (the Cholesky factor is
 that of the noisy factors and x alone). The loop keeps the weighted sums as
 running prefix sums: with P_k = sum_{j<=k} q_j and R_k = sum_{i<=k} P_i, the
 sums over k of P_k and R_k weight q_j by n - j and (n - j)(n - j + 1)/2, from
-which S1 and S2 follow; one addition a step each. Each path keeps the five
-conditional moments and samples (ln X_T, ln G_T) from them with two normals,
-so the batch has the law of the stepped scheme at each n, discretization bias
-included. ``price_mc`` prices each path by its conditional payoff mean.
+which S1 and S2 follow; one addition a step each. Each path keeps its five
+conditional moments, and ``price_mc`` prices it by its conditional payoff
+mean.
 
 The step loop walks each block's steps in tiles of ``STEP_TILE``. Per tile it
 copies the words of each noisy factor into a step-major buffer, turns them
@@ -69,21 +85,6 @@ chunk has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has no setting;
 a run with one worker runs its blocks inline. Each block writes only its own
 slice of the output, so the order in which blocks finish cannot change the
 result.
-
-The constant-vol path. At a constant sigma the scheme sums in closed form:
-with S = sum_j e_j and W = sum_j w_j e_j over the n x draws,
-
-    ln X_T = ln x0 + (r - sigma^2/2) tau + sigma sqrt(dt) S,
-    int    = tau ln x0 + (r - sigma^2/2) tau^2/2 + sigma sqrt(dt) dt W.
-
-(S, W) is a centred Gaussian pair with Var S = n, Cov(S, W) = sum_j w_j = n^2/2
-and Var W = sum_j w_j^2 = n (4 n^2 - 1)/12, so a ``ConstantVol`` run draws it
-exactly from two normals z1, z2 per path:
-
-    S = sqrt(n) z1,    W = (n^{3/2}/2) z1 + sqrt((n^3 - n)/12) z2.
-
-Its law at each n is that of the stepped scheme, discretization bias included,
-and its cost does not depend on n.
 
 Pricing. Given its volatility path, a full-model path's payoff mean is a
 lognormal-pair closed form (``_lognormal_pair_call``), so ``price_mc``
@@ -211,19 +212,18 @@ def _source(model: ModelParams, vol: VolSpec, t, T, x0, g0, cfg: McConfig) -> di
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Terminal per-path state; arrays are indexed by global path id.
+    """Terminal (ln X_T, ln G_T) per path; arrays are indexed by global path id.
 
     ``moments`` holds, for a full-model run, the conditional law of
     (ln X_T, ln G_T) given each path's volatility path, as rows of a
     (5, n_paths) array: the means of ln X_T and ln G_T, their variances and
-    their covariance (None under ``ConstantVol``). ``source`` holds the
-    arguments the paths were simulated from.
+    their covariance (None under ``ConstantVol``, whose law is the same on
+    every path). ``source`` holds the arguments the paths were simulated
+    from.
     """
 
     ln_x: np.ndarray
     ln_g: np.ndarray
-    y: np.ndarray | None
-    z: np.ndarray | None
     source: dict
     moments: np.ndarray | None
 
@@ -323,7 +323,9 @@ def _two_sum_coefficients(n: int) -> tuple[float, float, float]:
 
     a = sqrt(n), b = n^{3/2}/2 and c = sqrt((n^3 - n)/12) give a^2 = n = Var S,
     a b = n^2/2 = Cov(S, W) and b^2 + c^2 = n (4 n^2 - 1)/12 = Var W, the law
-    of the two sums of an n-step constant-vol path (module docstring).
+    of S = sum_j e_j and W = sum_j (n - j - 1/2) e_j over the n x draws of a
+    constant-vol path, whose terminal pair is linear in them (module
+    docstring).
     """
     n = int(n)  # a numpy integer would overflow in the cube
     return math.sqrt(n), 0.5 * n * math.sqrt(n), math.sqrt((n - 1) * n * (n + 1) / 12)
@@ -338,7 +340,9 @@ def simulate_paths(
     g0: float,
     cfg: McConfig,
 ) -> PathBatch:
-    """Simulate the SDE system over [t, T] and return terminal path state.
+    """Simulate the SDE system over [t, T], 0 <= t < T, and return each
+    path's terminal (ln X_T, ln G_T), drawn from its conditional law (and,
+    for a full-model run, that law).
 
     Blocks of draw paths run on a thread pool (see the module docstring); the
     result has the same bits for any chunk size and any pool size.
@@ -351,8 +355,8 @@ def simulate_paths(
         raise PDFactorizationFailure(pd_problems[0])
     if problems:
         raise OutOfDomain("; ".join(problems))
-    if not T > t:
-        raise OutOfDomain(f"need T > t, got t={t}, T={T}")
+    if not 0.0 <= t < T:
+        raise OutOfDomain(f"need 0 <= t < T, got t={t}, T={T}")
     if x0 <= 0.0 or g0 <= 0.0:
         raise OutOfDomain(f"x0 and g0 must be > 0, got {x0}, {g0}")
 
@@ -402,11 +406,10 @@ def simulate_paths(
         a, b, c = _two_sum_coefficients(n_steps)
         sigma = vol.sigma
         mu = r - 0.5 * sigma * sigma
-        cv_x_mean = ln_x0 + mu * tau
-        cv_g_mean = (t * math.log(g0) + tau * ln_x0 + 0.5 * mu * tau * tau) / T
-        cv_x_scale = sigma * sqrt_dt
-        cv_g_scale = sigma * sqrt_dt * dt / T
-        z1_x, z1_g, z2_g = a * cv_x_scale, b * cv_g_scale, c * cv_g_scale
+        g_mean = (t * math.log(g0) + tau * ln_x0 + 0.5 * mu * tau * tau) / T
+        g_scale = sigma * sqrt_dt * dt / T
+        # (mean_x, mean_g, sd_x, g_on_x, sd_g), the same on every path
+        constant_law = (ln_x0 + mu * tau, g_mean, a * (sigma * sqrt_dt), b * g_scale, c * g_scale)
     words_per_path = 4 * ((n_words + 3) // 4)
 
     anti = cfg.antithetic
@@ -415,8 +418,6 @@ def simulate_paths(
 
     ln_x = np.empty(n_total)
     ln_g = np.empty(n_total)
-    y_out = np.empty(n_total) if full else None
-    z_out = np.empty(n_total) if full else None
     moments = np.empty((5, n_total)) if full else None
 
     # a full-model chunk holds WORD_BUDGET words unless chunk_size sets it; a
@@ -432,11 +433,12 @@ def simulate_paths(
     block = -(-draw_paths // (rounds * workers))
 
     def step_full_model(draws: np.ndarray) -> tuple:
-        """Step one block's volatility paths; returns ln X_T, ln G_T, Y_T, Z_T
-        and the (5, m) conditional moments of its m path elements.
+        """Step one block's volatility paths; returns the terminal law
+        (mean_x, mean_g, sd_x, g_on_x, sd_g) and the (5, m) conditional
+        moments of its m path elements.
 
         ``draws`` is the block's row-major word array: the two terminal
-        normals, then uniforms in the words of the noisy factors, which become
+        words, then uniforms in the words of the noisy factors, which become
         normals as they are copied into a tile. With u = y - alpha, each step
         computes, in this order of operations,
 
@@ -514,17 +516,11 @@ def simulate_paths(
         var_x = var_dt * p0
         var_g = (var_dt * dt * dt / (T * T)) * s2
         cov = (var_dt * dt / T) * s1
-        # (ln X_T, ln G_T) from the two terminal normals
-        z1, z2 = draws[:, 0], draws[:, 1]
-        if anti:
-            z1, z2 = np.concatenate((z1, -z1)), np.concatenate((z2, -z2))
         sd_x = np.sqrt(var_x)
         g_on_x = cov / sd_x
         sd_g = np.sqrt(np.maximum(var_g - g_on_x * g_on_x, 0.0))
-        lnx_T = mean_x + sd_x * z1
-        lng_T = mean_g + g_on_x * z1 + sd_g * z2
         law = np.stack((mean_x, mean_g, var_x, var_g, cov))
-        return lnx_T, lng_T, u + model.alpha, np.broadcast_to(z, (m,)), law
+        return (mean_x, mean_g, sd_x, g_on_x, sd_g), law
 
     def run_paths(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
@@ -534,25 +530,23 @@ def simulate_paths(
         draws = _uniforms_for_chunk(cfg.seed, lo, nc, words_per_path)
         normals = draws[:, :2]
         ndtri(normals, out=normals)
+        z1, z2 = normals.T
         # (output slice, block slice, sign of the deviation) of the drawn half
         # and of the mirrored half, which negates every word
         halves = [(slice(lo, hi), slice(0, nc), 1.0)]
         if anti:
             halves.append((slice(draw_paths + lo, draw_paths + hi), slice(nc, 2 * nc), -1.0))
         if full:
-            terminal = step_full_model(draws)
-            for out, part, _ in halves:
-                for dest, values in zip((ln_x, ln_g, y_out, z_out, moments), terminal):
-                    dest[..., out] = values[..., part]
-        else:  # ln X_T and ln G_T are their means plus these deviations
-            z2 = normals[:, 1]
-            dev_x = normals[:, 0] * z1_x
-            dev_g = normals[:, 0] * z1_g
-            z2 *= z2_g
-            dev_g += z2
-            for out, _, sign in halves:  # + (-1.0) * dev has the bits of - dev
-                ln_x[out] = cv_x_mean + sign * dev_x
-                ln_g[out] = cv_g_mean + sign * dev_g
+            block_law, block_moments = step_full_model(draws)
+        for out, part, sign in halves:
+            if full:
+                mean_x, mean_g, sd_x, g_on_x, sd_g = (v[part] for v in block_law)
+                moments[:, out] = block_moments[:, part]
+            else:
+                mean_x, mean_g, sd_x, g_on_x, sd_g = constant_law
+            # + (-1.0) * dev has the bits of - dev
+            ln_x[out] = mean_x + sign * (z1 * sd_x)
+            ln_g[out] = mean_g + sign * (z1 * g_on_x + z2 * sd_g)
 
     bounds = [(lo, min(lo + block, draw_paths)) for lo in range(0, draw_paths, block)]
     if workers == 1:
@@ -569,8 +563,7 @@ def simulate_paths(
                 raise
 
     return PathBatch(
-        ln_x=ln_x, ln_g=ln_g, y=y_out, z=z_out, source=_source(model, vol, t, T, x0, g0, cfg),
-        moments=moments,
+        ln_x=ln_x, ln_g=ln_g, source=_source(model, vol, t, T, x0, g0, cfg), moments=moments,
     )
 
 

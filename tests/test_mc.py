@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -28,7 +29,7 @@ from geoasian import (
 )
 from geoasian import mc
 from geoasian.closedform import q_drift_term
-from geoasian.errors import NonFiniteInput, PDFactorizationFailure
+from geoasian.errors import NonFiniteInput, OutOfDomain, PDFactorizationFailure
 from geoasian.mc import (
     _controlled_mean_and_se,
     _lognormal_pair_call,
@@ -143,7 +144,7 @@ def test_reference_model_and_stationary_vol():
 
 def assert_same_bits(a, b):
     """Two path batches hold the same bits in every array."""
-    for name in ("ln_x", "ln_g", "y", "z", "moments"):
+    for name in ("ln_x", "ln_g", "moments"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
         if x is not None:
@@ -299,11 +300,12 @@ SLOW_ONLY_MODEL = ModelParams(
 @pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL, SLOW_ONLY_MODEL],
                          ids=["reference", "correlated", "slow-only"])
 def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, antithetic, n_steps):
-    """The tiled volatility loop reproduces Y_T and Z_T of the plain per-step
-    loop bit for bit, and its prefix sums give the conditional moments and
-    the terminal pair of the plain weighted sums to 1e-12: with a noiseless
-    and a noisy Y and Z, step counts on and off the tile, an uneven chunk and
-    a pooled run."""
+    """The tiled volatility loop reproduces Var ln X_T = a_x^2 dt S0 of the
+    plain per-step loop bit for bit, so every f_j of the volatility path
+    too, and its prefix sums give the other conditional moments and the
+    terminal pair of the plain weighted sums to 1e-12: with a noiseless and a
+    noisy Y and Z, step counts on and off the tile, an uneven chunk and a
+    pooled run."""
     vol = FullModel(f_min=0.05, f_max=0.4)
     kwargs = dict(model=model, vol=vol, t=0.05, T=0.45, x0=100.0, g0=98.0)
     want = _stepped_vol_path(
@@ -319,9 +321,8 @@ def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, 
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
     runs.append(simulate_paths(cfg=cfg, **kwargs))
     for batch in runs:
-        for name in ("y", "z"):
-            got = getattr(batch, name)
-            assert np.array_equal(got.view(np.uint64), want[name].view(np.uint64)), name
+        var_x = batch.moments[2]
+        assert np.array_equal(var_x.view(np.uint64), want["moments"][2].view(np.uint64))
         for name in ("ln_x", "ln_g", "moments"):
             got = getattr(batch, name)
             assert np.max(np.abs(got - want[name]) / np.abs(want[name])) < 1e-12, name
@@ -883,15 +884,29 @@ def _deterministic_vol_moments(model, vol, t, T, x0, g0, n_steps):
     )
 
 
-@pytest.mark.parametrize("spec", CONTROL_SPECS, ids=lambda s: f"{s.style.name}-{s.kind.name}")
-def test_deterministic_vol_prices_every_path_by_the_pair_formula(spec):
-    """nu = beta = 0 fixes the volatility path, so every path has the moments
-    of the time grid and one conditional payoff mean, that of the lognormal
-    pair formula, to 1e-12; the control is then one number and the price is
-    that mean, with no spread."""
-    model = ModelParams(r=0.0264, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001, rho_xy=-0.3)
-    vol, state, T = FullModel(), CONTROL_STATE, spec.maturity
-    cfg = McConfig(n_paths=600, n_steps=37, seed=2, antithetic=True)
+DETERMINISTIC_VOL_RUNS = {  # test id suffix: (model, state, T, cfg)
+    "": (
+        ModelParams(r=0.0264, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001, rho_xy=-0.3),
+        CONTROL_STATE, 0.45, McConfig(n_paths=600, n_steps=37, seed=2, antithetic=True),
+    ),
+    "-uncorrelated": (
+        ModelParams(r=0.03, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001),
+        STATE, 0.5, McConfig(n_paths=16, n_steps=100, seed=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, run", [
+    pytest.param(spec, run, id=f"{spec.style.name}-{spec.kind.name}{suffix}")
+    for suffix, run in DETERMINISTIC_VOL_RUNS.items() for spec in CONTROL_SPECS
+])
+def test_deterministic_vol_prices_every_path_by_the_pair_formula(spec, run):
+    """nu = beta = 0 pins Y at alpha and Z on its OU mean path, so every path
+    has the moments of the time grid and one conditional payoff mean, that
+    of the lognormal pair formula, to 1e-12; the control is then one number
+    and the price is that mean, with no spread."""
+    model, state, T, cfg = run
+    vol, spec = FullModel(), dataclasses.replace(spec, maturity=T)
     batch = simulate_paths(model, vol, state.t, T, state.x, state.g, cfg)
     want = _deterministic_vol_moments(model, vol, state.t, T, state.x, state.g, cfg.n_steps)
     for row, value in zip(batch.moments, want):
@@ -1090,7 +1105,6 @@ def test_zero_vol_zero_rate_is_deterministic():
     assert np.allclose(np.exp(batch.ln_x), 100.0, rtol=1e-14, atol=0.0)
     want_ln_g = (0.1 * math.log(105.0) + 0.4 * math.log(100.0)) / 0.5
     assert np.allclose(batch.ln_g, want_ln_g, rtol=1e-13, atol=0.0)
-    assert batch.y is None and batch.z is None
 
 
 def test_zero_vol_floating_price_is_zero():
@@ -1101,20 +1115,6 @@ def test_zero_vol_floating_price_is_zero():
     )
     assert abs(est.price) < 1e-10
     assert est.std_error < 1e-10
-
-
-def test_noiseless_factors_follow_their_means():
-    """nu = beta = 0 pins Y at alpha and Z on the OU mean path exactly."""
-    model = ModelParams(
-        r=0.03, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001, nu=0.0, beta=0.0
-    )
-    batch = simulate_paths(
-        model, FullModel(), 0.0, 0.5, 100.0, 100.0,
-        McConfig(n_paths=16, n_steps=100, seed=5),
-    )
-    assert np.all(batch.y == model.alpha)
-    want_z = 0.20 + (0.1834 - 0.20) * math.exp(-2.0 * 0.5)
-    assert np.allclose(batch.z, want_z, rtol=1e-12, atol=0.0)
 
 
 # -------------------------------------------------------------- moment checks
@@ -1219,6 +1219,12 @@ def test_invalid_params_and_window_rejected():
     with pytest.raises(ValueError):
         simulate_paths(MODEL, ConstantVol(0.2), 0.5, 0.45, 100.0, 100.0,
                        McConfig(n_paths=8, n_steps=8, seed=0))
+    # the window may not start before time 0, even when it ends before it
+    for vol in (ConstantVol(0.2), FullModel()):
+        for t, T in ((-0.1, 0.45), (-0.3, -0.1)):
+            with pytest.raises(OutOfDomain, match="need 0 <= t < T"):
+                simulate_paths(reference_full_model(0.01), vol, t, T, 100.0, 100.0,
+                               McConfig(n_paths=100, n_steps=10, seed=1))
     with pytest.raises(ValueError):
         simulate_paths(MODEL, ConstantVol(0.2), 0.0, 0.45, -1.0, 100.0,
                        McConfig(n_paths=8, n_steps=8, seed=0))

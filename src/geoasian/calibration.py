@@ -47,6 +47,7 @@ import numpy as np
 from .errors import (
     DegenerateDesign,
     MissingColumn,
+    NonFiniteInput,
     OutOfDomain,
     PricingError,
     SingularDenominator,
@@ -161,9 +162,13 @@ class SmilePoint:
 
 
 def regression_denominator(k: float, t: float, T: float) -> float:
-    """D of the regressor, (1/(T - t)) times the log-plus-pole bracket."""
-    if not T > t:
-        raise OutOfDomain(f"need T > t, got t={t}, T={T}")
+    """D of the regressor, (1/(T - t)) times the log-plus-pole bracket, for
+    k > 0 and 0 <= t < T."""
+    # one comparison chain for a valid call; any other call gets its reason
+    if not (0.0 < k < math.inf and 0.0 <= t < T < math.inf):
+        if not all(map(math.isfinite, (k, t, T))):
+            raise NonFiniteInput(f"k, t and T must be finite, got {k}, {t}, {T}")
+        raise OutOfDomain(f"need k > 0 and 0 <= t < T, got k={k}, t={t}, T={T}")
     wt = 2.0 - k * t
     wT = 2.0 - k * T
     if wt * wT <= 0.0 or wT / wt <= 0.0:
@@ -193,11 +198,13 @@ def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float,
 
 def ols_fit(rows: list[tuple[float, float]]) -> RegressionFit:
     """Ordinary least squares on pooled (x, y) points."""
+    x = np.asarray([p[0] for p in rows], dtype=float)
+    y = np.asarray([p[1] for p in rows], dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteInput("every regression point must be finite")
     n = len(rows)
     if n < 2:
         raise DegenerateDesign(f"need at least 2 rows, got {n}")
-    x = np.asarray([p[0] for p in rows], dtype=float)
-    y = np.asarray([p[1] for p in rows], dtype=float)
     x_bar = float(x.mean())
     y_bar = float(y.mean())
     dx = x - x_bar
@@ -231,6 +238,9 @@ def v_from_fit(
     equals sqrt(eps) * V with a = a_eps/sqrt(eps); epsilon cancels and is
     accepted only for interface fidelity.
     """
+    numbers = (fit.a_eps, epsilon, r, sigma, k, t, T)
+    if not all(map(math.isfinite, numbers)):
+        raise NonFiniteInput(f"a_eps, epsilon, r, sigma, k, t and T must be finite, got {numbers}")
     if not epsilon > 0.0:
         raise OutOfDomain(f"epsilon must be > 0, got {epsilon}")
     return fit.a_eps * r * sigma / regression_denominator(k, t, T)

@@ -77,12 +77,11 @@ Threads: ``simulate_paths`` cuts the draw paths into equal blocks and runs them
 on a thread pool (numpy's ufuncs, reductions and ``ndtri`` release the GIL),
 one block per worker at a time. A block holds the words of its draw paths in
 one array, uniforms turned into normals where they are read, so the blocks in
-flight hold at most one chunk of words. A constant-vol chunk holds at most
-``WORD_TILE`` words whatever ``chunk_size``; each path's terminal state
-depends only on its own words, so any split has the same bits. The pool has
-one worker per CPU the process may run on (its CPU affinity), fewer when a
-chunk has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has no setting;
-a run with one worker runs its blocks inline. Each block writes only its own
+flight hold at most one chunk of words; each path's terminal state depends
+only on its own words, so any split has the same bits. The pool has one
+worker per CPU the process may run on (its CPU affinity), fewer when a chunk
+has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has no setting; a
+run with one worker runs its blocks inline. Each block writes only its own
 slice of the output, so the order in which blocks finish cannot change the
 result.
 
@@ -125,10 +124,6 @@ WORD_BUDGET = 1 << 23  # max random words in flight, summed over the workers
 MIN_BLOCK_PATHS = 2048
 # steps whose draws the full-model loop copies step-major at once
 STEP_TILE = 4
-# most random words in one chunk of a constant-vol run (at least one path):
-# about 1 MB of float64. On validate, tiles of 1 << 16 and 1 << 18 words ran
-# alike, and a larger tile only holds more
-WORD_TILE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -137,14 +132,14 @@ class McConfig:
 
     ``chunk_size`` bounds the draw paths in flight across all workers (each
     block holds its paths' random words in one array, as uniforms or normals);
-    by default a full-model chunk holds at most ``WORD_BUDGET`` random words,
-    2 + n_steps per path when only Y is noisy and 2 + 2 n_steps when Z is
-    too. It changes memory and speed, never the result. A constant-vol run
-    owns 4 words per path (2 of them read) whatever ``n_steps``, and its
-    chunks hold at most ``WORD_TILE`` words whatever ``chunk_size``, so its
-    cost does not depend on ``n_steps``. Beyond its share of the chunk, each
-    worker of a full-model run holds step-major buffers of ``STEP_TILE``
-    steps and its per-path sums, about 1 MB at 6250 path elements.
+    by default a chunk holds at most ``WORD_BUDGET`` random words. A path
+    owns 2 + n_steps words (padded to a multiple of 4) in a full-model run
+    when only Y is noisy, 2 + 2 n_steps when Z is too, and 4 (2 of them read)
+    in a constant-vol run whatever ``n_steps``, whose cost therefore does
+    not depend on ``n_steps``. The chunk size changes memory and speed, never
+    the result. Beyond its share of the chunk, each worker of a full-model
+    run holds step-major buffers of ``STEP_TILE`` steps and its per-path
+    sums, about 1 MB at 6250 path elements.
     """
 
     n_paths: int
@@ -420,11 +415,7 @@ def simulate_paths(
     ln_g = np.empty(n_total)
     moments = np.empty((5, n_total)) if full else None
 
-    # a full-model chunk holds WORD_BUDGET words unless chunk_size sets it; a
-    # constant-vol chunk holds at most WORD_TILE words whatever chunk_size
-    chunk = min(cfg.chunk_size or draw_paths, draw_paths)
-    if not full or cfg.chunk_size is None:
-        chunk = max(1, min(chunk, (WORD_BUDGET if full else WORD_TILE) // words_per_path))
+    chunk = min(cfg.chunk_size or max(1, WORD_BUDGET // words_per_path), draw_paths)
     # each worker runs one block at a time, so a round of blocks holds at most
     # one chunk; the paths are shared evenly over the fewest rounds, so no
     # worker waits alone on a short last block
@@ -548,19 +539,15 @@ def simulate_paths(
             ln_x[out] = mean_x + sign * (z1 * sd_x)
             ln_g[out] = mean_g + sign * (z1 * g_on_x + z2 * sd_g)
 
-    bounds = [(lo, min(lo + block, draw_paths)) for lo in range(0, draw_paths, block)]
+    los = range(0, draw_paths, block)
+    his = [min(lo + block, draw_paths) for lo in los]
     if workers == 1:
-        for lo, hi in bounds:
-            run_paths(lo, hi)
+        list(map(run_paths, los, his))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_paths, lo, hi) for lo, hi in bounds]
-            try:
-                for future in futures:
-                    future.result()
-            except BaseException:
-                pool.shutdown(cancel_futures=True)  # the blocks not yet started
-                raise
+            # reading every result raises a block's error, and map then
+            # cancels the blocks not yet started
+            list(pool.map(run_paths, los, his))
 
     return PathBatch(
         ln_x=ln_x, ln_g=ln_g, source=_source(model, vol, t, T, x0, g0, cfg), moments=moments,
@@ -628,36 +615,37 @@ def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0) -> tup
 
 def _controlled_mean_and_se(
     values: np.ndarray,
-    controls: tuple[np.ndarray, ...],
-    exact: np.ndarray,
+    control: np.ndarray,
+    exact: float,
     antithetic: bool,
     scale: float,
 ) -> tuple[float, float] | None:
     """scale times the control-variate estimate of the mean of ``values``, and its SE.
 
     Pairs of an antithetic batch are averaged first, as in ``mean_and_se``.
-    The values are regressed on the controls over the whole batch, the mean
-    is v - b . (c - exact) with the sample means v and c, and the standard
-    error comes from the residuals with 1 + len(controls) degrees of freedom
-    spent. Returns None when that cannot be formed: no more samples than
-    degrees spent, or a singular sample covariance of the controls.
+    This is the single-control regression estimator (Glasserman, Monte
+    Carlo Methods in Financial Engineering, 2003, section 4.1): with the
+    sample means v and c and the deviations dv and dc, the mean is
+    v - b (c - exact) with b = (dc . dv) / (dc . dc), and the standard error
+    comes from the residuals dv - b dc with 2 degrees of freedom spent.
+    Returns None when that cannot be formed: two samples or fewer, or a
+    control that is one number on every sample.
     """
-    cols = np.stack((values, *controls))
     if antithetic:
-        n = cols.shape[1] // 2
-        cols = 0.5 * (cols[:, :n] + cols[:, n:])
-    spent, n = cols.shape
-    if n <= spent:
+        n = values.shape[0] // 2
+        values = 0.5 * (values[:n] + values[n:])
+        control = 0.5 * (control[:n] + control[n:])
+    else:
+        n = values.shape[0]
+    mean_v, mean_c = values.mean(), control.mean()
+    dv, dc = values - mean_v, control - mean_c
+    ss_c = dc @ dc
+    if n <= 2 or ss_c == 0.0:
         return None
-    means = cols.mean(axis=1)
-    dev = cols - means[:, None]
-    cov = dev[1:] @ dev[1:].T
-    if np.linalg.matrix_rank(cov) < cov.shape[0]:
-        return None
-    b = np.linalg.solve(cov, dev[1:] @ dev[0])
-    resid = dev[0] - b @ dev[1:]
-    mean = float(means[0] - b @ (means[1:] - exact))
-    return scale * mean, scale * float(resid.std(ddof=spent)) / math.sqrt(n)
+    b = (dc @ dv) / ss_c
+    resid = dv - b * dc
+    mean = float(mean_v - b * (mean_c - exact))
+    return scale * mean, scale * float(resid.std(ddof=2)) / math.sqrt(n)
 
 
 def price_mc(
@@ -702,9 +690,9 @@ def price_mc(
     if isinstance(vol, FullModel):
         conditional = _payoff_mean(spec, paths.moments)
         control = np.exp(paths.moments[0] + 0.5 * paths.moments[2])  # E[X_T | vol]
-        exact = np.array([state.x * math.exp(model.r * (T - state.t))])
+        exact = state.x * math.exp(model.r * (T - state.t))
         price, se = (
-            _controlled_mean_and_se(conditional, (control,), exact, cfg.antithetic, disc)
+            _controlled_mean_and_se(conditional, control, exact, cfg.antithetic, disc)
             or mean_and_se(conditional, cfg.antithetic, scale=disc)
         )
     return McEstimate(

@@ -20,7 +20,13 @@ from geoasian import (
     v_from_fit,
 )
 from geoasian.calibration import IngestResult, regression_denominator, regression_row
-from geoasian.errors import DegenerateDesign, MissingColumn, NonFiniteInput, SingularDenominator
+from geoasian.errors import (
+    DegenerateDesign,
+    MissingColumn,
+    NonFiniteInput,
+    OutOfDomain,
+    SingularDenominator,
+)
 from geoasian.mc import reference_full_model
 from geoasian.model import effective_vol
 
@@ -198,6 +204,15 @@ def test_denominator_guards():
         regression_denominator(2.0, 0.9, 1.5)
     with pytest.raises(ValueError):
         regression_denominator(2.0, 0.5, 0.5)
+    for k, t, T in ((math.nan, 0.1, 0.45), (2.0, math.nan, 0.45), (2.0, 0.1, math.inf),
+                    (math.inf, 0.1, 0.45), (-math.inf, 0.1, 0.45), (2.0, -math.inf, 0.45),
+                    (-1.0, math.nan, 0.45)):
+        with pytest.raises(NonFiniteInput):
+            regression_denominator(k, t, T)
+    for k, t, T in ((-1.0, 0.0, 0.45), (0.0, 0.0, 0.45), (-0.0, 0.1, 0.45),
+                    (2.0, -0.1, 0.45), (2.0, -0.3, -0.1), (-1.0, -0.1, 0.45)):
+        with pytest.raises(OutOfDomain):
+            regression_denominator(k, t, T)
 
 
 # -------------------------------------------------------- regression rows
@@ -320,6 +335,11 @@ def test_ols_degenerate_designs():
         ols_fit([(1.0, 2.0)])
     with pytest.raises(DegenerateDesign):
         ols_fit([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+    for bad in ((math.nan, 3.0), (2.0, math.nan), (math.inf, 3.0), (2.0, -math.inf)):
+        with pytest.raises(NonFiniteInput):
+            ols_fit([(0.0, 1.0), (1.0, 2.0), bad])
+    with pytest.raises(NonFiniteInput):
+        ols_fit([(math.nan, 1.0)])
 
 
 # ------------------------------------------------------------- v_from_fit
@@ -335,6 +355,18 @@ def test_v_from_fit_anchor():
     assert rel(big_v, -0.50471909432670034) < 1e-12
     with pytest.raises(ValueError):
         v_from_fit(fit, 0.0, 0.0264, 0.1834, 2.0, 0.0, 0.5)
+    args = (0.001, 0.0264, 0.1834, 2.0, 0.0, 0.5)  # epsilon, r, sigma, k, t, T
+    for i in range(len(args)):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NonFiniteInput):
+                v_from_fit(fit, *args[:i], bad, *args[i + 1:])
+    with pytest.raises(NonFiniteInput):
+        v_from_fit(RegressionFit(math.nan, 0.0, 1.0, 10, 0.0), *args)
+    with pytest.raises(NonFiniteInput):  # non-finite before out of domain
+        v_from_fit(fit, 0.0, math.nan, 0.1834, 2.0, 0.0, 0.5)
+    for k, t, T in ((-1.0, 0.0, 0.5), (2.0, -0.3, -0.1)):
+        with pytest.raises(OutOfDomain):
+            v_from_fit(fit, 0.001, 0.0264, 0.1834, k, t, T)
 
 
 def test_v_from_fit_independent_of_epsilon():

@@ -331,10 +331,16 @@ def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, 
 
 
 @pytest.mark.parametrize("chunk_size", [None, 100])
-def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, chunk_size):
-    """The workers' draws together never exceed one chunk of words."""
+@pytest.mark.parametrize("vol, words_per_path", [(FullModel(), 32), (ConstantVol(0.2), 4)],
+                         ids=["full", "constant"])
+def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, vol, words_per_path, chunk_size):
+    """Each draw path's words are drawn exactly once, and the workers' draws
+    together never exceed one chunk of words: a full-model path owns 2
+    terminal words and 30 steps of one noisy factor, a constant-vol path a
+    4-word block."""
     lock = threading.Lock()
     live, peak, drawn = [0], [0], [0]
+    draws_per_path = np.zeros(600, dtype=int)
 
     def release(words):
         with lock:
@@ -347,18 +353,19 @@ def test_blocks_in_flight_hold_at_most_one_chunk(monkeypatch, chunk_size):
             live[0] += words
             peak[0] = max(peak[0], live[0])
             drawn[0] += words
+            draws_per_path[lo:lo + n_chunk] += 1
         weakref.finalize(uniforms.base, release, words)  # the buffer's lifetime
         time.sleep(0.002)  # let the other workers start their blocks meanwhile
         return uniforms
 
-    words_per_path = 32  # 2 terminal words and 30 steps of one noisy factor
     chunk = chunk_size or 50
     monkeypatch.setattr(mc, "WORD_BUDGET", 50 * words_per_path)
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
     monkeypatch.setattr(mc, "_uniforms_for_chunk", counted)
     monkeypatch.setattr(mc, "_worker_count", lambda: 3)
     cfg = McConfig(n_paths=1200, n_steps=30, seed=42, antithetic=True, chunk_size=chunk_size)
-    simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    simulate_paths(MODEL, vol, 0.0, 0.45, 100.0, 100.0, cfg)
+    assert np.all(draws_per_path == 1)
     assert drawn[0] == 600 * words_per_path
     assert live[0] == 0
     block_words = chunk // 3 * words_per_path
@@ -392,19 +399,19 @@ def _two_normal_terminal(z, n_steps, sigma, r, t, T, x0, g0, antithetic):
             np.concatenate([g_mean + sign * dev_g for sign in signs]))
 
 
-@pytest.mark.parametrize("tile_paths", [0.5, 4.5])
+@pytest.mark.parametrize("budget_paths", [0.5, 4.5])
 @pytest.mark.parametrize("chunk_size", [None, 37])
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("n_steps", [2, 36, 37])
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_constant_vol_tiles_have_the_bits_of_one_array(
-    monkeypatch, antithetic, n_steps, workers, chunk_size, tile_paths
+    monkeypatch, antithetic, n_steps, workers, chunk_size, budget_paths
 ):
-    """A constant-vol run drawn in tiles of four paths, or of one path when a
-    path has more words than a tile, has the bits of the two-normal formula
-    applied to the first two raw Philox words of each path's 4-word block,
-    at any step count."""
-    monkeypatch.setattr(mc, "WORD_TILE", int(tile_paths * 4))
+    """A constant-vol run drawn in chunks of 37 paths, of four paths, or of
+    one path when a path has more words than the word budget, has the bits of
+    the two-normal formula applied to the first two raw Philox words of each
+    path's 4-word block, at any step count."""
+    monkeypatch.setattr(mc, "WORD_BUDGET", int(budget_paths * 4))
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
     monkeypatch.setattr(mc, "_worker_count", lambda: workers)
     cfg = McConfig(n_paths=300, n_steps=n_steps, seed=29, antithetic=antithetic,
@@ -452,43 +459,6 @@ def test_constant_vol_law_is_that_of_the_stepped_scheme(n_steps):
     for i, j in ((0, 0), (0, 1), (1, 1)):
         se = math.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) * (1.0 / n_drawn + 1.0 / n_stepped))
         assert abs(diff[i, j]) < 4.0 * se, (i, j, diff[i, j] / se)
-
-
-@pytest.mark.parametrize("chunk_size", [None, 100])
-def test_constant_vol_runs_hold_at_most_one_tile_per_worker(monkeypatch, chunk_size):
-    """Each draw path's words are drawn exactly once, and the workers' draws
-    together never exceed one tile, whatever the chunk: a constant-vol chunk
-    holds at most one tile of words, shared over the workers."""
-    lock = threading.Lock()
-    live, peak = [0], [0]
-    draws_per_path = np.zeros(600, dtype=int)
-
-    def release(words):
-        with lock:
-            live[0] -= words
-
-    def counted(seed, lo, n_chunk, words_per_path):
-        uniforms = _uniforms_for_chunk(seed, lo, n_chunk, words_per_path)
-        words = n_chunk * words_per_path
-        with lock:
-            live[0] += words
-            peak[0] = max(peak[0], live[0])
-            draws_per_path[lo:lo + n_chunk] += 1
-        weakref.finalize(uniforms.base, release, words)  # the buffer's lifetime
-        time.sleep(0.002)  # let the other workers start their blocks meanwhile
-        return uniforms
-
-    words_per_path = 4  # two words read, at any step count
-    tile = 5 * words_per_path + 3  # five paths
-    monkeypatch.setattr(mc, "WORD_TILE", tile)
-    monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
-    monkeypatch.setattr(mc, "_uniforms_for_chunk", counted)
-    monkeypatch.setattr(mc, "_worker_count", lambda: 3)
-    cfg = McConfig(n_paths=1200, n_steps=30, seed=42, antithetic=True, chunk_size=chunk_size)
-    simulate_paths(MODEL, ConstantVol(0.2), 0.0, 0.45, 100.0, 100.0, cfg)
-    assert np.all(draws_per_path == 1)
-    assert live[0] == 0
-    assert words_per_path < peak[0] <= tile  # blocks overlapped, within one tile
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -819,8 +789,7 @@ def test_constant_vol_runs_carry_no_control():
 def test_controlled_estimate_falls_back_to_the_conditional_mean():
     """Two pairs leave no residual degree of freedom for the one control, so
     the price is the uncontrolled mean of the conditional payoffs, which is
-    unbiased too. A constant control, or one that copies another, makes the
-    controls' covariance singular."""
+    unbiased too. A constant control has no slope to fit."""
     cfg = McConfig(n_paths=4, n_steps=10, seed=4, antithetic=True)
     few = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
     batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
@@ -830,36 +799,29 @@ def test_controlled_estimate_falls_back_to_the_conditional_mean():
     assert few.price != few.price_plain
     rng = np.random.default_rng(3)
     values, control = rng.normal(size=50), rng.normal(size=50)
-    one = np.zeros(1)
-    assert _controlled_mean_and_se(values[:2], (control[:2],), one, False, 1.0) is None
-    assert _controlled_mean_and_se(values[:3], (control[:3],), one, False, 1.0) is not None
-    assert _controlled_mean_and_se(values, (np.full(50, 2.0),), one, False, 1.0) is None
-    exact = np.zeros(2)
-    assert _controlled_mean_and_se(values, (control, control), exact, False, 1.0) is None
-    assert _controlled_mean_and_se(values, (control, 2.0 * control), exact, False, 1.0) is None
-    assert _controlled_mean_and_se(values, (control, values), exact, False, 1.0) is not None
+    assert _controlled_mean_and_se(values[:2], control[:2], 0.0, False, 1.0) is None
+    assert _controlled_mean_and_se(values[:3], control[:3], 0.0, False, 1.0) is not None
+    assert _controlled_mean_and_se(values, np.full(50, 2.0), 0.0, False, 1.0) is None
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("n_controls", [1, 2])
-def test_controlled_estimate_is_least_squares(n_controls, antithetic):
+def test_controlled_estimate_is_least_squares(antithetic):
     """The estimate and its standard error are those of least squares on an
-    intercept and the controls, with 1 + len(controls) degrees of freedom
-    spent; an antithetic batch averages its pairs first."""
+    intercept and the control, with 2 degrees of freedom spent; an
+    antithetic batch averages its pairs first."""
     rng = np.random.default_rng(11)
-    controls = tuple(rng.normal(size=(n_controls, 60)))
-    values = 1.0 + 0.7 * sum(controls) + rng.normal(size=60)
-    exact = np.full(n_controls, 0.1)
-    price, se = _controlled_mean_and_se(values, controls, exact, antithetic, 2.0)
-    cols = np.stack((values, *controls))
+    control = rng.normal(size=60)
+    values = 1.0 + 0.7 * control + rng.normal(size=60)
+    exact = 0.1
+    price, se = _controlled_mean_and_se(values, control, exact, antithetic, 2.0)
     if antithetic:
-        cols = 0.5 * (cols[:, :30] + cols[:, 30:])
-    n = cols.shape[1]
-    design = np.column_stack([np.ones(n), *cols[1:]])
-    coef, ss_resid, rank, _ = np.linalg.lstsq(design, cols[0], rcond=None)
-    assert rank == 1 + n_controls
-    assert rel(price, 2.0 * (cols[0].mean() - coef[1:] @ (cols[1:].mean(axis=1) - exact))) < 1e-12
-    assert rel(se, 2.0 * math.sqrt(ss_resid[0] / (n - 1 - n_controls)) / math.sqrt(n)) < 1e-12
+        values, control = 0.5 * (values[:30] + values[30:]), 0.5 * (control[:30] + control[30:])
+    n = values.shape[0]
+    design = np.column_stack([np.ones(n), control])
+    coef, ss_resid, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    assert rank == 2
+    assert rel(price, 2.0 * (values.mean() - coef[1] * (control.mean() - exact))) < 1e-12
+    assert rel(se, 2.0 * math.sqrt(ss_resid[0] / (n - 2)) / math.sqrt(n)) < 1e-12
 
 
 def _deterministic_vol_moments(model, vol, t, T, x0, g0, n_steps):

@@ -329,8 +329,8 @@ def environment_reads(node):
 
 
 def test_the_package_reads_no_environment_variable():
-    """The pool size, ``WORD_TILE``, ``STEP_TILE`` and every other setting of
-    the package are constants or arguments, never knobs in the environment."""
+    """The pool size, ``WORD_BUDGET``, ``STEP_TILE`` and every other setting
+    of the package are constants or arguments, never knobs in the environment."""
     reads = sorted(
         f"{name}:{node.lineno} {read}"
         for name, tree in package_trees().items()

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,36 +84,30 @@ def _emit(args, outputs, warnings: list[str], t0: float) -> None:
         print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--k", type=float, required=required, default=None if required else 2.0,
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k", type=float, required=True,
                         help="slow-factor mean-reversion speed (1/year)")
-    parser.add_argument("--r", type=float, required=required, default=None if required else 0.0264,
-                        help="risk-free rate (1/year)")
-    parser.add_argument("--z0", type=float, required=required, default=None if required else 0.1834,
+    parser.add_argument("--r", type=float, required=True, help="risk-free rate (1/year)")
+    parser.add_argument("--z0", type=float, required=True,
                         help="slow-factor initial level (vol units)")
-    parser.add_argument("--alpha-prime", dest="alpha_prime", type=float,
-                        required=required, default=None if required else 0.20,
+    parser.add_argument("--alpha-prime", dest="alpha_prime", type=float, required=True,
                         help="slow-factor long-run level (vol units)")
     parser.add_argument("--epsilon", type=float, default=0.001, help="fast time scale (years)")
     parser.add_argument("--sigma-min", dest="sigma_min", type=float, default=1e-4,
                         help="floor applied to the effective volatility")
-    parser.add_argument("--nu", type=float, default=0.0, help="fast-factor volatility scale")
-    parser.add_argument("--alpha", type=float, default=0.0, help="fast-factor long-run mean")
-    parser.add_argument("--beta", type=float, default=0.0, help="slow-factor vol-of-vol (MC only)")
-    parser.add_argument("--rho-xy", dest="rho_xy", type=float, default=0.0)
-    parser.add_argument("--rho-xz", dest="rho_xz", type=float, default=0.0)
-    parser.add_argument("--rho-yz", dest="rho_yz", type=float, default=0.0)
 
 
-def _model_from_args(args) -> ModelParams:
-    model = ModelParams(**{f.name: getattr(args, f.name) for f in fields(ModelParams)})
+def _model_and_arc(args) -> tuple[ModelParams, VolArc]:
+    model = ModelParams(r=args.r, k=args.k, alpha_prime=args.alpha_prime, z0=args.z0,
+                        epsilon=args.epsilon)
     problems = validate_params(model)
     if problems:
         raise ValueError("; ".join(problems))
-    return model
+    return model, arc_from_ou(model.k, model.alpha_prime, model.z0, sigma_min=args.sigma_min)
 
 
-def cmd_price(args, model: ModelParams, arc: VolArc):
+def cmd_price(args):
+    model, arc = _model_and_arc(args)
     option = OptionSpec(
         style=StrikeStyle(args.style),
         kind=OptionKind(args.kind),
@@ -151,7 +145,8 @@ def _domain_warnings(breakdown) -> list[str]:
     return [f"domain: {'; '.join(signs)}"] if signs else []
 
 
-def cmd_calibrate(args, model: ModelParams, arc: VolArc):
+def cmd_calibrate(args):
+    model, arc = _model_and_arc(args)
     ingest = ingest_quotes(args.quotes)
     regression = regression_pairs(ingest.rows, arc, model)
     if args.scatter_out:
@@ -166,7 +161,12 @@ def cmd_calibrate(args, model: ModelParams, arc: VolArc):
     return report, warnings, EXIT_OK
 
 
-def cmd_validate(args, model: ModelParams, arc: VolArc):
+def cmd_validate(args):
+    # a constant-vol run reads only r; --mode full prices reference_full_model
+    model = replace(reference_full_model(0.001), r=args.r)
+    # the full mode's level arc, built here so either mode refuses a bad --sigma-min
+    flat = VolArc(p_coef=0.0, q_coef=0.0, r_coef=stationary_effective_vol(model.z0, model.nu),
+                  sigma_min=args.sigma_min)
     cfg = McConfig(
         n_paths=args.paths, n_steps=args.steps, seed=args.seed, antithetic=True
     )
@@ -213,17 +213,17 @@ def cmd_validate(args, model: ModelParams, arc: VolArc):
 
     outputs = {"comparisons": rows, "mode": args.mode}
     if args.mode == "full":
-        direction = _epsilon_direction(args, cfg)
+        direction = _epsilon_direction(args, cfg, flat)
         outputs["epsilon_direction"] = direction
         all_pass &= direction["pass"]
     return outputs, warnings, EXIT_OK if all_pass else EXIT_COMPARISON
 
 
-def _epsilon_direction(args, cfg: McConfig) -> dict:
+def _epsilon_direction(args, cfg: McConfig, flat: VolArc) -> dict:
     """|MC - C0| at the money should be weakly smaller for smaller epsilon.
 
-    The C0 target uses the stationary averaged volatility of the reference
-    volatility function on a level arc; a sloped arc would add an
+    The C0 target prices on ``flat``, the level arc at the stationary averaged
+    volatility of the reference volatility function; a sloped arc would add an
     epsilon-independent gap (the zeroth order freezes the arc at the pricing
     time) that drowns the effect being checked.
     """
@@ -233,8 +233,6 @@ def _epsilon_direction(args, cfg: McConfig) -> dict:
     results = {}
     for label, eps in (("big", 0.1), ("small", 0.001)):
         model = reference_full_model(eps)
-        sig_hom = stationary_effective_vol(model.z0, model.nu)
-        flat = VolArc(p_coef=0.0, q_coef=0.0, r_coef=sig_hom, sigma_min=args.sigma_min)
         c0 = float(first_order_price(option, state, flat, model, v_eps=0.0).c0)
         est = price_mc(option, model, FullModel(), state, cfg)
         results[label] = {
@@ -250,14 +248,15 @@ def _epsilon_direction(args, cfg: McConfig) -> dict:
     return {"big": results["big"], "small": results["small"], "slack": slack, "pass": ok}
 
 
-def cmd_smile(args, model: ModelParams, arc: VolArc):
+def cmd_smile(args):
+    model, arc = _model_and_arc(args)
     if not all(map(math.isfinite, (args.t, args.T, args.spot))):
         raise NonFiniteInput(
             f"--t, --T and --spot must be finite, got {args.t}, {args.T}, {args.spot}"
         )
     # every point would be flagged and the CSV left empty
-    if args.t < 0.0:
-        raise OutOfDomain(f"--t must be >= 0, got {args.t}")
+    if not 0.0 <= args.t < args.T:
+        raise OutOfDomain(f"need 0 <= --t < --T, got --t {args.t}, --T {args.T}")
     if not args.spot > 0.0:
         raise OutOfDomain(f"--spot must be > 0, got {args.spot}")
     try:
@@ -303,7 +302,7 @@ def cmd_smile(args, model: ModelParams, arc: VolArc):
 
 
 def _price_flags(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p, required=True)
+    _add_model_flags(p)
     p.add_argument("--style", choices=["floating", "fixed"], required=True)
     p.add_argument("--kind", choices=["call", "put"], required=True)
     p.add_argument("--spot", type=float, required=True, help="spot price")
@@ -316,21 +315,20 @@ def _price_flags(p: argparse.ArgumentParser) -> None:
                    help="calibrated group parameter sqrt(eps)*V")
     p.add_argument("--gamma-off", dest="gamma_off", action="store_true",
                    help="pin the modification factor at 1")
-    p.add_argument("--json", action="store_true", help="compact single-line JSON")
-    p.set_defaults(func=cmd_price)
 
 
 def _calibrate_flags(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p, required=True)
+    _add_model_flags(p)
     p.add_argument("--quotes", required=True, help="quotes CSV path")
     p.add_argument("--scatter-out", dest="scatter_out", default=None,
                    help="write regression (x,y) pairs to this CSV")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_calibrate)
 
 
 def _validate_flags(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p, required=False)
+    p.add_argument("--r", type=float, default=0.0264,
+                   help="risk-free rate of the constant-vol comparisons (1/year)")
+    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=1e-4,
+                   help="floor of the full mode's level arc")
     p.add_argument("--paths", type=int, default=200000)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=1234)
@@ -339,12 +337,10 @@ def _validate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=0.1834, help="constant-mode volatility")
     p.add_argument("--spot", type=float, default=100.0)
     p.add_argument("--T", type=float, default=0.5)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
 
 def _smile_flags(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p, required=True)
+    _add_model_flags(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--grid", default="0.8:1.2:17", help='moneyness grid "lo:hi:n"')
@@ -353,17 +349,16 @@ def _smile_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v-eps", dest="v_eps", type=float, default=0.0)
     p.add_argument("--spot", type=float, default=100.0)
     p.add_argument("--out", default="-", help="smile CSV path ('-' for stdout)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_smile)
 
 
-# each command's help line and the function that adds its flags, in the order
-# the top-level usage lists them
+# each command's help line, the function that adds its flags and the one that
+# runs it, in the order the top-level usage lists them
 _COMMANDS = {
-    "price": ("first-order price with component breakdown", _price_flags),
-    "calibrate": ("regress quotes into a_eps and v_eps per cell", _calibrate_flags),
-    "validate": ("Monte Carlo vs closed-form oracle suite", _validate_flags),
-    "smile": ("first-order implied-vol curve export", _smile_flags),
+    "price": ("first-order price with component breakdown", _price_flags, cmd_price),
+    "calibrate": ("regress quotes into a_eps and v_eps per cell", _calibrate_flags,
+                  cmd_calibrate),
+    "validate": ("Monte Carlo vs closed-form oracle suite", _validate_flags, cmd_validate),
+    "smile": ("first-order implied-vol curve export", _smile_flags, cmd_smile),
 }
 
 
@@ -379,10 +374,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Geometric Asian option pricing under two-factor stochastic volatility",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags) in _COMMANDS.items():
+    for name, (help_text, add_flags, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if command is None or command == name:
             add_flags(p)
+            p.add_argument("--json", action="store_true", help="compact single-line JSON")
+            p.set_defaults(func=func)
     return parser
 
 
@@ -404,9 +401,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     t0 = time.perf_counter()
     try:
-        model = _model_from_args(args)
-        arc = arc_from_ou(model.k, model.alpha_prime, model.z0, sigma_min=args.sigma_min)
-        outputs, warnings, code = args.func(args, model, arc)
+        outputs, warnings, code = args.func(args)
         if outputs is not None:
             _emit(args, outputs, warnings, t0)
         return code

@@ -112,6 +112,7 @@ from .model import (
     OptionKind,
     OptionSpec,
     StrikeStyle,
+    correlation_pd_margin,
     validate_params,
 )
 
@@ -161,8 +162,9 @@ class McConfig:
             raise OutOfDomain(f"n_steps must be >= 2, got {self.n_steps}")
         if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
             raise OutOfDomain(f"seed must be >= 0 and < 2**128, got {self.seed}")
-        if self.antithetic and self.n_paths % 2:
-            raise OutOfDomain("antithetic runs need an even n_paths")
+        # pairs count once, and one pair has no standard error
+        if self.antithetic and (self.n_paths % 2 or self.n_paths < 4):
+            raise OutOfDomain(f"antithetic runs need an even n_paths >= 4, got {self.n_paths}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise OutOfDomain(f"chunk_size must be >= 1, got {self.chunk_size}")
 
@@ -344,10 +346,9 @@ def simulate_paths(
     """
     if not all(map(math.isfinite, (t, T, x0, g0))):
         raise NonFiniteInput(f"t, T, x0 and g0 must be finite, got {t}, {T}, {x0}, {g0}")
+    if correlation_pd_margin(model.rho_xy, model.rho_xz, model.rho_yz) <= 0.0:
+        raise PDFactorizationFailure("correlation matrix is not positive definite")
     problems = validate_params(model)
-    pd_problems = [p for p in problems if "positive definite" in p]
-    if pd_problems:
-        raise PDFactorizationFailure(pd_problems[0])
     if problems:
         raise OutOfDomain("; ".join(problems))
     if not 0.0 <= t < T:

@@ -165,7 +165,7 @@ def test_price_rejects_infinite_sigma_min(capsys):
 @settings(max_examples=40, deadline=None)
 @given(
     flag=st.sampled_from(["--spot", "--avg", "--t", "--T", "--v-eps", "--k", "--r", "--z0",
-                          "--alpha-prime", "--epsilon", "--sigma-min", "--nu", "--rho-xy"]),
+                          "--alpha-prime", "--epsilon", "--sigma-min"]),
     value=st.sampled_from(["nan", "inf", "-inf"]),
 )
 def test_price_never_exits_ok_on_a_non_finite_input(flag, value):
@@ -378,13 +378,15 @@ def test_smile_rejects_a_non_finite_time_or_spot(capsys, flag, value):
 
 
 def test_smile_rejects_a_negative_time(capsys, tmp_path):
-    """Every point of the curve would be flagged; the command refuses instead."""
+    """A negative --t, or a --t not before --T: every point of the curve would
+    be flagged; the command refuses instead."""
     out_csv = tmp_path / "smile.csv"
-    code, out, err = run(capsys, ["smile", *MODEL_ARGS, "--t", "-0.1", "--T", "0.45",
-                                  "--out", str(out_csv)])
-    assert code == EXIT_VALIDATION
-    assert out == "" and not out_csv.exists()
-    assert json.loads(err)["error"] == "OutOfDomain"
+    for t, T in (("-0.1", "0.45"), ("0.3", "0.2"), ("0.3", "0.3")):
+        code, out, err = run(capsys, ["smile", *MODEL_ARGS, "--t", t, "--T", T,
+                                      "--out", str(out_csv)])
+        assert code == EXIT_VALIDATION, (t, T)
+        assert out == "" and not out_csv.exists()
+        assert json.loads(err)["error"] == "OutOfDomain"
 
 
 @pytest.mark.parametrize("spot", ["-1", "0"])
@@ -535,6 +537,24 @@ def test_validate_refuses_a_zero_sigma_before_drawing_a_path(capsys, monkeypatch
     assert calls == []
 
 
+def test_validate_refuses_a_single_antithetic_pair(capsys):
+    """One pair has no standard error; its NaN would make the report invalid JSON."""
+    code, out, err = run(capsys, ["validate", "--paths", "2"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert json.loads(err)["error"] == "OutOfDomain"
+
+
+@pytest.mark.parametrize("mode", ["constant", "full"])
+@pytest.mark.parametrize("flag, value", [("--r", "-0.01"), ("--sigma-min", "0")])
+def test_validate_refuses_a_negative_rate_or_floor_in_either_mode(capsys, mode, flag, value):
+    code, out, err = run(capsys, ["validate", "--paths", "600", "--steps", "8", "--mode", mode,
+                                  flag, value])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert json.loads(err)["error"] == "OutOfDomain"
+
+
 def test_validate_cost_does_not_grow_with_steps(capsys):
     """A constant-vol path draws two normals whatever the step count, so ten
     million steps run as fast as a few."""
@@ -551,12 +571,12 @@ def test_validate_cost_does_not_grow_with_steps(capsys):
 PINNED_DIGESTS = [
     (["price", "--style", "floating", "--kind", "call", "--spot", "100", "--avg", "101",
       "--t", "0.1", "--T", "0.45", *MODEL_ARGS, "--v-eps", "-0.016", "--json"],
-     "a4a538949781c5508cd8fb136b356a5115d9c19f64c43e80f647b00c132810fa"),
+     "c2c8b3554efb7afaafc13c0540c04f6e0abd8e7a1878bbd4c7948a1ed2cd510c"),
     (["price", "--style", "fixed", "--kind", "put", "--spot", "100", "--strike", "100",
       "--t", "0.1", "--T", "0.45", *MODEL_ARGS, "--gamma-off", "--json"],
-     "eca9b010d246fe71fda1061ea0e13c69c1997541ee4f80034659c6228089d496"),
+     "c1ad8aaf3ab868952ab63f60c117fcf140baaf00a21d584df2564b93a2a27361"),
     (["validate", "--paths", "2000", "--steps", "16", "--seed", "5", "--json"],
-     "c5c457e6c64b6314c49375c4170473c79b359d2461edae639dce4e0a7cc50e32"),
+     "97cc6ce18b1c8be71f9978db6fd05ed019fcd2459db6fad6932143fe7c8dff7b"),
 ]
 
 
@@ -573,7 +593,16 @@ def subparser_dests(command):
     return {a.dest for a in sub.choices[command]._actions} - {"help", "json"}
 
 
+COMMAND_DESTS = {
+    "price": "k r z0 alpha_prime epsilon sigma_min style kind spot avg strike t T v_eps gamma_off",
+    "calibrate": "k r z0 alpha_prime epsilon sigma_min quotes scatter_out",
+    "validate": "r sigma_min paths steps seed mode sigma spot T",
+    "smile": "k r z0 alpha_prime epsilon sigma_min t T grid style v_eps spot out",
+}
+
+
 def test_inputs_echo_every_flag_of_the_command(tmp_path, capsys):
+    """Each command takes exactly the flags it reads, and echoes each one."""
     argvs = {
         "price": PRICE_ARGS,
         "calibrate": ["calibrate", *MODEL_ARGS, "--quotes", str(quotes_csv(tmp_path))],
@@ -587,6 +616,7 @@ def test_inputs_echo_every_flag_of_the_command(tmp_path, capsys):
         report = json.loads(out)
         assert report["command"] == command
         assert set(report["inputs"]) == subparser_dests(command), command
+        assert subparser_dests(command) == set(COMMAND_DESTS[command].split()), command
     # price echoes the spot as the running average when --avg is not given
     assert json.loads(run(capsys, PRICE_ARGS)[1])["inputs"]["avg"] == 100.0
 
@@ -626,8 +656,9 @@ def parse_outcome(capsys, parse):
     ["smile", *MODEL_ARGS, "--t", "0.1"],
     ["price", *MODEL_ARGS, "--style", "floating", "--kind", "call", "--spot", "abc",
      "--t", "0", "--T", "0.45"],
+    [*PRICE_ARGS, "--nu", "0.3"],
 ], ids=["help", "unknown-command", "command-help", "unrecognised-flag", "missing-flag",
-        "smile-missing-flag", "bad-value"])
+        "smile-missing-flag", "bad-value", "removed-model-flag"])
 def test_help_and_errors_match_the_full_parser(capsys, monkeypatch, argv):
     """``main`` builds only the named command's flags; what it prints and its
     exit code are those of the full parser."""
@@ -637,6 +668,18 @@ def test_help_and_errors_match_the_full_parser(capsys, monkeypatch, argv):
     assert parse_outcome(capsys, lambda: cli.build_parser(command).parse_args(argv)) == full
     assert parse_outcome(capsys, lambda: main(argv)) == full
     assert full[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    [*PRICE_ARGS, "--nu", "0.3"],
+    ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--rho-xy", "-0.5"],
+    ["validate", "--k", "5"],
+    ["validate", "--epsilon", "0.2"],
+], ids=["price-nu", "smile-rho-xy", "validate-k", "validate-epsilon"])
+def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
+    code, out, err = parse_outcome(capsys, lambda: main(argv))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "unrecognized arguments" in err
 
 
 def test_calibrate_outputs_and_scatter_are_pinned(tmp_path, capsys):

@@ -61,6 +61,11 @@ def test_mc_config_validation():
         McConfig(n_paths=100, n_steps=10, seed=-1)
     with pytest.raises(ValueError):
         McConfig(n_paths=101, n_steps=10, seed=0, antithetic=True)
+    # one antithetic pair has no standard error
+    with pytest.raises(OutOfDomain, match="n_paths >= 4"):
+        McConfig(n_paths=2, n_steps=10, seed=0, antithetic=True)
+    McConfig(n_paths=2, n_steps=10, seed=0)
+    McConfig(n_paths=4, n_steps=10, seed=0, antithetic=True)
     with pytest.raises(ValueError):
         McConfig(n_paths=100, n_steps=10, seed=0, chunk_size=0)
     McConfig(n_paths=np.int64(100), n_steps=np.int32(10), seed=np.uint64(3), chunk_size=7)

@@ -1,9 +1,11 @@
 """Smoke runs of the experiment scripts at small sizes, each in its own interpreter,
 a guard that the package root exports what the README, scripts and gate import,
 a guard against dead imports and dead private functions in the package, a guard
-that the package reports bad input through one error family, and a guard that
-it reads no environment variable."""
+that the package reports bad input through one error family, a guard that
+it reads no environment variable, and a guard that the CLI reads every flag it
+takes."""
 
+import argparse
 import ast
 import builtins
 import csv
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 import geoasian
-from geoasian import errors
+from geoasian import cli, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -338,3 +340,18 @@ def test_the_package_reads_no_environment_variable():
         for read in environment_reads(node)
     )
     assert reads == []
+
+
+def test_every_cli_flag_is_read_by_name():
+    """Each subcommand's flags are exactly those its run reads: every dest is
+    read as ``args.<dest>`` in ``cli.py``, so a flag read only by reflection,
+    or by nothing, cannot survive."""
+    tree = ast.parse((ROOT / "src" / "geoasian" / "cli.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args" and isinstance(node.ctx, ast.Load)}
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = sorted(f"{name}: {action.dest}" for name, parser in sub.choices.items()
+                    for action in parser._actions
+                    if action.dest != "help" and action.dest not in read)
+    assert unread == []

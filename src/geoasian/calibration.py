@@ -27,9 +27,10 @@ floating rows; style in {floating_call, fixed_put}. Only these two styles
 are accepted (the other combinations can have negative vegas).
 
 The quotes of one (t, T) cell share the I-integrals that
-``perturbation.i_integrals_closed`` remembers for the last 128 windows, and
-the closed forms remember the last contract's shared terms; a remembered
-result is bit-identical to recomputing it. D is recomputed per quote.
+``perturbation.i_integrals_closed`` caches for the last 128 windows, and
+the closed forms cache the last contract's shared terms, both with
+``functools.lru_cache``; a cached result is bit-identical to recomputing
+it. D is recomputed per quote.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .model import (
     VolArc,
     effective_vol,
 )
-from .perturbation import _check_v_eps, _first_order
+from .perturbation import _check_v_eps, _check_window, _first_order
 
 VEGA_FLOOR_FRACTION = 1e-10
 DENOMINATOR_TOL = 1e-12
@@ -163,12 +164,9 @@ class SmilePoint:
 
 def regression_denominator(k: float, t: float, T: float) -> float:
     """D of the regressor, (1/(T - t)) times the log-plus-pole bracket, for
-    k > 0 and 0 <= t < T."""
-    # one comparison chain for a valid call; any other call gets its reason
-    if not (0.0 < k < math.inf and 0.0 <= t < T < math.inf):
-        if not all(map(math.isfinite, (k, t, T))):
-            raise NonFiniteInput(f"k, t and T must be finite, got {k}, {t}, {T}")
-        raise OutOfDomain(f"need k > 0 and 0 <= t < T, got k={k}, t={t}, T={T}")
+    k > 0 and 0 <= t < T, checked as gamma and the I-integrals check it."""
+    if _check_window(k, t, T):
+        raise OutOfDomain(f"D needs t < T, got the empty window t = T = {T}")
     wt = 2.0 - k * t
     wT = 2.0 - k * T
     if wt * wT <= 0.0 or wT / wt <= 0.0:

@@ -25,14 +25,15 @@ price, Greek and theta refuses a NaN or infinite float input with
 NonFiniteInput.
 
 B0, theta and the Greeks of one contract share its d-terms, E, discount (or
-e^s), normal CDFs and density. ``_contract_terms`` computes them and
-remembers the last contract's, so the chain's three calls per contract
+e^s), normal CDFs and density. ``_contract_terms`` computes them under a
+one-entry ``functools.lru_cache``, so the chain's three calls per contract
 compute them once; every result is bit-identical to recomputing them. Each
 public function still runs its own input checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -134,13 +135,7 @@ def _d_terms(
     return d1, d2, root, q_drift_term(sigma, t, T, r)
 
 
-# The terms one contract's B0, theta and Greeks share, for the last contract
-# asked: (key, terms), one tuple, so a reader never pairs a key with another
-# key's terms. The chain prices B0, theta and the Greeks of one contract in a
-# row, so the second and third calls read the first's terms.
-_last_contract: tuple = (None, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _contract_terms(
     s: float, u: float, t: float, T: float, K: float | None, sigma: float, r: float, put: bool
 ) -> tuple[float, float, float, float, float, float, float, float]:
@@ -149,24 +144,16 @@ def _contract_terms(
 
     E = e^{s + u/T - Q}. Floating: lead = e^s, n1 = N(d1), n2 = N(d2),
     phi = phi(d2). Fixed: lead = K e^{-r(T-t)}, phi = phi(d1), and n1, n2 are
-    N(d1), N(d2) for the call and N(-d1), N(-d2) for the put. The last
-    contract's terms are remembered, so a repeat call returns the same bits
-    without recomputing them.
+    N(d1), N(d2) for the call and N(-d1), N(-d2) for the put. The chain asks
+    for B0, theta and the Greeks of one contract in a row, so the cache keeps
+    one contract's terms and the second and third calls return its bits.
     """
-    global _last_contract
-    key = (s, u, t, T, K, sigma, r, put)
-    last_key, terms = _last_contract
-    if key == last_key:
-        return terms
     d1, d2, root, q = _d_terms(s, u, t, T, K, sigma, r)
     E = math.exp(s + u / T - q)
     if K is None:
-        terms = (d1, d2, root, E, math.exp(s), _ncdf(d1), _ncdf(d2), _npdf(d2))
-    else:
-        n1, n2 = (_ncdf(-d1), _ncdf(-d2)) if put else (_ncdf(d1), _ncdf(d2))
-        terms = (d1, d2, root, E, K * math.exp(-r * (T - t)), n1, n2, _npdf(d1))
-    _last_contract = (key, terms)
-    return terms
+        return d1, d2, root, E, math.exp(s), _ncdf(d1), _ncdf(d2), _npdf(d2)
+    n1, n2 = (_ncdf(-d1), _ncdf(-d2)) if put else (_ncdf(d1), _ncdf(d2))
+    return d1, d2, root, E, K * math.exp(-r * (T - t)), n1, n2, _npdf(d1)
 
 
 # scalar cores: _bs adds the input checks; the tests' finite-difference

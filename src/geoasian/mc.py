@@ -3,8 +3,10 @@
 State per path is (ln X, Y, Z) over [t, T], on n steps of dt:
 
     d ln X = (r - f^2/2) dt + f dW^x,      f = f(Y, Z)
-    dY     = (1/eps)(alpha - Y) dt + (nu sqrt(2)/sqrt(eps)) dW^y
+    dY     = -(1/eps) Y dt + (nu sqrt(2)/sqrt(eps)) dW^y
     dZ     = k (alpha' - Z) dt + beta dW^z
+
+Y starts at and reverts to 0: a mean alpha would cancel in f = z e^{Y - alpha}.
 
 The scheme takes a log-Euler step on ln X (exact per step under constant
 volatility) and exact OU transitions on Y and Z, since eps down at 1e-3 makes
@@ -184,7 +186,7 @@ class ConstantVol:
 
 @dataclass(frozen=True)
 class FullModel:
-    """Volatility f = clamp(z exp(y - alpha)) driven by the simulated factors."""
+    """Volatility f = clamp(z exp(y)) driven by the simulated factors."""
 
     f_min: float = 0.01
     f_max: float = 2.0
@@ -255,7 +257,6 @@ def reference_full_model(epsilon: float) -> ModelParams:
         z0=0.1834,
         epsilon=epsilon,
         nu=0.3,
-        alpha=0.0,
         beta=0.0,
         rho_xy=-0.3,
         rho_xz=0.0,
@@ -264,9 +265,9 @@ def reference_full_model(epsilon: float) -> ModelParams:
 
 
 def stationary_effective_vol(level: float, nu: float) -> float:
-    """Averaged volatility sqrt(E[f^2]) for f = z e^{y - alpha} at a fixed z.
+    """Averaged volatility sqrt(E[f^2]) for f = z e^y at a fixed z.
 
-    Under the stationary law y - alpha ~ N(0, nu^2) the second moment of the
+    Under the stationary law y ~ N(0, nu^2) the second moment of the
     exponential is e^{2 nu^2}, so the level picks up a factor e^{nu^2}.  Clamp
     effects are ignored; they are negligible whenever the clamp bounds sit
     several nu away from the level.
@@ -274,17 +275,16 @@ def stationary_effective_vol(level: float, nu: float) -> float:
     return level * math.exp(nu * nu)
 
 
-def f_full(y, z, vol: FullModel, alpha: float = 0.0, out: np.ndarray | None = None):
-    """Bounded exponential-OU volatility min(f_max, max(f_min, z e^{y - alpha})).
+def f_full(y, z, vol: FullModel, out: np.ndarray | None = None):
+    """Bounded exponential-OU volatility min(f_max, max(f_min, z e^y)).
 
     The clamp bounds are ``vol.f_min`` and ``vol.f_max``, checked when the
     ``FullModel`` was built. ``out``, an array of the broadcast shape, receives
     the result (with the bits of the call without it) and is returned.
     """
     if out is None:
-        return np.clip(z * np.exp(y - alpha), vol.f_min, vol.f_max)
-    np.subtract(y, alpha, out=out)
-    np.exp(out, out=out)
+        return np.clip(z * np.exp(y), vol.f_min, vol.f_max)
+    np.exp(y, out=out)
     np.multiply(z, out, out=out)
     return np.clip(out, vol.f_min, vol.f_max, out=out)
 
@@ -431,10 +431,10 @@ def simulate_paths(
 
         ``draws`` is the block's row-major word array: the two terminal
         words, then uniforms in the words of the noisy factors, which become
-        normals as they are copied into a tile. With u = y - alpha, each step
-        computes, in this order of operations,
+        normals as they are copied into a tile. With u the fast factor Y, each
+        step computes, in this order of operations,
 
-            f  = f_full(u, z, 0)
+            f  = f_full(u, z)
             q  = f f;    p0 += q;   p1 += p0;   p2 += p1
             h  = f nx;   n0 += h;   n1 += n0
             u  = u ey + w_y sd_y
@@ -481,7 +481,7 @@ def simulate_paths(
                     e_y = tile[0]
                     e_y *= sd_y
             for s in range(k):
-                f_full(u, z, vol, 0.0, out=f)
+                f_full(u, z, vol, out=f)
                 np.multiply(f, f, out=q)
                 p0 += q
                 p1 += p0

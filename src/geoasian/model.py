@@ -42,7 +42,6 @@ class ModelParams:
     z0           slow-factor initial level (volatility units)
     epsilon      fast time scale (years, > 0)
     nu           fast-factor volatility scale
-    alpha        fast-factor long-run mean
     beta         slow-factor vol-of-vol (Monte Carlo only)
     rho_xy, rho_xz, rho_yz   Brownian correlations
     """
@@ -53,7 +52,6 @@ class ModelParams:
     z0: float
     epsilon: float
     nu: float = 0.0
-    alpha: float = 0.0
     beta: float = 0.0
     rho_xy: float = 0.0
     rho_xz: float = 0.0

@@ -23,10 +23,11 @@ stores v_eps and the first-order price is
     price_hat = C0 + c1.
 
 One private chain, ``_first_order``, sequences B0 -> theta -> M -> gamma ->
-I's -> Greeks -> c1 and is the only code that picks a contract's closed
-forms by (StrikeStyle, OptionKind). ``first_order_price`` prices with it,
-and ``calibration`` calls it at v_eps = 1 for the unit correction and the
-vega of each quote.
+I's -> Greeks -> c1 and is the only code that prices a first-order contract.
+``first_order_price`` prices with it, at maturity too, where the closed forms
+return the payoff; ``calibration`` calls it at v_eps = 1 for the unit
+correction and the vega of each quote. gamma, the I-integrals and the
+regressor's D check their window (k, t, T) with one ``_check_window``.
 
 ``i_integrals_closed`` depends on the window (k, t, T) alone and remembers
 the last 128 windows it was asked, so the quotes of one smile cell share one
@@ -47,7 +48,6 @@ from scipy.integrate import quad
 from .closedform import (
     HORIZON_TOL,
     GreekSet,
-    _bs,
     b0_theta,
     bs_fixed_call,
     bs_fixed_put,
@@ -88,16 +88,19 @@ _FLOATING = StrikeStyle.FLOATING
 
 
 def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
-    """Refuse a window [t, T] no gamma or I-integral takes; True when it is empty.
+    """Refuse a window [t, T] outside k > 0, 0 <= t <= T; True when it is empty.
 
-    A NaN or infinite k, t, T or m raises NonFiniteInput before any range check.
+    gamma, the I-integrals and D check with it. A NaN or infinite k, t, T or m
+    raises NonFiniteInput before any range check.
     """
-    if not (0.0 < k < math.inf and -math.inf < t <= T < math.inf and -math.inf < m < math.inf):
+    if not (0.0 < k < math.inf and 0.0 <= t <= T < math.inf and -math.inf < m < math.inf):
         for name, value in (("k", k), ("t", t), ("T", T), ("m", m)):
             if not math.isfinite(value):
                 raise NonFiniteInput(f"{name} must be finite, got {value}")
         if not k > 0.0:
             raise OutOfDomain(f"k must be > 0, got {k}")
+        if not t >= 0.0:
+            raise OutOfDomain(f"t must be >= 0, got {t}")
         raise OutOfDomain(f"t = {t} exceeds T = {T}")
     return t == T
 
@@ -306,8 +309,10 @@ def first_order_price(
     """Assemble B0 -> theta -> M -> gamma -> C0 -> I's -> Greeks -> c1 -> price.
 
     ``gamma_off`` pins gamma = 1 (reported m_exponent is then 0.0), so with
-    v_eps = 0 the result reduces to the plain Black-Scholes price. Component
-    errors propagate with the failing stage prepended to the message.
+    v_eps = 0 the result reduces to the plain Black-Scholes price. Within
+    HORIZON_TOL of maturity both are forced, after v_eps is checked, and every
+    price field is the terminal payoff. Component errors propagate with the
+    failing stage prepended to the message.
     """
     if option.style is _FLOATING and option.kind is not _CALL:
         raise UnsupportedContract("floating-strike puts are not supported")
@@ -315,8 +320,9 @@ def first_order_price(
     K = option.strike
     sigma = effective_vol(arc, state.t)  # MarketState holds a finite t >= 0
     if T - state.t < HORIZON_TOL:
-        payoff = float(_bs(option.kind, state, sigma, T, K, model.r))
-        return PriceBreakdown(payoff, 1.0, payoff, 0.0, payoff, 0.0)
+        # the closed forms return the payoff here, which gamma and c1 leave alone
+        _check_v_eps(v_eps)
+        v_eps, gamma_off = 0.0, True
     b0, m, gamma, _, c1 = _first_order(
         option.style, option.kind, state, sigma, T, K, model, v_eps, gamma_off
     )

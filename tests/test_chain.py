@@ -209,8 +209,9 @@ def test_non_finite_table_covers_every_exported_analytic_function():
 @pytest.mark.parametrize("v_eps", [math.nan, math.inf, -math.inf])
 def test_first_order_price_refuses_a_non_finite_v_eps(contract, v_eps):
     style, kind, strike, *_ = contract
-    with pytest.raises(NonFiniteInput, match="v_eps must be finite"):
-        first_order_price(OptionSpec(style, kind, T, strike), STATE, ARC, MODEL, v_eps)
+    for state in (STATE, MarketState(t=T, x=100.0, g=101.3)):  # before and at maturity
+        with pytest.raises(NonFiniteInput, match="v_eps must be finite"):
+            first_order_price(OptionSpec(style, kind, T, strike), state, ARC, MODEL, v_eps)
 
 
 def test_book_breakdowns_are_pinned():

@@ -117,8 +117,6 @@ def test_f_full_clamps():
     assert f_full(np.array([0.0]), np.array([0.15]), vol)[0] == 0.15
     assert f_full(np.array([40.0]), np.array([0.15]), vol)[0] == 2.0
     assert f_full(np.array([-40.0]), np.array([0.15]), vol)[0] == 0.01
-    shifted = f_full(np.array([0.3]), np.array([0.15]), vol, alpha=0.3)
-    assert shifted[0] == 0.15
 
 
 @pytest.mark.parametrize("z", [np.linspace(0.05, 1.5, 101), 0.1834])
@@ -126,8 +124,8 @@ def test_f_full_into_a_buffer_has_the_bits_of_the_plain_call(z):
     vol = FullModel(f_min=0.05, f_max=0.9)
     y = np.linspace(-3.0, 3.0, 101)  # both clamp bounds bind
     buf = np.empty(101)
-    got = f_full(y, z, vol, 0.2, out=buf)
-    want = f_full(y, z, vol, 0.2)
+    got = f_full(y, z, vol, out=buf)
+    want = f_full(y, z, vol)
     assert got is buf
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert got.min() == 0.05 and got.max() == 0.9
@@ -211,19 +209,19 @@ def _stepped_full_model(model, vol, t, T, x0, g0, cfg):
     m = cfg.n_paths
     lnx = np.full(m, math.log(x0))
     integral = np.zeros(m)
-    y = np.full(m, model.alpha)
+    y = np.zeros(m)
     z = np.full(m, model.z0)
     for j in range(n_steps):
         e = normals[:, 3 * j:3 * j + 3]
         if cfg.antithetic:
             e = np.concatenate([e, -e])
-        f = f_full(y, z, vol, model.alpha)
+        f = f_full(y, z, vol)
         d_lnx = (r - 0.5 * f * f) * dt + f * sqrt_dt * e[:, 0]
         integral += 0.5 * dt * (2.0 * lnx + d_lnx)
         lnx += d_lnx
         w_y = chol[1, 0] * e[:, 0] + chol[1, 1] * e[:, 1]
         w_z = chol[2, 0] * e[:, 0] + chol[2, 1] * e[:, 1] + chol[2, 2] * e[:, 2]
-        y = model.alpha + (y - model.alpha) * ey + sd_y * w_y
+        y = y * ey + sd_y * w_y
         z = model.alpha_prime + (z - model.alpha_prime) * ez + sd_z * w_z
     return dict(ln_x=lnx, ln_g=(t * math.log(g0) + integral) / T, y=y, z=z)
 
@@ -258,7 +256,7 @@ def _stepped_vol_path(model, vol, t, T, x0, g0, cfg):
     sd_z = model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k)))
     z_shift = model.alpha_prime * (1.0 - ez)
     m = cfg.n_paths
-    u = np.zeros(m)  # y - alpha
+    u = np.zeros(m)  # y
     z = np.full(m, model.z0)
     sums = np.zeros((5, m))  # S0, S1, S2, sum f nx, sum w_j f nx
     for j in range(n):
@@ -286,17 +284,17 @@ def _stepped_vol_path(model, vol, t, T, x0, g0, cfg):
     return dict(
         ln_x=mean_x + np.sqrt(var_x) * words[:, 0],
         ln_g=mean_g + g_on_x * words[:, 0] + np.sqrt(var_g - g_on_x ** 2) * words[:, 1],
-        y=u + model.alpha, z=z, moments=np.stack((mean_x, mean_g, var_x, var_g, cov)),
+        y=u, z=z, moments=np.stack((mean_x, mean_g, var_x, var_g, cov)),
     )
 
 
 CORRELATED_MODEL = ModelParams(
     r=0.0264, k=2.0, alpha_prime=0.5, z0=0.3, epsilon=0.05,
-    nu=0.1, alpha=0.2, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
+    nu=0.1, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
 )
 SLOW_ONLY_MODEL = ModelParams(
     r=0.0264, k=2.0, alpha_prime=0.5, z0=0.3, epsilon=0.05,
-    nu=0.0, alpha=0.2, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
+    nu=0.0, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
 )
 
 
@@ -831,7 +829,7 @@ def test_controlled_estimate_is_least_squares(antithetic):
 
 def _deterministic_vol_moments(model, vol, t, T, x0, g0, n_steps):
     """Means of ln X_T and ln G_T, their variances and their covariance on
-    the time grid when nu = beta = 0: Y stays at alpha, Z follows its OU mean
+    the time grid when nu = beta = 0: Y stays at 0, Z follows its OU mean
     z_j = alpha' + (z0 - alpha') e^{-k j dt} exactly, and f_j = clamp(z_j), so
     the n x draws, all of the x noise, enter ln X_T and the trapezoid integral
     linearly with weights 1 and dt (n - j - 1/2)."""
@@ -868,7 +866,7 @@ DETERMINISTIC_VOL_RUNS = {  # test id suffix: (model, state, T, cfg)
     for suffix, run in DETERMINISTIC_VOL_RUNS.items() for spec in CONTROL_SPECS
 ])
 def test_deterministic_vol_prices_every_path_by_the_pair_formula(spec, run):
-    """nu = beta = 0 pins Y at alpha and Z on its OU mean path, so every path
+    """nu = beta = 0 pins Y at 0 and Z on its OU mean path, so every path
     has the moments of the time grid and one conditional payoff mean, that
     of the lognormal pair formula, to 1e-12; the control is then one number
     and the price is that mean, with no spread."""

@@ -10,6 +10,8 @@ from geoasian import (
     OptionSpec,
     StrikeStyle,
     VolArc,
+    bs_fixed_call,
+    bs_fixed_put,
     first_order_price,
     i_integrals_closed,
     i_integrals_quadrature,
@@ -119,6 +121,10 @@ def test_integral_domain_guards():
         i_integrals_closed(-1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         i_integrals_quadrature(2.0, 0.5, 0.4)
+    # a window that starts before the origin
+    for integrals in (i_integrals_closed, i_integrals_quadrature):
+        with pytest.raises(OutOfDomain, match="t must be >= 0"):
+            integrals(2.0, -0.3, 0.2)
 
 
 # ------------------------------------------------------ modification factor
@@ -147,6 +153,8 @@ def test_gamma_guards():
         modification_factor(2.0, 0.6, 0.5, 0.5)
     with pytest.raises(ValueError, match="k must be > 0"):
         modification_factor(-2.0, 0.0, 0.4, 1.0)
+    with pytest.raises(OutOfDomain, match="t must be >= 0"):
+        modification_factor(2.0, -0.3, 0.2, 1.0)
 
 
 def test_m_exponent():
@@ -220,6 +228,16 @@ def test_terminal_branch_returns_payoff():
     br = first_order_price(FLOAT_CALL, state, LEVEL_ARC, MODEL, v_eps=-0.016)
     assert abs(br.price_hat - 4.0) < 1e-6
     assert br.c1 == 0.0 and br.gamma == 1.0 and br.m_exponent == 0.0
+    # the fixed call and put at strike 95: each field is the bs_* payoff
+    sigma = LEVEL_ARC.r_coef
+    for kind, bs, payoff in ((OptionKind.CALL, bs_fixed_call, 1.0),
+                             (OptionKind.PUT, bs_fixed_put, 0.0)):
+        option = OptionSpec(style=StrikeStyle.FIXED, kind=kind, maturity=0.45, strike=95.0)
+        br = first_order_price(option, state, LEVEL_ARC, MODEL, v_eps=-0.016)
+        want = bs(state, sigma, 0.45, 95.0, MODEL.r)
+        assert abs(want - payoff) < 1e-6
+        assert br.b0 == br.c0 == br.price_hat == want
+        assert br.c1 == 0.0 and br.gamma == 1.0 and br.m_exponent == 0.0
 
 
 def test_floating_put_unsupported():
@@ -287,7 +305,7 @@ def test_model_params_reused_for_rate_and_k():
     """Only r and k enter the expansion; the slow-path fields do not."""
     other = ModelParams(
         r=MODEL.r, k=MODEL.k, alpha_prime=0.5, z0=0.3, epsilon=0.05,
-        nu=0.1, alpha=0.2, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
+        nu=0.1, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
     )
     a = first_order_price(FLOAT_CALL, ANCHOR, LEVEL_ARC, MODEL, v_eps=-0.016)
     b = first_order_price(FLOAT_CALL, ANCHOR, LEVEL_ARC, other, v_eps=-0.016)

@@ -1,14 +1,15 @@
 """Smoke runs of the experiment scripts at small sizes, each in its own interpreter,
 a guard that the package root exports what the README, scripts and gate import,
-a guard against dead imports and dead private functions in the package, a guard
-that the package reports bad input through one error family, a guard that
-it reads no environment variable, and a guard that the CLI reads every flag it
-takes."""
+a guard against dead imports, dead private functions, unread input fields and
+global statements in the package, a guard that the package reports bad input
+through one error family, a guard that it reads no environment variable, and a
+guard that the CLI reads every flag it takes."""
 
 import argparse
 import ast
 import builtins
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -166,6 +167,26 @@ def test_every_private_module_name_is_read_in_the_package():
             for line, bound in private_bindings(tree)
             if bound.startswith("_") and not bound.startswith("__") and bound not in read]
     assert dead == []
+
+
+def test_every_input_field_is_read_in_the_package():
+    """A field that no code reads, such as a model constant that cancels out
+    of every formula, is a parameter a caller sets to no effect."""
+    attributes = {node.attr for tree in package_trees().values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    records = (geoasian.ModelParams, geoasian.McConfig, geoasian.ConstantVol,
+               geoasian.FullModel, geoasian.VolArc, geoasian.OptionSpec)
+    unread = [f"{cls.__name__}.{field.name}" for cls in records
+              for field in dataclasses.fields(cls) if field.name not in attributes]
+    assert unread == []
+
+
+def test_the_package_has_no_global_statement():
+    """Module state that a function rebinds is shared by every caller and
+    thread; a cache belongs in ``functools``, which the package bounds."""
+    statements = [f"{name}:{node.lineno}" for name, tree in package_trees().items()
+                  for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert statements == []
 
 
 def exception_names(node):

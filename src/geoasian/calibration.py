@@ -329,15 +329,17 @@ def smile_curve(
     v_eps: float,
     style: QuoteStyle,
     grid,
-    spot: float = 100.0,
 ) -> list[SmilePoint]:
     """First-order implied vols I = sigma_bar + v_eps c1_unit / vega.
 
-    ``grid`` yields (t, T, moneyness) triples with moneyness = avg/spot;
-    fixed_put points are struck at the spot. Inadmissible points (singular
-    factors, vanishing vega) are returned flagged instead of raised.
+    ``grid`` yields (t, T, moneyness) triples with moneyness = avg/spot.
+    Points are priced at spot 100, fixed_put points struck at the spot: the
+    implied vol of a point depends on its moneyness alone, and any other spot
+    moves it only in the last bits. Inadmissible points (singular factors,
+    vanishing vega) are returned flagged instead of raised.
     """
     _check_v_eps(v_eps)
+    spot = 100.0
     contract = _CONTRACTS[style]
     strike = None if style is QuoteStyle.FLOATING_CALL else spot
     points: list[SmilePoint] = []

@@ -4,8 +4,11 @@
 command, the inputs (every parsed flag but ``--json``, with its default filled
 in) with their digest, the outputs, warnings, and wall time. ``smile --out -``
 streams its CSV instead. Volatilities are decimals (0.1834, not percent),
-times are in years. Exit codes: 0 ok, 2 validation failure, 3 data failure,
-4 oracle comparison failure.
+times are in years. Each command takes only the flags that move its outputs:
+``price``, ``calibrate`` and ``smile`` see the fast factor only through
+the group v_eps = sqrt(eps) V, so their model's eps is fixed, and ``smile``
+prices at spot 100, since its curve depends on moneyness alone. Exit codes:
+0 ok, 2 validation failure, 3 data failure, 4 oracle comparison failure.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ EXIT_COMPARISON = 4
 
 _VALIDATION_ERRORS = (ValueError, OSError)
 
+# the model eps of price, calibrate and smile, which moves none of their
+# outputs (it cancels in calibrate's v_eps = sqrt(eps) V)
+_EPSILON = 0.001
+
 
 def _digest(inputs: dict) -> str:
     canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -92,14 +99,13 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="slow-factor initial level (vol units)")
     parser.add_argument("--alpha-prime", dest="alpha_prime", type=float, required=True,
                         help="slow-factor long-run level (vol units)")
-    parser.add_argument("--epsilon", type=float, default=0.001, help="fast time scale (years)")
     parser.add_argument("--sigma-min", dest="sigma_min", type=float, default=1e-4,
                         help="floor applied to the effective volatility")
 
 
 def _model_and_arc(args) -> tuple[ModelParams, VolArc]:
     model = ModelParams(r=args.r, k=args.k, alpha_prime=args.alpha_prime, z0=args.z0,
-                        epsilon=args.epsilon)
+                        epsilon=_EPSILON)
     problems = validate_params(model)
     if problems:
         raise ValueError("; ".join(problems))
@@ -164,9 +170,6 @@ def cmd_calibrate(args):
 def cmd_validate(args):
     # a constant-vol run reads only r; --mode full prices reference_full_model
     model = replace(reference_full_model(0.001), r=args.r)
-    # the full mode's level arc, built here so either mode refuses a bad --sigma-min
-    flat = VolArc(p_coef=0.0, q_coef=0.0, r_coef=stationary_effective_vol(model.z0, model.nu),
-                  sigma_min=args.sigma_min)
     cfg = McConfig(
         n_paths=args.paths, n_steps=args.steps, seed=args.seed, antithetic=True
     )
@@ -213,19 +216,20 @@ def cmd_validate(args):
 
     outputs = {"comparisons": rows, "mode": args.mode}
     if args.mode == "full":
-        direction = _epsilon_direction(args, cfg, flat)
+        direction = _epsilon_direction(args, cfg)
         outputs["epsilon_direction"] = direction
         all_pass &= direction["pass"]
     return outputs, warnings, EXIT_OK if all_pass else EXIT_COMPARISON
 
 
-def _epsilon_direction(args, cfg: McConfig, flat: VolArc) -> dict:
+def _epsilon_direction(args, cfg: McConfig) -> dict:
     """|MC - C0| at the money should be weakly smaller for smaller epsilon.
 
-    The C0 target prices on ``flat``, the level arc at the stationary averaged
-    volatility of the reference volatility function; a sloped arc would add an
-    epsilon-independent gap (the zeroth order freezes the arc at the pricing
-    time) that drowns the effect being checked.
+    The C0 target prices on a level arc at the stationary averaged volatility
+    of the reference volatility function, about 0.2007, far above the arc's
+    default floor; a sloped arc would add an epsilon-independent gap (the
+    zeroth order freezes the arc at the pricing time) that drowns the effect
+    being checked.
     """
     state = MarketState(t=0.0, x=args.spot, g=args.spot)
     T = args.T
@@ -233,6 +237,7 @@ def _epsilon_direction(args, cfg: McConfig, flat: VolArc) -> dict:
     results = {}
     for label, eps in (("big", 0.1), ("small", 0.001)):
         model = reference_full_model(eps)
+        flat = VolArc(p_coef=0.0, q_coef=0.0, r_coef=stationary_effective_vol(model.z0, model.nu))
         c0 = float(first_order_price(option, state, flat, model, v_eps=0.0).c0)
         est = price_mc(option, model, FullModel(), state, cfg)
         results[label] = {
@@ -250,15 +255,11 @@ def _epsilon_direction(args, cfg: McConfig, flat: VolArc) -> dict:
 
 def cmd_smile(args):
     model, arc = _model_and_arc(args)
-    if not all(map(math.isfinite, (args.t, args.T, args.spot))):
-        raise NonFiniteInput(
-            f"--t, --T and --spot must be finite, got {args.t}, {args.T}, {args.spot}"
-        )
+    if not (math.isfinite(args.t) and math.isfinite(args.T)):
+        raise NonFiniteInput(f"--t and --T must be finite, got {args.t}, {args.T}")
     # every point would be flagged and the CSV left empty
     if not 0.0 <= args.t < args.T:
         raise OutOfDomain(f"need 0 <= --t < --T, got --t {args.t}, --T {args.T}")
-    if not args.spot > 0.0:
-        raise OutOfDomain(f"--spot must be > 0, got {args.spot}")
     try:
         lo, hi, count = args.grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -275,7 +276,6 @@ def cmd_smile(args):
         args.v_eps,
         QuoteStyle(args.style),
         [(args.t, args.T, float(m)) for m in grid],
-        spot=args.spot,
     )
     skipped = [p for p in points if p.implied_vol is None]
     warnings = [
@@ -327,8 +327,6 @@ def _calibrate_flags(p: argparse.ArgumentParser) -> None:
 def _validate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, default=0.0264,
                    help="risk-free rate of the constant-vol comparisons (1/year)")
-    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=1e-4,
-                   help="floor of the full mode's level arc")
     p.add_argument("--paths", type=int, default=200000)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=1234)
@@ -347,7 +345,6 @@ def _smile_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--style", choices=[s.value for s in QuoteStyle],
                    default=QuoteStyle.FLOATING_CALL.value)
     p.add_argument("--v-eps", dest="v_eps", type=float, default=0.0)
-    p.add_argument("--spot", type=float, default=100.0)
     p.add_argument("--out", default="-", help="smile CSV path ('-' for stdout)")
 
 

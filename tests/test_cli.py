@@ -165,7 +165,7 @@ def test_price_rejects_infinite_sigma_min(capsys):
 @settings(max_examples=40, deadline=None)
 @given(
     flag=st.sampled_from(["--spot", "--avg", "--t", "--T", "--v-eps", "--k", "--r", "--z0",
-                          "--alpha-prime", "--epsilon", "--sigma-min"]),
+                          "--alpha-prime", "--sigma-min"]),
     value=st.sampled_from(["nan", "inf", "-inf"]),
 )
 def test_price_never_exits_ok_on_a_non_finite_input(flag, value):
@@ -366,9 +366,9 @@ def test_smile_rejects_non_finite_v_eps(capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("flag", ["--t", "--T", "--spot"])
+@pytest.mark.parametrize("flag", ["--t", "--T"])
 def test_smile_rejects_a_non_finite_time_or_spot(capsys, flag, value):
-    argv = ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--spot", "100",
+    argv = ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45",
             "--grid", "0.99:1.01:3", "--out", "-"]
     argv[argv.index(flag) + 1] = value
     code, out, err = run(capsys, argv)
@@ -387,17 +387,6 @@ def test_smile_rejects_a_negative_time(capsys, tmp_path):
         assert code == EXIT_VALIDATION, (t, T)
         assert out == "" and not out_csv.exists()
         assert json.loads(err)["error"] == "OutOfDomain"
-
-
-@pytest.mark.parametrize("spot", ["-1", "0"])
-def test_smile_rejects_a_non_positive_spot(capsys, tmp_path, spot):
-    """Every point of the curve would be flagged; the command refuses instead."""
-    out_csv = tmp_path / "smile.csv"
-    code, out, err = run(capsys, ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45",
-                                  "--spot", spot, "--out", str(out_csv)])
-    assert code == EXIT_VALIDATION
-    assert out == "" and not out_csv.exists()
-    assert json.loads(err)["error"] == "OutOfDomain"
 
 
 def test_smile_rejects_malformed_grid(capsys):
@@ -546,7 +535,7 @@ def test_validate_refuses_a_single_antithetic_pair(capsys):
 
 
 @pytest.mark.parametrize("mode", ["constant", "full"])
-@pytest.mark.parametrize("flag, value", [("--r", "-0.01"), ("--sigma-min", "0")])
+@pytest.mark.parametrize("flag, value", [("--r", "-0.01")])
 def test_validate_refuses_a_negative_rate_or_floor_in_either_mode(capsys, mode, flag, value):
     code, out, err = run(capsys, ["validate", "--paths", "600", "--steps", "8", "--mode", mode,
                                   flag, value])
@@ -568,23 +557,38 @@ def test_validate_cost_does_not_grow_with_steps(capsys):
 # ---------------------------------------------------------------- reports
 
 
+PRICE_INPUTS = dict(k=2.0, r=0.0264, z0=0.1834, alpha_prime=0.2, sigma_min=1e-4, spot=100.0,
+                    t=0.1, T=0.45)
+
+# (argv, the inputs it echoes, the SHA-256 of those inputs as compact JSON
+# with sorted keys)
 PINNED_DIGESTS = [
     (["price", "--style", "floating", "--kind", "call", "--spot", "100", "--avg", "101",
       "--t", "0.1", "--T", "0.45", *MODEL_ARGS, "--v-eps", "-0.016", "--json"],
-     "c2c8b3554efb7afaafc13c0540c04f6e0abd8e7a1878bbd4c7948a1ed2cd510c"),
+     dict(PRICE_INPUTS, style="floating", kind="call", avg=101.0, strike=None, v_eps=-0.016,
+          gamma_off=False),
+     "c505595786e3a51b90aa710780009abfdd831c0a5dc4aa8dd4a16bca574000c3"),
     (["price", "--style", "fixed", "--kind", "put", "--spot", "100", "--strike", "100",
       "--t", "0.1", "--T", "0.45", *MODEL_ARGS, "--gamma-off", "--json"],
-     "c1ad8aaf3ab868952ab63f60c117fcf140baaf00a21d584df2564b93a2a27361"),
+     dict(PRICE_INPUTS, style="fixed", kind="put", avg=100.0, strike=100.0, v_eps=0.0,
+          gamma_off=True),
+     "d05bc2bde189498b8c608120f747424851f0ba3cf628dfc44a992de0ff0da3c8"),
     (["validate", "--paths", "2000", "--steps", "16", "--seed", "5", "--json"],
-     "97cc6ce18b1c8be71f9978db6fd05ed019fcd2459db6fad6932143fe7c8dff7b"),
+     dict(r=0.0264, paths=2000, steps=16, seed=5, mode="constant", sigma=0.1834, spot=100.0,
+          T=0.5),
+     "0c77e7c2d23e02768f9a8d0fdc2d587ca937d0ef8d56a828a675be62df7733bb"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_DIGESTS, ids=["floating", "fixed-put", "validate"])
-def test_inputs_digest_is_pinned(capsys, argv, digest):
+@pytest.mark.parametrize("argv, inputs, digest", PINNED_DIGESTS,
+                         ids=["floating", "fixed-put", "validate"])
+def test_inputs_digest_is_pinned(capsys, argv, inputs, digest):
+    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == digest
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
-    assert json.loads(out)["inputs_digest"] == digest
+    report = json.loads(out)
+    assert (report["inputs"], report["inputs_digest"]) == (inputs, digest)
 
 
 def subparser_dests(command):
@@ -594,10 +598,10 @@ def subparser_dests(command):
 
 
 COMMAND_DESTS = {
-    "price": "k r z0 alpha_prime epsilon sigma_min style kind spot avg strike t T v_eps gamma_off",
-    "calibrate": "k r z0 alpha_prime epsilon sigma_min quotes scatter_out",
-    "validate": "r sigma_min paths steps seed mode sigma spot T",
-    "smile": "k r z0 alpha_prime epsilon sigma_min t T grid style v_eps spot out",
+    "price": "k r z0 alpha_prime sigma_min style kind spot avg strike t T v_eps gamma_off",
+    "calibrate": "k r z0 alpha_prime sigma_min quotes scatter_out",
+    "validate": "r paths steps seed mode sigma spot T",
+    "smile": "k r z0 alpha_prime sigma_min t T grid style v_eps out",
 }
 
 
@@ -626,7 +630,7 @@ def test_inputs_echo_every_flag_of_the_command(tmp_path, capsys):
 PARSED_ARGVS = [
     PRICE_ARGS,
     FIXED_PUT_ARGS + ["--strike", "97", "--avg", "101", "--gamma-off", "--json"],
-    *(argv for argv, _ in PINNED_DIGESTS),
+    *(argv for argv, _, _ in PINNED_DIGESTS),
     ["calibrate", *MODEL_ARGS, "--quotes", "quotes.csv", "--scatter-out", "xy.csv"],
     ["validate", "--paths", "600", "--steps", "8", "--seed", "1", "--mode", "full"],
     ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "0.95:1.05:3",
@@ -675,11 +679,126 @@ def test_help_and_errors_match_the_full_parser(capsys, monkeypatch, argv):
     ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--rho-xy", "-0.5"],
     ["validate", "--k", "5"],
     ["validate", "--epsilon", "0.2"],
-], ids=["price-nu", "smile-rho-xy", "validate-k", "validate-epsilon"])
+    [*PRICE_ARGS, "--epsilon", "0.5"],
+    ["calibrate", *MODEL_ARGS, "--quotes", "quotes.csv", "--epsilon", "0.5"],
+    ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--epsilon", "0.5"],
+    ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--spot", "50"],
+    ["validate", "--mode", "full", "--sigma-min", "0.1"],
+], ids=["price-nu", "smile-rho-xy", "validate-k", "validate-epsilon", "price-epsilon",
+        "calibrate-epsilon", "smile-epsilon", "smile-spot", "validate-sigma-min"])
 def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
     code, out, err = parse_outcome(capsys, lambda: main(argv))
     assert (code, out) == (EXIT_VALIDATION, "")
     assert "unrecognized arguments" in err
+
+
+# every flag of a command but --json, at the value a second run changes; a
+# value None drops the flag and True sets a switch
+BASE_FLAGS = {
+    "price": {"--style": "fixed", "--kind": "call", "--strike": "100", "--spot": "100",
+              "--t": "0.1", "--T": "0.45", "--k": "2", "--r": "0.0264", "--z0": "0.1834",
+              "--alpha-prime": "0.20", "--v-eps": "-0.016"},
+    "calibrate": {"--quotes": "{tmp}/quotes.csv", "--k": "2", "--r": "0.0264", "--z0": "0.1834",
+                  "--alpha-prime": "0.20"},
+    "validate": {"--paths": "600", "--steps": "8", "--seed": "1"},
+    "smile": {"--t": "0.1", "--T": "0.45", "--grid": "0.95:1.05:3", "--v-eps": "-0.016",
+              "--out": "{tmp}/smile.csv", "--k": "2", "--r": "0.0264", "--z0": "0.1834",
+              "--alpha-prime": "0.20"},
+}
+MODEL_SECOND_VALUES = [
+    ("k", {"--k": "1.5"}),
+    ("r", {"--r": "0.03"}),
+    ("z0", {"--z0": "0.19"}),
+    ("alpha_prime", {"--alpha-prime": "0.25"}),
+    ("sigma_min", {"--sigma-min": "0.25"}),  # above the arc, so the floor binds
+]
+SECOND_VALUES = [  # (command, dest, the flags of a second valid value of it)
+    *(("price", dest, flags) for dest, flags in MODEL_SECOND_VALUES),
+    ("price", "style", {"--style": "floating", "--strike": None}),
+    ("price", "kind", {"--kind": "put"}),
+    ("price", "spot", {"--spot": "101"}),
+    ("price", "avg", {"--avg": "101"}),
+    ("price", "strike", {"--strike": "95"}),
+    ("price", "t", {"--t": "0.15"}),
+    ("price", "T", {"--T": "0.4"}),
+    ("price", "v_eps", {"--v-eps": "-0.02"}),
+    ("price", "gamma_off", {"--gamma-off": True}),
+    *(("calibrate", dest, flags) for dest, flags in MODEL_SECOND_VALUES),
+    ("calibrate", "quotes", {"--quotes": "{tmp}/quotes2.csv"}),
+    ("calibrate", "scatter_out", {"--scatter-out": "{tmp}/scatter.csv"}),
+    ("validate", "r", {"--r": "0.03"}),
+    ("validate", "paths", {"--paths": "800"}),
+    ("validate", "steps", {"--steps": "12"}),
+    ("validate", "seed", {"--seed": "2"}),
+    ("validate", "mode", {"--mode": "full"}),
+    ("validate", "sigma", {"--sigma": "0.25"}),
+    ("validate", "spot", {"--spot": "110"}),
+    ("validate", "T", {"--T": "0.4"}),
+    *(("smile", dest, flags) for dest, flags in MODEL_SECOND_VALUES),
+    ("smile", "t", {"--t": "0.15"}),
+    ("smile", "T", {"--T": "0.4"}),
+    ("smile", "grid", {"--grid": "0.9:1.1:3"}),
+    ("smile", "style", {"--style": "fixed_put"}),
+    ("smile", "v_eps", {"--v-eps": "-0.02"}),
+    ("smile", "out", {"--out": "{tmp}/smile2.csv"}),
+]
+
+
+def test_every_flag_has_a_second_value():
+    for command in cli._COMMANDS:
+        dests = [dest for name, dest, _ in SECOND_VALUES if name == command]
+        assert sorted(dests) == sorted(subparser_dests(command)), command
+
+
+def flag_result(capsys, tmp_path, command, flags):
+    """The report's outputs and the rows of every CSV the run wrote, with
+    numeric cells as floats."""
+    argv = [command]
+    for flag, value in flags.items():
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv += [flag, value.format(tmp=tmp_path)]
+    code, out, err = run(capsys, argv)
+    assert code in (EXIT_OK, EXIT_COMPARISON), err
+    written = {}
+    for flag in ("--out", "--scatter-out"):
+        if flags.get(flag) is not None:
+            with open(flags[flag].format(tmp=tmp_path), newline="") as handle:
+                written[flag] = [list(map(number_or_text, row)) for row in csv.reader(handle)]
+    return {"outputs": json.loads(out)["outputs"], "files": written}
+
+
+def number_or_text(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def differs(a, b) -> bool:
+    """In structure, in a string, or in a number by more than 1e-9 relative."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() != b.keys() or any(differs(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) != len(b) or any(map(differs, a, b))
+    if type(a) in (int, float) and type(b) in (int, float):
+        return abs(a - b) > 1e-9 * max(abs(a), abs(b))
+    return a != b
+
+
+@pytest.mark.parametrize("command, dest, flags", SECOND_VALUES,
+                         ids=[f"{command}-{dest}" for command, dest, _ in SECOND_VALUES])
+def test_a_second_value_of_every_flag_moves_the_result(capsys, tmp_path, command, dest, flags):
+    """A flag that moves no output, as ``--epsilon`` did, or only its last
+    bits, as ``smile --spot`` did, fails here: each flag's second value moves
+    the command's outputs, or the file the command writes, by more than
+    1e-9 relative."""
+    quotes_csv(tmp_path)
+    write_quotes(tmp_path / "quotes2.csv", make_quotes(1))
+    base = flag_result(capsys, tmp_path, command, BASE_FLAGS[command])
+    second = flag_result(capsys, tmp_path, command, {**BASE_FLAGS[command], **flags})
+    assert differs(base, second)
 
 
 def test_calibrate_outputs_and_scatter_are_pinned(tmp_path, capsys):

@@ -31,6 +31,8 @@ from geoasian import mc
 from geoasian.closedform import q_drift_term
 from geoasian.errors import NonFiniteInput, OutOfDomain, PDFactorizationFailure
 from geoasian.mc import (
+    F_MAX,
+    F_MIN,
     _controlled_mean_and_se,
     _lognormal_pair_call,
     _payoff_mean,
@@ -95,40 +97,31 @@ def test_vol_spec_validation():
     ConstantVol(0.0)
     with pytest.raises(ValueError):
         ConstantVol(-0.1)
-    with pytest.raises(ValueError):
-        FullModel(f_min=0.0)
-    with pytest.raises(ValueError):
-        FullModel(f_min=0.5, f_max=0.4)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("make, name", [
-    (lambda v: ConstantVol(v), "sigma"),
-    (lambda v: FullModel(f_min=v), "f_min"),
-    (lambda v: FullModel(f_max=v), "f_max"),
-], ids=["sigma", "f_min", "f_max"])
+@pytest.mark.parametrize("make, name", [(ConstantVol, "sigma")], ids=["sigma"])
 def test_vol_spec_refuses_a_non_finite_field(make, name, value):
     with pytest.raises(NonFiniteInput, match=f"^{name} must be finite"):
         make(value)
 
 
 def test_f_full_clamps():
-    vol = FullModel()
-    assert f_full(np.array([0.0]), np.array([0.15]), vol)[0] == 0.15
-    assert f_full(np.array([40.0]), np.array([0.15]), vol)[0] == 2.0
-    assert f_full(np.array([-40.0]), np.array([0.15]), vol)[0] == 0.01
+    assert (F_MIN, F_MAX) == (0.01, 2.0)
+    assert f_full(np.array([0.0]), np.array([0.15]))[0] == 0.15
+    assert f_full(np.array([40.0]), np.array([0.15]))[0] == 2.0
+    assert f_full(np.array([-40.0]), np.array([0.15]))[0] == 0.01
 
 
 @pytest.mark.parametrize("z", [np.linspace(0.05, 1.5, 101), 0.1834])
 def test_f_full_into_a_buffer_has_the_bits_of_the_plain_call(z):
-    vol = FullModel(f_min=0.05, f_max=0.9)
-    y = np.linspace(-3.0, 3.0, 101)  # both clamp bounds bind
+    y = np.linspace(-3.0, 3.0, 101)  # z e^y crosses both clamp bounds
     buf = np.empty(101)
-    got = f_full(y, z, vol, out=buf)
-    want = f_full(y, z, vol)
+    got = f_full(y, z, out=buf)
+    want = f_full(y, z)
     assert got is buf
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert got.min() == 0.05 and got.max() == 0.9
+    assert got.min() == F_MIN and got.max() == F_MAX
 
 
 def test_reference_model_and_stationary_vol():
@@ -140,6 +133,33 @@ def test_reference_model_and_stationary_vol():
     assert abs(m.z0 - m.alpha_prime) < 1e-3  # nearly level slow path
     assert rel(stationary_effective_vol(0.1834, 0.3), 0.2006715636315356) < 1e-14
     assert stationary_effective_vol(0.2, 0.0) == 0.2
+
+
+def record_f_range(monkeypatch) -> list:
+    """Wrap ``mc.f_full`` so that each call appends the (min, max) of the
+    volatilities it returns to the list returned here."""
+    f_range = []
+
+    def recorded(y, z, out=None):
+        f = f_full(y, z, out=out)
+        f_range.append((f.min(), f.max()))
+        return f
+
+    monkeypatch.setattr(mc, "f_full", recorded)
+    return f_range
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.001])
+def test_the_clamp_never_binds_on_the_reference_model(monkeypatch, epsilon):
+    """Criterion 11 and ``stationary_effective_vol`` treat the reference
+    model's volatility as the unclamped z e^y: no f_j of its paths reaches
+    F_MIN or F_MAX, at either epsilon of the direction check."""
+    f_range = record_f_range(monkeypatch)
+    cfg = McConfig(n_paths=4000, n_steps=200, seed=2024, antithetic=True)
+    simulate_paths(reference_full_model(epsilon), FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    assert len(f_range) == cfg.n_steps  # one block: one call a step
+    low, high = min(lo for lo, _ in f_range), max(hi for _, hi in f_range)
+    assert F_MIN < low and high < F_MAX, (low, high)
 
 
 # ----------------------------------------------------------- reproducibility
@@ -184,7 +204,7 @@ def test_chunk_layout_invariance(monkeypatch):
                 assert serial_estimate.price != serial_estimate.price_plain  # priced conditionally
 
 
-def _stepped_full_model(model, vol, t, T, x0, g0, cfg):
+def _stepped_full_model(model, t, T, x0, g0, cfg):
     """The full-model scheme stepped one step at a time, spot included, on
     draws of its own: three normals a step per path, correlated through the
     Cholesky factor in the order (x, y, z). Returns the terminal (ln X, ln G,
@@ -215,7 +235,7 @@ def _stepped_full_model(model, vol, t, T, x0, g0, cfg):
         e = normals[:, 3 * j:3 * j + 3]
         if cfg.antithetic:
             e = np.concatenate([e, -e])
-        f = f_full(y, z, vol)
+        f = f_full(y, z)
         d_lnx = (r - 0.5 * f * f) * dt + f * sqrt_dt * e[:, 0]
         integral += 0.5 * dt * (2.0 * lnx + d_lnx)
         lnx += d_lnx
@@ -226,7 +246,7 @@ def _stepped_full_model(model, vol, t, T, x0, g0, cfg):
     return dict(ln_x=lnx, ln_g=(t * math.log(g0) + integral) / T, y=y, z=z)
 
 
-def _stepped_vol_path(model, vol, t, T, x0, g0, cfg):
+def _stepped_vol_path(model, t, T, x0, g0, cfg):
     """The conditional route stepped one step at a time on the raw Philox
     words of each path's block (two terminal words, then a word a step for
     each noisy factor, y before z): Y_T and Z_T, the conditional moments from
@@ -261,7 +281,7 @@ def _stepped_vol_path(model, vol, t, T, x0, g0, cfg):
     sums = np.zeros((5, m))  # S0, S1, S2, sum f nx, sum w_j f nx
     for j in range(n):
         w = n - j - 0.5
-        f = f_full(u, z, vol)
+        f = f_full(u, z)
         nx = sqrt_dt * sum(chol[-1, c] * draws[name][:, j] for c, name in enumerate(noisy))
         q, h = f * f, f * nx
         sums += [q, w * q, w * w * q, h, w * h]
@@ -296,33 +316,37 @@ SLOW_ONLY_MODEL = ModelParams(
     r=0.0264, k=2.0, alpha_prime=0.5, z0=0.3, epsilon=0.05,
     nu=0.0, beta=0.4, rho_xy=-0.1, rho_xz=0.1, rho_yz=0.05,
 )
+# Y swings wide enough that f_j reaches both clamp bounds
+CLAMPED_MODEL = dataclasses.replace(CORRELATED_MODEL, nu=1.5)
 
 
 @pytest.mark.parametrize("n_steps", [2, 37])
 @pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL, SLOW_ONLY_MODEL],
-                         ids=["reference", "correlated", "slow-only"])
+@pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL, SLOW_ONLY_MODEL, CLAMPED_MODEL],
+                         ids=["reference", "correlated", "slow-only", "clamped"])
 def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, antithetic, n_steps):
     """The tiled volatility loop reproduces Var ln X_T = a_x^2 dt S0 of the
     plain per-step loop bit for bit, so every f_j of the volatility path
     too, and its prefix sums give the other conditional moments and the
     terminal pair of the plain weighted sums to 1e-12: with a noiseless and a
-    noisy Y and Z, step counts on and off the tile, an uneven chunk and a
-    pooled run."""
-    vol = FullModel(f_min=0.05, f_max=0.4)
-    kwargs = dict(model=model, vol=vol, t=0.05, T=0.45, x0=100.0, g0=98.0)
+    noisy Y and Z, f_j clamped at both bounds, step counts on and off the
+    tile, an uneven chunk and a pooled run."""
+    kwargs = dict(model=model, t=0.05, T=0.45, x0=100.0, g0=98.0)
     want = _stepped_vol_path(
         cfg=McConfig(n_paths=300, n_steps=n_steps, seed=17, antithetic=antithetic), **kwargs
     )
+    f_range = record_f_range(monkeypatch)
     runs = []
     monkeypatch.setattr(mc, "_worker_count", lambda: 1)
     for chunk_size in (None, 37):
         cfg = McConfig(n_paths=300, n_steps=n_steps, seed=17, antithetic=antithetic,
                        chunk_size=chunk_size)
-        runs.append(simulate_paths(cfg=cfg, **kwargs))
+        runs.append(simulate_paths(vol=FullModel(), cfg=cfg, **kwargs))
     monkeypatch.setattr(mc, "_worker_count", lambda: 3)
     monkeypatch.setattr(mc, "MIN_BLOCK_PATHS", 1)
-    runs.append(simulate_paths(cfg=cfg, **kwargs))
+    runs.append(simulate_paths(vol=FullModel(), cfg=cfg, **kwargs))
+    if model is CLAMPED_MODEL:
+        assert (min(lo for lo, _ in f_range), max(hi for _, hi in f_range)) == (F_MIN, F_MAX)
     for batch in runs:
         var_x = batch.moments[2]
         assert np.array_equal(var_x.view(np.uint64), want["moments"][2].view(np.uint64))
@@ -587,7 +611,7 @@ def test_frozen_estimates():
     # the full-model pins, recomputed from the raw Philox words of each
     # path's 52-word block (2 terminal words, 50 y words) stepped one step at
     # a time, and the controlled estimate by least squares
-    paths = _stepped_vol_path(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    paths = _stepped_vol_path(MODEL, 0.0, 0.45, 100.0, 100.0, cfg)
     n = cfg.n_paths
     payoff = np.maximum(np.exp(paths["ln_x"]) - np.exp(paths["ln_g"]), 0.0)
     assert rel(full.price_plain, disc * payoff.mean()) < 1e-10
@@ -827,7 +851,7 @@ def test_controlled_estimate_is_least_squares(antithetic):
     assert rel(se, 2.0 * math.sqrt(ss_resid[0] / (n - 2)) / math.sqrt(n)) < 1e-12
 
 
-def _deterministic_vol_moments(model, vol, t, T, x0, g0, n_steps):
+def _deterministic_vol_moments(model, t, T, x0, g0, n_steps):
     """Means of ln X_T and ln G_T, their variances and their covariance on
     the time grid when nu = beta = 0: Y stays at 0, Z follows its OU mean
     z_j = alpha' + (z0 - alpha') e^{-k j dt} exactly, and f_j = clamp(z_j), so
@@ -836,7 +860,7 @@ def _deterministic_vol_moments(model, vol, t, T, x0, g0, n_steps):
     tau = T - t
     dt = tau / n_steps
     f2 = [min(max(model.alpha_prime + (model.z0 - model.alpha_prime) * math.exp(-model.k * j * dt),
-                  vol.f_min), vol.f_max) ** 2 for j in range(n_steps)]
+                  F_MIN), F_MAX) ** 2 for j in range(n_steps)]
     w = [n_steps - j - 0.5 for j in range(n_steps)]
     drift = [(model.r - 0.5 * q) * dt for q in f2]
     ln_x0 = math.log(x0)
@@ -873,7 +897,7 @@ def test_deterministic_vol_prices_every_path_by_the_pair_formula(spec, run):
     model, state, T, cfg = run
     vol, spec = FullModel(), dataclasses.replace(spec, maturity=T)
     batch = simulate_paths(model, vol, state.t, T, state.x, state.g, cfg)
-    want = _deterministic_vol_moments(model, vol, state.t, T, state.x, state.g, cfg.n_steps)
+    want = _deterministic_vol_moments(model, state.t, T, state.x, state.g, cfg.n_steps)
     for row, value in zip(batch.moments, want):
         assert np.max(np.abs(row - value)) <= 1e-12 * abs(value)
     est = price_mc(spec, model, vol, state, cfg, paths=batch)
@@ -895,7 +919,7 @@ def test_zero_slow_level_prices_with_a_constant_control(spec):
                         nu=0.0, rho_xy=-0.3)
     vol = FullModel()
     est = price_mc(spec, model, vol, STATE, McConfig(n_paths=1000, n_steps=10, seed=1))
-    moments = _deterministic_vol_moments(model, vol, 0.0, 0.45, 100.0, 100.0, 10)
+    moments = _deterministic_vol_moments(model, 0.0, 0.45, 100.0, 100.0, 10)
     mean = math.exp(-model.r * 0.45) * float(_payoff_mean(spec, moments))
     assert rel(est.price, mean) < 1e-12
     assert est.std_error <= 1e-12 * mean
@@ -913,7 +937,7 @@ def test_conditional_route_agrees_with_the_stepped_spot(model):
     and 0.001, and beta > 0 with nonzero rho_xz and rho_yz."""
     vol, state, T = FullModel(), CONTROL_STATE, 0.45
     cfg = McConfig(n_paths=20_000, n_steps=25, seed=61, antithetic=True)
-    stepped = _stepped_full_model(model, vol, state.t, T, state.x, state.g,
+    stepped = _stepped_full_model(model, state.t, T, state.x, state.g,
                                   McConfig(n_paths=20_000, n_steps=25, seed=62, antithetic=True))
     x, g = np.exp(stepped["ln_x"]), np.exp(stepped["ln_g"])
     disc = math.exp(-model.r * (T - state.t))

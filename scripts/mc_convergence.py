@@ -39,10 +39,10 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def row(est, closed, elapsed):
+def row(cfg, est, closed, elapsed):
     bias = est.price - closed
     z = bias / est.std_error
-    return (f"{est.n_paths:>9} {est.n_steps:>6} {est.price:>12.6f} "
+    return (f"{cfg.n_paths:>9} {cfg.n_steps:>6} {est.price:>12.6f} "
             f"{bias:>+10.6f} {est.std_error:>9.6f} {z:>+7.2f} {elapsed:>7.2f}s")
 
 
@@ -63,7 +63,7 @@ def main(argv=None):
                        antithetic=args.antithetic)
         start = time.perf_counter()
         est = price_mc(spec, model, ConstantVol(args.sigma), state, cfg)
-        print(row(est, closed, time.perf_counter() - start))
+        print(row(cfg, est, closed, time.perf_counter() - start))
 
     print("\npath sweep at fixed steps")
     print(header)
@@ -72,7 +72,7 @@ def main(argv=None):
                        antithetic=args.antithetic)
         start = time.perf_counter()
         est = price_mc(spec, model, ConstantVol(args.sigma), state, cfg)
-        print(row(est, closed, time.perf_counter() - start))
+        print(row(cfg, est, closed, time.perf_counter() - start))
     return 0
 
 

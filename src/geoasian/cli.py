@@ -7,8 +7,10 @@ streams its CSV instead. Volatilities are decimals (0.1834, not percent),
 times are in years. Each command takes only the flags that move its outputs:
 ``price``, ``calibrate`` and ``smile`` see the fast factor only through
 the group v_eps = sqrt(eps) V, so their model's eps is fixed, and ``smile``
-prices at spot 100, since its curve depends on moneyness alone. Exit codes:
-0 ok, 2 validation failure, 3 data failure, 4 oracle comparison failure.
+prices at spot 100, since its curve depends on moneyness alone. No command
+re-checks a flag that a record checks when built: ``ModelParams`` refuses a
+bad model flag with its ``PricingError`` class. Exit codes: 0 ok, 2
+validation failure, 3 data failure, 4 oracle comparison failure.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .calibration import (
     smile_curve,
 )
 from .closedform import bs_fixed_call, bs_floating_call
-from .errors import DegenerateDesign, NonFiniteInput, OutOfDomain
+from .errors import DegenerateDesign, NonFiniteInput, OutOfDomain, UnparseableField
 from .mc import (
     ConstantVol,
     FullModel,
@@ -52,7 +54,6 @@ from .model import (
     VolArc,
     arc_from_ou,
     effective_vol,
-    validate_params,
 )
 from .perturbation import first_order_price
 
@@ -106,9 +107,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 def _model_and_arc(args) -> tuple[ModelParams, VolArc]:
     model = ModelParams(r=args.r, k=args.k, alpha_prime=args.alpha_prime, z0=args.z0,
                         epsilon=_EPSILON)
-    problems = validate_params(model)
-    if problems:
-        raise ValueError("; ".join(problems))
     return model, arc_from_ou(model.k, model.alpha_prime, model.z0, sigma_min=args.sigma_min)
 
 
@@ -264,7 +262,7 @@ def cmd_smile(args):
         lo, hi, count = args.grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        raise ValueError(f'--grid must look like "lo:hi:n", got {args.grid!r}') from None
+        raise UnparseableField(f'--grid must look like "lo:hi:n", got {args.grid!r}') from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFiniteInput(f"--grid bounds must be finite, got {lo}, {hi}")
     if count < 1:
@@ -278,9 +276,14 @@ def cmd_smile(args):
         [(args.t, args.T, float(m)) for m in grid],
     )
     skipped = [p for p in points if p.implied_vol is None]
-    warnings = [
-        f"moneyness {p.moneyness:g} skipped: {p.note}" for p in skipped
-    ]
+    warnings = []
+    for p in points:
+        if p.implied_vol is None:
+            warnings.append(f"moneyness {p.moneyness:g} skipped: {p.note}")
+        elif p.implied_vol <= 0.0:
+            # the first-order vol is a linear correction, free to cross 0
+            warnings.append(f"domain: moneyness {p.moneyness:g} implied_vol "
+                            f"{p.implied_vol:.4g} <= 0")
 
     def write_rows(handle) -> None:
         writer = csv.writer(handle)

@@ -70,7 +70,7 @@ class MissingColumn(PricingError):
 
 
 class UnparseableField(PricingError):
-    """A CSV field could not be parsed into its declared type."""
+    """A CSV field or a command-line value could not be parsed into its declared type."""
 
 
 class PDFactorizationFailure(PricingError):

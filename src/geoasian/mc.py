@@ -114,8 +114,6 @@ from .model import (
     OptionKind,
     OptionSpec,
     StrikeStyle,
-    correlation_pd_margin,
-    validate_params,
 )
 
 WORD_BUDGET = 1 << 23  # max random words in flight, summed over the workers
@@ -232,9 +230,6 @@ class McEstimate:
 
     price: float
     std_error: float
-    n_paths: int
-    n_steps: int
-    seed: int
     price_plain: float
     std_error_plain: float
 
@@ -338,15 +333,11 @@ def simulate_paths(
     for a full-model run, that law).
 
     Blocks of draw paths run on a thread pool (see the module docstring); the
-    result has the same bits for any chunk size and any pool size.
+    result has the same bits for any chunk size and any pool size. The model
+    needs no check here: ``ModelParams`` refuses a bad range when built.
     """
     if not all(map(math.isfinite, (t, T, x0, g0))):
         raise NonFiniteInput(f"t, T, x0 and g0 must be finite, got {t}, {T}, {x0}, {g0}")
-    if correlation_pd_margin(model.rho_xy, model.rho_xz, model.rho_yz) <= 0.0:
-        raise PDFactorizationFailure("correlation matrix is not positive definite")
-    problems = validate_params(model)
-    if problems:
-        raise OutOfDomain("; ".join(problems))
     if not 0.0 <= t < T:
         raise OutOfDomain(f"need 0 <= t < T, got t={t}, T={T}")
     if x0 <= 0.0 or g0 <= 0.0:
@@ -374,6 +365,8 @@ def simulate_paths(
         )  # (y, z, x)
         # the factor of the noisy factors and x alone (module docstring)
         keep = [i for i, noisy in enumerate((y_noisy, z_noisy, True)) if noisy]
+        # a built model's matrix is positive definite; this catches a
+        # factorization that fails numerically all the same
         try:
             chol = np.linalg.cholesky(corr[np.ix_(keep, keep)])
         except np.linalg.LinAlgError as exc:
@@ -695,9 +688,6 @@ def price_mc(
     return McEstimate(
         price=price,
         std_error=se,
-        n_paths=cfg.n_paths,
-        n_steps=cfg.n_steps,
-        seed=cfg.seed,
         price_plain=plain[0],
         std_error_plain=plain[1],
     )

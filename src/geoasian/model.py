@@ -1,4 +1,4 @@
-"""Model parameters, the quadratic volatility arc, and the state transform.
+"""Model parameters, the quadratic volatility arc, and the market state.
 
 The slow volatility factor is an OU process with speed k and long-run level
 alpha_prime started at z0. Its mean path is approximated over the contract
@@ -10,7 +10,9 @@ with P = (z0 - alpha_prime) k^2 / 2, Q = -(z0 - alpha_prime) k, R = z0 (the
 second-order Taylor expansion of the mean path at t = 0). Everything downstream
 consumes the arc through ``effective_vol``, floored at ``sigma_min``.
 
-The log-spot / log-average state is (s, u) = (ln x, t ln(g/x)).
+The log-spot / log-average state is (s, u) = (ln x, t ln(g/x)), which
+``MarketState`` computes once when built. Every record here refuses a bad
+field when it is built, with a ``PricingError``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     NonPositivePrice,
     NonPositiveStrike,
     OutOfDomain,
+    PDFactorizationFailure,
     UnsupportedContract,
 )
 
@@ -44,6 +47,12 @@ class ModelParams:
     nu           fast-factor volatility scale
     beta         slow-factor vol-of-vol (Monte Carlo only)
     rho_xy, rho_xz, rho_yz   Brownian correlations
+
+    A ModelParams that exists is valid. A non-finite field raises
+    ``NonFiniteInput``, then a correlation matrix that is not positive
+    definite ``PDFactorizationFailure``, then every other broken rule of
+    k, epsilon > 0; r, alpha_prime, nu, beta >= 0; z0 != alpha_prime (the
+    arc would be flat) and |rho| < 1 one ``OutOfDomain``.
     """
 
     r: float
@@ -65,10 +74,29 @@ class ModelParams:
         ]
         if bad:
             raise NonFiniteInput("; ".join(bad))
+        if correlation_pd_margin(self.rho_xy, self.rho_xz, self.rho_yz) <= 0.0:
+            raise PDFactorizationFailure("correlation matrix is not positive definite")
+        bounds = (
+            ("alpha_prime", self.alpha_prime >= 0.0, ">= 0"),
+            ("r", self.r >= 0.0, ">= 0"),
+            ("k", self.k > 0.0, "> 0"),
+            ("epsilon", self.epsilon > 0.0, "> 0"),
+            ("nu", self.nu >= 0.0, ">= 0"),
+            ("beta", self.beta >= 0.0, ">= 0"),
+        )
+        bad = [f"{name} must be {bound}, got {getattr(self, name)}"
+               for name, ok, bound in bounds if not ok]
+        if self.z0 == self.alpha_prime:
+            bad.append("DegenerateArc: z0 must differ from alpha_prime")
+        bad += [f"{name} must satisfy |rho| < 1, got {getattr(self, name)}"
+                for name in ("rho_xy", "rho_xz", "rho_yz") if not abs(getattr(self, name)) < 1.0]
+        if bad:
+            raise OutOfDomain("; ".join(bad))
 
 
 def correlation_pd_margin(rho_xy: float, rho_xz: float, rho_yz: float) -> float:
-    """Determinant of the 3x3 correlation matrix; positive iff it is PD."""
+    """Determinant of the 3x3 correlation matrix; with every |rho| < 1, it is
+    positive iff the matrix is positive definite."""
     return (
         1.0
         + 2.0 * rho_xy * rho_xz * rho_yz
@@ -76,35 +104,6 @@ def correlation_pd_margin(rho_xy: float, rho_xz: float, rho_yz: float) -> float:
         - rho_xz * rho_xz
         - rho_yz * rho_yz
     )
-
-
-def validate_params(p: ModelParams) -> list[str]:
-    """Return the full list of violated range invariants (empty when valid).
-
-    Every field is finite: ``ModelParams`` refuses a non-finite one when built.
-    """
-    problems = []
-    if not p.alpha_prime >= 0.0:
-        problems.append(f"alpha_prime must be >= 0, got {p.alpha_prime}")
-    if not p.r >= 0.0:
-        problems.append(f"r must be >= 0, got {p.r}")
-    if not p.k > 0.0:
-        problems.append(f"k must be > 0, got {p.k}")
-    if not p.epsilon > 0.0:
-        problems.append(f"epsilon must be > 0, got {p.epsilon}")
-    if not p.nu >= 0.0:
-        problems.append(f"nu must be >= 0, got {p.nu}")
-    if not p.beta >= 0.0:
-        problems.append(f"beta must be >= 0, got {p.beta}")
-    if p.z0 == p.alpha_prime:
-        problems.append("DegenerateArc: z0 must differ from alpha_prime")
-    for name in ("rho_xy", "rho_xz", "rho_yz"):
-        value = getattr(p, name)
-        if not abs(value) < 1.0:
-            problems.append(f"{name} must satisfy |rho| < 1, got {value}")
-    if correlation_pd_margin(p.rho_xy, p.rho_xz, p.rho_yz) <= 0.0:
-        problems.append("correlation matrix is not positive definite")
-    return problems
 
 
 @dataclass(frozen=True)
@@ -164,22 +163,12 @@ def effective_vol(arc: VolArc, t: float) -> float:
     return max(arc.sigma_min, value)
 
 
-def state_transform(x: float, g: float, t: float) -> tuple[float, float]:
-    """(s, u) = (ln x, t ln(g/x)); raises NonPositivePrice on bad inputs."""
-    if x <= 0.0 or g <= 0.0:
-        raise NonPositivePrice(f"spot and average must be > 0, got x={x}, g={g}")
-    if t < 0.0:
-        raise OutOfDomain(f"t must be >= 0, got {t}")
-    s = math.log(x)
-    return s, t * (math.log(g) - s)
-
-
 @dataclass(frozen=True, init=False)
 class MarketState:
     """Valuation time, spot, and running geometric average.
 
-    ``s`` and ``u`` are ``state_transform(x, g, t)``, computed once here; they
-    take no part in the repr or in equality. The empty-window convention sets
+    ``s`` and ``u`` are the state transform (ln x, t ln(g/x)), computed once
+    here; they take no part in the repr or in equality. The empty-window convention sets
     g = x at t = 0, so u = 0 there.
     """
 
@@ -194,8 +183,12 @@ class MarketState:
         # object.__setattr__; one dict update stores all five at once
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(g)):
             raise NonFiniteInput(f"t, x and g must be finite, got t={t}, x={x}, g={g}")
-        s, u = state_transform(x, g, t)
-        self.__dict__.update(t=t, x=x, g=g, s=s, u=u)
+        if x <= 0.0 or g <= 0.0:
+            raise NonPositivePrice(f"spot and average must be > 0, got x={x}, g={g}")
+        if t < 0.0:
+            raise OutOfDomain(f"t must be >= 0, got {t}")
+        s = math.log(x)
+        self.__dict__.update(t=t, x=x, g=g, s=s, u=t * (math.log(g) - s))
 
 
 class StrikeStyle(Enum):

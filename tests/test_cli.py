@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoasian import VolArc, calibration, cli, smile_curve
+from geoasian import VolArc, calibration, cli, errors, smile_curve
 from geoasian.calibration import QuoteStyle
 from geoasian.cli import EXIT_COMPARISON, EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
 from geoasian.closedform import bs_fixed_call, bs_floating_call
@@ -127,8 +127,46 @@ def test_price_rejects_bad_model(capsys):
     ])
     assert code == EXIT_VALIDATION
     payload = json.loads(err)
-    assert payload["error"] == "ValueError"
-    assert "k must be > 0" in payload["message"]
+    assert payload["error"] == "OutOfDomain"
+    assert payload["message"] == "k must be > 0, got -2.0"
+
+
+MODEL_FLAG_DEFAULTS = dict(zip(MODEL_ARGS[::2], MODEL_ARGS[1::2]))
+
+
+def model_command(command, tmp_path, flag, value):
+    """argv of ``command`` with every model flag valid but ``flag``."""
+    model = [item for name, default in {**MODEL_FLAG_DEFAULTS, flag: value}.items()
+             for item in (name, default)]
+    own = {
+        "price": ["--style", "floating", "--kind", "call", "--spot", "100",
+                  "--t", "0", "--T", "0.45"],
+        "calibrate": ["--quotes", str(quotes_csv(tmp_path))],
+        "smile": ["--t", "0.1", "--T", "0.45", "--out", str(tmp_path / "smile.csv")],
+    }[command]
+    return [command, *own, *model]
+
+
+@pytest.mark.parametrize("command", ["price", "calibrate", "smile"])
+@pytest.mark.parametrize("flag, value, error", [
+    ("--k", "0", "OutOfDomain"),
+    ("--k", "-1", "OutOfDomain"),
+    ("--k", "nan", "NonFiniteInput"),
+    ("--r", "-0.01", "OutOfDomain"),
+    ("--r", "inf", "NonFiniteInput"),
+    ("--alpha-prime", "-0.2", "OutOfDomain"),
+    ("--z0", "0.20", "OutOfDomain"),  # equal to --alpha-prime: a flat arc
+    ("--sigma-min", "0", "OutOfDomain"),
+    ("--sigma-min", "nan", "NonFiniteInput"),
+])
+def test_every_out_of_range_model_flag_exits_2_with_a_pricing_error(
+        capsys, tmp_path, command, flag, value, error):
+    code, out, err = run(capsys, model_command(command, tmp_path, flag, value))
+    assert code == EXIT_VALIDATION
+    assert out == "" and not (tmp_path / "smile.csv").exists()
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert issubclass(getattr(errors, payload["error"]), errors.PricingError)
 
 
 def test_price_rejects_floating_with_strike(capsys):
@@ -341,6 +379,33 @@ def test_smile_file_output_with_report(tmp_path, capsys):
     assert len(rows) == 8
 
 
+NEGATIVE_VOL_SMILE = ["smile", *MODEL_ARGS, "--style", "fixed_put", "--v-eps", "-0.016",
+                      "--t", "0.1", "--T", "0.45"]
+NEGATIVE_VOL_WARNINGS = [
+    "domain: moneyness 1.1 implied_vol -0.03684 <= 0",
+    "domain: moneyness 1.125 implied_vol -0.08396 <= 0",
+    "domain: moneyness 1.15 implied_vol -0.1302 <= 0",
+    "domain: moneyness 1.175 implied_vol -0.1755 <= 0",
+    "domain: moneyness 1.2 implied_vol -0.22 <= 0",
+]
+
+
+def test_smile_warns_once_per_non_positive_vol(tmp_path, capsys):
+    """The first-order vol crosses 0 on the default grid; the CSV keeps each
+    point as it is, exit code 0, and one domain warning names each."""
+    code, out, err = run(capsys, [*NEGATIVE_VOL_SMILE, "--out", "-"])
+    assert code == EXIT_OK
+    vols = [float(r[2]) for r in list(csv.reader(out.splitlines()))[1:]]
+    assert len(vols) == 17 and sum(v <= 0.0 for v in vols) == 5
+    assert err.splitlines() == NEGATIVE_VOL_WARNINGS
+    out_path = tmp_path / "smile.csv"
+    code, out, err = run(capsys, [*NEGATIVE_VOL_SMILE, "--out", str(out_path)])
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["warnings"] == NEGATIVE_VOL_WARNINGS
+    with open(out_path, newline="") as handle:
+        assert [float(r[2]) for r in list(csv.reader(handle))[1:]] == vols
+
+
 def test_smile_flags_inadmissible_points(tmp_path, capsys):
     out_path = tmp_path / "smile.csv"
     code, out, _ = run(capsys, [
@@ -394,7 +459,7 @@ def test_smile_rejects_malformed_grid(capsys):
         "smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "nope",
     ])
     assert code == EXIT_VALIDATION
-    assert json.loads(err)["error"] == "ValueError"
+    assert json.loads(err)["error"] == "UnparseableField"
 
 
 @pytest.mark.parametrize("grid, error", [

@@ -1177,34 +1177,28 @@ def test_floating_put_is_priced_by_the_oracle():
 
 
 def test_pd_failure_raised_for_bad_correlations():
-    bad = ModelParams(
-        r=0.03, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001,
-        nu=0.3, rho_xy=0.9, rho_xz=-0.9, rho_yz=0.9,
-    )
+    # refused when built, so no simulation can be asked for
     with pytest.raises(PDFactorizationFailure):
-        simulate_paths(bad, FullModel(), 0.0, 0.45, 100.0, 100.0,
-                       McConfig(n_paths=8, n_steps=8, seed=0))
+        ModelParams(
+            r=0.03, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001,
+            nu=0.3, rho_xy=0.9, rho_xz=-0.9, rho_yz=0.9,
+        )
 
 
 @pytest.mark.parametrize("name", ["t", "T", "x0", "g0"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_and_state_rejected_first(name, value):
-    """A non-finite input is named before any other check runs, even on a
-    model that the other checks refuse."""
-    degenerate = ModelParams(r=0.03, k=2.0, alpha_prime=0.2, z0=0.2, epsilon=0.001)
+    """A non-finite input is named before any other check runs."""
     kwargs = dict(t=0.0, T=0.45, x0=100.0, g0=100.0)
     kwargs[name] = value
-    for model in (MODEL, degenerate):
-        for vol in (FullModel(), ConstantVol(0.2)):
-            with pytest.raises(NonFiniteInput, match="must be finite"):
-                simulate_paths(model, vol, cfg=McConfig(n_paths=8, n_steps=8, seed=0), **kwargs)
+    for vol in (FullModel(), ConstantVol(0.2)):
+        with pytest.raises(NonFiniteInput, match="must be finite"):
+            simulate_paths(MODEL, vol, cfg=McConfig(n_paths=8, n_steps=8, seed=0), **kwargs)
 
 
 def test_invalid_params_and_window_rejected():
-    degenerate = ModelParams(r=0.03, k=2.0, alpha_prime=0.2, z0=0.2, epsilon=0.001)
-    with pytest.raises(ValueError):
-        simulate_paths(degenerate, ConstantVol(0.2), 0.0, 0.45, 100.0, 100.0,
-                       McConfig(n_paths=8, n_steps=8, seed=0))
+    with pytest.raises(OutOfDomain, match="DegenerateArc"):
+        ModelParams(r=0.03, k=2.0, alpha_prime=0.2, z0=0.2, epsilon=0.001)
     with pytest.raises(ValueError):
         simulate_paths(MODEL, ConstantVol(0.2), 0.5, 0.45, 100.0, 100.0,
                        McConfig(n_paths=8, n_steps=8, seed=0))

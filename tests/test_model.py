@@ -18,39 +18,71 @@ from geoasian.errors import (
     NonFiniteInput,
     NonPositivePrice,
     NonPositiveStrike,
+    OutOfDomain,
+    PDFactorizationFailure,
     PricingError,
     UnsupportedContract,
 )
-from geoasian.model import (
-    correlation_pd_margin,
-    effective_vol,
-    state_transform,
-    validate_params,
-)
+from geoasian.model import correlation_pd_margin, effective_vol
 
 price_strategy = st.floats(min_value=1e-3, max_value=1e6)
 level_strategy = st.floats(min_value=0.01, max_value=1.0)
 
 
+REFERENCE = dict(r=0.0264, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001)
+
+
 def test_params_reference_set_valid():
-    """The reference parameter set must validate verbatim."""
-    p = ModelParams(r=0.0264, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001)
-    assert validate_params(p) == []
+    """The reference parameter set must build verbatim."""
+    p = ModelParams(**REFERENCE)
+    assert (p.r, p.k, p.alpha_prime, p.z0, p.epsilon) == (0.0264, 2.0, 0.20, 0.1834, 0.001)
 
 
 def test_params_violations_are_collected():
-    p = ModelParams(
-        r=-0.01, k=0.0, alpha_prime=0.2, z0=0.2, epsilon=0.0, nu=-1.0,
-        beta=-0.5, rho_xy=1.0,
-    )
-    problems = validate_params(p)
-    assert any("r must be" in m for m in problems)
-    assert any("k must be" in m for m in problems)
-    assert any("epsilon" in m for m in problems)
-    assert any("nu" in m for m in problems)
-    assert any("beta" in m for m in problems)
-    assert any("DegenerateArc" in m for m in problems)
-    assert any("rho_xy" in m for m in problems)
+    """Every broken range rule is named, in rule order, in one OutOfDomain."""
+    with pytest.raises(OutOfDomain) as info:
+        ModelParams(r=-0.01, k=0.0, alpha_prime=0.2, z0=0.2, epsilon=0.0, nu=-1.0,
+                    beta=-0.5, rho_xy=2.0, rho_xz=4.0, rho_yz=2.0)
+    assert str(info.value).split("; ") == [
+        "r must be >= 0, got -0.01",
+        "k must be > 0, got 0.0",
+        "epsilon must be > 0, got 0.0",
+        "nu must be >= 0, got -1.0",
+        "beta must be >= 0, got -0.5",
+        "DegenerateArc: z0 must differ from alpha_prime",
+        "rho_xy must satisfy |rho| < 1, got 2.0",
+        "rho_xz must satisfy |rho| < 1, got 4.0",
+        "rho_yz must satisfy |rho| < 1, got 2.0",
+    ]
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"alpha_prime": -0.2}, OutOfDomain, "alpha_prime must be >= 0, got -0.2"),
+    ({"r": -0.01}, OutOfDomain, "r must be >= 0, got -0.01"),
+    ({"k": 0.0}, OutOfDomain, "k must be > 0, got 0.0"),
+    ({"k": -2.0}, OutOfDomain, "k must be > 0, got -2.0"),
+    ({"epsilon": 0.0}, OutOfDomain, "epsilon must be > 0, got 0.0"),
+    ({"nu": -0.3}, OutOfDomain, "nu must be >= 0, got -0.3"),
+    ({"beta": -0.1}, OutOfDomain, "beta must be >= 0, got -0.1"),
+    ({"z0": 0.2}, OutOfDomain, "DegenerateArc: z0 must differ from alpha_prime"),
+    # the determinant is 9 > 0, yet no |rho| may reach 1
+    ({"rho_xy": 2.0, "rho_xz": 4.0, "rho_yz": 2.0}, OutOfDomain,
+     "rho_xy must satisfy |rho| < 1, got 2.0; rho_xz must satisfy |rho| < 1, got 4.0; "
+     "rho_yz must satisfy |rho| < 1, got 2.0"),
+    ({"rho_xy": 0.9, "rho_xz": -0.9, "rho_yz": 0.9}, PDFactorizationFailure,
+     "correlation matrix is not positive definite"),
+    ({"rho_yz": 1.0}, PDFactorizationFailure, "correlation matrix is not positive definite"),
+    # a non-finite field comes first, then the correlation, then the ranges
+    ({"r": math.nan, "k": -1.0, "rho_xy": 1.0}, NonFiniteInput, "r must be finite, got nan"),
+    ({"k": -1.0, "rho_xy": 1.0}, PDFactorizationFailure,
+     "correlation matrix is not positive definite"),
+], ids=["alpha_prime", "r", "k-zero", "k-negative", "epsilon", "nu", "beta", "degenerate-arc",
+        "rho-at-least-1", "not-pd", "rho-1-not-pd", "non-finite-first", "pd-before-ranges"])
+def test_params_each_rule_refused_when_built(fields, error, message):
+    with pytest.raises(error) as info:
+        ModelParams(**{**REFERENCE, **fields})
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("field, value", [
@@ -72,17 +104,17 @@ def test_params_non_finite_reported_once():
 
 
 def test_params_negative_alpha_prime_rejected():
-    p = ModelParams(r=0.0264, k=2.0, alpha_prime=-0.2, z0=0.1834, epsilon=0.001)
-    assert any("alpha_prime must be >= 0" in m for m in validate_params(p))
+    with pytest.raises(OutOfDomain, match="alpha_prime must be >= 0"):
+        ModelParams(r=0.0264, k=2.0, alpha_prime=-0.2, z0=0.1834, epsilon=0.001)
 
 
 def test_params_pd_margin_rejected():
-    p = ModelParams(
-        r=0.0264, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001,
-        rho_xy=0.9, rho_xz=-0.9, rho_yz=0.9,
-    )
     assert correlation_pd_margin(0.9, -0.9, 0.9) <= 0.0
-    assert any("positive definite" in m for m in validate_params(p))
+    with pytest.raises(PDFactorizationFailure, match="positive definite"):
+        ModelParams(
+            r=0.0264, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001,
+            rho_xy=0.9, rho_xz=-0.9, rho_yz=0.9,
+        )
 
 
 def test_pd_margin_identity_matrix():
@@ -183,17 +215,17 @@ def test_effective_vol_continuous(p, q, r, t, h):
 
 @given(x=price_strategy, t=st.floats(min_value=0.0, max_value=3.0))
 def test_state_transform_u_zero_when_g_equals_x(x, t):
-    s, u = state_transform(x, x, t)
-    assert u == 0.0
-    assert s == math.log(x)
+    state = MarketState(t=t, x=x, g=x)
+    assert state.u == 0.0
+    assert state.s == math.log(x)
 
 
 @given(x=price_strategy, g=price_strategy, t=st.floats(min_value=0.0, max_value=3.0))
 def test_state_transform_matches_market_state(x, g, t):
-    s, u = state_transform(x, g, t)
+    """MarketState holds (s, u) = (ln x, t ln(g/x)), with ln(g/x) as ln g - ln x."""
     st_ = MarketState(t=t, x=x, g=g)
-    assert st_.s == s
-    assert st_.u == u
+    assert st_.s == math.log(x)
+    assert st_.u == t * (math.log(g) - math.log(x))
 
 
 finite_or_not = st.one_of(
@@ -212,12 +244,12 @@ def test_market_state_rejects_non_finite_fields(t, x, g):
 
 
 def test_state_transform_rejects_nonpositive():
+    with pytest.raises(NonPositivePrice, match="spot and average must be > 0"):
+        MarketState(t=0.1, x=0.0, g=100.0)
     with pytest.raises(NonPositivePrice):
-        state_transform(0.0, 100.0, 0.1)
-    with pytest.raises(NonPositivePrice):
-        state_transform(100.0, -1.0, 0.1)
-    with pytest.raises(ValueError):
-        state_transform(100.0, 100.0, -0.1)
+        MarketState(t=0.1, x=100.0, g=-1.0)
+    with pytest.raises(OutOfDomain, match="t must be >= 0, got -0.1"):
+        MarketState(t=-0.1, x=100.0, g=100.0)
     with pytest.raises(NonPositivePrice):
         MarketState(t=0.1, x=-5.0, g=100.0)
 

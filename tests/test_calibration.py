@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import linregress
 
 from geoasian import (
-    ModelParams,
     QuoteRow,
     QuoteStyle,
     VolArc,
@@ -481,15 +480,12 @@ def test_smile_curve_flags_a_non_finite_maturity(style):
 
 
 def test_smile_curve_flags_out_of_domain_points():
-    """A negative valuation time flags its own point only; a model no gamma
-    takes (k = 0) is refused when built, before any point is priced."""
+    """A negative valuation time flags its own point only."""
     pts = smile_curve(ARC, MODEL, -0.016, QuoteStyle.FLOATING_CALL,
                       [(-0.1, 0.45, 1.0), (0.1, 0.45, 1.0)])
     assert pts[0].implied_vol is None
     assert pts[0].note == "OutOfDomain: t must be >= 0, got -0.1"
     assert pts[1].implied_vol is not None and pts[1].note is None
-    with pytest.raises(OutOfDomain, match="^k must be > 0, got 0.0$"):
-        ModelParams(r=0.0264, k=0.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001)
 
 
 def test_smile_curve_flags_vanishing_vega():

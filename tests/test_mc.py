@@ -29,7 +29,7 @@ from geoasian import (
 )
 from geoasian import mc
 from geoasian.closedform import q_drift_term
-from geoasian.errors import NonFiniteInput, OutOfDomain, PDFactorizationFailure
+from geoasian.errors import NonFiniteInput, OutOfDomain
 from geoasian.mc import (
     F_MAX,
     F_MIN,
@@ -1176,15 +1176,6 @@ def test_floating_put_is_priced_by_the_oracle():
 # ----------------------------------------------------------------- guards
 
 
-def test_pd_failure_raised_for_bad_correlations():
-    # refused when built, so no simulation can be asked for
-    with pytest.raises(PDFactorizationFailure):
-        ModelParams(
-            r=0.03, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001,
-            nu=0.3, rho_xy=0.9, rho_xz=-0.9, rho_yz=0.9,
-        )
-
-
 @pytest.mark.parametrize("name", ["t", "T", "x0", "g0"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_and_state_rejected_first(name, value):
@@ -1197,8 +1188,6 @@ def test_non_finite_time_and_state_rejected_first(name, value):
 
 
 def test_invalid_params_and_window_rejected():
-    with pytest.raises(OutOfDomain, match="DegenerateArc"):
-        ModelParams(r=0.03, k=2.0, alpha_prime=0.2, z0=0.2, epsilon=0.001)
     with pytest.raises(ValueError):
         simulate_paths(MODEL, ConstantVol(0.2), 0.5, 0.45, 100.0, 100.0,
                        McConfig(n_paths=8, n_steps=8, seed=0))

@@ -103,18 +103,8 @@ def test_params_non_finite_reported_once():
     assert str(info.value) == "r must be finite, got nan; rho_xy must be finite, got nan"
 
 
-def test_params_negative_alpha_prime_rejected():
-    with pytest.raises(OutOfDomain, match="alpha_prime must be >= 0"):
-        ModelParams(r=0.0264, k=2.0, alpha_prime=-0.2, z0=0.1834, epsilon=0.001)
-
-
 def test_params_pd_margin_rejected():
     assert correlation_pd_margin(0.9, -0.9, 0.9) <= 0.0
-    with pytest.raises(PDFactorizationFailure, match="positive definite"):
-        ModelParams(
-            r=0.0264, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001,
-            rho_xy=0.9, rho_xz=-0.9, rho_yz=0.9,
-        )
 
 
 def test_pd_margin_identity_matrix():

@@ -252,12 +252,6 @@ def test_past_maturity_rejected():
         first_order_price(FLOAT_CALL, state, LEVEL_ARC, MODEL, v_eps=0.0)
 
 
-def test_zero_speed_rejected():
-    # gamma's log form divides by k; the model refuses k = 0 when built
-    with pytest.raises(OutOfDomain, match="k must be > 0"):
-        ModelParams(r=0.0264, k=0.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001)
-
-
 def test_stage_prefixes_identify_failing_component():
     arc = VolArc(p_coef=0.0, q_coef=0.0, r_coef=0.19)
     with pytest.raises(SingularGamma, match="^gamma:"):

@@ -24,7 +24,9 @@ leaves the slope invariant.
 Quotes CSV: UTF-8, with or without a byte-order mark; header required,
 columns exactly ``t,T,spot,avg,strike,style,implied_vol``; strike empty on
 floating rows; style in {floating_call, fixed_put}. Only these two styles
-are accepted (the other combinations can have negative vegas).
+are accepted (the other combinations can have negative vegas). A
+``QuoteRow`` checks its own fields when it is built; ``ingest_quotes`` turns
+a refused record into a reject that carries its line number and reasons.
 
 The quotes of one (t, T) cell share the I-integrals that
 ``perturbation.i_integrals_closed`` caches for the last 128 windows, and
@@ -41,7 +43,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +86,13 @@ _CONTRACTS = {
 _STYLES = {style.value: style for style in QuoteStyle}
 
 
-class QuoteRow(NamedTuple):
-    """One implied-volatility observation; strike only on fixed_put rows."""
+@dataclass(frozen=True, init=False)
+class QuoteRow:
+    """One implied-volatility observation; strike only on fixed_put rows.
+
+    A QuoteRow that exists is valid: any other row raises one ``OutOfDomain``
+    naming every reason, in field order.
+    """
 
     t: float
     T: float
@@ -97,35 +103,35 @@ class QuoteRow(NamedTuple):
     implied_vol: float
     line: int | None = None
 
-    def validate(self) -> list[str]:
-        """Every reason the row cannot be regressed; empty when it can."""
-        strike = self.strike
+    def __init__(self, t: float, T: float, spot: float, avg: float, strike: float | None,
+                 style: QuoteStyle, implied_vol: float, line: int | None = None) -> None:
         # one comparison chain for a valid row; any other row gets its reasons
-        if (0.0 <= self.t < self.T < math.inf
-                and 0.0 < self.spot < math.inf
-                and 0.0 < self.avg < math.inf
-                and 0.0 < self.implied_vol < math.inf
-                and (strike is None if self.style is not QuoteStyle.FIXED_PUT
+        if not (0.0 <= t < T < math.inf
+                and 0.0 < spot < math.inf
+                and 0.0 < avg < math.inf
+                and 0.0 < implied_vol < math.inf
+                and (strike is None if style is not QuoteStyle.FIXED_PUT
                      else strike is not None and 0.0 < strike < math.inf)):
-            return []
-        numbers = {"t": self.t, "T": self.T, "spot": self.spot, "avg": self.avg,
-                   "strike": self.strike, "implied_vol": self.implied_vol}
-        problems = [f"{name} must be finite, got {value}" for name, value in numbers.items()
-                    if value is not None and not math.isfinite(value)]
-        if not 0.0 <= self.t < self.T:
-            problems.append(f"need 0 <= t < T, got t={self.t}, T={self.T}")
-        if not self.spot > 0.0:
-            problems.append(f"spot must be > 0, got {self.spot}")
-        if not self.avg > 0.0:
-            problems.append(f"avg must be > 0, got {self.avg}")
-        if not self.implied_vol > 0.0:
-            problems.append(f"implied_vol must be > 0, got {self.implied_vol}")
-        if self.style is QuoteStyle.FIXED_PUT:
-            if self.strike is None or not self.strike > 0.0:
-                problems.append(f"fixed_put needs strike > 0, got {self.strike}")
-        elif self.strike is not None:
-            problems.append("floating_call row must leave strike empty")
-        return problems
+            numbers = {"t": t, "T": T, "spot": spot, "avg": avg,
+                       "strike": strike, "implied_vol": implied_vol}
+            problems = [f"{name} must be finite, got {value}" for name, value in numbers.items()
+                        if value is not None and not math.isfinite(value)]
+            if not 0.0 <= t < T:
+                problems.append(f"need 0 <= t < T, got t={t}, T={T}")
+            if not spot > 0.0:
+                problems.append(f"spot must be > 0, got {spot}")
+            if not avg > 0.0:
+                problems.append(f"avg must be > 0, got {avg}")
+            if not implied_vol > 0.0:
+                problems.append(f"implied_vol must be > 0, got {implied_vol}")
+            if style is QuoteStyle.FIXED_PUT:
+                if strike is None or not strike > 0.0:
+                    problems.append(f"fixed_put needs strike > 0, got {strike}")
+            elif strike is not None:
+                problems.append("floating_call row must leave strike empty")
+            raise OutOfDomain("; ".join(problems))
+        self.__dict__.update(t=t, T=T, spot=spot, avg=avg, strike=strike, style=style,
+                             implied_vol=implied_vol, line=line)
 
 
 @dataclass(frozen=True)
@@ -181,9 +187,6 @@ def regression_denominator(k: float, t: float, T: float) -> float:
 
 def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float, float]:
     """Map one quote to its (x, y) regression point."""
-    problems = q.validate()
-    if problems:
-        raise OutOfDomain("; ".join(problems))
     sigma = effective_vol(arc, q.t)
     state = MarketState(t=q.t, x=q.spot, g=q.avg)
     contract = _CONTRACTS[q.style]
@@ -283,15 +286,9 @@ def ingest_quotes(source) -> IngestResult:
             )
             continue
         try:
-            row = _parse_record(record, columns, line_no)
-        except UnparseableField as exc:
+            rows.append(_parse_record(record, columns, line_no))
+        except PricingError as exc:
             rejects.append(RejectedRow(line_no, str(exc)))
-            continue
-        problems = row.validate()
-        if problems:
-            rejects.append(RejectedRow(line_no, "; ".join(problems)))
-            continue
-        rows.append(row)
     if not rows and not rejects:
         warnings.append("EmptyInput: no data rows")
     return IngestResult(rows=rows, rejects=rejects, warnings=warnings)
@@ -299,21 +296,22 @@ def ingest_quotes(source) -> IngestResult:
 
 def _parse_record(record: list[str], columns: tuple[int, ...], line_no: int) -> QuoteRow:
     """The quote of one CSV record; ``columns`` holds the position of each of
-    CSV_COLUMNS. The style is checked first, then the numbers, strike first."""
+    CSV_COLUMNS. The style is checked first, then the numbers, strike first,
+    then the ranges ``QuoteRow`` checks."""
     t, T, spot, avg, strike, style_raw, vol = [record[i].strip() for i in columns]
     style = _STYLES.get(style_raw)
     if style is None:
         raise UnparseableField(f"style={style_raw!r} not in {{floating_call, fixed_put}}")
     try:
-        return QuoteRow(float(t), float(T), float(spot), float(avg),
-                        float(strike) if strike else None, style, float(vol), line_no)
+        numbers = float(t), float(T), float(spot), float(avg), float(strike) if strike else None
+        implied_vol = float(vol)
     except ValueError:
-        pass
-    # some field is not a number: convert each in turn to name the first
-    strike_value = _as_float("strike", strike) if strike else None
-    return QuoteRow(_as_float("t", t), _as_float("T", T), _as_float("spot", spot),
-                    _as_float("avg", avg), strike_value, style,
-                    _as_float("implied_vol", vol), line_no)
+        # some field is not a number: convert each in turn to name the first
+        strike_value = _as_float("strike", strike) if strike else None
+        numbers = (_as_float("t", t), _as_float("T", T), _as_float("spot", spot),
+                   _as_float("avg", avg), strike_value)
+        implied_vol = _as_float("implied_vol", vol)
+    return QuoteRow(*numbers, style, implied_vol, line_no)
 
 
 def _as_float(name: str, raw: str) -> float:

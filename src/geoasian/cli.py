@@ -46,6 +46,7 @@ from .mc import (
     stationary_effective_vol,
 )
 from .model import (
+    SIGMA_MIN_DEFAULT,
     MarketState,
     ModelParams,
     OptionKind,
@@ -100,7 +101,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="slow-factor initial level (vol units)")
     parser.add_argument("--alpha-prime", dest="alpha_prime", type=float, required=True,
                         help="slow-factor long-run level (vol units)")
-    parser.add_argument("--sigma-min", dest="sigma_min", type=float, default=1e-4,
+    parser.add_argument("--sigma-min", dest="sigma_min", type=float, default=SIGMA_MIN_DEFAULT,
                         help="floor applied to the effective volatility")
 
 

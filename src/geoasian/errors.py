@@ -9,10 +9,6 @@ class OutOfDomain(PricingError):
     """A finite input lies outside its allowed range or does not fit the run."""
 
 
-class DegenerateArc(PricingError):
-    """z0 equals alpha_prime, so the arc curvature coefficient would vanish."""
-
-
 class NonFiniteInput(PricingError):
     """An input that must be a finite number is NaN or infinite."""
 

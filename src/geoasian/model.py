@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
-    DegenerateArc,
     NonFiniteInput,
     NonPositivePrice,
     NonPositiveStrike,
@@ -51,8 +50,8 @@ class ModelParams:
     A ModelParams that exists is valid. A non-finite field raises
     ``NonFiniteInput``, then a correlation matrix that is not positive
     definite ``PDFactorizationFailure``, then every other broken rule of
-    k, epsilon > 0; r, alpha_prime, nu, beta >= 0; z0 != alpha_prime (the
-    arc would be flat) and |rho| < 1 one ``OutOfDomain``.
+    k, epsilon > 0; r, alpha_prime, z0, nu, beta >= 0; z0 != alpha_prime
+    (the arc would be flat) and |rho| < 1 one ``OutOfDomain``.
     """
 
     r: float
@@ -78,6 +77,7 @@ class ModelParams:
             raise PDFactorizationFailure("correlation matrix is not positive definite")
         bounds = (
             ("alpha_prime", self.alpha_prime >= 0.0, ">= 0"),
+            ("z0", self.z0 >= 0.0, ">= 0"),
             ("r", self.r >= 0.0, ">= 0"),
             ("k", self.k > 0.0, "> 0"),
             ("epsilon", self.epsilon > 0.0, "> 0"),
@@ -134,16 +134,11 @@ def arc_from_ou(
     """Build the arc from the OU parameters of the slow factor.
 
     P = (z0 - alpha_prime) k^2 / 2, Q = -(z0 - alpha_prime) k, R = z0.
-    Raises DegenerateArc when z0 = alpha_prime (P would vanish).
+    The ranges of k, alpha_prime and z0 are ``ModelParams``' rules; here
+    z0 = alpha_prime gives the level arc (0, 0, z0).
     """
     if not all(map(math.isfinite, (k, alpha_prime, z0))):
         raise NonFiniteInput(f"k, alpha_prime and z0 must be finite, got {k}, {alpha_prime}, {z0}")
-    if not k > 0.0:
-        raise OutOfDomain(f"k must be > 0, got {k}")
-    if z0 == alpha_prime:
-        raise DegenerateArc(
-            f"z0 = alpha_prime = {z0}: arc curvature P vanishes"
-        )
     gap = z0 - alpha_prime
     return VolArc(
         p_coef=gap * k * k / 2.0,

@@ -138,38 +138,36 @@ def test_ingest_skips_whitespace_only_records_without_losing_numbering():
 
 
 def test_quote_row_validate_collects_all_problems():
-    row = QuoteRow(
-        t=0.5, T=0.45, spot=-1.0, avg=0.0, strike=None,
-        style=QuoteStyle.FIXED_PUT, implied_vol=-0.1,
-    )
-    problems = row.validate()
-    assert len(problems) == 5
+    with pytest.raises(OutOfDomain) as info:
+        QuoteRow(t=0.5, T=0.45, spot=-1.0, avg=0.0, strike=None,
+                 style=QuoteStyle.FIXED_PUT, implied_vol=-0.1)
+    assert len(str(info.value).split("; ")) == 5
     good = QuoteRow(
         t=0.0, T=0.45, spot=100.0, avg=100.0, strike=None,
         style=QuoteStyle.FLOATING_CALL, implied_vol=0.19,
     )
-    assert good.validate() == []
+    assert good.T == 0.45
 
 
-def every_problem(row):
-    """The reasons of ``QuoteRow.validate``'s full message builder, checked
-    field by field with no shortcut for a valid row."""
-    numbers = {"t": row.t, "T": row.T, "spot": row.spot, "avg": row.avg,
-               "strike": row.strike, "implied_vol": row.implied_vol}
+def every_problem(t, T, spot, avg, strike, style, implied_vol):
+    """The reasons ``QuoteRow`` raises, checked field by field with no
+    shortcut for a valid row."""
+    numbers = {"t": t, "T": T, "spot": spot, "avg": avg, "strike": strike,
+               "implied_vol": implied_vol}
     problems = [f"{name} must be finite, got {value}" for name, value in numbers.items()
                 if value is not None and not math.isfinite(value)]
-    if not 0.0 <= row.t < row.T:
-        problems.append(f"need 0 <= t < T, got t={row.t}, T={row.T}")
-    if not row.spot > 0.0:
-        problems.append(f"spot must be > 0, got {row.spot}")
-    if not row.avg > 0.0:
-        problems.append(f"avg must be > 0, got {row.avg}")
-    if not row.implied_vol > 0.0:
-        problems.append(f"implied_vol must be > 0, got {row.implied_vol}")
-    if row.style is QuoteStyle.FIXED_PUT:
-        if row.strike is None or not row.strike > 0.0:
-            problems.append(f"fixed_put needs strike > 0, got {row.strike}")
-    elif row.strike is not None:
+    if not 0.0 <= t < T:
+        problems.append(f"need 0 <= t < T, got t={t}, T={T}")
+    if not spot > 0.0:
+        problems.append(f"spot must be > 0, got {spot}")
+    if not avg > 0.0:
+        problems.append(f"avg must be > 0, got {avg}")
+    if not implied_vol > 0.0:
+        problems.append(f"implied_vol must be > 0, got {implied_vol}")
+    if style is QuoteStyle.FIXED_PUT:
+        if strike is None or not strike > 0.0:
+            problems.append(f"fixed_put needs strike > 0, got {strike}")
+    elif strike is not None:
         problems.append("floating_call row must leave strike empty")
     return problems
 
@@ -187,8 +185,13 @@ FIELD_VALUES = st.one_of(
        implied_vol=FIELD_VALUES)
 def test_quote_row_validate_gives_every_problem_in_order(t, T, spot, avg, strike, style,
                                                           implied_vol):
-    row = QuoteRow(t, T, spot, avg, strike, style, implied_vol)
-    assert row.validate() == every_problem(row)
+    problems = every_problem(t, T, spot, avg, strike, style, implied_vol)
+    if not problems:
+        assert QuoteRow(t, T, spot, avg, strike, style, implied_vol).implied_vol == implied_vol
+        return
+    with pytest.raises(OutOfDomain) as info:
+        QuoteRow(t, T, spot, avg, strike, style, implied_vol)
+    assert str(info.value) == "; ".join(problems)
 
 
 # ----------------------------------------------------------- denominators
@@ -235,12 +238,9 @@ def test_regression_row_frozen_values():
 
 
 def test_regression_row_rejects_invalid_quote():
-    q = QuoteRow(
-        t=0.5, T=0.45, spot=100.0, avg=100.0, strike=None,
-        style=QuoteStyle.FLOATING_CALL, implied_vol=0.19,
-    )
-    with pytest.raises(ValueError):
-        regression_row(q, ARC, MODEL)
+    with pytest.raises(OutOfDomain, match=r"need 0 <= t < T, got t=0.5, T=0.45"):
+        QuoteRow(t=0.5, T=0.45, spot=100.0, avg=100.0, strike=None,
+                 style=QuoteStyle.FLOATING_CALL, implied_vol=0.19)
 
 
 def test_regression_pairs_skips_inadmissible_cells():

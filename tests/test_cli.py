@@ -156,6 +156,7 @@ def model_command(command, tmp_path, flag, value):
     ("--r", "inf", "NonFiniteInput"),
     ("--alpha-prime", "-0.2", "OutOfDomain"),
     ("--z0", "0.20", "OutOfDomain"),  # equal to --alpha-prime: a flat arc
+    ("--z0", "-0.1834", "OutOfDomain"),
     ("--sigma-min", "0", "OutOfDomain"),
     ("--sigma-min", "nan", "NonFiniteInput"),
 ])

@@ -12,9 +12,9 @@ from geoasian import (
     StrikeStyle,
     VolArc,
     arc_from_ou,
+    first_order_price,
 )
 from geoasian.errors import (
-    DegenerateArc,
     NonFiniteInput,
     NonPositivePrice,
     NonPositiveStrike,
@@ -58,6 +58,7 @@ def test_params_violations_are_collected():
 
 @pytest.mark.parametrize("fields, error, message", [
     ({"alpha_prime": -0.2}, OutOfDomain, "alpha_prime must be >= 0, got -0.2"),
+    ({"z0": -0.1834}, OutOfDomain, "z0 must be >= 0, got -0.1834"),
     ({"r": -0.01}, OutOfDomain, "r must be >= 0, got -0.01"),
     ({"k": 0.0}, OutOfDomain, "k must be > 0, got 0.0"),
     ({"k": -2.0}, OutOfDomain, "k must be > 0, got -2.0"),
@@ -76,7 +77,7 @@ def test_params_violations_are_collected():
     ({"r": math.nan, "k": -1.0, "rho_xy": 1.0}, NonFiniteInput, "r must be finite, got nan"),
     ({"k": -1.0, "rho_xy": 1.0}, PDFactorizationFailure,
      "correlation matrix is not positive definite"),
-], ids=["alpha_prime", "r", "k-zero", "k-negative", "epsilon", "nu", "beta", "degenerate-arc",
+], ids=["alpha_prime", "z0", "r", "k-zero", "k-negative", "epsilon", "nu", "beta", "degenerate-arc",
         "rho-at-least-1", "not-pd", "rho-1-not-pd", "non-finite-first", "pd-before-ranges"])
 def test_params_each_rule_refused_when_built(fields, error, message):
     with pytest.raises(error) as info:
@@ -126,9 +127,21 @@ def test_arc_from_ou_reference_coefficients():
     assert abs(effective_vol(arc, 0.5) - 0.1917) < 1e-15
 
 
-def test_arc_from_ou_degenerate():
-    with pytest.raises(DegenerateArc):
-        arc_from_ou(1.0, 0.3, 0.3)
+@pytest.mark.parametrize("style, kind, strike", [
+    (StrikeStyle.FLOATING, OptionKind.CALL, None),
+    (StrikeStyle.FIXED, OptionKind.CALL, 101.0),
+    (StrikeStyle.FIXED, OptionKind.PUT, 101.0),
+])
+def test_arc_from_ou_at_the_long_run_level_is_the_level_arc(style, kind, strike):
+    """z0 = alpha_prime is ModelParams' rule; the arc itself is then flat."""
+    arc = arc_from_ou(2.0, 0.2, 0.2)
+    level = VolArc(0.0, 0.0, 0.2)
+    assert arc == level
+    option = OptionSpec(style, kind, maturity=0.45, strike=strike)
+    state = MarketState(t=0.1, x=100.0, g=101.0)
+    model = ModelParams(**REFERENCE)
+    assert (first_order_price(option, state, arc, model, -0.016)
+            == first_order_price(option, state, level, model, -0.016))
 
 
 @pytest.mark.parametrize("k, alpha_prime, z0", [
@@ -137,11 +150,6 @@ def test_arc_from_ou_degenerate():
 def test_arc_from_ou_rejects_non_finite(k, alpha_prime, z0):
     with pytest.raises(NonFiniteInput):
         arc_from_ou(k, alpha_prime, z0)
-
-
-def test_arc_from_ou_rejects_bad_k():
-    with pytest.raises(ValueError):
-        arc_from_ou(0.0, 0.3, 0.2)
 
 
 def test_vol_arc_requires_positive_floor():

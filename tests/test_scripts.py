@@ -175,7 +175,7 @@ def test_every_input_field_is_read_in_the_package():
     attributes = {node.attr for tree in package_trees().values() for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     records = (geoasian.ModelParams, geoasian.McConfig, geoasian.ConstantVol,
-               geoasian.FullModel, geoasian.VolArc, geoasian.OptionSpec)
+               geoasian.FullModel, geoasian.VolArc, geoasian.OptionSpec, geoasian.QuoteRow)
     unread = [f"{cls.__name__}.{field.name}" for cls in records
               for field in dataclasses.fields(cls) if field.name not in attributes]
     assert unread == []

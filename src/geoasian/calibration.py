@@ -156,7 +156,6 @@ class RejectedRow:
 class IngestResult:
     rows: list[QuoteRow]
     rejects: list[RejectedRow]
-    warnings: list[str]
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def regression_denominator(k: float, t: float, T: float) -> float:
         raise OutOfDomain(f"D needs t < T, got the empty window t = T = {T}")
     wt = 2.0 - k * t
     wT = 2.0 - k * T
-    if wt * wT <= 0.0 or wT / wt <= 0.0:
+    if wt * wT <= 0.0:
         raise SingularDenominator(
             f"bracket undefined: (2 - kT)/(2 - kt) nonpositive at kt={k * t}, kT={k * T}"
         )
@@ -198,7 +197,11 @@ def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float,
 
 
 def ols_fit(rows: list[tuple[float, float]]) -> RegressionFit:
-    """Ordinary least squares on pooled (x, y) points."""
+    """Ordinary least squares on pooled (x, y) points.
+
+    Points whose fit overflows a float (a sum, the slope or its standard
+    error) raise OutOfDomain, and numpy warns of nothing.
+    """
     x = np.asarray([p[0] for p in rows], dtype=float)
     y = np.asarray([p[1] for p in rows], dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -206,19 +209,24 @@ def ols_fit(rows: list[tuple[float, float]]) -> RegressionFit:
     n = len(rows)
     if n < 2:
         raise DegenerateDesign(f"need at least 2 rows, got {n}")
-    x_bar = float(x.mean())
-    y_bar = float(y.mean())
-    dx = x - x_bar
-    ss_x = float(dx @ dx)
-    if math.sqrt(ss_x / n) <= 1e-12 * (1.0 + abs(x_bar)):
-        raise DegenerateDesign("x has (near) zero variance; slope unidentifiable")
-    slope = float(dx @ (y - y_bar)) / ss_x
-    intercept = y_bar - slope * x_bar
-    resid = y - (intercept + slope * x)
-    ss_res = float(resid @ resid)
-    ss_tot = float((y - y_bar) @ (y - y_bar))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    # an overflow is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_bar = float(x.mean())
+        y_bar = float(y.mean())
+        dx = x - x_bar
+        ss_x = float(dx @ dx)
+        if math.sqrt(ss_x / n) <= 1e-12 * (1.0 + abs(x_bar)):
+            raise DegenerateDesign("x has (near) zero variance; slope unidentifiable")
+        slope = float(dx @ (y - y_bar)) / ss_x
+        intercept = y_bar - slope * x_bar
+        resid = y - (intercept + slope * x)
+        ss_res = float(resid @ resid)
+        ss_tot = float((y - y_bar) @ (y - y_bar))
     se = math.sqrt(ss_res / (n - 2) / ss_x) if n > 2 else float("nan")
+    if not (all(map(math.isfinite, (ss_x, slope, intercept, ss_res, ss_tot)))
+            and (n == 2 or se < math.inf)):
+        raise OutOfDomain("the least-squares fit overflows a float")
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RegressionFit(
         a_eps=slope, d_eps=intercept, r_squared=r_squared, n=n, se_a_eps=se
     )
@@ -252,8 +260,8 @@ def ingest_quotes(source) -> IngestResult:
 
     A path is opened as UTF-8, with or without a byte-order mark. Structural
     header problems raise MissingColumn; malformed or invalid rows land in
-    rejects with their line number; an empty body yields an EmptyInput
-    warning rather than an error.
+    rejects with their line number. An empty body yields no rows, which
+    ``ols_fit`` refuses.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
@@ -276,7 +284,6 @@ def ingest_quotes(source) -> IngestResult:
 
     rows: list[QuoteRow] = []
     rejects: list[RejectedRow] = []
-    warnings: list[str] = []
     for line_no, record in enumerate(reader, start=2):
         if not "".join(record).strip():
             continue
@@ -289,9 +296,7 @@ def ingest_quotes(source) -> IngestResult:
             rows.append(_parse_record(record, columns, line_no))
         except PricingError as exc:
             rejects.append(RejectedRow(line_no, str(exc)))
-    if not rows and not rejects:
-        warnings.append("EmptyInput: no data rows")
-    return IngestResult(rows=rows, rejects=rejects, warnings=warnings)
+    return IngestResult(rows=rows, rejects=rejects)
 
 
 def _parse_record(record: list[str], columns: tuple[int, ...], line_no: int) -> QuoteRow:
@@ -334,7 +339,8 @@ def smile_curve(
     Points are priced at spot 100, fixed_put points struck at the spot: the
     implied vol of a point depends on its moneyness alone, and any other spot
     moves it only in the last bits. Inadmissible points (singular factors,
-    vanishing vega) are returned flagged instead of raised.
+    vanishing vega, a vol that overflows) are returned flagged instead of
+    raised.
     """
     _check_v_eps(v_eps)
     spot = 100.0
@@ -351,6 +357,8 @@ def smile_curve(
                     f"|vega| = {abs(greeks.vega)} below {VEGA_FLOOR_FRACTION * spot}"
                 )
             vol = sigma + v_eps * c1_unit / greeks.vega
+            if not -math.inf < vol < math.inf:
+                raise OutOfDomain(f"implied vol {vol} is not finite")
             points.append(SmilePoint(t, T, moneyness, vol))
         except PricingError as exc:
             points.append(
@@ -414,5 +422,4 @@ def calibration_report(
         "rejects": rejects,
         "v_eps_by_cell": by_cell,
         "v_eps_range": [min(values), max(values)] if values else None,
-        "warnings": list(ingest.warnings),
     }

@@ -160,7 +160,7 @@ def cmd_calibrate(args):
             writer.writerow(["x", "y"])
             writer.writerows(regression[0])
     report = calibration_report(ingest, arc, model, regression)
-    warnings = list(report.pop("warnings"))
+    warnings = []
     if report["rejects"]:
         warnings.append(f"{len(report['rejects'])} quote(s) rejected; see rejects[]")
     return report, warnings, EXIT_OK

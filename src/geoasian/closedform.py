@@ -87,11 +87,12 @@ def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float)
     """Refuse inputs no closed form takes; True when T - t is below HORIZON_TOL.
 
     K None is the floating call. A NaN or infinite sigma, T, K or r raises
-    NonFiniteInput before any range check.
+    NonFiniteInput before any range check; T = 0 leaves no average to take.
     """
     if not (
         0.0 < sigma < math.inf
         and t <= T < math.inf
+        and T > 0.0
         and -math.inf < r < math.inf
         and (K is None or 0.0 < K < math.inf)
     ):
@@ -102,6 +103,8 @@ def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float)
             raise OutOfDomain(f"sigma must be > 0, got {sigma}")
         if K is not None and not K > 0.0:
             raise NonPositiveStrike(f"K must be > 0, got {K}")
+        if t <= T:
+            raise OutOfDomain(f"T must be > 0, got {T}")
         raise DegenerateHorizon(f"t = {t} exceeds maturity T = {T}")
     return T - t < HORIZON_TOL
 

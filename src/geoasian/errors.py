@@ -22,7 +22,7 @@ class NonPositiveStrike(PricingError):
 
 
 class SingularGamma(PricingError):
-    """kt or kT is within tolerance of 2, where the modification factor is singular."""
+    """kt or kT is within tolerance of 2, or ln gamma is too large for exp; gamma is singular."""
 
 
 class BranchError(PricingError):
@@ -38,7 +38,7 @@ class VanishingPrice(PricingError):
 
 
 class SingularIntegral(PricingError):
-    """(k, t, T) sits at an excluded point of the closed-form I-integrals."""
+    """kT is not below 1 - tol, the bound of the closed-form I-integrals."""
 
 
 class PoleInInterval(PricingError):

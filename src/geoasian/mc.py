@@ -238,7 +238,7 @@ def reference_full_model(epsilon: float) -> ModelParams:
     """Single-correlation reference regime for the oracle direction check.
 
     Only the spot-fast correlation is active and the slow factor is noiseless
-    and nearly level (z0 = alpha_prime exactly is a degenerate arc), so the
+    and nearly level (ModelParams refuses z0 = alpha_prime exactly), so the
     closed-form comparison target stays interpretable while epsilon is swept.
     """
     return ModelParams(

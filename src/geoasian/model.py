@@ -87,7 +87,7 @@ class ModelParams:
         bad = [f"{name} must be {bound}, got {getattr(self, name)}"
                for name, ok, bound in bounds if not ok]
         if self.z0 == self.alpha_prime:
-            bad.append("DegenerateArc: z0 must differ from alpha_prime")
+            bad.append(f"z0 must differ from alpha_prime, got {self.z0}")
         bad += [f"{name} must satisfy |rho| < 1, got {getattr(self, name)}"
                 for name in ("rho_xy", "rho_xz", "rho_yz") if not abs(getattr(self, name)) < 1.0]
         if bad:

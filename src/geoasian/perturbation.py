@@ -31,16 +31,23 @@ regressor's D check their window (k, t, T) with one ``_check_window``.
 
 ``i_integrals_closed`` depends on the window (k, t, T) alone and remembers
 the last 128 windows it was asked, so the quotes of one smile cell share one
-evaluation; a remembered result is bit-identical to recomputing it.
+evaluation; a remembered result is bit-identical to recomputing it. It prices
+a nonempty window only when kT < 1 - SINGULARITY_TOL, so that 1 + l(tau) is
+positive on all of [t, T]; anything else raises SingularIntegral.
 
 ``i_integrals_quadrature`` integrates tau^n * 2(1 - k tau)/(2 - k tau)^2
-adaptively and serves as the independent oracle for the closed forms.
+adaptively and serves as the independent oracle for the closed forms. Its
+domain holds the closed route's: it also integrates windows that end at
+kT = 1 or lie beyond it, and refuses a window that the pole k tau = 1
+crosses or that the double pole k tau = 2 touches.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 from typing import NamedTuple
 
 from scipy.integrate import quad
@@ -80,6 +87,14 @@ from .model import (
 
 PRICE_FLOOR_FRACTION = 1e-12
 QUAD_ABS_TOL = 1e-12
+# below this kT the antiderivatives of the I-integrals cancel to about 11
+# digits or fewer (4 at kT = 5e-3, none at 5e-5), while the series, cut after
+# SERIES_TERMS terms, leaves out less than x^SERIES_TERMS = 1e-18
+# (x = kT / 2 < 0.1)
+SERIES_KT = 0.2
+SERIES_TERMS = 18
+# the largest x whose exp(x) is a finite float
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 # an Enum member lookup costs about 100 ns, a global name a few; function
 # bodies read these
@@ -106,7 +121,11 @@ def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
 
 
 def modification_factor(k: float, t: float, T: float, m: float) -> float:
-    """gamma(t) computed in log space; equals 1 at t = T and at m = 0."""
+    """gamma(t) computed in log space; equals 1 at t = T and at m = 0.
+
+    A log factor too large for a float to hold its exponential raises
+    SingularGamma.
+    """
     _check_window(k, t, T, m)
     wt = 2.0 - k * t
     wT = 2.0 - k * T
@@ -116,6 +135,8 @@ def modification_factor(k: float, t: float, T: float, m: float) -> float:
     if ratio <= 0.0:
         raise BranchError(f"(2 - kT)/(2 - kt) = {ratio} is nonpositive")
     ln_gamma = m * ((2.0 / k) * math.log(ratio) + (T - t) * (wt * wT + 2.0) / (wt * wT))
+    if not ln_gamma <= _LN_FLOAT_MAX:
+        raise SingularGamma(f"ln gamma = {ln_gamma} overflows a float")
     return math.exp(ln_gamma)
 
 
@@ -141,29 +162,31 @@ class IIntegrals(NamedTuple):
     i5: float
 
 
-def _check_closed_domain(k: float, t: float, T: float) -> None:
-    kt, kT = k * t, k * T
-    if kt >= 1.0 - SINGULARITY_TOL:
-        raise SingularIntegral(f"kt = {kt} not below 1 - tol")
-    if abs(1.0 - kT) <= SINGULARITY_TOL or abs(2.0 - kT) <= SINGULARITY_TOL:
-        raise SingularIntegral(f"kT = {kT} within tol of an excluded point")
-    if (2.0 - kT) / (2.0 - kt) <= 0.0:
-        raise SingularIntegral(f"ratio (2 - kT)/(2 - kt) nonpositive at kT = {kT}")
-
-
 @functools.lru_cache(maxsize=128, typed=True)
 def i_integrals_closed(k: float, t: float, T: float) -> IIntegrals:
     """Closed-form I0..I5; I4 and I5 via the combination identities.
 
     I0 = -(2/k) [ ln((2-kT)/(2-kt)) + k (T-t) / ((2-kT)(2-kt)) ] and the
     higher orders add polynomial terms; all are antiderivatives of
-    tau^n 2(1 - k tau)/(2 - k tau)^2 and are pinned against
-    ``i_integrals_quadrature`` in the tests. The last 128 windows are
-    remembered (an int and a float k are kept apart); errors are not.
+    tau^n 2(1 - k tau)/(2 - k tau)^2, summed as a power series in kT below
+    SERIES_KT, and are pinned against ``i_integrals_quadrature`` in the
+    tests. A nonempty window needs kT < 1 - SINGULARITY_TOL, which t <= T
+    extends to all of it, or raises SingularIntegral. The last 128 windows
+    are remembered (an int and a float k are kept apart); errors are not.
     """
     if _check_window(k, t, T):
         return IIntegrals(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    _check_closed_domain(k, t, T)
+    kT = k * T
+    if kT >= 1.0 - SINGULARITY_TOL:
+        raise SingularIntegral(f"kT = {kT} not below 1 - tol")
+    i0, i1, i2, i3 = _i_series(k, t, T) if kT < SERIES_KT else _i_logs(k, t, T)
+    i4 = i2 - 2.0 * T * i1 + T * T * i0
+    i5 = -i3 + 3.0 * T * i2 - 3.0 * T * T * i1 + T ** 3 * i0
+    return IIntegrals(i0, i1, i2, i3, i4, i5)
+
+
+def _i_logs(k: float, t: float, T: float) -> tuple[float, float, float, float]:
+    """I0..I3 from their antiderivatives, for SERIES_KT <= kT < 1."""
     wt = 2.0 - k * t
     wT = 2.0 - k * T
     log_ratio = math.log(wT / wt)
@@ -181,9 +204,28 @@ def i_integrals_closed(k: float, t: float, T: float) -> IIntegrals:
         - 16.0 * d1 / k ** 3
         - (40.0 / k ** 4) * log_ratio
     )
-    i4 = i2 - 2.0 * T * i1 + T * T * i0
-    i5 = -i3 + 3.0 * T * i2 - 3.0 * T * T * i1 + T ** 3 * i0
-    return IIntegrals(i0, i1, i2, i3, i4, i5)
+    return i0, i1, i2, i3
+
+
+def _i_series(k: float, t: float, T: float) -> tuple[float, float, float, float]:
+    """I0..I3 from the power series of the weight, for kT < SERIES_KT.
+
+    The weight is (1/2) sum_j (1 - j) (k tau / 2)^j, so with x = kT / 2,
+    s = t / T and g_m = 1 + s + ... + s^(m-1), for which T^m - t^m =
+    (T - t) T^(m-1) g_m,
+
+        I_n = (1/2) (T - t) T^n sum_j (1 - j) x^j g_(n+j+1) / (n + j + 1).
+
+    Every term after the first is below x^2 of it, so none cancels it.
+    """
+    x = 0.5 * k * T
+    s = t / T
+    g = list(itertools.accumulate((s ** i for i in range(SERIES_TERMS + 3)), initial=0.0))
+    return tuple(
+        0.5 * (T - t) * T ** n
+        * sum((1 - j) * x ** j * g[n + j + 1] / (n + j + 1) for j in range(SERIES_TERMS))
+        for n in range(4)
+    )
 
 
 def i_integrals_quadrature(k: float, t: float, T: float) -> IIntegrals:
@@ -312,7 +354,8 @@ def first_order_price(
     v_eps = 0 the result reduces to the plain Black-Scholes price. Within
     HORIZON_TOL of maturity both are forced, after v_eps is checked, and every
     price field is the terminal payoff. Component errors propagate with the
-    failing stage prepended to the message.
+    failing stage prepended to the message, and a price that overflows a
+    float raises OutOfDomain.
     """
     if option.style is _FLOATING and option.kind is not _CALL:
         raise UnsupportedContract("floating-strike puts are not supported")
@@ -327,7 +370,10 @@ def first_order_price(
         option.style, option.kind, state, sigma, T, K, model, v_eps, gamma_off
     )
     c0 = gamma * b0
+    price_hat = c0 + c1
+    if not -math.inf < price_hat < math.inf:
+        raise OutOfDomain(f"price_hat = {price_hat} is not finite: c0 = {c0}, c1 = {c1}")
     # by position, as a named tuple built by keyword takes about twice as long
     return PriceBreakdown(
-        float(b0), float(gamma), float(c0), float(c1), float(c0 + c1), float(m)
+        float(b0), float(gamma), float(c0), float(c1), float(price_hat), float(m)
     )

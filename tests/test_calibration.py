@@ -62,7 +62,6 @@ def test_ingest_good_rows():
     result = ingest_quotes(io.StringIO(GOOD_CSV))
     assert len(result.rows) == 2
     assert result.rejects == []
-    assert result.warnings == []
     first = result.rows[0]
     assert first.line == 2
     assert first.style is QuoteStyle.FLOATING_CALL
@@ -118,10 +117,12 @@ def test_ingest_header_must_match_exactly():
         ingest_quotes(io.StringIO(""))
 
 
-def test_ingest_header_only_warns_empty():
+def test_ingest_header_only_leaves_nothing_to_fit():
+    """An empty body is no error of its own: the fit refuses the empty design."""
     result = ingest_quotes(io.StringIO("t,T,spot,avg,strike,style,implied_vol\n"))
     assert result.rows == [] and result.rejects == []
-    assert any("EmptyInput" in w for w in result.warnings)
+    with pytest.raises(DegenerateDesign, match="need at least 2 rows, got 0"):
+        calibration_report(result, ARC, MODEL)
 
 
 def test_ingest_skips_blank_lines_without_losing_numbering():
@@ -291,7 +292,7 @@ def test_report_keeps_line_less_rows_when_one_fails():
     ]
     rows.append(QuoteRow(t=0.1, T=0.5, spot=100.0, avg=100.0, strike=None,
                          style=QuoteStyle.FLOATING_CALL, implied_vol=0.19))
-    report = calibration_report(IngestResult(rows=rows, rejects=[], warnings=[]), ARC, MODEL)
+    report = calibration_report(IngestResult(rows=rows, rejects=[]), ARC, MODEL)
     assert report["n"] == 6
     assert len(report["rejects"]) == 1
     assert report["rejects"][0]["line"] == -1
@@ -530,8 +531,9 @@ def test_calibration_report_shape_and_round_trip():
     ingest = ingest_quotes(io.StringIO(csv_text))
     report = calibration_report(ingest, ARC, MODEL)
     for key in ("a_eps", "d_eps", "r_squared", "n", "se_a_eps", "rejects",
-                "v_eps_by_cell", "v_eps_range", "warnings"):
+                "v_eps_by_cell", "v_eps_range"):
         assert key in report, f"missing report key {key}"
+    assert "warnings" not in report
     assert report["n"] == 3
     assert len(report["rejects"]) == 1
     assert len(report["v_eps_by_cell"]) == 1

@@ -5,6 +5,7 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import geoasian
 from geoasian import (
@@ -30,9 +31,10 @@ from geoasian import (
     perturbation,
     reference_full_model,
 )
-from geoasian.calibration import regression_denominator, regression_row
+from geoasian.calibration import ols_fit, regression_denominator, regression_row
 from geoasian.closedform import GreekSet, b0_theta
-from geoasian.errors import NonFiniteInput
+from geoasian.errors import NonFiniteInput, PricingError
+from geoasian.model import ModelParams
 from geoasian.model import effective_vol
 from geoasian.perturbation import (
     IIntegrals,
@@ -212,6 +214,62 @@ def test_first_order_price_refuses_a_non_finite_v_eps(contract, v_eps):
     for state in (STATE, MarketState(t=T, x=100.0, g=101.3)):  # before and at maturity
         with pytest.raises(NonFiniteInput, match="v_eps must be finite"):
             first_order_price(OptionSpec(style, kind, T, strike), state, ARC, MODEL, v_eps)
+
+
+def priced_or_refused(fn, *args):
+    """fn's result, or None when it raises a PricingError; any other error fails."""
+    try:
+        return fn(*args)
+    except PricingError:
+        return None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    contract=st.sampled_from(CONTRACTS),
+    k=st.floats(min_value=1e-300, max_value=1e6),
+    t=st.floats(min_value=0.0, max_value=20.0),
+    life=st.floats(min_value=0.0, max_value=20.0),
+    v_eps=st.floats(min_value=-1e308, max_value=1e308),
+    moneyness=st.floats(min_value=1e-3, max_value=1e3),
+    strike=st.floats(min_value=1e-3, max_value=1e3),
+)
+# the price of a fixed put with ln gamma = 6.2e4, then one whose c1 overflows
+@example(contract=CONTRACTS[2], k=4.444442222222222, t=0.0, life=0.45, v_eps=0.0,
+         moneyness=1.0, strike=120.0)
+@example(contract=CONTRACTS[2], k=2.0, t=0.1, life=0.35, v_eps=1e308, moneyness=1.0,
+         strike=100.0)
+def test_extreme_finite_inputs_price_finite_or_raise_a_pricing_error(
+        contract, k, t, life, v_eps, moneyness, strike):
+    """The chain either returns finite numbers or refuses with a PricingError,
+    without a numpy warning, on finite inputs up to the float limits (maturities
+    within 40 years); a smile point that cannot be priced is flagged."""
+    style, kind, contract_strike, *_ = contract
+    model = ModelParams(r=0.0264, k=k, alpha_prime=0.2, z0=0.1834, epsilon=0.001)
+    arc = arc_from_ou(k, 0.2, 0.1834)
+    state = MarketState(t=t, x=100.0, g=100.0 * moneyness)
+    option = priced_or_refused(OptionSpec, style, kind, t + life,
+                               None if contract_strike is None else strike)
+    if option is not None:  # a maturity of 0 is refused
+        breakdown = priced_or_refused(first_order_price, option, state, arc, model, v_eps)
+        assert breakdown is None or all(map(math.isfinite, breakdown)), breakdown
+    for quote_style in QuoteStyle:
+        (point,) = calibration.smile_curve(arc, model, v_eps, quote_style,
+                                           [(t, t + life, moneyness)])
+        assert point.implied_vol is None or math.isfinite(point.implied_vol), point
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(min_value=-1e308, max_value=1e308),
+                                 st.floats(min_value=-1e308, max_value=1e308)),
+                       min_size=2, max_size=6))
+@example(points=[(0.0, 0.0), (1e-11, 1e150), (2e-11, 0.0)])  # the slope's SE overflows
+def test_ols_fit_on_extreme_points_is_finite_or_a_pricing_error(points):
+    fit = priced_or_refused(ols_fit, points)
+    assert fit is None or all(map(math.isfinite, (fit.a_eps, fit.d_eps, fit.r_squared)))
+    assert fit is None or fit.n == 2 or math.isfinite(fit.se_a_eps)
 
 
 def test_book_breakdowns_are_pinned():

@@ -230,6 +230,35 @@ def test_price_singular_window_is_a_validation_error(capsys):
     assert json.loads(err)["error"] == "SingularIntegral"
 
 
+def test_price_refuses_a_window_that_crosses_k_tau_1(capsys):
+    """kt = 0.2 < 1 < kT = 1.4: the closed I-integrals refuse the window, as
+    their quadrature oracle does; without a correction it still prices."""
+    argv = ["price", "--style", "floating", "--kind", "call", "--spot", "100",
+            "--t", "0.1", "--T", "0.7", *MODEL_ARGS]
+    code, out, err = run(capsys, [*argv, "--v-eps", "-0.016"])
+    assert code == EXIT_VALIDATION and out == ""
+    assert json.loads(err)["error"] == "SingularIntegral"
+    code, out, _ = run(capsys, [*argv, "--v-eps", "0"])
+    assert code == EXIT_OK
+    assert json.loads(out)["outputs"]["c1"] == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags, error", [
+    # ln gamma = 6.2e4 near kT = 2
+    (["--strike", "120", "--t", "0", "--T", "0.45", "--k", "4.444442222222222",
+      "--r", "0.0264", "--z0", "0.1834", "--alpha-prime", "0.2"], "SingularGamma"),
+    # c1 = inf
+    (["--strike", "100", "--t", "0.1", "--T", "0.45", *MODEL_ARGS, "--v-eps", "1e308"],
+     "OutOfDomain"),
+])
+def test_a_price_that_overflows_exits_2_with_its_error_name(capsys, flags, error):
+    argv = ["price", "--style", "fixed", "--kind", "put", "--spot", "100", *flags]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_VALIDATION and out == ""
+    assert json.loads(err)["error"] == error
+
+
 # --------------------------------------------------------------- calibrate
 
 
@@ -289,6 +318,18 @@ def test_calibrate_rejects_a_quote_with_a_non_finite_field(tmp_path, capsys, col
     assert outputs["n"] == 3
     assert [r["line"] for r in outputs["rejects"]] == [5, 6]
     assert outputs["v_eps_by_cell"][0]["v_eps"] == pytest.approx(-0.016, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_calibrate_refuses_a_fit_that_overflows(tmp_path, capsys):
+    path = tmp_path / "quotes.csv"
+    path.write_text("t,T,spot,avg,strike,style,implied_vol\n" + "".join(
+        f"0.1,0.45,100,{avg},,floating_call,{vol}\n"
+        for avg, vol in ((95, 0.2), (100, 0.21), (105, 0.19), (110, 1e200))))
+    code, out, err = run(capsys, ["calibrate", *MODEL_ARGS, "--quotes", str(path)])
+    assert code == EXIT_VALIDATION and out == ""
+    assert json.loads(err) == {"error": "OutOfDomain",
+                               "message": "the least-squares fit overflows a float"}
 
 
 def test_calibrate_two_quotes_reports_null_standard_error(tmp_path, capsys):
@@ -420,6 +461,22 @@ def test_smile_flags_inadmissible_points(tmp_path, capsys):
     with open(out_path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert all(r[2] == "" for r in rows[1:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_smile_flags_a_vol_that_overflows(capsys):
+    code, out, err = run(capsys, ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45",
+                                  "--grid", "0.9:1.1:3", "--v-eps", "1e308"])
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[2] for r in rows][::2] == ["", ""]
+    assert math.isfinite(float(rows[1][2]))
+    assert "inf" not in out
+    flagged = [line for line in err.splitlines() if "skipped" in line]
+    assert [line.split(": ", 1)[1] for line in flagged] == [
+        "OutOfDomain: implied vol inf is not finite",
+        "OutOfDomain: implied vol -inf is not finite",
+    ]
 
 
 def test_smile_rejects_non_finite_v_eps(capsys):

@@ -23,7 +23,7 @@ from geoasian.closedform import (
     b0_theta,
     q_drift_term,
 )
-from geoasian.errors import DegenerateHorizon, NonPositiveStrike, UnsupportedContract
+from geoasian.errors import DegenerateHorizon, NonPositiveStrike, OutOfDomain, UnsupportedContract
 
 sigma_strategy = st.floats(min_value=0.05, max_value=0.6)
 t_strategy = st.floats(min_value=0.01, max_value=0.35)
@@ -457,6 +457,17 @@ def test_past_maturity_raises():
         bs_floating_call(state, A_SIG, 0.5, A_R)
     with pytest.raises(DegenerateHorizon):
         bs_fixed_put(state, A_SIG, 0.5, 100.0, A_R)
+
+
+def test_a_zero_maturity_is_refused_by_type():
+    """At t = T = 0 there is no average to take: the closed forms refuse it
+    instead of dividing by T."""
+    state = MarketState(t=0.0, x=100.0, g=100.0)
+    for price in (lambda: bs_floating_call(state, A_SIG, 0.0, A_R),
+                  lambda: bs_fixed_call(state, A_SIG, 0.0, 100.0, A_R),
+                  lambda: bs_fixed_put(state, A_SIG, 0.0, 100.0, A_R)):
+        with pytest.raises(OutOfDomain, match="T must be > 0, got 0.0"):
+            price()
 
 
 def test_nonpositive_inputs_rejected():

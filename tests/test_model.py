@@ -49,7 +49,7 @@ def test_params_violations_are_collected():
         "epsilon must be > 0, got 0.0",
         "nu must be >= 0, got -1.0",
         "beta must be >= 0, got -0.5",
-        "DegenerateArc: z0 must differ from alpha_prime",
+        "z0 must differ from alpha_prime, got 0.2",
         "rho_xy must satisfy |rho| < 1, got 2.0",
         "rho_xz must satisfy |rho| < 1, got 4.0",
         "rho_yz must satisfy |rho| < 1, got 2.0",
@@ -65,7 +65,7 @@ def test_params_violations_are_collected():
     ({"epsilon": 0.0}, OutOfDomain, "epsilon must be > 0, got 0.0"),
     ({"nu": -0.3}, OutOfDomain, "nu must be >= 0, got -0.3"),
     ({"beta": -0.1}, OutOfDomain, "beta must be >= 0, got -0.1"),
-    ({"z0": 0.2}, OutOfDomain, "DegenerateArc: z0 must differ from alpha_prime"),
+    ({"z0": 0.2}, OutOfDomain, "z0 must differ from alpha_prime, got 0.2"),
     # the determinant is 9 > 0, yet no |rho| may reach 1
     ({"rho_xy": 2.0, "rho_xz": 4.0, "rho_yz": 2.0}, OutOfDomain,
      "rho_xy must satisfy |rho| < 1, got 2.0; rho_xz must satisfy |rho| < 1, got 4.0; "

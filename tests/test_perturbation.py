@@ -22,6 +22,7 @@ from geoasian.errors import (
     BranchError,
     OutOfDomain,
     PoleInInterval,
+    PricingError,
     SingularGamma,
     SingularIntegral,
     UnsupportedContract,
@@ -62,6 +63,35 @@ def test_closed_matches_quadrature_below_pole(k, lo, hi):
     for f in I_FIELDS:
         a, b = getattr(closed, f), getattr(quad, f)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), f"{f}: {a} vs {b}"
+
+
+@given(k=st.floats(min_value=0.1, max_value=4.0),
+       kt=st.floats(min_value=0.0, max_value=2.5), kT=st.floats(min_value=0.0, max_value=2.5))
+@settings(max_examples=200, deadline=None)
+def test_closed_domain_lies_inside_the_quadrature_domain(k, kt, kT):
+    """Wherever the closed route returns, the quadrature integrates the same
+    window and agrees to 1e-10 relative, on both sides of SERIES_KT."""
+    t, T = sorted((kt / k, kT / k))
+    try:
+        closed = i_integrals_closed(k, t, T)
+    except PricingError:
+        return
+    quad = i_integrals_quadrature(k, t, T)
+    for f in I_FIELDS:
+        a, b = getattr(closed, f), getattr(quad, f)
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), f"{f}: {a} vs {b}"
+
+
+@pytest.mark.parametrize("k", [0.5, 1e-2, 1e-4, 1e-6, 1e-200])
+def test_slow_speeds_keep_every_digit_of_the_integrals(k):
+    """A slow mean reversion leaves kT small, where the antiderivatives cancel
+    (at k = 1e-4 they give I3 = 6.99 for 0.00511, and divide by an underflowed
+    k^2 at 1e-200); below SERIES_KT the series keeps the closed route within
+    1e-11 of its oracle."""
+    closed = i_integrals_closed(k, 0.1, 0.45)
+    quad = i_integrals_quadrature(k, 0.1, 0.45)
+    for f in I_FIELDS:
+        assert rel(getattr(closed, f), getattr(quad, f)) < 1e-11, f
 
 
 def test_quadrature_values_at_boundary_pole():
@@ -113,6 +143,10 @@ def test_integral_domain_guards():
         i_integrals_closed(2.0, 0.55, 0.7)  # kt past 1
     with pytest.raises(SingularIntegral):
         i_integrals_closed(2.0, 0.0, 1.0)  # kT = 2
+    with pytest.raises(SingularIntegral, match="kT = 1.4 not below 1 - tol"):
+        i_integrals_closed(2.0, 0.1, 0.7)  # crossing k*tau = 1
+    with pytest.raises(PoleInInterval):
+        i_integrals_quadrature(2.0, 0.1, 0.7)  # the oracle refuses it too
     with pytest.raises(PoleInInterval):
         i_integrals_quadrature(2.0, 0.0, 0.75)  # crossing k*tau = 1
     with pytest.raises(PoleInInterval):

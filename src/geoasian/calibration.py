@@ -4,7 +4,7 @@ Each implied-volatility quote contributes one regression point
 
     y = (I_obs - sigma_bar) * dC0/dsigma
     x = r sigma_bar * (I-weighted u-derivative combination) / D,
-    D = (1/(T - t)) [ (1/k) ln((2 - kT)/(2 - kt)) + (T - t)/((2 - kT)(2 - kt)) ],
+    D = -I0 / (2 (T - t)),
 
 pooled across maturities into a single OLS line y = a_eps x + d_eps. The
 group parameter follows per (t, T) cell from
@@ -12,7 +12,8 @@ group parameter follows per (t, T) cell from
     v_eps = a_eps r sigma_bar / D,
 
 which is the paper's a_eps 2 r sigma_bar / D_v, since its
-D_v = (2/(T - t)) [ ... same bracket ] is exactly 2 D. The factor
+D_v = (2/(T - t)) [ (1/k) ln((2 - kT)/(2 - kt)) + (T - t)/((2 - kT)(2 - kt)) ]
+= -I0 / (T - t) is exactly 2 D. The factor
 sqrt(epsilon) cancels between a = a_eps/sqrt(eps) and v_eps = sqrt(eps) V.
 Within one (t, T) cell this closes the noise-free round trip exactly:
 quotes generated by ``smile_curve`` at a known v_eps regress back to it. A
@@ -27,12 +28,6 @@ floating rows; style in {floating_call, fixed_put}. Only these two styles
 are accepted (the other combinations can have negative vegas). A
 ``QuoteRow`` checks its own fields when it is built; ``ingest_quotes`` turns
 a refused record into a reject that carries its line number and reasons.
-
-The quotes of one (t, T) cell share the I-integrals that
-``perturbation.i_integrals_closed`` caches for the last 128 windows, and
-the closed forms cache the last contract's shared terms, both with
-``functools.lru_cache``; a cached result is bit-identical to recomputing
-it. D is recomputed per quote.
 """
 
 from __future__ import annotations
@@ -57,6 +52,7 @@ from .errors import (
     VanishingVega,
 )
 from .model import (
+    SINGULARITY_TOL,
     MarketState,
     ModelParams,
     OptionKind,
@@ -64,7 +60,7 @@ from .model import (
     VolArc,
     effective_vol,
 )
-from .perturbation import _check_v_eps, _check_window, _first_order
+from .perturbation import _check_v_eps, _check_window, _first_order, _i0
 
 VEGA_FLOOR_FRACTION = 1e-10
 DENOMINATOR_TOL = 1e-12
@@ -168,17 +164,15 @@ class SmilePoint:
 
 
 def regression_denominator(k: float, t: float, T: float) -> float:
-    """D of the regressor, (1/(T - t)) times the log-plus-pole bracket, for
-    k > 0 and 0 <= t < T, checked as gamma and the I-integrals check it."""
+    """D = -I0 / (2 (T - t)) of the regressor, for k > 0 and 0 <= t < T,
+    checked as gamma and the I-integrals check it."""
     if _check_window(k, t, T):
         raise OutOfDomain(f"D needs t < T, got the empty window t = T = {T}")
-    wt = 2.0 - k * t
-    wT = 2.0 - k * T
-    if wt * wT <= 0.0:
+    wt, wT = 2.0 - k * t, 2.0 - k * T
+    if wt * wT <= 0.0 or abs(wt) <= SINGULARITY_TOL or abs(wT) <= SINGULARITY_TOL:
         raise SingularDenominator(
-            f"bracket undefined: (2 - kT)/(2 - kt) nonpositive at kt={k * t}, kT={k * T}"
-        )
-    d = (math.log(wT / wt) / k + (T - t) / (wT * wt)) / (T - t)
+            f"(2 - kT)/(2 - kt) nonpositive or singular at kt={k * t}, kT={k * T}")
+    d = -_i0(k, t, T)[0] / (2.0 * (T - t))
     if abs(d) < DENOMINATOR_TOL:
         raise SingularDenominator(f"|D| = {abs(d)} below {DENOMINATOR_TOL}")
     return d
@@ -247,9 +241,9 @@ def v_from_fit(
     equals sqrt(eps) * V with a = a_eps/sqrt(eps); epsilon cancels and is
     accepted only for interface fidelity.
     """
-    numbers = (fit.a_eps, epsilon, r, sigma, k, t, T)
+    numbers = (fit.a_eps, epsilon, r, sigma)
     if not all(map(math.isfinite, numbers)):
-        raise NonFiniteInput(f"a_eps, epsilon, r, sigma, k, t and T must be finite, got {numbers}")
+        raise NonFiniteInput(f"a_eps, epsilon, r and sigma must be finite, got {numbers}")
     if not epsilon > 0.0:
         raise OutOfDomain(f"epsilon must be > 0, got {epsilon}")
     return fit.a_eps * r * sigma / regression_denominator(k, t, T)

@@ -49,6 +49,8 @@ from .errors import (
 from .model import MarketState, OptionKind, StrikeStyle
 
 HORIZON_TOL = 1e-9
+# the longest maturity taken; the I-integrals' T^4-sized terms overflow from about 1e77
+_MAX_MATURITY = 1e75
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -87,11 +89,12 @@ def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float)
     """Refuse inputs no closed form takes; True when T - t is below HORIZON_TOL.
 
     K None is the floating call. A NaN or infinite sigma, T, K or r raises
-    NonFiniteInput before any range check; T = 0 leaves no average to take.
+    NonFiniteInput before any range check; T = 0 leaves no average to take,
+    and a T beyond _MAX_MATURITY would overflow the formulas.
     """
     if not (
         0.0 < sigma < math.inf
-        and t <= T < math.inf
+        and t <= T <= _MAX_MATURITY
         and T > 0.0
         and -math.inf < r < math.inf
         and (K is None or 0.0 < K < math.inf)
@@ -103,6 +106,8 @@ def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float)
             raise OutOfDomain(f"sigma must be > 0, got {sigma}")
         if K is not None and not K > 0.0:
             raise NonPositiveStrike(f"K must be > 0, got {K}")
+        if T > _MAX_MATURITY:
+            raise OutOfDomain(f"T must be <= {_MAX_MATURITY:g}, got {T}")
         if t <= T:
             raise OutOfDomain(f"T must be > 0, got {T}")
         raise DegenerateHorizon(f"t = {t} exceeds maturity T = {T}")

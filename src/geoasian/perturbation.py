@@ -3,11 +3,10 @@
 The zeroth-order price is C0 = gamma(t) B0 where B0 is the closed-form
 geometric-Asian Black-Scholes price and
 
-    ln gamma = M [ (2/k) ln((2 - kT)/(2 - kt))
-                   + (T - t) ((2 - kt)(2 - kT) + 2) / ((2 - kt)(2 - kT)) ],
+    ln gamma = M (T - t - I0),
 
-with M = (1/B0) dB0/dt. The first-order correction applies the I-weighted
-u-derivative combinations
+with M = (1/B0) dB0/dt and I0 the first of the I-integrals below. The
+first-order correction applies the I-weighted u-derivative combinations
 
     floating: c1 = v_eps (I1 du1 - 2 I2 du2 + I3 du3)
     fixed:    c1 = v_eps (I4 du2 - I5 du3)
@@ -27,7 +26,8 @@ I's -> Greeks -> c1 and is the only code that prices a first-order contract.
 ``first_order_price`` prices with it, at maturity too, where the closed forms
 return the payoff; ``calibration`` calls it at v_eps = 1 for the unit
 correction and the vega of each quote. gamma, the I-integrals and the
-regressor's D check their window (k, t, T) with one ``_check_window``.
+regressor's D check their window (k, t, T) with one ``_check_window`` and
+take I0, in one form at every speed, from ``_i0``; the series serves only I1..I3.
 
 ``i_integrals_closed`` depends on the window (k, t, T) alone and remembers
 the last 128 windows it was asked, so the quotes of one smile cell share one
@@ -53,6 +53,7 @@ from typing import NamedTuple
 from scipy.integrate import quad
 
 from .closedform import (
+    _MAX_MATURITY,
     HORIZON_TOL,
     GreekSet,
     b0_theta,
@@ -103,12 +104,12 @@ _FLOATING = StrikeStyle.FLOATING
 
 
 def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
-    """Refuse a window [t, T] outside k > 0, 0 <= t <= T; True when it is empty.
+    """Refuse a window outside k > 0, 0 <= t <= T <= _MAX_MATURITY; True if empty.
 
     gamma, the I-integrals and D check with it. A NaN or infinite k, t, T or m
     raises NonFiniteInput before any range check.
     """
-    if not (0.0 < k < math.inf and 0.0 <= t <= T < math.inf and -math.inf < m < math.inf):
+    if not (0.0 < k < math.inf and 0.0 <= t <= T <= _MAX_MATURITY and -math.inf < m < math.inf):
         for name, value in (("k", k), ("t", t), ("T", T), ("m", m)):
             if not math.isfinite(value):
                 raise NonFiniteInput(f"{name} must be finite, got {value}")
@@ -116,28 +117,43 @@ def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
             raise OutOfDomain(f"k must be > 0, got {k}")
         if not t >= 0.0:
             raise OutOfDomain(f"t must be >= 0, got {t}")
+        if T > _MAX_MATURITY:
+            raise OutOfDomain(f"T must be <= {_MAX_MATURITY:g}, got {T}")
         raise OutOfDomain(f"t = {t} exceeds T = {T}")
     return t == T
 
 
 def modification_factor(k: float, t: float, T: float, m: float) -> float:
-    """gamma(t) computed in log space; equals 1 at t = T and at m = 0.
+    """gamma(t) = exp(m (T - t - I0)) in log space; equals 1 at t = T and at m = 0.
 
     A log factor too large for a float to hold its exponential raises
     SingularGamma.
     """
     _check_window(k, t, T, m)
-    wt = 2.0 - k * t
-    wT = 2.0 - k * T
+    wt, wT = 2.0 - k * t, 2.0 - k * T
     if abs(wt) <= SINGULARITY_TOL or abs(wT) <= SINGULARITY_TOL:
         raise SingularGamma(f"kt = {k * t} or kT = {k * T} within tol of 2")
-    ratio = wT / wt
-    if ratio <= 0.0:
-        raise BranchError(f"(2 - kT)/(2 - kt) = {ratio} is nonpositive")
-    ln_gamma = m * ((2.0 / k) * math.log(ratio) + (T - t) * (wt * wT + 2.0) / (wt * wT))
+    if wT / wt <= 0.0:
+        raise BranchError(f"(2 - kT)/(2 - kt) = {wT / wt} is nonpositive")
+    ln_gamma = m * ((T - t) - _i0(k, t, T)[0])
     if not ln_gamma <= _LN_FLOAT_MAX:
         raise SingularGamma(f"ln gamma = {ln_gamma} overflows a float")
     return math.exp(ln_gamma)
+
+
+def _i0(k: float, t: float, T: float) -> tuple[float, float, float]:
+    """(I0, log term, pole) of a window whose ratio (2 - kT)/(2 - kt) the caller
+    keeps off 0: the log term (1/k) ln((2 - kT)/(2 - kt)), the pole
+    (T - t)/((2 - kT)(2 - kt)) and I0 = -2 (log term + pole), in one form at
+    every speed. With a = -(T - t)/(2 - kt) the ratio is 1 + k a, and the log
+    term a log1p(k a)/(k a) loses no digit of a small k (T - t) to a rounded
+    ratio; a k a that underflows leaves the limit a."""
+    wt = 2.0 - k * t
+    a = (t - T) / wt
+    z = k * a
+    log_term = a * (math.log1p(z) / z) if z else a
+    pole = (T - t) / ((2.0 - k * T) * wt)
+    return -2.0 * (log_term + pole), log_term, pole
 
 
 def m_exponent(b0: float, theta_b0: float, price_floor: float = 0.0) -> float:
@@ -166,11 +182,11 @@ class IIntegrals(NamedTuple):
 def i_integrals_closed(k: float, t: float, T: float) -> IIntegrals:
     """Closed-form I0..I5; I4 and I5 via the combination identities.
 
-    I0 = -(2/k) [ ln((2-kT)/(2-kt)) + k (T-t) / ((2-kT)(2-kt)) ] and the
-    higher orders add polynomial terms; all are antiderivatives of
-    tau^n 2(1 - k tau)/(2 - k tau)^2, summed as a power series in kT below
-    SERIES_KT, and are pinned against ``i_integrals_quadrature`` in the
-    tests. A nonempty window needs kT < 1 - SINGULARITY_TOL, which t <= T
+    I0 = -(2/k) [ ln((2-kT)/(2-kt)) + k (T-t) / ((2-kT)(2-kt)) ], in one form at
+    every speed, gives ln gamma = M (T - t - I0). I1..I3, antiderivatives of
+    tau^n 2(1 - k tau)/(2 - k tau)^2 like it, are summed as a power series in
+    kT below SERIES_KT; all are pinned against ``i_integrals_quadrature`` in
+    the tests. A nonempty window needs kT < 1 - SINGULARITY_TOL, which t <= T
     extends to all of it, or raises SingularIntegral. The last 128 windows
     are remembered (an int and a float k are kept apart); errors are not.
     """
@@ -179,36 +195,29 @@ def i_integrals_closed(k: float, t: float, T: float) -> IIntegrals:
     kT = k * T
     if kT >= 1.0 - SINGULARITY_TOL:
         raise SingularIntegral(f"kT = {kT} not below 1 - tol")
-    i0, i1, i2, i3 = _i_series(k, t, T) if kT < SERIES_KT else _i_logs(k, t, T)
+    i0, log_term, pole = _i0(k, t, T)
+    i1, i2, i3 = _i_series(k, t, T) if kT < SERIES_KT else _i_logs(k, t, T, log_term, pole)
     i4 = i2 - 2.0 * T * i1 + T * T * i0
     i5 = -i3 + 3.0 * T * i2 - 3.0 * T * T * i1 + T ** 3 * i0
     return IIntegrals(i0, i1, i2, i3, i4, i5)
 
 
-def _i_logs(k: float, t: float, T: float) -> tuple[float, float, float, float]:
-    """I0..I3 from their antiderivatives, for SERIES_KT <= kT < 1."""
-    wt = 2.0 - k * t
-    wT = 2.0 - k * T
-    log_ratio = math.log(wT / wt)
-    pole = (T - t) / (wT * wt)
-    d1 = T - t
-    d2 = T * T - t * t
-    d3 = T ** 3 - t ** 3
-    i0 = -(2.0 / k) * log_ratio - 2.0 * pole
-    i1 = -4.0 * pole / k - 2.0 * d1 / k - (6.0 / k ** 2) * log_ratio
-    i2 = -8.0 * pole / k ** 2 - d2 / k - 6.0 * d1 / k ** 2 - (16.0 / k ** 3) * log_ratio
-    i3 = (
-        -16.0 * pole / k ** 3
-        - (2.0 / 3.0) * d3 / k
-        - 3.0 * d2 / k ** 2
-        - 16.0 * d1 / k ** 3
-        - (40.0 / k ** 4) * log_ratio
-    )
-    return i0, i1, i2, i3
+def _i_logs(
+    k: float, t: float, T: float, log_term: float, pole: float
+) -> tuple[float, float, float]:
+    """I1..I3 from their antiderivatives and the window's log term and pole
+    from ``_i0``, for SERIES_KT <= kT < 1."""
+    d1, d2, d3 = T - t, T * T - t * t, T ** 3 - t ** 3
+    k2, k3 = k * k, k * k * k  # products: past the float range inf, not an OverflowError
+    i1 = -4.0 * pole / k - 2.0 * d1 / k - 6.0 * log_term / k
+    i2 = -8.0 * pole / k2 - d2 / k - 6.0 * d1 / k2 - 16.0 * log_term / k2
+    i3 = (-16.0 * pole / k3 - (2.0 / 3.0) * d3 / k - 3.0 * d2 / k2 - 16.0 * d1 / k3
+          - 40.0 * log_term / k3)
+    return i1, i2, i3
 
 
-def _i_series(k: float, t: float, T: float) -> tuple[float, float, float, float]:
-    """I0..I3 from the power series of the weight, for kT < SERIES_KT.
+def _i_series(k: float, t: float, T: float) -> tuple[float, float, float]:
+    """I1..I3 from the power series of the weight, for kT < SERIES_KT.
 
     The weight is (1/2) sum_j (1 - j) (k tau / 2)^j, so with x = kT / 2,
     s = t / T and g_m = 1 + s + ... + s^(m-1), for which T^m - t^m =
@@ -224,7 +233,7 @@ def _i_series(k: float, t: float, T: float) -> tuple[float, float, float, float]
     return tuple(
         0.5 * (T - t) * T ** n
         * sum((1 - j) * x ** j * g[n + j + 1] / (n + j + 1) for j in range(SERIES_TERMS))
-        for n in range(4)
+        for n in range(1, 4)
     )
 
 

@@ -218,6 +218,15 @@ def test_denominator_guards():
             regression_denominator(k, t, T)
 
 
+def test_denominator_refuses_a_window_within_tol_of_the_double_pole():
+    """A window that ends within SINGULARITY_TOL of k tau = 2 is singular, as
+    for gamma. Just below kT = 2 the ratio (2 - kT)/(2 - kt) is 1 ulp of 2
+    over 2 - kt, which log1p(-k (T - t)/(2 - kt)) would round to log1p(-1)."""
+    for t, T in ((0.3, math.nextafter(1.0, 0.0)), (0.1, 1.0 - 4e-9), (1.0 + 4e-9, 1.5)):
+        with pytest.raises(SingularDenominator):
+            regression_denominator(2.0, t, T)
+
+
 # -------------------------------------------------------- regression rows
 
 

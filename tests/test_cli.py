@@ -259,6 +259,27 @@ def test_a_price_that_overflows_exits_2_with_its_error_name(capsys, flags, error
     assert json.loads(err)["error"] == error
 
 
+def test_a_maturity_beyond_the_float_range_exits_2(capsys):
+    """T^3 of a 1e103-year maturity raised an OverflowError, exit 1."""
+    code, out, err = run(capsys, ["price", "--style", "fixed", "--kind", "call", "--strike",
+                                  "100", "--spot", "100", "--t", "0", "--T", "1e103",
+                                  "--k", "1", "--r", "0.0264", "--z0", "0.1834",
+                                  "--alpha-prime", "0.2"])
+    assert code == EXIT_VALIDATION and out == ""
+    assert json.loads(err) == {"error": "OutOfDomain",
+                               "message": "b0: T must be <= 1e+75, got 1e+103"}
+
+
+def test_a_slow_speed_keeps_gamma(capsys):
+    """At k = 1e-200 the log of the rounded ratio (2 - kT)/(2 - kt) is 0, and
+    gamma read 0.8579; exp(m (T - t - I0)) is 0.9502."""
+    code, out, _ = run(capsys, ["price", "--style", "floating", "--kind", "call", "--spot",
+                                "100", "--t", "0.1", "--T", "0.45", "--k", "1e-200",
+                                "--r", "0.0264", "--z0", "0.1834", "--alpha-prime", "0.2"])
+    assert code == EXIT_OK
+    assert round(json.loads(out)["outputs"]["gamma"], 4) == 0.9502
+
+
 # --------------------------------------------------------------- calibrate
 
 
@@ -935,6 +956,6 @@ def test_calibrate_outputs_and_scatter_are_pinned(tmp_path, capsys):
     assert code == EXIT_OK
     outputs = json.dumps(json.loads(out)["outputs"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(outputs.encode()).hexdigest() == (
-        "80c351a74a31aaeefc704b209d59f233f153930e5899d93979e5904766486cf8")
+        "67873cf79d45003bd9256fe7171a9c604c4f3e645d256b870236297e5b8e67ea")
     assert hashlib.sha256(scatter.read_bytes()).hexdigest() == (
-        "1a9d25820bbeabe1694e4aea39c301e562c2b7be42d273787b2be6c452ad90bb")
+        "f895724f83806b7af5b95fda48e9a988bc4ed75d5ca63b1cfdb9a3b334f40056")

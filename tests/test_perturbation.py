@@ -17,6 +17,7 @@ from geoasian import (
     i_integrals_quadrature,
     modification_factor,
 )
+from geoasian.calibration import regression_denominator
 from geoasian.closedform import GreekSet
 from geoasian.errors import (
     BranchError,
@@ -82,16 +83,23 @@ def test_closed_domain_lies_inside_the_quadrature_domain(k, kt, kT):
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), f"{f}: {a} vs {b}"
 
 
-@pytest.mark.parametrize("k", [0.5, 1e-2, 1e-4, 1e-6, 1e-200])
+@pytest.mark.parametrize("k", [0.5, 1e-2, 1e-4, 1e-6, 1e-12, 1e-200, 5e-324])
 def test_slow_speeds_keep_every_digit_of_the_integrals(k):
     """A slow mean reversion leaves kT small, where the antiderivatives cancel
     (at k = 1e-4 they give I3 = 6.99 for 0.00511, and divide by an underflowed
     k^2 at 1e-200); below SERIES_KT the series keeps the closed route within
-    1e-11 of its oracle."""
-    closed = i_integrals_closed(k, 0.1, 0.45)
-    quad = i_integrals_quadrature(k, 0.1, 0.45)
+    1e-11 of its oracle. gamma and D, functions of I0, keep 1e-13 of the
+    values the oracle's I0 gives them: the log of the rounded ratio
+    (2 - kT)/(2 - kt) missed by 5e-10 at k = 1e-6 and by 200% at 1e-200. At
+    the least float k, k (T - t) underflows to 0 and the log term takes its
+    limit."""
+    t, T, m = 0.1, 0.45, -0.29
+    closed = i_integrals_closed(k, t, T)
+    quad = i_integrals_quadrature(k, t, T)
     for f in I_FIELDS:
         assert rel(getattr(closed, f), getattr(quad, f)) < 1e-11, f
+    assert rel(math.log(modification_factor(k, t, T, m)), m * (T - t - quad.i0)) < 1e-13
+    assert rel(regression_denominator(k, t, T), -quad.i0 / (2.0 * (T - t))) < 1e-13
 
 
 def test_quadrature_values_at_boundary_pole():

@@ -44,12 +44,12 @@ import numpy as np
 from .errors import (
     DegenerateDesign,
     MissingColumn,
-    NonFiniteInput,
     OutOfDomain,
     PricingError,
     SingularDenominator,
     UnparseableField,
     VanishingVega,
+    require_finite,
 )
 from .model import (
     SINGULARITY_TOL,
@@ -183,9 +183,10 @@ def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float,
     sigma = effective_vol(arc, q.t)
     state = MarketState(t=q.t, x=q.spot, g=q.avg)
     contract = _CONTRACTS[q.style]
-    *_, greeks, c1_unit = _first_order(*contract, state, sigma, q.T, q.strike, model, 1.0)
-    d = regression_denominator(model.k, q.t, q.T)
-    x = model.r * sigma * c1_unit / d
+    *_, ii, greeks, c1_unit = _first_order(*contract, state, sigma, q.T, q.strike, model, 1.0)
+    # D = -I0 / (2 (T - t)) with no check that could fire: QuoteRow holds t < T, and the
+    # integrals refused kT >= 1 - tol, so |D| >= (1 - kT)/4 > 2.5e-9 > DENOMINATOR_TOL
+    x = model.r * sigma * c1_unit / (-ii.i0 / (2.0 * (q.T - q.t)))
     y = (q.implied_vol - sigma) * greeks.vega
     return x, y
 
@@ -199,7 +200,8 @@ def ols_fit(rows: list[tuple[float, float]]) -> RegressionFit:
     x = np.asarray([p[0] for p in rows], dtype=float)
     y = np.asarray([p[1] for p in rows], dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteInput("every regression point must be finite")
+        i = int(np.argmin(np.isfinite(x) & np.isfinite(y)))
+        require_finite(**{f"x[{i}]": x[i], f"y[{i}]": y[i]})
     n = len(rows)
     if n < 2:
         raise DegenerateDesign(f"need at least 2 rows, got {n}")
@@ -241,9 +243,7 @@ def v_from_fit(
     equals sqrt(eps) * V with a = a_eps/sqrt(eps); epsilon cancels and is
     accepted only for interface fidelity.
     """
-    numbers = (fit.a_eps, epsilon, r, sigma)
-    if not all(map(math.isfinite, numbers)):
-        raise NonFiniteInput(f"a_eps, epsilon, r and sigma must be finite, got {numbers}")
+    require_finite(a_eps=fit.a_eps, epsilon=epsilon, r=r, sigma=sigma)
     if not epsilon > 0.0:
         raise OutOfDomain(f"epsilon must be > 0, got {epsilon}")
     return fit.a_eps * r * sigma / regression_denominator(k, t, T)

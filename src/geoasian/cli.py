@@ -34,7 +34,7 @@ from .calibration import (
     smile_curve,
 )
 from .closedform import bs_fixed_call, bs_floating_call
-from .errors import DegenerateDesign, NonFiniteInput, OutOfDomain, UnparseableField
+from .errors import DegenerateDesign, OutOfDomain, UnparseableField, require_finite
 from .mc import (
     ConstantVol,
     FullModel,
@@ -196,7 +196,10 @@ def cmd_validate(args):
 
     # one seeded path set serves the martingale check and every payoff
     batch = simulate_paths(model, vol, 0.0, T, spot, spot, cfg)
-    mart, mart_se = mean_and_se(np.exp(batch.ln_x), cfg.antithetic, scale=math.exp(-model.r * T))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mart, mart_se = mean_and_se(np.exp(batch.ln_x), cfg.antithetic, math.exp(-model.r * T))
+    if not (math.isfinite(mart) and math.isfinite(mart_se)):
+        raise OutOfDomain(f"the martingale mean is not finite: {mart}, SE {mart_se}")
     comparisons = [("martingale e^{-rT} E[X_T]", spot, mart, mart_se)]
     for name, spec, closed in payoffs:
         est = price_mc(spec, model, vol, state, cfg, paths=batch)
@@ -206,12 +209,12 @@ def cmd_validate(args):
     all_pass = True
     for name, closed, mc, se in comparisons:
         closed, mc, se = float(closed), float(mc), float(se)
-        z = (mc - closed) / se if se > 0 else 0.0
+        # with no spread to scale the gap, only an exact match passes
+        z = (mc - closed) / se if se > 0.0 else 0.0 if mc == closed else math.inf
         ok = abs(z) < 3.0
         all_pass &= ok
-        rows.append(
-            {"name": name, "closed": closed, "mc": mc, "se": se, "z": z, "pass": ok}
-        )
+        rows.append({"name": name, "closed": closed, "mc": mc, "se": se,
+                     "z": z if abs(z) < math.inf else None, "pass": ok})
 
     outputs = {"comparisons": rows, "mode": args.mode}
     if args.mode == "full":
@@ -254,8 +257,7 @@ def _epsilon_direction(args, cfg: McConfig) -> dict:
 
 def cmd_smile(args):
     model, arc = _model_and_arc(args)
-    if not (math.isfinite(args.t) and math.isfinite(args.T)):
-        raise NonFiniteInput(f"--t and --T must be finite, got {args.t}, {args.T}")
+    require_finite(**{"--t": args.t, "--T": args.T})
     # every point would be flagged and the CSV left empty
     if not 0.0 <= args.t < args.T:
         raise OutOfDomain(f"need 0 <= --t < --T, got --t {args.t}, --T {args.T}")
@@ -264,8 +266,7 @@ def cmd_smile(args):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise UnparseableField(f'--grid must look like "lo:hi:n", got {args.grid!r}') from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NonFiniteInput(f"--grid bounds must be finite, got {lo}, {hi}")
+    require_finite(**{"--grid lo": lo, "--grid hi": hi})
     if count < 1:
         raise OutOfDomain(f"--grid needs at least 1 point, got {count}")
     grid = np.linspace(lo, hi, count)

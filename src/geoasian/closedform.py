@@ -22,7 +22,7 @@ pricing chain in ``perturbation`` calls it once per contract.
 Every derivative formula here, theta included, is the differentiated closed
 form; the test suite holds each one to central finite differences. Every
 price, Greek and theta refuses a NaN or infinite float input with
-NonFiniteInput.
+NonFiniteInput and an exponential that overflows a float with OutOfDomain.
 
 B0, theta and the Greeks of one contract share its d-terms, E, discount (or
 e^s), normal CDFs and density. ``_contract_terms`` computes them under a
@@ -41,10 +41,10 @@ from scipy.special import erfc
 
 from .errors import (
     DegenerateHorizon,
-    NonFiniteInput,
     NonPositiveStrike,
     OutOfDomain,
     UnsupportedContract,
+    require_finite,
 )
 from .model import MarketState, OptionKind, StrikeStyle
 
@@ -99,9 +99,7 @@ def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float)
         and -math.inf < r < math.inf
         and (K is None or 0.0 < K < math.inf)
     ):
-        for name, value in (("sigma", sigma), ("T", T), ("K", K), ("r", r)):
-            if value is not None and not math.isfinite(value):
-                raise NonFiniteInput(f"{name} must be finite, got {value}")
+        require_finite(sigma=sigma, T=T, K=K, r=r)
         if not sigma > 0.0:
             raise OutOfDomain(f"sigma must be > 0, got {sigma}")
         if K is not None and not K > 0.0:
@@ -154,14 +152,18 @@ def _contract_terms(
     phi = phi(d2). Fixed: lead = K e^{-r(T-t)}, phi = phi(d1), and n1, n2 are
     N(d1), N(d2) for the call and N(-d1), N(-d2) for the put. The chain asks
     for B0, theta and the Greeks of one contract in a row, so the cache keeps
-    one contract's terms and the second and third calls return its bits.
+    one contract's terms and the second and third calls return its bits. An
+    E or discount past the float range (r < 0 at a long T) raises OutOfDomain.
     """
     d1, d2, root, q = _d_terms(s, u, t, T, K, sigma, r)
-    E = math.exp(s + u / T - q)
-    if K is None:
-        return d1, d2, root, E, math.exp(s), _ncdf(d1), _ncdf(d2), _npdf(d2)
-    n1, n2 = (_ncdf(-d1), _ncdf(-d2)) if put else (_ncdf(d1), _ncdf(d2))
-    return d1, d2, root, E, K * math.exp(-r * (T - t)), n1, n2, _npdf(d1)
+    try:
+        E = math.exp(s + u / T - q)
+        if K is None:
+            return d1, d2, root, E, math.exp(s), _ncdf(d1), _ncdf(d2), _npdf(d2)
+        n1, n2 = (_ncdf(-d1), _ncdf(-d2)) if put else (_ncdf(d1), _ncdf(d2))
+        return d1, d2, root, E, K * math.exp(-r * (T - t)), n1, n2, _npdf(d1)
+    except OverflowError:
+        raise OutOfDomain(f"E or K e^(-r (T - t)) overflows a float at T = {T}, r = {r}") from None
 
 
 # scalar cores: _bs adds the input checks; the tests' finite-difference
@@ -247,7 +249,7 @@ def _greeks(
     if _check_contract(t, sigma, T, K, r):
         raise DegenerateHorizon(f"T - t = {T - t} below {HORIZON_TOL}")
     if not -math.inf < gamma_factor < math.inf:
-        raise NonFiniteInput(f"gamma_factor must be finite, got {gamma_factor}")
+        require_finite(gamma_factor=gamma_factor)
     put = kind is not _CALL
     d1, d2, root, E, _, n1, n2, pdf = _contract_terms(s, u, t, T, K, sigma, r, put)
     if K is None:

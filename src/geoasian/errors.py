@@ -1,4 +1,9 @@
-"""The package's one error family: for any bad input it raises a PricingError, a ValueError."""
+"""The package's one error family: for any bad input it raises a PricingError, a ValueError.
+
+Every NaN or infinite input is refused by ``require_finite``, the only builder
+of a NonFiniteInput, as "<name> must be finite, got <value>"."""
+
+import math
 
 
 class PricingError(ValueError):
@@ -71,3 +76,11 @@ class UnparseableField(PricingError):
 
 class PDFactorizationFailure(PricingError):
     """Correlation matrix is not positive definite; no Cholesky factor exists."""
+
+
+def require_finite(**values: float | None) -> None:
+    """Raise one NonFiniteInput naming each NaN or infinite value in order; skip None."""
+    bad = [f"{name} must be finite, got {value}" for name, value in values.items()
+           if value is not None and not math.isfinite(value)]
+    if bad:
+        raise NonFiniteInput("; ".join(bad))

@@ -107,7 +107,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import NonFiniteInput, OutOfDomain, PDFactorizationFailure
+from .errors import OutOfDomain, PDFactorizationFailure, require_finite
 from .model import (
     MarketState,
     ModelParams,
@@ -180,8 +180,7 @@ class ConstantVol:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.sigma):
-            raise NonFiniteInput(f"sigma must be finite, got {self.sigma}")
+        require_finite(sigma=self.sigma)
         if not self.sigma >= 0.0:
             raise OutOfDomain(f"sigma must be >= 0, got {self.sigma}")
 
@@ -336,8 +335,7 @@ def simulate_paths(
     result has the same bits for any chunk size and any pool size. The model
     needs no check here: ``ModelParams`` refuses a bad range when built.
     """
-    if not all(map(math.isfinite, (t, T, x0, g0))):
-        raise NonFiniteInput(f"t, T, x0 and g0 must be finite, got {t}, {T}, {x0}, {g0}")
+    require_finite(t=t, T=T, x0=x0, g0=g0)
     if not 0.0 <= t < T:
         raise OutOfDomain(f"need 0 <= t < T, got t={t}, T={T}")
     if x0 <= 0.0 or g0 <= 0.0:
@@ -665,6 +663,7 @@ def price_mc(
     ``paths`` prices on a batch already simulated from the same model, vol,
     state, maturity and config (several payoffs then share one path set);
     every one of these but ``cfg.chunk_size`` is checked against the batch.
+    A non-finite price or standard error raises OutOfDomain, without a numpy warning.
     """
     T = spec.maturity
     if paths is None:
@@ -674,20 +673,21 @@ def price_mc(
                  if paths.source[k] != v]
         raise OutOfDomain(f"path batch does not match cfg and arguments: {'; '.join(diffs)}")
     disc = math.exp(-model.r * (T - state.t))
-    values = _payoffs(spec, np.exp(paths.ln_x), np.exp(paths.ln_g))
-    plain = mean_and_se(values, cfg.antithetic, scale=disc)
-    price, se = plain
-    if isinstance(vol, FullModel):
-        conditional = _payoff_mean(spec, paths.moments)
-        control = np.exp(paths.moments[0] + 0.5 * paths.moments[2])  # E[X_T | vol]
-        exact = state.x * math.exp(model.r * (T - state.t))
-        price, se = (
-            _controlled_mean_and_se(conditional, control, exact, cfg.antithetic, disc)
-            or mean_and_se(conditional, cfg.antithetic, scale=disc)
-        )
-    return McEstimate(
-        price=price,
-        std_error=se,
-        price_plain=plain[0],
-        std_error_plain=plain[1],
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        values = _payoffs(spec, np.exp(paths.ln_x), np.exp(paths.ln_g))
+        plain = mean_and_se(values, cfg.antithetic, scale=disc)
+        price, se = plain
+        if isinstance(vol, FullModel):
+            conditional = _payoff_mean(spec, paths.moments)
+            control = np.exp(paths.moments[0] + 0.5 * paths.moments[2])  # E[X_T | vol]
+            try:
+                exact = state.x * math.exp(model.r * (T - state.t))
+            except OverflowError:
+                raise OutOfDomain(f"E[X_T] overflows a float at r = {model.r}, T = {T}") from None
+            price, se = (
+                _controlled_mean_and_se(conditional, control, exact, cfg.antithetic, disc)
+                or mean_and_se(conditional, cfg.antithetic, scale=disc)
+            )
+    if not all(map(math.isfinite, (price, se, *plain))):
+        raise OutOfDomain(f"the Monte Carlo estimate is not finite: {price}, SE {se}, plain {plain}")
+    return McEstimate(price, se, *plain)

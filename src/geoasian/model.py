@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
-    NonFiniteInput,
     NonPositivePrice,
     NonPositiveStrike,
     OutOfDomain,
     PDFactorizationFailure,
     UnsupportedContract,
+    require_finite,
 )
 
 SINGULARITY_TOL = 1e-8
@@ -66,13 +66,7 @@ class ModelParams:
     rho_yz: float = 0.0
 
     def __post_init__(self) -> None:
-        bad = [
-            f"{name} must be finite, got {value}"
-            for name, value in vars(self).items()
-            if not math.isfinite(value)
-        ]
-        if bad:
-            raise NonFiniteInput("; ".join(bad))
+        require_finite(**vars(self))
         if correlation_pd_margin(self.rho_xy, self.rho_xz, self.rho_yz) <= 0.0:
             raise PDFactorizationFailure("correlation matrix is not positive definite")
         bounds = (
@@ -116,11 +110,7 @@ class VolArc:
     sigma_min: float = SIGMA_MIN_DEFAULT
 
     def __post_init__(self) -> None:
-        fields = (self.p_coef, self.q_coef, self.r_coef, self.sigma_min)
-        if not all(map(math.isfinite, fields)):
-            raise NonFiniteInput(
-                f"p_coef, q_coef, r_coef and sigma_min must be finite, got {fields}"
-            )
+        require_finite(**vars(self))
         if not self.sigma_min > 0.0:
             raise OutOfDomain(f"sigma_min must be > 0, got {self.sigma_min}")
 
@@ -137,8 +127,7 @@ def arc_from_ou(
     The ranges of k, alpha_prime and z0 are ``ModelParams``' rules; here
     z0 = alpha_prime gives the level arc (0, 0, z0).
     """
-    if not all(map(math.isfinite, (k, alpha_prime, z0))):
-        raise NonFiniteInput(f"k, alpha_prime and z0 must be finite, got {k}, {alpha_prime}, {z0}")
+    require_finite(k=k, alpha_prime=alpha_prime, z0=z0)
     gap = z0 - alpha_prime
     return VolArc(
         p_coef=gap * k * k / 2.0,
@@ -151,8 +140,7 @@ def arc_from_ou(
 def effective_vol(arc: VolArc, t: float) -> float:
     """Arc volatility at time t, floored at arc.sigma_min."""
     if not 0.0 <= t < math.inf:
-        if not math.isfinite(t):
-            raise NonFiniteInput(f"t must be finite, got {t}")
+        require_finite(t=t)
         raise OutOfDomain(f"t must be >= 0, got {t}")
     value = (arc.p_coef * t + arc.q_coef) * t + arc.r_coef
     return max(arc.sigma_min, value)
@@ -177,7 +165,7 @@ class MarketState:
         # a frozen dataclass's own __init__ stores each field through
         # object.__setattr__; one dict update stores all five at once
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(g)):
-            raise NonFiniteInput(f"t, x and g must be finite, got t={t}, x={x}, g={g}")
+            require_finite(t=t, x=x, g=g)
         if x <= 0.0 or g <= 0.0:
             raise NonPositivePrice(f"spot and average must be > 0, got x={x}, g={g}")
         if t < 0.0:
@@ -206,12 +194,7 @@ class OptionSpec:
     strike: float | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.maturity) or (
-            self.strike is not None and not math.isfinite(self.strike)
-        ):
-            raise NonFiniteInput(
-                f"maturity and strike must be finite, got {self.maturity}, {self.strike}"
-            )
+        require_finite(maturity=self.maturity, strike=self.strike)
         if not self.maturity > 0.0:
             raise OutOfDomain(f"maturity must be > 0, got {self.maturity}")
         if self.style is StrikeStyle.FIXED:

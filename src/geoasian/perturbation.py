@@ -66,7 +66,6 @@ from .closedform import (
 )
 from .errors import (
     BranchError,
-    NonFiniteInput,
     OutOfDomain,
     PoleInInterval,
     PricingError,
@@ -74,6 +73,7 @@ from .errors import (
     SingularIntegral,
     UnsupportedContract,
     VanishingPrice,
+    require_finite,
 )
 from .model import (
     SINGULARITY_TOL,
@@ -110,9 +110,7 @@ def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
     raises NonFiniteInput before any range check.
     """
     if not (0.0 < k < math.inf and 0.0 <= t <= T <= _MAX_MATURITY and -math.inf < m < math.inf):
-        for name, value in (("k", k), ("t", t), ("T", T), ("m", m)):
-            if not math.isfinite(value):
-                raise NonFiniteInput(f"{name} must be finite, got {value}")
+        require_finite(k=k, t=t, T=T, m=m)
         if not k > 0.0:
             raise OutOfDomain(f"k must be > 0, got {k}")
         if not t >= 0.0:
@@ -166,7 +164,7 @@ def m_exponent(b0: float, theta_b0: float, price_floor: float = 0.0) -> float:
 def _check_v_eps(v_eps: float) -> None:
     """Refuse a NaN or infinite group parameter v_eps = sqrt(epsilon) * V."""
     if not -math.inf < v_eps < math.inf:
-        raise NonFiniteInput(f"v_eps must be finite, got {v_eps}")
+        require_finite(v_eps=v_eps)
 
 
 class IIntegrals(NamedTuple):
@@ -307,15 +305,16 @@ def _first_order(
     model: ModelParams,
     v_eps: float,
     gamma_off: bool = False,
-) -> tuple[float, float, float, GreekSet | None, float]:
+) -> tuple[float, float, float, IIntegrals | None, GreekSet | None, float]:
     """The first-order chain B0 -> theta -> M -> gamma -> I's -> Greeks -> c1.
 
-    Returns (b0, m, gamma, greeks, c1): gamma_off pins gamma = 1 and m = 0
-    without computing theta, v_eps = 0 skips the I-integrals and the Greeks
-    (greeks None, c1 0), and a non-finite v_eps raises NonFiniteInput after
-    them. Calibration passes v_eps = 1 for the unit correction. A floating
-    strike is priced as a call: ``first_order_price`` refuses the put first.
-    Component errors carry the failing stage in their message.
+    Returns (b0, m, gamma, ii, greeks, c1): gamma_off pins gamma = 1 and
+    m = 0 without computing theta, v_eps = 0 skips the I-integrals and the
+    Greeks (ii and greeks None, c1 0), and a non-finite v_eps raises
+    NonFiniteInput after them. Calibration passes v_eps = 1 for the unit
+    correction and takes D from ii. A floating strike is priced as a call:
+    ``first_order_price`` refuses the put first. Component errors carry the
+    failing stage in their message.
     """
     if style is _FLOATING:
         b0_fn, greeks_fn, c1_fn, strike = bs_floating_call, greeks_floating_call, c1_floating, ()
@@ -338,7 +337,7 @@ def _first_order(
             stage = "gamma"
             gamma = modification_factor(model.k, state.t, T, m)
         if v_eps == 0.0:
-            return b0, m, gamma, None, 0.0
+            return b0, m, gamma, None, None, 0.0
         stage = "i_integrals"
         ii = i_integrals_closed(model.k, state.t, T)
         stage = "greeks"
@@ -346,7 +345,7 @@ def _first_order(
     except PricingError as exc:
         raise type(exc)(f"{stage}: {exc}") from None
     _check_v_eps(v_eps)
-    return b0, m, gamma, greeks, v_eps * c1_fn(ii, greeks)
+    return b0, m, gamma, ii, greeks, v_eps * c1_fn(ii, greeks)
 
 
 def first_order_price(
@@ -375,7 +374,7 @@ def first_order_price(
         # the closed forms return the payoff here, which gamma and c1 leave alone
         _check_v_eps(v_eps)
         v_eps, gamma_off = 0.0, True
-    b0, m, gamma, _, c1 = _first_order(
+    b0, m, gamma, _, _, c1 = _first_order(
         option.style, option.kind, state, sigma, T, K, model, v_eps, gamma_off
     )
     c0 = gamma * b0

@@ -11,9 +11,11 @@ from geoasian import (
     QuoteStyle,
     VolArc,
     arc_from_ou,
+    calibration,
     calibration_report,
     ingest_quotes,
     ols_fit,
+    perturbation,
     regression_pairs,
     smile_curve,
     v_from_fit,
@@ -247,6 +249,26 @@ def test_regression_row_frozen_values():
     assert rel(yp, -0.014999415827491659) < 1e-9
 
 
+def test_regression_row_takes_d_from_the_chain(monkeypatch):
+    """D = -I0 / (2 (T - t)) comes from the I-integrals the chain computed, so
+    a row evaluates I0 twice (for gamma and for the integrals), where calling
+    regression_denominator made it three times."""
+    calls = []
+    original = perturbation._i0
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(perturbation, "_i0", counted)
+    monkeypatch.setattr(calibration, "_i0", counted)
+    perturbation.i_integrals_closed.cache_clear()
+    q = QuoteRow(t=0.1, T=0.45, spot=100.0, avg=101.0, strike=100.0,
+                 style=QuoteStyle.FIXED_PUT, implied_vol=0.18)
+    regression_row(q, ARC, MODEL)
+    assert calls == [(MODEL.k, 0.1, 0.45)] * 2
+
+
 def test_regression_row_rejects_invalid_quote():
     with pytest.raises(OutOfDomain, match=r"need 0 <= t < T, got t=0.5, T=0.45"):
         QuoteRow(t=0.5, T=0.45, spot=100.0, avg=100.0, strike=None,
@@ -349,6 +371,16 @@ def test_ols_degenerate_designs():
             ols_fit([(0.0, 1.0), (1.0, 2.0), bad])
     with pytest.raises(NonFiniteInput):
         ols_fit([(math.nan, 1.0)])
+
+
+def test_ols_fit_names_its_first_non_finite_point():
+    """Each non-finite coordinate of the first such point, in the one form of
+    every non-finite refusal; the message named no point before."""
+    with pytest.raises(NonFiniteInput, match=r"^y\[1\] must be finite, got nan$"):
+        ols_fit([(0.0, 1.0), (1.0, math.nan), (math.inf, 2.0), (2.0, 3.0)])
+    with pytest.raises(NonFiniteInput,
+                       match=r"^x\[2\] must be finite, got inf; y\[2\] must be finite, got -inf$"):
+        ols_fit([(0.0, 1.0), (1.0, 2.0), (math.inf, -math.inf), (2.0, math.nan)])
 
 
 # ------------------------------------------------------------- v_from_fit

@@ -3,13 +3,16 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import geoasian
 from geoasian import (
+    ConstantVol,
     MarketState,
+    McConfig,
     OptionKind,
     OptionSpec,
     QuoteRow,
@@ -30,11 +33,18 @@ from geoasian import (
     modification_factor,
     perturbation,
     reference_full_model,
+    simulate_paths,
 )
-from geoasian.calibration import ols_fit, regression_denominator, regression_row
+from geoasian.calibration import (
+    RegressionFit,
+    ols_fit,
+    regression_denominator,
+    regression_row,
+    v_from_fit,
+)
 from geoasian.closedform import GreekSet, b0_theta
 from geoasian.errors import NonFiniteInput, PricingError
-from geoasian.model import ModelParams
+from geoasian.model import ModelParams, VolArc
 from geoasian.model import effective_vol
 from geoasian.perturbation import (
     IIntegrals,
@@ -187,18 +197,52 @@ ANALYTIC = [
     (i_integrals_closed, {}, dict(k=MODEL.k, t=STATE.t, T=T)),
     (i_integrals_quadrature, {}, dict(k=MODEL.k, t=STATE.t, T=T)),
 ]
-NON_FINITE_CASES = [
-    pytest.param(fn, fixed, {**floats, name: value}, id=f"{fn.__name__}-{name}-{value}")
-    for fn, fixed, floats in ANALYTIC
-    for name in floats
-    for value in (math.nan, math.inf, -math.inf)
+# each record and Monte Carlo entry point the chain and the oracle build, its
+# other arguments, and its float arguments at a finite point that it takes
+ENTRY_POINTS = [
+    (MarketState, {}, dict(t=STATE.t, x=STATE.x, g=STATE.g)),
+    (OptionSpec, dict(style=StrikeStyle.FIXED, kind=OptionKind.PUT), dict(maturity=T, strike=K)),
+    (VolArc, {}, dict(p_coef=ARC.p_coef, q_coef=ARC.q_coef, r_coef=ARC.r_coef,
+                      sigma_min=ARC.sigma_min)),
+    (arc_from_ou, {}, dict(k=MODEL.k, alpha_prime=0.20, z0=0.1834, sigma_min=1e-4)),
+    (ConstantVol, {}, dict(sigma=SIGMA)),
+    (simulate_paths, dict(model=MODEL, vol=ConstantVol(SIGMA), cfg=McConfig(8, 8, seed=0)),
+     dict(t=STATE.t, T=T, x0=STATE.x, g0=STATE.g)),
+    (v_from_fit, dict(fit=RegressionFit(a_eps=-0.01, d_eps=0.0, r_squared=1.0, n=3, se_a_eps=0.0)),
+     dict(epsilon=MODEL.epsilon, r=MODEL.r, sigma=SIGMA, k=MODEL.k, t=STATE.t, T=T)),
 ]
 
 
-@pytest.mark.parametrize("fn, fixed, floats", NON_FINITE_CASES)
-def test_analytic_functions_reject_a_non_finite_float(fn, fixed, floats):
-    with pytest.raises(NonFiniteInput):
+def non_finite_cases(table):
+    """Each entry of ``table`` with one float swapped for NaN or an infinity."""
+    return [
+        pytest.param(fn, fixed, {**floats, name: value}, id=f"{fn.__name__}-{name}-{value}")
+        for fn, fixed, floats in table
+        for name in floats
+        for value in (math.nan, math.inf, -math.inf)
+    ]
+
+
+def refuses_by_name(fn, fixed, floats):
+    """fn raises NonFiniteInput whose message names the one non-finite float first."""
+    name = next(name for name, value in floats.items() if not math.isfinite(value))
+    with pytest.raises(NonFiniteInput, match=f"^{re.escape(name)} must be finite, got "):
         fn(**fixed, **floats)
+
+
+@pytest.mark.parametrize("fn, fixed, floats", non_finite_cases(ANALYTIC))
+def test_analytic_functions_reject_a_non_finite_float(fn, fixed, floats):
+    refuses_by_name(fn, fixed, floats)
+
+
+@pytest.mark.parametrize("fn, fixed, floats", non_finite_cases(ENTRY_POINTS))
+def test_records_and_mc_entry_points_reject_a_non_finite_float(fn, fixed, floats):
+    refuses_by_name(fn, fixed, floats)
+
+
+def test_the_entry_point_table_takes_its_finite_points():
+    for fn, fixed, floats in ENTRY_POINTS:
+        fn(**fixed, **floats)  # so only the swapped value can raise
 
 
 def test_non_finite_table_covers_every_exported_analytic_function():

@@ -688,6 +688,31 @@ def test_validate_refuses_a_negative_rate_or_floor_in_either_mode(capsys, mode, 
     assert json.loads(err)["error"] == "OutOfDomain"
 
 
+def test_validate_fails_a_zero_se_row_that_misses_its_closed_form(capsys):
+    """At sigma = 50 every path's X_T underflows, so each row has SE 0 and an
+    MC price far from its closed form (the martingale 1.9e-215 for 100). With
+    no spread to scale the gap, only an exact match passes; z was 0 and every
+    row passed."""
+    code, out, _ = run(capsys, ["validate", "--sigma", "50", "--paths", "1000", "--steps", "10",
+                                "--json"])
+    assert code == EXIT_COMPARISON
+    rows = json.loads(out)["outputs"]["comparisons"]
+    assert [(row["se"], row["z"], row["pass"]) for row in rows] == [(0.0, None, False)] * 4
+    assert all(row["mc"] != row["closed"] for row in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flag, value", [("--r", "1e300"), ("--T", "1e5"), ("--spot", "1e300")])
+def test_validate_refuses_an_estimate_past_the_float_range(capsys, flag, value):
+    """The martingale mean or a price that overflows a float exits 2 with
+    OutOfDomain, and numpy warns of nothing; it used to warn, then reach the
+    JSON writer as a bare ValueError."""
+    code, out, err = run(capsys, ["validate", "--paths", "1000", "--steps", "10", flag, value])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert json.loads(err)["error"] == "OutOfDomain"
+
+
 def test_validate_cost_does_not_grow_with_steps(capsys):
     """A constant-vol path draws two normals whatever the step count, so ten
     million steps run as fast as a few."""

@@ -475,3 +475,21 @@ def test_nonpositive_inputs_rejected():
         bs_floating_call(ANCHOR, 0.0, A_T, A_R)
     with pytest.raises(NonPositiveStrike):
         bs_fixed_call(ANCHOR, A_SIG, A_T, -5.0, A_R)
+
+
+@pytest.mark.parametrize("r, T", [(-1.0, 1e4), (-0.05, 1e5)])
+@pytest.mark.parametrize("closed_form", [
+    lambda T, r: bs_floating_call(ANCHOR, 0.2, T, r),
+    lambda T, r: bs_fixed_call(ANCHOR, 0.2, T, 100.0, r),
+    lambda T, r: bs_fixed_put(ANCHOR, 0.2, T, 100.0, r),
+    lambda T, r: greeks_floating_call(ANCHOR, 0.2, T, r),
+    lambda T, r: greeks_fixed_call(ANCHOR, 0.2, T, 100.0, r),
+    lambda T, r: greeks_fixed_put(ANCHOR, 0.2, T, 100.0, r),
+    lambda T, r: b0_theta(StrikeStyle.FIXED, ANCHOR, 0.2, T, r, K=100.0, kind=OptionKind.PUT),
+], ids=["bs_floating_call", "bs_fixed_call", "bs_fixed_put", "greeks_floating_call",
+        "greeks_fixed_call", "greeks_fixed_put", "b0_theta"])
+def test_an_exponential_past_the_float_range_raises_out_of_domain(closed_form, r, T):
+    """A negative rate at a long maturity makes e^(s + u/T - Q) and the
+    discount K e^(-r (T - t)) overflow; math.exp raised a bare OverflowError."""
+    with pytest.raises(OutOfDomain, match="overflows a float"):
+        closed_form(T, r)

@@ -1187,6 +1187,20 @@ def test_non_finite_time_and_state_rejected_first(name, value):
             simulate_paths(MODEL, vol, cfg=McConfig(n_paths=8, n_steps=8, seed=0), **kwargs)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("vol", [ConstantVol(0.2), FullModel()], ids=["constant", "full"])
+@pytest.mark.parametrize("r, T", [(1e300, 0.45), (0.0264, 1e5)], ids=["r-1e300", "T-1e5"])
+def test_an_estimate_past_the_float_range_raises_out_of_domain(vol, r, T):
+    """A payoff mean or an E[X_T] that overflows a float is refused, and numpy
+    warns of nothing; the payoffs used to warn and price NaN, and E[X_T]
+    raised a bare OverflowError."""
+    spec = dataclasses.replace(FLOAT_CALL, maturity=T)
+    model = dataclasses.replace(MODEL, r=r)
+    with pytest.raises(OutOfDomain):
+        price_mc(spec, model, vol, STATE, McConfig(n_paths=1000, n_steps=10, seed=1,
+                                                   antithetic=True))
+
+
 def test_invalid_params_and_window_rejected():
     with pytest.raises(ValueError):
         simulate_paths(MODEL, ConstantVol(0.2), 0.5, 0.45, 100.0, 100.0,

@@ -235,6 +235,21 @@ def test_the_library_raises_one_error_family():
     assert both == []
 
 
+def test_only_errors_builds_a_non_finite_input():
+    """Every NaN or infinity refusal goes through ``errors.require_finite``, so
+    its one message form holds everywhere: no other module calls or raises
+    NonFiniteInput, or imports it under another name."""
+    builders = [
+        f"{name}:{node.lineno}"
+        for name, tree in package_trees().items() if name != "errors.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Call, ast.Raise)) and "NonFiniteInput" in exception_names(
+            node.exc if isinstance(node, ast.Raise) else node)
+        or isinstance(node, ast.alias) and node.name == "NonFiniteInput" and node.asname
+    ]
+    assert builders == []
+
+
 CACHES = {"cache", "lru_cache"}
 
 

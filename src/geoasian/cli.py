@@ -197,7 +197,7 @@ def cmd_validate(args):
     # one seeded path set serves the martingale check and every payoff
     batch = simulate_paths(model, vol, 0.0, T, spot, spot, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        mart, mart_se = mean_and_se(np.exp(batch.ln_x), cfg.antithetic, math.exp(-model.r * T))
+        mart, mart_se = mean_and_se(batch.x, cfg.antithetic, math.exp(-model.r * T))
     if not (math.isfinite(mart) and math.isfinite(mart_se)):
         raise OutOfDomain(f"the martingale mean is not finite: {mart}, SE {mart_se}")
     comparisons = [("martingale e^{-rT} E[X_T]", spot, mart, mart_se)]

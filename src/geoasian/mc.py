@@ -78,12 +78,13 @@ of p and mirror every word.
 Threads: ``simulate_paths`` cuts the draw paths into equal blocks and runs them
 on a thread pool (numpy's ufuncs, reductions and ``ndtri`` release the GIL),
 one block per worker at a time. A block holds the words of its draw paths in
-one array, uniforms turned into normals where they are read, so the blocks in
-flight hold at most one chunk of words; each path's terminal state depends
-only on its own words, so any split has the same bits. The pool has one
-worker per CPU the process may run on (its CPU affinity), fewer when a chunk
-has under ``MIN_BLOCK_PATHS`` draw paths per worker, and has no setting; a
-run with one worker runs its blocks inline. Each block writes only its own
+one array, uniforms turned into normals where they are read (the two terminal
+words into a contiguous (2, m) buffer), so the blocks in flight hold at most
+one chunk of words; each path's terminal state depends only on its own words,
+so any split has the same bits. The pool has one worker per CPU the process
+may run on (its CPU affinity), fewer when a chunk has under
+``MIN_BLOCK_PATHS`` draw paths per worker, and has no setting; a run with one
+worker runs its blocks inline. Each block writes only its own
 slice of the output, so the order in which blocks finish cannot change the
 result.
 
@@ -93,7 +94,11 @@ averages those conditional means, with E[X_T | vol] = exp(m_x + v_x/2) as a
 control variate: the log-Euler step keeps E[X_T] = x0 e^{r (T - t)} exactly,
 so the control's mean is exact by the tower property and adds no bias from
 the time grid. Constant-vol runs carry no control: their closed forms are
-what the oracle checks them against.
+what the oracle checks them against. The payoffs read X_T and G_T from the
+batch, which exponentiates each once. Payoffs, means and standard errors are
+formed in place in arrays of their own, with the bits of numpy's mean and
+std; a sum of squares that would underflow or overflow is formed on values
+scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -103,6 +108,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -206,6 +212,12 @@ def _source(model: ModelParams, vol: VolSpec, t, T, x0, g0, cfg: McConfig) -> di
 class PathBatch:
     """Terminal (ln X_T, ln G_T) per path; arrays are indexed by global path id.
 
+    ``x`` and ``g`` are X_T = exp(ln_x) and G_T = exp(ln_g), computed on
+    first read and kept with the batch, so the payoffs priced on one batch
+    and the martingale check exponentiate each array once. An exp past the
+    float range reads inf, without a numpy warning; ``price_mc`` and
+    ``validate`` refuse the non-finite estimate it leads to.
+
     ``moments`` holds, for a full-model run, the conditional law of
     (ln X_T, ln G_T) given each path's volatility path, as rows of a
     (5, n_paths) array: the means of ln X_T and ln G_T, their variances and
@@ -218,6 +230,16 @@ class PathBatch:
     ln_g: np.ndarray
     source: dict
     moments: np.ndarray | None
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(self.ln_x)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(self.ln_g)
 
 
 @dataclass(frozen=True)
@@ -504,12 +526,12 @@ def simulate_paths(
     def run_paths(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
         nc = hi - lo
-        # normals only where they are read: the two terminal words here, in
-        # place; a full-model run's y and z in the tiles of its step loop
+        # normals only where they are read: the two terminal words here, into
+        # contiguous rows (ndtri over the strided words in place would run its
+        # inner loop two elements at a time); a full-model run's y and z in
+        # the tiles of its step loop
         draws = _uniforms_for_chunk(cfg.seed, lo, nc, words_per_path)
-        normals = draws[:, :2]
-        ndtri(normals, out=normals)
-        z1, z2 = normals.T
+        z1, z2 = ndtri(draws[:, :2].T, out=np.empty((2, nc)))
         # (output slice, block slice, sign of the deviation) of the drawn half
         # and of the mirrored half, which negates every word
         halves = [(slice(lo, hi), slice(0, nc), 1.0)]
@@ -523,9 +545,17 @@ def simulate_paths(
                 moments[:, out] = block_moments[:, part]
             else:
                 mean_x, mean_g, sd_x, g_on_x, sd_g = constant_law
-            # + (-1.0) * dev has the bits of - dev
-            ln_x[out] = mean_x + sign * (z1 * sd_x)
-            ln_g[out] = mean_g + sign * (z1 * g_on_x + z2 * sd_g)
+            # mean_x + sign * (z1 sd_x) and mean_g + sign * (z1 g_on_x + z2 sd_g),
+            # in that order of operations and in the output slices, with x
+            # holding z2 sd_g meanwhile; + (-1.0) * dev has the bits of - dev
+            x, g = ln_x[out], ln_g[out]
+            np.multiply(z1, g_on_x, out=g)
+            np.multiply(z2, sd_g, out=x)
+            g += x
+            np.multiply(z1, sd_x, out=x)
+            for dev, mean in ((x, mean_x), (g, mean_g)):
+                dev *= sign
+                dev += mean
 
     los = range(0, draw_paths, block)
     his = [min(lo + block, draw_paths) for lo in los]
@@ -543,13 +573,13 @@ def simulate_paths(
 
 
 def _payoffs(spec: OptionSpec, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each path's payoff, in a new array; ``x`` and ``g`` are read only."""
     if spec.style is StrikeStyle.FLOATING:
-        if spec.kind is OptionKind.CALL:
-            return np.maximum(x - g, 0.0)
-        return np.maximum(g - x, 0.0)
-    if spec.kind is OptionKind.CALL:
-        return np.maximum(g - spec.strike, 0.0)
-    return np.maximum(spec.strike - g, 0.0)
+        high, low = (x, g) if spec.kind is OptionKind.CALL else (g, x)
+    else:
+        high, low = (g, spec.strike) if spec.kind is OptionKind.CALL else (spec.strike, g)
+    values = np.subtract(high, low)
+    return np.maximum(values, 0.0, out=values)
 
 
 def _lognormal_pair_call(a, b, cov):
@@ -587,18 +617,84 @@ def _payoff_mean(spec: OptionSpec, moments) -> np.ndarray:
     return _lognormal_pair_call(*((g, strike) if call else (strike, g)), 0.0)
 
 
+# a sum of squared deviations at most this small may have lost squares to
+# underflow (a square under 2^-1022 keeps fewer bits, under 2^-1075 none);
+# above it, what such squares lose is below its last bit for any n < 2^100
+_SS_TINY = 2.0 ** -900
+
+
+def _centred(values: np.ndarray, antithetic: bool) -> tuple[np.floating, np.ndarray]:
+    """The mean of ``values``, or of an antithetic batch's pair means
+    0.5 (a + b), as the sum over n that numpy's mean and std form, and the
+    deviations from it in a new array."""
+    if not antithetic:
+        mean = values.sum() / values.shape[0]
+        return mean, values - mean
+    n = values.shape[0] // 2
+    pairs = np.add(values[:n], values[n:])
+    pairs *= 0.5
+    mean = pairs.sum() / n
+    pairs -= mean
+    return mean, pairs
+
+
+def _in_range(*sums) -> bool:
+    """No sum of squares among ``sums`` may have under- or overflowed."""
+    return all(_SS_TINY < ss < math.inf for ss in sums)
+
+
+def _unit_exponent(values: np.ndarray) -> int | None:
+    """e with 2^e max|values| in [0.5, 1), or None when that maximum is 0 or
+    not finite, so nothing can be rescaled."""
+    top = float(np.max(np.abs(values)))
+    return -math.frexp(top)[1] if 0.0 < top < math.inf else None
+
+
+def _mean_and_sd(values: np.ndarray, antithetic: bool):
+    """Mean, std(ddof=1) and sum of squared deviations, with the bits of
+    numpy's mean and std: squares, a pairwise sum, over n - 1, a root."""
+    mean, dev = _centred(values, antithetic)
+    dev *= dev
+    ss = dev.sum()
+    return mean, math.sqrt(ss / (dev.shape[0] - 1)), ss
+
+
 def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0) -> tuple[float, float]:
     """scale times the sample mean of ``values`` and its standard error.
 
     In an antithetic batch the second half mirrors the first, so each pair is
-    averaged before the standard error is formed and counts once.
+    averaged before the standard error is formed and counts once. When the
+    sum of squared deviations would underflow or overflow, the mean and SE
+    are formed on ``values`` scaled by the power of two that brings the
+    largest |value| into [0.5, 1), and scaled back; a power of two scales
+    every step exactly, so ordinary inputs keep their bits either way.
+    ``values`` is never written.
     """
-    if antithetic:
-        n = values.shape[0] // 2
-        values = 0.5 * (values[:n] + values[n:])
-    else:
-        n = values.shape[0]
-    return scale * float(values.mean()), scale * float(values.std(ddof=1)) / math.sqrt(n)
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        mean, sd, ss = _mean_and_sd(values, antithetic)
+    if not _in_range(ss) and (e := _unit_exponent(values)) is not None:
+        mean, sd, _ = _mean_and_sd(np.ldexp(values, e), antithetic)
+        mean, sd = np.ldexp(mean, -e), np.ldexp(sd, -e)
+    n = values.shape[0] // 2 if antithetic else values.shape[0]
+    return scale * float(mean), scale * float(sd) / math.sqrt(n)
+
+
+def _regression(values: np.ndarray, control: np.ndarray, exact: float, antithetic: bool):
+    """The control-variate mean of ``values``, the std(ddof=2) of its
+    residuals and the sums of squares of the control's deviations and of the
+    residuals; mean and std are None when the first sum is 0."""
+    mean_v, dv = _centred(values, antithetic)
+    mean_c, dc = _centred(control, antithetic)
+    ss_c = dc @ dc
+    if ss_c == 0.0:
+        return None, None, (ss_c,)
+    b = (dc @ dv) / ss_c
+    dc *= b
+    dv -= dc  # the residuals dv - b dc, centred and squared as std does
+    dv -= dv.sum() / dv.shape[0]
+    dv *= dv
+    ss_r = dv.sum()
+    return mean_v - b * (mean_c - exact), math.sqrt(ss_r / (dv.shape[0] - 2)), (ss_c, ss_r)
 
 
 def _controlled_mean_and_se(
@@ -617,23 +713,26 @@ def _controlled_mean_and_se(
     v - b (c - exact) with b = (dc . dv) / (dc . dc), and the standard error
     comes from the residuals dv - b dc with 2 degrees of freedom spent.
     Returns None when that cannot be formed: two samples or fewer, or a
-    control that is one number on every sample.
+    control that is one number on every sample. A sum of squares that would
+    underflow or overflow is formed on ``values`` and ``control`` each scaled
+    by a power of two, as in ``mean_and_se``. Neither array is written.
     """
-    if antithetic:
-        n = values.shape[0] // 2
-        values = 0.5 * (values[:n] + values[n:])
-        control = 0.5 * (control[:n] + control[n:])
-    else:
-        n = values.shape[0]
-    mean_v, mean_c = values.mean(), control.mean()
-    dv, dc = values - mean_v, control - mean_c
-    ss_c = dc @ dc
-    if n <= 2 or ss_c == 0.0:
+    n = values.shape[0] // 2 if antithetic else values.shape[0]
+    if n <= 2:
         return None
-    b = (dc @ dv) / ss_c
-    resid = dv - b * dc
-    mean = float(mean_v - b * (mean_c - exact))
-    return scale * mean, scale * float(resid.std(ddof=2)) / math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
+        mean, sd, sums = _regression(values, control, exact, antithetic)
+    if not _in_range(*sums):
+        ev, ec = _unit_exponent(values), _unit_exponent(control)
+        if ev is not None and ec is not None:
+            mean, sd, _ = _regression(
+                np.ldexp(values, ev), np.ldexp(control, ec), np.ldexp(exact, ec), antithetic
+            )
+            if mean is not None:
+                mean, sd = np.ldexp(mean, -ev), np.ldexp(sd, -ev)
+    if mean is None:
+        return None
+    return scale * float(mean), scale * float(sd) / math.sqrt(n)
 
 
 def price_mc(
@@ -648,7 +747,8 @@ def price_mc(
     """Discounted mean payoff with its standard error.
 
     Antithetic pairs are averaged before the standard error is formed, so a
-    pair counts once. Floating puts are priced here (the payoff is
+    pair counts once. The payoffs read the batch's ``x`` and ``g``, so the
+    payoffs priced on one batch share its two exps. Floating puts are priced here (the payoff is
     well-defined) even though the analytic layers reject them.
 
     A full-model batch is priced by each path's payoff mean given its
@@ -674,7 +774,7 @@ def price_mc(
         raise OutOfDomain(f"path batch does not match cfg and arguments: {'; '.join(diffs)}")
     disc = math.exp(-model.r * (T - state.t))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        values = _payoffs(spec, np.exp(paths.ln_x), np.exp(paths.ln_g))
+        values = _payoffs(spec, paths.x, paths.g)
         plain = mean_and_se(values, cfg.antithetic, scale=disc)
         price, se = plain
         if isinstance(vol, FullModel):

@@ -7,6 +7,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -655,6 +656,65 @@ def test_validate_simulates_once_and_matches_per_spec_prices(capsys, monkeypatch
     assert abs(martingale["z"]) < 3.0
 
 
+def test_validate_exponentiates_each_path_array_once(capsys, monkeypatch):
+    """The martingale check and the three payoffs read X_T and G_T from the
+    one batch: two exps over the paths' logs per command, where each payoff
+    and the martingale check used to take their own (seven)."""
+    path_exps = []
+    exp = np.exp
+
+    def counted(a, *args, **kwargs):
+        if getattr(a, "shape", None) == (2000,):
+            path_exps.append(a)
+        return exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    code, _, _ = run(capsys, ["validate", "--paths", "2000", "--steps", "16", "--seed", "5"])
+    assert code == EXIT_OK
+    assert len(path_exps) == 2
+
+
+# (argv, SHA-256 of the report's outputs as compact JSON with sorted keys).
+# Recorded from the oracle before its payoffs and standard errors were formed
+# in place, so they guard its bits against a regression; they are not values
+# derived by an independent route.
+PINNED_VALIDATE = [
+    (["validate", "--paths", "2000", "--steps", "16", "--seed", "5", "--json"],
+     "eb9d41bc855cbf7a2dade660049b232e20aaf89e9051fec8944b4dc7bd51d0ad"),
+    (["validate", "--mode", "full", "--paths", "4000", "--steps", "24", "--seed", "7", "--json"],
+     "d32057a623f19990650fe37f03dfbe3be7d0604f8db31ba90e9e9af5fd317122"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_VALIDATE, ids=["constant", "full"])
+def test_validate_outputs_are_pinned(capsys, argv, digest):
+    """A speed change that should keep every bit of the oracle's comparisons,
+    constant-vol and full-model, cannot drift them."""
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    outputs = json.dumps(json.loads(out)["outputs"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(outputs.encode()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spot", ["1e-300", "1e300"])
+def test_validate_keeps_its_standard_errors_at_extreme_spots(capsys, spot):
+    """Every price scales with the spot, so each row's z at spot 1e-300 or
+    1e300 is its z at spot 1 up to rounding. The squared deviations used to
+    underflow to an SE of 0, every row failing with z null, or overflow to an
+    SE of inf, refused with exit 2."""
+    argv = ["validate", "--paths", "1000", "--steps", "10", "--json"]
+    code, out, _ = run(capsys, [*argv, "--spot", spot])
+    _, unit, _ = run(capsys, [*argv, "--spot", "1"])
+    assert code == EXIT_OK
+    rows = json.loads(out)["outputs"]["comparisons"]
+    want = json.loads(unit)["outputs"]["comparisons"]
+    assert len(rows) == len(want) == 4
+    for row, unit_row in zip(rows, want):
+        assert row["se"] > 0.0 and math.isfinite(row["z"])
+        assert abs(row["z"] - unit_row["z"]) < 1e-6
+
+
 def test_validate_refuses_a_zero_sigma_before_drawing_a_path(capsys, monkeypatch):
     """The closed forms refuse sigma = 0, and they run before the simulation."""
     calls = []
@@ -689,24 +749,28 @@ def test_validate_refuses_a_negative_rate_or_floor_in_either_mode(capsys, mode, 
 
 
 def test_validate_fails_a_zero_se_row_that_misses_its_closed_form(capsys):
-    """At sigma = 50 every path's X_T underflows, so each row has SE 0 and an
-    MC price far from its closed form (the martingale 1.9e-215 for 100). With
-    no spread to scale the gap, only an exact match passes; z was 0 and every
-    row passed."""
+    """At sigma = 50 every path's payoff is 0, so each payoff row has SE 0 and
+    an MC price far from its closed form. With no spread to scale the gap,
+    only an exact match passes; z was 0 and every row passed. The martingale's
+    X_T are tiny but not all equal (a mean of 1.9e-215 for 100): its SE is
+    formed on rescaled values, not lost to underflow, and its z fails."""
     code, out, _ = run(capsys, ["validate", "--sigma", "50", "--paths", "1000", "--steps", "10",
                                 "--json"])
     assert code == EXIT_COMPARISON
-    rows = json.loads(out)["outputs"]["comparisons"]
-    assert [(row["se"], row["z"], row["pass"]) for row in rows] == [(0.0, None, False)] * 4
+    martingale, *rows = json.loads(out)["outputs"]["comparisons"]
+    assert [(row["se"], row["z"], row["pass"]) for row in rows] == [(0.0, None, False)] * 3
     assert all(row["mc"] != row["closed"] for row in rows)
+    assert martingale["se"] > 0.0 and martingale["z"] < -3.0 and not martingale["pass"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("flag, value", [("--r", "1e300"), ("--T", "1e5"), ("--spot", "1e300")])
+@pytest.mark.parametrize("flag, value", [("--r", "1e300"), ("--T", "1e5"), ("--spot", "1.7e308")])
 def test_validate_refuses_an_estimate_past_the_float_range(capsys, flag, value):
     """The martingale mean or a price that overflows a float exits 2 with
     OutOfDomain, and numpy warns of nothing; it used to warn, then reach the
-    JSON writer as a bare ValueError."""
+    JSON writer as a bare ValueError. At spot 1.7e308 some X_T pass the
+    float range; at spot 1e300 only the squares of the SE did, and the SE's
+    rescale now prices that spot."""
     code, out, err = run(capsys, ["validate", "--paths", "1000", "--steps", "10", flag, value])
     assert code == EXIT_VALIDATION
     assert out == ""

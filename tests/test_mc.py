@@ -851,6 +851,112 @@ def test_controlled_estimate_is_least_squares(antithetic):
     assert rel(se, 2.0 * math.sqrt(ss_resid[0] / (n - 2)) / math.sqrt(n)) < 1e-12
 
 
+def _numpy_mean_and_se(values, antithetic, scale):
+    """mean_and_se as numpy's mean and std(ddof=1) write it."""
+    if antithetic:
+        n = values.shape[0] // 2
+        values = 0.5 * (values[:n] + values[n:])
+    n = values.shape[0]
+    return scale * float(values.mean()), scale * float(values.std(ddof=1)) / math.sqrt(n)
+
+
+def _numpy_controlled_mean_and_se(values, control, exact, antithetic, scale):
+    """_controlled_mean_and_se as numpy's mean, matmul and std(ddof=2) write it."""
+    if antithetic:
+        n = values.shape[0] // 2
+        values = 0.5 * (values[:n] + values[n:])
+        control = 0.5 * (control[:n] + control[n:])
+    n = values.shape[0]
+    mean_v, mean_c = values.mean(), control.mean()
+    dv, dc = values - mean_v, control - mean_c
+    b = (dc @ dv) / (dc @ dc)
+    mean = float(mean_v - b * (mean_c - exact))
+    return scale * mean, scale * float((dv - b * dc).std(ddof=2)) / math.sqrt(n)
+
+
+def _bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("n", [6, 10, 130, 1002, 20_000, 100_002])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_estimators_keep_the_bits_of_numpy_and_their_inputs(antithetic, n):
+    """The in-place mean and SE, plain and controlled, have the bits of
+    numpy's mean and std over new arrays, at sizes on and off the pairwise
+    sum's blocks, and leave the caller's arrays bit-unchanged."""
+    rng = np.random.default_rng(n)
+    control = np.exp(0.2 * rng.normal(size=n))
+    values = np.maximum(control - 1.0 + 0.1 * rng.normal(size=n), 0.0)
+    before = _bits(values, control)
+    assert mc.mean_and_se(values, antithetic, 0.97) == _numpy_mean_and_se(values, antithetic, 0.97)
+    assert (_controlled_mean_and_se(values, control, 1.01, antithetic, 0.97)
+            == _numpy_controlled_mean_and_se(values, control, 1.01, antithetic, 0.97))
+    assert _bits(values, control) == before
+
+
+@pytest.mark.parametrize("spec", CONTROL_SPECS, ids=lambda s: f"{s.style.name}-{s.kind.name}")
+def test_payoffs_keep_the_bits_of_new_arrays_and_their_inputs(spec):
+    """Payoffs formed in place have the bits of the max over a new difference,
+    and x and g are read only."""
+    rng = np.random.default_rng(5)
+    x, g = np.exp(rng.normal(4.6, 0.2, size=(2, 1001)))
+    before = _bits(x, g)
+    high, low = {
+        (StrikeStyle.FLOATING, OptionKind.CALL): (x, g),
+        (StrikeStyle.FLOATING, OptionKind.PUT): (g, x),
+        (StrikeStyle.FIXED, OptionKind.CALL): (g, spec.strike),
+        (StrikeStyle.FIXED, OptionKind.PUT): (spec.strike, g),
+    }[spec.style, spec.kind]
+    assert _bits(mc._payoffs(spec, x, g)) == _bits(np.maximum(high - low, 0.0))
+    assert _bits(x, g) == before
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("e", [-1000, 1000])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_a_power_of_two_scales_the_estimates_exactly(antithetic, e):
+    """Values scaled by 2^-1000 or 2^1000 give the estimates of the unscaled
+    values scaled by the same power, bit for bit, where numpy's std loses its
+    squares to underflow (SE 0) or to overflow (SE inf); the controlled
+    estimate's control takes a power of its own."""
+    rng = np.random.default_rng(7)
+    control = 1.0 + 0.2 * rng.normal(size=600)
+    values = 2.0 * control + rng.normal(size=600)
+    scaled, scaled_control = np.ldexp(values, e), np.ldexp(control, -e)
+
+    def scaled_back(estimate):
+        return tuple(float(np.ldexp(v, e)) for v in estimate)
+
+    assert mc.mean_and_se(scaled, antithetic) == scaled_back(mc.mean_and_se(values, antithetic))
+    assert (_controlled_mean_and_se(scaled, scaled_control, math.ldexp(1.02, -e), antithetic, 1.0)
+            == scaled_back(_controlled_mean_and_se(values, control, 1.02, antithetic, 1.0)))
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        assert _numpy_mean_and_se(scaled, antithetic, 1.0)[1] in (0.0, math.inf)
+
+
+def test_a_batch_exponentiates_each_path_array_once(monkeypatch):
+    """X_T and G_T have the bits of np.exp of the batch's logs, are computed
+    on first read, and serve every payoff priced on the batch."""
+    model = ModelParams(r=0.0264, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001)
+    vol, T = ConstantVol(0.1834), 0.5
+    cfg = McConfig(n_paths=3000, n_steps=20, seed=17, antithetic=True)
+    batch = simulate_paths(model, vol, STATE.t, T, STATE.x, STATE.g, cfg)
+    path_exps = []
+    exp = np.exp
+
+    def counted(a, *args, **kwargs):
+        if getattr(a, "shape", None) == (cfg.n_paths,):
+            path_exps.append(a)
+        return exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    for spec in CONTROL_SPECS:
+        price_mc(dataclasses.replace(spec, maturity=T), model, vol, STATE, cfg, paths=batch)
+    x, g = batch.x, batch.g
+    assert len(path_exps) == 2 and path_exps[0] is batch.ln_x and path_exps[1] is batch.ln_g
+    assert _bits(x, g) == _bits(exp(batch.ln_x), exp(batch.ln_g))
+
+
 def _deterministic_vol_moments(model, t, T, x0, g0, n_steps):
     """Means of ln X_T and ln G_T, their variances and their covariance on
     the time grid when nu = beta = 0: Y stays at 0, Z follows its OU mean

@@ -65,6 +65,10 @@ EXIT_COMPARISON = 4
 
 _VALIDATION_ERRORS = (ValueError, OSError)
 
+# validate's floor under a row's SE, in units in the last place of the spot:
+# the gaps from rounding alone reach about 7 such units at --sigma 1e-9
+_SE_FLOOR_ULPS = 64
+
 # the model eps of price, calibrate and smile, which moves none of their
 # outputs (it cancels in calibrate's v_eps = sqrt(eps) V)
 _EPSILON = 0.001
@@ -205,12 +209,15 @@ def cmd_validate(args):
         est = price_mc(spec, model, vol, state, cfg, paths=batch)
         comparisons.append((name, closed, est.price, est.std_error))
 
+    # every row's prices are differences of terms of the spot's size, so
+    # their rounding sets a floor under the SE that scales the gap; it binds
+    # only where the paths have almost no spread (--sigma 1e-9, or SE 0)
+    se_floor = _SE_FLOOR_ULPS * math.ulp(spot)
     rows = []
     all_pass = True
     for name, closed, mc, se in comparisons:
         closed, mc, se = float(closed), float(mc), float(se)
-        # with no spread to scale the gap, only an exact match passes
-        z = (mc - closed) / se if se > 0.0 else 0.0 if mc == closed else math.inf
+        z = (mc - closed) / max(se, se_floor)
         ok = abs(z) < 3.0
         all_pass &= ok
         rows.append({"name": name, "closed": closed, "mc": mc, "se": se,

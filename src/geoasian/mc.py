@@ -90,15 +90,19 @@ result.
 
 Pricing. Given its volatility path, a full-model path's payoff mean is a
 lognormal-pair closed form (``_lognormal_pair_call``), so ``price_mc``
-averages those conditional means, with E[X_T | vol] = exp(m_x + v_x/2) as a
-control variate: the log-Euler step keeps E[X_T] = x0 e^{r (T - t)} exactly,
-so the control's mean is exact by the tower property and adds no bias from
-the time grid. Constant-vol runs carry no control: their closed forms are
-what the oracle checks them against. The payoffs read X_T and G_T from the
-batch, which exponentiates each once. Payoffs, means and standard errors are
-formed in place in arrays of their own, with the bits of numpy's mean and
-std; a sum of squares that would underflow or overflow is formed on values
-scaled by a power of two.
+averages those conditional means, regressed on three control variates with
+exactly known means, none of which adds bias from the time grid:
+E[X_T | vol] = exp(m_x + v_x/2), whose mean x0 e^{r (T - t)} the log-Euler
+step keeps exactly (by the tower property), and the two sums of the known x
+noise, sum h_j and sum w_j h_j with h_j = f_j sqrt(dt) (c_xy w_y + c_xz w_z)
+of step j, whose means are 0 because f_j reads only draws before step j and
+step j's draws are symmetric. Without a spot correlation (rho_xy =
+rho_xz = 0) the two sums are 0 and drop out. Constant-vol runs carry no
+control: their closed forms are what the oracle checks them against. The
+payoffs read X_T and G_T from the batch, which exponentiates each once.
+Payoffs, means and standard errors are formed in place in arrays of their
+own, with the bits of numpy's mean and std; a sum of squares that would
+underflow or overflow is formed on values scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -222,14 +226,18 @@ class PathBatch:
     (ln X_T, ln G_T) given each path's volatility path, as rows of a
     (5, n_paths) array: the means of ln X_T and ln G_T, their variances and
     their covariance (None under ``ConstantVol``, whose law is the same on
-    every path). ``source`` holds the arguments the paths were simulated
-    from.
+    every path). ``noise_sums`` holds, for a full-model run, the two sums
+    of the known x noise (module docstring), sum_j h_j and
+    sum_j (n - j - 1/2) h_j, as rows of a (2, n_paths) array, each with mean
+    0 (None under ``ConstantVol``). ``source`` holds the arguments the paths
+    were simulated from.
     """
 
     ln_x: np.ndarray
     ln_g: np.ndarray
     source: dict
     moments: np.ndarray | None
+    noise_sums: np.ndarray | None
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -244,10 +252,12 @@ class PathBatch:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Discounted price and standard error; ``price_plain`` and
-    ``std_error_plain`` are the plain Monte Carlo mean of the sampled terminal
-    payoffs and its SE, equal to ``price`` and ``std_error`` under
-    ``ConstantVol``, where no conditioning or control applies."""
+    """Discounted price and standard error; under ``FullModel`` these are the
+    conditional payoff means regressed on their three controls (see
+    ``price_mc``). ``price_plain`` and ``std_error_plain`` are the plain
+    Monte Carlo mean of the sampled terminal payoffs and its SE, equal to
+    ``price`` and ``std_error`` under ``ConstantVol``, where no conditioning
+    or control applies."""
 
     price: float
     std_error: float
@@ -424,6 +434,7 @@ def simulate_paths(
     ln_x = np.empty(n_total)
     ln_g = np.empty(n_total)
     moments = np.empty((5, n_total)) if full else None
+    noise_sums = np.empty((2, n_total)) if full else None
 
     chunk = min(cfg.chunk_size or max(1, WORD_BUDGET // words_per_path), draw_paths)
     # each worker runs one block at a time, so a round of blocks holds at most
@@ -435,8 +446,9 @@ def simulate_paths(
 
     def step_full_model(draws: np.ndarray) -> tuple:
         """Step one block's volatility paths; returns the terminal law
-        (mean_x, mean_g, sd_x, g_on_x, sd_g) and the (5, m) conditional
-        moments of its m path elements.
+        (mean_x, mean_g, sd_x, g_on_x, sd_g) of its m path elements, and
+        the rows of their conditional moments and x-noise sums (sum h and
+        sum w_j h with w_j = n - j - 1/2), as arrays of m.
 
         ``draws`` is the block's row-major word array: the two terminal
         words, then uniforms in the words of the noisy factors, which become
@@ -520,8 +532,7 @@ def simulate_paths(
         sd_x = np.sqrt(var_x)
         g_on_x = cov / sd_x
         sd_g = np.sqrt(np.maximum(var_g - g_on_x * g_on_x, 0.0))
-        law = np.stack((mean_x, mean_g, var_x, var_g, cov))
-        return (mean_x, mean_g, sd_x, g_on_x, sd_g), law
+        return (mean_x, mean_g, sd_x, g_on_x, sd_g), (mean_x, mean_g, var_x, var_g, cov, n0, h1)
 
     def run_paths(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
@@ -538,11 +549,12 @@ def simulate_paths(
         if anti:
             halves.append((slice(draw_paths + lo, draw_paths + hi), slice(nc, 2 * nc), -1.0))
         if full:
-            block_law, block_moments = step_full_model(draws)
+            block_law, block_rows = step_full_model(draws)
         for out, part, sign in halves:
             if full:
                 mean_x, mean_g, sd_x, g_on_x, sd_g = (v[part] for v in block_law)
-                moments[:, out] = block_moments[:, part]
+                for row, block_row in zip((*moments, *noise_sums), block_rows):
+                    row[out] = block_row[part]
             else:
                 mean_x, mean_g, sd_x, g_on_x, sd_g = constant_law
             # mean_x + sign * (z1 sd_x) and mean_g + sign * (z1 g_on_x + z2 sd_g),
@@ -569,6 +581,7 @@ def simulate_paths(
 
     return PathBatch(
         ln_x=ln_x, ln_g=ln_g, source=_source(model, vol, t, T, x0, g0, cfg), moments=moments,
+        noise_sums=noise_sums,
     )
 
 
@@ -679,57 +692,83 @@ def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0) -> tup
     return scale * float(mean), scale * float(sd) / math.sqrt(n)
 
 
-def _regression(values: np.ndarray, control: np.ndarray, exact: float, antithetic: bool):
-    """The control-variate mean of ``values``, the std(ddof=2) of its
-    residuals and the sums of squares of the control's deviations and of the
-    residuals; mean and std are None when the first sum is 0."""
-    mean_v, dv = _centred(values, antithetic)
-    mean_c, dc = _centred(control, antithetic)
-    ss_c = dc @ dc
-    if ss_c == 0.0:
-        return None, None, (ss_c,)
-    b = (dc @ dv) / ss_c
-    dc *= b
-    dv -= dc  # the residuals dv - b dc, centred and squared as std does
-    dv -= dv.sum() / dv.shape[0]
+def _regression(values: np.ndarray, controls, antithetic: bool):
+    """The regression mean of ``values`` on the (control, exact mean) pairs
+    of ``controls``, the std of its residuals with 1 + c degrees of freedom
+    spent for the c controls kept, and the sums of squares of the kept
+    controls' orthogonalized deviations and of the residuals; mean and std
+    are None when no control is kept, too few samples remain, or a kept
+    control's sum of squares is 0 (the sums then hold that 0)."""
+    mean, dv = _centred(values, antithetic)
+    n = dv.shape[0]
+    kept = []  # (deviations, offset c - exact, sum of squares), orthogonalized
+    for control, exact in controls:
+        mean_c, dc = _centred(control, antithetic)
+        if not dc.any():  # one number on every sample: nothing to fit
+            continue
+        offset = mean_c - exact
+        for dk, offset_k, ss_k in kept:
+            gamma = (dk @ dc) / ss_k
+            dc -= gamma * dk
+            offset -= gamma * offset_k
+        ss = dc @ dc
+        if ss == 0.0:  # lost to underflow, or a combination of the controls before
+            return None, None, [ss]
+        kept.append((dc, offset, ss))
+    sums = [ss for _, _, ss in kept]
+    if not kept or n - 1 - len(kept) < 1:
+        return None, None, sums
+    for dk, offset_k, ss_k in kept:
+        b = (dk @ dv) / ss_k
+        dk *= b
+        dv -= dk
+        mean -= b * offset_k
+    dv -= dv.sum() / n  # the residuals, centred and squared as std does
     dv *= dv
     ss_r = dv.sum()
-    return mean_v - b * (mean_c - exact), math.sqrt(ss_r / (dv.shape[0] - 2)), (ss_c, ss_r)
+    return mean, math.sqrt(ss_r / (n - 1 - len(kept))), [*sums, ss_r]
+
+
+def _scaled(control: np.ndarray, exact: float):
+    """``control`` and its exact mean times the power of two that brings its
+    largest |value| into [0.5, 1), or unscaled when that cannot be formed."""
+    e = _unit_exponent(control) or 0
+    return np.ldexp(control, e), np.ldexp(exact, e)
 
 
 def _controlled_mean_and_se(
     values: np.ndarray,
-    control: np.ndarray,
-    exact: float,
+    controls,
     antithetic: bool,
     scale: float,
 ) -> tuple[float, float] | None:
     """scale times the control-variate estimate of the mean of ``values``, and its SE.
 
-    Pairs of an antithetic batch are averaged first, as in ``mean_and_se``.
-    This is the single-control regression estimator (Glasserman, Monte
-    Carlo Methods in Financial Engineering, 2003, section 4.1): with the
-    sample means v and c and the deviations dv and dc, the mean is
-    v - b (c - exact) with b = (dc . dv) / (dc . dc), and the standard error
-    comes from the residuals dv - b dc with 2 degrees of freedom spent.
-    Returns None when that cannot be formed: two samples or fewer, or a
-    control that is one number on every sample. A sum of squares that would
-    underflow or overflow is formed on ``values`` and ``control`` each scaled
-    by a power of two, as in ``mean_and_se``. Neither array is written.
+    ``controls`` holds (control, exact mean) pairs, each control an array
+    like ``values``. Pairs of an antithetic batch are averaged first, as in
+    ``mean_and_se``. This is the multiple-control regression estimator
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
+    section 4.1): with the sample means v and c and the deviations dv and
+    dc, the mean is v - b . (c - exact), with b the least-squares fit of dv
+    on the columns dc, and the standard error comes from the residuals
+    dv - dc b with 1 + c degrees of freedom spent for c controls. The fit
+    takes the controls in turn, each orthogonalized against those before it
+    (modified Gram-Schmidt), so one control is the single-control estimator
+    b = (dc . dv) / (dc . dc). A control that is one number on every sample
+    is dropped. Returns None when no control is left, or when fewer than
+    2 + c samples are. A sum of squares that would underflow or overflow is
+    formed on ``values`` and each control scaled by a power of two of its
+    own, as in ``mean_and_se``. No array is written.
     """
     n = values.shape[0] // 2 if antithetic else values.shape[0]
-    if n <= 2:
-        return None
     with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
-        mean, sd, sums = _regression(values, control, exact, antithetic)
-    if not _in_range(*sums):
-        ev, ec = _unit_exponent(values), _unit_exponent(control)
-        if ev is not None and ec is not None:
-            mean, sd, _ = _regression(
-                np.ldexp(values, ev), np.ldexp(control, ec), np.ldexp(exact, ec), antithetic
-            )
-            if mean is not None:
-                mean, sd = np.ldexp(mean, -ev), np.ldexp(sd, -ev)
+        mean, sd, sums = _regression(values, controls, antithetic)
+    if not _in_range(*sums) and (ev := _unit_exponent(values)) is not None:
+        mean, sd, _ = _regression(
+            np.ldexp(values, ev), [_scaled(*pair) for pair in controls], antithetic
+        )
+        if mean is not None:
+            mean, sd = np.ldexp(mean, -ev), np.ldexp(sd, -ev)
     if mean is None:
         return None
     return scale * float(mean), scale * float(sd) / math.sqrt(n)
@@ -752,11 +791,13 @@ def price_mc(
     well-defined) even though the analytic layers reject them.
 
     A full-model batch is priced by each path's payoff mean given its
-    volatility path, with E[X_T | vol] as control (see the module docstring);
-    when the regression cannot be formed (two samples or fewer, an
-    antithetic pair counting once, or a control that is one number on every
-    path), the price is the uncontrolled mean of those conditional payoffs,
-    which is unbiased too. ``price_plain`` and
+    volatility path, regressed on an intercept and three controls with
+    exact means: E[X_T | vol] and the batch's two x-noise sums (see the
+    module docstring), with 1 + c degrees of freedom spent for the c
+    controls kept. A control that is one number on every path is dropped;
+    when no control is left, or fewer than 2 + c samples are (an antithetic
+    pair counting once), the price is the uncontrolled mean of those
+    conditional payoffs, which is unbiased too. ``price_plain`` and
     ``std_error_plain`` keep the plain estimate over the sampled terminal
     payoffs. A constant-vol batch is priced plain.
 
@@ -784,8 +825,9 @@ def price_mc(
                 exact = state.x * math.exp(model.r * (T - state.t))
             except OverflowError:
                 raise OutOfDomain(f"E[X_T] overflows a float at r = {model.r}, T = {T}") from None
+            controls = [(control, exact), *((noise, 0.0) for noise in paths.noise_sums)]
             price, se = (
-                _controlled_mean_and_se(conditional, control, exact, cfg.antithetic, disc)
+                _controlled_mean_and_se(conditional, controls, cfg.antithetic, disc)
                 or mean_and_se(conditional, cfg.antithetic, scale=disc)
             )
     if not all(map(math.isfinite, (price, se, *plain))):

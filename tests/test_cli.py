@@ -675,14 +675,16 @@ def test_validate_exponentiates_each_path_array_once(capsys, monkeypatch):
 
 
 # (argv, SHA-256 of the report's outputs as compact JSON with sorted keys).
-# Recorded from the oracle before its payoffs and standard errors were formed
-# in place, so they guard its bits against a regression; they are not values
-# derived by an independent route.
+# The constant one was recorded from the oracle before its payoffs and
+# standard errors were formed in place, the full one since full-model prices
+# took the two x-noise controls; they guard the oracle's bits against a
+# regression and are not values derived by an independent route (the
+# full-model estimator is, in test_mc.py's test_frozen_estimates).
 PINNED_VALIDATE = [
     (["validate", "--paths", "2000", "--steps", "16", "--seed", "5", "--json"],
      "eb9d41bc855cbf7a2dade660049b232e20aaf89e9051fec8944b4dc7bd51d0ad"),
     (["validate", "--mode", "full", "--paths", "4000", "--steps", "24", "--seed", "7", "--json"],
-     "d32057a623f19990650fe37f03dfbe3be7d0604f8db31ba90e9e9af5fd317122"),
+     "4dccb002bcad0587435e29bb7d551a7fdb77213dbae6b1249cdb03a5ffd42c48"),
 ]
 
 
@@ -749,18 +751,34 @@ def test_validate_refuses_a_negative_rate_or_floor_in_either_mode(capsys, mode, 
 
 
 def test_validate_fails_a_zero_se_row_that_misses_its_closed_form(capsys):
-    """At sigma = 50 every path's payoff is 0, so each payoff row has SE 0 and
-    an MC price far from its closed form. With no spread to scale the gap,
-    only an exact match passes; z was 0 and every row passed. The martingale's
-    X_T are tiny but not all equal (a mean of 1.9e-215 for 100): its SE is
-    formed on rescaled values, not lost to underflow, and its z fails."""
+    """At sigma = 50 every path's payoff is 0, so each payoff row has SE 0.
+    With no spread to scale the gap, the rounding floor of 64 ulps of the
+    spot does: the floating call (closed form 100) fails, while the fixed
+    calls, whose closed forms are 5.7e-44, match 0 to rounding and pass; z
+    was 0 and every row passed. The martingale's X_T are tiny but not all
+    equal (a mean of 1.9e-215 for 100): its SE is formed on rescaled values,
+    not lost to underflow, and its z fails."""
     code, out, _ = run(capsys, ["validate", "--sigma", "50", "--paths", "1000", "--steps", "10",
                                 "--json"])
     assert code == EXIT_COMPARISON
-    martingale, *rows = json.loads(out)["outputs"]["comparisons"]
-    assert [(row["se"], row["z"], row["pass"]) for row in rows] == [(0.0, None, False)] * 3
-    assert all(row["mc"] != row["closed"] for row in rows)
+    martingale, floating, *fixed = json.loads(out)["outputs"]["comparisons"]
+    assert all(row["se"] == 0.0 and row["mc"] != row["closed"] for row in (floating, *fixed))
+    assert floating["z"] < -3.0 and not floating["pass"]
+    assert all(abs(row["z"]) < 1e-20 and row["pass"] for row in fixed)
     assert martingale["se"] > 0.0 and martingale["z"] < -3.0 and not martingale["pass"]
+
+
+def test_validate_passes_a_run_without_spread_up_to_rounding(capsys):
+    """At sigma = 1e-9 each row's SE is about 1e-16 while its MC price and
+    closed form differ by about 1e-13 from rounding alone; the floor of
+    64 ulps of the spot under the SE keeps every |z| below 0.2, where it
+    read 85, 498, -374 and -38 and the command exited 4."""
+    code, out, _ = run(capsys, ["validate", "--sigma", "1e-9", "--paths", "1000", "--steps", "10",
+                                "--json"])
+    assert code == EXIT_OK
+    rows = json.loads(out)["outputs"]["comparisons"]
+    assert all(row["se"] < 1e-14 and abs(row["z"]) < 0.2 and row["pass"] for row in rows)
+    assert max(abs(row["mc"] - row["closed"]) for row in rows) > 3e-14  # not an exact match
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

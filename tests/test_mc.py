@@ -167,7 +167,7 @@ def test_the_clamp_never_binds_on_the_reference_model(monkeypatch, epsilon):
 
 def assert_same_bits(a, b):
     """Two path batches hold the same bits in every array."""
-    for name in ("ln_x", "ln_g", "moments"):
+    for name in ("ln_x", "ln_g", "moments", "noise_sums"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
         if x is not None:
@@ -251,7 +251,7 @@ def _stepped_vol_path(model, t, T, x0, g0, cfg):
     words of each path's block (two terminal words, then a word a step for
     each noisy factor, y before z): Y_T and Z_T, the conditional moments from
     the plain weighted sums S0, S1, S2 of f_j^2 and the two sums of the known
-    x noise, and the terminal pair drawn from words 0 and 1."""
+    x noise, those two sums, and the terminal pair drawn from words 0 and 1."""
     n = cfg.n_steps
     noisy = [name for name, scale in (("y", model.nu), ("z", model.beta)) if scale != 0.0]
     n_words = 2 + len(noisy) * n
@@ -305,6 +305,7 @@ def _stepped_vol_path(model, t, T, x0, g0, cfg):
         ln_x=mean_x + np.sqrt(var_x) * words[:, 0],
         ln_g=mean_g + g_on_x * words[:, 0] + np.sqrt(var_g - g_on_x ** 2) * words[:, 1],
         y=u, z=z, moments=np.stack((mean_x, mean_g, var_x, var_g, cov)),
+        noise_sums=np.stack((h0, h1)),
     )
 
 
@@ -328,9 +329,10 @@ def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, 
     """The tiled volatility loop reproduces Var ln X_T = a_x^2 dt S0 of the
     plain per-step loop bit for bit, so every f_j of the volatility path
     too, and its prefix sums give the other conditional moments and the
-    terminal pair of the plain weighted sums to 1e-12: with a noiseless and a
-    noisy Y and Z, f_j clamped at both bounds, step counts on and off the
-    tile, an uneven chunk and a pooled run."""
+    terminal pair of the plain weighted sums to 1e-12, and the two x-noise
+    sums sum h and sum w_j h to 1e-12 of their largest value: with a
+    noiseless and a noisy Y and Z, f_j clamped at both bounds, step counts on
+    and off the tile, an uneven chunk and a pooled run."""
     kwargs = dict(model=model, t=0.05, T=0.45, x0=100.0, g0=98.0)
     want = _stepped_vol_path(
         cfg=McConfig(n_paths=300, n_steps=n_steps, seed=17, antithetic=antithetic), **kwargs
@@ -353,6 +355,10 @@ def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, 
         for name in ("ln_x", "ln_g", "moments"):
             got = getattr(batch, name)
             assert np.max(np.abs(got - want[name]) / np.abs(want[name])) < 1e-12, name
+        # a sum of mean-zero terms can come near 0, so each row is compared
+        # on its own scale
+        for got, row in zip(batch.noise_sums, want["noise_sums"]):
+            assert np.max(np.abs(got - row)) < 1e-12 * np.max(np.abs(row))
     assert (np.ptp(want["y"]) > 0.0) == (model.nu > 0.0)
     assert (np.ptp(want["z"]) > 0.0) == (model.beta > 0.0)
 
@@ -606,11 +612,13 @@ def test_frozen_estimates():
     full = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
     assert rel(full.price_plain, 3.511583043079909) < 1e-12
     assert rel(full.std_error_plain, 0.08108852302090228) < 1e-12
-    assert rel(full.price, 3.4627614702912606) < 1e-12
-    assert rel(full.std_error, 0.008717067399669601) < 1e-12
+    assert rel(full.price, 3.467205951461236) < 1e-12
+    assert rel(full.std_error, 0.0027475953774322767) < 1e-12
     # the full-model pins, recomputed from the raw Philox words of each
     # path's 52-word block (2 terminal words, 50 y words) stepped one step at
-    # a time, and the controlled estimate by least squares
+    # a time, and the controlled estimate by least squares on an intercept,
+    # E[X_T | vol] and the two x-noise sums, whose exact means are
+    # x0 e^{r T}, 0 and 0
     paths = _stepped_vol_path(MODEL, 0.0, 0.45, 100.0, 100.0, cfg)
     n = cfg.n_paths
     payoff = np.maximum(np.exp(paths["ln_x"]) - np.exp(paths["ln_g"]), 0.0)
@@ -619,13 +627,16 @@ def test_frozen_estimates():
     mean_x, mean_g, var_x, var_g, cov = paths["moments"]
     s = np.sqrt(var_x + var_g - 2.0 * cov)
     d1 = (mean_x - mean_g + 0.5 * (var_x - var_g)) / s + 0.5 * s
-    e_x = np.exp(mean_x + 0.5 * var_x)  # E[X_T | vol], the control
+    e_x = np.exp(mean_x + 0.5 * var_x)  # E[X_T | vol]
     conditional = e_x * ndtr(d1) - np.exp(mean_g + 0.5 * var_g) * ndtr(d1 - s)
-    design = np.column_stack([np.ones(n), e_x])
-    coef, ss_resid, rank, _ = np.linalg.lstsq(design, conditional, rcond=None)
-    assert rank == 2
-    price = disc * (conditional.mean() - coef[1] * (e_x.mean() - 100.0 * math.exp(MODEL.r * 0.45)))
-    se = disc * math.sqrt(ss_resid[0] / (n - 2)) / math.sqrt(n)
+    controls = np.column_stack([e_x, *paths["noise_sums"]])
+    exact = np.array([100.0 * math.exp(MODEL.r * 0.45), 0.0, 0.0])
+    coef, ss_resid, rank, _ = np.linalg.lstsq(
+        np.column_stack([np.ones(n), controls]), conditional, rcond=None
+    )
+    assert rank == 4
+    price = disc * (conditional.mean() - coef[1:] @ (controls.mean(axis=0) - exact))
+    se = disc * math.sqrt(ss_resid[0] / (n - 4)) / math.sqrt(n)
     assert rel(full.price, price) < 1e-10
     assert rel(full.std_error, se) < 1e-9
 
@@ -814,9 +825,10 @@ def test_constant_vol_runs_carry_no_control():
 
 
 def test_controlled_estimate_falls_back_to_the_conditional_mean():
-    """Two pairs leave no residual degree of freedom for the one control, so
+    """Two pairs leave no residual degree of freedom for the controls, so
     the price is the uncontrolled mean of the conditional payoffs, which is
-    unbiased too. A constant control has no slope to fit."""
+    unbiased too: c controls need 2 + c samples. A constant control has no
+    slope to fit and is dropped; with none left there is no regression."""
     cfg = McConfig(n_paths=4, n_steps=10, seed=4, antithetic=True)
     few = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
     batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
@@ -825,30 +837,86 @@ def test_controlled_estimate_falls_back_to_the_conditional_mean():
     assert (few.price, few.std_error) == conditional
     assert few.price != few.price_plain
     rng = np.random.default_rng(3)
-    values, control = rng.normal(size=50), rng.normal(size=50)
-    assert _controlled_mean_and_se(values[:2], control[:2], 0.0, False, 1.0) is None
-    assert _controlled_mean_and_se(values[:3], control[:3], 0.0, False, 1.0) is not None
-    assert _controlled_mean_and_se(values, np.full(50, 2.0), 0.0, False, 1.0) is None
+    values, controls = rng.normal(size=50), rng.normal(size=(3, 50))
+    for c in (1, 3):
+        assert _controlled_mean_and_se(values[:1 + c], [(v[:1 + c], 0.0) for v in controls[:c]],
+                                       False, 1.0) is None
+        assert _controlled_mean_and_se(values[:2 + c], [(v[:2 + c], 0.0) for v in controls[:c]],
+                                       False, 1.0) is not None
+    constant = (np.full(50, 2.0), 0.0)
+    assert _controlled_mean_and_se(values, [constant], False, 1.0) is None
+    assert (_controlled_mean_and_se(values, [constant, (controls[0], 0.0), constant], False, 1.0)
+            == _controlled_mean_and_se(values, [(controls[0], 0.0)], False, 1.0))
 
 
+@pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL], ids=["reference", "correlated"])
+def test_zero_spot_correlations_keep_the_one_control_estimate(model):
+    """With rho_xy = rho_xz = 0 the x noise has no known part, so both
+    x-noise sums are exactly 0 on every path, the regression drops them, and
+    price and SE are those of E[X_T | vol] alone, bit for bit as numpy's
+    mean, matmul and std write them."""
+    model = dataclasses.replace(model, rho_xy=0.0, rho_xz=0.0)
+    disc, exact = math.exp(-model.r * 0.45), 100.0 * math.exp(model.r * 0.45)
+    for antithetic in (False, True):
+        cfg = McConfig(n_paths=2000, n_steps=20, seed=8, antithetic=antithetic)
+        batch = simulate_paths(model, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+        assert not batch.noise_sums.any()
+        est = price_mc(FLOAT_CALL, model, FullModel(), STATE, cfg, paths=batch)
+        conditional = _payoff_mean(FLOAT_CALL, batch.moments)
+        control = np.exp(batch.moments[0] + 0.5 * batch.moments[2])
+        assert (est.price, est.std_error) == _numpy_controlled_mean_and_se(
+            conditional, control, exact, antithetic, disc
+        )
+
+
+def test_the_noise_controls_keep_the_standard_error_honest():
+    """Over 40 seeds of a small antithetic run, the spread of the
+    three-control prices matches their mean reported SE, and their mean gap
+    to the one-control estimates of the same batches is within 4 standard
+    errors of 0: the x-noise controls shrink the SE without bias or an
+    understated error, for a floating call and a fixed put."""
+    put = OptionSpec(StrikeStyle.FIXED, OptionKind.PUT, maturity=0.45, strike=100.0)
+    specs = [FLOAT_CALL, put]
+    disc, exact = math.exp(-MODEL.r * 0.45), 100.0 * math.exp(MODEL.r * 0.45)
+    prices, ses, gaps = (np.empty((len(specs), 40)) for _ in range(3))
+    for seed in range(40):
+        cfg = McConfig(n_paths=2000, n_steps=40, seed=seed, antithetic=True)
+        batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+        control = np.exp(batch.moments[0] + 0.5 * batch.moments[2])
+        for i, spec in enumerate(specs):
+            est = price_mc(spec, MODEL, FullModel(), STATE, cfg, paths=batch)
+            one, _ = _controlled_mean_and_se(_payoff_mean(spec, batch.moments),
+                                             [(control, exact)], True, disc)
+            prices[i, seed], ses[i, seed] = est.price, est.std_error
+            gaps[i, seed] = est.price - one
+    ratios = prices.std(axis=1, ddof=1) / ses.mean(axis=1)
+    assert np.all((0.7 <= ratios) & (ratios <= 1.4)), ratios
+    gap_se = gaps.std(axis=1, ddof=1) / math.sqrt(40)
+    assert np.all(np.abs(gaps.mean(axis=1)) <= 4.0 * gap_se), (gaps.mean(axis=1), gap_se)
+
+
+@pytest.mark.parametrize("c", [1, 3])
 @pytest.mark.parametrize("antithetic", [False, True])
-def test_controlled_estimate_is_least_squares(antithetic):
+def test_controlled_estimate_is_least_squares(antithetic, c):
     """The estimate and its standard error are those of least squares on an
-    intercept and the control, with 2 degrees of freedom spent; an
-    antithetic batch averages its pairs first."""
+    intercept and the c controls, with 1 + c degrees of freedom spent; an
+    antithetic batch averages its pairs first. The three controls are
+    correlated with one another, as E[X_T | vol] and the x-noise sums are."""
     rng = np.random.default_rng(11)
-    control = rng.normal(size=60)
-    values = 1.0 + 0.7 * control + rng.normal(size=60)
-    exact = 0.1
-    price, se = _controlled_mean_and_se(values, control, exact, antithetic, 2.0)
+    base = rng.normal(size=(3, 60))
+    controls = np.stack([base[0], base[0] + 0.3 * base[1], base[1] - 0.5 * base[2]])[:c]
+    values = 1.0 + np.array([0.7, -0.4, 0.2])[:c] @ controls + rng.normal(size=60)
+    exact = np.array([0.1, 0.0, -0.2])[:c]
+    price, se = _controlled_mean_and_se(values, list(zip(controls, exact)), antithetic, 2.0)
     if antithetic:
-        values, control = 0.5 * (values[:30] + values[30:]), 0.5 * (control[:30] + control[30:])
+        values = 0.5 * (values[:30] + values[30:])
+        controls = 0.5 * (controls[:, :30] + controls[:, 30:])
     n = values.shape[0]
-    design = np.column_stack([np.ones(n), control])
+    design = np.column_stack([np.ones(n), *controls])
     coef, ss_resid, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-    assert rank == 2
-    assert rel(price, 2.0 * (values.mean() - coef[1] * (control.mean() - exact))) < 1e-12
-    assert rel(se, 2.0 * math.sqrt(ss_resid[0] / (n - 2)) / math.sqrt(n)) < 1e-12
+    assert rank == 1 + c
+    assert rel(price, 2.0 * (values.mean() - coef[1:] @ (controls.mean(axis=1) - exact))) < 1e-12
+    assert rel(se, 2.0 * math.sqrt(ss_resid[0] / (n - 1 - c)) / math.sqrt(n)) < 1e-12
 
 
 def _numpy_mean_and_se(values, antithetic, scale):
@@ -881,17 +949,22 @@ def _bits(*arrays):
 @pytest.mark.parametrize("n", [6, 10, 130, 1002, 20_000, 100_002])
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_estimators_keep_the_bits_of_numpy_and_their_inputs(antithetic, n):
-    """The in-place mean and SE, plain and controlled, have the bits of
-    numpy's mean and std over new arrays, at sizes on and off the pairwise
-    sum's blocks, and leave the caller's arrays bit-unchanged."""
+    """The in-place mean and SE, plain and controlled by one control, have
+    the bits of numpy's mean and std over new arrays, at sizes on and off
+    the pairwise sum's blocks, and leave the caller's arrays bit-unchanged,
+    with three controls too."""
     rng = np.random.default_rng(n)
     control = np.exp(0.2 * rng.normal(size=n))
     values = np.maximum(control - 1.0 + 0.1 * rng.normal(size=n), 0.0)
-    before = _bits(values, control)
+    others = rng.normal(size=(2, n))
+    before = _bits(values, control, *others)
     assert mc.mean_and_se(values, antithetic, 0.97) == _numpy_mean_and_se(values, antithetic, 0.97)
-    assert (_controlled_mean_and_se(values, control, 1.01, antithetic, 0.97)
+    assert (_controlled_mean_and_se(values, [(control, 1.01)], antithetic, 0.97)
             == _numpy_controlled_mean_and_se(values, control, 1.01, antithetic, 0.97))
-    assert _bits(values, control) == before
+    controls = [(control, 1.01), *((other, 0.0) for other in others)]
+    if n > 8:  # room for three controls
+        assert _controlled_mean_and_se(values, controls, antithetic, 0.97) is not None
+    assert _bits(values, control, *others) == before
 
 
 @pytest.mark.parametrize("spec", CONTROL_SPECS, ids=lambda s: f"{s.style.name}-{s.kind.name}")
@@ -917,19 +990,23 @@ def test_payoffs_keep_the_bits_of_new_arrays_and_their_inputs(spec):
 def test_a_power_of_two_scales_the_estimates_exactly(antithetic, e):
     """Values scaled by 2^-1000 or 2^1000 give the estimates of the unscaled
     values scaled by the same power, bit for bit, where numpy's std loses its
-    squares to underflow (SE 0) or to overflow (SE inf); the controlled
-    estimate's control takes a power of its own."""
+    squares to underflow (SE 0) or to overflow (SE inf); each control of the
+    controlled estimate takes a power of its own."""
     rng = np.random.default_rng(7)
-    control = 1.0 + 0.2 * rng.normal(size=600)
-    values = 2.0 * control + rng.normal(size=600)
-    scaled, scaled_control = np.ldexp(values, e), np.ldexp(control, -e)
+    control, other = 1.0 + 0.2 * rng.normal(size=(2, 600))
+    values = 2.0 * control - other + rng.normal(size=600)
+    scaled = np.ldexp(values, e)
+    controls = [(control, 1.02), (other, 0.98)]
+    scaled_controls = [(np.ldexp(control, -e), math.ldexp(1.02, -e)),
+                       (np.ldexp(other, e // 2), math.ldexp(0.98, e // 2))]
 
     def scaled_back(estimate):
         return tuple(float(np.ldexp(v, e)) for v in estimate)
 
     assert mc.mean_and_se(scaled, antithetic) == scaled_back(mc.mean_and_se(values, antithetic))
-    assert (_controlled_mean_and_se(scaled, scaled_control, math.ldexp(1.02, -e), antithetic, 1.0)
-            == scaled_back(_controlled_mean_and_se(values, control, 1.02, antithetic, 1.0)))
+    for c in (1, 2):
+        assert (_controlled_mean_and_se(scaled, scaled_controls[:c], antithetic, 1.0)
+                == scaled_back(_controlled_mean_and_se(values, controls[:c], antithetic, 1.0)))
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         assert _numpy_mean_and_se(scaled, antithetic, 1.0)[1] in (0.0, math.inf)
 

@@ -90,14 +90,35 @@ result.
 
 Pricing. Given its volatility path, a full-model path's payoff mean is a
 lognormal-pair closed form (``_lognormal_pair_call``), so ``price_mc``
-averages those conditional means, regressed on three control variates with
+averages those conditional means, regressed on four control variates with
 exactly known means, none of which adds bias from the time grid:
 E[X_T | vol] = exp(m_x + v_x/2), whose mean x0 e^{r (T - t)} the log-Euler
-step keeps exactly (by the tower property), and the two sums of the known x
-noise, sum h_j and sum w_j h_j with h_j = f_j sqrt(dt) (c_xy w_y + c_xz w_z)
-of step j, whose means are 0 because f_j reads only draws before step j and
-step j's draws are symmetric. Without a spot correlation (rho_xy =
-rho_xz = 0) the two sums are 0 and drop out. Constant-vol runs carry no
+step keeps exactly (by the tower property); the two sums of the known x
+noise, sum h_j and sum w_j h_j with h_j = f_j nx_j and
+nx_j = sqrt(dt) (c_xy w_y + c_xz w_z) of step j, whose means are 0 because
+f_j reads only draws before step j and step j's draws are symmetric; and the
+frozen control, the payoff mean of the same path with its volatility frozen
+at fbar_j = f_full(0, zbar_j) on Z's noise-free path
+zbar_{j+1} = zbar_j ez + alpha' (1 - ez) from z0 (Fouque and Han, 2004). The
+loop keeps that path's two x-noise sums, sum hbar_j and sum w_j hbar_j with
+hbar_j = fbar_j nx_j; with S0, S1, S2 the sums of fbar_j^2 weighted by
+w_j^k, m_x = ln x0 + r tau - dt S0/2 and
+m_g = (t ln g + tau ln x0 + r tau^2/2 - dt^2 S1/2)/T, the frozen path's pair
+has means m_x + sum hbar and m_g + (dt/T) sum w_j hbar and the law
+(a_x^2 dt S0, a_x^2 dt^3 S2/T^2, a_x^2 dt^2 S1/T) given the y and z draws.
+The two sums are linear in those draws with fixed weights, so the frozen
+pair is exactly Gaussian with variances dt S0 and dt^3 S2/T^2 and covariance
+dt^2 S1/T (a_x^2 + c_xy^2 + c_xz^2 = 1), and the control's exact mean is
+the pair formula on that law: the price of the model with nu = beta = 0.
+The control moves with the conditional payoff mean because both price one
+contract on one x noise; it takes most of what antithetic pairing leaves,
+the even part of the spread. Without a spot correlation (rho_xy =
+rho_xz = 0), or without factor noise (nu = beta = 0), no factor noise
+reaches x: the x-noise sums are 0 and the frozen control is one number, and
+they drop out, as E[X_T | vol] = x0 e^{r (T - t)} does wherever rounding
+leaves it one number; a batch whose conditional payoff means are one number
+is priced at that number with SE 0. A frozen control or exact mean
+past the float range is dropped as well. Constant-vol runs carry no
 control: their closed forms are what the oracle checks them against. The
 payoffs read X_T and G_T from the batch, which exponentiates each once.
 Payoffs, means and standard errors are formed in place in arrays of their
@@ -154,7 +175,7 @@ class McConfig:
     not depend on ``n_steps``. The chunk size changes memory and speed, never
     the result. Beyond its share of the chunk, each worker of a full-model
     run holds step-major buffers of ``STEP_TILE`` steps and its per-path
-    sums, about 1 MB at 6250 path elements.
+    sums, about 1.3 MB at 6250 path elements.
     """
 
     n_paths: int
@@ -226,11 +247,12 @@ class PathBatch:
     (ln X_T, ln G_T) given each path's volatility path, as rows of a
     (5, n_paths) array: the means of ln X_T and ln G_T, their variances and
     their covariance (None under ``ConstantVol``, whose law is the same on
-    every path). ``noise_sums`` holds, for a full-model run, the two sums
-    of the known x noise (module docstring), sum_j h_j and
-    sum_j (n - j - 1/2) h_j, as rows of a (2, n_paths) array, each with mean
-    0 (None under ``ConstantVol``). ``source`` holds the arguments the paths
-    were simulated from.
+    every path). ``noise_sums`` holds, for a full-model run, the sums of
+    the known x noise (module docstring), sum_j h_j and
+    sum_j (n - j - 1/2) h_j, then those of the frozen volatility, sum_j hbar_j
+    and sum_j (n - j - 1/2) hbar_j, as rows of a (4, n_paths) array, each
+    with mean 0 (None under ``ConstantVol``). ``source`` holds the arguments
+    the paths were simulated from.
     """
 
     ln_x: np.ndarray
@@ -253,7 +275,7 @@ class PathBatch:
 @dataclass(frozen=True)
 class McEstimate:
     """Discounted price and standard error; under ``FullModel`` these are the
-    conditional payoff means regressed on their three controls (see
+    conditional payoff means regressed on their four controls (see
     ``price_mc``). ``price_plain`` and ``std_error_plain`` are the plain
     Monte Carlo mean of the sampled terminal payoffs and its SE, equal to
     ``price`` and ``std_error`` under ``ConstantVol``, where no conditioning
@@ -350,6 +372,83 @@ def _two_sum_coefficients(n: int) -> tuple[float, float, float]:
     return math.sqrt(n), 0.5 * n * math.sqrt(n), math.sqrt((n - 1) * n * (n + 1) / 12)
 
 
+@dataclass(frozen=True)
+class _FullSteps:
+    """What fixes a full-model run's steps before any draw (module docstring).
+
+    ``chol`` is the Cholesky factor of the noisy factors and x, in the order
+    (y, z, x); ``ey``, ``sd_y``, ``ez``, ``sd_z`` and ``z_shift`` = alpha' (1 - ez)
+    are the exact OU steps of Y and Z; ``x_mean0`` and ``g_mean0`` are the
+    parts of the conditional means that do not depend on the path.
+    ``fbar`` is the frozen volatility path fbar_j = f_full(0, zbar_j) of
+    Z's noise-free recursion zbar_{j+1} = zbar_j ez + alpha' (1 - ez) from
+    z0, and ``frozen_law`` the (mean_x, mean_g, var_x, var_g, cov) of the
+    terminal pair of a path with that volatility.
+    """
+
+    y_noisy: bool
+    z_noisy: bool
+    chol: np.ndarray
+    ey: float
+    sd_y: float
+    ez: float
+    sd_z: float
+    z_shift: float
+    x_mean0: float
+    g_mean0: float
+    fbar: np.ndarray
+    frozen_law: tuple
+
+
+def _full_steps(model: ModelParams, t: float, T: float, x0: float, g0: float,
+                n_steps: int) -> _FullSteps:
+    """The constants of a full-model run over [t, T] in n_steps steps; one
+    helper serves ``simulate_paths`` and ``price_mc``."""
+    y_noisy, z_noisy = model.nu != 0.0, model.beta != 0.0
+    corr = np.array(
+        [
+            [1.0, model.rho_yz, model.rho_xy],
+            [model.rho_yz, 1.0, model.rho_xz],
+            [model.rho_xy, model.rho_xz, 1.0],
+        ]
+    )  # (y, z, x)
+    # the factor of the noisy factors and x alone (module docstring)
+    keep = [i for i, noisy in enumerate((y_noisy, z_noisy, True)) if noisy]
+    # a built model's matrix is positive definite; this catches a
+    # factorization that fails numerically all the same
+    try:
+        chol = np.linalg.cholesky(corr[np.ix_(keep, keep)])
+    except np.linalg.LinAlgError as exc:
+        raise PDFactorizationFailure(str(exc)) from None
+    tau = T - t
+    dt = tau / n_steps
+    ey = math.exp(-dt / model.epsilon)
+    ez = math.exp(-model.k * dt)
+    z_shift = model.alpha_prime * (1.0 - ez)
+    zbar = np.empty(n_steps)
+    z = model.z0
+    for j in range(n_steps):  # the loop's steps of a deterministic Z
+        zbar[j] = z
+        z = z * ez + z_shift
+    # f_full(0, zbar), formed here so that a wrapped f_full sees the step loop's calls alone
+    fbar = np.clip(zbar, F_MIN, F_MAX)
+    q = fbar * fbar
+    w = (n_steps - 0.5) - np.arange(n_steps)  # w_j = n - j - 1/2
+    s0, s1 = float(q.sum()), float((w * q).sum())
+    s2 = float((w * w * q).sum())
+    ln_x0 = math.log(x0)
+    x_mean0 = ln_x0 + model.r * tau
+    g_mean0 = t * math.log(g0) + tau * ln_x0 + 0.5 * model.r * tau * tau
+    frozen_law = (x_mean0 - 0.5 * dt * s0, (g_mean0 - 0.5 * dt * dt * s1) / T,
+                  dt * s0, dt ** 3 * s2 / (T * T), dt * dt * s1 / T)
+    return _FullSteps(
+        y_noisy=y_noisy, z_noisy=z_noisy, chol=chol, ey=ey,
+        sd_y=model.nu * math.sqrt(max(0.0, 1.0 - ey * ey)), ez=ez,
+        sd_z=model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k))),
+        z_shift=z_shift, x_mean0=x_mean0, g_mean0=g_mean0, fbar=fbar, frozen_law=frozen_law,
+    )
+
+
 def simulate_paths(
     model: ModelParams,
     vol: VolSpec,
@@ -382,39 +481,20 @@ def simulate_paths(
     ln_x0 = math.log(x0)
 
     if full:
-        y_noisy, z_noisy = model.nu != 0.0, model.beta != 0.0
+        steps = _full_steps(model, t, T, x0, g0, n_steps)
+        y_noisy, z_noisy, chol = steps.y_noisy, steps.z_noisy, steps.chol
+        ey, sd_y, ez, z_shift, fbar = steps.ey, steps.sd_y, steps.ez, steps.z_shift, steps.fbar
         n_noisy = y_noisy + z_noisy
         # two terminal words, then one word a step for each noisy factor
         n_words = 2 + n_noisy * n_steps
-        corr = np.array(
-            [
-                [1.0, model.rho_yz, model.rho_xy],
-                [model.rho_yz, 1.0, model.rho_xz],
-                [model.rho_xy, model.rho_xz, 1.0],
-            ]
-        )  # (y, z, x)
-        # the factor of the noisy factors and x alone (module docstring)
-        keep = [i for i, noisy in enumerate((y_noisy, z_noisy, True)) if noisy]
-        # a built model's matrix is positive definite; this catches a
-        # factorization that fails numerically all the same
-        try:
-            chol = np.linalg.cholesky(corr[np.ix_(keep, keep)])
-        except np.linalg.LinAlgError as exc:
-            raise PDFactorizationFailure(str(exc)) from None
         x_scale = sqrt_dt * chol[-1, :-1]  # sqrt(dt) (c_xy, c_xz) of the noisy factors
         a_x = chol[-1, -1]
-        ey = math.exp(-dt / model.epsilon)
-        sd_y = model.nu * math.sqrt(max(0.0, 1.0 - ey * ey))
-        ez = math.exp(-model.k * dt)
-        sd_z = model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k)))
-        z_shift = model.alpha_prime * (1.0 - ez)
         # sd_z e_z = z_mix . (w_y, w_z) when both factors are noisy, z_mix w_z
         # when only Z is
-        z_mix = sd_z * chol[n_noisy - 1, :n_noisy]
+        z_mix = steps.sd_z * chol[n_noisy - 1, :n_noisy]
         # the conditional moments (module docstring): what does not depend on
         # the path, and the scales of the path sums
-        x_mean0 = ln_x0 + r * tau
-        g_mean0 = t * math.log(g0) + tau * ln_x0 + 0.5 * r * tau * tau
+        x_mean0, g_mean0 = steps.x_mean0, steps.g_mean0
         var_dt = a_x * a_x * dt
     else:
         n_words = 2
@@ -434,7 +514,7 @@ def simulate_paths(
     ln_x = np.empty(n_total)
     ln_g = np.empty(n_total)
     moments = np.empty((5, n_total)) if full else None
-    noise_sums = np.empty((2, n_total)) if full else None
+    noise_sums = np.empty((4, n_total)) if full else None
 
     chunk = min(cfg.chunk_size or max(1, WORD_BUDGET // words_per_path), draw_paths)
     # each worker runs one block at a time, so a round of blocks holds at most
@@ -448,7 +528,8 @@ def simulate_paths(
         """Step one block's volatility paths; returns the terminal law
         (mean_x, mean_g, sd_x, g_on_x, sd_g) of its m path elements, and
         the rows of their conditional moments and x-noise sums (sum h and
-        sum w_j h with w_j = n - j - 1/2), as arrays of m.
+        sum w_j h, then sum hbar and sum w_j hbar, with w_j = n - j - 1/2),
+        as arrays of m.
 
         ``draws`` is the block's row-major word array: the two terminal
         words, then uniforms in the words of the noisy factors, which become
@@ -457,21 +538,31 @@ def simulate_paths(
 
             f  = f_full(u, z)
             q  = f f;    p0 += q;   p1 += p0;   p2 += p1
-            h  = f nx;   n0 += h;   n1 += n0
+            h  = f nx;   (n0, nbar0) += (h, hbar);   (n1, nbar1) += (n0, nbar0)
             u  = u ey + w_y sd_y
             z  = z ez + ((w_z z_mix_z + w_y z_mix_y) + alpha' (1 - ez))
 
         in place, with nx = sqrt(dt) (c_xy w_y + c_xz w_z) and the noise
-        terms formed a tile of steps at a time; a term of a factor without
-        noise is left out, and a deterministic Z is one number.
+        terms, hbar = fbar_j nx of the frozen volatility among them, formed a
+        tile of steps at a time; each pair of sums is one (2, m) array, so a
+        step adds once to each. A term of a factor without noise is left
+        out, and a deterministic Z is one number.
         """
         nc = draws.shape[0]
         m = 2 * nc if anti else nc
         # step-major: tiles[c, s] is noisy factor c of step s of the tile
         tiles = np.empty((n_noisy, STEP_TILE, m))
-        nx, scratch = np.empty((STEP_TILE, m)), np.empty((STEP_TILE, m))
-        f, q, h = np.empty(m), np.empty(m), np.empty(m)
-        p0, p1, p2, n0, n1 = np.zeros((5, m))
+        # hx[s] is (nx, hbar) of step s of the tile, then (h, hbar) once
+        # step s has multiplied its nx by f
+        hx, scratch = np.empty((STEP_TILE, 2, m)), np.empty((STEP_TILE, m))
+        f, q = np.empty(m), np.empty(m)
+        p0, p1, p2 = np.zeros((3, m))
+        n0, n1 = np.zeros((2, 2, m))  # the (2, m) sums (n0, nbar0), (n1, nbar1)
+        # the rows each step reads, as views made once per block: (h, nx)
+        # of hx, and the OU noise terms of Y and of Z
+        h_rows = [(hx[s], hx[s, 0]) for s in range(STEP_TILE)]
+        e_y = list(tiles[0]) if y_noisy else None
+        e_z = list(tiles[-1]) if z_noisy else None
         u = np.zeros(m)
         z = np.full(m, model.z0) if z_noisy else model.z0
         for j0 in range(0, n_steps, STEP_TILE):
@@ -485,22 +576,22 @@ def simulate_paths(
                     ndtri(drawn, out=drawn)
                 if anti:
                     np.negative(tile[:, :, :nc], out=tile[:, :, nc:])
-                tile_nx, tmp = nx[:k], scratch[:k]
+                tile_nx, tmp = hx[:k, 0], scratch[:k]
                 np.multiply(tile[0], x_scale[0], out=tile_nx)
                 if n_noisy == 2:
                     np.multiply(tile[1], x_scale[1], out=tmp)
                     tile_nx += tmp
+                np.multiply(tile_nx, fbar[j0:j0 + k, None], out=hx[:k, 1])
                 # the OU noise terms overwrite the w rows
                 if z_noisy:
-                    e_z = tile[-1]
-                    e_z *= z_mix[-1]
+                    tile_e_z = tile[-1]
+                    tile_e_z *= z_mix[-1]
                     if n_noisy == 2:
                         np.multiply(tile[0], z_mix[0], out=tmp)
-                        e_z += tmp
-                    e_z += z_shift
+                        tile_e_z += tmp
+                    tile_e_z += z_shift
                 if y_noisy:
-                    e_y = tile[0]
-                    e_y *= sd_y
+                    tile[0] *= sd_y
             for s in range(k):
                 f_full(u, z, out=f)
                 np.multiply(f, f, out=q)
@@ -508,7 +599,8 @@ def simulate_paths(
                 p1 += p0
                 p2 += p1
                 if n_noisy:
-                    np.multiply(f, nx[s], out=h)
+                    h, h_x = h_rows[s]
+                    np.multiply(f, h_x, out=h_x)
                     n0 += h
                     n1 += n0
                 if y_noisy:
@@ -524,15 +616,17 @@ def simulate_paths(
         s1 = p1 - 0.5 * p0
         s2 = 2.0 * (p2 - p1) + 0.25 * p0
         h1 = n1 - 0.5 * n0
-        mean_x = x_mean0 + (n0 - (0.5 * dt) * p0)
-        mean_g = (g_mean0 + dt * (h1 - (0.5 * dt) * s1)) / T
+        mean_x = x_mean0 + (n0[0] - (0.5 * dt) * p0)
+        mean_g = (g_mean0 + dt * (h1[0] - (0.5 * dt) * s1)) / T
         var_x = var_dt * p0
         var_g = (var_dt * dt * dt / (T * T)) * s2
         cov = (var_dt * dt / T) * s1
         sd_x = np.sqrt(var_x)
         g_on_x = cov / sd_x
         sd_g = np.sqrt(np.maximum(var_g - g_on_x * g_on_x, 0.0))
-        return (mean_x, mean_g, sd_x, g_on_x, sd_g), (mean_x, mean_g, var_x, var_g, cov, n0, h1)
+        return (mean_x, mean_g, sd_x, g_on_x, sd_g), (
+            mean_x, mean_g, var_x, var_g, cov, n0[0], h1[0], n0[1], h1[1]
+        )
 
     def run_paths(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
@@ -636,19 +730,30 @@ def _payoff_mean(spec: OptionSpec, moments) -> np.ndarray:
 _SS_TINY = 2.0 ** -900
 
 
-def _centred(values: np.ndarray, antithetic: bool) -> tuple[np.floating, np.ndarray]:
-    """The mean of ``values``, or of an antithetic batch's pair means
-    0.5 (a + b), as the sum over n that numpy's mean and std form, and the
-    deviations from it in a new array."""
+def _samples(values: np.ndarray, antithetic: bool) -> np.ndarray:
+    """``values``, or an antithetic batch's pair means 0.5 (a + b) in a new
+    array: the samples an estimate averages."""
     if not antithetic:
-        mean = values.sum() / values.shape[0]
-        return mean, values - mean
+        return values
     n = values.shape[0] // 2
     pairs = np.add(values[:n], values[n:])
     pairs *= 0.5
-    mean = pairs.sum() / n
-    pairs -= mean
-    return mean, pairs
+    return pairs
+
+
+def _centred(values: np.ndarray, antithetic: bool) -> tuple[np.floating, np.ndarray]:
+    """The mean of the samples of ``values``, as the sum over n that numpy's
+    mean and std form, and the deviations from it in a new array."""
+    samples = _samples(values, antithetic)
+    mean = samples.sum() / samples.shape[0]
+    return mean, np.subtract(samples, mean, out=samples if antithetic else None)
+
+
+def _one_number(values: np.ndarray, antithetic: bool) -> bool:
+    """Whether every sample of ``values`` is the same number; the deviations
+    of such samples from their rounded mean need not be 0."""
+    samples = _samples(values, antithetic)
+    return bool((samples == samples[0]).all())
 
 
 def _in_range(*sums) -> bool:
@@ -703,9 +808,9 @@ def _regression(values: np.ndarray, controls, antithetic: bool):
     n = dv.shape[0]
     kept = []  # (deviations, offset c - exact, sum of squares), orthogonalized
     for control, exact in controls:
-        mean_c, dc = _centred(control, antithetic)
-        if not dc.any():  # one number on every sample: nothing to fit
+        if _one_number(control, antithetic):  # nothing to fit
             continue
+        mean_c, dc = _centred(control, antithetic)
         offset = mean_c - exact
         for dk, offset_k, ss_k in kept:
             gamma = (dk @ dc) / ss_k
@@ -774,6 +879,47 @@ def _controlled_mean_and_se(
     return scale * float(mean), scale * float(sd) / math.sqrt(n)
 
 
+def _frozen_control(spec: OptionSpec, model: ModelParams, state: MarketState, cfg: McConfig,
+                    frozen_sums: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each path's payoff mean with its volatility frozen at fbar_j, given
+    its y and z draws, and the exact mean of that control (module docstring).
+
+    ``frozen_sums`` holds each path's sums sum hbar and sum w_j hbar of the
+    frozen x noise hbar_j = fbar_j nx_j. With (m_x, m_g, v_x, v_g, c) the
+    law of the frozen path's terminal pair, the path's pair has means
+    m_x + sum hbar and m_g + (dt/T) sum w_j hbar and the rest of that law
+    times a_x^2, the share of the x noise the y and z draws leave open.
+    """
+    T = spec.maturity
+    steps = _full_steps(model, state.t, T, state.x, state.g, cfg.n_steps)
+    mean_x, mean_g, var_x, var_g, cov = steps.frozen_law
+    a2 = steps.chol[-1, -1] ** 2
+    dt = (T - state.t) / cfg.n_steps
+    nbar0, nbar1 = frozen_sums
+    control = _payoff_mean(spec, (mean_x + nbar0, mean_g + (dt / T) * nbar1,
+                                  a2 * var_x, a2 * var_g, a2 * cov))
+    return control, float(_payoff_mean(spec, steps.frozen_law))
+
+
+def _controls(spec: OptionSpec, model: ModelParams, state: MarketState, cfg: McConfig,
+              paths: PathBatch) -> list:
+    """The (control, exact mean) pairs of a full-model batch: E[X_T | vol],
+    the two x-noise sums and, where it and its mean are finite, the frozen
+    control (module docstring)."""
+    T = spec.maturity
+    control = np.exp(paths.moments[0] + 0.5 * paths.moments[2])  # E[X_T | vol]
+    try:
+        exact = state.x * math.exp(model.r * (T - state.t))
+    except OverflowError:
+        raise OutOfDomain(f"E[X_T] overflows a float at r = {model.r}, T = {T}") from None
+    controls = [(control, exact), *((noise, 0.0) for noise in paths.noise_sums[:2])]
+    frozen, frozen_mean = _frozen_control(spec, model, state, cfg, paths.noise_sums[2:])
+    # an overflow leaves nothing to fit, as a constant does
+    if math.isfinite(frozen_mean) and np.isfinite(frozen).all():
+        controls.append((frozen, frozen_mean))
+    return controls
+
+
 def price_mc(
     spec: OptionSpec,
     model: ModelParams,
@@ -791,13 +937,16 @@ def price_mc(
     well-defined) even though the analytic layers reject them.
 
     A full-model batch is priced by each path's payoff mean given its
-    volatility path, regressed on an intercept and three controls with
-    exact means: E[X_T | vol] and the batch's two x-noise sums (see the
-    module docstring), with 1 + c degrees of freedom spent for the c
-    controls kept. A control that is one number on every path is dropped;
-    when no control is left, or fewer than 2 + c samples are (an antithetic
-    pair counting once), the price is the uncontrolled mean of those
-    conditional payoffs, which is unbiased too. ``price_plain`` and
+    volatility path, regressed on an intercept and four controls with
+    exact means: E[X_T | vol], the batch's two x-noise sums and the frozen
+    control (see the module docstring), with 1 + c degrees of freedom spent
+    for the c controls kept. A control that is one number on every path is
+    dropped, and so is a frozen control that is not finite on every path or
+    whose exact mean is not finite; when no control is left, or fewer than
+    2 + c samples are (an antithetic pair counting once), the price is the
+    uncontrolled mean of those conditional payoffs, which is unbiased too.
+    Conditional payoff means that are one number on every path (no factor
+    noise) give that number, with SE 0. ``price_plain`` and
     ``std_error_plain`` keep the plain estimate over the sampled terminal
     payoffs. A constant-vol batch is priced plain.
 
@@ -820,16 +969,14 @@ def price_mc(
         price, se = plain
         if isinstance(vol, FullModel):
             conditional = _payoff_mean(spec, paths.moments)
-            control = np.exp(paths.moments[0] + 0.5 * paths.moments[2])  # E[X_T | vol]
-            try:
-                exact = state.x * math.exp(model.r * (T - state.t))
-            except OverflowError:
-                raise OutOfDomain(f"E[X_T] overflows a float at r = {model.r}, T = {T}") from None
-            controls = [(control, exact), *((noise, 0.0) for noise in paths.noise_sums)]
-            price, se = (
-                _controlled_mean_and_se(conditional, controls, cfg.antithetic, disc)
-                or mean_and_se(conditional, cfg.antithetic, scale=disc)
-            )
+            if _one_number(conditional, cfg.antithetic):  # no spread for a control to take
+                price, se = disc * float(_samples(conditional, cfg.antithetic)[0]), 0.0
+            else:
+                controls = _controls(spec, model, state, cfg, paths)
+                price, se = (
+                    _controlled_mean_and_se(conditional, controls, cfg.antithetic, disc)
+                    or mean_and_se(conditional, cfg.antithetic, scale=disc)
+                )
     if not all(map(math.isfinite, (price, se, *plain))):
         raise OutOfDomain(f"the Monte Carlo estimate is not finite: {price}, SE {se}, plain {plain}")
     return McEstimate(price, se, *plain)

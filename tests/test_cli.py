@@ -677,14 +677,14 @@ def test_validate_exponentiates_each_path_array_once(capsys, monkeypatch):
 # (argv, SHA-256 of the report's outputs as compact JSON with sorted keys).
 # The constant one was recorded from the oracle before its payoffs and
 # standard errors were formed in place, the full one since full-model prices
-# took the two x-noise controls; they guard the oracle's bits against a
+# took the frozen-volatility control; they guard the oracle's bits against a
 # regression and are not values derived by an independent route (the
 # full-model estimator is, in test_mc.py's test_frozen_estimates).
 PINNED_VALIDATE = [
     (["validate", "--paths", "2000", "--steps", "16", "--seed", "5", "--json"],
      "eb9d41bc855cbf7a2dade660049b232e20aaf89e9051fec8944b4dc7bd51d0ad"),
     (["validate", "--mode", "full", "--paths", "4000", "--steps", "24", "--seed", "7", "--json"],
-     "4dccb002bcad0587435e29bb7d551a7fdb77213dbae6b1249cdb03a5ffd42c48"),
+     "5ce33b6cf5f1461daba90d00e8ae2609e352184a12b62fbe35bf0d7fc20d73df"),
 ]
 
 

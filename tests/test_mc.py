@@ -251,7 +251,9 @@ def _stepped_vol_path(model, t, T, x0, g0, cfg):
     words of each path's block (two terminal words, then a word a step for
     each noisy factor, y before z): Y_T and Z_T, the conditional moments from
     the plain weighted sums S0, S1, S2 of f_j^2 and the two sums of the known
-    x noise, those two sums, and the terminal pair drawn from words 0 and 1."""
+    x noise, those two sums, the two sums of the known x noise at the frozen
+    volatility fbar_j = clamp(zbar_j) of Z's noise-free path, and the
+    terminal pair drawn from words 0 and 1."""
     n = cfg.n_steps
     noisy = [name for name, scale in (("y", model.nu), ("z", model.beta)) if scale != 0.0]
     n_words = 2 + len(noisy) * n
@@ -278,13 +280,17 @@ def _stepped_vol_path(model, t, T, x0, g0, cfg):
     m = cfg.n_paths
     u = np.zeros(m)  # y
     z = np.full(m, model.z0)
-    sums = np.zeros((5, m))  # S0, S1, S2, sum f nx, sum w_j f nx
+    zbar = model.z0
+    # S0, S1, S2, sum f nx, sum w_j f nx, sum fbar nx, sum w_j fbar nx
+    sums = np.zeros((7, m))
     for j in range(n):
         w = n - j - 0.5
         f = f_full(u, z)
+        fbar = min(max(zbar, F_MIN), F_MAX)
         nx = sqrt_dt * sum(chol[-1, c] * draws[name][:, j] for c, name in enumerate(noisy))
-        q, h = f * f, f * nx
-        sums += [q, w * q, w * w * q, h, w * h]
+        q, h, hbar = f * f, f * nx, fbar * nx
+        sums += [q, w * q, w * w * q, h, w * h, hbar, w * hbar]
+        zbar = zbar * ez + z_shift
         if "y" in draws:
             u = u * ey + draws["y"][:, j] * sd_y
         if "z" in draws:
@@ -294,7 +300,7 @@ def _stepped_vol_path(model, t, T, x0, g0, cfg):
             z = z * ez + (e_z + z_shift)
         else:
             z = z * ez + z_shift
-    s0, s1, s2, h0, h1 = sums
+    s0, s1, s2, h0, h1, hbar0, hbar1 = sums
     a2 = chol[-1, -1] ** 2
     mean_x = math.log(x0) + model.r * tau - 0.5 * dt * s0 + h0
     mean_g = (t * math.log(g0) + tau * math.log(x0) + 0.5 * model.r * tau * tau
@@ -305,7 +311,7 @@ def _stepped_vol_path(model, t, T, x0, g0, cfg):
         ln_x=mean_x + np.sqrt(var_x) * words[:, 0],
         ln_g=mean_g + g_on_x * words[:, 0] + np.sqrt(var_g - g_on_x ** 2) * words[:, 1],
         y=u, z=z, moments=np.stack((mean_x, mean_g, var_x, var_g, cov)),
-        noise_sums=np.stack((h0, h1)),
+        noise_sums=np.stack((h0, h1, hbar0, hbar1)),
     )
 
 
@@ -329,9 +335,9 @@ def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, 
     """The tiled volatility loop reproduces Var ln X_T = a_x^2 dt S0 of the
     plain per-step loop bit for bit, so every f_j of the volatility path
     too, and its prefix sums give the other conditional moments and the
-    terminal pair of the plain weighted sums to 1e-12, and the two x-noise
-    sums sum h and sum w_j h to 1e-12 of their largest value: with a
-    noiseless and a noisy Y and Z, f_j clamped at both bounds, step counts on
+    terminal pair of the plain weighted sums to 1e-12, and the four x-noise
+    sums, sum h and sum w_j h at f_j and at the frozen fbar_j, to 1e-12 of
+    their largest value: with a noiseless and a noisy Y and Z, f_j clamped at both bounds, step counts on
     and off the tile, an uneven chunk and a pooled run."""
     kwargs = dict(model=model, t=0.05, T=0.45, x0=100.0, g0=98.0)
     want = _stepped_vol_path(
@@ -612,31 +618,42 @@ def test_frozen_estimates():
     full = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
     assert rel(full.price_plain, 3.511583043079909) < 1e-12
     assert rel(full.std_error_plain, 0.08108852302090228) < 1e-12
-    assert rel(full.price, 3.467205951461236) < 1e-12
-    assert rel(full.std_error, 0.0027475953774322767) < 1e-12
+    assert rel(full.price, 3.4670563244542723) < 1e-12
+    assert rel(full.std_error, 0.0027440806457917186) < 1e-12
     # the full-model pins, recomputed from the raw Philox words of each
     # path's 52-word block (2 terminal words, 50 y words) stepped one step at
     # a time, and the controlled estimate by least squares on an intercept,
-    # E[X_T | vol] and the two x-noise sums, whose exact means are
-    # x0 e^{r T}, 0 and 0
+    # E[X_T | vol], the two x-noise sums and the frozen-volatility control,
+    # whose exact means are x0 e^{r T}, 0, 0 and the pair formula on the law
+    # of the path with volatility clamp(zbar_j) on Z's OU mean path
     paths = _stepped_vol_path(MODEL, 0.0, 0.45, 100.0, 100.0, cfg)
     n = cfg.n_paths
     payoff = np.maximum(np.exp(paths["ln_x"]) - np.exp(paths["ln_g"]), 0.0)
     assert rel(full.price_plain, disc * payoff.mean()) < 1e-10
     assert rel(full.std_error_plain, disc * payoff.std(ddof=1) / math.sqrt(n)) < 1e-9
+
+    def floating_call(mean_x, mean_g, var_x, var_g, cov):
+        s = np.sqrt(var_x + var_g - 2.0 * cov)
+        d1 = (mean_x - mean_g + 0.5 * (var_x - var_g)) / s + 0.5 * s
+        return np.exp(mean_x + 0.5 * var_x) * ndtr(d1) - np.exp(mean_g + 0.5 * var_g) * ndtr(d1 - s)
+
     mean_x, mean_g, var_x, var_g, cov = paths["moments"]
-    s = np.sqrt(var_x + var_g - 2.0 * cov)
-    d1 = (mean_x - mean_g + 0.5 * (var_x - var_g)) / s + 0.5 * s
+    conditional = floating_call(mean_x, mean_g, var_x, var_g, cov)
     e_x = np.exp(mean_x + 0.5 * var_x)  # E[X_T | vol]
-    conditional = e_x * ndtr(d1) - np.exp(mean_g + 0.5 * var_g) * ndtr(d1 - s)
-    controls = np.column_stack([e_x, *paths["noise_sums"]])
-    exact = np.array([100.0 * math.exp(MODEL.r * 0.45), 0.0, 0.0])
+    h0, h1, hbar0, hbar1 = paths["noise_sums"]
+    frozen_law = _deterministic_vol_moments(MODEL, 0.0, 0.45, 100.0, 100.0, cfg.n_steps)
+    a2 = 1.0 - MODEL.rho_xy ** 2  # the share of the x noise the y draws leave open
+    f_mean_x, f_mean_g, f_var_x, f_var_g, f_cov = frozen_law
+    frozen = floating_call(f_mean_x + hbar0, f_mean_g + hbar1 / cfg.n_steps,  # dt/T = 1/n
+                           a2 * f_var_x, a2 * f_var_g, a2 * f_cov)
+    controls = np.column_stack([e_x, h0, h1, frozen])
+    exact = np.array([100.0 * math.exp(MODEL.r * 0.45), 0.0, 0.0, floating_call(*frozen_law)])
     coef, ss_resid, rank, _ = np.linalg.lstsq(
         np.column_stack([np.ones(n), controls]), conditional, rcond=None
     )
-    assert rank == 4
+    assert rank == 5
     price = disc * (conditional.mean() - coef[1:] @ (controls.mean(axis=0) - exact))
-    se = disc * math.sqrt(ss_resid[0] / (n - 4)) / math.sqrt(n)
+    se = disc * math.sqrt(ss_resid[0] / (n - 5)) / math.sqrt(n)
     assert rel(full.price, price) < 1e-10
     assert rel(full.std_error, se) < 1e-9
 
@@ -847,52 +864,173 @@ def test_controlled_estimate_falls_back_to_the_conditional_mean():
     assert _controlled_mean_and_se(values, [constant], False, 1.0) is None
     assert (_controlled_mean_and_se(values, [constant, (controls[0], 0.0), constant], False, 1.0)
             == _controlled_mean_and_se(values, [(controls[0], 0.0)], False, 1.0))
+    # one number whose mean sum/n rounds away from it is dropped all the
+    # same, and so are antithetic pairs whose means are one number
+    assert sum(np.full(3, 0.1)) / 3 != 0.1
+    assert _controlled_mean_and_se(values[:3], [(np.full(3, 0.1), 0.1)], False, 1.0) is None
+    values = rng.normal(size=1000)
+    assert np.full(1000, 3.321410415757264).sum() / 1000 != 3.321410415757264
+    assert _controlled_mean_and_se(values, [(np.full(1000, 3.321410415757264), 0.0)],
+                                   False, 1.0) is None
+    spread = np.arange(50) / 8.0  # 1 + s and 1 - s are exact, so each pair means 1
+    mirrored = np.concatenate([1.0 + spread, 1.0 - spread])
+    assert _controlled_mean_and_se(np.resize(values, 100), [(mirrored, 1.0)], True, 1.0) is None
 
 
 @pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL], ids=["reference", "correlated"])
-def test_zero_spot_correlations_keep_the_one_control_estimate(model):
-    """With rho_xy = rho_xz = 0 the x noise has no known part, so both
-    x-noise sums are exactly 0 on every path, the regression drops them, and
-    price and SE are those of E[X_T | vol] alone, bit for bit as numpy's
-    mean, matmul and std write them."""
+def test_zero_spot_correlations_leave_no_control(model):
+    """With rho_xy = rho_xz = 0 no factor noise reaches x: E[X_T | vol] is
+    x0 e^{r T} on every path (here to the bit), both x-noise sums are
+    exactly 0 and the frozen control is one number, so the regression drops
+    all four, and price and SE are those of the conditional payoff means,
+    bit for bit as numpy's mean and std write them."""
     model = dataclasses.replace(model, rho_xy=0.0, rho_xz=0.0)
-    disc, exact = math.exp(-model.r * 0.45), 100.0 * math.exp(model.r * 0.45)
+    disc = math.exp(-model.r * 0.45)
     for antithetic in (False, True):
         cfg = McConfig(n_paths=2000, n_steps=20, seed=8, antithetic=antithetic)
         batch = simulate_paths(model, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
         assert not batch.noise_sums.any()
+        assert np.ptp(np.exp(batch.moments[0] + 0.5 * batch.moments[2])) == 0.0
+        frozen, _ = mc._frozen_control(FLOAT_CALL, model, STATE, cfg, batch.noise_sums[2:])
+        assert np.ptp(frozen) == 0.0
         est = price_mc(FLOAT_CALL, model, FullModel(), STATE, cfg, paths=batch)
         conditional = _payoff_mean(FLOAT_CALL, batch.moments)
-        control = np.exp(batch.moments[0] + 0.5 * batch.moments[2])
-        assert (est.price, est.std_error) == _numpy_controlled_mean_and_se(
-            conditional, control, exact, antithetic, disc
-        )
+        assert (est.price, est.std_error) == _numpy_mean_and_se(conditional, antithetic, disc)
 
 
 def test_the_noise_controls_keep_the_standard_error_honest():
     """Over 40 seeds of a small antithetic run, the spread of the
-    three-control prices matches their mean reported SE, and their mean gap
-    to the one-control estimates of the same batches is within 4 standard
-    errors of 0: the x-noise controls shrink the SE without bias or an
-    understated error, for a floating call and a fixed put."""
+    four-control prices matches their mean reported SE, and their mean gaps
+    to the one-control and three-control estimates of the same batches
+    (without the x-noise sums and the frozen control, and without the frozen
+    control alone) are within 4 standard errors of 0: the x-noise and
+    frozen-volatility controls shrink the SE without bias or an understated
+    error, for a floating call and a fixed put."""
     put = OptionSpec(StrikeStyle.FIXED, OptionKind.PUT, maturity=0.45, strike=100.0)
     specs = [FLOAT_CALL, put]
     disc, exact = math.exp(-MODEL.r * 0.45), 100.0 * math.exp(MODEL.r * 0.45)
-    prices, ses, gaps = (np.empty((len(specs), 40)) for _ in range(3))
+    prices, ses = (np.empty((len(specs), 40)) for _ in range(2))
+    gaps = np.empty((2, len(specs), 40))
     for seed in range(40):
         cfg = McConfig(n_paths=2000, n_steps=40, seed=seed, antithetic=True)
         batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
-        control = np.exp(batch.moments[0] + 0.5 * batch.moments[2])
+        controls = [(np.exp(batch.moments[0] + 0.5 * batch.moments[2]), exact),
+                    *((noise, 0.0) for noise in batch.noise_sums[:2])]
         for i, spec in enumerate(specs):
             est = price_mc(spec, MODEL, FullModel(), STATE, cfg, paths=batch)
-            one, _ = _controlled_mean_and_se(_payoff_mean(spec, batch.moments),
-                                             [(control, exact)], True, disc)
+            conditional = _payoff_mean(spec, batch.moments)
             prices[i, seed], ses[i, seed] = est.price, est.std_error
-            gaps[i, seed] = est.price - one
+            for k, c in enumerate((1, 3)):
+                fewer, _ = _controlled_mean_and_se(conditional, controls[:c], True, disc)
+                gaps[k, i, seed] = est.price - fewer
     ratios = prices.std(axis=1, ddof=1) / ses.mean(axis=1)
     assert np.all((0.7 <= ratios) & (ratios <= 1.4)), ratios
-    gap_se = gaps.std(axis=1, ddof=1) / math.sqrt(40)
-    assert np.all(np.abs(gaps.mean(axis=1)) <= 4.0 * gap_se), (gaps.mean(axis=1), gap_se)
+    gap_se = gaps.std(axis=2, ddof=1) / math.sqrt(40)
+    assert np.all(np.abs(gaps.mean(axis=2)) <= 4.0 * gap_se), (gaps.mean(axis=2), gap_se)
+
+
+@pytest.mark.parametrize("spec", CONTROL_SPECS, ids=lambda s: f"{s.style.name}-{s.kind.name}")
+def test_the_frozen_control_mean_is_the_price_without_factor_noise(spec):
+    """The frozen control's exact mean, formed from the closed sums of
+    fbar_j^2, is the price that price_mc gives, with SE 0, to the model with
+    nu = beta = 0 and the same k, alpha', z0 and r, formed from the step
+    loop's prefix sums: to 1e-12, for all four contracts."""
+    state, T = CONTROL_STATE, spec.maturity
+    cfg = McConfig(n_paths=600, n_steps=37, seed=2, antithetic=True)
+    batch = simulate_paths(CORRELATED_MODEL, FullModel(), state.t, T, state.x, state.g, cfg)
+    _, exact = mc._frozen_control(spec, CORRELATED_MODEL, state, cfg, batch.noise_sums[2:])
+    still = dataclasses.replace(CORRELATED_MODEL, nu=0.0, beta=0.0)
+    est = price_mc(spec, still, FullModel(), state, cfg)
+    assert est.std_error == 0.0
+    assert rel(est.price, math.exp(-still.r * (T - state.t)) * exact) < 1e-12
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_the_frozen_control_is_centred_on_its_exact_mean(antithetic):
+    """Over 40 seeds, the frozen control's sample mean against its exact mean
+    gives z-scores of mean within 0.5 of 0 and spread in [0.7, 1.3]: the
+    exact mean is that of the simulated control, for a floating call."""
+    z = np.empty(40)
+    for seed in range(40):
+        cfg = McConfig(n_paths=2000, n_steps=40, seed=seed, antithetic=antithetic)
+        batch = simulate_paths(CORRELATED_MODEL, FullModel(), CONTROL_STATE.t, 0.45,
+                               CONTROL_STATE.x, CONTROL_STATE.g, cfg)
+        control, exact = mc._frozen_control(CONTROL_SPECS[0], CORRELATED_MODEL, CONTROL_STATE,
+                                             cfg, batch.noise_sums[2:])
+        mean, se = mc.mean_and_se(control, antithetic)
+        z[seed] = (mean - exact) / se
+    assert abs(z.mean()) <= 0.5 and 0.7 <= z.std(ddof=1) <= 1.3, (z.mean(), z.std(ddof=1))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_the_price_is_continuous_at_the_deterministic_limit(antithetic):
+    """At nu = beta = 1e-9 with rho_xy = -0.5 the frozen control takes nearly
+    all of the spread: the price is within 1e-8 of the nu = beta = 0 price,
+    relative, with an SE of at most 1e-8 (the three other controls alone left
+    SEs of 0.008 and 0.011 here, and the antithetic price 0.36% off)."""
+    still = ModelParams(r=0.0264, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.001,
+                        rho_xy=-0.5)
+    near = dataclasses.replace(still, nu=1e-9, beta=1e-9)
+    cfg = McConfig(n_paths=2000, n_steps=40, seed=5, antithetic=antithetic)
+    want = price_mc(FLOAT_CALL, still, FullModel(), STATE, cfg)
+    est = price_mc(FLOAT_CALL, near, FullModel(), STATE, cfg)
+    assert rel(est.price, want.price) < 1e-8
+    assert est.std_error <= 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", [
+    FLOAT_CALL, OptionSpec(StrikeStyle.FIXED, OptionKind.PUT, maturity=0.45, strike=1e300),
+], ids=["floating-call", "fixed-put"])
+def test_a_spot_of_1e300_prices_with_the_frozen_control(spec):
+    """Every price scales with the spot, so at spot 1e300 (a run priced
+    before the frozen control came in) the estimate is 1e300 times that at
+    spot 1, up to rounding, with the frozen control kept and finite."""
+    cfg = McConfig(n_paths=2000, n_steps=20, seed=3, antithetic=True)
+    unit_spec = spec if spec.strike is None else dataclasses.replace(spec, strike=1.0)
+    unit = price_mc(unit_spec, MODEL, FullModel(), MarketState(t=0.0, x=1.0, g=1.0), cfg)
+    state = MarketState(t=0.0, x=1e300, g=1e300)
+    est = price_mc(spec, MODEL, FullModel(), state, cfg)
+    batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 1e300, 1e300, cfg)
+    frozen, exact = mc._frozen_control(spec, MODEL, state, cfg, batch.noise_sums[2:])
+    assert math.isfinite(exact) and np.isfinite(frozen).all()
+    assert rel(est.price, 1e300 * unit.price) < 1e-9
+    assert rel(est.std_error, 1e300 * unit.std_error) < 1e-9
+
+
+def test_a_frozen_control_past_the_float_range_is_dropped(monkeypatch):
+    """A frozen control that is not finite on every path, or whose exact mean
+    is not finite, is left out, as a constant is: the estimate is that of
+    the three other controls, where a kept inf would have made it NaN."""
+    put = OptionSpec(StrikeStyle.FIXED, OptionKind.PUT, maturity=3.0, strike=1.5e308)
+    state = MarketState(t=0.0, x=1.5e308, g=1.5e308)
+    cfg = McConfig(n_paths=1000, n_steps=10, seed=1, antithetic=True)
+    batch = simulate_paths(MODEL, FullModel(), 0.0, 3.0, state.x, state.g, cfg)
+    disc = math.exp(-MODEL.r * 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        frozen, exact = mc._frozen_control(put, MODEL, state, cfg, batch.noise_sums[2:])
+        conditional = _payoff_mean(put, batch.moments)
+        e_x = np.exp(batch.moments[0] + 0.5 * batch.moments[2])
+    assert math.isfinite(exact) and not np.isfinite(frozen).all()
+    controls = [(e_x, state.x * math.exp(MODEL.r * 3.0)),
+                *((noise, 0.0) for noise in batch.noise_sums[:2])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        three = _controlled_mean_and_se(conditional, controls, True, disc)
+    est = price_mc(put, MODEL, FullModel(), state, cfg, paths=batch)
+    assert (est.price, est.std_error) == three and math.isfinite(est.price)
+    # an exact mean past the float range drops a control finite on every path
+    small = MarketState(t=0.0, x=100.0, g=100.0)
+    batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    kept = price_mc(FLOAT_CALL, MODEL, FullModel(), small, cfg, paths=batch)
+    frozen_control = mc._frozen_control
+    monkeypatch.setattr(mc, "_frozen_control",
+                        lambda *args: (frozen_control(*args)[0], math.inf))
+    dropped = price_mc(FLOAT_CALL, MODEL, FullModel(), small, cfg, paths=batch)
+    controls = [(np.exp(batch.moments[0] + 0.5 * batch.moments[2]), 100.0 * math.exp(MODEL.r * 0.45)),
+                *((noise, 0.0) for noise in batch.noise_sums[:2])]
+    assert (dropped.price, dropped.std_error) == _controlled_mean_and_se(
+        _payoff_mean(FLOAT_CALL, batch.moments), controls, True, math.exp(-MODEL.r * 0.45))
+    assert kept.std_error < dropped.std_error
 
 
 @pytest.mark.parametrize("c", [1, 3])

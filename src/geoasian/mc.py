@@ -90,40 +90,39 @@ result.
 
 Pricing. Given its volatility path, a full-model path's payoff mean is a
 lognormal-pair closed form (``_lognormal_pair_call``), so ``price_mc``
-averages those conditional means, regressed on four control variates with
-exactly known means, none of which adds bias from the time grid:
-E[X_T | vol] = exp(m_x + v_x/2), whose mean x0 e^{r (T - t)} the log-Euler
-step keeps exactly (by the tower property); the two sums of the known x
-noise, sum h_j and sum w_j h_j with h_j = f_j nx_j and
+averages those conditional means, regressed by ``mean_and_se`` on four
+control variates with exactly known means, none of which adds bias from the
+time grid: E[X_T | vol] = exp(m_x + v_x/2), whose mean x0 e^{r (T - t)} the
+log-Euler step keeps exactly (by the tower property); the two sums of the
+known x noise, sum h_j and sum w_j h_j with h_j = f_j nx_j and
 nx_j = sqrt(dt) (c_xy w_y + c_xz w_z) of step j, whose means are 0 because
 f_j reads only draws before step j and step j's draws are symmetric; and the
 frozen control, the payoff mean of the same path with its volatility frozen
 at fbar_j = f_full(0, zbar_j) on Z's noise-free path
-zbar_{j+1} = zbar_j ez + alpha' (1 - ez) from z0 (Fouque and Han, 2004). The
-loop keeps that path's two x-noise sums, sum hbar_j and sum w_j hbar_j with
-hbar_j = fbar_j nx_j; with S0, S1, S2 the sums of fbar_j^2 weighted by
+zbar_{j+1} = zbar_j ez + alpha' (1 - ez) from z0 (Fouque and Han, 2004).
+With hbar_j = fbar_j nx_j, S0, S1, S2 the sums of fbar_j^2 weighted by
 w_j^k, m_x = ln x0 + r tau - dt S0/2 and
 m_g = (t ln g + tau ln x0 + r tau^2/2 - dt^2 S1/2)/T, the frozen path's pair
 has means m_x + sum hbar and m_g + (dt/T) sum w_j hbar and the law
-(a_x^2 dt S0, a_x^2 dt^3 S2/T^2, a_x^2 dt^2 S1/T) given the y and z draws.
-The two sums are linear in those draws with fixed weights, so the frozen
-pair is exactly Gaussian with variances dt S0 and dt^3 S2/T^2 and covariance
-dt^2 S1/T (a_x^2 + c_xy^2 + c_xz^2 = 1), and the control's exact mean is
-the pair formula on that law: the price of the model with nu = beta = 0.
-The control moves with the conditional payoff mean because both price one
-contract on one x noise; it takes most of what antithetic pairing leaves,
-the even part of the spread. Without a spot correlation (rho_xy =
-rho_xz = 0), or without factor noise (nu = beta = 0), no factor noise
-reaches x: the x-noise sums are 0 and the frozen control is one number, and
-they drop out, as E[X_T | vol] = x0 e^{r (T - t)} does wherever rounding
-leaves it one number; a batch whose conditional payoff means are one number
-is priced at that number with SE 0. A frozen control or exact mean
-past the float range is dropped as well. Constant-vol runs carry no
-control: their closed forms are what the oracle checks them against. The
-payoffs read X_T and G_T from the batch, which exponentiates each once.
-Payoffs, means and standard errors are formed in place in arrays of their
-own, with the bits of numpy's mean and std; a sum of squares that would
-underflow or overflow is formed on values scaled by a power of two.
+(a_x^2 dt S0, a_x^2 dt^3 S2/T^2, a_x^2 dt^2 S1/T) given the y and z draws,
+which the step loop forms per path. The two sums are linear in those draws,
+so the frozen pair is exactly Gaussian with variances dt S0 and
+dt^3 S2/T^2 and covariance dt^2 S1/T (a_x^2 + c_xy^2 + c_xz^2 = 1), and the
+control's exact mean is the pair formula on that law: the price of the
+model with nu = beta = 0. The control moves with the conditional payoff
+mean because both price one contract on one x noise; it takes most of what
+antithetic pairing leaves, the even part of the spread. Where the x-noise
+sums are all 0 (rho_xy = rho_xz = 0, or nu = beta = 0), no factor noise
+reaches x and every control is one number in exact arithmetic, so none is
+used: E[X_T | vol] may still round to a few values, whose fitted slope
+would move the price. A batch whose conditional payoff means are one number
+is priced at that number with SE 0, and a frozen control or exact mean past
+the float range is dropped. Constant-vol runs carry no control: their
+closed forms are what the oracle checks them against. The payoffs read X_T
+and G_T from the batch, which exponentiates each once. Payoffs, means and
+standard errors are formed in place in arrays of their own, with the bits
+of numpy's mean and std; a sum of squares that would underflow or overflow
+is formed on values scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -249,10 +248,13 @@ class PathBatch:
     their covariance (None under ``ConstantVol``, whose law is the same on
     every path). ``noise_sums`` holds, for a full-model run, the sums of
     the known x noise (module docstring), sum_j h_j and
-    sum_j (n - j - 1/2) h_j, then those of the frozen volatility, sum_j hbar_j
-    and sum_j (n - j - 1/2) hbar_j, as rows of a (4, n_paths) array, each
-    with mean 0 (None under ``ConstantVol``). ``source`` holds the arguments
-    the paths were simulated from.
+    sum_j (n - j - 1/2) h_j, as rows of a (2, n_paths) array, each with
+    mean 0. ``frozen_law`` holds, for a full-model run, the laws of the
+    frozen path's pair, in the order of ``moments``: given each path's y
+    and z draws (its two means as arrays of n_paths, its variances and
+    covariance as floats), and unconditional (five floats). Both are None
+    under ``ConstantVol``. ``source`` holds the arguments the paths were
+    simulated from.
     """
 
     ln_x: np.ndarray
@@ -260,6 +262,7 @@ class PathBatch:
     source: dict
     moments: np.ndarray | None
     noise_sums: np.ndarray | None
+    frozen_law: tuple[tuple, tuple] | None
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -275,7 +278,7 @@ class PathBatch:
 @dataclass(frozen=True)
 class McEstimate:
     """Discounted price and standard error; under ``FullModel`` these are the
-    conditional payoff means regressed on their four controls (see
+    conditional payoff means regressed on the controls kept (see
     ``price_mc``). ``price_plain`` and ``std_error_plain`` are the plain
     Monte Carlo mean of the sampled terminal payoffs and its SE, equal to
     ``price`` and ``std_error`` under ``ConstantVol``, where no conditioning
@@ -372,83 +375,6 @@ def _two_sum_coefficients(n: int) -> tuple[float, float, float]:
     return math.sqrt(n), 0.5 * n * math.sqrt(n), math.sqrt((n - 1) * n * (n + 1) / 12)
 
 
-@dataclass(frozen=True)
-class _FullSteps:
-    """What fixes a full-model run's steps before any draw (module docstring).
-
-    ``chol`` is the Cholesky factor of the noisy factors and x, in the order
-    (y, z, x); ``ey``, ``sd_y``, ``ez``, ``sd_z`` and ``z_shift`` = alpha' (1 - ez)
-    are the exact OU steps of Y and Z; ``x_mean0`` and ``g_mean0`` are the
-    parts of the conditional means that do not depend on the path.
-    ``fbar`` is the frozen volatility path fbar_j = f_full(0, zbar_j) of
-    Z's noise-free recursion zbar_{j+1} = zbar_j ez + alpha' (1 - ez) from
-    z0, and ``frozen_law`` the (mean_x, mean_g, var_x, var_g, cov) of the
-    terminal pair of a path with that volatility.
-    """
-
-    y_noisy: bool
-    z_noisy: bool
-    chol: np.ndarray
-    ey: float
-    sd_y: float
-    ez: float
-    sd_z: float
-    z_shift: float
-    x_mean0: float
-    g_mean0: float
-    fbar: np.ndarray
-    frozen_law: tuple
-
-
-def _full_steps(model: ModelParams, t: float, T: float, x0: float, g0: float,
-                n_steps: int) -> _FullSteps:
-    """The constants of a full-model run over [t, T] in n_steps steps; one
-    helper serves ``simulate_paths`` and ``price_mc``."""
-    y_noisy, z_noisy = model.nu != 0.0, model.beta != 0.0
-    corr = np.array(
-        [
-            [1.0, model.rho_yz, model.rho_xy],
-            [model.rho_yz, 1.0, model.rho_xz],
-            [model.rho_xy, model.rho_xz, 1.0],
-        ]
-    )  # (y, z, x)
-    # the factor of the noisy factors and x alone (module docstring)
-    keep = [i for i, noisy in enumerate((y_noisy, z_noisy, True)) if noisy]
-    # a built model's matrix is positive definite; this catches a
-    # factorization that fails numerically all the same
-    try:
-        chol = np.linalg.cholesky(corr[np.ix_(keep, keep)])
-    except np.linalg.LinAlgError as exc:
-        raise PDFactorizationFailure(str(exc)) from None
-    tau = T - t
-    dt = tau / n_steps
-    ey = math.exp(-dt / model.epsilon)
-    ez = math.exp(-model.k * dt)
-    z_shift = model.alpha_prime * (1.0 - ez)
-    zbar = np.empty(n_steps)
-    z = model.z0
-    for j in range(n_steps):  # the loop's steps of a deterministic Z
-        zbar[j] = z
-        z = z * ez + z_shift
-    # f_full(0, zbar), formed here so that a wrapped f_full sees the step loop's calls alone
-    fbar = np.clip(zbar, F_MIN, F_MAX)
-    q = fbar * fbar
-    w = (n_steps - 0.5) - np.arange(n_steps)  # w_j = n - j - 1/2
-    s0, s1 = float(q.sum()), float((w * q).sum())
-    s2 = float((w * w * q).sum())
-    ln_x0 = math.log(x0)
-    x_mean0 = ln_x0 + model.r * tau
-    g_mean0 = t * math.log(g0) + tau * ln_x0 + 0.5 * model.r * tau * tau
-    frozen_law = (x_mean0 - 0.5 * dt * s0, (g_mean0 - 0.5 * dt * dt * s1) / T,
-                  dt * s0, dt ** 3 * s2 / (T * T), dt * dt * s1 / T)
-    return _FullSteps(
-        y_noisy=y_noisy, z_noisy=z_noisy, chol=chol, ey=ey,
-        sd_y=model.nu * math.sqrt(max(0.0, 1.0 - ey * ey)), ez=ez,
-        sd_z=model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k))),
-        z_shift=z_shift, x_mean0=x_mean0, g_mean0=g_mean0, fbar=fbar, frozen_law=frozen_law,
-    )
-
-
 def simulate_paths(
     model: ModelParams,
     vol: VolSpec,
@@ -481,21 +407,57 @@ def simulate_paths(
     ln_x0 = math.log(x0)
 
     if full:
-        steps = _full_steps(model, t, T, x0, g0, n_steps)
-        y_noisy, z_noisy, chol = steps.y_noisy, steps.z_noisy, steps.chol
-        ey, sd_y, ez, z_shift, fbar = steps.ey, steps.sd_y, steps.ez, steps.z_shift, steps.fbar
+        y_noisy, z_noisy = model.nu != 0.0, model.beta != 0.0
         n_noisy = y_noisy + z_noisy
+        corr = np.array(
+            [
+                [1.0, model.rho_yz, model.rho_xy],
+                [model.rho_yz, 1.0, model.rho_xz],
+                [model.rho_xy, model.rho_xz, 1.0],
+            ]
+        )  # (y, z, x)
+        # the factor of the noisy factors and x alone (module docstring)
+        keep = [i for i, noisy in enumerate((y_noisy, z_noisy, True)) if noisy]
+        # a built model's matrix is positive definite; this catches a
+        # factorization that fails numerically all the same
+        try:
+            chol = np.linalg.cholesky(corr[np.ix_(keep, keep)])
+        except np.linalg.LinAlgError as exc:
+            raise PDFactorizationFailure(str(exc)) from None
+        # the exact OU steps of Y and Z
+        ey = math.exp(-dt / model.epsilon)
+        sd_y = model.nu * math.sqrt(max(0.0, 1.0 - ey * ey))
+        ez = math.exp(-model.k * dt)
+        z_shift = model.alpha_prime * (1.0 - ez)
+        sd_z = model.beta * math.sqrt(max(0.0, (1.0 - ez * ez) / (2.0 * model.k)))
+        # sd_z e_z = z_mix . (w_y, w_z) when both factors are noisy, z_mix w_z
+        # when only Z is
+        z_mix = sd_z * chol[n_noisy - 1, :n_noisy]
         # two terminal words, then one word a step for each noisy factor
         n_words = 2 + n_noisy * n_steps
         x_scale = sqrt_dt * chol[-1, :-1]  # sqrt(dt) (c_xy, c_xz) of the noisy factors
         a_x = chol[-1, -1]
-        # sd_z e_z = z_mix . (w_y, w_z) when both factors are noisy, z_mix w_z
-        # when only Z is
-        z_mix = steps.sd_z * chol[n_noisy - 1, :n_noisy]
         # the conditional moments (module docstring): what does not depend on
         # the path, and the scales of the path sums
-        x_mean0, g_mean0 = steps.x_mean0, steps.g_mean0
+        x_mean0 = ln_x0 + r * tau
+        g_mean0 = t * math.log(g0) + tau * ln_x0 + 0.5 * r * tau * tau
         var_dt = a_x * a_x * dt
+        # the frozen volatility fbar_j = f_full(0, zbar_j) on Z's noise-free
+        # path, formed here so that a wrapped f_full sees the step loop's calls alone
+        zbar = np.empty(n_steps)
+        z = model.z0
+        for j in range(n_steps):
+            zbar[j] = z
+            z = z * ez + z_shift
+        fbar = np.clip(zbar, F_MIN, F_MAX)
+        q = fbar * fbar
+        w = (n_steps - 0.5) - np.arange(n_steps)  # w_j = n - j - 1/2
+        s0, s1, s2 = float(q.sum()), float((w * q).sum()), float((w * w * q).sum())
+        # the frozen path's law, and the share a_x^2 of its spread that the
+        # y and z draws leave open
+        frozen_law = (x_mean0 - 0.5 * dt * s0, (g_mean0 - 0.5 * dt * dt * s1) / T,
+                      dt * s0, dt ** 3 * s2 / (T * T), dt * dt * s1 / T)
+        frozen_spread = tuple(a_x ** 2 * v for v in frozen_law[2:])
     else:
         n_words = 2
         a, b, c = _two_sum_coefficients(n_steps)
@@ -514,7 +476,8 @@ def simulate_paths(
     ln_x = np.empty(n_total)
     ln_g = np.empty(n_total)
     moments = np.empty((5, n_total)) if full else None
-    noise_sums = np.empty((4, n_total)) if full else None
+    noise_sums = np.empty((2, n_total)) if full else None
+    frozen_means = np.empty((2, n_total)) if full else None
 
     chunk = min(cfg.chunk_size or max(1, WORD_BUDGET // words_per_path), draw_paths)
     # each worker runs one block at a time, so a round of blocks holds at most
@@ -527,9 +490,9 @@ def simulate_paths(
     def step_full_model(draws: np.ndarray) -> tuple:
         """Step one block's volatility paths; returns the terminal law
         (mean_x, mean_g, sd_x, g_on_x, sd_g) of its m path elements, and
-        the rows of their conditional moments and x-noise sums (sum h and
-        sum w_j h, then sum hbar and sum w_j hbar, with w_j = n - j - 1/2),
-        as arrays of m.
+        the rows of their conditional moments, x-noise sums (sum h and
+        sum w_j h, with w_j = n - j - 1/2) and frozen pair's means
+        (m_x + sum hbar and m_g + (dt/T) sum w_j hbar), as arrays of m.
 
         ``draws`` is the block's row-major word array: the two terminal
         words, then uniforms in the words of the noisy factors, which become
@@ -625,7 +588,8 @@ def simulate_paths(
         g_on_x = cov / sd_x
         sd_g = np.sqrt(np.maximum(var_g - g_on_x * g_on_x, 0.0))
         return (mean_x, mean_g, sd_x, g_on_x, sd_g), (
-            mean_x, mean_g, var_x, var_g, cov, n0[0], h1[0], n0[1], h1[1]
+            mean_x, mean_g, var_x, var_g, cov, n0[0], h1[0],
+            frozen_law[0] + n0[1], frozen_law[1] + (dt / T) * h1[1],
         )
 
     def run_paths(lo: int, hi: int) -> None:
@@ -647,7 +611,7 @@ def simulate_paths(
         for out, part, sign in halves:
             if full:
                 mean_x, mean_g, sd_x, g_on_x, sd_g = (v[part] for v in block_law)
-                for row, block_row in zip((*moments, *noise_sums), block_rows):
+                for row, block_row in zip((*moments, *noise_sums, *frozen_means), block_rows):
                     row[out] = block_row[part]
             else:
                 mean_x, mean_g, sd_x, g_on_x, sd_g = constant_law
@@ -676,6 +640,7 @@ def simulate_paths(
     return PathBatch(
         ln_x=ln_x, ln_g=ln_g, source=_source(model, vol, t, T, x0, g0, cfg), moments=moments,
         noise_sums=noise_sums,
+        frozen_law=((*frozen_means, *frozen_spread), frozen_law) if full else None,
     )
 
 
@@ -768,45 +733,18 @@ def _unit_exponent(values: np.ndarray) -> int | None:
     return -math.frexp(top)[1] if 0.0 < top < math.inf else None
 
 
-def _mean_and_sd(values: np.ndarray, antithetic: bool):
-    """Mean, std(ddof=1) and sum of squared deviations, with the bits of
-    numpy's mean and std: squares, a pairwise sum, over n - 1, a root."""
-    mean, dev = _centred(values, antithetic)
-    dev *= dev
-    ss = dev.sum()
-    return mean, math.sqrt(ss / (dev.shape[0] - 1)), ss
-
-
-def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0) -> tuple[float, float]:
-    """scale times the sample mean of ``values`` and its standard error.
-
-    In an antithetic batch the second half mirrors the first, so each pair is
-    averaged before the standard error is formed and counts once. When the
-    sum of squared deviations would underflow or overflow, the mean and SE
-    are formed on ``values`` scaled by the power of two that brings the
-    largest |value| into [0.5, 1), and scaled back; a power of two scales
-    every step exactly, so ordinary inputs keep their bits either way.
-    ``values`` is never written.
-    """
-    with np.errstate(over="ignore"):  # an overflow is rescaled below
-        mean, sd, ss = _mean_and_sd(values, antithetic)
-    if not _in_range(ss) and (e := _unit_exponent(values)) is not None:
-        mean, sd, _ = _mean_and_sd(np.ldexp(values, e), antithetic)
-        mean, sd = np.ldexp(mean, -e), np.ldexp(sd, -e)
-    n = values.shape[0] // 2 if antithetic else values.shape[0]
-    return scale * float(mean), scale * float(sd) / math.sqrt(n)
-
-
 def _regression(values: np.ndarray, controls, antithetic: bool):
     """The regression mean of ``values`` on the (control, exact mean) pairs
     of ``controls``, the std of its residuals with 1 + c degrees of freedom
     spent for the c controls kept, and the sums of squares of the kept
-    controls' orthogonalized deviations and of the residuals; mean and std
-    are None when no control is kept, too few samples remain, or a kept
-    control's sum of squares is 0 (the sums then hold that 0)."""
+    controls' orthogonalized deviations and of the residuals. With no control
+    kept, too few samples for those kept, or a control whose sum of squares
+    is 0 (the sums then hold that 0), this is the plain pass: the mean and
+    std with the bits of numpy's, squares, a pairwise sum, over n - 1, a
+    root."""
     mean, dv = _centred(values, antithetic)
     n = dv.shape[0]
-    kept = []  # (deviations, offset c - exact, sum of squares), orthogonalized
+    kept, sums = [], []  # kept: (deviations, offset c - exact, sum of squares), orthogonalized
     for control, exact in controls:
         if _one_number(control, antithetic):  # nothing to fit
             continue
@@ -817,18 +755,20 @@ def _regression(values: np.ndarray, controls, antithetic: bool):
             dc -= gamma * dk
             offset -= gamma * offset_k
         ss = dc @ dc
+        sums.append(ss)
         if ss == 0.0:  # lost to underflow, or a combination of the controls before
-            return None, None, [ss]
+            kept = []
+            break
         kept.append((dc, offset, ss))
-    sums = [ss for _, _, ss in kept]
-    if not kept or n - 1 - len(kept) < 1:
-        return None, None, sums
+    if n - 1 - len(kept) < 1:  # too few samples for the controls
+        kept, sums = [], []
     for dk, offset_k, ss_k in kept:
         b = (dk @ dv) / ss_k
         dk *= b
         dv -= dk
         mean -= b * offset_k
-    dv -= dv.sum() / n  # the residuals, centred and squared as std does
+    if kept:  # the residuals, centred as std does
+        dv -= dv.sum() / n
     dv *= dv
     ss_r = dv.sum()
     return mean, math.sqrt(ss_r / (n - 1 - len(kept))), [*sums, ss_r]
@@ -841,17 +781,15 @@ def _scaled(control: np.ndarray, exact: float):
     return np.ldexp(control, e), np.ldexp(exact, e)
 
 
-def _controlled_mean_and_se(
-    values: np.ndarray,
-    controls,
-    antithetic: bool,
-    scale: float,
-) -> tuple[float, float] | None:
-    """scale times the control-variate estimate of the mean of ``values``, and its SE.
+def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0,
+                controls=()) -> tuple[float, float]:
+    """scale times the mean of ``values`` and its standard error, regressed
+    on ``controls``.
 
+    In an antithetic batch the second half mirrors the first, so each pair is
+    averaged before the standard error is formed and counts once.
     ``controls`` holds (control, exact mean) pairs, each control an array
-    like ``values``. Pairs of an antithetic batch are averaged first, as in
-    ``mean_and_se``. This is the multiple-control regression estimator
+    like ``values``. This is the multiple-control regression estimator
     (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
     section 4.1): with the sample means v and c and the deviations dv and
     dc, the mean is v - b . (c - exact), with b the least-squares fit of dv
@@ -860,60 +798,41 @@ def _controlled_mean_and_se(
     takes the controls in turn, each orthogonalized against those before it
     (modified Gram-Schmidt), so one control is the single-control estimator
     b = (dc . dv) / (dc . dc). A control that is one number on every sample
-    is dropped. Returns None when no control is left, or when fewer than
-    2 + c samples are. A sum of squares that would underflow or overflow is
-    formed on ``values`` and each control scaled by a power of two of its
-    own, as in ``mean_and_se``. No array is written.
+    is dropped. With no control left, or fewer than 2 + c samples, the
+    estimate is the plain sample mean and its SE, with the bits of numpy's
+    mean and std. When a sum of squares would underflow or overflow, the
+    estimate is formed on ``values`` scaled by the power of two that brings
+    the largest |value| into [0.5, 1), each control by its own, and scaled
+    back; a power of two scales every step exactly, so ordinary inputs keep
+    their bits either way. No array is written.
     """
-    n = values.shape[0] // 2 if antithetic else values.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
         mean, sd, sums = _regression(values, controls, antithetic)
-    if not _in_range(*sums) and (ev := _unit_exponent(values)) is not None:
+    if not _in_range(*sums) and (e := _unit_exponent(values)) is not None:
         mean, sd, _ = _regression(
-            np.ldexp(values, ev), [_scaled(*pair) for pair in controls], antithetic
+            np.ldexp(values, e), [_scaled(*pair) for pair in controls], antithetic
         )
-        if mean is not None:
-            mean, sd = np.ldexp(mean, -ev), np.ldexp(sd, -ev)
-    if mean is None:
-        return None
+        mean, sd = np.ldexp(mean, -e), np.ldexp(sd, -e)
+    n = values.shape[0] // 2 if antithetic else values.shape[0]
     return scale * float(mean), scale * float(sd) / math.sqrt(n)
 
 
-def _frozen_control(spec: OptionSpec, model: ModelParams, state: MarketState, cfg: McConfig,
-                    frozen_sums: np.ndarray) -> tuple[np.ndarray, float]:
-    """Each path's payoff mean with its volatility frozen at fbar_j, given
-    its y and z draws, and the exact mean of that control (module docstring).
-
-    ``frozen_sums`` holds each path's sums sum hbar and sum w_j hbar of the
-    frozen x noise hbar_j = fbar_j nx_j. With (m_x, m_g, v_x, v_g, c) the
-    law of the frozen path's terminal pair, the path's pair has means
-    m_x + sum hbar and m_g + (dt/T) sum w_j hbar and the rest of that law
-    times a_x^2, the share of the x noise the y and z draws leave open.
-    """
-    T = spec.maturity
-    steps = _full_steps(model, state.t, T, state.x, state.g, cfg.n_steps)
-    mean_x, mean_g, var_x, var_g, cov = steps.frozen_law
-    a2 = steps.chol[-1, -1] ** 2
-    dt = (T - state.t) / cfg.n_steps
-    nbar0, nbar1 = frozen_sums
-    control = _payoff_mean(spec, (mean_x + nbar0, mean_g + (dt / T) * nbar1,
-                                  a2 * var_x, a2 * var_g, a2 * cov))
-    return control, float(_payoff_mean(spec, steps.frozen_law))
-
-
-def _controls(spec: OptionSpec, model: ModelParams, state: MarketState, cfg: McConfig,
+def _controls(spec: OptionSpec, model: ModelParams, state: MarketState,
               paths: PathBatch) -> list:
     """The (control, exact mean) pairs of a full-model batch: E[X_T | vol],
     the two x-noise sums and, where it and its mean are finite, the frozen
-    control (module docstring)."""
+    control; none where no factor noise reaches x (module docstring)."""
+    if not paths.noise_sums.any():
+        return []
     T = spec.maturity
     control = np.exp(paths.moments[0] + 0.5 * paths.moments[2])  # E[X_T | vol]
     try:
         exact = state.x * math.exp(model.r * (T - state.t))
     except OverflowError:
         raise OutOfDomain(f"E[X_T] overflows a float at r = {model.r}, T = {T}") from None
-    controls = [(control, exact), *((noise, 0.0) for noise in paths.noise_sums[:2])]
-    frozen, frozen_mean = _frozen_control(spec, model, state, cfg, paths.noise_sums[2:])
+    controls = [(control, exact), *((noise, 0.0) for noise in paths.noise_sums)]
+    given, law = paths.frozen_law
+    frozen, frozen_mean = _payoff_mean(spec, given), float(_payoff_mean(spec, law))
     # an overflow leaves nothing to fit, as a constant does
     if math.isfinite(frozen_mean) and np.isfinite(frozen).all():
         controls.append((frozen, frozen_mean))
@@ -940,11 +859,12 @@ def price_mc(
     volatility path, regressed on an intercept and four controls with
     exact means: E[X_T | vol], the batch's two x-noise sums and the frozen
     control (see the module docstring), with 1 + c degrees of freedom spent
-    for the c controls kept. A control that is one number on every path is
-    dropped, and so is a frozen control that is not finite on every path or
-    whose exact mean is not finite; when no control is left, or fewer than
-    2 + c samples are (an antithetic pair counting once), the price is the
-    uncontrolled mean of those conditional payoffs, which is unbiased too.
+    for the c controls kept. None is used where the x-noise sums are all 0.
+    A control that is one number on every path is dropped, and so is a
+    frozen control that is not finite on every path or whose exact mean is
+    not finite; when no control is left, or fewer than 2 + c samples are
+    (an antithetic pair counting once), the price is the uncontrolled mean
+    of those conditional payoffs, which is unbiased too.
     Conditional payoff means that are one number on every path (no factor
     noise) give that number, with SE 0. ``price_plain`` and
     ``std_error_plain`` keep the plain estimate over the sampled terminal
@@ -972,11 +892,8 @@ def price_mc(
             if _one_number(conditional, cfg.antithetic):  # no spread for a control to take
                 price, se = disc * float(_samples(conditional, cfg.antithetic)[0]), 0.0
             else:
-                controls = _controls(spec, model, state, cfg, paths)
-                price, se = (
-                    _controlled_mean_and_se(conditional, controls, cfg.antithetic, disc)
-                    or mean_and_se(conditional, cfg.antithetic, scale=disc)
-                )
+                price, se = mean_and_se(conditional, cfg.antithetic, disc,
+                                        _controls(spec, model, state, paths))
     if not all(map(math.isfinite, (price, se, *plain))):
         raise OutOfDomain(f"the Monte Carlo estimate is not finite: {price}, SE {se}, plain {plain}")
     return McEstimate(price, se, *plain)

@@ -33,7 +33,6 @@ from geoasian.errors import NonFiniteInput, OutOfDomain
 from geoasian.mc import (
     F_MAX,
     F_MIN,
-    _controlled_mean_and_se,
     _lognormal_pair_call,
     _payoff_mean,
     _uniforms_for_chunk,
@@ -166,10 +165,13 @@ def test_the_clamp_never_binds_on_the_reference_model(monkeypatch, epsilon):
 
 
 def assert_same_bits(a, b):
-    """Two path batches hold the same bits in every array."""
-    for name in ("ln_x", "ln_g", "moments", "noise_sums"):
+    """Two path batches hold the same bits in every array, and in the
+    frozen pair's laws."""
+    for name in ("ln_x", "ln_g", "moments", "noise_sums", "frozen_law"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
+        if name == "frozen_law" and x is not None:
+            x, y = (np.hstack([np.hstack(law) for law in laws]) for laws in (x, y))
         if x is not None:
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
 
@@ -252,8 +254,9 @@ def _stepped_vol_path(model, t, T, x0, g0, cfg):
     each noisy factor, y before z): Y_T and Z_T, the conditional moments from
     the plain weighted sums S0, S1, S2 of f_j^2 and the two sums of the known
     x noise, those two sums, the two sums of the known x noise at the frozen
-    volatility fbar_j = clamp(zbar_j) of Z's noise-free path, and the
-    terminal pair drawn from words 0 and 1."""
+    volatility fbar_j = clamp(zbar_j) of Z's noise-free path, the share a_x^2
+    of the x noise the y and z draws leave open, and the terminal pair drawn
+    from words 0 and 1."""
     n = cfg.n_steps
     noisy = [name for name, scale in (("y", model.nu), ("z", model.beta)) if scale != 0.0]
     n_words = 2 + len(noisy) * n
@@ -311,7 +314,7 @@ def _stepped_vol_path(model, t, T, x0, g0, cfg):
         ln_x=mean_x + np.sqrt(var_x) * words[:, 0],
         ln_g=mean_g + g_on_x * words[:, 0] + np.sqrt(var_g - g_on_x ** 2) * words[:, 1],
         y=u, z=z, moments=np.stack((mean_x, mean_g, var_x, var_g, cov)),
-        noise_sums=np.stack((h0, h1, hbar0, hbar1)),
+        noise_sums=np.stack((h0, h1)), frozen_sums=np.stack((hbar0, hbar1)), a2=a2,
     )
 
 
@@ -336,9 +339,11 @@ def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, 
     plain per-step loop bit for bit, so every f_j of the volatility path
     too, and its prefix sums give the other conditional moments and the
     terminal pair of the plain weighted sums to 1e-12, and the four x-noise
-    sums, sum h and sum w_j h at f_j and at the frozen fbar_j, to 1e-12 of
-    their largest value: with a noiseless and a noisy Y and Z, f_j clamped at both bounds, step counts on
-    and off the tile, an uneven chunk and a pooled run."""
+    sums, sum h and sum w_j h at f_j and at the frozen fbar_j (the latter two
+    in the frozen pair's means), to 1e-12 of their largest value; the frozen
+    pair's law is that of the OU mean path to 1e-12: with a noiseless and a
+    noisy Y and Z, f_j clamped at both bounds, step counts on and off the
+    tile, an uneven chunk and a pooled run."""
     kwargs = dict(model=model, t=0.05, T=0.45, x0=100.0, g0=98.0)
     want = _stepped_vol_path(
         cfg=McConfig(n_paths=300, n_steps=n_steps, seed=17, antithetic=antithetic), **kwargs
@@ -363,8 +368,18 @@ def test_full_model_loop_has_the_bits_of_one_step_at_a_time(monkeypatch, model, 
             assert np.max(np.abs(got - want[name]) / np.abs(want[name])) < 1e-12, name
         # a sum of mean-zero terms can come near 0, so each row is compared
         # on its own scale
-        for got, row in zip(batch.noise_sums, want["noise_sums"]):
+        for got, row in zip(batch.noise_sums, want["noise_sums"], strict=True):
             assert np.max(np.abs(got - row)) < 1e-12 * np.max(np.abs(row))
+        given, law = batch.frozen_law
+        hbar0, hbar1 = want["frozen_sums"]
+        dt_over_T = (0.45 - 0.05) / n_steps / 0.45
+        for got, mean, row in zip(given, law, (hbar0, dt_over_T * hbar1)):
+            assert np.max(np.abs(got - (mean + row))) < 1e-12 * np.max(np.abs(row))
+        frozen_law = _deterministic_vol_moments(model, 0.05, 0.45, 100.0, 98.0, n_steps)
+        for got, closed in zip(law, frozen_law, strict=True):
+            assert rel(got, closed) < 1e-12
+        for spread, got in zip(given[2:], law[2:], strict=True):
+            assert rel(spread, want["a2"] * got) < 1e-15
     assert (np.ptp(want["y"]) > 0.0) == (model.nu > 0.0)
     assert (np.ptp(want["z"]) > 0.0) == (model.beta > 0.0)
 
@@ -640,7 +655,8 @@ def test_frozen_estimates():
     mean_x, mean_g, var_x, var_g, cov = paths["moments"]
     conditional = floating_call(mean_x, mean_g, var_x, var_g, cov)
     e_x = np.exp(mean_x + 0.5 * var_x)  # E[X_T | vol]
-    h0, h1, hbar0, hbar1 = paths["noise_sums"]
+    h0, h1 = paths["noise_sums"]
+    hbar0, hbar1 = paths["frozen_sums"]
     frozen_law = _deterministic_vol_moments(MODEL, 0.0, 0.45, 100.0, 100.0, cfg.n_steps)
     a2 = 1.0 - MODEL.rho_xy ** 2  # the share of the x noise the y draws leave open
     f_mean_x, f_mean_g, f_var_x, f_var_g, f_cov = frozen_law
@@ -845,7 +861,8 @@ def test_controlled_estimate_falls_back_to_the_conditional_mean():
     """Two pairs leave no residual degree of freedom for the controls, so
     the price is the uncontrolled mean of the conditional payoffs, which is
     unbiased too: c controls need 2 + c samples. A constant control has no
-    slope to fit and is dropped; with none left there is no regression."""
+    slope to fit and is dropped; with none left there is no regression, and
+    none either where a control's orthogonalized sum of squares is 0."""
     cfg = McConfig(n_paths=4, n_steps=10, seed=4, antithetic=True)
     few = price_mc(FLOAT_CALL, MODEL, FullModel(), STATE, cfg)
     batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
@@ -855,35 +872,40 @@ def test_controlled_estimate_falls_back_to_the_conditional_mean():
     assert few.price != few.price_plain
     rng = np.random.default_rng(3)
     values, controls = rng.normal(size=50), rng.normal(size=(3, 50))
+
+    def plain(values, controls, antithetic=False):
+        """Whether the estimate on ``controls`` is the plain one."""
+        return (mc.mean_and_se(values, antithetic, 1.0, controls)
+                == mc.mean_and_se(values, antithetic))
+
     for c in (1, 3):
-        assert _controlled_mean_and_se(values[:1 + c], [(v[:1 + c], 0.0) for v in controls[:c]],
-                                       False, 1.0) is None
-        assert _controlled_mean_and_se(values[:2 + c], [(v[:2 + c], 0.0) for v in controls[:c]],
-                                       False, 1.0) is not None
+        assert plain(values[:1 + c], [(v[:1 + c], 0.0) for v in controls[:c]])
+        assert not plain(values[:2 + c], [(v[:2 + c], 0.0) for v in controls[:c]])
     constant = (np.full(50, 2.0), 0.0)
-    assert _controlled_mean_and_se(values, [constant], False, 1.0) is None
-    assert (_controlled_mean_and_se(values, [constant, (controls[0], 0.0), constant], False, 1.0)
-            == _controlled_mean_and_se(values, [(controls[0], 0.0)], False, 1.0))
+    assert plain(values, [constant])
+    # a control left with a zero sum of squares, here twice the one before
+    assert plain(values, [(controls[0], 0.0), (2.0 * controls[0], 0.0)])
+    assert (mc.mean_and_se(values, False, 1.0, [constant, (controls[0], 0.0), constant])
+            == mc.mean_and_se(values, False, 1.0, [(controls[0], 0.0)]))
     # one number whose mean sum/n rounds away from it is dropped all the
     # same, and so are antithetic pairs whose means are one number
     assert sum(np.full(3, 0.1)) / 3 != 0.1
-    assert _controlled_mean_and_se(values[:3], [(np.full(3, 0.1), 0.1)], False, 1.0) is None
+    assert plain(values[:3], [(np.full(3, 0.1), 0.1)])
     values = rng.normal(size=1000)
     assert np.full(1000, 3.321410415757264).sum() / 1000 != 3.321410415757264
-    assert _controlled_mean_and_se(values, [(np.full(1000, 3.321410415757264), 0.0)],
-                                   False, 1.0) is None
+    assert plain(values, [(np.full(1000, 3.321410415757264), 0.0)])
     spread = np.arange(50) / 8.0  # 1 + s and 1 - s are exact, so each pair means 1
     mirrored = np.concatenate([1.0 + spread, 1.0 - spread])
-    assert _controlled_mean_and_se(np.resize(values, 100), [(mirrored, 1.0)], True, 1.0) is None
+    assert plain(np.resize(values, 100), [(mirrored, 1.0)], True)
 
 
 @pytest.mark.parametrize("model", [MODEL, CORRELATED_MODEL], ids=["reference", "correlated"])
 def test_zero_spot_correlations_leave_no_control(model):
     """With rho_xy = rho_xz = 0 no factor noise reaches x: E[X_T | vol] is
     x0 e^{r T} on every path (here to the bit), both x-noise sums are
-    exactly 0 and the frozen control is one number, so the regression drops
-    all four, and price and SE are those of the conditional payoff means,
-    bit for bit as numpy's mean and std write them."""
+    exactly 0 and the frozen control is one number, so no control is used,
+    and price and SE are those of the conditional payoff means, bit for bit
+    as numpy's mean and std write them."""
     model = dataclasses.replace(model, rho_xy=0.0, rho_xz=0.0)
     disc = math.exp(-model.r * 0.45)
     for antithetic in (False, True):
@@ -891,8 +913,7 @@ def test_zero_spot_correlations_leave_no_control(model):
         batch = simulate_paths(model, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
         assert not batch.noise_sums.any()
         assert np.ptp(np.exp(batch.moments[0] + 0.5 * batch.moments[2])) == 0.0
-        frozen, _ = mc._frozen_control(FLOAT_CALL, model, STATE, cfg, batch.noise_sums[2:])
-        assert np.ptp(frozen) == 0.0
+        assert np.ptp(_payoff_mean(FLOAT_CALL, batch.frozen_law[0])) == 0.0
         est = price_mc(FLOAT_CALL, model, FullModel(), STATE, cfg, paths=batch)
         conditional = _payoff_mean(FLOAT_CALL, batch.moments)
         assert (est.price, est.std_error) == _numpy_mean_and_se(conditional, antithetic, disc)
@@ -915,13 +936,13 @@ def test_the_noise_controls_keep_the_standard_error_honest():
         cfg = McConfig(n_paths=2000, n_steps=40, seed=seed, antithetic=True)
         batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
         controls = [(np.exp(batch.moments[0] + 0.5 * batch.moments[2]), exact),
-                    *((noise, 0.0) for noise in batch.noise_sums[:2])]
+                    *((noise, 0.0) for noise in batch.noise_sums)]
         for i, spec in enumerate(specs):
             est = price_mc(spec, MODEL, FullModel(), STATE, cfg, paths=batch)
             conditional = _payoff_mean(spec, batch.moments)
             prices[i, seed], ses[i, seed] = est.price, est.std_error
             for k, c in enumerate((1, 3)):
-                fewer, _ = _controlled_mean_and_se(conditional, controls[:c], True, disc)
+                fewer, _ = mc.mean_and_se(conditional, True, disc, controls[:c])
                 gaps[k, i, seed] = est.price - fewer
     ratios = prices.std(axis=1, ddof=1) / ses.mean(axis=1)
     assert np.all((0.7 <= ratios) & (ratios <= 1.4)), ratios
@@ -938,7 +959,7 @@ def test_the_frozen_control_mean_is_the_price_without_factor_noise(spec):
     state, T = CONTROL_STATE, spec.maturity
     cfg = McConfig(n_paths=600, n_steps=37, seed=2, antithetic=True)
     batch = simulate_paths(CORRELATED_MODEL, FullModel(), state.t, T, state.x, state.g, cfg)
-    _, exact = mc._frozen_control(spec, CORRELATED_MODEL, state, cfg, batch.noise_sums[2:])
+    exact = float(_payoff_mean(spec, batch.frozen_law[1]))
     still = dataclasses.replace(CORRELATED_MODEL, nu=0.0, beta=0.0)
     est = price_mc(spec, still, FullModel(), state, cfg)
     assert est.std_error == 0.0
@@ -955,8 +976,8 @@ def test_the_frozen_control_is_centred_on_its_exact_mean(antithetic):
         cfg = McConfig(n_paths=2000, n_steps=40, seed=seed, antithetic=antithetic)
         batch = simulate_paths(CORRELATED_MODEL, FullModel(), CONTROL_STATE.t, 0.45,
                                CONTROL_STATE.x, CONTROL_STATE.g, cfg)
-        control, exact = mc._frozen_control(CONTROL_SPECS[0], CORRELATED_MODEL, CONTROL_STATE,
-                                             cfg, batch.noise_sums[2:])
+        given, law = batch.frozen_law
+        control, exact = (_payoff_mean(CONTROL_SPECS[0], moments) for moments in (given, law))
         mean, se = mc.mean_and_se(control, antithetic)
         z[seed] = (mean - exact) / se
     assert abs(z.mean()) <= 0.5 and 0.7 <= z.std(ddof=1) <= 1.3, (z.mean(), z.std(ddof=1))
@@ -992,45 +1013,84 @@ def test_a_spot_of_1e300_prices_with_the_frozen_control(spec):
     state = MarketState(t=0.0, x=1e300, g=1e300)
     est = price_mc(spec, MODEL, FullModel(), state, cfg)
     batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 1e300, 1e300, cfg)
-    frozen, exact = mc._frozen_control(spec, MODEL, state, cfg, batch.noise_sums[2:])
+    frozen, exact = (_payoff_mean(spec, moments) for moments in batch.frozen_law)
     assert math.isfinite(exact) and np.isfinite(frozen).all()
     assert rel(est.price, 1e300 * unit.price) < 1e-9
     assert rel(est.std_error, 1e300 * unit.std_error) < 1e-9
 
 
-def test_a_frozen_control_past_the_float_range_is_dropped(monkeypatch):
+def test_a_frozen_control_past_the_float_range_is_dropped():
     """A frozen control that is not finite on every path, or whose exact mean
-    is not finite, is left out, as a constant is: the estimate is that of
-    the three other controls, where a kept inf would have made it NaN."""
+    is not finite (here a batch whose frozen law has ln X_T at 1e308), is
+    left out, as a constant is: the estimate is that of the three other
+    controls, where a kept inf would have made it NaN."""
     put = OptionSpec(StrikeStyle.FIXED, OptionKind.PUT, maturity=3.0, strike=1.5e308)
     state = MarketState(t=0.0, x=1.5e308, g=1.5e308)
     cfg = McConfig(n_paths=1000, n_steps=10, seed=1, antithetic=True)
     batch = simulate_paths(MODEL, FullModel(), 0.0, 3.0, state.x, state.g, cfg)
     disc = math.exp(-MODEL.r * 3.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        frozen, exact = mc._frozen_control(put, MODEL, state, cfg, batch.noise_sums[2:])
+        frozen, exact = (_payoff_mean(put, moments) for moments in batch.frozen_law)
         conditional = _payoff_mean(put, batch.moments)
         e_x = np.exp(batch.moments[0] + 0.5 * batch.moments[2])
     assert math.isfinite(exact) and not np.isfinite(frozen).all()
     controls = [(e_x, state.x * math.exp(MODEL.r * 3.0)),
-                *((noise, 0.0) for noise in batch.noise_sums[:2])]
+                *((noise, 0.0) for noise in batch.noise_sums)]
     with np.errstate(over="ignore", invalid="ignore"):
-        three = _controlled_mean_and_se(conditional, controls, True, disc)
+        three = mc.mean_and_se(conditional, True, disc, controls)
     est = price_mc(put, MODEL, FullModel(), state, cfg, paths=batch)
     assert (est.price, est.std_error) == three and math.isfinite(est.price)
     # an exact mean past the float range drops a control finite on every path
     small = MarketState(t=0.0, x=100.0, g=100.0)
     batch = simulate_paths(MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
     kept = price_mc(FLOAT_CALL, MODEL, FullModel(), small, cfg, paths=batch)
-    frozen_control = mc._frozen_control
-    monkeypatch.setattr(mc, "_frozen_control",
-                        lambda *args: (frozen_control(*args)[0], math.inf))
+    given, law = batch.frozen_law
+    batch = dataclasses.replace(batch, frozen_law=(given, (1e308, *law[1:])))
+    with np.errstate(over="ignore"):
+        assert _payoff_mean(FLOAT_CALL, batch.frozen_law[1]) == math.inf
     dropped = price_mc(FLOAT_CALL, MODEL, FullModel(), small, cfg, paths=batch)
     controls = [(np.exp(batch.moments[0] + 0.5 * batch.moments[2]), 100.0 * math.exp(MODEL.r * 0.45)),
-                *((noise, 0.0) for noise in batch.noise_sums[:2])]
-    assert (dropped.price, dropped.std_error) == _controlled_mean_and_se(
-        _payoff_mean(FLOAT_CALL, batch.moments), controls, True, math.exp(-MODEL.r * 0.45))
+                *((noise, 0.0) for noise in batch.noise_sums)]
+    assert (dropped.price, dropped.std_error) == mc.mean_and_se(
+        _payoff_mean(FLOAT_CALL, batch.moments), True, math.exp(-MODEL.r * 0.45), controls)
     assert kept.std_error < dropped.std_error
+
+
+def test_no_control_is_used_where_no_factor_noise_reaches_x():
+    """With rho_xy = rho_xz = 0, E[X_T | vol] is x0 e^{r T} in exact
+    arithmetic but rounds here to two values a last bit apart; a slope fitted
+    to that noise moved the price 12.6 SE (5.38350 against 5.14053, where
+    200000 paths give 5.11802 +- 0.00091). Where the x-noise sums are all 0
+    no control is used: price and SE are the uncontrolled conditional
+    mean's, bit for bit."""
+    model = dataclasses.replace(MODEL, rho_xy=0.0)
+    spec = dataclasses.replace(FLOAT_CALL, maturity=1.0)
+    cfg = McConfig(n_paths=500, n_steps=2, seed=1, antithetic=True)
+    batch = simulate_paths(model, FullModel(), 0.0, 1.0, 100.0, 100.0, cfg)
+    assert not batch.noise_sums.any()
+    assert np.ptp(np.exp(batch.moments[0] + 0.5 * batch.moments[2])) > 0.0
+    est = price_mc(spec, model, FullModel(), STATE, cfg, paths=batch)
+    conditional = _payoff_mean(spec, batch.moments)
+    assert (est.price, est.std_error) == _numpy_mean_and_se(conditional, True, math.exp(-model.r))
+
+
+def test_a_full_model_price_factors_the_correlation_matrix_once(monkeypatch):
+    """The run's constants are derived once, in simulate_paths: pricing a
+    batch already simulated factors nothing."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    cfg = McConfig(n_paths=200, n_steps=10, seed=1, antithetic=True)
+    price_mc(FLOAT_CALL, CORRELATED_MODEL, FullModel(), STATE, cfg)
+    assert len(calls) == 1
+    batch = simulate_paths(CORRELATED_MODEL, FullModel(), 0.0, 0.45, 100.0, 100.0, cfg)
+    price_mc(FLOAT_CALL, CORRELATED_MODEL, FullModel(), STATE, cfg, paths=batch)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("c", [1, 3])
@@ -1045,7 +1105,7 @@ def test_controlled_estimate_is_least_squares(antithetic, c):
     controls = np.stack([base[0], base[0] + 0.3 * base[1], base[1] - 0.5 * base[2]])[:c]
     values = 1.0 + np.array([0.7, -0.4, 0.2])[:c] @ controls + rng.normal(size=60)
     exact = np.array([0.1, 0.0, -0.2])[:c]
-    price, se = _controlled_mean_and_se(values, list(zip(controls, exact)), antithetic, 2.0)
+    price, se = mc.mean_and_se(values, antithetic, 2.0, list(zip(controls, exact)))
     if antithetic:
         values = 0.5 * (values[:30] + values[30:])
         controls = 0.5 * (controls[:, :30] + controls[:, 30:])
@@ -1067,7 +1127,7 @@ def _numpy_mean_and_se(values, antithetic, scale):
 
 
 def _numpy_controlled_mean_and_se(values, control, exact, antithetic, scale):
-    """_controlled_mean_and_se as numpy's mean, matmul and std(ddof=2) write it."""
+    """mean_and_se on one control as numpy's mean, matmul and std(ddof=2) write it."""
     if antithetic:
         n = values.shape[0] // 2
         values = 0.5 * (values[:n] + values[n:])
@@ -1097,11 +1157,12 @@ def test_estimators_keep_the_bits_of_numpy_and_their_inputs(antithetic, n):
     others = rng.normal(size=(2, n))
     before = _bits(values, control, *others)
     assert mc.mean_and_se(values, antithetic, 0.97) == _numpy_mean_and_se(values, antithetic, 0.97)
-    assert (_controlled_mean_and_se(values, [(control, 1.01)], antithetic, 0.97)
+    assert (mc.mean_and_se(values, antithetic, 0.97, [(control, 1.01)])
             == _numpy_controlled_mean_and_se(values, control, 1.01, antithetic, 0.97))
     controls = [(control, 1.01), *((other, 0.0) for other in others)]
     if n > 8:  # room for three controls
-        assert _controlled_mean_and_se(values, controls, antithetic, 0.97) is not None
+        assert (mc.mean_and_se(values, antithetic, 0.97, controls)
+                != mc.mean_and_se(values, antithetic, 0.97))
     assert _bits(values, control, *others) == before
 
 
@@ -1143,8 +1204,8 @@ def test_a_power_of_two_scales_the_estimates_exactly(antithetic, e):
 
     assert mc.mean_and_se(scaled, antithetic) == scaled_back(mc.mean_and_se(values, antithetic))
     for c in (1, 2):
-        assert (_controlled_mean_and_se(scaled, scaled_controls[:c], antithetic, 1.0)
-                == scaled_back(_controlled_mean_and_se(values, controls[:c], antithetic, 1.0)))
+        assert (mc.mean_and_se(scaled, antithetic, 1.0, scaled_controls[:c])
+                == scaled_back(mc.mean_and_se(values, antithetic, 1.0, controls[:c])))
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         assert _numpy_mean_and_se(scaled, antithetic, 1.0)[1] in (0.0, math.inf)
 

@@ -269,10 +269,11 @@ def ingest_quotes(source) -> IngestResult:
     header = [h.strip() for h in header]
     missing = [c for c in CSV_COLUMNS if c not in header]
     extra = [c for c in header if c not in CSV_COLUMNS]
-    if missing or extra:
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if missing or extra or repeated:
         raise MissingColumn(
-            f"header must be exactly {','.join(CSV_COLUMNS)}; "
-            f"missing {missing or 'none'}, unexpected {extra or 'none'}"
+            f"header must be exactly {','.join(CSV_COLUMNS)}; missing {missing or 'none'}, "
+            f"unexpected {extra or 'none'}, repeated {repeated or 'none'}"
         )
     columns = tuple(header.index(name) for name in CSV_COLUMNS)
 

@@ -33,8 +33,14 @@ from .calibration import (
     regression_pairs,
     smile_curve,
 )
-from .closedform import bs_fixed_call, bs_floating_call
-from .errors import DegenerateDesign, OutOfDomain, UnparseableField, require_finite
+from .closedform import HORIZON_TOL, bs_fixed_call, bs_floating_call
+from .errors import (
+    DegenerateDesign,
+    DegenerateHorizon,
+    OutOfDomain,
+    UnparseableField,
+    require_finite,
+)
 from .mc import (
     ConstantVol,
     FullModel,
@@ -185,6 +191,10 @@ def cmd_validate(args):
     spot = args.spot
     state = MarketState(t=0.0, x=spot, g=spot)
     vol = ConstantVol(sigma)
+    # below HORIZON_TOL the closed forms give the terminal payoff, which no
+    # path of a positive horizon matches; a NaN or T <= 0 is refused below
+    if 0.0 < T < HORIZON_TOL:
+        raise DegenerateHorizon(f"--T {T} below {HORIZON_TOL}")
 
     # the closed forms first: they refuse what they cannot price (sigma = 0)
     # before a path is drawn

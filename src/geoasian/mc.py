@@ -33,27 +33,29 @@ z1, z2 (words 0 and 1 of its block):
 
     ln X_T = E[ln X_T] + sd_x z1,   ln G_T = E[ln G_T] + (g_on_x z1 + sd_g z2),
 
-with sd_x^2 = Var ln X_T, g_on_x = Cov / sd_x and
+with sd_x^2 = Var ln X_T, g_on_x = Cov / sd_x (0 where sd_x is) and
 sd_g^2 = Var ln G_T - g_on_x^2, so the batch has the law of the stepped
-scheme at each n, discretization bias included.
+scheme at each n, discretization bias included. One pair law serves every
+volatility path: it takes S0, S1, S2, a_x^2 and the sums of the known x
+noise h_j = f_j nx_j, with nx_j = sqrt(dt) (c_xy w_y + c_xz w_z) of step j,
+as sum mu_j = r tau - dt S0/2 + sum h_j and
+dt sum w_j mu_j = r tau^2/2 - dt^2 S1/2 + dt sum w_j h_j.
 
 A constant sigma is a volatility path known in advance: no y or z draws, so
-a_x = 1, mu_j = (r - sigma^2/2) dt and S0 = n sigma^2, S1 = n^2 sigma^2 / 2,
-S2 = n (4n^2 - 1) sigma^2 / 12. A ``ConstantVol`` run forms its five
-numbers once, sd_x = a sigma sqrt(dt), g_on_x = b sigma sqrt(dt) dt / T and
-sd_g = c sigma sqrt(dt) dt / T with a = sqrt(n), b = n^{3/2}/2 and
-c = sqrt((n^3 - n)/12), without dividing (sigma = 0 is allowed), and never
-steps, so its cost does not depend on n.
+a_x = 1, no known x noise, and the sums are the closed forms S0 = n sigma^2,
+S1 = n^2 sigma^2 / 2 and S2 = n (4n^2 - 1) sigma^2 / 12. A ``ConstantVol``
+run forms its law once (sigma = 0 is allowed) and never steps, so its cost
+does not depend on n.
 
 A full-model run steps only the volatility factors. A factor without noise
-(nu = 0 for Y, beta = 0 for Z) is deterministic: it reads no words, is stepped
-as one number, and its share of the x noise joins a_x (the Cholesky factor is
-that of the noisy factors and x alone). The loop keeps the weighted sums as
-running prefix sums: with P_k = sum_{j<=k} q_j and R_k = sum_{i<=k} P_i, the
-sums over k of P_k and R_k weight q_j by n - j and (n - j)(n - j + 1)/2, from
-which S1 and S2 follow; one addition a step each. Each path keeps its five
-conditional moments, and ``price_mc`` prices it by its conditional payoff
-mean.
+(nu = 0 for Y, beta = 0 for Z) is deterministic: it reads no words, Y stays
+at 0 and Z follows its noise-free path zbar (below), and its share of the x
+noise joins a_x (the Cholesky factor is that of the noisy factors and x
+alone). The loop keeps the weighted sums as running prefix sums: with
+P_k = sum_{j<=k} q_j and R_k = sum_{i<=k} P_i, the sums over k of P_k and
+R_k weight q_j by n - j and (n - j)(n - j + 1)/2, from which S1 and S2
+follow; one addition a step each. Each path keeps its five conditional
+moments, and ``price_mc`` prices it by its conditional payoff mean.
 
 The step loop walks each block's steps in tiles of ``STEP_TILE``. Per tile it
 copies the words of each noisy factor into a step-major buffer, turns them
@@ -92,30 +94,25 @@ Pricing. Given its volatility path, a full-model path's payoff mean is a
 lognormal-pair closed form (``_lognormal_pair_call``), so ``price_mc``
 averages those conditional means, regressed by ``mean_and_se`` on four
 control variates with exactly known means, none of which adds bias from the
-time grid: E[X_T | vol] = exp(m_x + v_x/2), whose mean x0 e^{r (T - t)} the
-log-Euler step keeps exactly (by the tower property); the two sums of the
-known x noise, sum h_j and sum w_j h_j with h_j = f_j nx_j and
-nx_j = sqrt(dt) (c_xy w_y + c_xz w_z) of step j, whose means are 0 because
-f_j reads only draws before step j and step j's draws are symmetric; and the
-frozen control, the payoff mean of the same path with its volatility frozen
-at fbar_j = f_full(0, zbar_j) on Z's noise-free path
+time grid: E[X_T | vol] = exp(E[ln X_T] + Var ln X_T / 2), whose mean
+x0 e^{r (T - t)} the log-Euler step keeps exactly (by the tower property); the
+two sums of the known x noise, sum h_j and sum w_j h_j, whose means are 0
+because f_j reads only draws before step j and step j's draws are symmetric;
+and the frozen control, the payoff mean of the same path with its volatility
+frozen at fbar_j = f_full(0, zbar_j) on Z's noise-free path
 zbar_{j+1} = zbar_j ez + alpha' (1 - ez) from z0 (Fouque and Han, 2004).
-With hbar_j = fbar_j nx_j, S0, S1, S2 the sums of fbar_j^2 weighted by
-w_j^k, m_x = ln x0 + r tau - dt S0/2 and
-m_g = (t ln g + tau ln x0 + r tau^2/2 - dt^2 S1/2)/T, the frozen path's pair
-has means m_x + sum hbar and m_g + (dt/T) sum w_j hbar and the law
-(a_x^2 dt S0, a_x^2 dt^3 S2/T^2, a_x^2 dt^2 S1/T) given the y and z draws,
-which the step loop forms per path. The two sums are linear in those draws,
-so the frozen pair is exactly Gaussian with variances dt S0 and
-dt^3 S2/T^2 and covariance dt^2 S1/T (a_x^2 + c_xy^2 + c_xz^2 = 1), and the
-control's exact mean is the pair formula on that law: the price of the
-model with nu = beta = 0. The control moves with the conditional payoff
-mean because both price one contract on one x noise; it takes most of what
-antithetic pairing leaves, the even part of the spread. Where the x-noise
-sums are all 0 (rho_xy = rho_xz = 0, or nu = beta = 0), no factor noise
-reaches x and every control is one number in exact arithmetic, so none is
-used: E[X_T | vol] may still round to a few values, whose fitted slope
-would move the price. A batch whose conditional payoff means are one number
+Given the y and z draws, the frozen path's pair has the pair law of the sums
+of fbar_j^2 and of hbar_j = fbar_j nx_j, whose two sums the step loop keeps
+per path. Those sums are linear in the draws, so the frozen pair is exactly
+Gaussian, with the pair law at a_x^2 = 1 and no known x noise
+(a_x^2 + c_xy^2 + c_xz^2 = 1), and the control's exact mean is the pair
+formula on that law: the price of the model with nu = beta = 0. The control
+moves with the conditional payoff mean because both price one contract on
+one x noise; it takes most of what antithetic pairing leaves, the even part
+of the spread. Where the x-noise sums are all 0 (rho_xy = rho_xz = 0, or
+nu = beta = 0), no factor noise reaches x and every control is one number in
+exact arithmetic, so none is used: E[X_T | vol] may still round to a few
+values, whose fitted slope would move the price. A batch whose conditional payoff means are one number
 is priced at that number with SE 0, and a frozen control or exact mean past
 the float range is dropped. Constant-vol runs carry no control: their
 closed forms are what the oracle checks them against. The payoffs read X_T
@@ -147,11 +144,12 @@ from .model import (
 )
 
 WORD_BUDGET = 1 << 23  # max random words in flight, summed over the workers
-# fewest draw paths per worker in a chunk. Two workers against one on
-# antithetic full-model runs (2 CPUs): 2000-path blocks ran 0.9-1.1x as fast at
-# 50 steps and 1.5x at 200, 4000-path blocks 1.0-1.7x and 1.5-1.7x, 8000-path
-# blocks 1.75-1.8x at both; a short block's numpy calls are too brief for a
-# second thread to pay at every step count
+# fewest draw paths per worker in a chunk. Two workers against one on equal
+# antithetic blocks (2 CPUs, fastest of 7 interleaved runs): full-model blocks
+# of 1024 draw paths ran 0.8-0.9x as fast at 50 and 200 steps, of 2048
+# 1.0-1.1x, of 4096 1.2-1.6x and of 8192 1.1-1.6x; constant-vol blocks, which
+# take no step (fastest of 41), 0.5x at 1024, 0.6x at 2048, 0.8x at 4096 and
+# 1.0x at 8192
 MIN_BLOCK_PATHS = 2048
 # steps whose draws the full-model loop copies step-major at once
 STEP_TILE = 4
@@ -362,19 +360,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _two_sum_coefficients(n: int) -> tuple[float, float, float]:
-    """(a, b, c) with S = a z1 and W = b z1 + c z2 for independent normals z1, z2.
-
-    a = sqrt(n), b = n^{3/2}/2 and c = sqrt((n^3 - n)/12) give a^2 = n = Var S,
-    a b = n^2/2 = Cov(S, W) and b^2 + c^2 = n (4 n^2 - 1)/12 = Var W, the law
-    of S = sum_j e_j and W = sum_j (n - j - 1/2) e_j over the n x draws of a
-    constant-vol path, whose terminal pair is linear in them (module
-    docstring).
-    """
-    n = int(n)  # a numpy integer would overflow in the cube
-    return math.sqrt(n), 0.5 * n * math.sqrt(n), math.sqrt((n - 1) * n * (n + 1) / 12)
-
-
 def simulate_paths(
     model: ModelParams,
     vol: VolSpec,
@@ -402,9 +387,27 @@ def simulate_paths(
     n_steps = cfg.n_steps
     tau = T - t
     dt = tau / n_steps
-    sqrt_dt = math.sqrt(dt)
-    r = model.r
     ln_x0 = math.log(x0)
+    # the means of the pair at zero volatility (module docstring)
+    x_mean0 = ln_x0 + model.r * tau
+    g_mean0 = t * math.log(g0) + tau * ln_x0 + 0.5 * model.r * tau * tau
+
+    def pair_law(s0, s1, s2, a2=1.0, h0=0.0, h1=0.0):
+        """The law (mean_x, mean_g, var_x, var_g, cov) of (ln X_T, ln G_T)
+        given a volatility path's sums S0, S1, S2 of f_j^2, the share
+        a2 = a_x^2 of the x noise its draws leave open, and its sums
+        h0 = sum h_j and h1 = sum w_j h_j of the known x noise (module
+        docstring); floats or arrays."""
+        var_dt = a2 * dt
+        return (x_mean0 + (h0 - (0.5 * dt) * s0), (g_mean0 + dt * (h1 - (0.5 * dt) * s1)) / T,
+                var_dt * s0, (var_dt * dt * dt / (T * T)) * s2, (var_dt * dt / T) * s1)
+
+    def draw_law(mean_x, mean_g, var_x, var_g, cov):
+        """A pair law as (mean_x, mean_g, sd_x, g_on_x, sd_g), the terms of
+        the draw from two normals; g_on_x is 0 where sd_x is (sigma = 0)."""
+        sd_x = np.sqrt(var_x)
+        g_on_x = np.divide(cov, sd_x, out=np.zeros_like(sd_x), where=sd_x > 0.0)
+        return mean_x, mean_g, sd_x, g_on_x, np.sqrt(np.maximum(var_g - g_on_x * g_on_x, 0.0))
 
     if full:
         y_noisy, z_noisy = model.nu != 0.0, model.beta != 0.0
@@ -435,15 +438,11 @@ def simulate_paths(
         z_mix = sd_z * chol[n_noisy - 1, :n_noisy]
         # two terminal words, then one word a step for each noisy factor
         n_words = 2 + n_noisy * n_steps
-        x_scale = sqrt_dt * chol[-1, :-1]  # sqrt(dt) (c_xy, c_xz) of the noisy factors
-        a_x = chol[-1, -1]
-        # the conditional moments (module docstring): what does not depend on
-        # the path, and the scales of the path sums
-        x_mean0 = ln_x0 + r * tau
-        g_mean0 = t * math.log(g0) + tau * ln_x0 + 0.5 * r * tau * tau
-        var_dt = a_x * a_x * dt
-        # the frozen volatility fbar_j = f_full(0, zbar_j) on Z's noise-free
-        # path, formed here so that a wrapped f_full sees the step loop's calls alone
+        x_scale = math.sqrt(dt) * chol[-1, :-1]  # sqrt(dt) (c_xy, c_xz) of the noisy factors
+        a2 = chol[-1, -1] ** 2
+        # Z's noise-free path zbar, which a deterministic Z follows, and the
+        # frozen volatility fbar_j = f_full(0, zbar_j) on it with its sums,
+        # formed here so that a wrapped f_full sees the step loop's calls alone
         zbar = np.empty(n_steps)
         z = model.z0
         for j in range(n_steps):
@@ -452,21 +451,13 @@ def simulate_paths(
         fbar = np.clip(zbar, F_MIN, F_MAX)
         q = fbar * fbar
         w = (n_steps - 0.5) - np.arange(n_steps)  # w_j = n - j - 1/2
-        s0, s1, s2 = float(q.sum()), float((w * q).sum()), float((w * w * q).sum())
-        # the frozen path's law, and the share a_x^2 of its spread that the
-        # y and z draws leave open
-        frozen_law = (x_mean0 - 0.5 * dt * s0, (g_mean0 - 0.5 * dt * dt * s1) / T,
-                      dt * s0, dt ** 3 * s2 / (T * T), dt * dt * s1 / T)
-        frozen_spread = tuple(a_x ** 2 * v for v in frozen_law[2:])
+        frozen_sums = float(q.sum()), float((w * q).sum()), float((w * w * q).sum())
     else:
         n_words = 2
-        a, b, c = _two_sum_coefficients(n_steps)
-        sigma = vol.sigma
-        mu = r - 0.5 * sigma * sigma
-        g_mean = (t * math.log(g0) + tau * ln_x0 + 0.5 * mu * tau * tau) / T
-        g_scale = sigma * sqrt_dt * dt / T
-        # (mean_x, mean_g, sd_x, g_on_x, sd_g), the same on every path
-        constant_law = (ln_x0 + mu * tau, g_mean, a * (sigma * sqrt_dt), b * g_scale, c * g_scale)
+        # a constant sigma's sums in closed form (a numpy n would overflow in
+        # the cube), and their law, the same on every path
+        n, q = int(n_steps), vol.sigma * vol.sigma
+        constant_draw = draw_law(*pair_law(n * q, n * n * q / 2, n * (4 * n * n - 1) * q / 12))
     words_per_path = 4 * ((n_words + 3) // 4)
 
     anti = cfg.antithetic
@@ -477,7 +468,7 @@ def simulate_paths(
     ln_g = np.empty(n_total)
     moments = np.empty((5, n_total)) if full else None
     noise_sums = np.empty((2, n_total)) if full else None
-    frozen_means = np.empty((2, n_total)) if full else None
+    frozen_noise = np.empty((2, n_total)) if full else None
 
     chunk = min(cfg.chunk_size or max(1, WORD_BUDGET // words_per_path), draw_paths)
     # each worker runs one block at a time, so a round of blocks holds at most
@@ -488,11 +479,11 @@ def simulate_paths(
     block = -(-draw_paths // (rounds * workers))
 
     def step_full_model(draws: np.ndarray) -> tuple:
-        """Step one block's volatility paths; returns the terminal law
-        (mean_x, mean_g, sd_x, g_on_x, sd_g) of its m path elements, and
-        the rows of their conditional moments, x-noise sums (sum h and
-        sum w_j h, with w_j = n - j - 1/2) and frozen pair's means
-        (m_x + sum hbar and m_g + (dt/T) sum w_j hbar), as arrays of m.
+        """Step one block's volatility paths; returns the ``draw_law`` of
+        its m path elements, and the rows of their conditional moments and
+        of the sums of the known x noise at f_j (sum h and sum w_j h, with
+        w_j = n - j - 1/2) and at the frozen fbar_j (sum hbar and
+        sum w_j hbar), as arrays of m.
 
         ``draws`` is the block's row-major word array: the two terminal
         words, then uniforms in the words of the noisy factors, which become
@@ -509,7 +500,7 @@ def simulate_paths(
         terms, hbar = fbar_j nx of the frozen volatility among them, formed a
         tile of steps at a time; each pair of sums is one (2, m) array, so a
         step adds once to each. A term of a factor without noise is left
-        out, and a deterministic Z is one number.
+        out, and a deterministic Z is read from zbar.
         """
         nc = draws.shape[0]
         m = 2 * nc if anti else nc
@@ -527,7 +518,7 @@ def simulate_paths(
         e_y = list(tiles[0]) if y_noisy else None
         e_z = list(tiles[-1]) if z_noisy else None
         u = np.zeros(m)
-        z = np.full(m, model.z0) if z_noisy else model.z0
+        z = np.full(m, model.z0) if z_noisy else None
         for j0 in range(0, n_steps, STEP_TILE):
             k = min(STEP_TILE, n_steps - j0)
             if n_noisy:
@@ -556,7 +547,7 @@ def simulate_paths(
                 if y_noisy:
                     tile[0] *= sd_y
             for s in range(k):
-                f_full(u, z, out=f)
+                f_full(u, z if z_noisy else zbar[j0 + s], out=f)
                 np.multiply(f, f, out=q)
                 p0 += q
                 p1 += p0
@@ -572,25 +563,11 @@ def simulate_paths(
                 if z_noisy:
                     z *= ez
                     z += e_z[s]
-                else:  # beta = 0: z is one number
-                    z = z * ez + z_shift
         # the weighted sums (module docstring): S1 = p1 - p0/2 and
         # S2 = 2 (p2 - p1) + p0/4 with w_j = n - j - 1/2, and likewise for h
-        s1 = p1 - 0.5 * p0
-        s2 = 2.0 * (p2 - p1) + 0.25 * p0
         h1 = n1 - 0.5 * n0
-        mean_x = x_mean0 + (n0[0] - (0.5 * dt) * p0)
-        mean_g = (g_mean0 + dt * (h1[0] - (0.5 * dt) * s1)) / T
-        var_x = var_dt * p0
-        var_g = (var_dt * dt * dt / (T * T)) * s2
-        cov = (var_dt * dt / T) * s1
-        sd_x = np.sqrt(var_x)
-        g_on_x = cov / sd_x
-        sd_g = np.sqrt(np.maximum(var_g - g_on_x * g_on_x, 0.0))
-        return (mean_x, mean_g, sd_x, g_on_x, sd_g), (
-            mean_x, mean_g, var_x, var_g, cov, n0[0], h1[0],
-            frozen_law[0] + n0[1], frozen_law[1] + (dt / T) * h1[1],
-        )
+        law = pair_law(p0, p1 - 0.5 * p0, 2.0 * (p2 - p1) + 0.25 * p0, a2, n0[0], h1[0])
+        return draw_law(*law), (*law, n0[0], h1[0], n0[1], h1[1])
 
     def run_paths(lo: int, hi: int) -> None:
         """Simulate draw paths [lo, hi) and write their slices of the output."""
@@ -611,10 +588,10 @@ def simulate_paths(
         for out, part, sign in halves:
             if full:
                 mean_x, mean_g, sd_x, g_on_x, sd_g = (v[part] for v in block_law)
-                for row, block_row in zip((*moments, *noise_sums, *frozen_means), block_rows):
+                for row, block_row in zip((*moments, *noise_sums, *frozen_noise), block_rows):
                     row[out] = block_row[part]
             else:
-                mean_x, mean_g, sd_x, g_on_x, sd_g = constant_law
+                mean_x, mean_g, sd_x, g_on_x, sd_g = constant_draw
             # mean_x + sign * (z1 sd_x) and mean_g + sign * (z1 g_on_x + z2 sd_g),
             # in that order of operations and in the output slices, with x
             # holding z2 sd_g meanwhile; + (-1.0) * dev has the bits of - dev
@@ -640,7 +617,8 @@ def simulate_paths(
     return PathBatch(
         ln_x=ln_x, ln_g=ln_g, source=_source(model, vol, t, T, x0, g0, cfg), moments=moments,
         noise_sums=noise_sums,
-        frozen_law=((*frozen_means, *frozen_spread), frozen_law) if full else None,
+        frozen_law=(pair_law(*frozen_sums, a2, *frozen_noise), pair_law(*frozen_sums))
+        if full else None,
     )
 
 

@@ -117,6 +117,8 @@ def test_ingest_header_must_match_exactly():
         ingest_quotes(io.StringIO(GOOD_CSV.replace("implied_vol", "implied_vol,venue")))
     with pytest.raises(MissingColumn):
         ingest_quotes(io.StringIO(""))
+    with pytest.raises(MissingColumn, match=r"repeated \['t'\]"):  # a copy of a column
+        ingest_quotes(io.StringIO(GOOD_CSV.replace("implied_vol", "implied_vol,t", 1)))
 
 
 def test_ingest_header_only_leaves_nothing_to_fit():

@@ -676,15 +676,16 @@ def test_validate_exponentiates_each_path_array_once(capsys, monkeypatch):
 
 # (argv, SHA-256 of the report's outputs as compact JSON with sorted keys).
 # The constant one was recorded from the oracle before its payoffs and
-# standard errors were formed in place, the full one since full-model prices
-# took the frozen-volatility control; they guard the oracle's bits against a
+# standard errors were formed in place, the full one since the frozen
+# control's law came from the pair law all runs share (it moved the prices
+# by about 3e-15 of their value); they guard the oracle's bits against a
 # regression and are not values derived by an independent route (the
 # full-model estimator is, in test_mc.py's test_frozen_estimates).
 PINNED_VALIDATE = [
     (["validate", "--paths", "2000", "--steps", "16", "--seed", "5", "--json"],
      "eb9d41bc855cbf7a2dade660049b232e20aaf89e9051fec8944b4dc7bd51d0ad"),
     (["validate", "--mode", "full", "--paths", "4000", "--steps", "24", "--seed", "7", "--json"],
-     "5ce33b6cf5f1461daba90d00e8ae2609e352184a12b62fbe35bf0d7fc20d73df"),
+     "0e4ff34d914e5beeb4c320318832f90bf4fde7e43c1c4ef5eb5f58e42a55ae8a"),
 ]
 
 
@@ -730,6 +731,18 @@ def test_validate_refuses_a_zero_sigma_before_drawing_a_path(capsys, monkeypatch
     assert code == EXIT_VALIDATION
     assert "sigma must be > 0" in out + err
     assert calls == []
+
+
+@pytest.mark.parametrize("T, code", [("9.99e-10", EXIT_VALIDATION), ("1e-9", EXIT_OK)])
+def test_validate_refuses_a_horizon_below_the_closed_forms_tolerance(capsys, T, code):
+    """Below HORIZON_TOL the closed forms give the terminal payoff, which no
+    path set of a positive horizon matches: every row used to fail, exit 4."""
+    got, out, err = run(capsys, ["validate", "--paths", "600", "--steps", "8", "--T", T])
+    assert got == code
+    if code == EXIT_VALIDATION:
+        assert out == "" and json.loads(err)["error"] == "DegenerateHorizon"
+    else:
+        assert all(row["pass"] for row in json.loads(out)["outputs"]["comparisons"])
 
 
 def test_validate_refuses_a_single_antithetic_pair(capsys):

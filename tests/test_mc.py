@@ -436,21 +436,25 @@ def _raw_normals(seed, n_rows, words_per_path, n_words):
 
 def _two_normal_terminal(z, n_steps, sigma, r, t, T, x0, g0, antithetic):
     """Terminal (ln X, ln G) of the n-step constant-vol path from the normals
-    (z1, z2) of each row: S = sqrt(n) z1, W = (n^{3/2}/2) z1 + sqrt((n^3 - n)/12) z2."""
-    n = n_steps
+    (z1, z2) of each row, drawn from the module docstring's law at a_x = 1,
+    mu_j = (r - sigma^2/2) dt and the sums S0 = n sigma^2,
+    S1 = n^2 sigma^2 / 2 and S2 = n (4n^2 - 1) sigma^2 / 12."""
+    n, q = n_steps, sigma * sigma
+    s0, s1, s2 = n * q, n * n * q / 2, n * (4 * n * n - 1) * q / 12
     tau = T - t
     dt = tau / n
-    sqrt_dt = math.sqrt(dt)
-    mu = r - 0.5 * sigma * sigma
-    x_mean = math.log(x0) + mu * tau
-    g_mean = (t * math.log(g0) + tau * math.log(x0) + 0.5 * mu * tau * tau) / T
-    x_scale, g_scale = sigma * sqrt_dt, sigma * sqrt_dt * dt / T
-    a, b, c = math.sqrt(n), 0.5 * n * math.sqrt(n), math.sqrt((n ** 3 - n) / 12)
-    dev_x = z[:, 0] * (a * x_scale)
-    dev_g = z[:, 0] * (b * g_scale) + z[:, 1] * (c * g_scale)
+    mean_x = math.log(x0) + r * tau - 0.5 * dt * s0
+    mean_g = (t * math.log(g0) + tau * math.log(x0) + 0.5 * r * tau * tau
+              - dt * (0.5 * dt * s1)) / T
+    var_x, var_g, cov = dt * s0, dt * dt * dt / (T * T) * s2, dt * dt / T * s1
+    sd_x = math.sqrt(var_x)
+    g_on_x = cov / sd_x
+    sd_g = math.sqrt(var_g - g_on_x * g_on_x)
+    dev_x = z[:, 0] * sd_x
+    dev_g = z[:, 0] * g_on_x + z[:, 1] * sd_g
     signs = (1.0, -1.0) if antithetic else (1.0,)
-    return (np.concatenate([x_mean + sign * dev_x for sign in signs]),
-            np.concatenate([g_mean + sign * dev_g for sign in signs]))
+    return (np.concatenate([mean_x + sign * dev_x for sign in signs]),
+            np.concatenate([mean_g + sign * dev_g for sign in signs]))
 
 
 @pytest.mark.parametrize("budget_paths", [0.5, 4.5])
@@ -479,16 +483,17 @@ def test_constant_vol_tiles_have_the_bits_of_one_array(
     assert np.ptp(batch.ln_x) > 0.5  # the draws moved the paths
 
 
-@pytest.mark.parametrize("n", [2, 37, 200, 10 ** 6])
-def test_two_sum_coefficients_give_the_law_of_the_stepped_sums(n):
-    """a^2, a b and b^2 + c^2 are Var S, Cov(S, W) and Var W of S = sum e_j and
-    W = sum (n - j - 1/2) e_j over n independent normals."""
-    a, b, c = mc._two_sum_coefficients(n)
-    w = n - 0.5 - np.arange(n)
-    want = np.array([[n, w.sum()], [w.sum(), (w * w).sum()]])
-    got = np.array([[a * a, a * b], [a * b, b * b + c * c]])
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
-    assert mc._two_sum_coefficients(np.int32(n)) == (a, b, c)  # no overflow in the cube
+def test_constant_vol_sums_are_closed_forms_of_any_integer_step_count():
+    """S1 and S2 of a constant sigma are the closed forms n^2/2 and
+    n (4n^2 - 1)/12 of the weights w_j = n - j - 1/2 (times sigma^2), and a
+    numpy step count, which would overflow in their n^3, gives the bits of
+    a Python one."""
+    for n in (2, 37, 200):
+        w = n - 0.5 - np.arange(n)
+        assert (w.sum(), (w * w).sum()) == (n * n / 2, n * (4 * n * n - 1) / 12)
+    kwargs = dict(model=MODEL, vol=ConstantVol(0.21), t=0.1, T=0.45, x0=100.0, g0=97.0)
+    assert_same_bits(*(simulate_paths(cfg=McConfig(n_paths=300, n_steps=n, seed=29), **kwargs)
+                       for n in (10 ** 6, np.int32(10 ** 6))))
 
 
 @pytest.mark.parametrize("n_steps", [2, 37])

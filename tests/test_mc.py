@@ -483,17 +483,17 @@ def test_constant_vol_tiles_have_the_bits_of_one_array(
     assert np.ptp(batch.ln_x) > 0.5  # the draws moved the paths
 
 
-def test_constant_vol_sums_are_closed_forms_of_any_integer_step_count():
+@pytest.mark.parametrize("n", [2, 37, 200, 10 ** 6])
+def test_constant_vol_sums_are_closed_forms_of_any_integer_step_count(n):
     """S1 and S2 of a constant sigma are the closed forms n^2/2 and
-    n (4n^2 - 1)/12 of the weights w_j = n - j - 1/2 (times sigma^2), and a
-    numpy step count, which would overflow in their n^3, gives the bits of
-    a Python one."""
-    for n in (2, 37, 200):
-        w = n - 0.5 - np.arange(n)
-        assert (w.sum(), (w * w).sum()) == (n * n / 2, n * (4 * n * n - 1) / 12)
+    n (4n^2 - 1)/12 of the weights w_j = n - j - 1/2 (times sigma^2), checked
+    exactly on the integers 2 w_j, and a numpy step count, which would
+    overflow in their n^3, gives the bits of a Python one."""
+    k = 2 * n - 1 - 2 * np.arange(n, dtype=np.int64)
+    assert (int(k.sum()), int((k * k).sum())) == (n * n, n * (4 * n * n - 1) // 3)
     kwargs = dict(model=MODEL, vol=ConstantVol(0.21), t=0.1, T=0.45, x0=100.0, g0=97.0)
-    assert_same_bits(*(simulate_paths(cfg=McConfig(n_paths=300, n_steps=n, seed=29), **kwargs)
-                       for n in (10 ** 6, np.int32(10 ** 6))))
+    assert_same_bits(*(simulate_paths(cfg=McConfig(n_paths=300, n_steps=m, seed=29), **kwargs)
+                       for m in (n, np.int32(n))))
 
 
 @pytest.mark.parametrize("n_steps", [2, 37])

@@ -22,7 +22,8 @@ pricing chain in ``perturbation`` calls it once per contract.
 Every derivative formula here, theta included, is the differentiated closed
 form; the test suite holds each one to central finite differences. Every
 price, Greek and theta refuses a NaN or infinite float input with
-NonFiniteInput and an exponential that overflows a float with OutOfDomain.
+NonFiniteInput, and a sigma outside [1e-100, 1e40] or an exponential that
+overflows a float with OutOfDomain.
 
 B0, theta and the Greeks of one contract share its d-terms, E, discount (or
 e^s), normal CDFs and density. ``_contract_terms`` computes them under a
@@ -51,6 +52,10 @@ from .model import MarketState, OptionKind, StrikeStyle
 HORIZON_TOL = 1e-9
 # the longest maturity taken; the I-integrals' T^4-sized terms overflow from about 1e77
 _MAX_MATURITY = 1e75
+# the sigmas taken: above the top, sigma T^3 or sigma^2 T^3 overflows at the
+# longest maturity; below the floor, kappa^2 = sigma^2 (T - t)^3 / 3 leaves
+# the normal floats within HORIZON_TOL of it
+_SIGMA_MIN, _SIGMA_MAX = 1e-100, 1e40
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -90,10 +95,11 @@ def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float)
 
     K None is the floating call. A NaN or infinite sigma, T, K or r raises
     NonFiniteInput before any range check; T = 0 leaves no average to take,
-    and a T beyond _MAX_MATURITY would overflow the formulas.
+    and a T beyond _MAX_MATURITY or a sigma outside [_SIGMA_MIN, _SIGMA_MAX]
+    would overflow the formulas or divide by 0.
     """
     if not (
-        0.0 < sigma < math.inf
+        _SIGMA_MIN <= sigma <= _SIGMA_MAX
         and t <= T <= _MAX_MATURITY
         and T > 0.0
         and -math.inf < r < math.inf
@@ -102,6 +108,8 @@ def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float)
         require_finite(sigma=sigma, T=T, K=K, r=r)
         if not sigma > 0.0:
             raise OutOfDomain(f"sigma must be > 0, got {sigma}")
+        if not _SIGMA_MIN <= sigma <= _SIGMA_MAX:
+            raise OutOfDomain(f"sigma must be in [{_SIGMA_MIN:g}, {_SIGMA_MAX:g}], got {sigma}")
         if K is not None and not K > 0.0:
             raise NonPositiveStrike(f"K must be > 0, got {K}")
         if T > _MAX_MATURITY:

@@ -112,14 +112,16 @@ one x noise; it takes most of what antithetic pairing leaves, the even part
 of the spread. Where the x-noise sums are all 0 (rho_xy = rho_xz = 0, or
 nu = beta = 0), no factor noise reaches x and every control is one number in
 exact arithmetic, so none is used: E[X_T | vol] may still round to a few
-values, whose fitted slope would move the price. A batch whose conditional payoff means are one number
-is priced at that number with SE 0, and a frozen control or exact mean past
-the float range is dropped. Constant-vol runs carry no control: their
-closed forms are what the oracle checks them against. The payoffs read X_T
-and G_T from the batch, which exponentiates each once. Payoffs, means and
-standard errors are formed in place in arrays of their own, with the bits
-of numpy's mean and std; a sum of squares that would underflow or overflow
-is formed on values scaled by a power of two.
+values, whose fitted slope would move the price. A batch whose conditional
+payoff means are one number is priced at that number with SE 0, and a
+frozen control or exact mean past the float range is dropped. Constant-vol
+runs carry no control: their closed forms are what the oracle checks them
+against. The payoffs read X_T and G_T from the batch, which exponentiates
+each once, and are formed in place in an array of their own. Every estimate
+is formed in one pass on power-of-two-scaled samples (``mean_and_se``): each
+array's samples, antithetic pair means included, are formed once and scaled
+so that their largest |value| lies in [0.5, 1). That keeps the bits of
+numpy's mean and std on normal floats and every sum of squares in range.
 """
 
 from __future__ import annotations
@@ -457,7 +459,10 @@ def simulate_paths(
         # a constant sigma's sums in closed form (a numpy n would overflow in
         # the cube), and their law, the same on every path
         n, q = int(n_steps), vol.sigma * vol.sigma
-        constant_draw = draw_law(*pair_law(n * q, n * n * q / 2, n * (4 * n * n - 1) * q / 12))
+        law = pair_law(n * q, n * n * q / 2, n * (4 * n * n - 1) * q / 12)
+        if not all(map(math.isfinite, law)):
+            raise OutOfDomain(f"sigma = {vol.sigma} puts the law of {n} steps past the float range")
+        constant_draw = draw_law(*law)
     words_per_path = 4 * ((n_words + 3) // 4)
 
     anti = cfg.antithetic
@@ -667,96 +672,22 @@ def _payoff_mean(spec: OptionSpec, moments) -> np.ndarray:
     return _lognormal_pair_call(*((g, strike) if call else (strike, g)), 0.0)
 
 
-# a sum of squared deviations at most this small may have lost squares to
-# underflow (a square under 2^-1022 keeps fewer bits, under 2^-1075 none);
-# above it, what such squares lose is below its last bit for any n < 2^100
-_SS_TINY = 2.0 ** -900
-
-
-def _samples(values: np.ndarray, antithetic: bool) -> np.ndarray:
-    """``values``, or an antithetic batch's pair means 0.5 (a + b) in a new
-    array: the samples an estimate averages."""
-    if not antithetic:
-        return values
+def _samples(values: np.ndarray, antithetic: bool) -> tuple[np.ndarray, int, bool]:
+    """The samples an estimate averages, ``values`` or an antithetic batch's
+    pair means (a + b) / 2, times 2^e in a new array, with e the power that
+    brings their largest |value| into [0.5, 1) (e = 0 where that is 0 or not
+    finite); e; and whether the samples are one number."""
+    half = int(antithetic)  # a pair mean is 2^-1 times the pair sum
     n = values.shape[0] // 2
-    pairs = np.add(values[:n], values[n:])
-    pairs *= 0.5
-    return pairs
-
-
-def _centred(values: np.ndarray, antithetic: bool) -> tuple[np.floating, np.ndarray]:
-    """The mean of the samples of ``values``, as the sum over n that numpy's
-    mean and std form, and the deviations from it in a new array."""
-    samples = _samples(values, antithetic)
-    mean = samples.sum() / samples.shape[0]
-    return mean, np.subtract(samples, mean, out=samples if antithetic else None)
-
-
-def _one_number(values: np.ndarray, antithetic: bool) -> bool:
-    """Whether every sample of ``values`` is the same number; the deviations
-    of such samples from their rounded mean need not be 0."""
-    samples = _samples(values, antithetic)
-    return bool((samples == samples[0]).all())
-
-
-def _in_range(*sums) -> bool:
-    """No sum of squares among ``sums`` may have under- or overflowed."""
-    return all(_SS_TINY < ss < math.inf for ss in sums)
-
-
-def _unit_exponent(values: np.ndarray) -> int | None:
-    """e with 2^e max|values| in [0.5, 1), or None when that maximum is 0 or
-    not finite, so nothing can be rescaled."""
-    top = float(np.max(np.abs(values)))
-    return -math.frexp(top)[1] if 0.0 < top < math.inf else None
-
-
-def _regression(values: np.ndarray, controls, antithetic: bool):
-    """The regression mean of ``values`` on the (control, exact mean) pairs
-    of ``controls``, the std of its residuals with 1 + c degrees of freedom
-    spent for the c controls kept, and the sums of squares of the kept
-    controls' orthogonalized deviations and of the residuals. With no control
-    kept, too few samples for those kept, or a control whose sum of squares
-    is 0 (the sums then hold that 0), this is the plain pass: the mean and
-    std with the bits of numpy's, squares, a pairwise sum, over n - 1, a
-    root."""
-    mean, dv = _centred(values, antithetic)
-    n = dv.shape[0]
-    kept, sums = [], []  # kept: (deviations, offset c - exact, sum of squares), orthogonalized
-    for control, exact in controls:
-        if _one_number(control, antithetic):  # nothing to fit
-            continue
-        mean_c, dc = _centred(control, antithetic)
-        offset = mean_c - exact
-        for dk, offset_k, ss_k in kept:
-            gamma = (dk @ dc) / ss_k
-            dc -= gamma * dk
-            offset -= gamma * offset_k
-        ss = dc @ dc
-        sums.append(ss)
-        if ss == 0.0:  # lost to underflow, or a combination of the controls before
-            kept = []
-            break
-        kept.append((dc, offset, ss))
-    if n - 1 - len(kept) < 1:  # too few samples for the controls
-        kept, sums = [], []
-    for dk, offset_k, ss_k in kept:
-        b = (dk @ dv) / ss_k
-        dk *= b
-        dv -= dk
-        mean -= b * offset_k
-    if kept:  # the residuals, centred as std does
-        dv -= dv.sum() / n
-    dv *= dv
-    ss_r = dv.sum()
-    return mean, math.sqrt(ss_r / (n - 1 - len(kept))), [*sums, ss_r]
-
-
-def _scaled(control: np.ndarray, exact: float):
-    """``control`` and its exact mean times the power of two that brings its
-    largest |value| into [0.5, 1), or unscaled when that cannot be formed."""
-    e = _unit_exponent(control) or 0
-    return np.ldexp(control, e), np.ldexp(exact, e)
+    samples = np.add(values[:n], values[n:]) if antithetic else values
+    low, high = float(samples.min()), float(samples.max())
+    top = max(-low, high)
+    shift = -math.frexp(top)[1] if 0.0 < top < math.inf else -half
+    out = samples if antithetic else None
+    # a subnormal top needs a power past 2^1023, which only ldexp takes
+    samples = (np.ldexp(samples, shift, out=out) if shift > 1023
+               else np.multiply(samples, 2.0 ** shift, out=out))
+    return samples, shift + half, low == high
 
 
 def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0,
@@ -778,20 +709,57 @@ def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0,
     b = (dc . dv) / (dc . dc). A control that is one number on every sample
     is dropped. With no control left, or fewer than 2 + c samples, the
     estimate is the plain sample mean and its SE, with the bits of numpy's
-    mean and std. When a sum of squares would underflow or overflow, the
-    estimate is formed on ``values`` scaled by the power of two that brings
-    the largest |value| into [0.5, 1), each control by its own, and scaled
-    back; a power of two scales every step exactly, so ordinary inputs keep
-    their bits either way. No array is written.
+    mean and std; samples that are one number give that number, with SE 0.
+
+    Each array's samples are formed once, scaled by the power of two that
+    brings their largest |value| into [0.5, 1) (an exact mean by its
+    control's power), and the estimate is formed on them in one pass and
+    scaled back. A power of two scales every sum, square, division and root
+    exactly, so the bits are those of the unscaled estimate wherever no
+    sample is subnormal, and no sum of squares underflows or overflows. No
+    array is written. Fewer than 2 samples, an antithetic batch of odd
+    length or a control of another length raises OutOfDomain.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
-        mean, sd, sums = _regression(values, controls, antithetic)
-    if not _in_range(*sums) and (e := _unit_exponent(values)) is not None:
-        mean, sd, _ = _regression(
-            np.ldexp(values, e), [_scaled(*pair) for pair in controls], antithetic
-        )
-        mean, sd = np.ldexp(mean, -e), np.ldexp(sd, -e)
-    n = values.shape[0] // 2 if antithetic else values.shape[0]
+    size = values.shape[0]
+    n = size // 2 if antithetic else size
+    if n < 2 or antithetic and size % 2 or any(c.shape != values.shape for c, _ in controls):
+        raise OutOfDomain(f"an estimate needs 2 samples or more, whole antithetic pairs and "
+                          f"controls of the values' length, got {size} values (antithetic "
+                          f"{antithetic}), controls of {[c.shape[0] for c, _ in controls]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses a non-finite estimate
+        dv, e, one = _samples(values, antithetic)
+        if one:
+            return scale * float(np.ldexp(dv[0], -e)), 0.0
+        mean = dv.sum() / n
+        dv -= mean
+        kept = []  # (deviations, offset c - exact, sum of squares), orthogonalized
+        for control, exact in controls:
+            dc, e_c, one = _samples(control, antithetic)
+            if one:  # nothing to fit
+                continue
+            mean_c = dc.sum() / n
+            dc -= mean_c
+            offset = mean_c - np.ldexp(exact, e_c)
+            for dk, offset_k, ss_k in kept:
+                gamma = (dk @ dc) / ss_k
+                dc -= gamma * dk
+                offset -= gamma * offset_k
+            ss = dc @ dc
+            if ss == 0.0:  # a combination of the controls before it
+                kept = []
+                break
+            kept.append((dc, offset, ss))
+        if n - 1 - len(kept) < 1:  # too few samples for the controls
+            kept = []
+        for dk, offset_k, ss_k in kept:
+            b = (dk @ dv) / ss_k
+            dk *= b
+            dv -= dk
+            mean -= b * offset_k
+        if kept:  # the residuals, centred as std does
+            dv -= dv.sum() / n
+        dv *= dv
+        mean, sd = np.ldexp((mean, math.sqrt(dv.sum() / (n - 1 - len(kept)))), -e)
     return scale * float(mean), scale * float(sd) / math.sqrt(n)
 
 
@@ -830,8 +798,9 @@ def price_mc(
 
     Antithetic pairs are averaged before the standard error is formed, so a
     pair counts once. The payoffs read the batch's ``x`` and ``g``, so the
-    payoffs priced on one batch share its two exps. Floating puts are priced here (the payoff is
-    well-defined) even though the analytic layers reject them.
+    payoffs priced on one batch share its two exps. Floating puts are priced
+    here (the payoff is well-defined) even though the analytic layers reject
+    them.
 
     A full-model batch is priced by each path's payoff mean given its
     volatility path, regressed on an intercept and four controls with
@@ -842,16 +811,18 @@ def price_mc(
     frozen control that is not finite on every path or whose exact mean is
     not finite; when no control is left, or fewer than 2 + c samples are
     (an antithetic pair counting once), the price is the uncontrolled mean
-    of those conditional payoffs, which is unbiased too.
-    Conditional payoff means that are one number on every path (no factor
-    noise) give that number, with SE 0. ``price_plain`` and
-    ``std_error_plain`` keep the plain estimate over the sampled terminal
-    payoffs. A constant-vol batch is priced plain.
+    of those conditional payoffs, which is unbiased too. Conditional payoff
+    means that are one number on every path (no factor noise) give that
+    number, with SE 0. ``price_plain`` and ``std_error_plain`` keep the
+    plain estimate over the sampled terminal payoffs. A constant-vol batch
+    is priced plain. Every estimate is ``mean_and_se``'s one pass on
+    power-of-two-scaled samples.
 
     ``paths`` prices on a batch already simulated from the same model, vol,
     state, maturity and config (several payoffs then share one path set);
     every one of these but ``cfg.chunk_size`` is checked against the batch.
-    A non-finite price or standard error raises OutOfDomain, without a numpy warning.
+    A non-finite price or standard error raises OutOfDomain, without a numpy
+    warning.
     """
     T = spec.maturity
     if paths is None:
@@ -866,12 +837,8 @@ def price_mc(
         plain = mean_and_se(values, cfg.antithetic, scale=disc)
         price, se = plain
         if isinstance(vol, FullModel):
-            conditional = _payoff_mean(spec, paths.moments)
-            if _one_number(conditional, cfg.antithetic):  # no spread for a control to take
-                price, se = disc * float(_samples(conditional, cfg.antithetic)[0]), 0.0
-            else:
-                price, se = mean_and_se(conditional, cfg.antithetic, disc,
-                                        _controls(spec, model, state, paths))
+            price, se = mean_and_se(_payoff_mean(spec, paths.moments), cfg.antithetic, disc,
+                                    _controls(spec, model, state, paths))
     if not all(map(math.isfinite, (price, se, *plain))):
         raise OutOfDomain(f"the Monte Carlo estimate is not finite: {price}, SE {se}, plain {plain}")
     return McEstimate(price, se, *plain)

@@ -317,32 +317,54 @@ def test_extreme_finite_inputs_price_finite_or_raise_a_pricing_error(
     kT=st.floats(min_value=0.0, max_value=2.5),
     share=st.floats(min_value=0.0, max_value=1.0),
     m=st.floats(min_value=-1e3, max_value=1e3),
+    log_sigma=st.floats(min_value=-320.0, max_value=308.0),
 )
 # the fixed call at T = 1e103, the closed integrals at T = 6.6e194, then a
 # speed whose k^3 is past the float range
-@example(contract=CONTRACTS[1], log_k=0.0, kT=1e103, share=0.0, m=1.0)
+@example(contract=CONTRACTS[1], log_k=0.0, kT=1e103, share=0.0, m=1.0, log_sigma=-0.7)
 @example(contract=CONTRACTS[1], log_k=math.log10(7.56e-196), kT=7.56e-196 * 6.6e194,
-         share=0.0, m=1.0)
-@example(contract=CONTRACTS[0], log_k=103.0, kT=0.5, share=0.0, m=1.0)
+         share=0.0, m=1.0, log_sigma=-0.7)
+@example(contract=CONTRACTS[0], log_k=103.0, kT=0.5, share=0.0, m=1.0, log_sigma=-0.7)
+# a sigma^2 past the float range made Q inf - inf, and a price NaN; at
+# T = 1e75 prices went NaN from sigma 1e118 and theta from 1e82; a kappa^2
+# that underflows to 0 made the Greeks divide by it, at sigma 1e-162 and
+# at the 1e-170 of a z0 of 1e-170; a sigma of 1e160 made gamma's m NaN
+@example(contract=CONTRACTS[0], log_k=0.0, kT=0.5, share=0.0, m=1.0, log_sigma=155.0)
+@example(contract=CONTRACTS[0], log_k=-75.0, kT=1.0, share=0.0, m=1.0, log_sigma=118.0)
+@example(contract=CONTRACTS[2], log_k=-75.0, kT=1.0, share=0.5, m=1.0, log_sigma=82.0)
+@example(contract=CONTRACTS[1], log_k=0.0, kT=0.5, share=0.0, m=1.0, log_sigma=-162.0)
+@example(contract=CONTRACTS[0], log_k=math.log10(2.0), kT=0.8, share=0.0, m=1.0,
+         log_sigma=-170.0)
+@example(contract=CONTRACTS[0], log_k=math.log10(2.0), kT=0.8, share=0.0, m=1.0,
+         log_sigma=160.0)
 def test_long_maturities_and_slow_speeds_give_finite_values_or_a_pricing_error(
-        contract, log_k, kT, share, m):
+        contract, log_k, kT, share, m, log_sigma):
     """Each analytic function returns finite numbers or raises a PricingError,
-    with no numpy warning, for maturities up to 1e300 and speeds from 1e-300
-    to 1e300; a maturity of about 1e77 and more raised an OverflowError."""
+    with no numpy warning, for maturities up to 1e300, speeds from 1e-300
+    to 1e300 and, on a level arc and in the closed forms, sigmas from 1e-320
+    to 1e308; a maturity of about 1e77 and more raised an OverflowError."""
     k = 10.0 ** log_k
     T = kT / k
     if not 0.0 < T <= 1e300:
         return
     t = share * T
-    style, kind, strike, *_ = contract
+    style, kind, strike, bs, greeks_fn, _ = contract
     model = ModelParams(r=0.0264, k=k, alpha_prime=0.2, z0=0.1834, epsilon=0.001)
     arc = priced_or_refused(arc_from_ou, k, 0.2, 0.1834)  # its k^2 overflows past 1e154
+    sigma = 10.0 ** log_sigma
+    level = VolArc(p_coef=0.0, q_coef=0.0, r_coef=sigma, sigma_min=sigma)
+    state = MarketState(t=t, x=100.0, g=100.0)
+    option = OptionSpec(style, kind, T, strike)
+    strikes = () if strike is None else (strike,)
     results = [
         priced_or_refused(i_integrals_closed, k, t, T),
         priced_or_refused(modification_factor, k, t, T, m),
         priced_or_refused(regression_denominator, k, t, T),
-        arc and priced_or_refused(first_order_price, OptionSpec(style, kind, T, strike),
-                                  MarketState(t=t, x=100.0, g=100.0), arc, model, V_EPS),
+        arc and priced_or_refused(first_order_price, option, state, arc, model, V_EPS),
+        priced_or_refused(first_order_price, option, state, level, model, V_EPS),
+        priced_or_refused(bs, state, sigma, T, *strikes, model.r),
+        priced_or_refused(greeks_fn, state, sigma, T, *strikes, model.r),
+        priced_or_refused(b0_theta, style, state, sigma, T, model.r, strike, kind),
     ]
     for result in results:
         assert result is None or all(map(math.isfinite, result if isinstance(result, tuple)

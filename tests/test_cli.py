@@ -808,6 +808,30 @@ def test_validate_refuses_an_estimate_past_the_float_range(capsys, flag, value):
     assert json.loads(err)["error"] == "OutOfDomain"
 
 
+EXTREME_SIGMA_PRICE = ["price", "--k", "2", "--r", "0.0264", "--alpha-prime", "2e-170",
+                       "--sigma-min", "1e-300", "--style", "floating", "--kind", "call",
+                       "--spot", "100", "--t", "0", "--T", "0.4", "--v-eps", "-0.01"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["validate", "--paths", "1000", "--sigma", "1e152"],
+    ["validate", "--paths", "1000", "--sigma", "1e153"],
+    EXTREME_SIGMA_PRICE + ["--z0", "1e-170"],
+    EXTREME_SIGMA_PRICE + ["--z0", "1e160"],
+], ids=["validate-1e152", "validate-1e153", "price-z0-1e-170", "price-z0-1e160"])
+def test_an_extreme_sigma_exits_2_naming_sigma(capsys, argv):
+    """A sigma the closed forms cannot take exits 2 with OutOfDomain naming
+    sigma, and numpy warns of nothing. validate warned as it drew a
+    constant-vol law past the float range; a z0 of 1e-170 ended in a
+    ZeroDivisionError traceback, and one of 1e160 blamed gamma's m."""
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "OutOfDomain" and "sigma" in error["message"], error
+
+
 def test_validate_cost_does_not_grow_with_steps(capsys):
     """A constant-vol path draws two normals whatever the step count, so ten
     million steps run as fast as a few."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 import time
@@ -1213,6 +1214,49 @@ def test_a_power_of_two_scales_the_estimates_exactly(antithetic, e):
                 == scaled_back(mc.mean_and_se(values, antithetic, 1.0, controls[:c])))
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         assert _numpy_mean_and_se(scaled, antithetic, 1.0)[1] in (0.0, math.inf)
+
+
+@pytest.mark.parametrize("values, antithetic, controls", [
+    (np.array([1.0]), False, ()),
+    (np.array([1.0, 2.0]), True, ()),
+    (np.arange(5.0), True, ()),
+    (np.arange(6.0), False, [(np.arange(5.0), 0.0)]),
+    (np.arange(8.0), True, [(np.arange(8.0), 0.0), (np.arange(6.0), 0.0)]),
+], ids=["one-sample", "one-pair", "odd-antithetic", "short-control", "short-second-control"])
+def test_mean_and_se_refuses_malformed_samples(values, antithetic, controls):
+    """One sample, or one antithetic pair, gave an SE of NaN; an odd-length
+    antithetic batch, or a control of another length, raised numpy's untyped
+    ValueError. Each is refused with OutOfDomain."""
+    with pytest.raises(OutOfDomain, match="an estimate needs 2 samples or more"):
+        mc.mean_and_se(values, antithetic, 1.0, controls)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_samples_that_are_one_number_give_that_number(antithetic):
+    """Samples that are one number give that number with SE 0, whatever the
+    controls, where the sum over n of numpy's mean rounds away from it."""
+    value = 3.321410415757264
+    values = np.full(1000, value)
+    assert values.sum() / 1000 != value
+    control = (np.random.default_rng(1).normal(size=1000), 0.0)
+    assert mc.mean_and_se(values, antithetic, 0.5) == (0.5 * value, 0.0)
+    assert mc.mean_and_se(values, antithetic, 0.5, [control]) == (0.5 * value, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [1e152, 1e153, 1e200])
+def test_a_constant_vol_law_past_the_float_range_is_refused_before_a_draw(monkeypatch, sigma):
+    """At these sigmas the sums of 200 constant-vol steps, or sigma^2,
+    overflow, and numpy warned as the law was drawn before the estimate was
+    refused. simulate_paths refuses the law with OutOfDomain, naming sigma,
+    before it draws a word."""
+    def no_words(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(mc, "_uniforms_for_chunk", no_words)
+    cfg = McConfig(n_paths=1000, n_steps=200, seed=1, antithetic=True)
+    with pytest.raises(OutOfDomain, match=re.escape(f"sigma = {sigma} ")):
+        simulate_paths(MODEL, ConstantVol(sigma), 0.0, 0.45, 100.0, 100.0, cfg)
 
 
 def test_a_batch_exponentiates_each_path_array_once(monkeypatch):

@@ -169,6 +169,40 @@ def test_every_private_module_name_is_read_in_the_package():
     assert dead == []
 
 
+def module_bindings(tree):
+    """(statement, name) of every name a module binds at its top level: by
+    def, class, assignment or import."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((node, alias.asname or alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            yield from ((node, name.id) for name in ast.walk(node)
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+
+
+def test_every_private_module_level_name_is_read_outside_its_own_statement():
+    """Every private name a package module binds at its top level is read
+    somewhere in the package outside the statement that binds it: a helper
+    that only its own body reads, or that a refactor leaves behind, is dead
+    code."""
+    trees = package_trees()
+    reads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and not isinstance(node.ctx, ast.Store)]
+    dead = []
+    for module, tree in trees.items():
+        for statement, bound in module_bindings(tree):
+            if not bound.startswith("_") or bound.startswith("__"):
+                continue
+            inside = set(map(id, ast.walk(statement)))
+            if not any(name == bound and id(node) not in inside for node, name in reads):
+                dead.append(f"{module}:{statement.lineno} {bound}")
+    assert dead == []
+
+
 def test_every_input_field_is_read_in_the_package():
     """A field that no code reads, such as a model constant that cancels out
     of every formula, is a parameter a caller sets to no effect."""

@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    FLOAT_MAX,
     DegenerateDesign,
     MissingColumn,
     OutOfDomain,
@@ -49,6 +50,7 @@ from .errors import (
     SingularDenominator,
     UnparseableField,
     VanishingVega,
+    finite_problems,
     require_finite,
 )
 from .model import (
@@ -102,16 +104,14 @@ class QuoteRow:
     def __init__(self, t: float, T: float, spot: float, avg: float, strike: float | None,
                  style: QuoteStyle, implied_vol: float, line: int | None = None) -> None:
         # one comparison chain for a valid row; any other row gets its reasons
-        if not (0.0 <= t < T < math.inf
-                and 0.0 < spot < math.inf
-                and 0.0 < avg < math.inf
-                and 0.0 < implied_vol < math.inf
+        if not (0.0 <= t < T <= FLOAT_MAX
+                and 0.0 < spot <= FLOAT_MAX
+                and 0.0 < avg <= FLOAT_MAX
+                and 0.0 < implied_vol <= FLOAT_MAX
                 and (strike is None if style is not QuoteStyle.FIXED_PUT
-                     else strike is not None and 0.0 < strike < math.inf)):
-            numbers = {"t": t, "T": T, "spot": spot, "avg": avg,
-                       "strike": strike, "implied_vol": implied_vol}
-            problems = [f"{name} must be finite, got {value}" for name, value in numbers.items()
-                        if value is not None and not math.isfinite(value)]
+                     else strike is not None and 0.0 < strike <= FLOAT_MAX)):
+            problems = finite_problems(t=t, T=T, spot=spot, avg=avg, strike=strike,
+                                       implied_vol=implied_vol)
             if not 0.0 <= t < T:
                 problems.append(f"need 0 <= t < T, got t={t}, T={T}")
             if not spot > 0.0:
@@ -194,14 +194,19 @@ def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float,
 def ols_fit(rows: list[tuple[float, float]]) -> RegressionFit:
     """Ordinary least squares on pooled (x, y) points.
 
-    Points whose fit overflows a float (a sum, the slope or its standard
-    error) raise OutOfDomain, and numpy warns of nothing.
+    The first point that is not finite raises NonFiniteInput; points whose
+    fit overflows a float (a sum, the slope or its standard error) raise
+    OutOfDomain, and numpy warns of nothing.
     """
-    x = np.asarray([p[0] for p in rows], dtype=float)
-    y = np.asarray([p[1] for p in rows], dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        i = int(np.argmin(np.isfinite(x) & np.isfinite(y)))
-        require_finite(**{f"x[{i}]": x[i], f"y[{i}]": y[i]})
+    try:
+        x = np.asarray([p[0] for p in rows], dtype=float)
+        y = np.asarray([p[1] for p in rows], dtype=float)
+        finite = np.isfinite(x).all() and np.isfinite(y).all()
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        for i, (xi, yi) in enumerate(rows):
+            require_finite(**{f"x[{i}]": xi, f"y[{i}]": yi})
     n = len(rows)
     if n < 2:
         raise DegenerateDesign(f"need at least 2 rows, got {n}")
@@ -344,6 +349,8 @@ def smile_curve(
     points: list[SmilePoint] = []
     for t, T, moneyness in grid:
         try:
+            if not -FLOAT_MAX <= moneyness <= FLOAT_MAX:  # before it scales the spot
+                require_finite(moneyness=moneyness)
             sigma = effective_vol(arc, t)
             state = MarketState(t=t, x=spot, g=moneyness * spot)
             *_, greeks, c1_unit = _first_order(*contract, state, sigma, T, strike, model, 1.0)
@@ -352,7 +359,7 @@ def smile_curve(
                     f"|vega| = {abs(greeks.vega)} below {VEGA_FLOOR_FRACTION * spot}"
                 )
             vol = sigma + v_eps * c1_unit / greeks.vega
-            if not -math.inf < vol < math.inf:
+            if not -FLOAT_MAX <= vol <= FLOAT_MAX:
                 raise OutOfDomain(f"implied vol {vol} is not finite")
             points.append(SmilePoint(t, T, moneyness, vol))
         except PricingError as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -69,8 +70,6 @@ EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_COMPARISON = 4
 
-_VALIDATION_ERRORS = (ValueError, OSError)
-
 # validate's floor under a row's SE, in units in the last place of the spot:
 # the gaps from rounding alone reach about 7 such units at --sigma 1e-9
 _SE_FLOOR_ULPS = 64
@@ -80,17 +79,13 @@ _SE_FLOOR_ULPS = 64
 _EPSILON = 0.001
 
 
-def _digest(inputs: dict) -> str:
-    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _emit(args, outputs, warnings: list[str], t0: float) -> None:
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")}
+    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"), allow_nan=False)
     report = {
         "command": args.command,
         "inputs": inputs,
-        "inputs_digest": _digest(inputs),
+        "inputs_digest": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "outputs": outputs,
         "warnings": warnings,
         "wall_time_s": round(time.perf_counter() - t0, 6),
@@ -135,15 +130,7 @@ def cmd_price(args):
     breakdown = first_order_price(
         option, state, arc, model, v_eps=args.v_eps, gamma_off=args.gamma_off
     )
-    outputs = {
-        "b0": breakdown.b0,
-        "gamma": breakdown.gamma,
-        "c0": breakdown.c0,
-        "c1": breakdown.c1,
-        "price_hat": breakdown.price_hat,
-        "m_exponent": breakdown.m_exponent,
-        "sigma_bar": effective_vol(arc, args.t),
-    }
+    outputs = {**breakdown._asdict(), "sigma_bar": effective_vol(arc, args.t)}
     return outputs, _domain_warnings(breakdown), EXIT_OK
 
 
@@ -251,8 +238,7 @@ def _epsilon_direction(args, cfg: McConfig) -> dict:
     being checked.
     """
     state = MarketState(t=0.0, x=args.spot, g=args.spot)
-    T = args.T
-    option = OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=T)
+    option = OptionSpec(StrikeStyle.FLOATING, OptionKind.CALL, maturity=args.T)
     results = {}
     for label, eps in (("big", 0.1), ("small", 0.001)):
         model = reference_full_model(eps)
@@ -381,12 +367,13 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; with ``command``, only that command gets its flags.
+@functools.lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built on the first call and
+    returned by each later one, so no caller may add to it.
 
-    Every command is registered either way, so the top-level usage and errors
-    are the same, and ``command``'s own help and errors are those of the full
-    parser.
+    A parse fills a new namespace, and help and errors read the terminal
+    width when they print, so one parser serves every call in the process.
     """
     parser = argparse.ArgumentParser(
         prog="geoasian",
@@ -395,10 +382,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_flags(p)
-            p.add_argument("--json", action="store_true", help="compact single-line JSON")
-            p.set_defaults(func=func)
+        add_flags(p)
+        p.add_argument("--json", action="store_true", help="compact single-line JSON")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -408,16 +394,13 @@ def _fail(exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one command and print its run report; returns the exit code.
+    """Parse ``argv`` (default ``sys.argv[1:]``) with the one ``build_parser()``,
+    run its command and print the run report; returns the exit code.
 
     Each ``cmd_*`` returns ``(outputs, warnings, exit_code)``; outputs of
     None mean the command printed its own result and there is no report.
     """
-    if argv is None:
-        argv = sys.argv[1:]
-    # a command's run reads only its own flags, so build only those
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         outputs, warnings, code = args.func(args)
@@ -427,7 +410,7 @@ def main(argv=None) -> int:
     except DegenerateDesign as exc:  # a ValueError too, so it is caught first
         _fail(exc)
         return EXIT_DATA
-    except _VALIDATION_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         _fail(exc)
         return EXIT_VALIDATION
 

@@ -41,6 +41,7 @@ from typing import NamedTuple
 from scipy.special import erfc
 
 from .errors import (
+    FLOAT_MAX,
     DegenerateHorizon,
     NonPositiveStrike,
     OutOfDomain,
@@ -102,8 +103,8 @@ def _check_contract(t: float, sigma: float, T: float, K: float | None, r: float)
         _SIGMA_MIN <= sigma <= _SIGMA_MAX
         and t <= T <= _MAX_MATURITY
         and T > 0.0
-        and -math.inf < r < math.inf
-        and (K is None or 0.0 < K < math.inf)
+        and -FLOAT_MAX <= r <= FLOAT_MAX
+        and (K is None or 0.0 < K <= FLOAT_MAX)
     ):
         require_finite(sigma=sigma, T=T, K=K, r=r)
         if not sigma > 0.0:
@@ -256,7 +257,7 @@ def _greeks(
     t, u, s = state.t, state.u, state.s
     if _check_contract(t, sigma, T, K, r):
         raise DegenerateHorizon(f"T - t = {T - t} below {HORIZON_TOL}")
-    if not -math.inf < gamma_factor < math.inf:
+    if not -FLOAT_MAX <= gamma_factor <= FLOAT_MAX:
         require_finite(gamma_factor=gamma_factor)
     put = kind is not _CALL
     d1, d2, root, E, _, n1, n2, pdf = _contract_terms(s, u, t, T, K, sigma, r, put)

@@ -1,9 +1,12 @@
 """The package's one error family: for any bad input it raises a PricingError, a ValueError.
 
-Every NaN or infinite input is refused by ``require_finite``, the only builder
-of a NonFiniteInput, as "<name> must be finite, got <value>"."""
+A number is finite when ``-FLOAT_MAX <= value <= FLOAT_MAX``, a rule that refuses
+NaN, the infinities and an int too large for a float alike. ``require_finite``,
+the only builder of a NonFiniteInput, refuses each as "<name> must be finite, got <value>"."""
 
-import math
+import sys
+
+FLOAT_MAX = sys.float_info.max
 
 
 class PricingError(ValueError):
@@ -78,9 +81,13 @@ class PDFactorizationFailure(PricingError):
     """Correlation matrix is not positive definite; no Cholesky factor exists."""
 
 
+def finite_problems(**values: float | None) -> list[str]:
+    """One "<name> must be finite, got <value>" per value not finite, in order; None passes."""
+    return [f"{name} must be finite, got {value}" for name, value in values.items()
+            if value is not None and not -FLOAT_MAX <= value <= FLOAT_MAX]
+
+
 def require_finite(**values: float | None) -> None:
-    """Raise one NonFiniteInput naming each NaN or infinite value in order; skip None."""
-    bad = [f"{name} must be finite, got {value}" for name, value in values.items()
-           if value is not None and not math.isfinite(value)]
-    if bad:
+    """Raise one NonFiniteInput naming each value that is not finite, in order; skip None."""
+    if bad := finite_problems(**values):
         raise NonFiniteInput("; ".join(bad))

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
+    FLOAT_MAX,
     NonPositivePrice,
     NonPositiveStrike,
     OutOfDomain,
@@ -139,7 +140,7 @@ def arc_from_ou(
 
 def effective_vol(arc: VolArc, t: float) -> float:
     """Arc volatility at time t, floored at arc.sigma_min."""
-    if not 0.0 <= t < math.inf:
+    if not 0.0 <= t <= FLOAT_MAX:
         require_finite(t=t)
         raise OutOfDomain(f"t must be >= 0, got {t}")
     value = (arc.p_coef * t + arc.q_coef) * t + arc.r_coef
@@ -162,13 +163,12 @@ class MarketState:
     u: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, t: float, x: float, g: float) -> None:
-        # a frozen dataclass's own __init__ stores each field through
-        # object.__setattr__; one dict update stores all five at once
-        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(g)):
+        # one comparison chain for a valid state, and one dict update for all
+        # five fields, where a frozen dataclass's __init__ sets each in turn
+        if not (0.0 <= t <= FLOAT_MAX and 0.0 < x <= FLOAT_MAX and 0.0 < g <= FLOAT_MAX):
             require_finite(t=t, x=x, g=g)
-        if x <= 0.0 or g <= 0.0:
-            raise NonPositivePrice(f"spot and average must be > 0, got x={x}, g={g}")
-        if t < 0.0:
+            if x <= 0.0 or g <= 0.0:
+                raise NonPositivePrice(f"spot and average must be > 0, got x={x}, g={g}")
             raise OutOfDomain(f"t must be >= 0, got {t}")
         s = math.log(x)
         self.__dict__.update(t=t, x=x, g=g, s=s, u=t * (math.log(g) - s))

@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from typing import NamedTuple
 
 from scipy.integrate import quad
@@ -65,6 +64,7 @@ from .closedform import (
     greeks_floating_call,
 )
 from .errors import (
+    FLOAT_MAX,
     BranchError,
     OutOfDomain,
     PoleInInterval,
@@ -95,7 +95,7 @@ QUAD_ABS_TOL = 1e-12
 SERIES_KT = 0.2
 SERIES_TERMS = 18
 # the largest x whose exp(x) is a finite float
-_LN_FLOAT_MAX = math.log(sys.float_info.max)
+_LN_FLOAT_MAX = math.log(FLOAT_MAX)
 
 # an Enum member lookup costs about 100 ns, a global name a few; function
 # bodies read these
@@ -109,7 +109,8 @@ def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
     gamma, the I-integrals and D check with it. A NaN or infinite k, t, T or m
     raises NonFiniteInput before any range check.
     """
-    if not (0.0 < k < math.inf and 0.0 <= t <= T <= _MAX_MATURITY and -math.inf < m < math.inf):
+    if not (0.0 < k <= FLOAT_MAX and 0.0 <= t <= T <= _MAX_MATURITY
+            and -FLOAT_MAX <= m <= FLOAT_MAX):
         require_finite(k=k, t=t, T=T, m=m)
         if not k > 0.0:
             raise OutOfDomain(f"k must be > 0, got {k}")
@@ -163,7 +164,7 @@ def m_exponent(b0: float, theta_b0: float, price_floor: float = 0.0) -> float:
 
 def _check_v_eps(v_eps: float) -> None:
     """Refuse a NaN or infinite group parameter v_eps = sqrt(epsilon) * V."""
-    if not -math.inf < v_eps < math.inf:
+    if not -FLOAT_MAX <= v_eps <= FLOAT_MAX:
         require_finite(v_eps=v_eps)
 
 

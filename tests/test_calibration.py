@@ -142,6 +142,17 @@ def test_ingest_skips_whitespace_only_records_without_losing_numbering():
     assert [r.line for r in result.rows] == [2, 3, 5]
 
 
+@pytest.mark.parametrize("field", ["t", "T", "spot", "avg", "strike", "implied_vol"])
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_quote_row_refuses_an_int_too_large_for_a_float(field, value):
+    """math.isfinite raised OverflowError on such an int, and a row with
+    T = 10**400 passed ``T < math.inf`` and was built."""
+    fields = dict(t=0.1, T=0.45, spot=100.0, avg=101.0, strike=100.0,
+                  style=QuoteStyle.FIXED_PUT, implied_vol=0.18)
+    with pytest.raises(OutOfDomain, match=f"^{field} must be finite, got {value}(;|$)"):
+        QuoteRow(**{**fields, field: value})
+
+
 def test_quote_row_validate_collects_all_problems():
     with pytest.raises(OutOfDomain) as info:
         QuoteRow(t=0.5, T=0.45, spot=-1.0, avg=0.0, strike=None,
@@ -385,6 +396,14 @@ def test_ols_fit_names_its_first_non_finite_point():
         ols_fit([(0.0, 1.0), (1.0, 2.0), (math.inf, -math.inf), (2.0, math.nan)])
 
 
+def test_ols_fit_refuses_an_int_too_large_for_a_float():
+    """numpy raised OverflowError turning such an int into a float."""
+    with pytest.raises(NonFiniteInput, match=rf"^x\[1\] must be finite, got {10**400}$"):
+        ols_fit([(0.0, 1.0), (10**400, 2.0), (2.0, 3.0)])
+    with pytest.raises(NonFiniteInput, match=rf"^y\[2\] must be finite, got -{10**400}$"):
+        ols_fit([(0.0, 1.0), (1.0, 2.0), (2.0, -10**400), (3.0, math.nan)])
+
+
 # ------------------------------------------------------------- v_from_fit
 
 
@@ -521,6 +540,16 @@ def test_smile_curve_flags_a_non_finite_maturity(style):
     pts = smile_curve(ARC, MODEL, -0.016, style, grid)
     assert [p.implied_vol is None for p in pts] == [True, True, False]
     assert all(p.note.startswith("NonFiniteInput:") for p in pts[:2])
+
+
+def test_smile_curve_flags_an_int_too_large_for_a_float():
+    """A moneyness of 10**400 raised OverflowError out of the curve when it
+    scaled the spot; each such point is flagged and the good one priced."""
+    grid = [(10**400, 0.45, 1.0), (0.1, 10**400, 1.0), (0.1, 0.45, 10**400),
+            (0.1, 0.45, -10**400), (0.1, 0.45, 1.0)]
+    pts = smile_curve(ARC, MODEL, -0.016, QuoteStyle.FLOATING_CALL, grid)
+    assert [p.implied_vol is None for p in pts] == [True, True, True, True, False]
+    assert all(p.note.startswith("NonFiniteInput:") for p in pts[:4])
 
 
 def test_smile_curve_flags_out_of_domain_points():

@@ -213,19 +213,26 @@ ENTRY_POINTS = [
 ]
 
 
+# the values that are not finite: NaN, the infinities and an int too large
+# for a float, on which math.isfinite raised OverflowError
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+              "10**400": 10**400, "-10**400": -10**400}
+
+
 def non_finite_cases(table):
-    """Each entry of ``table`` with one float swapped for NaN or an infinity."""
+    """Each entry of ``table`` with one float swapped for a value that is not finite."""
     return [
-        pytest.param(fn, fixed, {**floats, name: value}, id=f"{fn.__name__}-{name}-{value}")
+        pytest.param(fn, fixed, {**floats, name: value}, id=f"{fn.__name__}-{name}-{label}")
         for fn, fixed, floats in table
         for name in floats
-        for value in (math.nan, math.inf, -math.inf)
+        for label, value in NON_FINITE.items()
     ]
 
 
 def refuses_by_name(fn, fixed, floats):
     """fn raises NonFiniteInput whose message names the one non-finite float first."""
-    name = next(name for name, value in floats.items() if not math.isfinite(value))
+    name = next(name for name, value in floats.items()
+                if any(value is bad for bad in NON_FINITE.values()))
     with pytest.raises(NonFiniteInput, match=f"^{re.escape(name)} must be finite, got "):
         fn(**fixed, **floats)
 

@@ -915,22 +915,6 @@ def test_inputs_echo_every_flag_of_the_command(tmp_path, capsys):
 
 # ------------------------------------------------------------------ parser
 
-PARSED_ARGVS = [
-    PRICE_ARGS,
-    FIXED_PUT_ARGS + ["--strike", "97", "--avg", "101", "--gamma-off", "--json"],
-    *(argv for argv, _, _ in PINNED_DIGESTS),
-    ["calibrate", *MODEL_ARGS, "--quotes", "quotes.csv", "--scatter-out", "xy.csv"],
-    ["validate", "--paths", "600", "--steps", "8", "--seed", "1", "--mode", "full"],
-    ["smile", *MODEL_ARGS, "--t", "0.1", "--T", "0.45", "--grid", "0.95:1.05:3",
-     "--style", "fixed_put", "--v-eps", "-0.016", "--out", "-"],
-]
-
-
-@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=lambda argv: argv[0])
-def test_one_command_parser_parses_as_the_full_parser(argv):
-    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
-
-
 def parse_outcome(capsys, parse):
     """(exit code, stdout, stderr) of a parse that exits, as help and errors do."""
     with pytest.raises(SystemExit) as exc:
@@ -952,14 +936,59 @@ def parse_outcome(capsys, parse):
 ], ids=["help", "unknown-command", "command-help", "unrecognised-flag", "missing-flag",
         "smile-missing-flag", "bad-value", "removed-model-flag"])
 def test_help_and_errors_match_the_full_parser(capsys, monkeypatch, argv):
-    """``main`` builds only the named command's flags; what it prints and its
-    exit code are those of the full parser."""
+    """What ``main`` prints for help and parse errors, and its exit code, are
+    those of the parser of every command."""
     monkeypatch.setenv("COLUMNS", "80")
     full = parse_outcome(capsys, lambda: cli.build_parser().parse_args(argv))
-    command = argv[0] if argv[0] in cli._COMMANDS else None
-    assert parse_outcome(capsys, lambda: cli.build_parser(command).parse_args(argv)) == full
     assert parse_outcome(capsys, lambda: main(argv)) == full
     assert full[0] in (0, 2)
+
+
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
+    """Only the first of several calls, a parse error among them, constructs
+    an ArgumentParser, and no flag or default of one command reaches the
+    report of another."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    validate = ["validate", "--paths", "600", "--steps", "8", "--seed", "1"]
+    calls = [validate, [*PRICE_ARGS, "--spot", "abc"], PRICE_ARGS, validate]
+    codes, counts, reports = [], [], []
+    for argv in calls:
+        before = len(built)
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        counts.append(len(built) - before)
+        out = capsys.readouterr().out
+        if out:
+            reports.append(json.loads(out))
+    assert codes == [EXIT_OK, EXIT_VALIDATION, EXIT_OK, EXIT_OK]
+    assert counts == [1 + len(cli._COMMANDS), 0, 0, 0]
+    assert [report["command"] for report in reports] == ["validate", "price", "validate"]
+    for report in reports:
+        assert set(report["inputs"]) == subparser_dests(report["command"])
+    assert reports[0]["inputs"] == reports[2]["inputs"]
+
+
+def test_help_and_errors_take_the_width_at_which_they_print(capsys, monkeypatch):
+    """The parser built at one terminal width prints help and errors at the
+    width of the moment, as a parser built then would."""
+    monkeypatch.setenv("COLUMNS", "200")
+    cli.build_parser.cache_clear()
+    cli.build_parser()
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["-h"], ["calibrate", "-h"], ["calibrate", *MODEL_ARGS]):
+            fresh = parse_outcome(capsys, lambda: cli.build_parser.__wrapped__().parse_args(argv))
+            assert parse_outcome(capsys, lambda: main(argv)) == fresh, (columns, argv)
 
 
 @pytest.mark.parametrize("argv", [

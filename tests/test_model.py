@@ -89,6 +89,8 @@ def test_params_each_rule_refused_when_built(fields, error, message):
 @pytest.mark.parametrize("field, value", [
     ("z0", math.nan), ("alpha_prime", math.inf), ("r", math.inf), ("k", math.nan),
     ("epsilon", math.inf), ("rho_xy", math.nan), ("r", math.nan),
+    # an int too large for a float, on which math.isfinite raised OverflowError
+    pytest.param("k", 10**400, id="k-10**400"), pytest.param("r", -10**400, id="r--10**400"),
 ])
 def test_params_non_finite_rejected(field, value):
     base = dict(r=0.0264, k=2.0, alpha_prime=0.20, z0=0.1834, epsilon=0.001)

@@ -11,6 +11,8 @@ import builtins
 import csv
 import dataclasses
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +99,26 @@ def test_readme_quick_start_prints_its_documented_line(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == documented + "\n"
+
+
+def readme_command_lines():
+    """The argv of each ``geoasian`` command line in the README, with an
+    optional ``[...]`` part both left out and put in."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
+    optional = re.compile(r"\[([^]]*)\]")
+    return [shlex.split(variant)[1:]
+            for line in text.splitlines() if line.startswith("geoasian ")
+            for variant in sorted({optional.sub("", line), optional.sub(r"\1", line)})]
+
+
+def test_readme_command_lines_parse():
+    """Each documented command line parses, so a renamed or removed flag
+    cannot leave the README stale; none is run."""
+    argvs = readme_command_lines()
+    assert sorted(argv[0] for argv in argvs) == ["calibrate", "calibrate", "price", "smile",
+                                                  "validate"]
+    for argv in argvs:
+        assert cli.build_parser().parse_args(argv).command == argv[0]
 
 
 def package_trees():

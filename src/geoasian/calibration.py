@@ -13,8 +13,8 @@ group parameter follows per (t, T) cell from
 
 which is the paper's a_eps 2 r sigma_bar / D_v, since its
 D_v = (2/(T - t)) [ (1/k) ln((2 - kT)/(2 - kt)) + (T - t)/((2 - kT)(2 - kt)) ]
-= -I0 / (T - t) is exactly 2 D. The factor
-sqrt(epsilon) cancels between a = a_eps/sqrt(eps) and v_eps = sqrt(eps) V.
+= -I0 / (T - t) is exactly 2 D, which ``perturbation`` computes beside gamma.
+The factor sqrt(epsilon) cancels between a = a_eps/sqrt(eps) and v_eps = sqrt(eps) V.
 Within one (t, T) cell this closes the noise-free round trip exactly:
 quotes generated by ``smile_curve`` at a known v_eps regress back to it. A
 slope pooled over several cells does not, and each cell's v_eps then
@@ -47,14 +47,13 @@ from .errors import (
     MissingColumn,
     OutOfDomain,
     PricingError,
-    SingularDenominator,
     UnparseableField,
     VanishingVega,
     finite_problems,
     require_finite,
+    shown,
 )
 from .model import (
-    SINGULARITY_TOL,
     MarketState,
     ModelParams,
     OptionKind,
@@ -62,10 +61,9 @@ from .model import (
     VolArc,
     effective_vol,
 )
-from .perturbation import _check_v_eps, _check_window, _first_order, _i0
+from .perturbation import _check_v_eps, _first_order, regression_denominator
 
 VEGA_FLOOR_FRACTION = 1e-10
-DENOMINATOR_TOL = 1e-12
 
 CSV_COLUMNS = ("t", "T", "spot", "avg", "strike", "style", "implied_vol")
 
@@ -113,16 +111,16 @@ class QuoteRow:
             problems = finite_problems(t=t, T=T, spot=spot, avg=avg, strike=strike,
                                        implied_vol=implied_vol)
             if not 0.0 <= t < T:
-                problems.append(f"need 0 <= t < T, got t={t}, T={T}")
+                problems.append(f"need 0 <= t < T, got t={shown(t)}, T={shown(T)}")
             if not spot > 0.0:
-                problems.append(f"spot must be > 0, got {spot}")
+                problems.append(f"spot must be > 0, got {shown(spot)}")
             if not avg > 0.0:
-                problems.append(f"avg must be > 0, got {avg}")
+                problems.append(f"avg must be > 0, got {shown(avg)}")
             if not implied_vol > 0.0:
-                problems.append(f"implied_vol must be > 0, got {implied_vol}")
+                problems.append(f"implied_vol must be > 0, got {shown(implied_vol)}")
             if style is QuoteStyle.FIXED_PUT:
                 if strike is None or not strike > 0.0:
-                    problems.append(f"fixed_put needs strike > 0, got {strike}")
+                    problems.append(f"fixed_put needs strike > 0, got {shown(strike)}")
             elif strike is not None:
                 problems.append("floating_call row must leave strike empty")
             raise OutOfDomain("; ".join(problems))
@@ -161,21 +159,6 @@ class SmilePoint:
     moneyness: float
     implied_vol: float | None
     note: str | None = None
-
-
-def regression_denominator(k: float, t: float, T: float) -> float:
-    """D = -I0 / (2 (T - t)) of the regressor, for k > 0 and 0 <= t < T,
-    checked as gamma and the I-integrals check it."""
-    if _check_window(k, t, T):
-        raise OutOfDomain(f"D needs t < T, got the empty window t = T = {T}")
-    wt, wT = 2.0 - k * t, 2.0 - k * T
-    if wt * wT <= 0.0 or abs(wt) <= SINGULARITY_TOL or abs(wT) <= SINGULARITY_TOL:
-        raise SingularDenominator(
-            f"(2 - kT)/(2 - kt) nonpositive or singular at kt={k * t}, kT={k * T}")
-    d = -_i0(k, t, T)[0] / (2.0 * (T - t))
-    if abs(d) < DENOMINATOR_TOL:
-        raise SingularDenominator(f"|D| = {abs(d)} below {DENOMINATOR_TOL}")
-    return d
 
 
 def regression_row(q: QuoteRow, arc: VolArc, model: ModelParams) -> tuple[float, float]:

@@ -30,11 +30,7 @@ class NonPositiveStrike(PricingError):
 
 
 class SingularGamma(PricingError):
-    """kt or kT is within tolerance of 2, or ln gamma is too large for exp; gamma is singular."""
-
-
-class BranchError(PricingError):
-    """The log ratio (2-kT)/(2-kt) is nonpositive; no real branch exists."""
+    """The window touches or crosses k tau = 2, or ln gamma is too large for exp."""
 
 
 class DegenerateHorizon(PricingError):
@@ -46,11 +42,7 @@ class VanishingPrice(PricingError):
 
 
 class SingularIntegral(PricingError):
-    """kT is not below 1 - tol, the bound of the closed-form I-integrals."""
-
-
-class PoleInInterval(PricingError):
-    """The integrand pole k*tau = 1 lies inside the quadrature interval."""
+    """The window leaves the I-integrals' domain: kT >= 1 - tol (closed) or a pole in it (quadrature)."""
 
 
 class VanishingVega(PricingError):
@@ -58,7 +50,7 @@ class VanishingVega(PricingError):
 
 
 class SingularDenominator(PricingError):
-    """The maturity-dependent regression denominator is too close to zero."""
+    """The window of the regressor's D touches or crosses k tau = 2, or |D| is too close to 0."""
 
 
 class DegenerateDesign(PricingError):
@@ -81,9 +73,17 @@ class PDFactorizationFailure(PricingError):
     """Correlation matrix is not positive definite; no Cholesky factor exists."""
 
 
+def shown(value: object) -> str:
+    """``f"{value}"``, or an int past ``sys.get_int_max_str_digits`` as its sign and bit length."""
+    try:
+        return f"{value}"
+    except ValueError:  # only an int that long fails to convert
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 def finite_problems(**values: float | None) -> list[str]:
     """One "<name> must be finite, got <value>" per value not finite, in order; None passes."""
-    return [f"{name} must be finite, got {value}" for name, value in values.items()
+    return [f"{name} must be finite, got {shown(value)}" for name, value in values.items()
             if value is not None and not -FLOAT_MAX <= value <= FLOAT_MAX]
 
 

@@ -136,13 +136,14 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import OutOfDomain, PDFactorizationFailure, require_finite
+from .errors import OutOfDomain, PDFactorizationFailure, require_finite, shown
 from .model import (
     MarketState,
     ModelParams,
     OptionKind,
     OptionSpec,
     StrikeStyle,
+    correlation_pd_margin,
 )
 
 WORD_BUDGET = 1 << 23  # max random words in flight, summed over the workers
@@ -191,16 +192,16 @@ class McConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise OutOfDomain(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 2:
-            raise OutOfDomain(f"n_paths must be >= 2, got {self.n_paths}")
+            raise OutOfDomain(f"n_paths must be >= 2, got {shown(self.n_paths)}")
         if self.n_steps < 2:
-            raise OutOfDomain(f"n_steps must be >= 2, got {self.n_steps}")
+            raise OutOfDomain(f"n_steps must be >= 2, got {shown(self.n_steps)}")
         if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
-            raise OutOfDomain(f"seed must be >= 0 and < 2**128, got {self.seed}")
+            raise OutOfDomain(f"seed must be >= 0 and < 2**128, got {shown(self.seed)}")
         # pairs count once, and one pair has no standard error
         if self.antithetic and (self.n_paths % 2 or self.n_paths < 4):
-            raise OutOfDomain(f"antithetic runs need an even n_paths >= 4, got {self.n_paths}")
+            raise OutOfDomain(f"antithetic runs need an even n_paths >= 4, got {shown(self.n_paths)}")
         if self.chunk_size is not None and self.chunk_size < 1:
-            raise OutOfDomain(f"chunk_size must be >= 1, got {self.chunk_size}")
+            raise OutOfDomain(f"chunk_size must be >= 1, got {shown(self.chunk_size)}")
 
 
 @dataclass(frozen=True)
@@ -423,12 +424,14 @@ def simulate_paths(
         )  # (y, z, x)
         # the factor of the noisy factors and x alone (module docstring)
         keep = [i for i, noisy in enumerate((y_noisy, z_noisy, True)) if noisy]
-        # a built model's matrix is positive definite; this catches a
-        # factorization that fails numerically all the same
+        # a built model's matrix within rounding of singular can still fail to factor
         try:
             chol = np.linalg.cholesky(corr[np.ix_(keep, keep)])
-        except np.linalg.LinAlgError as exc:
-            raise PDFactorizationFailure(str(exc)) from None
+        except np.linalg.LinAlgError:
+            rhos = model.rho_xy, model.rho_xz, model.rho_yz
+            raise PDFactorizationFailure(
+                "rho_xy, rho_xz, rho_yz = {}, {}, {} are within rounding of singular (margin {}): "
+                "the Cholesky factorization fails".format(*rhos, correlation_pd_margin(*rhos))) from None
         # the exact OU steps of Y and Z
         ey = math.exp(-dt / model.epsilon)
         sd_y = model.nu * math.sqrt(max(0.0, 1.0 - ey * ey))

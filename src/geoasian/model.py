@@ -31,7 +31,6 @@ from .errors import (
     require_finite,
 )
 
-SINGULARITY_TOL = 1e-8
 SIGMA_MIN_DEFAULT = 1e-4
 
 
@@ -52,7 +51,8 @@ class ModelParams:
     ``NonFiniteInput``, then a correlation matrix that is not positive
     definite ``PDFactorizationFailure``, then every other broken rule of
     k, epsilon > 0; r, alpha_prime, z0, nu, beta >= 0; z0 != alpha_prime
-    (the arc would be flat) and |rho| < 1 one ``OutOfDomain``.
+    (the arc would be flat) and |rho| < 1 one ``OutOfDomain``. A matrix within
+    rounding of singular passes, and ``simulate_paths`` may still fail to factor it.
     """
 
     r: float

@@ -25,9 +25,10 @@ One private chain, ``_first_order``, sequences B0 -> theta -> M -> gamma ->
 I's -> Greeks -> c1 and is the only code that prices a first-order contract.
 ``first_order_price`` prices with it, at maturity too, where the closed forms
 return the payoff; ``calibration`` calls it at v_eps = 1 for the unit
-correction and the vega of each quote. gamma, the I-integrals and the
-regressor's D check their window (k, t, T) with one ``_check_window`` and
-take I0, in one form at every speed, from ``_i0``; the series serves only I1..I3.
+correction and the vega of each quote. This module alone decides which windows
+(k, t, T) it takes: gamma, the I-integrals and the regressor's D = -I0 / (2 (T - t))
+check them with one ``_check_window``, take I0 in one form from ``_i0`` (the series
+serves only I1..I3), and gamma and D refuse the double pole with one comparison.
 
 ``i_integrals_closed`` depends on the window (k, t, T) alone and remembers
 the last 128 windows it was asked, so the quotes of one smile cell share one
@@ -38,8 +39,8 @@ positive on all of [t, T]; anything else raises SingularIntegral.
 ``i_integrals_quadrature`` integrates tau^n * 2(1 - k tau)/(2 - k tau)^2
 adaptively and serves as the independent oracle for the closed forms. Its
 domain holds the closed route's: it also integrates windows that end at
-kT = 1 or lie beyond it, and refuses a window that the pole k tau = 1
-crosses or that the double pole k tau = 2 touches.
+kT = 1 or lie beyond it, and refuses with SingularIntegral a window that the
+pole k tau = 1 crosses or that the double pole k tau = 2 touches.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ from .closedform import (
 )
 from .errors import (
     FLOAT_MAX,
-    BranchError,
     OutOfDomain,
-    PoleInInterval,
     PricingError,
+    SingularDenominator,
     SingularGamma,
     SingularIntegral,
     UnsupportedContract,
@@ -76,7 +76,6 @@ from .errors import (
     require_finite,
 )
 from .model import (
-    SINGULARITY_TOL,
     MarketState,
     ModelParams,
     OptionKind,
@@ -87,6 +86,8 @@ from .model import (
 )
 
 PRICE_FLOOR_FRACTION = 1e-12
+DENOMINATOR_TOL = 1e-12
+SINGULARITY_TOL = 1e-8
 QUAD_ABS_TOL = 1e-12
 # below this kT the antiderivatives of the I-integrals cancel to about 11
 # digits or fewer (4 at kT = 5e-3, none at 5e-5), while the series, cut after
@@ -96,6 +97,9 @@ SERIES_KT = 0.2
 SERIES_TERMS = 18
 # the largest x whose exp(x) is a finite float
 _LN_FLOAT_MAX = math.log(FLOAT_MAX)
+# a window is off k tau = 2 when kT < _BELOW_POLE or kt > _ABOVE_POLE: bit for bit |2 - kt|,
+# |2 - kT| > tol and 2 not in [kt, kT], as 2 - x is exact on [1, 4] and each bound rounds toward 2
+_BELOW_POLE, _ABOVE_POLE = 2.0 - SINGULARITY_TOL, 2.0 + SINGULARITY_TOL
 
 # an Enum member lookup costs about 100 ns, a global name a few; function
 # bodies read these
@@ -124,20 +128,28 @@ def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
 
 def modification_factor(k: float, t: float, T: float, m: float) -> float:
     """gamma(t) = exp(m (T - t - I0)) in log space; equals 1 at t = T and at m = 0.
-
-    A log factor too large for a float to hold its exponential raises
-    SingularGamma.
-    """
+    A window that touches or crosses k tau = 2, and a log factor too large for a
+    float to hold its exponential, raise SingularGamma."""
     _check_window(k, t, T, m)
-    wt, wT = 2.0 - k * t, 2.0 - k * T
-    if abs(wt) <= SINGULARITY_TOL or abs(wT) <= SINGULARITY_TOL:
-        raise SingularGamma(f"kt = {k * t} or kT = {k * T} within tol of 2")
-    if wT / wt <= 0.0:
-        raise BranchError(f"(2 - kT)/(2 - kt) = {wT / wt} is nonpositive")
+    if not (k * T < _BELOW_POLE or k * t > _ABOVE_POLE):
+        raise SingularGamma(f"the window kt = {k * t}, kT = {k * T} touches or crosses 2")
     ln_gamma = m * ((T - t) - _i0(k, t, T)[0])
     if not ln_gamma <= _LN_FLOAT_MAX:
         raise SingularGamma(f"ln gamma = {ln_gamma} overflows a float")
     return math.exp(ln_gamma)
+
+
+def regression_denominator(k: float, t: float, T: float) -> float:
+    """D = -I0 / (2 (T - t)) of the regressor, for k > 0 and 0 <= t < T; a
+    window that touches or crosses k tau = 2 raises SingularDenominator."""
+    if _check_window(k, t, T):
+        raise OutOfDomain(f"D needs t < T, got the empty window t = T = {T}")
+    if not (k * T < _BELOW_POLE or k * t > _ABOVE_POLE):
+        raise SingularDenominator(f"the window kt = {k * t}, kT = {k * T} touches or crosses 2")
+    d = -_i0(k, t, T)[0] / (2.0 * (T - t))
+    if abs(d) < DENOMINATOR_TOL:
+        raise SingularDenominator(f"|D| = {abs(d)} below {DENOMINATOR_TOL}")
+    return d
 
 
 def _i0(k: float, t: float, T: float) -> tuple[float, float, float]:
@@ -177,7 +189,7 @@ class IIntegrals(NamedTuple):
     i5: float
 
 
-@functools.lru_cache(maxsize=128, typed=True)
+@functools.lru_cache(maxsize=128)
 def i_integrals_closed(k: float, t: float, T: float) -> IIntegrals:
     """Closed-form I0..I5; I4 and I5 via the combination identities.
 
@@ -187,7 +199,7 @@ def i_integrals_closed(k: float, t: float, T: float) -> IIntegrals:
     kT below SERIES_KT; all are pinned against ``i_integrals_quadrature`` in
     the tests. A nonempty window needs kT < 1 - SINGULARITY_TOL, which t <= T
     extends to all of it, or raises SingularIntegral. The last 128 windows
-    are remembered (an int and a float k are kept apart); errors are not.
+    are remembered; errors are not.
     """
     if _check_window(k, t, T):
         return IIntegrals(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -207,7 +219,8 @@ def _i_logs(
     """I1..I3 from their antiderivatives and the window's log term and pole
     from ``_i0``, for SERIES_KT <= kT < 1."""
     d1, d2, d3 = T - t, T * T - t * t, T ** 3 - t ** 3
-    k2, k3 = k * k, k * k * k  # products: past the float range inf, not an OverflowError
+    k2 = float(k) * k  # float products, for an int k too: past the float range inf
+    k3 = k2 * k
     i1 = -4.0 * pole / k - 2.0 * d1 / k - 6.0 * log_term / k
     i2 = -8.0 * pole / k2 - d2 / k - 6.0 * d1 / k2 - 16.0 * log_term / k2
     i3 = (-16.0 * pole / k3 - (2.0 / 3.0) * d3 / k - 3.0 * d2 / k2 - 16.0 * d1 / k3
@@ -248,9 +261,9 @@ def i_integrals_quadrature(k: float, t: float, T: float) -> IIntegrals:
     # k*tau = 1 on the boundary is harmless (the integrand vanishes there);
     # only a strict interior crossing flips the sign of 1 + l.
     if kt < 1.0 < kT:
-        raise PoleInInterval(f"integrand pole k*tau = 1 inside [{t}, {T}]")
-    if (kt < 2.0 < kT) or abs(2.0 - kt) <= SINGULARITY_TOL or abs(2.0 - kT) <= SINGULARITY_TOL:
-        raise PoleInInterval(f"double pole k*tau = 2 touches [{t}, {T}]")
+        raise SingularIntegral(f"integrand pole k*tau = 1 inside [{t}, {T}]")
+    if not (kT < _BELOW_POLE or kt > _ABOVE_POLE):
+        raise SingularIntegral(f"double pole k*tau = 2 touches [{t}, {T}]")
 
     def weight(tau: float) -> float:
         w = 2.0 - k * tau

@@ -11,7 +11,6 @@ from geoasian import (
     QuoteStyle,
     VolArc,
     arc_from_ou,
-    calibration,
     calibration_report,
     ingest_quotes,
     ols_fit,
@@ -50,6 +49,7 @@ bad,0.45,100,100,,floating_call,0.19
 0.1,0.45,100,101,,fixed_put,0.18
 0.0,0.45,100,100,,floating_call
 0.1,0.45,100,101,x,fixed_put,0.18
+0.1,0.45,100,101,100,fixed_put,abc
 """
 
 
@@ -86,7 +86,7 @@ def test_ingest_rejects_carry_line_numbers_and_reasons():
     result = ingest_quotes(io.StringIO(MIXED_CSV))
     assert len(result.rows) == 2
     reasons = {r.line: r.reason for r in result.rejects}
-    assert set(reasons) == {4, 5, 6, 7, 8, 9, 10, 11}
+    assert set(reasons) == {4, 5, 6, 7, 8, 9, 10, 11, 12}
     assert "not a number" in reasons[4]
     assert "strike" in reasons[5]
     assert "t < T" in reasons[6]
@@ -95,6 +95,7 @@ def test_ingest_rejects_carry_line_numbers_and_reasons():
     assert "strike" in reasons[9]
     assert "fields" in reasons[10]
     assert reasons[11] == "strike='x' is not a number"
+    assert reasons[12] == "implied_vol='abc' is not a number"
 
 
 @pytest.mark.parametrize("column", ["t", "T", "spot", "avg", "strike", "implied_vol"])
@@ -151,6 +152,18 @@ def test_quote_row_refuses_an_int_too_large_for_a_float(field, value):
                   style=QuoteStyle.FIXED_PUT, implied_vol=0.18)
     with pytest.raises(OutOfDomain, match=f"^{field} must be finite, got {value}(;|$)"):
         QuoteRow(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("field", ["t", "T", "spot", "avg", "strike", "implied_vol"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["10**5000", "-10**5000"])
+def test_quote_row_refuses_an_int_too_long_to_write_in_decimal(field, sign):
+    """Writing such an int in a reason raised Python's own ValueError; the
+    reason gives its sign and bit length."""
+    fields = dict(t=0.1, T=0.45, spot=100.0, avg=101.0, strike=100.0,
+                  style=QuoteStyle.FIXED_PUT, implied_vol=0.18)
+    shown = f"{'-' if sign < 0 else ''}<int of 16610 bits>"
+    with pytest.raises(OutOfDomain, match=f"^{field} must be finite, got {shown}(;|$)"):
+        QuoteRow(**{**fields, field: sign * 10**5000})
 
 
 def test_quote_row_validate_collects_all_problems():
@@ -274,7 +287,6 @@ def test_regression_row_takes_d_from_the_chain(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(perturbation, "_i0", counted)
-    monkeypatch.setattr(calibration, "_i0", counted)
     perturbation.i_integrals_closed.cache_clear()
     q = QuoteRow(t=0.1, T=0.45, spot=100.0, avg=101.0, strike=100.0,
                  style=QuoteStyle.FIXED_PUT, implied_vol=0.18)

@@ -213,10 +213,12 @@ ENTRY_POINTS = [
 ]
 
 
-# the values that are not finite: NaN, the infinities and an int too large
-# for a float, on which math.isfinite raised OverflowError
+# the values that are not finite: NaN, the infinities, an int too large for a
+# float, on which math.isfinite raised OverflowError, and one too long for
+# Python to write in decimal, on which a message raised ValueError
 NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-              "10**400": 10**400, "-10**400": -10**400}
+              "10**400": 10**400, "-10**400": -10**400,
+              "10**5000": 10**5000, "-10**5000": -10**5000}
 
 
 def non_finite_cases(table):

@@ -30,7 +30,7 @@ from geoasian import (
 )
 from geoasian import mc
 from geoasian.closedform import q_drift_term
-from geoasian.errors import NonFiniteInput, OutOfDomain
+from geoasian.errors import NonFiniteInput, OutOfDomain, PDFactorizationFailure
 from geoasian.mc import (
     F_MAX,
     F_MIN,
@@ -78,6 +78,32 @@ def test_mc_config_seed_fits_the_128_bit_philox_key():
     McConfig(n_paths=100, n_steps=10, seed=2**128 - 1)
     with pytest.raises(ValueError, match=r"seed must be >= 0 and < 2\*\*128"):
         McConfig(n_paths=100, n_steps=10, seed=2**128)
+
+
+@pytest.mark.parametrize("name, sign", [
+    ("seed", 1), ("seed", -1), ("n_paths", -1), ("n_steps", -1), ("chunk_size", -1),
+])
+def test_mc_config_refuses_an_int_too_long_to_write_in_decimal(name, sign):
+    """Writing such an int in the message raised Python's own ValueError; the
+    message gives its sign and bit length."""
+    shown = f"{'-' if sign < 0 else ''}<int of 16610 bits>"
+    with pytest.raises(OutOfDomain, match=f"^{name} must be >=.*, got {shown}$"):
+        McConfig(**{**dict(n_paths=100, n_steps=10, seed=0), name: sign * 10**5000})
+    with pytest.raises(OutOfDomain, match="even n_paths >= 4, got <int of 16610 bits>$"):
+        McConfig(n_paths=10**5000 + 1, n_steps=10, seed=0, antithetic=True)
+
+
+def test_simulate_paths_names_the_correlations_of_a_matrix_it_cannot_factor():
+    """A matrix within rounding of singular passes ModelParams (its margin is
+    1.6e-17 > 0) and fails numpy's Cholesky factorization, whose own message
+    named none of the correlations."""
+    rhos = dict(rho_xy=0.6265404784005448, rho_xz=0.8255111545554434, rho_yz=0.07734013448731218)
+    model = ModelParams(r=0.0264, k=2.0, alpha_prime=0.2, z0=0.1834, epsilon=0.01, nu=0.3,
+                        beta=0.1, **rhos)
+    expected = (r"^rho_xy, rho_xz, rho_yz = 0\.6265404784005448, 0\.8255111545554434, "
+                r"0\.07734013448731218 are within rounding of singular \(margin 1\.6\d*e-17\)")
+    with pytest.raises(PDFactorizationFailure, match=expected):
+        simulate_paths(model, FullModel(), 0.0, 0.45, 100.0, 100.0, McConfig(8, 4, seed=0))
 
 
 @pytest.mark.parametrize("name, value", [

@@ -20,17 +20,16 @@ from geoasian import (
 from geoasian.calibration import regression_denominator
 from geoasian.closedform import GreekSet
 from geoasian.errors import (
-    BranchError,
     OutOfDomain,
-    PoleInInterval,
     PricingError,
+    SingularDenominator,
     SingularGamma,
     SingularIntegral,
     UnsupportedContract,
     VanishingPrice,
 )
 from geoasian.mc import reference_full_model
-from geoasian.perturbation import c1_fixed, c1_floating, m_exponent
+from geoasian.perturbation import SINGULARITY_TOL, c1_fixed, c1_floating, m_exponent
 
 I_FIELDS = ("i0", "i1", "i2", "i3", "i4", "i5")
 
@@ -136,8 +135,8 @@ def test_empty_window_is_zero():
 
 
 def test_remembered_integrals_have_the_bits_of_a_fresh_evaluation():
-    """The window cache keys an int and a float k apart and shares t = 0.0 with
-    t = -0.0; every entry reads what an uncached call returns, bit for bit."""
+    """The window cache shares one entry between an int and a float k, and between
+    t = 0.0 and t = -0.0; every entry reads what an uncached call returns, bit for bit."""
     for k in (2, 2.0):
         for t in (0.0, -0.0, 0.1):
             cached = i_integrals_closed(k, t, 0.45)
@@ -153,11 +152,11 @@ def test_integral_domain_guards():
         i_integrals_closed(2.0, 0.0, 1.0)  # kT = 2
     with pytest.raises(SingularIntegral, match="kT = 1.4 not below 1 - tol"):
         i_integrals_closed(2.0, 0.1, 0.7)  # crossing k*tau = 1
-    with pytest.raises(PoleInInterval):
+    with pytest.raises(SingularIntegral):
         i_integrals_quadrature(2.0, 0.1, 0.7)  # the oracle refuses it too
-    with pytest.raises(PoleInInterval):
+    with pytest.raises(SingularIntegral):
         i_integrals_quadrature(2.0, 0.0, 0.75)  # crossing k*tau = 1
-    with pytest.raises(PoleInInterval):
+    with pytest.raises(SingularIntegral):
         i_integrals_quadrature(2.0, 0.6, 1.2)  # crossing k*tau = 2
     with pytest.raises(ValueError):
         i_integrals_closed(-1.0, 0.0, 0.5)
@@ -189,7 +188,7 @@ def test_gamma_is_one_at_zero_exponent(k, T):
 def test_gamma_guards():
     with pytest.raises(SingularGamma):
         modification_factor(2.0, 1.0, 1.2, 0.5)
-    with pytest.raises(BranchError):
+    with pytest.raises(SingularGamma):
         modification_factor(2.0, 0.9, 1.5, 0.5)
     with pytest.raises(ValueError):
         modification_factor(2.0, 0.6, 0.5, 0.5)
@@ -197,6 +196,62 @@ def test_gamma_guards():
         modification_factor(-2.0, 0.0, 0.4, 1.0)
     with pytest.raises(OutOfDomain, match="t must be >= 0"):
         modification_factor(2.0, -0.3, 0.2, 1.0)
+
+
+def three_part_pole_rule(k, t, T):
+    """(gamma refuses, D refuses) by the rules the two applied apart: 2 - kt or
+    2 - kT within SINGULARITY_TOL of 0, or the ratio (gamma) or the product (D)
+    of the two not positive."""
+    wt, wT = 2.0 - k * t, 2.0 - k * T
+    near = abs(wt) <= SINGULARITY_TOL or abs(wT) <= SINGULARITY_TOL
+    return near or wT / wt <= 0.0, wt * wT <= 0.0 or near
+
+
+def refused(fn, error, *args):
+    """True when fn refuses the window as touching or crossing k tau = 2."""
+    try:
+        fn(*args)
+    except error as exc:
+        assert "touches or crosses" in str(exc), exc
+        return True
+    return False
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.37, 1.0, 2.0, 3.3, 7e5])
+def test_gamma_and_d_refuse_the_double_pole_where_the_three_part_rule_does(k):
+    """Windows whose kt and kT lie at and within 6 ulps of 2 - tol, 2 and
+    2 + tol, crossings included, and a few far from them: gamma and D refuse
+    each exactly where their three-part rule does."""
+    ends = [0.0, 0.5 / k, 3.0 / k]
+    for pole in (2.0 - SINGULARITY_TOL, 2.0, 2.0 + SINGULARITY_TOL):
+        tau = pole / k
+        for _ in range(6):
+            tau = math.nextafter(tau, 0.0)
+        for _ in range(13):
+            ends.append(tau)
+            tau = math.nextafter(tau, math.inf)
+    windows = [(t, T) for t in ends for T in ends if t <= T]
+    outcomes = set()
+    for t, T in windows:
+        gamma_rule, d_rule = three_part_pole_rule(k, t, T)
+        assert refused(modification_factor, SingularGamma, k, t, T, 0.0) == gamma_rule, (t, T)
+        if t < T:
+            assert refused(regression_denominator, SingularDenominator, k, t, T) == d_rule, (t, T)
+        outcomes.add((gamma_rule, abs(2.0 - k * T) <= 2 * SINGULARITY_TOL))
+    # each outcome occurs with kT near the pole and with kT away from it
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_an_int_k_takes_the_bits_of_its_float():
+    """The closed integrals form k^2 and k^3 as floats, so an int k gives its
+    float's bits; at 10**200, whose square is past the float range, that was
+    an OverflowError. The window cache does not key the type of k."""
+    assert i_integrals_closed.cache_parameters()["typed"] is False
+    for k, t, T in ((10**200, 0.0, 5e-201), (3, 0.0, 0.3), (2, 0.0, 0.05), (1, 0.2, 0.9)):
+        as_int = i_integrals_closed.__wrapped__(k, t, T)
+        as_float = i_integrals_closed.__wrapped__(float(k), t, T)
+        assert [v.hex() for v in as_int] == [v.hex() for v in as_float], k
+    assert i_integrals_closed(10**200, 0.0, 5e-201) == i_integrals_closed(1e200, 0.0, 5e-201)
 
 
 def test_m_exponent():

@@ -2,8 +2,8 @@
 a guard that the package root exports what the README, scripts and gate import,
 a guard against dead imports, dead private functions, unread input fields and
 global statements in the package, a guard that the package reports bad input
-through one error family, a guard that it reads no environment variable, and a
-guard that the CLI reads every flag it takes."""
+through one error family and raises each of its classes, a guard that it reads
+no environment variable, and a guard that the CLI reads every flag it takes."""
 
 import argparse
 import ast
@@ -289,6 +289,18 @@ def test_the_library_raises_one_error_family():
         and {"PricingError", "ValueError"} <= exception_names(node.type)
     ]
     assert both == []
+
+
+def test_every_error_class_is_raised():
+    """Each PricingError subclass of ``errors`` is named in a ``raise`` of the
+    package, so a class whose rule was folded into another cannot linger."""
+    trees = package_trees()
+    raised = {exc for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None
+              for exc in exception_names(node.exc)}
+    classes = [node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)
+               and getattr(errors, node.name) is not errors.PricingError]
+    assert classes and [name for name in classes if name not in raised] == []
 
 
 def test_only_errors_builds_a_non_finite_input():

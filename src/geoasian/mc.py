@@ -113,8 +113,7 @@ of the spread. Where the x-noise sums are all 0 (rho_xy = rho_xz = 0, or
 nu = beta = 0), no factor noise reaches x and every control is one number in
 exact arithmetic, so none is used: E[X_T | vol] may still round to a few
 values, whose fitted slope would move the price. A batch whose conditional
-payoff means are one number is priced at that number with SE 0, and a
-frozen control or exact mean past the float range is dropped. Constant-vol
+payoff means are one number is priced at that number with SE 0. Constant-vol
 runs carry no control: their closed forms are what the oracle checks them
 against. The payoffs read X_T and G_T from the batch, which exponentiates
 each once, and are formed in place in an array of their own. Every estimate
@@ -122,6 +121,9 @@ is formed in one pass on power-of-two-scaled samples (``mean_and_se``): each
 array's samples, antithetic pair means included, are formed once and scaled
 so that their largest |value| lies in [0.5, 1). That keeps the bits of
 numpy's mean and std on normal floats and every sum of squares in range.
+It is also the one non-finite rule: a control not finite is dropped, a pair
+sum past the float range is formed as a/2 + b/2, and a mean or SE not finite
+raises OutOfDomain.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import OutOfDomain, PDFactorizationFailure, require_finite, shown
+from .errors import FLOAT_MAX, OutOfDomain, PDFactorizationFailure, require_finite, shown
 from .model import (
     MarketState,
     ModelParams,
@@ -240,8 +242,8 @@ class PathBatch:
     ``x`` and ``g`` are X_T = exp(ln_x) and G_T = exp(ln_g), computed on
     first read and kept with the batch, so the payoffs priced on one batch
     and the martingale check exponentiate each array once. An exp past the
-    float range reads inf, without a numpy warning; ``price_mc`` and
-    ``validate`` refuse the non-finite estimate it leads to.
+    float range reads inf, without a numpy warning; ``mean_and_se`` refuses
+    the non-finite estimate it leads to.
 
     ``moments`` holds, for a full-model run, the conditional law of
     (ln X_T, ln G_T) given each path's volatility path, as rows of a
@@ -675,22 +677,26 @@ def _payoff_mean(spec: OptionSpec, moments) -> np.ndarray:
     return _lognormal_pair_call(*((g, strike) if call else (strike, g)), 0.0)
 
 
-def _samples(values: np.ndarray, antithetic: bool) -> tuple[np.ndarray, int, bool]:
+def _samples(values: np.ndarray, antithetic: bool) -> tuple[np.ndarray, int, bool, bool]:
     """The samples an estimate averages, ``values`` or an antithetic batch's
-    pair means (a + b) / 2, times 2^e in a new array, with e the power that
-    brings their largest |value| into [0.5, 1) (e = 0 where that is 0 or not
-    finite); e; and whether the samples are one number."""
+    pair means (a/2 + b/2 where a + b passes FLOAT_MAX), times 2^e in a new
+    array, e bringing their largest |value| into [0.5, 1) where that is
+    finite and not 0; then e, whether they are finite and whether they are one number."""
     half = int(antithetic)  # a pair mean is 2^-1 times the pair sum
     n = values.shape[0] // 2
     samples = np.add(values[:n], values[n:]) if antithetic else values
     low, high = float(samples.min()), float(samples.max())
-    top = max(-low, high)
-    shift = -math.frexp(top)[1] if 0.0 < top < math.inf else -half
+    if antithetic and not -FLOAT_MAX <= low <= high <= FLOAT_MAX:
+        half = 0  # a/2 + b/2 is (a + b)/2 wherever no half is subnormal
+        samples = np.add(*np.split(values * 0.5, 2), out=samples)
+        low, high = float(samples.min()), float(samples.max())
+    finite = -FLOAT_MAX <= low <= high <= FLOAT_MAX
+    shift = -math.frexp(max(-low, high))[1]  # 0 where that is 0, inf or NaN
     out = samples if antithetic else None
-    # a subnormal top needs a power past 2^1023, which only ldexp takes
+    # a subnormal largest |value| needs a power past 2^1023, which only ldexp takes
     samples = (np.ldexp(samples, shift, out=out) if shift > 1023
                else np.multiply(samples, 2.0 ** shift, out=out))
-    return samples, shift + half, low == high
+    return samples, shift + half, finite, low == high
 
 
 def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0,
@@ -699,7 +705,8 @@ def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0,
     on ``controls``.
 
     In an antithetic batch the second half mirrors the first, so each pair is
-    averaged before the standard error is formed and counts once.
+    averaged (as a/2 + b/2 where a + b passes FLOAT_MAX) before the standard
+    error is formed and counts once.
     ``controls`` holds (control, exact mean) pairs, each control an array
     like ``values``. This is the multiple-control regression estimator
     (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
@@ -710,9 +717,10 @@ def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0,
     takes the controls in turn, each orthogonalized against those before it
     (modified Gram-Schmidt), so one control is the single-control estimator
     b = (dc . dv) / (dc . dc). A control that is one number on every sample
-    is dropped. With no control left, or fewer than 2 + c samples, the
-    estimate is the plain sample mean and its SE, with the bits of numpy's
-    mean and std; samples that are one number give that number, with SE 0.
+    is dropped, and so is one with a sample or exact mean that is not finite.
+    With no control left, or fewer than 2 + c samples, the estimate is the
+    plain sample mean and its SE, with the bits of numpy's mean and std;
+    samples that are one number give that number, with SE 0.
 
     Each array's samples are formed once, scaled by the power of two that
     brings their largest |value| into [0.5, 1) (an exact mean by its
@@ -721,7 +729,8 @@ def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0,
     exactly, so the bits are those of the unscaled estimate wherever no
     sample is subnormal, and no sum of squares underflows or overflows. No
     array is written. Fewer than 2 samples, an antithetic batch of odd
-    length or a control of another length raises OutOfDomain.
+    length, a control of another length, and a mean or SE that is not
+    finite raise OutOfDomain, without a numpy warning.
     """
     size = values.shape[0]
     n = size // 2 if antithetic else size
@@ -729,63 +738,58 @@ def mean_and_se(values: np.ndarray, antithetic: bool, scale: float = 1.0,
         raise OutOfDomain(f"an estimate needs 2 samples or more, whole antithetic pairs and "
                           f"controls of the values' length, got {size} values (antithetic "
                           f"{antithetic}), controls of {[c.shape[0] for c, _ in controls]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses a non-finite estimate
-        dv, e, one = _samples(values, antithetic)
-        if one:
-            return scale * float(np.ldexp(dv[0], -e)), 0.0
-        mean = dv.sum() / n
-        dv -= mean
-        kept = []  # (deviations, offset c - exact, sum of squares), orthogonalized
-        for control, exact in controls:
-            dc, e_c, one = _samples(control, antithetic)
-            if one:  # nothing to fit
-                continue
-            mean_c = dc.sum() / n
-            dc -= mean_c
-            offset = mean_c - np.ldexp(exact, e_c)
-            for dk, offset_k, ss_k in kept:
-                gamma = (dk @ dc) / ss_k
-                dc -= gamma * dk
-                offset -= gamma * offset_k
-            ss = dc @ dc
-            if ss == 0.0:  # a combination of the controls before it
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
+        dv, e, _, one = _samples(values, antithetic)
+        mean, sd = dv[0], 0.0  # the estimate of samples that are one number
+        if not one:
+            mean = dv.sum() / n
+            dv -= mean
+            kept = []  # (deviations, offset c - exact, sum of squares), orthogonalized
+            for control, exact in controls:
+                dc, e_c, finite, one = _samples(control, antithetic)
+                if one or not (finite and -FLOAT_MAX <= exact <= FLOAT_MAX):  # nothing to fit
+                    continue
+                mean_c = dc.sum() / n
+                dc -= mean_c
+                offset = mean_c - np.ldexp(exact, e_c)
+                for dk, offset_k, ss_k in kept:
+                    gamma = (dk @ dc) / ss_k
+                    dc -= gamma * dk
+                    offset -= gamma * offset_k
+                ss = dc @ dc
+                if ss == 0.0:  # a combination of the controls before it
+                    kept = []
+                    break
+                kept.append((dc, offset, ss))
+            if n - 1 - len(kept) < 1:  # too few samples for the controls
                 kept = []
-                break
-            kept.append((dc, offset, ss))
-        if n - 1 - len(kept) < 1:  # too few samples for the controls
-            kept = []
-        for dk, offset_k, ss_k in kept:
-            b = (dk @ dv) / ss_k
-            dk *= b
-            dv -= dk
-            mean -= b * offset_k
-        if kept:  # the residuals, centred as std does
-            dv -= dv.sum() / n
-        dv *= dv
-        mean, sd = np.ldexp((mean, math.sqrt(dv.sum() / (n - 1 - len(kept)))), -e)
-    return scale * float(mean), scale * float(sd) / math.sqrt(n)
+            for dk, offset_k, ss_k in kept:
+                b = (dk @ dv) / ss_k
+                dk *= b
+                dv -= dk
+                mean -= b * offset_k
+            if kept:  # the residuals, centred as std does
+                dv -= dv.sum() / n
+            dv *= dv
+            sd = math.sqrt(dv.sum() / (n - 1 - len(kept)))
+        mean, se = scale * float(np.ldexp(mean, -e)), scale * float(np.ldexp(sd, -e)) / math.sqrt(n)
+    if not (-FLOAT_MAX <= mean <= FLOAT_MAX and se <= FLOAT_MAX):
+        raise OutOfDomain(f"the Monte Carlo estimate is not finite: {mean}, SE {se}")
+    return mean, se
 
 
 def _controls(spec: OptionSpec, model: ModelParams, state: MarketState,
               paths: PathBatch) -> list:
     """The (control, exact mean) pairs of a full-model batch: E[X_T | vol],
-    the two x-noise sums and, where it and its mean are finite, the frozen
-    control; none where no factor noise reaches x (module docstring)."""
+    the two x-noise sums and the frozen control, where an overflow reads inf
+    and ``mean_and_se`` drops it; none where no factor noise reaches x."""
     if not paths.noise_sums.any():
         return []
-    T = spec.maturity
     control = np.exp(paths.moments[0] + 0.5 * paths.moments[2])  # E[X_T | vol]
-    try:
-        exact = state.x * math.exp(model.r * (T - state.t))
-    except OverflowError:
-        raise OutOfDomain(f"E[X_T] overflows a float at r = {model.r}, T = {T}") from None
-    controls = [(control, exact), *((noise, 0.0) for noise in paths.noise_sums)]
+    exact = state.x * np.exp(model.r * (spec.maturity - state.t))
     given, law = paths.frozen_law
-    frozen, frozen_mean = _payoff_mean(spec, given), float(_payoff_mean(spec, law))
-    # an overflow leaves nothing to fit, as a constant does
-    if math.isfinite(frozen_mean) and np.isfinite(frozen).all():
-        controls.append((frozen, frozen_mean))
-    return controls
+    return [(control, exact), *((noise, 0.0) for noise in paths.noise_sums),
+            (_payoff_mean(spec, given), float(_payoff_mean(spec, law)))]
 
 
 def price_mc(
@@ -810,22 +814,20 @@ def price_mc(
     exact means: E[X_T | vol], the batch's two x-noise sums and the frozen
     control (see the module docstring), with 1 + c degrees of freedom spent
     for the c controls kept. None is used where the x-noise sums are all 0.
-    A control that is one number on every path is dropped, and so is a
-    frozen control that is not finite on every path or whose exact mean is
-    not finite; when no control is left, or fewer than 2 + c samples are
-    (an antithetic pair counting once), the price is the uncontrolled mean
-    of those conditional payoffs, which is unbiased too. Conditional payoff
-    means that are one number on every path (no factor noise) give that
-    number, with SE 0. ``price_plain`` and ``std_error_plain`` keep the
-    plain estimate over the sampled terminal payoffs. A constant-vol batch
-    is priced plain. Every estimate is ``mean_and_se``'s one pass on
-    power-of-two-scaled samples.
+    ``mean_and_se`` drops a control that is one number or not finite; with
+    none left, or fewer than 2 + c samples (a pair counting once), the price
+    is the uncontrolled mean of the conditional payoffs, unbiased too.
+    Conditional payoff means that are one number on every path (no factor
+    noise) give that number, with SE 0. ``price_plain`` and
+    ``std_error_plain`` keep the plain estimate over the sampled terminal
+    payoffs. A constant-vol batch is priced plain. Every estimate is
+    ``mean_and_se``'s one pass on power-of-two-scaled samples.
 
     ``paths`` prices on a batch already simulated from the same model, vol,
     state, maturity and config (several payoffs then share one path set);
     every one of these but ``cfg.chunk_size`` is checked against the batch.
-    A non-finite price or standard error raises OutOfDomain, without a numpy
-    warning.
+    An overflow reads inf, without a numpy warning, and ``mean_and_se``
+    refuses a price or standard error that is not finite with OutOfDomain.
     """
     T = spec.maturity
     if paths is None:
@@ -835,13 +837,9 @@ def price_mc(
                  if paths.source[k] != v]
         raise OutOfDomain(f"path batch does not match cfg and arguments: {'; '.join(diffs)}")
     disc = math.exp(-model.r * (T - state.t))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        values = _payoffs(spec, paths.x, paths.g)
-        plain = mean_and_se(values, cfg.antithetic, scale=disc)
-        price, se = plain
+    with np.errstate(over="ignore", invalid="ignore"):  # mean_and_se drops or refuses an inf
+        plain = mean_and_se(_payoffs(spec, paths.x, paths.g), cfg.antithetic, disc)
         if isinstance(vol, FullModel):
-            price, se = mean_and_se(_payoff_mean(spec, paths.moments), cfg.antithetic, disc,
-                                    _controls(spec, model, state, paths))
-    if not all(map(math.isfinite, (price, se, *plain))):
-        raise OutOfDomain(f"the Monte Carlo estimate is not finite: {price}, SE {se}, plain {plain}")
-    return McEstimate(price, se, *plain)
+            return McEstimate(*mean_and_se(_payoff_mean(spec, paths.moments), cfg.antithetic,
+                                           disc, _controls(spec, model, state, paths)), *plain)
+    return McEstimate(*plain, *plain)

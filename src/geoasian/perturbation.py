@@ -127,10 +127,11 @@ def _check_window(k: float, t: float, T: float, m: float = 0.0) -> bool:
 
 
 def modification_factor(k: float, t: float, T: float, m: float) -> float:
-    """gamma(t) = exp(m (T - t - I0)) in log space; equals 1 at t = T and at m = 0.
-    A window that touches or crosses k tau = 2, and a log factor too large for a
-    float to hold its exponential, raise SingularGamma."""
-    _check_window(k, t, T, m)
+    """gamma(t) = exp(m (T - t - I0)) in log space; equals 1 at t = T, whatever k,
+    and at m = 0. A nonempty window that touches or crosses k tau = 2, and a log
+    factor too large for a float to hold its exponential, raise SingularGamma."""
+    if _check_window(k, t, T, m):
+        return 1.0
     if not (k * T < _BELOW_POLE or k * t > _ABOVE_POLE):
         raise SingularGamma(f"the window kt = {k * t}, kT = {k * T} touches or crosses 2")
     ln_gamma = m * ((T - t) - _i0(k, t, T)[0])

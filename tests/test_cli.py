@@ -808,6 +808,41 @@ def test_validate_refuses_an_estimate_past_the_float_range(capsys, flag, value):
     assert json.loads(err)["error"] == "OutOfDomain"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_prices_a_spot_whose_every_path_is_finite(capsys):
+    """At spot 8e307 every X_T is finite (the largest about 1.32e308), but
+    sums of the martingale's antithetic pairs passed the float range, and
+    validate exited 2 on an inf martingale mean. Every row now passes."""
+    code, out, err = run(capsys, ["validate", "--spot", "8e307", "--paths", "20000",
+                                  "--steps", "10", "--json"])
+    assert code == EXIT_OK, err
+    rows = json.loads(out)["outputs"]["comparisons"]
+    assert len(rows) == 4
+    assert all(math.isfinite(row["mc"]) and 0.0 < row["se"] < math.inf and row["pass"]
+               for row in rows)
+
+
+# each argv asks for an array of at least 10**14 float64s, over 700 TiB: past
+# the address space, so numpy refuses it at once and touches no memory
+HUGE = str(10**14)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--paths", HUGE, "--steps", "2"],
+    ["validate", "--paths", "2000", "--steps", HUGE, "--mode", "full"],
+    ["smile", "--k", "2", "--r", "0.0264", "--z0", "0.1834", "--alpha-prime", "0.2", "--t", "0.1",
+     "--T", "0.45", "--grid", f"0.9:1.1:{HUGE}", "--out", "-"],
+], ids=["validate-paths", "validate-full-steps", "smile-grid"])
+def test_an_array_too_large_to_allocate_exits_2(capsys, argv):
+    """Each ended in numpy's _ArrayMemoryError traceback, exit 1."""
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    failure = json.loads(err)
+    assert failure["error"] == "OutOfDomain"
+    assert failure["message"].startswith("an array too large to allocate")
+
+
 EXTREME_SIGMA_PRICE = ["price", "--k", "2", "--r", "0.0264", "--alpha-prime", "2e-170",
                        "--sigma-min", "1e-300", "--style", "floating", "--kind", "call",
                        "--spot", "100", "--t", "0", "--T", "0.4", "--v-eps", "-0.01"]

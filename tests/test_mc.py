@@ -1270,6 +1270,109 @@ def test_samples_that_are_one_number_give_that_number(antithetic):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_antithetic_pair_past_the_float_range_is_averaged_in_halves():
+    """Sums of these pairs pass the float range before the pair mean's 1/2 is
+    applied, and the batch read (inf, 0.0); plain, it reads (1e308, 7.07e306)."""
+    values = np.array([1.0e308, 1.2e308, 0.9e308, 1.1e308, 1.0e308, 0.8e308, 1.3e308, 0.7e308])
+    mean, se = mc.mean_and_se(values, True)
+    assert rel(mean, 1e308) < 1e-15 and rel(se, 4.08248290463863e306) < 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 10, 1000])
+def test_values_past_half_the_float_range_scale_exactly(k):
+    """An antithetic batch and a control whose values lie in
+    (FLOAT_MAX/2, FLOAT_MAX], where every pair sum leaves the float range,
+    give 2^k times the estimates of the same batch scaled by 2^-k, bit for
+    bit."""
+    rng = np.random.default_rng(17)
+    u = rng.uniform(0.001, 1.0, size=400)
+    top = sys.float_info.max
+    control = top * (0.5 + 0.5 * u)
+    values = top * (0.5 + 0.5 * np.clip(u + 0.2 * rng.normal(size=400), 0.001, 1.0))
+    exact = 0.75 * top
+    assert values.max() == top and min(values.min(), control.min()) > top / 2
+
+    def scaled_back(estimate):
+        return tuple(float(np.ldexp(v, k)) for v in estimate)
+
+    small = np.ldexp(values, -k)
+    plain = mc.mean_and_se(values, True)
+    assert plain == scaled_back(mc.mean_and_se(small, True))
+    controlled = mc.mean_and_se(values, True, 1.0, [(control, exact)])
+    assert controlled == scaled_back(mc.mean_and_se(
+        small, True, 1.0, [(np.ldexp(control, -k), math.ldexp(exact, -k))]))
+    assert controlled != plain
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("sample, exact", [(math.inf, 0.0), (math.nan, 0.0),
+                                           (None, math.inf), (None, math.nan)],
+                         ids=["inf-sample", "nan-sample", "inf-exact", "nan-exact"])
+def test_a_control_that_is_not_finite_is_dropped(antithetic, sample, exact):
+    """A control with a sample or an exact mean that is not finite is
+    dropped, as a constant is; it used to make the estimate NaN."""
+    rng = np.random.default_rng(3)
+    control, other = rng.normal(size=(2, 400))
+    values = control + 0.5 * other + rng.normal(size=400)
+    if sample is not None:
+        control[17] = sample
+    with_it = mc.mean_and_se(values, antithetic, 0.9, [(other, 0.1), (control, exact)])
+    assert with_it == mc.mean_and_se(values, antithetic, 0.9, [(other, 0.1)])
+    assert math.isfinite(with_it[0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("fill", ["inf", "-inf", "nan", "all-inf", "all-nan"])
+def test_values_that_are_not_finite_raise_out_of_domain(antithetic, fill):
+    """Values holding an infinity or a NaN gave an estimate of inf or NaN,
+    and all-inf values (one number) gave inf with SE 0; each is refused, with
+    or without a control."""
+    rng = np.random.default_rng(4)
+    values, control = rng.normal(size=(2, 100))
+    if fill.startswith("all-"):
+        values[:] = float(fill[4:])
+    else:
+        values[rng.integers(100)] = float(fill)
+    for controls in ((), [(control, 0.0)]):
+        with pytest.raises(OutOfDomain, match="the Monte Carlo estimate is not finite"):
+            mc.mean_and_se(values, antithetic, 1.0, controls)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_estimate_scaled_past_the_float_range_raises_out_of_domain():
+    """Finite samples whose scaled mean leaves the float range are refused;
+    the estimate read inf."""
+    with pytest.raises(OutOfDomain, match="the Monte Carlo estimate is not finite"):
+        mc.mean_and_se(np.array([1e308, 1.1e308, 1.2e308, 0.9e308]), False, 4.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_control_past_the_float_range_on_some_paths_is_dropped():
+    """In a plain run of this put, E[X_T | vol] is inf on 2 of 2000 paths
+    while every conditional payoff mean is finite; the control's NaN
+    deviations made the price NaN. It is dropped, and the price is the
+    estimate on the other controls."""
+    put = OptionSpec(StrikeStyle.FIXED, OptionKind.PUT, maturity=0.5, strike=1.6e308)
+    state = MarketState(t=0.0, x=1.6e308, g=1.6e308)
+    model = reference_full_model(0.01)
+    cfg = McConfig(n_paths=2000, n_steps=20, seed=3)
+    batch = simulate_paths(model, FullModel(), 0.0, 0.5, state.x, state.g, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        conditional = _payoff_mean(put, batch.moments)
+        e_x = np.exp(batch.moments[0] + 0.5 * batch.moments[2])
+        frozen, exact = (_payoff_mean(put, moments) for moments in batch.frozen_law)
+    assert np.isfinite(conditional).all() and np.isinf(e_x).sum() == 2
+    others = [*((noise, 0.0) for noise in batch.noise_sums), (frozen, float(exact))]
+    est = price_mc(put, model, FullModel(), state, cfg, paths=batch)
+    assert (est.price, est.std_error) == mc.mean_and_se(conditional, False, math.exp(-model.r * 0.5),
+                                                        others)
+    assert math.isfinite(est.price) and 0.0 < est.std_error < math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("sigma", [1e152, 1e153, 1e200])
 def test_a_constant_vol_law_past_the_float_range_is_refused_before_a_draw(monkeypatch, sigma):
     """At these sigmas the sums of 200 constant-vol steps, or sigma^2,

@@ -180,6 +180,11 @@ def test_gamma_is_one_at_maturity(k, T, m):
     assert modification_factor(k, T, T, m) == 1.0
 
 
+def test_gamma_is_one_on_an_empty_window_at_the_pole():
+    """kt = kT = 2 raised SingularGamma, although gamma is 1 at t = T."""
+    assert modification_factor(2.0, 1.0, 1.0, 0.5) == 1.0
+
+
 @given(k=k_strategy, T=st.floats(min_value=0.05, max_value=0.45))
 def test_gamma_is_one_at_zero_exponent(k, T):
     assert modification_factor(k, 0.0, T, 0.0) == 1.0
@@ -221,7 +226,8 @@ def refused(fn, error, *args):
 def test_gamma_and_d_refuse_the_double_pole_where_the_three_part_rule_does(k):
     """Windows whose kt and kT lie at and within 6 ulps of 2 - tol, 2 and
     2 + tol, crossings included, and a few far from them: gamma and D refuse
-    each exactly where their three-part rule does."""
+    each nonempty one exactly where their three-part rule does, and gamma is
+    1 on each empty one."""
     ends = [0.0, 0.5 / k, 3.0 / k]
     for pole in (2.0 - SINGULARITY_TOL, 2.0, 2.0 + SINGULARITY_TOL):
         tau = pole / k
@@ -233,10 +239,12 @@ def test_gamma_and_d_refuse_the_double_pole_where_the_three_part_rule_does(k):
     windows = [(t, T) for t in ends for T in ends if t <= T]
     outcomes = set()
     for t, T in windows:
+        if t == T:
+            assert modification_factor(k, t, t, 0.5) == 1.0, t
+            continue
         gamma_rule, d_rule = three_part_pole_rule(k, t, T)
         assert refused(modification_factor, SingularGamma, k, t, T, 0.0) == gamma_rule, (t, T)
-        if t < T:
-            assert refused(regression_denominator, SingularDenominator, k, t, T) == d_rule, (t, T)
+        assert refused(regression_denominator, SingularDenominator, k, t, T) == d_rule, (t, T)
         outcomes.add((gamma_rule, abs(2.0 - k * T) <= 2 * SINGULARITY_TOL))
     # each outcome occurs with kT near the pole and with kT away from it
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}

@@ -318,6 +318,24 @@ def test_only_errors_builds_a_non_finite_input():
     assert builders == []
 
 
+def test_only_mean_and_se_decides_a_non_finite_estimate():
+    """``mc.mean_and_se`` holds the whole rule for a Monte Carlo estimate that
+    is not finite: ``price_mc``, ``_controls`` and ``cmd_validate`` call no
+    isfinite and catch no OverflowError."""
+    trees = package_trees()
+    copies = []
+    for module, name in (("mc.py", "price_mc"), ("mc.py", "_controls"), ("cli.py", "cmd_validate")):
+        function = next(node for node in ast.walk(trees[module])
+                        if isinstance(node, ast.FunctionDef) and node.name == name)
+        copies += [
+            f"{name}:{node.lineno}" for node in ast.walk(function)
+            if isinstance(node, ast.Name) and node.id == "isfinite"
+            or isinstance(node, ast.Attribute) and node.attr == "isfinite"
+            or isinstance(node, ast.ExceptHandler) and "OverflowError" in exception_names(node.type)
+        ]
+    assert copies == []
+
+
 CACHES = {"cache", "lru_cache"}
 
 
